@@ -26,7 +26,6 @@ import (
 	"repro/internal/folder"
 	"repro/internal/obs"
 	"repro/internal/rpc"
-	"repro/internal/sharedmem"
 	"repro/internal/threadcache"
 	"repro/internal/transport"
 )
@@ -35,8 +34,6 @@ func main() {
 	id := flag.Int("id", 0, "folder server id (from the ADF FOLDERS section)")
 	host := flag.String("host", "", "logical host name")
 	listen := flag.String("listen", ":7441", "TCP listen address")
-	arena := flag.Int("arena", 0, "shared-memory arena size in bytes (0 = heap)")
-	arch := flag.String("arch", "sun4", "architecture name selecting the shared-memory protocol")
 	noCache := flag.Bool("no-thread-cache", false, "disable thread caching (E1 ablation)")
 	shards := flag.Int("shards", 0, "store lock-stripe count, rounded up to a power of two (0 = default)")
 	batchMax := flag.Int("batch-max", 0, "max requests coalesced per rpc batch frame (0 = default 64; 1 disables batching)")
@@ -47,7 +44,6 @@ func main() {
 	fsync := flag.String("fsync", "batch", "WAL sync policy: batch (group commit), always (fsync per record), never (trust the OS cache)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "records between WAL snapshot+truncate cycles (0 = default, negative = never)")
 	debugAddr := flag.String("debug-addr", "", "serve the debug endpoints (/metrics, /statusz, /slowz, /debug/pprof/) on this address (e.g. localhost:6060); empty disables them")
-	pprofAddr := flag.String("pprof", "", "deprecated alias for -debug-addr")
 	slowThreshold := flag.Duration("slow-request-threshold", 0, "record requests whose handling takes at least this long in the slow-request log (/slowz); 0 disables span timing")
 	traceSample := flag.Float64("trace-sample", 0, "span-sample this fraction of entry requests into /tracez (1 = all, 0 = none); requests a memo server already sampled are always traced through")
 	traceRing := flag.Int("trace-ring", 0, "sampled traces kept in the /tracez ring (0 = default 256)")
@@ -58,13 +54,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "folderserverd: -host is required")
 		os.Exit(2)
 	}
-	if *debugAddr == "" {
-		*debugAddr = *pprofAddr
-	}
 	var opts []folder.Option
-	if *arena > 0 {
-		opts = append(opts, folder.WithArena(sharedmem.New(*arch, *arena)))
-	}
 	if *shards > 0 {
 		opts = append(opts, folder.WithShards(*shards))
 	}

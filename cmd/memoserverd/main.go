@@ -80,7 +80,6 @@ func main() {
 	fsync := flag.String("fsync", "batch", "WAL sync policy: batch (group commit), always (fsync per record), never (trust the OS cache)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "records between WAL snapshot+truncate cycles (0 = default, negative = never)")
 	debugAddr := flag.String("debug-addr", "", "serve the debug endpoints (/metrics, /statusz, /slowz, /debug/pprof/) on this address (e.g. localhost:6060); empty disables them")
-	pprofAddr := flag.String("pprof", "", "deprecated alias for -debug-addr")
 	slowThreshold := flag.Duration("slow-request-threshold", 0, "record requests whose dispatch takes at least this long in the slow-request log (/slowz); 0 disables span timing")
 	traceSample := flag.Float64("trace-sample", 0, "span-sample this fraction of entry requests (1 = all, 0.01 = every 100th, 0 = none); sampled requests collect per-layer spans at every hop into /tracez. Requests another node sampled are always traced through")
 	traceRing := flag.Int("trace-ring", 0, "sampled traces kept in the /tracez ring (0 = default 256)")
@@ -90,9 +89,6 @@ func main() {
 	if *host == "" {
 		fmt.Fprintln(os.Stderr, "memoserverd: -host is required")
 		os.Exit(2)
-	}
-	if *debugAddr == "" {
-		*debugAddr = *pprofAddr
 	}
 	if !flagSet("idle-timeout") {
 		// Keep the read deadline consistent with the probe rate: without

@@ -41,9 +41,6 @@ type Options struct {
 	FolderCache threadcache.Config
 	// Lambda is the placement topology attenuation (§5, experiment E5).
 	Lambda float64
-	// Arena, when positive, backs each folder server's memos with a
-	// shared-memory arena of that many bytes.
-	Arena int
 	// FolderShards overrides the lock-stripe count of each folder
 	// server's store (0 = folder.DefaultShards).
 	FolderShards int
@@ -148,7 +145,6 @@ func (c *Cluster) startNode(host string) (*memoserver.Node, error) {
 		Cache:        c.opts.Cache,
 		FolderCache:  c.opts.FolderCache,
 		Lambda:       c.opts.Lambda,
-		Arena:        c.opts.Arena,
 		FolderShards: c.opts.FolderShards,
 		Batch:        c.opts.Batch,
 		Resilience:   c.opts.Resilience,

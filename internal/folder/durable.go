@@ -74,11 +74,10 @@ func (s *Store) applyRecord(rec *durable.Record) error {
 	switch rec.Type {
 	case durable.RecPut:
 		canon := rec.Key.Canon()
-		it := s.wrap(rec.Payload)
 		sh := s.shardFor(rec.Key)
 		sh.mu.Lock()
 		f := sh.getFold(canon)
-		f.items = append(f.items, it)
+		f.items = append(f.items, bytes.Clone(rec.Payload))
 		// Deliberately NOT clearing f.delayed, although the live put
 		// released those entries: each entry is removed only by its own
 		// RecRelease record, logged once its re-deposit was safe. An entry
@@ -91,11 +90,10 @@ func (s *Store) applyRecord(rec *durable.Record) error {
 		sh.mu.Unlock()
 	case durable.RecPutDelayed:
 		canon := rec.Key.Canon()
-		it := s.wrap(rec.Payload)
 		sh := s.shardFor(rec.Key)
 		sh.mu.Lock()
 		f := sh.getFold(canon)
-		f.delayed = append(f.delayed, delayedEntry{val: it, dest: rec.Dest.Clone(), rel: rec.Rel})
+		f.delayed = append(f.delayed, delayedEntry{val: bytes.Clone(rec.Payload), dest: rec.Dest.Clone(), rel: rec.Rel})
 		if rec.Token != 0 {
 			s.tokens.note(rec.Token)
 		}
@@ -107,9 +105,6 @@ func (s *Store) applyRecord(rec *durable.Record) error {
 		if f, ok := sh.folders[canon]; ok {
 			for i := range f.delayed {
 				if f.delayed[i].rel == rec.Token {
-					if f.delayed[i].val.seg != nil && s.arena != nil {
-						_ = s.arena.Free(f.delayed[i].val.seg)
-					}
 					f.delayed = append(f.delayed[:i], f.delayed[i+1:]...)
 					break
 				}
@@ -129,15 +124,8 @@ func (s *Store) applyRecord(rec *durable.Record) error {
 		found := false
 		if ok {
 			for i := range f.items {
-				if bytes.Equal(f.items[i].data, rec.Payload) {
-					it := f.items[i]
-					last := len(f.items) - 1
-					f.items[i] = f.items[last]
-					f.items[last] = item{}
-					f.items = f.items[:last]
-					if it.seg != nil && s.arena != nil {
-						_ = s.arena.Free(it.seg)
-					}
+				if bytes.Equal(f.items[i], rec.Payload) {
+					f.removeAt(i)
 					found = true
 					break
 				}
@@ -234,8 +222,9 @@ func (s *Store) snapshot() error {
 }
 
 // dumpShard emits one shard's state as compacted records: per folder the
-// visible items then the hidden delayed values (replay order matters — a
-// put record clears the folder's delayed list). Caller holds the shard lock.
+// visible items then the hidden delayed values. Replay order does not
+// matter: a replayed put deliberately leaves the folder's delayed list alone
+// (see applyRecord). Caller holds the shard lock.
 func dumpShard(sh *shard, emit func(*durable.Record) error) error {
 	for canon, f := range sh.folders {
 		key, err := symbol.ParseCanon(canon)
@@ -243,13 +232,13 @@ func dumpShard(sh *shard, emit func(*durable.Record) error) error {
 			return fmt.Errorf("%w: unparseable folder key %q", durable.ErrCorrupt, canon)
 		}
 		for _, it := range f.items {
-			if err := emit(&durable.Record{Type: durable.RecPut, Key: key, Payload: it.data}); err != nil {
+			if err := emit(&durable.Record{Type: durable.RecPut, Key: key, Payload: it}); err != nil {
 				return err
 			}
 		}
 		for _, d := range f.delayed {
 			if err := emit(&durable.Record{
-				Type: durable.RecPutDelayed, Key: key, Dest: d.dest, Payload: d.val.data,
+				Type: durable.RecPutDelayed, Key: key, Dest: d.dest, Payload: d.val,
 				Rel: d.rel,
 			}); err != nil {
 				return err

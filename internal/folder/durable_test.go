@@ -306,7 +306,8 @@ func TestTokenDedupSurvivesSnapshot(t *testing.T) {
 
 // TestTokenEviction: the table is bounded FIFO.
 func TestTokenEviction(t *testing.T) {
-	s := NewStore(WithTokenCap(4))
+	s := NewStore()
+	s.tokens.cap = 4
 	k := symbol.K(1)
 	for tok := uint64(1); tok <= 6; tok++ {
 		if err := s.PutToken(k, []byte("v"), tok); err != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/rpc"
+	"repro/internal/symbol"
 	"repro/internal/threadcache"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -86,7 +87,7 @@ func NewServer(id int, host string, store *Store, cache threadcache.Config, opts
 // OpenServer is the open-from-dir path: it opens (recovering if necessary)
 // a durable store from dir and wraps it in a Server that owns it — Close
 // flushes and closes the write-ahead log. storeOpts configure the store
-// (shards, arena, forward hook); opts configure the server.
+// (shards, forward hook); opts configure the server.
 func OpenServer(id int, host, dir string, dcfg durable.Config, cache threadcache.Config,
 	storeOpts []Option, opts ...ServerOption) (*Server, error) {
 	store, err := OpenStore(dir, dcfg, storeOpts...)
@@ -146,14 +147,11 @@ func (s *Server) Handle(q *wire.Request, cancel <-chan struct{}) *wire.Response 
 func (s *Server) handleSpans(q *wire.Request, cancel <-chan struct{}) *wire.Response {
 	traced := q.Sampled && q.Spans != nil
 	if !traced && !s.slow.Enabled() {
-		return s.handle(q, cancel, nil)
-	}
-	var ot *opTrace
-	if traced {
-		ot = new(opTrace)
+		resp, _ := s.handle(q, cancel, false)
+		return resp
 	}
 	start := time.Now()
-	resp := s.handle(q, cancel, ot)
+	resp, ot := s.handle(q, cancel, traced)
 	dur := time.Since(start)
 	if s.slow.Enabled() {
 		s.slow.Observe(q.TraceID, q.TraceHop, q.Op.String(), s.ID, s.where, dur)
@@ -176,56 +174,51 @@ func (s *Server) handleSpans(q *wire.Request, cancel <-chan struct{}) *wire.Resp
 	return resp
 }
 
-func (s *Server) handle(q *wire.Request, cancel <-chan struct{}, ot *opTrace) *wire.Response {
-	switch q.Op {
-	case wire.OpPut:
-		if err := s.store.putToken(q.Key, q.Payload, q.Token, ot); err != nil {
-			return wire.Errf("put: %v", err)
-		}
-		return wire.OK()
-	case wire.OpPutDelayed:
-		if err := s.store.putDelayedToken(q.Key, q.Key2, q.Payload, q.Token, ot); err != nil {
-			return wire.Errf("put_delayed: %v", err)
-		}
-		return wire.OK()
-	case wire.OpGet:
-		payload, err := s.store.getToken(q.Key, q.Token, cancel, ot)
-		if err != nil {
-			return wire.Errf("get: %v", err)
-		}
-		return &wire.Response{Status: wire.StatusOK, Key: q.Key, Payload: payload}
-	case wire.OpGetCopy:
-		payload, err := s.store.getCopy(q.Key, cancel, ot)
-		if err != nil {
-			return wire.Errf("get_copy: %v", err)
-		}
-		return &wire.Response{Status: wire.StatusOK, Key: q.Key, Payload: payload}
-	case wire.OpGetSkip:
-		payload, ok, err := s.store.getSkipToken(q.Key, q.Token, ot)
-		if err != nil {
-			return wire.Errf("get_skip: %v", err)
-		}
-		if !ok {
-			return &wire.Response{Status: wire.StatusEmpty}
-		}
-		return &wire.Response{Status: wire.StatusOK, Key: q.Key, Payload: payload}
-	case wire.OpAltTake:
-		// Empty key sets fail fast inside the store (ErrNoKeys).
-		k, payload, err := s.store.altTakeToken(q.Keys, q.Token, cancel, ot)
-		if err != nil {
-			return wire.Errf("alt_take: %v", err)
-		}
-		return &wire.Response{Status: wire.StatusOK, Key: k, Payload: payload}
-	case wire.OpWatch:
-		k, err := s.store.watch(q.Keys, cancel, ot)
-		if err != nil {
-			return wire.Errf("watch: %v", err)
-		}
-		return &wire.Response{Status: wire.StatusWake, Key: k}
-	case wire.OpPing:
-		return wire.OK()
+// handle turns the request straight into the store's terms — a deposit, or
+// a readOp for the one read engine — and the outcome into a response. With
+// traced set the store also accumulates the op's waits, returned alongside.
+func (s *Server) handle(q *wire.Request, cancel <-chan struct{}, traced bool) (resp *wire.Response, waits opTrace) {
+	var ot *opTrace
+	if traced {
+		ot = &waits
 	}
-	return wire.Errf("folder server: unsupported op %s", q.Op)
+	one := [1]symbol.Key{q.Key}
+	op := readOp{keys: one[:], block: true, token: q.Token, cancel: cancel, ot: ot}
+	switch q.Op {
+	case wire.OpPing:
+		return wire.OK(), waits
+	case wire.OpPut, wire.OpPutDelayed:
+		var dest *symbol.Key
+		if q.Op == wire.OpPutDelayed {
+			dest = &q.Key2
+		}
+		if err := s.store.deposit(q.Key, dest, q.Payload, q.Token, ot); err != nil {
+			return wire.Errf("%s: %v", q.Op, err), waits
+		}
+		return wire.OK(), waits
+	case wire.OpGet:
+	case wire.OpGetCopy:
+		op.mode = modeCopy
+	case wire.OpGetSkip:
+		op.block = false
+	case wire.OpAltTake:
+		op.keys = q.Keys
+	case wire.OpWatch:
+		op.keys, op.mode = q.Keys, modePeek
+	default:
+		return wire.Errf("folder server: unsupported op %s", q.Op), waits
+	}
+	k, payload, ok, err := s.store.read(&op)
+	switch {
+	case err != nil:
+		// An empty alt_take/watch key set fails fast in the store (ErrNoKeys).
+		return wire.Errf("%s: %v", q.Op, err), waits
+	case !ok:
+		return &wire.Response{Status: wire.StatusEmpty}, waits
+	case op.mode == modePeek:
+		return &wire.Response{Status: wire.StatusWake, Key: k}, waits
+	}
+	return &wire.Response{Status: wire.StatusOK, Key: k, Payload: payload}, waits
 }
 
 // Submit runs task on the server's thread cache ("each request to a server

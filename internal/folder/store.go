@@ -10,13 +10,20 @@
 //
 // The directory is lock-striped: folders are hashed onto a fixed set of
 // shards, each with its own mutex and extraction rng, so operations on
-// distinct folders proceed in parallel. Multi-folder operations (AltTake,
-// AltSkip, Watch) visit the shards one at a time — never holding two shard
-// locks at once — registering a single shared waiter channel per shard so a
-// Put on any involved folder wakes the blocked caller.
+// distinct folders proceed in parallel.
+//
+// Every verb runs through one of two paths. Store.deposit is the write side
+// (put, put_delayed). Store.read is the read side: each reading verb is a
+// readOp value — which keys, take/copy/peek, block or skip, dedup token —
+// and the engine visits the op's shards one at a time, never holding two
+// shard locks at once, leaving one shared waiter channel on the folders of
+// every shard that could not satisfy a blocking read so a Put on any of
+// them wakes the caller. The exported methods are thin wrappers over the
+// two.
 package folder
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -27,7 +34,6 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/obs"
-	"repro/internal/sharedmem"
 	"repro/internal/symbol"
 )
 
@@ -68,11 +74,6 @@ type Store struct {
 	// releases are delivered locally.
 	forward ForwardFunc
 
-	// arena optionally holds memo payloads in the host's shared memory
-	// (Fig. 1's shared-memory abstraction). Nil keeps payloads on the
-	// Go heap. The arena carries its own lock.
-	arena sharedmem.SharedMemory
-
 	// wal, when non-nil, is the durability engine: every mutating op
 	// appends its record under the shard lock and waits for group commit
 	// before acknowledging. Nil (the default) keeps the historical
@@ -86,8 +87,7 @@ type Store struct {
 	// ordered before the table's own lock). It works with or without the
 	// wal — link-failure retries need it in memory, crash recovery
 	// additionally restores it from the log.
-	tokens   tokenTable
-	tokenCap int
+	tokens tokenTable
 
 	// Operation counters (obs.Counter so the same instances back both
 	// Stats snapshots and the registry's folder_* series — one source of
@@ -114,21 +114,17 @@ type shard struct {
 	_       [104]byte
 }
 
-// fold is a single folder.
+// fold is a single folder. Items are the store's private payload copies: a
+// take hands the slice itself to the caller.
 type fold struct {
-	items   []item
+	items   [][]byte
 	delayed []delayedEntry
 	// waiters are signalled (and cleared) whenever an item arrives.
 	waiters []chan struct{}
 }
 
-type item struct {
-	data []byte
-	seg  *sharedmem.Segment
-}
-
 type delayedEntry struct {
-	val  item
+	val  []byte
 	dest symbol.Key
 	// rel is the release token: minted when the value is hidden, carried
 	// by its eventual re-deposit as a dedup token, and named by the
@@ -144,11 +140,6 @@ func WithForward(f ForwardFunc) Option {
 	return func(s *Store) { s.forward = f }
 }
 
-// WithArena stores memo payloads in shared memory.
-func WithArena(a sharedmem.SharedMemory) Option {
-	return func(s *Store) { s.arena = a }
-}
-
 // MaxShards caps the stripe count: far beyond any useful striping, and it
 // keeps the power-of-two rounding below from overflowing on absurd input.
 const MaxShards = 1 << 16
@@ -157,16 +148,6 @@ const MaxShards = 1 << 16
 // retry delayed past this many newer tokened puts can no longer be
 // deduplicated, so the cap is sized far beyond any sane retry window.
 const DefaultTokenCap = 1 << 17
-
-// WithTokenCap overrides the dedup-token table bound (n <= 0 keeps the
-// default).
-func WithTokenCap(n int) Option {
-	return func(s *Store) {
-		if n > 0 {
-			s.tokenCap = n
-		}
-	}
-}
 
 // WithShards sets the stripe count, rounded up to a power of two and
 // clamped to [1, MaxShards]. One shard reproduces the historical
@@ -190,12 +171,11 @@ func WithShards(n int) Option {
 
 // NewStore returns an empty directory.
 func NewStore(opts ...Option) *Store {
-	s := &Store{tokenCap: DefaultTokenCap}
+	s := &Store{tokens: tokenTable{cap: DefaultTokenCap}}
 	WithShards(DefaultShards)(s)
 	for _, o := range opts {
 		o(s)
 	}
-	s.tokens.cap = s.tokenCap
 	for i := range s.shards {
 		s.shards[i].folders = make(map[string]*fold)
 		// Fixed per-shard seeds: deterministic, still unordered, never
@@ -266,46 +246,19 @@ func (sh *shard) gcFold(canon string, f *fold) {
 
 // takeLocked removes a pseudo-random item from f. Caller holds sh.mu and
 // guarantees f has items.
-func (sh *shard) takeLocked(f *fold) item {
-	i := int(sh.nextRand() % uint64(len(f.items)))
-	it := f.items[i]
+func (sh *shard) takeLocked(f *fold) []byte {
+	return f.removeAt(int(sh.nextRand() % uint64(len(f.items))))
+}
+
+// removeAt swap-removes item i (the queue is unordered). Caller holds the
+// shard lock.
+func (f *fold) removeAt(i int) []byte {
+	val := f.items[i]
 	last := len(f.items) - 1
 	f.items[i] = f.items[last]
-	f.items[last] = item{}
+	f.items[last] = nil
 	f.items = f.items[:last]
-	return it
-}
-
-// wrap copies payload into the arena when configured. The arena has its own
-// lock; wrap is called outside any shard lock.
-func (s *Store) wrap(payload []byte) item {
-	if s.arena != nil {
-		if seg, err := s.arena.Alloc(max(len(payload), 1)); err == nil {
-			copy(seg.Bytes, payload)
-			return item{data: seg.Bytes[:len(payload)], seg: seg}
-		}
-		// Arena full: fall back to the heap rather than fail the put.
-	}
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
-	return item{data: buf}
-}
-
-// unwrapTake copies the payload out and releases any arena segment.
-func (s *Store) unwrapTake(it item) []byte {
-	out := make([]byte, len(it.data))
-	copy(out, it.data)
-	if it.seg != nil && s.arena != nil {
-		_ = s.arena.Free(it.seg)
-	}
-	return out
-}
-
-// unwrapCopy copies the payload without consuming the item.
-func unwrapCopy(it item) []byte {
-	out := make([]byte, len(it.data))
-	copy(out, it.data)
-	return out
+	return val
 }
 
 // opTrace accumulates the wait components of one sampled folder operation:
@@ -347,33 +300,72 @@ func (ot *opTrace) committed(t0 int64) {
 	}
 }
 
-// Put deposits a memo and releases any delayed values hidden in the folder.
-// The returned error is always nil on a memory-only store; on a durable
-// store it reports a failed commit (the deposit is then not acknowledged
-// durable).
+// commit waits until record seq on stripe si is durable, then lets the
+// background snapshot cycle run. A memory-only store commits trivially.
 //
+//memolint:forbids-shard-lock
 //memolint:must-check-error
-func (s *Store) Put(key symbol.Key, payload []byte) error {
-	return s.PutToken(key, payload, 0)
+func (s *Store) commit(si int, seq uint64, ot *opTrace) error {
+	if s.wal == nil {
+		return nil
+	}
+	tc := ot.clock()
+	if err := s.wal.Commit(si, seq); err != nil {
+		return err
+	}
+	ot.committed(tc)
+	s.maybeSnapshot()
+	return nil
 }
 
-// PutToken is Put carrying an at-most-once dedup token (0 = none). A put
-// whose token was already applied is acknowledged without depositing again
-// — the retry path for a maybe-delivered put. The acknowledgement of a
-// deduplicated put still waits for the original record's durability, so a
-// crash can never have acknowledged the retry and lost the original.
+// barrier waits until everything already appended to stripe si is durable:
+// the wait a deduplicated op owes its original, whose record it repeats the
+// acknowledgement of.
 //
+//memolint:forbids-shard-lock
 //memolint:must-check-error
-func (s *Store) PutToken(key symbol.Key, payload []byte, token uint64) error {
-	return s.putToken(key, payload, token, nil)
+func (s *Store) barrier(si int, ot *opTrace) error {
+	if s.wal == nil {
+		return nil
+	}
+	tc := ot.clock()
+	if err := s.wal.Barrier(si); err != nil {
+		return err
+	}
+	ot.committed(tc)
+	return nil
 }
 
-// putToken is PutToken with an optional trace accumulator (nil = untraced).
+// wake signals every waiter. Non-blocking send: a waiter may be registered
+// on several folders (alt/watch) and signalled by more than one deposit.
+func wake(waiters []chan struct{}) {
+	for _, w := range waiters {
+		select {
+		case w <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// deposit is the one write path. With dest == nil it is put: the memo
+// becomes visible in key's folder, every delayed value hidden there is
+// released and every waiter woken. Otherwise it is put_delayed: the payload
+// is hidden in key's (the trigger's) folder until the next put there
+// releases it into *dest (§6.1.2); it is not gettable from the trigger.
+//
+// token is the at-most-once dedup token (0 = none). A deposit whose token
+// was already applied is acknowledged without depositing again — the retry
+// path for a maybe-delivered put — but only after the original record's
+// durability barrier, so a crash can never have acknowledged the retry and
+// lost the original. The returned error is always nil on a memory-only
+// store; on a durable store it reports a failed commit (the deposit is then
+// not acknowledged durable).
 //
 //memolint:must-check-error
-func (s *Store) putToken(key symbol.Key, payload []byte, token uint64, ot *opTrace) error {
+func (s *Store) deposit(key symbol.Key, dest *symbol.Key, payload []byte, token uint64, ot *opTrace) error {
 	canon := key.Canon()
-	it := s.wrap(payload)
+	// The store keeps a private copy, made outside any lock.
+	val := bytes.Clone(payload)
 	si := int(s.shardIndex(key))
 	sh := &s.shards[si]
 	t0 := ot.clock()
@@ -382,38 +374,39 @@ func (s *Store) putToken(key symbol.Key, payload []byte, token uint64, ot *opTra
 	if token != 0 && !s.tokens.noteIfNew(token) {
 		sh.mu.Unlock()
 		s.dupPuts.Inc()
-		if s.wal != nil {
-			tc := ot.clock()
-			if err := s.wal.Barrier(si); err != nil {
-				return err
-			}
-			ot.committed(tc)
-		}
-		return nil
+		return s.barrier(si, ot)
 	}
 	f := sh.getFold(canon)
-	f.items = append(f.items, it)
-	released := f.delayed
-	f.delayed = nil
-	waiters := f.waiters
-	f.waiters = nil
+	var released []delayedEntry
+	var waiters []chan struct{}
+	var rel uint64
+	if dest == nil {
+		f.items = append(f.items, val)
+		released, f.delayed = f.delayed, nil
+		waiters, f.waiters = f.waiters, nil
+	} else {
+		// Every hidden value gets a release token up front: its eventual
+		// re-deposit (possibly re-driven by crash recovery, possibly retried
+		// across a link failure) dedups on it.
+		rel = newRelToken()
+		f.delayed = append(f.delayed, delayedEntry{val: val, dest: dest.Clone(), rel: rel})
+	}
 	var seq uint64
 	if s.wal != nil {
-		seq = s.wal.Append(si, &durable.Record{
-			Type: durable.RecPut, Key: key, Payload: payload, Token: token,
-		})
+		rec := durable.Record{Type: durable.RecPut, Key: key, Payload: payload, Token: token}
+		if dest != nil {
+			rec.Type, rec.Dest, rec.Rel = durable.RecPutDelayed, *dest, rel
+		}
+		seq = s.wal.Append(si, &rec)
 	}
 	sh.mu.Unlock()
 
-	s.puts.Inc()
-	for _, w := range waiters {
-		// Non-blocking send: a waiter may be registered on several folders
-		// (alt/watch) and signalled by more than one Put.
-		select {
-		case w <- struct{}{}:
-		default:
-		}
+	if dest != nil {
+		s.delayedIn.Inc()
+	} else {
+		s.puts.Inc()
 	}
+	wake(waiters)
 	// Deliver released delayed values after dropping the lock: their
 	// destinations may be remote, or even folders on this same store.
 	// Each delivery carries the entry's release token as its dedup token,
@@ -424,23 +417,14 @@ func (s *Store) putToken(key symbol.Key, payload []byte, token uint64, ot *opTra
 	// ever landing twice.
 	for _, d := range released {
 		s.released.Inc()
-		payload := s.unwrapTake(d.val)
 		if s.forward != nil {
 			rel := d.rel
-			s.forward(d.dest, payload, rel, func() { s.releaseDone(key, rel) })
-		} else if err := s.PutToken(d.dest, payload, d.rel); err == nil {
+			s.forward(d.dest, d.val, rel, func() { s.releaseDone(key, rel) })
+		} else if err := s.deposit(d.dest, nil, d.val, d.rel, nil); err == nil {
 			s.releaseDone(key, d.rel)
 		}
 	}
-	if s.wal != nil {
-		tc := ot.clock()
-		if err := s.wal.Commit(si, seq); err != nil {
-			return err
-		}
-		ot.committed(tc)
-		s.maybeSnapshot()
-	}
-	return nil
+	return s.commit(si, seq, ot)
 }
 
 // releaseDone logs that the delayed entry with release token rel has left
@@ -459,188 +443,62 @@ func (s *Store) releaseDone(trigger symbol.Key, rel uint64) {
 	sh.mu.Unlock()
 }
 
+// Put deposits a memo and releases any delayed values hidden in the folder.
+//
+//memolint:must-check-error
+func (s *Store) Put(key symbol.Key, payload []byte) error {
+	return s.deposit(key, nil, payload, 0, nil)
+}
+
+// PutToken is Put carrying an at-most-once dedup token (0 = none); see
+// deposit.
+//
+//memolint:must-check-error
+func (s *Store) PutToken(key symbol.Key, payload []byte, token uint64) error {
+	return s.deposit(key, nil, payload, token, nil)
+}
+
 // PutDelayed hides payload in trigger's folder; the next memo arriving in
-// trigger releases it into dest (§6.1.2). The hidden value is not gettable
-// from trigger.
+// trigger releases it into dest (§6.1.2).
 //
 //memolint:must-check-error
 func (s *Store) PutDelayed(trigger, dest symbol.Key, payload []byte) error {
-	return s.PutDelayedToken(trigger, dest, payload, 0)
+	return s.deposit(trigger, &dest, payload, 0, nil)
 }
 
-// PutDelayedToken is PutDelayed with an at-most-once dedup token (0 = none),
-// with the same semantics as PutToken.
+// PutDelayedToken is PutDelayed with an at-most-once dedup token (0 = none).
 //
 //memolint:must-check-error
 func (s *Store) PutDelayedToken(trigger, dest symbol.Key, payload []byte, token uint64) error {
-	return s.putDelayedToken(trigger, dest, payload, token, nil)
+	return s.deposit(trigger, &dest, payload, token, nil)
 }
 
-// putDelayedToken is PutDelayedToken with an optional trace accumulator.
-//
-//memolint:must-check-error
-func (s *Store) putDelayedToken(trigger, dest symbol.Key, payload []byte, token uint64, ot *opTrace) error {
-	canon := trigger.Canon()
-	it := s.wrap(payload)
-	si := int(s.shardIndex(trigger))
-	sh := &s.shards[si]
-	t0 := ot.clock()
-	sh.mu.Lock()
-	ot.lockAcquired(t0)
-	if token != 0 && !s.tokens.noteIfNew(token) {
-		sh.mu.Unlock()
-		s.dupPuts.Inc()
-		if s.wal != nil {
-			tc := ot.clock()
-			if err := s.wal.Barrier(si); err != nil {
-				return err
-			}
-			ot.committed(tc)
-		}
-		return nil
-	}
-	f := sh.getFold(canon)
-	// Every hidden value gets a release token up front: its eventual
-	// re-deposit (possibly re-driven by crash recovery, possibly retried
-	// across a link failure) dedups on it.
-	rel := newRelToken()
-	f.delayed = append(f.delayed, delayedEntry{val: it, dest: dest.Clone(), rel: rel})
-	var seq uint64
-	if s.wal != nil {
-		seq = s.wal.Append(si, &durable.Record{
-			Type: durable.RecPutDelayed, Key: trigger, Dest: dest, Payload: payload,
-			Token: token, Rel: rel,
-		})
-	}
-	sh.mu.Unlock()
-	s.delayedIn.Inc()
-	if s.wal != nil {
-		tc := ot.clock()
-		if err := s.wal.Commit(si, seq); err != nil {
-			return err
-		}
-		ot.committed(tc)
-		s.maybeSnapshot()
-	}
-	return nil
-}
+// readMode is what a read does with the memo it finds.
+type readMode uint8
 
-// Get removes and returns a memo, blocking until one is available or cancel
-// is closed.
-//
-//memolint:must-check-error
-func (s *Store) Get(key symbol.Key, cancel <-chan struct{}) ([]byte, error) {
-	return s.get(key, cancel, nil)
-}
+const (
+	modeTake readMode = iota // remove the memo and return it
+	modeCopy                 // return a copy, leaving the memo in place
+	modePeek                 // only report which folder holds a memo
+)
 
-// get is Get with an optional trace accumulator (nil = untraced).
-//
-//memolint:must-check-error
-func (s *Store) get(key symbol.Key, cancel <-chan struct{}, ot *opTrace) ([]byte, error) {
-	canon := key.Canon()
-	si := int(s.shardIndex(key))
-	sh := &s.shards[si]
-	for {
-		t0 := ot.clock()
-		sh.mu.Lock()
-		ot.lockAcquired(t0)
-		f := sh.getFold(canon)
-		if len(f.items) > 0 {
-			it := sh.takeLocked(f)
-			seq := s.logTake(si, key, it, 0)
-			sh.gcFold(canon, f)
-			sh.mu.Unlock()
-			if err := s.commitTake(si, seq, key, it, ot); err != nil {
-				return nil, err
-			}
-			s.takes.Inc()
-			return s.unwrapTake(it), nil
-		}
-		w := make(chan struct{}, 1)
-		f.waiters = append(f.waiters, w)
-		sh.mu.Unlock()
-		tp := ot.clock()
-		select {
-		case <-w:
-			// Signalled; loop and race for the item.
-			ot.parked(tp)
-		case <-cancel:
-			dropWaiter(sh, canon, w)
-			return nil, ErrCanceled
-		}
-	}
-}
-
-// GetCopy returns a copy of a memo without removing it, blocking until one
-// is available.
-func (s *Store) GetCopy(key symbol.Key, cancel <-chan struct{}) ([]byte, error) {
-	return s.getCopy(key, cancel, nil)
-}
-
-// getCopy is GetCopy with an optional trace accumulator (nil = untraced).
-func (s *Store) getCopy(key symbol.Key, cancel <-chan struct{}, ot *opTrace) ([]byte, error) {
-	canon := key.Canon()
-	sh := s.shardFor(key)
-	for {
-		t0 := ot.clock()
-		sh.mu.Lock()
-		ot.lockAcquired(t0)
-		f := sh.getFold(canon)
-		if len(f.items) > 0 {
-			i := int(sh.nextRand() % uint64(len(f.items)))
-			out := unwrapCopy(f.items[i])
-			sh.mu.Unlock()
-			s.copies.Inc()
-			return out, nil
-		}
-		w := make(chan struct{}, 1)
-		f.waiters = append(f.waiters, w)
-		sh.mu.Unlock()
-		tp := ot.clock()
-		select {
-		case <-w:
-			ot.parked(tp)
-		case <-cancel:
-			dropWaiter(sh, canon, w)
-			return nil, ErrCanceled
-		}
-	}
-}
-
-// GetSkip removes and returns a memo if one is present. A non-nil error
-// reports a durable store whose log has died: the take is rolled back — a
-// payload never leaves the store unless its removal is on disk — and the
-// caller sees the failure instead of a forever-empty folder.
-//
-//memolint:must-check-error
-func (s *Store) GetSkip(key symbol.Key) ([]byte, bool, error) {
-	return s.getSkip(key, nil)
-}
-
-// getSkip is GetSkip with an optional trace accumulator (nil = untraced).
-//
-//memolint:must-check-error
-func (s *Store) getSkip(key symbol.Key, ot *opTrace) ([]byte, bool, error) {
-	canon := key.Canon()
-	si := int(s.shardIndex(key))
-	sh := &s.shards[si]
-	t0 := ot.clock()
-	sh.mu.Lock()
-	ot.lockAcquired(t0)
-	f, ok := sh.folders[canon]
-	if !ok || len(f.items) == 0 {
-		sh.mu.Unlock()
-		return nil, false, nil
-	}
-	it := sh.takeLocked(f)
-	seq := s.logTake(si, key, it, 0)
-	sh.gcFold(canon, f)
-	sh.mu.Unlock()
-	if err := s.commitTake(si, seq, key, it, ot); err != nil {
-		return nil, false, err
-	}
-	s.takes.Inc()
-	return s.unwrapTake(it), true, nil
+// readOp describes one read of the directory; every reading verb is a value
+// of it (the table in DESIGN.md §3), run by Store.read.
+type readOp struct {
+	// keys are the candidate folders. One key takes the frame-local plan;
+	// several are bucketed by shard. None at all can never be satisfied.
+	keys []symbol.Key
+	mode readMode
+	// block parks the read until a memo arrives or cancel closes; without
+	// it a miss is reported at once.
+	block bool
+	// token, when non-zero, is a take's at-most-once dedup token: the first
+	// attempt to claim it executes the take and caches the (key, payload) it
+	// consumed, every retry is answered from that cache. Copies and peeks
+	// consume nothing and ignore it.
+	token  uint64
+	cancel <-chan struct{}
+	ot     *opTrace // nil = untraced
 }
 
 // awaitTakeToken is the claim step every tokened destructive read runs
@@ -689,292 +547,32 @@ func (s *Store) takeFromCache(res *takeResult, ot *opTrace) (symbol.Key, []byte,
 	if res.empty {
 		return symbol.Key{}, nil, false, nil
 	}
-	if s.wal != nil {
-		tc := ot.clock()
-		if err := s.wal.Barrier(res.shard); err != nil {
-			return symbol.Key{}, nil, false, err
-		}
-		ot.committed(tc)
+	if err := s.barrier(res.shard, ot); err != nil {
+		return symbol.Key{}, nil, false, err
 	}
-	out := make([]byte, len(res.data))
-	copy(out, res.data)
-	return res.key, out, true, nil
+	return res.key, bytes.Clone(res.data), true, nil
 }
 
-// GetToken is Get carrying an at-most-once dedup token (0 = none): the
-// retry path for a maybe-executed destructive read. The first attempt to
-// claim the token executes the take and caches the payload; every retry is
-// answered from the cache, so the caller receives the same memo exactly
-// once no matter how many attempts raced.
-//
-//memolint:must-check-error
-func (s *Store) GetToken(key symbol.Key, token uint64, cancel <-chan struct{}) ([]byte, error) {
-	return s.getToken(key, token, cancel, nil)
-}
-
-// getToken is GetToken with an optional trace accumulator (nil = untraced).
-//
-//memolint:must-check-error
-func (s *Store) getToken(key symbol.Key, token uint64, cancel <-chan struct{}, ot *opTrace) ([]byte, error) {
-	if token == 0 {
-		return s.get(key, cancel, ot)
-	}
-	res, e, owner, err := s.awaitTakeToken(token, cancel, ot)
-	if err != nil {
-		return nil, err
-	}
-	if !owner {
-		_, out, ok, err := s.takeFromCache(res, ot)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			// Only a skip caches an empty answer, and tokens are minted per
-			// operation — reaching here is a token-space violation.
-			return nil, fmt.Errorf("folder: take token %#x cached an empty result", token)
-		}
-		return out, nil
-	}
-	canon := key.Canon()
-	si := int(s.shardIndex(key))
-	sh := &s.shards[si]
-	resolved := false
-	defer func() {
-		if !resolved {
-			s.tokens.abandonTake(token, e)
-		}
-	}()
-	for {
-		t0 := ot.clock()
-		sh.mu.Lock()
-		ot.lockAcquired(t0)
-		f := sh.getFold(canon)
-		if len(f.items) > 0 {
-			it := sh.takeLocked(f)
-			seq := s.logTake(si, key, it, token)
-			// Resolve inside the critical section that removed the item:
-			// snapshot cuts order against it (see the token dump in
-			// snapshot), and a parked retry still waits out the commit via
-			// the durability barrier in takeFromCache.
-			s.tokens.resolveTake(e, &takeResult{
-				key: key.Clone(), data: append([]byte(nil), it.data...), shard: si,
-			})
-			resolved = true
-			sh.gcFold(canon, f)
-			sh.mu.Unlock()
-			if err := s.commitTake(si, seq, key, it, ot); err != nil {
-				s.tokens.forget(token)
-				return nil, err
-			}
-			s.takes.Inc()
-			return s.unwrapTake(it), nil
-		}
-		w := make(chan struct{}, 1)
-		f.waiters = append(f.waiters, w)
-		sh.mu.Unlock()
-		tp := ot.clock()
-		select {
-		case <-w:
-			ot.parked(tp)
-		case <-cancel:
-			dropWaiter(sh, canon, w)
-			return nil, ErrCanceled
-		}
-	}
-}
-
-// GetSkipToken is GetSkip with an at-most-once dedup token (0 = none). The
-// observed-empty miss is cached too — in memory only, an empty answer needs
-// no durability — so a retried skip repeats its original's answer instead
-// of sampling the folder again. The claim wait is bounded: a token is only
-// ever shared by attempts of the same non-blocking skip.
-//
-//memolint:must-check-error
-func (s *Store) GetSkipToken(key symbol.Key, token uint64) ([]byte, bool, error) {
-	return s.getSkipToken(key, token, nil)
-}
-
-// getSkipToken is GetSkipToken with an optional trace accumulator.
-//
-//memolint:must-check-error
-func (s *Store) getSkipToken(key symbol.Key, token uint64, ot *opTrace) ([]byte, bool, error) {
-	if token == 0 {
-		return s.getSkip(key, ot)
-	}
-	res, e, owner, err := s.awaitTakeToken(token, nil, ot)
-	if err != nil {
-		return nil, false, err
-	}
-	if !owner {
-		_, out, ok, err := s.takeFromCache(res, ot)
-		return out, ok, err
-	}
-	canon := key.Canon()
-	si := int(s.shardIndex(key))
-	sh := &s.shards[si]
-	t0 := ot.clock()
-	sh.mu.Lock()
-	ot.lockAcquired(t0)
-	f, ok := sh.folders[canon]
-	if !ok || len(f.items) == 0 {
-		s.tokens.resolveTake(e, &takeResult{empty: true, shard: si})
-		sh.mu.Unlock()
-		return nil, false, nil
-	}
-	it := sh.takeLocked(f)
-	seq := s.logTake(si, key, it, token)
-	s.tokens.resolveTake(e, &takeResult{
-		key: key.Clone(), data: append([]byte(nil), it.data...), shard: si,
-	})
-	sh.gcFold(canon, f)
-	sh.mu.Unlock()
-	if err := s.commitTake(si, seq, key, it, ot); err != nil {
-		s.tokens.forget(token)
-		return nil, false, err
-	}
-	s.takes.Inc()
-	return s.unwrapTake(it), true, nil
-}
-
-// AltTakeToken is AltTake with an at-most-once dedup token (0 = none): the
-// cached result remembers which key satisfied the original, so a retry
-// returns the same (key, payload) pair.
-//
-//memolint:must-check-error
-func (s *Store) AltTakeToken(keys []symbol.Key, token uint64, cancel <-chan struct{}) (symbol.Key, []byte, error) {
-	return s.altTakeToken(keys, token, cancel, nil)
-}
-
-// altTakeToken is AltTakeToken with an optional trace accumulator.
-//
-//memolint:must-check-error
-func (s *Store) altTakeToken(keys []symbol.Key, token uint64, cancel <-chan struct{}, ot *opTrace) (symbol.Key, []byte, error) {
-	if token == 0 {
-		return s.altTake(keys, cancel, ot)
-	}
-	if len(keys) == 0 {
-		return symbol.Key{}, nil, ErrNoKeys
-	}
-	res, e, owner, err := s.awaitTakeToken(token, cancel, ot)
-	if err != nil {
-		return symbol.Key{}, nil, err
-	}
-	if !owner {
-		k, out, ok, err := s.takeFromCache(res, ot)
-		if err != nil {
-			return symbol.Key{}, nil, err
-		}
-		if !ok {
-			return symbol.Key{}, nil, fmt.Errorf("folder: take token %#x cached an empty result", token)
-		}
-		return k, out, nil
-	}
-	resolved := false
-	defer func() {
-		if !resolved {
-			s.tokens.abandonTake(token, e)
-		}
-	}()
-	canons := canonsOf(keys)
-	groups := s.groupByShard(keys)
-	var it item
-	var seq uint64
-	var seqShard int
-	found, err := s.awaitGroups(groups, canons, cancel, ot, func(g altGroup) int {
-		off := int(g.sh.nextRand() % uint64(len(g.idxs)))
-		for j := range g.idxs {
-			idx := g.idxs[(off+j)%len(g.idxs)]
-			if f, ok := g.sh.folders[canons[idx]]; ok && len(f.items) > 0 {
-				it = g.sh.takeLocked(f)
-				seqShard = int(s.shardIndex(keys[idx]))
-				seq = s.logTake(seqShard, keys[idx], it, token)
-				s.tokens.resolveTake(e, &takeResult{
-					key: keys[idx].Clone(), data: append([]byte(nil), it.data...), shard: seqShard,
-				})
-				resolved = true
-				g.sh.gcFold(canons[idx], f)
-				return idx
-			}
-		}
-		return -1
-	})
-	if err != nil {
-		return symbol.Key{}, nil, err
-	}
-	if err := s.commitTake(seqShard, seq, keys[found], it, ot); err != nil {
-		s.tokens.forget(token)
-		return symbol.Key{}, nil, err
-	}
-	s.takes.Inc()
-	return keys[found], s.unwrapTake(it), nil
-}
-
-// logTake appends a take record for it (caller holds the shard lock).
-// token, when non-zero, is the take's dedup token — recorded so replay can
-// re-cache the result for retries. Returns 0 when the store is memory-only.
-//
-//memolint:requires-shard-lock
-func (s *Store) logTake(si int, key symbol.Key, it item, token uint64) uint64 {
-	if s.wal == nil {
-		return 0
-	}
-	return s.wal.Append(si, &durable.Record{Type: durable.RecTake, Key: key, Payload: it.data, Token: token})
-}
-
-// commitTake waits for a take record's durability. If the commit fails —
-// only possible once the log is terminally dead — the item is restored, so
-// a payload never leaves the store without its removal being durable.
-//
-//memolint:forbids-shard-lock
-//memolint:must-check-error
-func (s *Store) commitTake(si int, seq uint64, key symbol.Key, it item, ot *opTrace) error {
-	if s.wal == nil {
-		return nil
-	}
-	tc := ot.clock()
-	if err := s.wal.Commit(si, seq); err != nil {
-		s.untake(key, it)
-		return err
-	}
-	ot.committed(tc)
-	s.maybeSnapshot()
-	return nil
-}
-
-// untake puts a taken item back after a failed take commit. No record is
-// logged: commits only fail on a dead log, which accepts no records.
-func (s *Store) untake(key symbol.Key, it item) {
-	canon := key.Canon()
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	f := sh.getFold(canon)
-	f.items = append(f.items, it)
-	waiters := f.waiters
-	f.waiters = nil
-	sh.mu.Unlock()
-	for _, w := range waiters {
-		select {
-		case w <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// altGroup is the slice of a multi-folder key set that lives on one shard:
-// the shard plus indices into the caller's keys/canons.
+// altGroup is the slice of a read's key set that lives on one shard: the
+// stripe index plus indices into the op's keys/canons.
 type altGroup struct {
-	sh   *shard
+	si   int
 	idxs []int
 }
 
-// groupByShard buckets keys by shard, in ascending shard order (a
-// deterministic scan order; locks are only ever taken one at a time).
-// Groups share one sorted index slice instead of a map to keep the
-// get_alt/watch hot path light on allocations.
-func (s *Store) groupByShard(keys []symbol.Key) []altGroup {
+// oneIdx is the index list of every single-key plan. Shared and read-only.
+var oneIdx = []int{0}
+
+// plan renders a multi-key read's canonical folder names and buckets its
+// keys by shard, in ascending shard order (a deterministic scan order; locks
+// are only ever taken one at a time). Groups share one sorted index slice
+// instead of a map to keep the get_alt/watch path light on allocations.
+func (s *Store) plan(keys []symbol.Key) ([]string, []altGroup) {
+	canons := make([]string, len(keys))
 	shardOf := make([]uint64, len(keys))
 	idxs := make([]int, len(keys))
 	for i, k := range keys {
+		canons[i] = k.Canon()
 		shardOf[i] = s.shardIndex(k)
 		idxs[i] = i
 	}
@@ -988,68 +586,264 @@ func (s *Store) groupByShard(keys []symbol.Key) []altGroup {
 		for end < len(idxs) && shardOf[idxs[end]] == si {
 			end++
 		}
-		groups = append(groups, altGroup{sh: &s.shards[si], idxs: idxs[start:end]})
+		groups = append(groups, altGroup{si: int(si), idxs: idxs[start:end]})
 		start = end
 	}
-	return groups
+	return canons, groups
 }
 
-func canonsOf(keys []symbol.Key) []string {
-	canons := make([]string, len(keys))
-	for i, k := range keys {
-		canons[i] = k.Canon()
+// read is the one read engine. It returns the satisfied key, the payload
+// (nil for a peek) and ok == true, or ok == false for a non-blocking miss.
+// A blocking read of an empty key set fails with ErrNoKeys — no folder
+// could ever satisfy it — and a non-blocking one just misses.
+//
+// The pass visits the op's shards one lock at a time, never holding two.
+// A shard that cannot satisfy a blocking read gets the shared waiter w left
+// on every one of its folders before the pass moves on, so a deposit that
+// lands on an already-visited shard finds w there and no wakeup is lost.
+//
+//memolint:must-check-error
+func (s *Store) read(op *readOp) (symbol.Key, []byte, bool, error) {
+	if len(op.keys) == 0 {
+		if op.block {
+			return symbol.Key{}, nil, false, ErrNoKeys
+		}
+		return symbol.Key{}, nil, false, nil
 	}
-	return canons
-}
+	var claim *tokEntry // non-nil while this read owns an unresolved token
+	if op.token != 0 && op.mode == modeTake {
+		res, e, owner, err := s.awaitTakeToken(op.token, op.cancel, op.ot)
+		if err != nil {
+			return symbol.Key{}, nil, false, err
+		}
+		if !owner {
+			k, out, ok, err := s.takeFromCache(res, op.ot)
+			if err == nil && !ok && op.block {
+				// Only a skip caches an empty answer, and tokens are minted
+				// per operation — reaching here is a token-space violation.
+				err = fmt.Errorf("folder: take token %#x cached an empty result", op.token)
+			}
+			return k, out, ok, err
+		}
+		claim = e
+	}
 
-// awaitGroups is the blocking skeleton shared by AltTake and Watch: one
-// pass over the shards, one lock at a time, calling visit with the shard
-// lock held. If visit returns a key index the pass stops; otherwise the
-// shared waiter w is left behind on every folder of the shard before
-// moving on, so a Put that lands on an already-visited shard finds w
-// registered there and no wakeup is lost. Blocks until visit succeeds or
-// cancel closes.
-func (s *Store) awaitGroups(groups []altGroup, canons []string, cancel <-chan struct{}, ot *opTrace, visit func(g altGroup) int) (int, error) {
+	// The one-key plan lives in this frame: handing the arrays to a helper
+	// through a pointer moves them to the heap, on every get.
+	multi := len(op.keys) > 1
+	var canon1 [1]string
+	var group1 [1]altGroup
+	canons, groups := canon1[:], group1[:]
+	if multi {
+		canons, groups = s.plan(op.keys)
+	} else {
+		canon1[0] = op.keys[0].Canon()
+		group1[0] = altGroup{si: int(s.shardIndex(op.keys[0])), idxs: oneIdx}
+	}
+
+	// w is made on first registration, so a read that finds its memo waiting
+	// never allocates it, and w == nil means nothing was ever registered.
+	var w chan struct{}
 	for {
-		w := make(chan struct{}, 1)
-		start := int(s.nextSeq() % uint64(len(groups)))
-		found := -1
-		registered := false
+		start := 0
+		if len(groups) > 1 {
+			start = int(s.nextSeq() % uint64(len(groups)))
+		}
+		found, si, registered := -1, 0, false
+		var val []byte
+		var seq uint64
 		for gi := range groups {
 			g := groups[(start+gi)%len(groups)]
-			s.altScans.Inc()
-			t0 := ot.clock()
-			g.sh.mu.Lock()
-			ot.lockAcquired(t0)
-			found = visit(g)
-			if found < 0 {
-				for _, idx := range g.idxs {
-					f := g.sh.getFold(canons[idx])
-					f.waiters = append(f.waiters, w)
+			if multi {
+				s.altScans.Inc()
+			}
+			sh := &s.shards[g.si]
+			t0 := op.ot.clock()
+			sh.mu.Lock()
+			op.ot.lockAcquired(t0)
+			// Among several eligible folders the choice rotates (§6.1.2
+			// get_alt is nondeterministic).
+			off := 0
+			if len(g.idxs) > 1 {
+				off = int(sh.nextRand() % uint64(len(g.idxs)))
+			}
+			var f *fold
+			for j := range g.idxs {
+				idx := g.idxs[(off+j)%len(g.idxs)]
+				if c, ok := sh.folders[canons[idx]]; ok && len(c.items) > 0 {
+					found, f = idx, c
+					break
 				}
 			}
-			g.sh.mu.Unlock()
+			switch {
+			case found < 0:
+				if op.block {
+					if w == nil {
+						w = make(chan struct{}, 1)
+					}
+					for _, idx := range g.idxs {
+						c := sh.getFold(canons[idx])
+						c.waiters = append(c.waiters, w)
+					}
+					registered = true
+				}
+			case op.mode == modeTake:
+				si = g.si
+				val = sh.takeLocked(f)
+				if s.wal != nil {
+					// The token rides in the record so replay can re-cache
+					// the result for retries.
+					seq = s.wal.Append(si, &durable.Record{
+						Type: durable.RecTake, Key: op.keys[found], Payload: val, Token: op.token,
+					})
+				}
+				if claim != nil {
+					// Resolve inside the critical section that removed the
+					// item: snapshot cuts order against it (see the token
+					// dump in snapshot), and a parked retry still waits out
+					// the commit via the durability barrier in takeFromCache.
+					s.tokens.resolveTake(claim, &takeResult{
+						key: op.keys[found].Clone(), data: bytes.Clone(val), shard: si,
+					})
+					claim = nil
+				}
+				sh.gcFold(canons[found], f)
+			case op.mode == modeCopy:
+				val = bytes.Clone(f.items[sh.nextRand()%uint64(len(f.items))])
+			}
+			sh.mu.Unlock()
 			if found >= 0 {
 				break
 			}
-			registered = true
 		}
+
 		if found >= 0 {
 			if registered {
-				s.dropWaiterGroups(groups, canons, w)
+				s.dropWaiter(groups, canons, w)
 			}
-			return found, nil
+			key := op.keys[found]
+			switch op.mode {
+			case modeTake:
+				if err := s.commit(si, seq, op.ot); err != nil {
+					// Only possible once the log is terminally dead. Restore
+					// the item — a payload never leaves the store without
+					// its removal being durable — and forget the token, so
+					// stale holders of its entry fail their barrier too.
+					s.untake(key, val)
+					s.tokens.forget(op.token)
+					return symbol.Key{}, nil, false, err
+				}
+				s.takes.Inc()
+			case modeCopy:
+				s.copies.Inc()
+			}
+			return key, val, true, nil
 		}
-		tp := ot.clock()
+		if !op.block {
+			if claim != nil {
+				// The observed-empty miss is cached too — in memory only, an
+				// empty answer needs no durability — so a retried skip
+				// repeats its original's answer instead of sampling again.
+				s.tokens.resolveTake(claim, &takeResult{empty: true})
+			}
+			return symbol.Key{}, nil, false, nil
+		}
+		tp := op.ot.clock()
 		select {
 		case <-w:
-			ot.parked(tp)
-			s.dropWaiterGroups(groups, canons, w)
-		case <-cancel:
-			s.dropWaiterGroups(groups, canons, w)
-			return -1, ErrCanceled
+			op.ot.parked(tp)
+			// The deposit that woke a one-key read already cleared that
+			// folder's list; a multi-key read is still registered on the
+			// folders that did not wake it.
+			if multi {
+				s.dropWaiter(groups, canons, w)
+			}
+		case <-op.cancel:
+			s.dropWaiter(groups, canons, w)
+			if claim != nil {
+				// A later retry re-executes instead of caching a non-answer.
+				s.tokens.abandonTake(op.token, claim)
+			}
+			return symbol.Key{}, nil, false, ErrCanceled
 		}
 	}
+}
+
+// untake puts a taken item back after a failed take commit. No record is
+// logged: commits only fail on a dead log, which accepts no records.
+func (s *Store) untake(key symbol.Key, val []byte) {
+	sh := s.shardFor(key)
+	sh.mu.Lock()
+	f := sh.getFold(key.Canon())
+	f.items = append(f.items, val)
+	waiters := f.waiters
+	f.waiters = nil
+	sh.mu.Unlock()
+	wake(waiters)
+}
+
+// dropWaiter removes w wherever it is still registered, one shard at a time,
+// and lets folders it was keeping alive vanish. Folders that never saw a
+// registration are scanned harmlessly.
+func (s *Store) dropWaiter(groups []altGroup, canons []string, w chan struct{}) {
+	for _, g := range groups {
+		sh := &s.shards[g.si]
+		sh.mu.Lock()
+		for _, idx := range g.idxs {
+			if f, ok := sh.folders[canons[idx]]; ok {
+				if i := slices.Index(f.waiters, w); i >= 0 {
+					f.waiters = slices.Delete(f.waiters, i, i+1)
+				}
+				sh.gcFold(canons[idx], f)
+			}
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// Get removes and returns a memo, blocking until one is available or cancel
+// is closed.
+//
+//memolint:must-check-error
+func (s *Store) Get(key symbol.Key, cancel <-chan struct{}) ([]byte, error) {
+	return s.GetToken(key, 0, cancel)
+}
+
+// GetToken is Get carrying an at-most-once dedup token (0 = none): the
+// retry path for a maybe-executed destructive read. The caller receives the
+// same memo exactly once no matter how many attempts raced.
+//
+//memolint:must-check-error
+func (s *Store) GetToken(key symbol.Key, token uint64, cancel <-chan struct{}) ([]byte, error) {
+	_, out, _, err := s.read(&readOp{keys: []symbol.Key{key}, block: true, token: token, cancel: cancel})
+	return out, err
+}
+
+// GetCopy returns a copy of a memo without removing it, blocking until one
+// is available.
+func (s *Store) GetCopy(key symbol.Key, cancel <-chan struct{}) ([]byte, error) {
+	_, out, _, err := s.read(&readOp{keys: []symbol.Key{key}, mode: modeCopy, block: true, cancel: cancel})
+	return out, err
+}
+
+// GetSkip removes and returns a memo if one is present. A non-nil error
+// reports a durable store whose log has died: the take is rolled back and
+// the caller sees the failure instead of a forever-empty folder.
+//
+//memolint:must-check-error
+func (s *Store) GetSkip(key symbol.Key) ([]byte, bool, error) {
+	return s.GetSkipToken(key, 0)
+}
+
+// GetSkipToken is GetSkip with an at-most-once dedup token (0 = none). A
+// retried skip repeats its original's answer, an observed-empty miss
+// included. The claim wait is bounded: a token is only ever shared by
+// attempts of the same non-blocking skip.
+//
+//memolint:must-check-error
+func (s *Store) GetSkipToken(key symbol.Key, token uint64) ([]byte, bool, error) {
+	_, out, ok, err := s.read(&readOp{keys: []symbol.Key{key}, token: token})
+	return out, ok, err
 }
 
 // AltTake removes a memo from any of the given folders, blocking until one
@@ -1059,43 +853,17 @@ func (s *Store) awaitGroups(groups []altGroup, canons []string, cancel <-chan st
 //
 //memolint:must-check-error
 func (s *Store) AltTake(keys []symbol.Key, cancel <-chan struct{}) (symbol.Key, []byte, error) {
-	return s.altTake(keys, cancel, nil)
+	return s.AltTakeToken(keys, 0, cancel)
 }
 
-// altTake is AltTake with an optional trace accumulator (nil = untraced).
+// AltTakeToken is AltTake with an at-most-once dedup token (0 = none): the
+// cached result remembers which key satisfied the original, so a retry
+// returns the same (key, payload) pair.
 //
 //memolint:must-check-error
-func (s *Store) altTake(keys []symbol.Key, cancel <-chan struct{}, ot *opTrace) (symbol.Key, []byte, error) {
-	if len(keys) == 0 {
-		return symbol.Key{}, nil, ErrNoKeys
-	}
-	canons := canonsOf(keys)
-	groups := s.groupByShard(keys)
-	var it item
-	var seq uint64
-	var seqShard int
-	found, err := s.awaitGroups(groups, canons, cancel, ot, func(g altGroup) int {
-		off := int(g.sh.nextRand() % uint64(len(g.idxs)))
-		for j := range g.idxs {
-			idx := g.idxs[(off+j)%len(g.idxs)]
-			if f, ok := g.sh.folders[canons[idx]]; ok && len(f.items) > 0 {
-				it = g.sh.takeLocked(f)
-				seqShard = int(s.shardIndex(keys[idx]))
-				seq = s.logTake(seqShard, keys[idx], it, 0)
-				g.sh.gcFold(canons[idx], f)
-				return idx
-			}
-		}
-		return -1
-	})
-	if err != nil {
-		return symbol.Key{}, nil, err
-	}
-	if err := s.commitTake(seqShard, seq, keys[found], it, ot); err != nil {
-		return symbol.Key{}, nil, err
-	}
-	s.takes.Inc()
-	return keys[found], s.unwrapTake(it), nil
+func (s *Store) AltTakeToken(keys []symbol.Key, token uint64, cancel <-chan struct{}) (symbol.Key, []byte, error) {
+	k, out, _, err := s.read(&readOp{keys: keys, block: true, token: token, cancel: cancel})
+	return k, out, err
 }
 
 // AltSkip removes a memo from any of the folders without blocking. The scan
@@ -1105,35 +873,7 @@ func (s *Store) altTake(keys []symbol.Key, cancel <-chan struct{}, ot *opTrace) 
 //
 //memolint:must-check-error
 func (s *Store) AltSkip(keys []symbol.Key) (symbol.Key, []byte, bool, error) {
-	if len(keys) == 0 {
-		return symbol.Key{}, nil, false, nil
-	}
-	canons := canonsOf(keys)
-	groups := s.groupByShard(keys)
-	start := int(s.nextSeq() % uint64(len(groups)))
-	for gi := range groups {
-		g := groups[(start+gi)%len(groups)]
-		s.altScans.Inc()
-		g.sh.mu.Lock()
-		off := int(g.sh.nextRand() % uint64(len(g.idxs)))
-		for j := range g.idxs {
-			idx := g.idxs[(off+j)%len(g.idxs)]
-			if f, ok := g.sh.folders[canons[idx]]; ok && len(f.items) > 0 {
-				it := g.sh.takeLocked(f)
-				si := int(s.shardIndex(keys[idx]))
-				seq := s.logTake(si, keys[idx], it, 0)
-				g.sh.gcFold(canons[idx], f)
-				g.sh.mu.Unlock()
-				if err := s.commitTake(si, seq, keys[idx], it, nil); err != nil {
-					return symbol.Key{}, nil, false, err
-				}
-				s.takes.Inc()
-				return keys[idx], s.unwrapTake(it), true, nil
-			}
-		}
-		g.sh.mu.Unlock()
-	}
-	return symbol.Key{}, nil, false, nil
+	return s.read(&readOp{keys: keys})
 }
 
 // Watch blocks until any of the folders is non-empty, without consuming.
@@ -1141,64 +881,8 @@ func (s *Store) AltSkip(keys []symbol.Key) (symbol.Key, []byte, bool, error) {
 // per-server Watches plus retry (see the core package). An empty key set
 // fails immediately with ErrNoKeys.
 func (s *Store) Watch(keys []symbol.Key, cancel <-chan struct{}) (symbol.Key, error) {
-	return s.watch(keys, cancel, nil)
-}
-
-// watch is Watch with an optional trace accumulator (nil = untraced).
-func (s *Store) watch(keys []symbol.Key, cancel <-chan struct{}, ot *opTrace) (symbol.Key, error) {
-	if len(keys) == 0 {
-		return symbol.Key{}, ErrNoKeys
-	}
-	canons := canonsOf(keys)
-	groups := s.groupByShard(keys)
-	found, err := s.awaitGroups(groups, canons, cancel, ot, func(g altGroup) int {
-		for _, idx := range g.idxs {
-			if f, ok := g.sh.folders[canons[idx]]; ok && len(f.items) > 0 {
-				return idx
-			}
-		}
-		return -1
-	})
-	if err != nil {
-		return symbol.Key{}, err
-	}
-	return keys[found], nil
-}
-
-// dropWaiter removes w from one folder's waiter list (after cancel).
-func dropWaiter(sh *shard, canon string, w chan struct{}) {
-	sh.mu.Lock()
-	if f, ok := sh.folders[canon]; ok {
-		dropWaiterFrom(f, w)
-		sh.gcFold(canon, f)
-	}
-	sh.mu.Unlock()
-}
-
-// dropWaiterGroups removes w wherever it is still registered, one shard at
-// a time. Groups that never saw a registration are scanned harmlessly.
-func (s *Store) dropWaiterGroups(groups []altGroup, canons []string, w chan struct{}) {
-	for _, g := range groups {
-		g.sh.mu.Lock()
-		for _, idx := range g.idxs {
-			if f, ok := g.sh.folders[canons[idx]]; ok {
-				dropWaiterFrom(f, w)
-				g.sh.gcFold(canons[idx], f)
-			}
-		}
-		g.sh.mu.Unlock()
-	}
-}
-
-// dropWaiterFrom removes w from f's waiter list if present. Caller holds
-// the shard lock.
-func dropWaiterFrom(f *fold, w chan struct{}) {
-	for i, x := range f.waiters {
-		if x == w {
-			f.waiters = append(f.waiters[:i], f.waiters[i+1:]...)
-			return
-		}
-	}
+	k, _, _, err := s.read(&readOp{keys: keys, mode: modePeek, block: true, cancel: cancel})
+	return k, err
 }
 
 // ShardCount reports the number of stripes (for diagnostics and tests).

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/sharedmem"
 	"repro/internal/symbol"
 )
 
@@ -499,36 +498,6 @@ func TestManyProducersManyConsumers(t *testing.T) {
 	}
 	if total != want {
 		t.Fatalf("sum = %d want %d (lost or duplicated memos)", total, want)
-	}
-}
-
-func TestArenaBackedPayloads(t *testing.T) {
-	arena := sharedmem.NewSystemV(1 << 12)
-	s := NewStore(WithArena(arena))
-	k := symbol.K(50)
-	s.Put(k, []byte("in shared memory"))
-	if arena.InUse() == 0 {
-		t.Fatal("payload not placed in arena")
-	}
-	v, err := s.Get(k, never)
-	if err != nil || string(v) != "in shared memory" {
-		t.Fatalf("get = %q %v", v, err)
-	}
-	if arena.InUse() != 0 {
-		t.Fatalf("arena leak: %d bytes in use", arena.InUse())
-	}
-}
-
-func TestArenaExhaustionFallsBackToHeap(t *testing.T) {
-	arena := sharedmem.NewEncore(16)
-	s := NewStore(WithArena(arena))
-	k := symbol.K(51)
-	big := make([]byte, 1024)
-	big[0] = 7
-	s.Put(k, big) // cannot fit; must still work
-	v, err := s.Get(k, never)
-	if err != nil || len(v) != 1024 || v[0] != 7 {
-		t.Fatalf("fallback get = len %d, %v", len(v), err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package memoserver
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -128,37 +127,11 @@ func (c *Client) Do(q *wire.Request, cancel <-chan struct{}) (*wire.Response, er
 	if q.TraceID != 0 {
 		c.lastTrace.Store(q.TraceID)
 	}
-	for attempt := 0; ; attempt++ {
-		conn, epoch, err := c.link.get(cancel)
-		if err != nil {
-			select {
-			case <-cancel:
-				return nil, ErrClientCanceled
-			default:
-			}
-			if attempt < c.res.Retries { // a failed dial sent nothing
-				c.retried.Inc()
-				continue
-			}
-			return nil, fmt.Errorf("memoserver: dial %s: %w", c.Host, err)
-		}
-		resp, err := conn.Call(q, cancel)
-		if err == nil {
-			return resp, nil
-		}
-		if err == rpc.ErrCanceled {
-			return nil, ErrClientCanceled
-		}
-		var le *rpc.LinkError
-		if errors.As(err, &le) {
-			c.link.fault(epoch)
-			if attempt < c.res.Retries && (!le.Sent || retriableInFlight(q)) {
-				c.retried.Inc()
-				continue
-			}
-		}
-		return nil, err
+	resp, dialed, err := c.link.call(q, cancel, &c.retried)
+	if err != nil && !dialed && err != ErrClientCanceled {
+		err = fmt.Errorf("memoserver: dial %s: %w", c.Host, err)
 	}
+	return resp, err
 }
 
 // ErrClientCanceled reports a client-side cancellation.

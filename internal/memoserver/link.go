@@ -1,9 +1,11 @@
 package memoserver
 
 import (
+	"errors"
 	"math/rand/v2"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -85,6 +87,68 @@ func (l *rlink) close() {
 	if c != nil {
 		c.Close()
 	}
+}
+
+// call issues q on the link and waits for the response. If the link dies
+// mid-call it is faulted (the next get re-dials under backoff) and the call
+// re-issued, up to res.Retries times: always when the request provably never
+// reached the wire — a failed dial, or LinkError.Sent == false — and, once
+// it may have executed, only when retriableInFlight. retried counts the
+// re-issues. The bool reports whether the last attempt got a connection at
+// all, so callers can word a dial failure apart from a failed call; a
+// closed cancel yields ErrClientCanceled.
+func (l *rlink) call(q *wire.Request, cancel <-chan struct{}, retried *obs.Counter) (*wire.Response, bool, error) {
+	for attempt := 0; ; attempt++ {
+		conn, epoch, err := l.get(cancel)
+		if err != nil {
+			select {
+			case <-cancel:
+				return nil, false, ErrClientCanceled
+			default:
+			}
+			if attempt < l.res.Retries {
+				retried.Inc()
+				continue
+			}
+			return nil, false, err
+		}
+		resp, err := conn.Call(q, cancel)
+		if err == nil {
+			return resp, true, nil
+		}
+		if err == rpc.ErrCanceled {
+			return nil, true, ErrClientCanceled
+		}
+		var le *rpc.LinkError
+		if errors.As(err, &le) {
+			l.fault(epoch)
+			if attempt < l.res.Retries && (!le.Sent || retriableInFlight(q)) {
+				retried.Inc()
+				continue
+			}
+		}
+		return nil, true, err
+	}
+}
+
+// retriableInFlight reports requests safe to re-issue even when the first
+// attempt may have executed: reads that take nothing (get_copy, watch,
+// fetch), idempotent control ops, and — now that folder servers deduplicate
+// by token — any op carrying a dedup token. A tokened put's retry re-sends
+// the same token and a folder server that already applied it acknowledges
+// without depositing twice; a tokened destructive read (get, get_skip,
+// alt_take) is answered from the folder server's consumed-take cache, so
+// the retry receives the original's memo instead of consuming a second
+// one. Untokened deposits and takes still retry only when the link died
+// before the request reached the wire (rpc.LinkError.Sent == false).
+func retriableInFlight(q *wire.Request) bool {
+	switch q.Op {
+	case wire.OpGetCopy, wire.OpWatch, wire.OpPing, wire.OpFetch, wire.OpRegister:
+		return true
+	case wire.OpPut, wire.OpPutDelayed, wire.OpGet, wire.OpGetSkip, wire.OpAltTake:
+		return q.Token != 0
+	}
+	return false
 }
 
 // stats exposes the underlying redialer's health counters.

@@ -15,7 +15,6 @@
 package memoserver
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -29,7 +28,6 @@ import (
 	"repro/internal/placement"
 	"repro/internal/routing"
 	"repro/internal/rpc"
-	"repro/internal/sharedmem"
 	"repro/internal/symbol"
 	"repro/internal/threadcache"
 	"repro/internal/transport"
@@ -93,9 +91,6 @@ type Config struct {
 	FolderCache threadcache.Config
 	// Lambda is the placement topology attenuation (see placement).
 	Lambda float64
-	// Arena, when positive, allocates a shared-memory arena of that many
-	// bytes per folder server for memo payloads.
-	Arena int
 	// FolderShards overrides the lock-stripe count of folder-server
 	// stores this node creates at registration (0 = folder.DefaultShards).
 	FolderShards int
@@ -107,11 +102,6 @@ type Config struct {
 	// when a link dies, and bounded transparent retries of safely-
 	// retriable forwarded calls. Zero disables all three.
 	Resilience rpc.Resilience
-	// NoLocalInline disables the local fast path: every local request goes
-	// through the folder server's thread cache, as all requests did before
-	// non-blocking ops were inlined (the benchmark baseline, and the E1
-	// thread-cache-fidelity configuration).
-	NoLocalInline bool
 	// DataDir, when non-empty, makes every folder server this node creates
 	// at registration durable: its store opens from
 	// DataDir/<app>/folder-<id> (recovering whatever a previous incarnation
@@ -424,10 +414,6 @@ func (n *Node) RegisterApp(f *adf.File) error {
 				n.forwardRelease(appName, dest, payload, relToken, committed)
 			}),
 		}
-		if n.cfg.Arena > 0 {
-			host, _ := f.HostByName(n.Host)
-			opts = append(opts, folder.WithArena(sharedmem.New(host.Arch, n.cfg.Arena)))
-		}
 		if n.cfg.FolderShards > 0 {
 			opts = append(opts, folder.WithShards(n.cfg.FolderShards))
 		}
@@ -584,7 +570,7 @@ func (n *Node) dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response 
 			return wire.Errf("memo server %s: folder server %d not local", n.Host, q.FolderID)
 		}
 		n.localOps.Inc()
-		if !n.cfg.NoLocalInline && nonBlockingOp(q.Op) {
+		if nonBlockingOp(q.Op) {
 			// Fast path: an op that cannot wait on a folder completes on
 			// the dispatching thread itself, skipping the goroutine
 			// handoff (and reply-channel round trip) through the folder
@@ -600,8 +586,9 @@ func (n *Node) dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response 
 		// the cancel arm below returns without waiting — while q.Payload
 		// still aliases the rpc layer's read frame, which recycles as soon
 		// as we return; detach the payload first so an abandoned handler
-		// never reads a reused buffer. Blocking ops carry no payload, so
-		// this copies only on the NoLocalInline put path.
+		// never reads a reused buffer. Only blocking ops reach this point
+		// and a well-formed one carries no payload, so this copies nothing
+		// unless a peer sent bytes it had no business sending.
 		q.Retain()
 		// The handler goroutine appends spans through the same q.Spans
 		// pointer; pin the set so an abandoned handler (cancel below) can
@@ -640,32 +627,10 @@ func nonBlockingOp(op wire.Op) bool {
 	return false
 }
 
-// retriableInFlight reports requests safe to re-issue even when the first
-// attempt may have executed: reads that take nothing (get_copy, watch,
-// fetch), idempotent control ops, and — now that folder servers deduplicate
-// by token — any op carrying a dedup token. A tokened put's retry re-sends
-// the same token and a folder server that already applied it acknowledges
-// without depositing twice; a tokened destructive read (get, get_skip,
-// alt_take) is answered from the folder server's consumed-take cache, so
-// the retry receives the original's memo instead of consuming a second
-// one. Untokened deposits and takes still retry only when the link died
-// before the request reached the wire (rpc.LinkError.Sent == false).
-func retriableInFlight(q *wire.Request) bool {
-	switch q.Op {
-	case wire.OpGetCopy, wire.OpWatch, wire.OpPing, wire.OpFetch, wire.OpRegister:
-		return true
-	case wire.OpPut, wire.OpPutDelayed, wire.OpGet, wire.OpGetSkip, wire.OpAltTake:
-		return q.Token != 0
-	}
-	return false
-}
-
 // forward relays the request one hop along the routing table over the
 // cached peer rpc connection; concurrent forwards to one neighbour
-// pipeline and batch on it. If the link dies mid-call the peer link is
-// faulted (triggering a backoff re-dial) and the call is retried up to
-// Resilience.Retries times — always when the request provably never
-// reached the wire, and only for idempotent ops once it may have.
+// pipeline and batch on it. A link that dies mid-call is healed and the
+// call retried as far as that is safe (see rlink.call).
 func (n *Node) forward(app *App, q *wire.Request, targetHost string, cancel <-chan struct{}) *wire.Response {
 	hop, ok := app.Table.NextHop(n.Host, targetHost)
 	if !ok {
@@ -678,8 +643,7 @@ func (n *Node) forward(app *App, q *wire.Request, targetHost string, cancel <-ch
 	fq := *q
 	fq.Hops = q.Hops + 1
 	fq.TraceHop = q.TraceHop + 1
-	retries := n.cfg.Resilience.Retries
-	if retries > 0 && fq.Token == 0 && tokenizableOp(fq.Op) {
+	if n.cfg.Resilience.Retries > 0 && fq.Token == 0 && tokenizableOp(fq.Op) {
 		// Stamp a dedup token on the first hop that may ever retry this
 		// deposit, so a maybe-delivered attempt can be re-sent safely. A
 		// token already present (stamped by the application's client or an
@@ -691,49 +655,28 @@ func (n *Node) forward(app *App, q *wire.Request, targetHost string, cancel <-ch
 	if q.Sampled && q.Spans != nil {
 		linkStartNS = time.Now().UnixNano()
 	}
-	for attempt := 0; ; attempt++ {
-		conn, epoch, err := link.get(cancel)
-		if err != nil {
-			select {
-			case <-cancel:
-				return wire.Errf("canceled")
-			default:
-			}
-			if attempt < retries { // a failed dial sent nothing; any op may retry
-				n.retried.Inc()
-				continue
-			}
-			return wire.Errf("memo server %s: dial %s: %v", n.Host, hop, err)
-		}
-		resp, err := conn.Call(&fq, cancel)
-		if err == nil {
-			if linkStartNS != 0 {
-				// Merge the remote hop's spans into this node's set now (and
-				// strip them from resp so Finish doesn't add them twice), then
-				// record the whole forward — dial, linger, retries, remote
-				// work — as one link span named after the next-hop peer.
-				if len(resp.Spans) > 0 {
-					q.Spans.AddMany(resp.Spans)
-					resp.Spans = nil
-				}
-				q.Spans.Add(wire.Span{Layer: "link", Op: hop, Folder: q.FolderID,
-					Hop: q.TraceHop, Start: linkStartNS, Dur: time.Now().UnixNano() - linkStartNS})
-			}
-			return resp
-		}
-		if err == rpc.ErrCanceled {
-			return wire.Errf("canceled")
-		}
-		var le *rpc.LinkError
-		if errors.As(err, &le) {
-			link.fault(epoch)
-			if attempt < retries && (!le.Sent || retriableInFlight(&fq)) {
-				n.retried.Inc()
-				continue
-			}
-		}
+	resp, dialed, err := link.call(&fq, cancel, &n.retried)
+	switch {
+	case err == ErrClientCanceled:
+		return wire.Errf("canceled")
+	case err != nil && !dialed:
+		return wire.Errf("memo server %s: dial %s: %v", n.Host, hop, err)
+	case err != nil:
 		return wire.Errf("memo server %s: forward to %s: %v", n.Host, hop, err)
 	}
+	if linkStartNS != 0 {
+		// Merge the remote hop's spans into this node's set now (and strip
+		// them from resp so Finish doesn't add them twice), then record the
+		// whole forward — dial, linger, retries, remote work — as one link
+		// span named after the next-hop peer.
+		if len(resp.Spans) > 0 {
+			q.Spans.AddMany(resp.Spans)
+			resp.Spans = nil
+		}
+		q.Spans.Add(wire.Span{Layer: "link", Op: hop, Folder: q.FolderID,
+			Hop: q.TraceHop, Start: linkStartNS, Dur: time.Now().UnixNano() - linkStartNS})
+	}
+	return resp
 }
 
 // peer returns the resilient link to a neighbouring memo server, creating

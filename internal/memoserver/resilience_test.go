@@ -209,8 +209,7 @@ func (e *clientStatusErr) Error() string { return e.msg }
 
 // TestLocalFastPathSkipsSubmit: local non-blocking ops run inline on the
 // dispatching thread — the folder server's thread cache sees no traffic —
-// while blocking ops still go through it, and NoLocalInline restores the
-// old handoff for every op.
+// while blocking ops still go through it.
 func TestLocalFastPathSkipsSubmit(t *testing.T) {
 	tn := bootNet(t, twoHostADF, Config{})
 	c := tn.client(t, "a")
@@ -248,29 +247,11 @@ func TestLocalFastPathSkipsSubmit(t *testing.T) {
 	}
 }
 
-func TestNoLocalInlineRestoresHandoff(t *testing.T) {
-	tn := bootNet(t, twoHostADF, Config{NoLocalInline: true})
-	c := tn.client(t, "a")
-	k := symbol.K(5)
-	if resp, err := c.Do(req(wire.OpPut, 0, k, []byte("v")), nil); err != nil || resp.Status != wire.StatusOK {
-		t.Fatalf("put: %+v %v", resp, err)
-	}
-	node := tn.nodes["a"]
-	fs, _ := node.LocalFolderServer(tn.file.App, 0)
-	if st := fs.CacheStats(); st.Spawned+st.Reused == 0 {
-		t.Fatal("NoLocalInline put bypassed the thread cache")
-	}
-	if st := node.Stats(); st.Inlined != 0 {
-		t.Fatalf("Inlined = %d with NoLocalInline", st.Inlined)
-	}
-}
-
-// BenchmarkNodeLocalFastPath quantifies the inlined local path against the
-// thread-cache handoff baseline, and guards the remote path against
-// regression (remote ops are identical under both configurations).
+// BenchmarkNodeLocalFastPath times a put+get_skip round on the inlined
+// local path and on the forwarded remote path.
 func BenchmarkNodeLocalFastPath(b *testing.B) {
-	run := func(b *testing.B, cfg Config, folderID int) {
-		tn := bootNet(b, twoHostADF, cfg)
+	run := func(b *testing.B, folderID int) {
+		tn := bootNet(b, twoHostADF, Config{})
 		c, err := DialClient(tn.sim.DialFrom, "a", tn.file.App)
 		if err != nil {
 			b.Fatal(err)
@@ -289,8 +270,6 @@ func BenchmarkNodeLocalFastPath(b *testing.B) {
 		}
 	}
 	// Folder 0 is local to a; folder 1 forwards to b.
-	b.Run("local/inline", func(b *testing.B) { run(b, Config{}, 0) })
-	b.Run("local/handoff", func(b *testing.B) { run(b, Config{NoLocalInline: true}, 0) })
-	b.Run("remote/inline", func(b *testing.B) { run(b, Config{}, 1) })
-	b.Run("remote/handoff", func(b *testing.B) { run(b, Config{NoLocalInline: true}, 1) })
+	b.Run("local/inline", func(b *testing.B) { run(b, 0) })
+	b.Run("remote/inline", func(b *testing.B) { run(b, 1) })
 }
