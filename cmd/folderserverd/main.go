@@ -42,7 +42,7 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 15*time.Second, "close connections silent for this long (0 = never; rpc clients heartbeat when their receive side goes quiet, so only legacy raw-wire clients with long blocking waits need this off)")
 	dataDir := flag.String("data-dir", "", "directory for durability (per-shard WAL + snapshots); empty keeps folders in memory only")
 	fsync := flag.String("fsync", "batch", "WAL sync policy: batch (group commit), always (fsync per record), never (trust the OS cache)")
-	snapshotEvery := flag.Int("snapshot-every", 0, "records between WAL snapshot+truncate cycles (0 = default, negative = never)")
+	snapshotEvery := flag.Int("snapshot-every", 0, "minimum records between WAL snapshot+truncate cycles (0 = default, negative = never)")
 	debugAddr := flag.String("debug-addr", "", "serve the debug endpoints (/metrics, /statusz, /slowz, /debug/pprof/) on this address (e.g. localhost:6060); empty disables them")
 	slowThreshold := flag.Duration("slow-request-threshold", 0, "record requests whose handling takes at least this long in the slow-request log (/slowz); 0 disables span timing")
 	traceSample := flag.Float64("trace-sample", 0, "span-sample this fraction of entry requests into /tracez (1 = all, 0 = none); requests a memo server already sampled are always traced through")

@@ -78,7 +78,7 @@ func main() {
 	retries := flag.Int("link-retries", 2, "transparent retries of safely-retriable forwarded calls after a link failure")
 	dataDir := flag.String("data-dir", "", "directory for folder-server durability (per-shard WAL + snapshots); empty keeps folders in memory only")
 	fsync := flag.String("fsync", "batch", "WAL sync policy: batch (group commit), always (fsync per record), never (trust the OS cache)")
-	snapshotEvery := flag.Int("snapshot-every", 0, "records between WAL snapshot+truncate cycles (0 = default, negative = never)")
+	snapshotEvery := flag.Int("snapshot-every", 0, "minimum records between WAL snapshot+truncate cycles (0 = default, negative = never)")
 	debugAddr := flag.String("debug-addr", "", "serve the debug endpoints (/metrics, /statusz, /slowz, /debug/pprof/) on this address (e.g. localhost:6060); empty disables them")
 	slowThreshold := flag.Duration("slow-request-threshold", 0, "record requests whose dispatch takes at least this long in the slow-request log (/slowz); 0 disables span timing")
 	traceSample := flag.Float64("trace-sample", 0, "span-sample this fraction of entry requests (1 = all, 0.01 = every 100th, 0 = none); sampled requests collect per-layer spans at every hop into /tracez. Requests another node sampled are always traced through")

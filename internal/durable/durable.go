@@ -17,11 +17,14 @@
 //     record. The syncer drains by backpressure, mirroring the rpc
 //     batcher: one fsync's duration is exactly the window in which the
 //     next batch of records accumulates, so the sync cost amortizes over
-//     concurrent operations by itself (Config.MaxBatch/MaxBytes/Linger
-//     bound the mechanism, SyncAlways degenerates it to one fsync per
-//     record, SyncNever trusts the OS page cache).
+//     concurrent operations by itself (SyncAlways degenerates it to one
+//     fsync per record, SyncNever trusts the OS page cache). Records are
+//     encoded once, straight into the stripe's contiguous buffer, and a
+//     group commit is one write(2) of that buffer.
 //
-//   - When enough records accumulate (Config.SnapshotEvery), the owner
+//   - When the log has outgrown the last snapshot (at least
+//     Config.SnapshotEvery records, and at least as many bytes as that
+//     snapshot holds; see Log.ShouldSnapshot), the owner
 //     cuts a snapshot: shard by shard — under that shard's lock — the
 //     remaining stripe tail is flushed, the shard's in-memory state is
 //     dumped as compacted records into a temp file, and the stripe rotates
@@ -103,30 +106,19 @@ func ParseSyncMode(s string) (SyncMode, error) {
 	return 0, fmt.Errorf("durable: unknown sync mode %q (want batch, always, or never)", s)
 }
 
-// Defaults.
-const (
-	// DefaultSnapshotEvery is the record count between snapshots.
-	DefaultSnapshotEvery = 8192
-	// DefaultMaxBatch caps records per group-commit fsync.
-	DefaultMaxBatch = 512
-	// DefaultMaxBytes caps bytes per group-commit write.
-	DefaultMaxBytes = 1 << 20
-)
+// DefaultSnapshotEvery is the minimum record count between snapshots.
+const DefaultSnapshotEvery = 8192
 
 // Config tunes a Log. The zero value is the recommended configuration:
-// group commit, snapshot every DefaultSnapshotEvery records.
+// group commit, snapshots no closer than DefaultSnapshotEvery records.
 type Config struct {
 	// Sync selects the fsync policy (zero = SyncBatch).
 	Sync SyncMode
-	// SnapshotEvery is how many appended records trigger a snapshot +
-	// truncation cycle (0 = DefaultSnapshotEvery, negative = never).
+	// SnapshotEvery is the minimum number of appended records between
+	// snapshot + truncation cycles (0 = DefaultSnapshotEvery, negative =
+	// never). Past it, a cycle runs once the log is as large as the last
+	// snapshot; see Log.ShouldSnapshot.
 	SnapshotEvery int
-	// MaxBatch caps how many records one group-commit cycle writes
-	// (0 = DefaultMaxBatch; forced to 1 by SyncAlways).
-	MaxBatch int
-	// MaxBytes caps how many bytes one group-commit cycle writes
-	// (0 = DefaultMaxBytes).
-	MaxBytes int
 	// Linger, when positive, is an extra accumulation window before each
 	// sync cycle. Backpressure draining usually makes it unnecessary —
 	// records pile up while the previous fsync runs — so the default is 0.
@@ -136,15 +128,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = DefaultSnapshotEvery
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.Sync == SyncAlways {
-		c.MaxBatch = 1
-	}
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = DefaultMaxBytes
 	}
 	return c
 }

@@ -19,7 +19,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		{Type: RecToken, Token: ^uint64(0)},
 	}
 	for _, r := range seeds {
-		f.Add(EncodeRecord(r))
+		f.Add(encodeBody(r))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(RecPut)})
@@ -30,7 +30,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re := EncodeRecord(rec)
+		re := encodeBody(rec)
 		rec2, err := DecodeRecord(re)
 		if err != nil {
 			t.Fatalf("re-decode of accepted record failed: %v (orig %x)", err, data)
@@ -40,7 +40,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 			t.Fatalf("unstable round trip: %+v vs %+v", rec, rec2)
 		}
 		// The canonical encoding must be a fixed point.
-		if re2 := EncodeRecord(rec2); !bytes.Equal(re, re2) {
+		if re2 := encodeBody(rec2); !bytes.Equal(re, re2) {
 			t.Fatalf("encoding not canonical: %x vs %x", re, re2)
 		}
 	})
@@ -49,7 +49,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 // FuzzNextFrame drives the frame splitter: no panics, and an accepted frame
 // must carry a CRC-consistent body.
 func FuzzNextFrame(f *testing.F) {
-	f.Add(appendFrame(nil, EncodeRecord(&Record{Type: RecToken, Token: 9})))
+	f.Add(AppendRecord(nil, &Record{Type: RecToken, Token: 9}))
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rest := data

@@ -42,9 +42,12 @@ type Log struct {
 	gen    atomic.Uint64 // advanced by snapshots (background goroutine)
 	shards []*stripe
 
-	// appended counts records since the last completed snapshot; the owner
-	// polls ShouldSnapshot after commits.
-	appended atomic.Int64
+	// The snapshot trigger's inputs (see ShouldSnapshot): the records and
+	// frame bytes logged since the last cut, and the size of the last
+	// committed snapshot. The owner polls ShouldSnapshot after commits.
+	appended  atomic.Int64
+	walBytes  atomic.Int64
+	snapBytes atomic.Int64
 }
 
 // Open opens (creating if necessary) the log in dir for a store with the
@@ -74,13 +77,11 @@ func Open(dir string, shards int, cfg Config, apply func(*Record) error) (*Log, 
 		}
 	}
 
-	replayed := int64(0)
+	var snapBytes, walRecs, walBytes int64
 	if haveSnap {
-		n, err := replaySnapshot(filepath.Join(dir, snapName(base)), apply)
-		if err != nil {
+		if snapBytes, err = replaySnapshot(filepath.Join(dir, snapName(base)), apply); err != nil {
 			return nil, err
 		}
-		replayed += n
 	}
 
 	// Replay surviving generations in ascending order. Per-folder order
@@ -96,11 +97,12 @@ func Open(dir string, shards int, cfg Config, apply func(*Record) error) (*Log, 
 			gen = g
 		}
 		for _, name := range stripeFiles(dir, g) {
-			n, err := replayStripe(name, apply)
+			n, size, err := replayStripe(name, apply)
 			if err != nil {
 				return nil, err
 			}
-			replayed += n
+			walRecs += n
+			walBytes += size
 		}
 	}
 
@@ -134,9 +136,15 @@ func Open(dir string, shards int, cfg Config, apply func(*Record) error) (*Log, 
 	// names. (The snapshot cycle already syncs the directory at its own
 	// commit point; open must too.)
 	syncDir(dir)
-	// A recovered backlog counts toward the next snapshot, so a log that
-	// crashed with a full generation compacts soon after reopening.
-	l.appended.Store(replayed)
+	// The trigger resumes where the last incarnation left it: the replayed
+	// stripes are log since the last cut, the replayed snapshot is what the
+	// next one will cost — so a log that crashed with a full generation
+	// compacts soon after reopening, and one that had just compacted does not.
+	l.appended.Store(walRecs)
+	l.walBytes.Store(walBytes)
+	l.snapBytes.Store(snapBytes)
+	mWALBytes.Add(walBytes)
+	mSnapshotBytes.Add(snapBytes)
 	return l, nil
 }
 
@@ -186,38 +194,21 @@ func stripeFiles(dir string, g uint64) []string {
 }
 
 // replayStripe applies every intact frame of one stripe file, stopping at a
-// torn tail (everything after a tear was never acknowledged durable).
-func replayStripe(name string, apply func(*Record) error) (int64, error) {
+// torn tail (everything after a tear was never acknowledged durable). It
+// reports the records applied and the bytes they occupy.
+func replayStripe(name string, apply func(*Record) error) (n, size int64, err error) {
 	buf, err := os.ReadFile(name)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	n := int64(0)
-	rest := buf
-	for {
-		body, r, ok := nextFrame(rest)
-		if !ok {
-			break
-		}
-		rec, err := DecodeRecord(body)
-		if err != nil {
-			// The frame's CRC held but the body is malformed: corruption,
-			// not a torn tail.
-			return n, fmt.Errorf("%w: %s: %v", ErrCorrupt, filepath.Base(name), err)
-		}
-		if err := apply(rec); err != nil {
-			return n, fmt.Errorf("durable: replay %s: %w", filepath.Base(name), err)
-		}
-		n++
-		rest = r
-	}
-	return n, nil
+	n, rest, err := replayFrames(name, buf, apply)
+	return n, int64(len(buf) - len(rest)), err
 }
 
-// replaySnapshot applies every record of a completed snapshot. Unlike a wal
-// stripe, a completed (renamed) snapshot has no legitimate torn tail, so any
-// framing failure before EOF is corruption.
-func replaySnapshot(name string, apply func(*Record) error) (int64, error) {
+// replaySnapshot applies every record of a completed snapshot and reports
+// the file's size. Unlike a wal stripe, a completed (renamed) snapshot has no
+// legitimate torn tail, so any framing failure before EOF is corruption.
+func replaySnapshot(name string, apply func(*Record) error) (size int64, err error) {
 	buf, err := os.ReadFile(name)
 	if err != nil {
 		return 0, err
@@ -225,24 +216,33 @@ func replaySnapshot(name string, apply func(*Record) error) (int64, error) {
 	if len(buf) < len(snapMagic) || string(buf[:len(snapMagic)]) != string(snapMagic) {
 		return 0, fmt.Errorf("%w: %s: bad snapshot header", ErrCorrupt, filepath.Base(name))
 	}
-	rest := buf[len(snapMagic):]
-	n := int64(0)
-	for len(rest) > 0 {
-		body, r, ok := nextFrame(rest)
+	_, rest, err := replayFrames(name, buf[len(snapMagic):], apply)
+	if err == nil && len(rest) > 0 {
+		err = fmt.Errorf("%w: %s: torn frame in completed snapshot", ErrCorrupt, filepath.Base(name))
+	}
+	return int64(len(buf)), err
+}
+
+// replayFrames decodes and applies frames from buf until one fails its
+// length or CRC check; it returns how many it applied and what is left.
+func replayFrames(name string, buf []byte, apply func(*Record) error) (n int64, rest []byte, err error) {
+	for {
+		body, next, ok := nextFrame(buf)
 		if !ok {
-			return n, fmt.Errorf("%w: %s: torn frame in completed snapshot", ErrCorrupt, filepath.Base(name))
+			return n, buf, nil
 		}
 		rec, err := DecodeRecord(body)
 		if err != nil {
-			return n, fmt.Errorf("%w: %s: %v", ErrCorrupt, filepath.Base(name), err)
+			// The frame's CRC held but the body is malformed: corruption,
+			// not a torn tail.
+			return n, buf, fmt.Errorf("%w: %s: %v", ErrCorrupt, filepath.Base(name), err)
 		}
 		if err := apply(rec); err != nil {
-			return n, fmt.Errorf("durable: replay %s: %w", filepath.Base(name), err)
+			return n, buf, fmt.Errorf("durable: replay %s: %w", filepath.Base(name), err)
 		}
 		n++
-		rest = r
+		buf = next
 	}
-	return n, nil
 }
 
 // removeStale deletes files superseded by the base snapshot, plus abandoned
@@ -283,9 +283,12 @@ func removeStale(dir string, base uint64, haveSnap bool) error {
 //
 //memolint:requires-shard-lock
 func (l *Log) Append(shard int, rec *Record) uint64 {
+	seq, size := l.shards[shard].append(rec)
 	l.appended.Add(1)
+	l.walBytes.Add(int64(size))
 	mAppends.Inc()
-	return l.shards[shard].append(EncodeRecord(rec))
+	mWALBytes.Add(int64(size))
+	return seq
 }
 
 // Commit blocks until the shard's stripe has made seq durable. It must run
@@ -314,11 +317,20 @@ func (l *Log) Barrier(shard int) error {
 	return s.commit(seq)
 }
 
-// ShouldSnapshot reports whether enough records accumulated since the last
-// snapshot to warrant a truncation cycle. The owner single-flights the
-// actual snapshot.
+// ShouldSnapshot reports whether a truncation cycle has paid for itself: at
+// least SnapshotEvery records were logged since the last cut (the floor,
+// which keeps a small state from compacting on every handful of records),
+// and their bytes have reached the size of the last committed snapshot. A
+// snapshot costs about what the last one did, so it is written once per at
+// least that many bytes of log: snapshot writes stay within ~2x of WAL
+// writes (~1x once the state stops growing), the directory within ~3x the
+// snapshot (old snapshot, log, the new one in progress), and replay within
+// one snapshot plus as much log again.
+// The owner single-flights the actual snapshot.
 func (l *Log) ShouldSnapshot() bool {
-	return l.cfg.SnapshotEvery > 0 && l.appended.Load() >= int64(l.cfg.SnapshotEvery)
+	return l.cfg.SnapshotEvery > 0 &&
+		l.appended.Load() >= int64(l.cfg.SnapshotEvery) &&
+		l.walBytes.Load() >= l.snapBytes.Load()
 }
 
 // Gen reports the current generation (diagnostics and tests).
@@ -333,6 +345,7 @@ func (l *Log) Shards() int { return len(l.shards) }
 // Close flushes every stripe and closes the files. Pending commits complete
 // durable; subsequent appends are dead.
 func (l *Log) Close() error {
+	l.retireGauges()
 	var first error
 	for _, s := range l.shards {
 		if err := s.close(); err != nil && first == nil {
@@ -346,9 +359,16 @@ func (l *Log) Close() error {
 // in-process stand-in for SIGKILL. What earlier sync cycles wrote survives
 // in the files; pending commits fail with ErrCrashed.
 func (l *Log) Crash() {
+	l.retireGauges()
 	for _, s := range l.shards {
 		s.crash()
 	}
+}
+
+// retireGauges withdraws this log's share of the process-wide size gauges.
+func (l *Log) retireGauges() {
+	mWALBytes.Add(-l.walBytes.Swap(0))
+	mSnapshotBytes.Add(-l.snapBytes.Swap(0))
 }
 
 // Snapshot is one in-progress snapshot + truncation cycle. The owner cuts
@@ -359,9 +379,14 @@ type Snapshot struct {
 	gen     uint64 // the generation this snapshot opens
 	tmp     *os.File
 	buf     []byte
+	size    int64 // bytes written to tmp so far
 	nrec    int64
 	rotated int
 	started time.Time
+	// The log's trigger counters when the snapshot began: what Commit
+	// subtracts, so records logged while it was being written still count
+	// toward the next one.
+	baseRecs, baseBytes int64
 }
 
 // StartSnapshot begins a snapshot into the next generation. The caller must
@@ -380,7 +405,10 @@ func (l *Log) StartSnapshot() (*Snapshot, error) {
 		tmp.Close()
 		return nil, err
 	}
-	return &Snapshot{l: l, gen: gen, tmp: tmp, started: time.Now()}, nil
+	return &Snapshot{
+		l: l, gen: gen, tmp: tmp, size: int64(len(snapMagic)), started: time.Now(),
+		baseRecs: l.appended.Load(), baseBytes: l.walBytes.Load(),
+	}, nil
 }
 
 // CutShard captures one shard: flushes its stripe, dumps the shard's
@@ -409,26 +437,30 @@ func (s *Snapshot) CutShard(shard int, dump func(emit func(*Record) error) error
 // dumps and for trailer records (the dedup-token table) that are not owned
 // by any single shard.
 func (s *Snapshot) AppendRecord(rec *Record) error {
-	s.buf = appendFrame(s.buf, EncodeRecord(rec))
+	s.buf = AppendRecord(s.buf, rec)
 	s.nrec++
-	if len(s.buf) >= DefaultMaxBytes {
+	if len(s.buf) >= snapFlushBytes {
 		return s.flush()
 	}
 	return nil
 }
+
+// snapFlushBytes is how much of a snapshot body is buffered per write.
+const snapFlushBytes = 1 << 20
 
 func (s *Snapshot) flush() error {
 	if len(s.buf) == 0 {
 		return nil
 	}
 	_, err := s.tmp.Write(s.buf)
+	s.size += int64(len(s.buf))
 	s.buf = s.buf[:0]
 	return err
 }
 
 // Commit finalizes the snapshot: fsync, rename into place, fsync the
 // directory, then delete the superseded generation's files. After Commit
-// the log's record counter restarts toward the next snapshot.
+// the log's trigger counters restart toward the next snapshot.
 func (s *Snapshot) Commit() error {
 	if err := s.flush(); err != nil {
 		s.Abort()
@@ -450,11 +482,19 @@ func (s *Snapshot) Commit() error {
 	syncDir(s.l.dir)
 	mSnapshots.Inc()
 	mSnapshotNS.Observe(int64(time.Since(s.started)))
+	mSnapshotRecords.Add(s.nrec)
 	// The rename is the commit point; everything below is cleanup. Every
 	// generation below the new one is superseded — there may be several,
 	// accumulated across restarts without an intervening snapshot.
 	s.l.gen.Store(s.gen)
-	s.l.appended.Store(0)
+	// Only what was logged before the snapshot began is certainly in it;
+	// everything since stays counted toward the next cycle. (Records that
+	// reached a not-yet-cut shard are in both — counting them again only
+	// makes the next snapshot marginally earlier.)
+	s.l.appended.Add(-s.baseRecs)
+	s.l.walBytes.Add(-s.baseBytes)
+	mWALBytes.Add(-s.baseBytes)
+	mSnapshotBytes.Add(s.size - s.l.snapBytes.Swap(s.size))
 	ents, err := os.ReadDir(s.l.dir)
 	if err != nil {
 		return nil

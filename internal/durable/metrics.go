@@ -18,6 +18,12 @@ var (
 		"snapshot/truncate cycles committed")
 	mSnapshotNS = obs.Default.Histogram("durable_snapshot_ns",
 		"snapshot duration from start to commit, nanoseconds")
+	mSnapshotRecords = obs.Default.Counter("durable_snapshot_records_total",
+		"records written into committed snapshots")
+	mWALBytes = obs.Default.Gauge("durable_wal_bytes",
+		"WAL frame bytes logged since the last snapshot cut (replayed stripes included)")
+	mSnapshotBytes = obs.Default.Gauge("durable_snapshot_bytes",
+		"size of the last committed snapshot, bytes")
 	mDirSyncs = obs.Default.Counter("durable_dir_syncs_total",
 		"data-directory fsyncs at shape commit points (open, snapshot)")
 )

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/symbol"
 )
@@ -88,22 +89,21 @@ type Record struct {
 
 // Encoding: varint conventions matching the wire codec, but deliberately
 // separate — log compatibility and wire compatibility evolve independently.
+// A record body is its type byte followed by the type's fields in the order
+// DecodeRecord reads them.
 
-type recWriter struct{ buf []byte }
-
-func (w *recWriter) u64(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
-func (w *recWriter) byte(b byte)  { w.buf = append(w.buf, b) }
-func (w *recWriter) bytes(b []byte) {
-	w.u64(uint64(len(b)))
-	w.buf = append(w.buf, b...)
+func appendBytes(dst, b []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
+	return append(dst, b...)
 }
 
-func (w *recWriter) key(k symbol.Key) {
-	w.u64(uint64(k.S))
-	w.u64(uint64(len(k.X)))
+func appendKey(dst []byte, k symbol.Key) []byte {
+	dst = binary.AppendUvarint(dst, uint64(k.S))
+	dst = binary.AppendUvarint(dst, uint64(len(k.X)))
 	for _, x := range k.X {
-		w.u64(uint64(x))
+		dst = binary.AppendUvarint(dst, uint64(x))
 	}
+	return dst
 }
 
 type recReader struct {
@@ -176,42 +176,48 @@ func (r *recReader) key() symbol.Key {
 	return k
 }
 
-// EncodeRecord serializes a record body (framing is separate; see
-// appendFrame).
-func EncodeRecord(rec *Record) []byte {
-	w := &recWriter{buf: make([]byte, 0, 24+len(rec.Payload))}
-	w.byte(byte(rec.Type))
+// AppendRecord appends rec to dst as one complete frame — header, body,
+// CRC — and returns the extended slice. It is the only encoder: the WAL
+// stripes and the snapshot writer both call it on their own write buffers, so
+// a record's bytes are produced once, in place, and nothing is allocated
+// unless dst has to grow.
+func AppendRecord(dst []byte, rec *Record) []byte {
+	// One growth at most, however many fields follow.
+	dst = slices.Grow(dst, frameHeader+recOverheadHint+len(rec.Payload))
+	start := len(dst)
+	var hdr [frameHeader]byte // length and CRC, filled in once the body is known
+	dst = append(dst, hdr[:]...)
+	dst = append(dst, byte(rec.Type))
 	switch rec.Type {
-	case RecPut:
-		w.key(rec.Key)
-		w.bytes(rec.Payload)
-		w.u64(rec.Token)
+	case RecPut, RecTake:
+		dst = appendKey(dst, rec.Key)
+		dst = appendBytes(dst, rec.Payload)
+		dst = binary.AppendUvarint(dst, rec.Token)
 	case RecPutDelayed:
-		w.key(rec.Key)
-		w.key(rec.Dest)
-		w.bytes(rec.Payload)
-		w.u64(rec.Token)
-		w.u64(rec.Rel)
-	case RecTake:
-		w.key(rec.Key)
-		w.bytes(rec.Payload)
-		w.u64(rec.Token)
+		dst = appendKey(dst, rec.Key)
+		dst = appendKey(dst, rec.Dest)
+		dst = appendBytes(dst, rec.Payload)
+		dst = binary.AppendUvarint(dst, rec.Token)
+		dst = binary.AppendUvarint(dst, rec.Rel)
 	case RecToken:
-		w.u64(rec.Token)
+		dst = binary.AppendUvarint(dst, rec.Token)
 	case RecRelease:
-		w.key(rec.Key)
-		w.u64(rec.Token)
+		dst = appendKey(dst, rec.Key)
+		dst = binary.AppendUvarint(dst, rec.Token)
 	case RecTakeCache:
-		w.u64(rec.Token)
-		w.key(rec.Key)
+		dst = binary.AppendUvarint(dst, rec.Token)
+		dst = appendKey(dst, rec.Key)
+		empty := byte(0)
 		if rec.Empty {
-			w.byte(1)
-		} else {
-			w.byte(0)
+			empty = 1
 		}
-		w.bytes(rec.Payload)
+		dst = append(dst, empty)
+		dst = appendBytes(dst, rec.Payload)
 	}
-	return w.buf
+	body := dst[start+frameHeader:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(body, crcTable))
+	return dst
 }
 
 // DecodeRecord parses a record body. It never panics on hostile input and
@@ -266,19 +272,21 @@ func DecodeRecord(buf []byte) (*Record, error) {
 
 const frameHeader = 8
 
+// recOverheadHint is a generous guess at a record body's size without its
+// payload (type byte, two short keys, varint lengths and tokens): AppendRecord
+// reserves it up front so a typical record grows its buffer at most once.
+const recOverheadHint = 56
+
 // maxFrameBody caps a single record frame; anything larger in a log file is
 // corruption, not an allocation request.
 const maxFrameBody = 1 << 28
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame appends one framed record body to dst.
-func appendFrame(dst []byte, body []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(body, crcTable))
-	dst = append(dst, hdr[:]...)
-	return append(dst, body...)
+// frameLen reports the full length of the frame at the head of buf, which
+// must hold at least a header the encoder wrote.
+func frameLen(buf []byte) int {
+	return frameHeader + int(binary.LittleEndian.Uint32(buf))
 }
 
 // nextFrame extracts the first frame's body from buf, returning the body and

@@ -13,6 +13,10 @@ import (
 // ships in the next cycle, so one fsync amortizes over a group of records
 // exactly the way one in-flight frame amortizes the rpc batcher's sends.
 //
+// The buffer is contiguous: records are encoded straight into it, a group
+// commit is one write(2) of it, and the syncer hands the written buffer back
+// as the next cycle's spare, so in steady state an append allocates nothing.
+//
 // Locking: io serializes everything that touches the file (syncer cycles,
 // rotation, close); mu guards the buffer and sequence counters. io is always
 // taken before mu, and appenders take only mu, so an append never waits for
@@ -25,7 +29,8 @@ type stripe struct {
 
 	mu      sync.Mutex
 	synced  *sync.Cond // signalled when syncedSeq/failed/state advance
-	frames  [][]byte   // encoded frames awaiting write, frames[i] is seq base+i+1
+	buf     []byte     // encoded frames awaiting write: records syncSeq+1..seq
+	spare   []byte     // the last written buffer, emptied, for the next swap
 	seq     uint64     // last appended sequence number
 	syncSeq uint64     // last sequence made durable (per the sync mode)
 	failed  error      // sticky terminal error (write/sync failure, crash)
@@ -41,25 +46,27 @@ func newStripe(f *os.File, cfg Config) *stripe {
 	return s
 }
 
-// append buffers one framed record and returns its sequence number. The
-// caller holds the owning Store shard's lock, which is what orders records
-// of one folder. Returns 0 when the stripe is dead (commit will report why).
-func (s *stripe) append(body []byte) uint64 {
-	frame := appendFrame(make([]byte, 0, frameHeader+len(body)), body)
+// append encodes one record into the buffer and returns its sequence number
+// and frame size. The caller holds the owning Store shard's lock, which is
+// what orders records of one folder. Returns 0 when the stripe is dead (commit
+// will report why).
+func (s *stripe) append(rec *Record) (seq uint64, size int) {
 	s.mu.Lock()
 	if s.closed || s.failed != nil {
 		s.mu.Unlock()
-		return 0
+		return 0, 0
 	}
+	before := len(s.buf)
+	s.buf = AppendRecord(s.buf, rec)
+	size = len(s.buf) - before
 	s.seq++
-	seq := s.seq
-	s.frames = append(s.frames, frame)
+	seq = s.seq
 	s.mu.Unlock()
 	select {
 	case s.wake <- struct{}{}:
 	default:
 	}
-	return seq
+	return seq, size
 }
 
 // commit blocks until seq is durable. seq 0 is a dead append (death is
@@ -110,9 +117,13 @@ func (s *stripe) barrier() uint64 {
 	return s.seq
 }
 
-// run is the syncer: one write (+fsync per the mode) per cycle, covering
-// every frame that accumulated since the last cycle, bounded by
-// MaxBatch/MaxBytes.
+// maxSpare bounds the emptied buffer a stripe keeps for reuse, so one burst
+// does not pin its high-water mark forever.
+const maxSpare = 4 << 20
+
+// run is the syncer: each cycle takes the whole buffer and makes it durable
+// with one write (+fsync per the mode). SyncAlways instead walks the taken
+// buffer frame by frame, one write+fsync and one wake-up per record.
 func (s *stripe) run() {
 	for range s.wake {
 		if s.cfg.Linger > 0 {
@@ -126,36 +137,50 @@ func (s *stripe) run() {
 				s.io.Unlock()
 				return
 			}
-			if len(s.frames) == 0 {
+			if len(s.buf) == 0 {
 				s.mu.Unlock()
 				s.io.Unlock()
 				break
 			}
-			batch, top := s.takeLocked()
+			// io held through take+write+mark means nothing is ever in
+			// flight elsewhere: the taken buffer is exactly records
+			// syncSeq+1..seq.
+			batch, n := s.buf, s.seq-s.syncSeq
+			s.buf, s.spare = s.spare, nil
 			f := s.f
 			s.mu.Unlock()
 
-			start := time.Now()
-			err := writeAll(f, batch)
-			if err == nil && s.cfg.Sync != SyncNever {
-				err = f.Sync()
-			}
-			mFsyncNS.Observe(int64(time.Since(start)))
-			mCommitBatch.Observe(int64(len(batch)))
+			for rest := batch; len(rest) > 0; {
+				unit, covers := rest, n
+				if s.cfg.Sync == SyncAlways {
+					unit, covers = rest[:frameLen(rest)], 1
+				}
+				start := time.Now()
+				_, err := f.Write(unit)
+				if err == nil && s.cfg.Sync != SyncNever {
+					err = f.Sync()
+				}
+				mFsyncNS.Observe(int64(time.Since(start)))
+				mCommitBatch.Observe(int64(covers))
+				rest = rest[len(unit):]
 
-			s.mu.Lock()
-			if err != nil {
-				if s.failed == nil {
-					s.failed = err
+				s.mu.Lock()
+				if err != nil {
+					if s.failed == nil {
+						s.failed = err
+					}
+					s.synced.Broadcast()
+					s.mu.Unlock()
+					s.io.Unlock()
+					return
+				}
+				s.syncSeq += covers
+				if len(rest) == 0 && cap(batch) <= maxSpare {
+					s.spare = batch[:0]
 				}
 				s.synced.Broadcast()
 				s.mu.Unlock()
-				s.io.Unlock()
-				return
 			}
-			s.syncSeq = top
-			s.synced.Broadcast()
-			s.mu.Unlock()
 			s.io.Unlock()
 			// Yield before the next cycle: the waiters just woken re-append
 			// their next records first, so the following fsync covers a full
@@ -167,51 +192,26 @@ func (s *stripe) run() {
 	}
 }
 
-// takeLocked removes up to MaxBatch frames / ~MaxBytes from the buffer head
-// (always at least one) and returns them with the sequence of the last one.
-// Caller holds io and mu; io held through take+write+mark means no frames
-// are ever in flight elsewhere, so the buffer head is always frame
-// syncSeq+1 and the last taken frame's sequence is syncSeq + len(batch).
-func (s *stripe) takeLocked() ([][]byte, uint64) {
-	n, size := 0, 0
-	for n < len(s.frames) && n < s.cfg.MaxBatch {
-		size += len(s.frames[n])
-		n++
-		if size >= s.cfg.MaxBytes {
-			break
-		}
-	}
-	batch := s.frames[:n:n]
-	if n == len(s.frames) {
-		s.frames = nil
-	} else {
-		s.frames = s.frames[n:]
-	}
-	return batch, s.syncSeq + uint64(len(batch))
-}
-
-// flushLocked writes and (mode permitting) fsyncs every buffered frame to
-// the current file. Caller holds io and mu.
+// flushLocked writes and (mode permitting) fsyncs the whole buffer to the
+// current file. Caller holds io and mu.
 func (s *stripe) flushLocked() error {
 	if s.failed != nil {
 		return s.failed
 	}
-	for len(s.frames) > 0 {
-		batch, top := s.takeLocked()
-		if err := writeAll(s.f, batch); err != nil {
-			s.failed = err
-			s.synced.Broadcast()
-			return err
-		}
-		s.syncSeq = top
+	if len(s.buf) == 0 {
+		return nil // every earlier cycle synced what it wrote
 	}
-	if s.cfg.Sync != SyncNever {
-		if err := s.f.Sync(); err != nil {
-			s.failed = err
-			s.synced.Broadcast()
-			return err
-		}
+	_, err := s.f.Write(s.buf)
+	if err == nil && s.cfg.Sync != SyncNever {
+		err = s.f.Sync()
 	}
+	if err != nil {
+		s.failed = err
+		s.synced.Broadcast()
+		return err
+	}
+	s.buf = s.buf[:0]
+	s.syncSeq = s.seq
 	s.synced.Broadcast()
 	return nil
 }
@@ -250,7 +250,7 @@ func (s *stripe) close() error {
 	}
 	err := s.flushLocked()
 	s.closed = true
-	s.frames = nil
+	s.buf, s.spare = nil, nil
 	s.synced.Broadcast()
 	f := s.f
 	s.mu.Unlock()
@@ -267,7 +267,7 @@ func (s *stripe) close() error {
 	return err
 }
 
-// crash abandons buffered frames and slams the file shut — what SIGKILL
+// crash abandons buffered records and slams the file shut — what SIGKILL
 // does to a real process. Pending commits fail with ErrCrashed; whatever an
 // earlier cycle already wrote stays in the file, exactly like OS-buffered
 // data surviving a killed process.
@@ -281,7 +281,7 @@ func (s *stripe) crash() {
 	if s.failed == nil {
 		s.failed = ErrCrashed
 	}
-	s.frames = nil
+	s.buf, s.spare = nil, nil
 	s.synced.Broadcast()
 	f := s.f
 	s.mu.Unlock()
@@ -290,13 +290,4 @@ func (s *stripe) crash() {
 	default:
 	}
 	_ = f.Close()
-}
-
-func writeAll(f *os.File, frames [][]byte) error {
-	for _, fr := range frames {
-		if _, err := f.Write(fr); err != nil {
-			return err
-		}
-	}
-	return nil
 }

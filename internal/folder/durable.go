@@ -204,19 +204,30 @@ func (s *Store) snapshot() error {
 	// same cut/dump ordering covers them: a result published before its
 	// shard's cut is visible here; one published after rides in the new
 	// generation's tokened RecTake. In-progress take claims have applied
-	// nothing yet and are deliberately not dumped.
-	for _, d := range s.tokens.dump() {
-		rec := &durable.Record{Type: durable.RecToken, Token: d.tok}
-		if d.res != nil {
-			rec = &durable.Record{
-				Type: durable.RecTakeCache, Token: d.tok,
-				Key: d.res.key, Payload: d.res.data, Empty: d.res.empty,
+	// nothing yet and are deliberately not dumped. The dump is streamed in
+	// bounded chunks, the table unlocked between them, and every chunk runs
+	// after every cut, so the argument holds chunk by chunk: a token noted
+	// after its chunk was copied is in the new generation's log, and an entry
+	// evicted before its chunk is one the table has forgotten anyway.
+	var rec durable.Record // one record reused for the whole dump: nothing allocated per token
+	err = s.tokens.stream(func(chunk []tokenDump) error {
+		for _, d := range chunk {
+			rec = durable.Record{Type: durable.RecToken, Token: d.tok}
+			if d.res != nil {
+				rec = durable.Record{
+					Type: durable.RecTakeCache, Token: d.tok,
+					Key: d.res.key, Payload: d.res.data, Empty: d.res.empty,
+				}
+			}
+			if err := snap.AppendRecord(&rec); err != nil {
+				return err
 			}
 		}
-		if err := snap.AppendRecord(rec); err != nil {
-			snap.Abort()
-			return err
-		}
+		return nil
+	})
+	if err != nil {
+		snap.Abort()
+		return err
 	}
 	return snap.Commit()
 }
@@ -226,21 +237,24 @@ func (s *Store) snapshot() error {
 // matter: a replayed put deliberately leaves the folder's delayed list alone
 // (see applyRecord). Caller holds the shard lock.
 func dumpShard(sh *shard, emit func(*durable.Record) error) error {
+	var rec durable.Record // reused: the dump allocates per folder (its key), not per memo
 	for canon, f := range sh.folders {
 		key, err := symbol.ParseCanon(canon)
 		if err != nil {
 			return fmt.Errorf("%w: unparseable folder key %q", durable.ErrCorrupt, canon)
 		}
 		for _, it := range f.items {
-			if err := emit(&durable.Record{Type: durable.RecPut, Key: key, Payload: it}); err != nil {
+			rec = durable.Record{Type: durable.RecPut, Key: key, Payload: it}
+			if err := emit(&rec); err != nil {
 				return err
 			}
 		}
 		for _, d := range f.delayed {
-			if err := emit(&durable.Record{
+			rec = durable.Record{
 				Type: durable.RecPutDelayed, Key: key, Dest: d.dest, Payload: d.val,
 				Rel: d.rel,
-			}); err != nil {
+			}
+			if err := emit(&rec); err != nil {
 				return err
 			}
 		}
@@ -284,6 +298,10 @@ type tokenTable struct {
 	set  map[uint64]*tokEntry
 	fifo []uint64
 	head int
+	// base counts the fifo entries compaction has dropped from the front:
+	// fifo[i] is the table's (base+i)-th insertion ever, a position that
+	// stays put while the slice is compacted under a streaming dump.
+	base uint64
 }
 
 // noteIfNew records tok and reports whether it was new — one acquisition
@@ -331,6 +349,7 @@ func (t *tokenTable) insertLocked(tok uint64, e *tokEntry) {
 		t.fifo[t.head] = 0
 		t.head++
 		if t.head > len(t.fifo)/2 && t.head > 1024 {
+			t.base += uint64(t.head)
 			t.fifo = append([]uint64(nil), t.fifo[t.head:]...)
 			t.head = 0
 		}
@@ -426,24 +445,41 @@ type tokenDump struct {
 	res *takeResult
 }
 
-// dump lists live tokens oldest-first (for snapshots). In-progress take
-// claims are skipped: they have applied nothing yet, and their eventual
-// RecTake lands in the post-cut generation.
-func (t *tokenTable) dump() []tokenDump {
+// dumpChunk is how many live tokens a streaming dump copies per acquisition
+// of the table lock.
+const dumpChunk = 1024
+
+// stream hands emit the live tokens oldest-first (for snapshots), dumpChunk
+// at a time, holding the table lock only while a chunk is copied — never
+// while it is emitted — so tokened operations stall for a chunk, not for the
+// table. It covers the entries present when it starts: later ones belong to
+// the caller's next generation. In-progress take claims are skipped: they
+// have applied nothing yet, and their eventual RecTake lands in the post-cut
+// generation. emit must not retain the chunk.
+func (t *tokenTable) stream(emit func(chunk []tokenDump) error) error {
+	var chunk [dumpChunk]tokenDump
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]tokenDump, 0, len(t.set))
-	for _, tok := range t.fifo[t.head:] {
-		e, ok := t.set[tok]
-		if !ok {
-			continue
+	pos, end := t.base+uint64(t.head), t.base+uint64(len(t.fifo))
+	t.mu.Unlock()
+	for pos < end {
+		n := 0
+		t.mu.Lock()
+		pos = max(pos, t.base+uint64(t.head)) // evicted meanwhile: forgotten
+		for ; pos < end && n < len(chunk); pos++ {
+			tok := t.fifo[pos-t.base]
+			e, ok := t.set[tok]
+			if !ok || (e.done != nil && e.res == nil) {
+				continue // forgotten, or an in-progress claim
+			}
+			chunk[n] = tokenDump{tok: tok, res: e.res}
+			n++
 		}
-		if e.done != nil && e.res == nil {
-			continue // in-progress claim
+		t.mu.Unlock()
+		if err := emit(chunk[:n]); err != nil {
+			return err
 		}
-		out = append(out, tokenDump{tok: tok, res: e.res})
 	}
-	return out
+	return nil
 }
 
 // Tokens reports the live dedup-token count (diagnostics and tests).
