@@ -207,9 +207,6 @@ func (c *Cluster) Node(host string) (*memoserver.Node, bool) {
 	return n, ok
 }
 
-// Registry exposes the application-wide symbol registry.
-func (c *Cluster) Registry() *symbol.Registry { return c.registry }
-
 // DomainFor maps an ADF architecture name to its native word domain
 // (§3.1.3). Unknown architectures get the 64-bit domain.
 func DomainFor(arch string) transferable.Domain {

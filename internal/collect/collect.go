@@ -193,24 +193,11 @@ func NamedQueue(m *core.Memo, name string) *Queue {
 	return &Queue{m: m, key: m.NamedKey(name)}
 }
 
-// BindQueue attaches to a queue by key.
-func BindQueue(m *core.Memo, key symbol.Key) *Queue {
-	return &Queue{m: m, key: key}
-}
-
-// Key returns the queue's folder name.
-func (q *Queue) Key() symbol.Key { return q.key }
-
 // Enqueue deposits a value.
 func (q *Queue) Enqueue(v transferable.Value) error { return q.m.Put(q.key, v) }
 
 // Dequeue removes some value, blocking while empty. No order is promised.
 func (q *Queue) Dequeue() (transferable.Value, error) { return q.m.Get(q.key) }
-
-// DequeueCancel is Dequeue with cancellation.
-func (q *Queue) DequeueCancel(cancel <-chan struct{}) (transferable.Value, error) {
-	return q.m.GetCancel(q.key, cancel)
-}
 
 // TryDequeue removes a value if present.
 func (q *Queue) TryDequeue() (transferable.Value, bool, error) { return q.m.GetSkip(q.key) }

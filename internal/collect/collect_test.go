@@ -446,6 +446,15 @@ func TestIStructureWriteOnceBlockingRead(t *testing.T) {
 		t.Fatal("read of unwritten element returned")
 	case <-time.After(30 * time.Millisecond):
 	}
+	// §6.3.3: a task delayed on the element drops into the jar when the
+	// element is assigned, and consumes nothing.
+	jar := collect.NewJobJar(producer, "istructure-jar")
+	if err := is.AndThen(5, jar.CommonKey(), transferable.String("elem5")); err != nil {
+		t.Fatal(err)
+	}
+	if err := is.AndThen(8, jar.CommonKey(), transferable.String("x")); err == nil {
+		t.Fatal("out-of-bounds trigger accepted")
+	}
 	if err := is.Set(5, transferable.Int64(55)); err != nil {
 		t.Fatal(err)
 	}
@@ -456,6 +465,11 @@ func TestIStructureWriteOnceBlockingRead(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("i-structure read never woke")
+	}
+	if v, err := jar.GetWork(); err != nil {
+		t.Fatal(err)
+	} else if s, _ := transferable.AsString(v); s != "elem5" {
+		t.Fatalf("triggered task: %v", v)
 	}
 	if err := is.Set(5, transferable.Int64(56)); !errors.Is(err, collect.ErrAlreadyResolved) {
 		t.Fatalf("double set: %v", err)

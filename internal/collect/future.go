@@ -46,9 +46,6 @@ func BindFuture(m *core.Memo, s symbol.Symbol) *Future {
 // Name returns the future's symbol, shareable with other processes.
 func (f *Future) Name() symbol.Symbol { return f.value.S }
 
-// Key returns the value folder's key (for use with put_delayed triggers).
-func (f *Future) Key() symbol.Key { return f.value }
-
 // Resolve assigns the value. A second Resolve fails.
 func (f *Future) Resolve(v transferable.Value) error {
 	if _, ok, err := f.m.GetSkip(f.guard); err != nil {
@@ -63,11 +60,6 @@ func (f *Future) Resolve(v transferable.Value) error {
 // consuming it ("the consumer only being delayed if it attempts to fetch
 // from a variable before it has been assigned").
 func (f *Future) Wait() (transferable.Value, error) { return f.m.GetCopy(f.value) }
-
-// WaitCancel is Wait with cancellation.
-func (f *Future) WaitCancel(cancel <-chan struct{}) (transferable.Value, error) {
-	return f.m.GetCopyCancel(f.value, cancel)
-}
 
 // Take consumes the value; the folder vanishes.
 func (f *Future) Take() (transferable.Value, error) { return f.m.Get(f.value) }
@@ -123,9 +115,6 @@ func BindIStructure(m *core.Memo, name symbol.Symbol, n uint32) *IStructure {
 // Name returns the structure's symbol.
 func (is *IStructure) Name() symbol.Symbol { return is.name }
 
-// Len returns the element count.
-func (is *IStructure) Len() uint32 { return is.n }
-
 func (is *IStructure) valueKey(i uint32) symbol.Key { return symbol.K(is.name, i, 0) }
 func (is *IStructure) guardKey(i uint32) symbol.Key { return symbol.K(is.name, i, 1) }
 
@@ -157,14 +146,6 @@ func (is *IStructure) Get(i uint32) (transferable.Value, error) {
 		return nil, err
 	}
 	return is.m.GetCopy(is.valueKey(i))
-}
-
-// GetCancel is Get with cancellation.
-func (is *IStructure) GetCancel(i uint32, cancel <-chan struct{}) (transferable.Value, error) {
-	if err := is.check(i); err != nil {
-		return nil, err
-	}
-	return is.m.GetCopyCancel(is.valueKey(i), cancel)
 }
 
 // AndThen triggers task into jobJar when element i is assigned (§6.3.3).

@@ -34,11 +34,6 @@ func (j *JobJar) WithLocal(procID uint32) *JobJar {
 // CommonKey returns the common jar's folder key.
 func (j *JobJar) CommonKey() symbol.Key { return j.common }
 
-// LocalKey returns this process's private jar key (ok=false if none).
-func (j *JobJar) LocalKey() (symbol.Key, bool) {
-	return j.local, j.local.S != symbol.None
-}
-
 // Add drops a task into the common jar.
 func (j *JobJar) Add(task transferable.Value) error { return j.m.Put(j.common, task) }
 

@@ -25,15 +25,6 @@ func NewLock(m *core.Memo) (*Lock, error) {
 	return l, nil
 }
 
-// NamedLock attaches to (or implicitly creates) a well-known lock. Exactly
-// one process must Init it.
-func NamedLock(m *core.Memo, name string) *Lock {
-	return &Lock{m: m, key: m.NamedKey("lock:" + name)}
-}
-
-// Init deposits the token; call once per lock.
-func (l *Lock) Init() error { return l.m.Put(l.key, transferable.Nil{}) }
-
 // Key returns the lock's folder key.
 func (l *Lock) Key() symbol.Key { return l.key }
 
@@ -85,12 +76,6 @@ func (s *Semaphore) Key() symbol.Key { return s.key }
 func (s *Semaphore) P() error {
 	_, err := s.m.Get(s.key)
 	return err
-}
-
-// TryP takes a permit without blocking.
-func (s *Semaphore) TryP() (bool, error) {
-	_, ok, err := s.m.GetSkip(s.key)
-	return ok, err
 }
 
 // V (signal) returns a permit.

@@ -88,18 +88,6 @@ func New(cfg Config) (*Memo, error) {
 	}, nil
 }
 
-// App reports the application name.
-func (m *Memo) App() string { return m.app }
-
-// Host reports the process's host.
-func (m *Memo) Host() string { return m.host }
-
-// Domain reports the host's native word domain.
-func (m *Memo) Domain() transferable.Domain { return m.domain }
-
-// Registry exposes the symbol registry.
-func (m *Memo) Registry() *symbol.Registry { return m.reg }
-
 // Close releases the handle's connection.
 func (m *Memo) Close() error {
 	m.mu.Lock()

@@ -336,9 +336,6 @@ func (l *Log) ShouldSnapshot() bool {
 // Gen reports the current generation (diagnostics and tests).
 func (l *Log) Gen() uint64 { return l.gen.Load() }
 
-// Dir reports the log directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Shards reports the stripe count.
 func (l *Log) Shards() int { return len(l.shards) }
 

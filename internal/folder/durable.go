@@ -28,9 +28,6 @@ func OpenStore(dir string, dcfg durable.Config, opts ...Option) (*Store, error) 
 	return s, nil
 }
 
-// Durable reports whether the store is backed by a write-ahead log.
-func (s *Store) Durable() bool { return s.wal != nil }
-
 // Log exposes the durability engine (diagnostics and tests); nil on a
 // memory-only store.
 func (s *Store) Log() *durable.Log { return s.wal }

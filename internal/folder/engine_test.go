@@ -81,7 +81,7 @@ type cell struct {
 
 func (c cell) String() string {
 	return fmt.Sprintf("%s/%s/block=%t/token=%t/traced=%t",
-		c.shape, [...]string{"take", "copy", "peek"}[c.mode], c.block, c.token, c.traced)
+		c.shape, [...]string{modeTake: "take", modeCopy: "copy", modePeek: "peek"}[c.mode], c.block, c.token, c.traced)
 }
 
 // readResult is one read's outcome, whichever route ran it.

@@ -175,19 +175,19 @@ func (s *Server) handleSpans(q *wire.Request, cancel <-chan struct{}) *wire.Resp
 }
 
 // handle turns the request straight into the store's terms — a deposit, or
-// a readOp for the one read engine — and the outcome into a response. With
-// traced set the store also accumulates the op's waits, returned alongside.
+// a readOp for the one read engine, both read off the verb's row of the
+// wire op table — and the outcome into a response. With traced set the
+// store also accumulates the op's waits, returned alongside.
 func (s *Server) handle(q *wire.Request, cancel <-chan struct{}, traced bool) (resp *wire.Response, waits opTrace) {
 	var ot *opTrace
 	if traced {
 		ot = &waits
 	}
-	one := [1]symbol.Key{q.Key}
-	op := readOp{keys: one[:], block: true, token: q.Token, cancel: cancel, ot: ot}
-	switch q.Op {
-	case wire.OpPing:
+	verb := q.Op.Info()
+	switch {
+	case q.Op == wire.OpPing:
 		return wire.OK(), waits
-	case wire.OpPut, wire.OpPutDelayed:
+	case verb.Kind == wire.KindDeposit:
 		var dest *symbol.Key
 		if q.Op == wire.OpPutDelayed {
 			dest = &q.Key2
@@ -196,17 +196,15 @@ func (s *Server) handle(q *wire.Request, cancel <-chan struct{}, traced bool) (r
 			return wire.Errf("%s: %v", q.Op, err), waits
 		}
 		return wire.OK(), waits
-	case wire.OpGet:
-	case wire.OpGetCopy:
-		op.mode = modeCopy
-	case wire.OpGetSkip:
-		op.block = false
-	case wire.OpAltTake:
-		op.keys = q.Keys
-	case wire.OpWatch:
-		op.keys, op.mode = q.Keys, modePeek
-	default:
+	case verb.Scope != wire.ScopeFolder:
+		// Node- and host-scoped verbs belong to a memo server; an undefined
+		// Op (the zero row) lands here too.
 		return wire.Errf("folder server: unsupported op %s", q.Op), waits
+	}
+	one := [1]symbol.Key{q.Key}
+	op := readOp{keys: one[:], mode: verb.Kind, block: verb.Blocks, token: q.Token, cancel: cancel, ot: ot}
+	if verb.MultiKey {
+		op.keys = q.Keys
 	}
 	k, payload, ok, err := s.store.read(&op)
 	switch {
@@ -226,16 +224,12 @@ func (s *Server) handle(q *wire.Request, cancel <-chan struct{}, traced bool) (r
 // overhead").
 func (s *Server) Submit(task func()) error { return s.pool.Submit(task) }
 
-// SubmitArg runs fn(arg) on the server's thread cache — the allocation-free
-// submission path the rpc server dispatches batched requests through.
-func (s *Server) SubmitArg(fn func(any), arg any) error { return s.pool.SubmitArg(fn, arg) }
-
 // Serve accepts connections on l and answers requests until the listener
 // closes. Used by cmd/folderserverd; in the simulated cluster the memo
 // server calls Handle directly. Each virtual connection is driven by the
-// batching rpc server: batched requests dispatch concurrently through the
-// thread cache and responses coalesce into batched frames, while
-// single-frame (pre-batching) peers are still answered in order.
+// batching rpc server: requests dispatch concurrently through the thread
+// cache and responses coalesce into batched frames; a peer that sends
+// anything but batch frames has its channel closed.
 func (s *Server) Serve(l transport.Listener) error {
 	for {
 		conn, err := l.Accept()
@@ -244,26 +238,7 @@ func (s *Server) Serve(l transport.Listener) error {
 		}
 		mux := transport.NewMux(conn, transport.DefaultMTU)
 		go mux.Run()
-		go s.serveMux(mux)
-	}
-}
-
-func (s *Server) serveMux(mux *transport.Mux) {
-	for {
-		ch, err := mux.Accept()
-		if err != nil {
-			return
-		}
-		if err := s.Submit(func() {
-			_ = rpc.Serve(ch, s.Handle, s.SubmitArg, s.batch)
-			ch.Close()
-		}); err != nil {
-			// Shutting down. Closing the channel is the whole message: an
-			// rpc peer has no request id to match an unsolicited response
-			// to, and would treat a bare single frame as a protocol error.
-			ch.Close()
-			return
-		}
+		go rpc.ServeMux(mux, s.Handle, s.pool, s.batch)
 	}
 }
 

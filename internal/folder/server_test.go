@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/rpc"
 	"repro/internal/symbol"
 	"repro/internal/threadcache"
 	"repro/internal/transport"
@@ -98,42 +99,52 @@ func TestServeOverTCP(t *testing.T) {
 	go mux.Run()
 	t.Cleanup(func() { mux.Close() })
 
-	do := func(ch *transport.Channel, q *wire.Request) *wire.Response {
+	do := func(c *rpc.Conn, q *wire.Request) *wire.Response {
 		t.Helper()
-		if err := ch.Send(wire.EncodeRequest(q)); err != nil {
-			t.Fatal(err)
-		}
-		buf, err := ch.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := wire.DecodeResponse(buf)
+		resp, err := c.Call(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return resp
 	}
 
-	ch := mux.Channel(1)
+	c := rpc.NewConn(mux.Channel(1), rpc.Policy{})
+	t.Cleanup(func() { c.Close() })
 	k := symbol.K(3, 1)
-	if r := do(ch, &wire.Request{Op: wire.OpPut, Key: k, Payload: []byte("tcp")}); r.Status != wire.StatusOK {
+	if r := do(c, &wire.Request{Op: wire.OpPut, Key: k, Payload: []byte("tcp")}); r.Status != wire.StatusOK {
 		t.Fatalf("put: %+v", r)
 	}
-	if r := do(ch, &wire.Request{Op: wire.OpGet, Key: k}); r.Status != wire.StatusOK || string(r.Payload) != "tcp" {
+	if r := do(c, &wire.Request{Op: wire.OpGet, Key: k}); r.Status != wire.StatusOK || string(r.Payload) != "tcp" {
 		t.Fatalf("get: %+v", r)
 	}
 
-	// A malformed request gets an error response, not a dropped channel.
-	if err := ch.Send([]byte{0xFF, 0xFF}); err != nil {
-		t.Fatal(err)
+	// A malformed entry inside a well-formed batch gets an error response,
+	// not a dropped channel: the next entry on the same channel is served.
+	raw := mux.Channel(100)
+	entry := func(id uint64, msg []byte) wire.Status {
+		t.Helper()
+		if err := raw.Send(wire.EncodeBatch(wire.BatchRequest, []wire.BatchEntry{{ID: id, Msg: msg}})); err != nil {
+			t.Fatal(err)
+		}
+		buf, err := raw.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind, entries, err := wire.DecodeBatch(buf)
+		if err != nil || kind != wire.BatchResponse || len(entries) != 1 || entries[0].ID != id {
+			t.Fatalf("response batch: %v %+v %v", kind, entries, err)
+		}
+		resp, err := wire.DecodeResponse(entries[0].Msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Status
 	}
-	buf, err := ch.Recv()
-	if err != nil {
-		t.Fatal(err)
+	if st := entry(9, []byte{0xFF, 0xFF}); st != wire.StatusErr {
+		t.Fatalf("malformed entry status %v, want an error response", st)
 	}
-	resp, err := wire.DecodeResponse(buf)
-	if err != nil || resp.Status != wire.StatusErr {
-		t.Fatalf("malformed request response: %+v %v", resp, err)
+	if st := entry(10, wire.EncodeRequest(&wire.Request{Op: wire.OpPing})); st != wire.StatusOK {
+		t.Fatalf("ping after a malformed entry: status %v (channel dropped?)", st)
 	}
 
 	// Concurrent channels against one server.
@@ -142,22 +153,15 @@ func TestServeOverTCP(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ch := mux.Channel(uint64(i))
+			c := rpc.NewConn(mux.Channel(uint64(i)), rpc.Policy{})
+			defer c.Close()
 			key := symbol.K(symbol.Symbol(i))
 			for j := 0; j < 20; j++ {
-				if err := ch.Send(wire.EncodeRequest(&wire.Request{Op: wire.OpPut, Key: key, Payload: []byte{byte(j)}})); err != nil {
+				if _, err := c.Call(&wire.Request{Op: wire.OpPut, Key: key, Payload: []byte{byte(j)}}, nil); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := ch.Recv(); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := ch.Send(wire.EncodeRequest(&wire.Request{Op: wire.OpGet, Key: key})); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := ch.Recv(); err != nil {
+				if _, err := c.Call(&wire.Request{Op: wire.OpGet, Key: key}, nil); err != nil {
 					t.Error(err)
 					return
 				}

@@ -35,6 +35,7 @@ import (
 	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/symbol"
+	"repro/internal/wire"
 )
 
 // ErrCanceled reports a blocking operation abandoned by the caller.
@@ -473,13 +474,14 @@ func (s *Store) PutDelayedToken(trigger, dest symbol.Key, payload []byte, token 
 	return s.deposit(trigger, &dest, payload, token, nil)
 }
 
-// readMode is what a read does with the memo it finds.
-type readMode uint8
+// readMode is what a read does with the memo it finds: the reading kinds of
+// the wire op table, so a verb's row is its readOp's mode.
+type readMode = wire.Kind
 
 const (
-	modeTake readMode = iota // remove the memo and return it
-	modeCopy                 // return a copy, leaving the memo in place
-	modePeek                 // only report which folder holds a memo
+	modeTake = wire.KindTake // remove the memo and return it
+	modeCopy = wire.KindCopy // return a copy, leaving the memo in place
+	modePeek = wire.KindPeek // only report which folder holds a memo
 )
 
 // readOp describes one read of the directory; every reading verb is a value
@@ -488,6 +490,7 @@ type readOp struct {
 	// keys are the candidate folders. One key takes the frame-local plan;
 	// several are bucketed by shard. None at all can never be satisfied.
 	keys []symbol.Key
+	// mode is always set: the zero Kind is not a read.
 	mode readMode
 	// block parks the read until a memo arrives or cancel closes; without
 	// it a miss is reported at once.
@@ -815,7 +818,7 @@ func (s *Store) Get(key symbol.Key, cancel <-chan struct{}) ([]byte, error) {
 //
 //memolint:must-check-error
 func (s *Store) GetToken(key symbol.Key, token uint64, cancel <-chan struct{}) ([]byte, error) {
-	_, out, _, err := s.read(&readOp{keys: []symbol.Key{key}, block: true, token: token, cancel: cancel})
+	_, out, _, err := s.read(&readOp{keys: []symbol.Key{key}, mode: modeTake, block: true, token: token, cancel: cancel})
 	return out, err
 }
 
@@ -842,7 +845,7 @@ func (s *Store) GetSkip(key symbol.Key) ([]byte, bool, error) {
 //
 //memolint:must-check-error
 func (s *Store) GetSkipToken(key symbol.Key, token uint64) ([]byte, bool, error) {
-	_, out, ok, err := s.read(&readOp{keys: []symbol.Key{key}, token: token})
+	_, out, ok, err := s.read(&readOp{keys: []symbol.Key{key}, mode: modeTake, token: token})
 	return out, ok, err
 }
 
@@ -862,7 +865,7 @@ func (s *Store) AltTake(keys []symbol.Key, cancel <-chan struct{}) (symbol.Key, 
 //
 //memolint:must-check-error
 func (s *Store) AltTakeToken(keys []symbol.Key, token uint64, cancel <-chan struct{}) (symbol.Key, []byte, error) {
-	k, out, _, err := s.read(&readOp{keys: keys, block: true, token: token, cancel: cancel})
+	k, out, _, err := s.read(&readOp{keys: keys, mode: modeTake, block: true, token: token, cancel: cancel})
 	return k, out, err
 }
 
@@ -873,7 +876,7 @@ func (s *Store) AltTakeToken(keys []symbol.Key, token uint64, cancel <-chan stru
 //
 //memolint:must-check-error
 func (s *Store) AltSkip(keys []symbol.Key) (symbol.Key, []byte, bool, error) {
-	return s.read(&readOp{keys: keys})
+	return s.read(&readOp{keys: keys, mode: modeTake})
 }
 
 // Watch blocks until any of the folders is non-empty, without consuming.

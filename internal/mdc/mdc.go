@@ -45,19 +45,12 @@ type Behavior func(ctx *Context, msg transferable.Value) error
 // Context is an actor's view of the system during one message.
 type Context struct {
 	sys  *System
-	self Ref
 	next Behavior
 	stop bool
 }
 
-// Self returns this actor's reference.
-func (c *Context) Self() Ref { return c.self }
-
 // Send delivers a message to an actor (any host).
 func (c *Context) Send(to Ref, msg transferable.Value) error { return c.sys.Send(to, msg) }
-
-// Spawn creates a new actor and returns its reference.
-func (c *Context) Spawn(b Behavior) Ref { return c.sys.Spawn(b) }
 
 // Become replaces this actor's behaviour for subsequent messages (the
 // Actors-model state change).
@@ -128,7 +121,7 @@ func (s *System) attach(ref Ref, b Behavior) {
 			if _, isStop := msg.(stopMsg); isStop {
 				return
 			}
-			ctx := &Context{sys: s, self: ref}
+			ctx := &Context{sys: s}
 			if err := behavior(ctx, msg); err != nil {
 				s.recordErr(fmt.Errorf("actor %v: %w", ref.Key, err))
 				return

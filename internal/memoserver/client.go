@@ -27,7 +27,6 @@ type Client struct {
 	Host string
 	App  string
 
-	res     rpc.Resilience
 	link    *rlink
 	retried obs.Counter
 	// trace arms request tracing: Do stamps a fresh trace ID on untraced
@@ -84,7 +83,7 @@ func DialClientPolicy(dial DialFunc, host, app string, pol rpc.Policy) (*Client,
 // The initial dial happens eagerly, so an unreachable memo server surfaces
 // here rather than on the first request.
 func DialClientResilient(dial DialFunc, host, app string, pol rpc.Policy, res rpc.Resilience) (*Client, error) {
-	c := &Client{Host: host, App: app, res: res}
+	c := &Client{Host: host, App: app}
 	c.link = newRlink(func() (transport.Conn, error) {
 		raw, err := dial(host, MemoAddr(host))
 		if err != nil {
@@ -105,15 +104,12 @@ func DialClientResilient(dial DialFunc, host, app string, pol rpc.Policy, res rp
 // the server propagates to the folder wait. If the link dies mid-call the
 // request fails fast; with res.Retries armed it is transparently re-issued
 // on the re-dialed link when that is safe (always when provably unsent,
-// and for idempotent or token-deduplicated requests when maybe-executed).
+// and for idempotent or token-deduplicated requests when maybe-executed);
+// the link then stamps the dedup token on q itself — the outermost stamp,
+// preserved hop by hop — so the caller can correlate it.
 func (c *Client) Do(q *wire.Request, cancel <-chan struct{}) (*wire.Response, error) {
 	if q.App == "" {
 		q.App = c.App
-	}
-	if c.res.Retries > 0 && q.Token == 0 && tokenizableOp(q.Op) {
-		// Client-generated token: the outermost stamp, preserved hop by
-		// hop, so dedup is end-to-end from application to folder server.
-		q.Token = newToken()
 	}
 	if c.trace && q.TraceID == 0 {
 		// Stamped on the caller's request so it can correlate its own slow

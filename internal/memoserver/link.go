@@ -93,11 +93,19 @@ func (l *rlink) close() {
 // mid-call it is faulted (the next get re-dials under backoff) and the call
 // re-issued, up to res.Retries times: always when the request provably never
 // reached the wire — a failed dial, or LinkError.Sent == false — and, once
-// it may have executed, only when retriableInFlight. retried counts the
+// it may have executed, only when q.RetrySafe (the verb is idempotent, or
+// the folder server deduplicates it by token). This being the one place
+// that retries, it is also the one place that stamps the token: once,
+// before the first attempt, on q itself, so every attempt carries the same
+// one; a token already present (stamped by the application's client or an
+// earlier hop) is preserved — dedup is end-to-end. retried counts the
 // re-issues. The bool reports whether the last attempt got a connection at
 // all, so callers can word a dial failure apart from a failed call; a
 // closed cancel yields ErrClientCanceled.
 func (l *rlink) call(q *wire.Request, cancel <-chan struct{}, retried *obs.Counter) (*wire.Response, bool, error) {
+	if l.res.Retries > 0 && q.Token == 0 && q.Op.Info().Tokened() {
+		q.Token = newToken()
+	}
 	for attempt := 0; ; attempt++ {
 		conn, epoch, err := l.get(cancel)
 		if err != nil {
@@ -122,33 +130,13 @@ func (l *rlink) call(q *wire.Request, cancel <-chan struct{}, retried *obs.Count
 		var le *rpc.LinkError
 		if errors.As(err, &le) {
 			l.fault(epoch)
-			if attempt < l.res.Retries && (!le.Sent || retriableInFlight(q)) {
+			if attempt < l.res.Retries && (!le.Sent || q.RetrySafe()) {
 				retried.Inc()
 				continue
 			}
 		}
 		return nil, true, err
 	}
-}
-
-// retriableInFlight reports requests safe to re-issue even when the first
-// attempt may have executed: reads that take nothing (get_copy, watch,
-// fetch), idempotent control ops, and — now that folder servers deduplicate
-// by token — any op carrying a dedup token. A tokened put's retry re-sends
-// the same token and a folder server that already applied it acknowledges
-// without depositing twice; a tokened destructive read (get, get_skip,
-// alt_take) is answered from the folder server's consumed-take cache, so
-// the retry receives the original's memo instead of consuming a second
-// one. Untokened deposits and takes still retry only when the link died
-// before the request reached the wire (rpc.LinkError.Sent == false).
-func retriableInFlight(q *wire.Request) bool {
-	switch q.Op {
-	case wire.OpGetCopy, wire.OpWatch, wire.OpPing, wire.OpFetch, wire.OpRegister:
-		return true
-	case wire.OpPut, wire.OpPutDelayed, wire.OpGet, wire.OpGetSkip, wire.OpAltTake:
-		return q.Token != 0
-	}
-	return false
 }
 
 // stats exposes the underlying redialer's health counters.
@@ -164,16 +152,4 @@ func newToken() uint64 {
 			return t
 		}
 	}
-}
-
-// tokenizableOp reports ops that may carry a dedup token: the deposits
-// whose blind retry would otherwise duplicate a memo, and the destructive
-// reads whose blind retry would otherwise consume a second one (the folder
-// server answers a retried tokened take from its consumed-take cache).
-func tokenizableOp(op wire.Op) bool {
-	switch op {
-	case wire.OpPut, wire.OpPutDelayed, wire.OpGet, wire.OpGetSkip, wire.OpAltTake:
-		return true
-	}
-	return false
 }

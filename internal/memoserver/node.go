@@ -342,30 +342,10 @@ func (n *Node) acceptLoop(l transport.Listener) {
 		n.inbound = append(n.inbound, mux)
 		n.mu.Unlock()
 		go mux.Run()
-		go n.serveMux(mux)
-	}
-}
-
-// serveMux answers each accepted virtual connection with the batching rpc
-// server: batched requests dispatch concurrently through the node's thread
-// cache, and responses coalesce into batched frames. Single-frame peers
-// (pre-batching clients, raw wire debugging) are still served.
-func (n *Node) serveMux(mux *transport.Mux) {
-	for {
-		ch, err := mux.Accept()
-		if err != nil {
-			return
-		}
-		if err := n.pool.Submit(func() {
-			_ = rpc.Serve(ch, n.Dispatch, n.pool.SubmitArg, n.cfg.Batch)
-			ch.Close()
-		}); err != nil {
-			// Shutting down. Closing the channel is the whole message: an
-			// rpc peer has no request id to match an unsolicited response
-			// to, and would treat a bare single frame as a protocol error.
-			ch.Close()
-			return
-		}
+		// Batched requests dispatch concurrently through the node's thread
+		// cache, and responses coalesce into batched frames; a peer that
+		// sends anything but batch frames has its channel closed.
+		go rpc.ServeMux(mux, n.Dispatch, n.pool, n.cfg.Batch)
 	}
 }
 
@@ -518,42 +498,20 @@ func (n *Node) Dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response 
 	return resp
 }
 
+// dispatch addresses q by its verb's scope in the wire op table: the node
+// itself, the memo server on a named host, or a folder server.
 func (n *Node) dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response {
-	switch q.Op {
-	case wire.OpPing:
-		return wire.OK()
-	case wire.OpRegister:
-		f, err := adf.Parse(q.ADF)
-		if err != nil {
-			return wire.Errf("register: %v", err)
-		}
-		if err := n.RegisterApp(f); err != nil {
-			return wire.Errf("register: %v", err)
-		}
-		return wire.OK()
+	verb := q.Op.Info()
+	if verb.Scope == wire.ScopeNode {
+		return n.execute(nil, q)
 	}
-
 	app, ok := n.lookupApp(q.App)
 	if !ok {
 		return wire.Errf("memo server %s: application %q not registered", n.Host, q.App)
 	}
-	// Host-addressed operations (§4.4 program pumping).
-	if q.Op == wire.OpPump || q.Op == wire.OpFetch {
+	if verb.Scope == wire.ScopeHost {
 		if q.TargetHost == "" || q.TargetHost == n.Host {
-			switch q.Op {
-			case wire.OpPump:
-				if q.Dir == "" {
-					return wire.Errf("pump: empty program name")
-				}
-				app.StoreProgram(q.Dir, q.Payload)
-				return wire.OK()
-			case wire.OpFetch:
-				blob, ok := app.Program(q.Dir)
-				if !ok {
-					return wire.Errf("fetch: no program %q pumped to %s", q.Dir, n.Host)
-				}
-				return &wire.Response{Status: wire.StatusOK, Payload: blob}
-			}
+			return n.execute(app, q)
 		}
 		if _, known := app.Table.NextHop(n.Host, q.TargetHost); !known {
 			return wire.Errf("memo server %s: unknown host %q", n.Host, q.TargetHost)
@@ -570,7 +528,7 @@ func (n *Node) dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response 
 			return wire.Errf("memo server %s: folder server %d not local", n.Host, q.FolderID)
 		}
 		n.localOps.Inc()
-		if nonBlockingOp(q.Op) {
+		if !verb.Blocks {
 			// Fast path: an op that cannot wait on a folder completes on
 			// the dispatching thread itself, skipping the goroutine
 			// handoff (and reply-channel round trip) through the folder
@@ -617,14 +575,36 @@ func (n *Node) dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response 
 	return n.forward(app, q, targetHost, cancel)
 }
 
-// nonBlockingOp reports ops that always complete without waiting on a
-// folder, and are therefore safe to run inline on the dispatching thread.
-func nonBlockingOp(op wire.Op) bool {
-	switch op {
-	case wire.OpPut, wire.OpPutDelayed, wire.OpGetSkip, wire.OpPing:
-		return true
+// execute runs a verb this node answers itself: the node-scoped ones, and
+// the host-scoped ones (§4.4 program pumping) once they have reached their
+// target host. app is nil for node-scoped verbs.
+func (n *Node) execute(app *App, q *wire.Request) *wire.Response {
+	switch q.Op {
+	case wire.OpPing:
+		return wire.OK()
+	case wire.OpRegister:
+		f, err := adf.Parse(q.ADF)
+		if err != nil {
+			return wire.Errf("register: %v", err)
+		}
+		if err := n.RegisterApp(f); err != nil {
+			return wire.Errf("register: %v", err)
+		}
+		return wire.OK()
+	case wire.OpPump:
+		if q.Dir == "" {
+			return wire.Errf("pump: empty program name")
+		}
+		app.StoreProgram(q.Dir, q.Payload)
+		return wire.OK()
+	case wire.OpFetch:
+		blob, ok := app.Program(q.Dir)
+		if !ok {
+			return wire.Errf("fetch: no program %q pumped to %s", q.Dir, n.Host)
+		}
+		return &wire.Response{Status: wire.StatusOK, Payload: blob}
 	}
-	return false
+	return wire.Errf("memo server %s: unsupported op %s", n.Host, q.Op)
 }
 
 // forward relays the request one hop along the routing table over the
@@ -640,16 +620,11 @@ func (n *Node) forward(app *App, q *wire.Request, targetHost string, cancel <-ch
 	if err != nil {
 		return wire.Errf("memo server %s: dial %s: %v", n.Host, hop, err)
 	}
+	// A private copy: link.call may stamp a dedup token, and the inbound q
+	// stays as it arrived.
 	fq := *q
 	fq.Hops = q.Hops + 1
 	fq.TraceHop = q.TraceHop + 1
-	if n.cfg.Resilience.Retries > 0 && fq.Token == 0 && tokenizableOp(fq.Op) {
-		// Stamp a dedup token on the first hop that may ever retry this
-		// deposit, so a maybe-delivered attempt can be re-sent safely. A
-		// token already present (stamped by the application's client or an
-		// earlier hop) is preserved — dedup is end-to-end.
-		fq.Token = newToken()
-	}
 	n.forwards.Inc()
 	var linkStartNS int64
 	if q.Sampled && q.Spans != nil {
@@ -781,9 +756,6 @@ func (n *Node) LinkStats() []LinkStat {
 	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
 	return out
 }
-
-// CacheStats reports the node's thread-cache counters (experiment E1).
-func (n *Node) CacheStats() threadcache.Stats { return n.pool.Stats() }
 
 // RegisterMetrics attaches this node's series to reg: the node_* routing
 // counters (same obs.Counter instances Stats reads), plus a scrape-time

@@ -1,0 +1,278 @@
+package memoserver
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/folder"
+	"repro/internal/obs"
+	"repro/internal/rpc"
+	"repro/internal/symbol"
+	"repro/internal/threadcache"
+	"repro/internal/transport"
+	"repro/internal/wire"
+)
+
+// verbRows is what this package's decisions must come out as for every verb,
+// written out literally so that a wrong row in the wire op table (or a wrong
+// reading of it) fails here rather than agreeing with itself.
+var verbRows = []struct {
+	op wire.Op
+	// stamps: rlink.call mints a dedup token when retries are armed and the
+	// request carries none.
+	stamps bool
+	// inFlight: re-issued after a link death although the first attempt
+	// reached the wire (tokened verbs qualify because they were stamped).
+	inFlight bool
+	// inline / handoff: how Node.dispatch runs the verb against a local
+	// folder server — on the dispatching thread, or through the folder
+	// server's thread cache. Verbs the node answers itself do neither.
+	inline, handoff bool
+}{
+	{op: wire.OpPut, stamps: true, inFlight: true, inline: true},
+	{op: wire.OpPutDelayed, stamps: true, inFlight: true, inline: true},
+	{op: wire.OpGet, stamps: true, inFlight: true, handoff: true},
+	{op: wire.OpGetCopy, inFlight: true, handoff: true},
+	{op: wire.OpGetSkip, stamps: true, inFlight: true, inline: true},
+	{op: wire.OpAltTake, stamps: true, inFlight: true, handoff: true},
+	{op: wire.OpWatch, inFlight: true, handoff: true},
+	{op: wire.OpRegister, inFlight: true},
+	{op: wire.OpPing, inFlight: true},
+	{op: wire.OpPump},
+	{op: wire.OpFetch, inFlight: true},
+}
+
+// scriptedPeer is the far end of an rlink: an in-process listener whose
+// connections are answered by rpc.ServeMux with a handler that records every
+// arrival and, while drops remain, kills the link instead of answering — the
+// "request reached the wire, response never came" failure.
+type scriptedPeer struct {
+	ip      *transport.InProc
+	threads *threadcache.Pool
+	handle  rpc.Handler
+
+	mu       sync.Mutex
+	muxes    []*transport.Mux
+	arrivals []uint64 // the token each arriving request carried
+	drops    int
+}
+
+func newScriptedPeer(t *testing.T, handle rpc.Handler) *scriptedPeer {
+	t.Helper()
+	p := &scriptedPeer{ip: transport.NewInProc(), threads: threadcache.New(threadcache.Config{}), handle: handle}
+	l, err := p.ip.Listen(MemoAddr("peer"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			mux := transport.NewMux(conn, transport.DefaultMTU)
+			p.mu.Lock()
+			p.muxes = append(p.muxes, mux)
+			p.mu.Unlock()
+			go mux.Run()
+			go rpc.ServeMux(mux, p.serve, p.threads, rpc.Policy{})
+		}
+	}()
+	t.Cleanup(func() {
+		l.Close()
+		p.sever()
+		p.threads.Close()
+	})
+	return p
+}
+
+func (p *scriptedPeer) serve(q *wire.Request, cancel <-chan struct{}) *wire.Response {
+	resp := p.handle(q, cancel)
+	p.mu.Lock()
+	p.arrivals = append(p.arrivals, q.Token)
+	drop := p.drops > 0
+	if drop {
+		p.drops--
+	}
+	p.mu.Unlock()
+	if drop {
+		p.sever()
+	}
+	return resp
+}
+
+// sever closes every connection accepted so far.
+func (p *scriptedPeer) sever() {
+	p.mu.Lock()
+	muxes := p.muxes
+	p.muxes = nil
+	p.mu.Unlock()
+	for _, m := range muxes {
+		m.Close()
+	}
+}
+
+func (p *scriptedPeer) tokens() []uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]uint64(nil), p.arrivals...)
+}
+
+// link dials the peer the way Client and Node do.
+func (p *scriptedPeer) link(t *testing.T, retries int) *rlink {
+	t.Helper()
+	l := newRlink(func() (transport.Conn, error) {
+		raw, err := p.ip.Dial(MemoAddr("peer"))
+		if err != nil {
+			return nil, err
+		}
+		return dialMux(raw), nil
+	}, rpc.Policy{}, rpc.Resilience{Retries: retries, Redial: transport.Backoff{Min: time.Millisecond, Max: 5 * time.Millisecond}})
+	t.Cleanup(l.close)
+	return l
+}
+
+func okHandler(*wire.Request, <-chan struct{}) *wire.Response { return wire.OK() }
+
+// TestVerbMatrixRetryAndStamp drives rlink.call for every verb × {token
+// preset, none} × {first attempt reached the wire, provably did not} ×
+// {retries armed, off} and holds the retry and stamp decisions to verbRows.
+func TestVerbMatrixRetryAndStamp(t *testing.T) {
+	if len(verbRows) != int(wire.OpFetch) {
+		t.Fatalf("verbRows has %d rows for %d verbs", len(verbRows), wire.OpFetch)
+	}
+	const preset = 0xABCDEF
+	for i, row := range verbRows {
+		if row.op != wire.Op(i+1) {
+			t.Fatalf("verbRows[%d] is %v, want %v", i, row.op, wire.Op(i+1))
+		}
+		for _, token := range []uint64{0, preset} {
+			for _, sent := range []bool{true, false} {
+				for _, retries := range []int{0, 1} {
+					name := fmt.Sprintf("%v/token=%x/sent=%v/retries=%d", row.op, token, sent, retries)
+					t.Run(name, func(t *testing.T) {
+						p := newScriptedPeer(t, okHandler)
+						l := p.link(t, retries)
+						if sent {
+							// The first attempt arrives and the link dies
+							// under it.
+							p.drops = 1
+						} else {
+							// The link is already dead, and known to be, when
+							// the call starts: the request never leaves. (The
+							// redialer still holds the conn; only a failed
+							// call faults it.)
+							conn, _, err := l.get(nil)
+							if err != nil {
+								t.Fatal(err)
+							}
+							raw, _, _ := l.rd.Get(nil)
+							raw.Close()
+							<-conn.Done()
+						}
+						q := &wire.Request{Op: row.op, App: "x", Token: token}
+						var retried obs.Counter
+						_, _, err := l.call(q, nil, &retried)
+
+						wantToken := token
+						if wantToken == 0 && row.stamps && retries > 0 {
+							wantToken = q.Token
+							if wantToken == 0 {
+								t.Fatal("no token stamped on the caller's request")
+							}
+						}
+						if q.Token != wantToken {
+							t.Fatalf("request token %x after the call, want %x", q.Token, wantToken)
+						}
+						wantRetry := retries > 0 && (!sent || row.inFlight)
+						wantArrivals := 0
+						if sent {
+							wantArrivals++
+						}
+						if wantRetry {
+							wantArrivals++
+						}
+						if wantRetry != (err == nil) || wantRetry != (retried.Load() == 1) {
+							t.Fatalf("err %v, retried %d; want retry = %v", err, retried.Load(), wantRetry)
+						}
+						var le *rpc.LinkError
+						if err != nil && (!errors.As(err, &le) || le.Sent != sent) {
+							t.Fatalf("err %v, want a LinkError with Sent = %v", err, sent)
+						}
+						got := p.tokens()
+						if len(got) != wantArrivals {
+							t.Fatalf("%d attempts arrived, want %d", len(got), wantArrivals)
+						}
+						for _, tok := range got {
+							if tok != wantToken {
+								t.Fatalf("attempt arrived with token %x, want %x on every attempt (%x)", tok, wantToken, got)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestVerbMatrixInlineOrHandoff dispatches every verb at a node that owns
+// the folder and holds where it ran to verbRows.
+func TestVerbMatrixInlineOrHandoff(t *testing.T) {
+	k := symbol.K(3)
+	for _, row := range verbRows {
+		t.Run(row.op.String(), func(t *testing.T) {
+			tn := bootNet(t, twoHostADF, Config{})
+			node := tn.nodes["a"]
+			fs, _ := node.LocalFolderServer(tn.file.App, 0)
+			// A memo for the reading verbs to find, so none of them parks.
+			if err := fs.Store().Put(k, []byte("m")); err != nil {
+				t.Fatal(err)
+			}
+			resp := node.Dispatch(&wire.Request{Op: row.op, App: tn.file.App, FolderID: 0,
+				Key: k, Key2: symbol.K(4), Keys: []symbol.Key{k}, Payload: []byte("p"),
+				ADF: twoHostADF, Dir: "prog"}, never)
+			if resp.Status == wire.StatusErr && row.op != wire.OpFetch { // nothing was pumped
+				t.Fatalf("%+v", resp)
+			}
+			cache := fs.CacheStats()
+			if got := node.Stats().Inlined == 1; got != row.inline {
+				t.Errorf("inlined = %v, want %v", got, row.inline)
+			}
+			if got := cache.Spawned+cache.Reused == 1; got != row.handoff {
+				t.Errorf("handed to the folder server's thread cache = %v, want %v", got, row.handoff)
+			}
+		})
+	}
+}
+
+// TestRetriedPutCarriesOneToken: a put whose link dies under two successive
+// attempts reaches the folder server three times with the one token rlink
+// stamped before the first, so the folder server deposits it once.
+func TestRetriedPutCarriesOneToken(t *testing.T) {
+	fs := folder.NewServer(0, "peer", folder.NewStore(), threadcache.Config{})
+	t.Cleanup(fs.Close)
+	p := newScriptedPeer(t, fs.Handle)
+	p.drops = 2
+	l := p.link(t, 2)
+	var retried obs.Counter
+	q := &wire.Request{Op: wire.OpPut, Key: symbol.K(1), Payload: []byte("once")}
+	resp, _, err := l.call(q, nil, &retried)
+	if err != nil || resp.Status != wire.StatusOK {
+		t.Fatalf("put across two link deaths: %+v %v", resp, err)
+	}
+	got := p.tokens()
+	if len(got) != 3 || q.Token == 0 {
+		t.Fatalf("arrivals %x, request token %x; want 3 arrivals under one stamped token", got, q.Token)
+	}
+	for _, tok := range got {
+		if tok != q.Token {
+			t.Fatalf("attempts arrived with tokens %x, want %x on each", got, q.Token)
+		}
+	}
+	if n, st := fs.Store().MemoCount(), fs.Store().Stats(); n != 1 || st.DupPuts != int64(len(got)-1) {
+		t.Fatalf("%d memos, %d deduplicated puts after %d arrivals; want 1 and %d", n, st.DupPuts, len(got), len(got)-1)
+	}
+}

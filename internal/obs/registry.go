@@ -153,20 +153,6 @@ func (r *Registry) RegisterHistogram(name, help string, labels map[string]string
 	r.register(name, help, KindHistogram, sample{labels: RenderLabels(labels), hist: h})
 }
 
-// RegisterCounterFunc registers a counter sample evaluated at scrape time —
-// for totals derived from existing owner state rather than a dedicated
-// atomic (e.g. a sum over per-link counters).
-func (r *Registry) RegisterCounterFunc(name, help string, labels map[string]string, fn func() int64) {
-	r.register(name, help, KindCounter, sample{labels: RenderLabels(labels), read: fn})
-}
-
-// RegisterGaugeFunc registers a gauge sample evaluated at scrape time —
-// for values that are a walk of owner state (shard occupancy, waiter
-// counts, in-flight maps) rather than a maintained atomic.
-func (r *Registry) RegisterGaugeFunc(name, help string, labels map[string]string, fn func() int64) {
-	r.register(name, help, KindGauge, sample{labels: RenderLabels(labels), read: fn})
-}
-
 func (r *Registry) register(name, help string, kind Kind, sm sample) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

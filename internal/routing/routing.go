@@ -270,6 +270,3 @@ func (t *Table) Centrality(dst string) float64 {
 	}
 	return sum / float64(n)
 }
-
-// Hosts returns the table's host set in sorted order.
-func (t *Table) Hosts() []string { return t.graph.Hosts() }

@@ -159,8 +159,7 @@ func (c *Conn) call(q *wire.Request, cancel <-chan struct{}) (*wire.Response, er
 	c.mu.Unlock()
 
 	// The dedup token, trace, and sampled bit ride the batch entry, not the
-	// request codec, so they re-attach at every forwarding hop without
-	// touching the legacy single-frame protocol.
+	// request codec, so they re-attach at every forwarding hop.
 	var startNS int64
 	if q.Sampled {
 		startNS = time.Now().UnixNano()
@@ -232,12 +231,9 @@ func (c *Conn) recvLoop() {
 			return
 		}
 		c.lastRecv.Store(time.Now().UnixNano())
-		if !wire.IsBatchFrame(buf) {
-			c.fail(fmt.Errorf("rpc: peer sent a non-batch frame"))
-			return
-		}
 		kind, es, err := wire.DecodeBatchInto(entries[:0], buf)
 		if err != nil {
+			// Includes a frame that is not a batch frame at all.
 			c.fail(fmt.Errorf("rpc: bad batch: %w", err))
 			return
 		}

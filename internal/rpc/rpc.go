@@ -25,9 +25,10 @@
 // entry names the in-flight request id, and the server closes that
 // request's cancel channel.
 //
-// Single (non-batch) frames remain accepted by Serve, answered
-// synchronously in arrival order exactly as the pre-batching servers did,
-// so old peers and raw-wire debugging clients keep working.
+// Batch frames are the only frames either side accepts. A frame that does
+// not start with the batch magic — a bare encoded request, garbage — ends
+// the connection: Serve returns a protocol error without running a handler
+// and the channel is closed; Conn fails every pending call.
 package rpc
 
 import (

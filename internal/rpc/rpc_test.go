@@ -274,67 +274,82 @@ func TestCancelUnblocksServer(t *testing.T) {
 	}
 }
 
-// TestLegacySingleFramePeer drives Serve with raw pre-batching single
-// frames, as an old client (or wire-debugging session) would.
-func TestLegacySingleFramePeer(t *testing.T) {
-	ip := transport.NewInProc()
-	l, err := ip.Listen("srv/rpc")
-	if err != nil {
-		t.Fatal(err)
+// TestNonBatchFrameRejected is the protocol's entry check: a frame that does
+// not start with the batch magic — a bare encoded request, or garbage —
+// makes Serve return an error without invoking the handler, and once the
+// caller closes the channel (as ServeMux does) the peer's Recv fails rather
+// than hangs.
+func TestNonBatchFrameRejected(t *testing.T) {
+	frames := map[string][]byte{
+		"single-frame request": wire.EncodeRequest(&wire.Request{Op: wire.OpPing, Payload: []byte{1}}),
+		"garbage":              {0xFF, 0xFF},
+		"empty":                {},
 	}
-	defer l.Close()
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		mux := transport.NewMux(conn, 4096)
-		go mux.Run()
-		for {
-			ch, err := mux.Accept()
+	for name, frame := range frames {
+		t.Run(name, func(t *testing.T) {
+			ip := transport.NewInProc()
+			l, err := ip.Listen("srv/rpc")
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			go Serve(ch, echoHandler, nil, Policy{})
-		}
-	}()
-	conn, err := ip.Dial("srv/rpc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux := transport.NewMux(conn, 4096)
-	go mux.Run()
-	defer mux.Close()
-	ch := mux.Channel(1)
-
-	for i := 0; i < 3; i++ {
-		payload := []byte{byte(i)}
-		if err := ch.Send(wire.EncodeRequest(&wire.Request{Op: wire.OpPing, Payload: payload})); err != nil {
-			t.Fatal(err)
-		}
-		buf, err := ch.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wire.IsBatchFrame(buf) {
-			t.Fatal("server answered a single frame with a batch frame")
-		}
-		resp, err := wire.DecodeResponse(buf)
-		if err != nil || resp.Status != wire.StatusOK || resp.Payload[0] != byte(i) {
-			t.Fatalf("single-frame response: %+v %v", resp, err)
-		}
-	}
-	// Malformed single frames get an error response, not a dead channel.
-	if err := ch.Send([]byte{0xFF, 0xFF}); err != nil {
-		t.Fatal(err)
-	}
-	buf, err := ch.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := wire.DecodeResponse(buf)
-	if err != nil || resp.Status != wire.StatusErr {
-		t.Fatalf("malformed frame response: %+v %v", resp, err)
+			defer l.Close()
+			var handled atomic.Int32
+			served := make(chan error, 1)
+			go func() {
+				conn, err := l.Accept()
+				if err != nil {
+					served <- nil
+					return
+				}
+				mux := transport.NewMux(conn, 4096)
+				go mux.Run()
+				ch, err := mux.Accept()
+				if err != nil {
+					served <- nil
+					return
+				}
+				served <- Serve(ch, func(q *wire.Request, c <-chan struct{}) *wire.Response {
+					handled.Add(1)
+					return echoHandler(q, c)
+				}, nil, Policy{})
+				ch.Close()
+			}()
+			conn, err := ip.Dial("srv/rpc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			mux := transport.NewMux(conn, 4096)
+			go mux.Run()
+			defer mux.Close()
+			ch := mux.Channel(1)
+			if err := ch.Send(frame); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-served:
+				if err == nil {
+					t.Fatal("Serve accepted a non-batch frame")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Serve kept serving after a non-batch frame")
+			}
+			recvd := make(chan error, 1)
+			go func() {
+				_, err := ch.Recv()
+				recvd <- err
+			}()
+			select {
+			case err := <-recvd:
+				if err == nil {
+					t.Fatal("rejected peer got an answer; want its Recv to fail")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("rejected peer hangs in Recv")
+			}
+			if n := handled.Load(); n != 0 {
+				t.Fatalf("handler ran %d times on a rejected frame", n)
+			}
+		})
 	}
 }
 

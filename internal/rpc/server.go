@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/pool"
 	"repro/internal/symbol"
+	"repro/internal/threadcache"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -20,8 +21,8 @@ import (
 // deposit copy is exactly that Retain.
 type Handler func(q *wire.Request, cancel <-chan struct{}) *wire.Response
 
-// SubmitFunc runs fn(arg) concurrently — typically threadcache.Pool.SubmitArg
-// or folder.Server.SubmitArg, so batched requests land on the server's
+// SubmitFunc runs fn(arg) concurrently — typically
+// threadcache.Pool.SubmitArg, so batched requests land on the server's
 // thread cache ("each request to a server will cause a thread to be
 // created") without allocating a closure per request. A nil SubmitFunc runs
 // each request on a plain goroutine.
@@ -35,11 +36,13 @@ type ServerChannel interface {
 }
 
 // Serve answers requests on one connection until it closes, returning the
-// terminal receive error. Batch frames dispatch concurrently through
-// submit; each response is queued on a response batcher, so replies
+// terminal receive error. Each batch frame's requests dispatch concurrently
+// through submit; each response is queued on a response batcher, so replies
 // coalesce into batched frames in completion order and a blocked request
-// never delays its batch-mates. Single frames are answered synchronously
-// in arrival order, preserving the pre-batching protocol for old peers.
+// never delays its batch-mates. Batch frames are the whole protocol: a frame
+// that does not start with the batch magic is a protocol error — Serve
+// returns it without invoking h, and the caller closes the channel (as
+// ServeMux does), which is the only answer such a peer gets.
 //
 // Buffer ownership: each received frame arrives in a pooled buffer that
 // every request decoded from it aliases. The frame is reference-counted
@@ -62,10 +65,8 @@ func Serve(ch ServerChannel, h Handler, submit SubmitFunc, pol Policy) error {
 			return err
 		}
 		if !wire.IsBatchFrame(buf) {
-			if err := s.serveSingle(buf); err != nil {
-				return err
-			}
-			continue
+			pool.Put(buf)
+			return fmt.Errorf("rpc: non-batch frame from %s", ch.RemoteAddr())
 		}
 		kind, es, err := wire.DecodeBatchInto(entries[:0], buf)
 		if err != nil {
@@ -83,6 +84,28 @@ func Serve(ch ServerChannel, h Handler, submit SubmitFunc, pol Policy) error {
 			entries[i] = wire.BatchEntry{}
 		}
 		fb.release()
+	}
+}
+
+// ServeMux runs Serve on every virtual connection mux accepts — one thread
+// of the cache per connection, one per request — until the mux closes or
+// the cache refuses (the server is shutting down). A channel is closed when
+// its Serve returns, and closing it is the whole message in both cases: an
+// rpc peer has no request id to match an unsolicited response to, and a
+// peer that sent a non-batch frame must see its Recv fail rather than hang.
+func ServeMux(mux *transport.Mux, h Handler, threads *threadcache.Pool, pol Policy) {
+	for {
+		ch, err := mux.Accept()
+		if err != nil {
+			return
+		}
+		if err := threads.Submit(func() {
+			_ = Serve(ch, h, threads.SubmitArg, pol)
+			ch.Close()
+		}); err != nil {
+			ch.Close()
+			return
+		}
 	}
 }
 
@@ -125,26 +148,6 @@ type server struct {
 	mu       sync.Mutex
 	inflight map[uint64]chan struct{} // request id -> its cancel channel
 	down     bool
-}
-
-// serveSingle answers one legacy single-frame request inline — the
-// pre-batching servers handled one request at a time per channel, and old
-// clients depend on ordered responses. It takes over buf and recycles it.
-//
-//memolint:transfers-ownership
-func (s *server) serveSingle(buf []byte) error {
-	q, err := wire.DecodeRequest(buf)
-	var resp *wire.Response
-	if err != nil {
-		resp = wire.Errf("bad request: %v", err)
-	} else {
-		resp = s.h(q, s.ch.Done())
-	}
-	msg := wire.AppendResponse(pool.Get(wire.ResponseOverhead(resp)), resp)
-	err = s.ch.Send(msg)
-	pool.Put(msg)
-	pool.Put(buf)
-	return err
 }
 
 // dispatchTask is one batched request in flight: the pooled argument struct

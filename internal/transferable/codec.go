@@ -99,17 +99,8 @@ func (e *Encoder) writeBytes(b []byte) {
 	e.buf.Write(b)
 }
 
-// WriteUint encodes an unsigned payload integer (for user types).
-func (e *Encoder) WriteUint(v uint64) { e.writeUvarint(v) }
-
 // WriteInt encodes a signed payload integer (for user types).
 func (e *Encoder) WriteInt(v int64) { e.writeVarint(v) }
-
-// WriteString encodes a payload string (for user types).
-func (e *Encoder) WriteString(s string) { e.writeString(s) }
-
-// WriteFloat encodes a payload float (for user types).
-func (e *Encoder) WriteFloat(v float64) { e.writeUvarint(math.Float64bits(v)) }
 
 // WriteValue encodes a nested value (for user types).
 func (e *Encoder) WriteValue(v Value) error { return e.Encode(v) }
@@ -305,23 +296,8 @@ func (d *Decoder) readBytes() ([]byte, error) {
 	return b, nil
 }
 
-// ReadUint decodes an unsigned payload integer (for user types).
-func (d *Decoder) ReadUint() (uint64, error) { return d.readUvarint() }
-
 // ReadInt decodes a signed payload integer (for user types).
 func (d *Decoder) ReadInt() (int64, error) { return d.readVarint() }
-
-// ReadString decodes a payload string (for user types).
-func (d *Decoder) ReadString() (string, error) { return d.readString() }
-
-// ReadFloat decodes a payload float (for user types).
-func (d *Decoder) ReadFloat() (float64, error) {
-	bits, err := d.readUvarint()
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(bits), nil
-}
 
 // ReadValue decodes a nested value (for user types).
 func (d *Decoder) ReadValue() (Value, error) { return d.Decode() }

@@ -17,8 +17,8 @@ import (
 //
 // Layout:
 //
-//	byte    batchMagic (0xB1 — never a valid Op or Status, so single
-//	        frames and batch frames coexist on one channel)
+//	byte    batchMagic (0xB1 — never a valid Op or Status, so a bare
+//	        encoded message is recognised and refused, not misparsed)
 //	byte    version (currently 1; decoders reject higher versions)
 //	byte    kind (BatchRequest | BatchResponse)
 //	uvarint entry count
@@ -39,14 +39,16 @@ import (
 //
 // The token, trace, sampled bit, and span blob are flag-gated extensions
 // rather than Request fields so that frames without them are byte-identical
-// to version 1 frames that predate them, and the request codec (shared with
-// the single-frame legacy protocol) stays untouched.
+// to version 1 frames that predate them, and the request codec stays
+// untouched.
 //
-// Single-frame messages remain valid: their first byte is an Op or Status,
-// both of which are small constants, so IsBatchFrame cleanly discriminates.
+// Batch frames are the only frames of the protocol. A frame that does not
+// start with the magic is a protocol error that ends the connection: the
+// decoder refuses it, and rpc.Serve checks IsBatchFrame first so that the
+// rejected buffer goes back to the pool.
 
 // batchMagic marks a batch frame. Ops and Statuses are small iota constants;
-// 0xB1 collides with neither, keeping old single-frame peers decodable.
+// 0xB1 collides with neither.
 const batchMagic byte = 0xB1
 
 // BatchVersion is the current batch-frame version.
@@ -113,8 +115,8 @@ const (
 	entryFlagSpans     byte = 1 << 5
 )
 
-// IsBatchFrame reports whether buf is a batch frame rather than a single
-// encoded Request or Response.
+// IsBatchFrame reports whether buf starts like a batch frame — the entry
+// check rpc.Serve makes before decoding.
 func IsBatchFrame(buf []byte) bool {
 	return len(buf) > 0 && buf[0] == batchMagic
 }

@@ -1,8 +1,10 @@
 // Package wire defines the request/response protocol spoken between
-// application processes, memo servers, and folder servers. One request
-// travels over one virtual connection (transport.Mux channel); blocking
-// operations simply leave the response pending while the folder server's
-// thread waits.
+// application processes, memo servers, and folder servers. Requests and
+// responses travel as entries of batch frames (batch.go), many in flight on
+// one virtual connection (transport.Mux channel); a blocking operation
+// simply leaves its response for a later frame while the folder server's
+// thread waits. A bare encoded Request or Response is not a frame of the
+// protocol: rpc.Serve answers one by closing the channel.
 //
 // The encoding reuses the varint conventions of the transferable codec but
 // is deliberately separate: protocol control information is not application
@@ -43,30 +45,97 @@ const (
 	OpFetch
 )
 
+// Scope says what a verb's requests are addressed to, which is how a memo
+// server routes them.
+type Scope uint8
+
+// Verb scopes. The zero Scope marks an undefined verb.
+const (
+	ScopeNone Scope = iota
+	// ScopeNode verbs are answered by whichever server receives them.
+	ScopeNode
+	// ScopeHost verbs go to the memo server on Request.TargetHost.
+	ScopeHost
+	// ScopeFolder verbs go to folder server Request.FolderID.
+	ScopeFolder
+)
+
+// Kind says what a folder-scoped verb does to the folder it finds.
+type Kind uint8
+
+// Verb kinds. The zero Kind marks a verb that touches no folder.
+const (
+	KindNone    Kind = iota
+	KindDeposit      // add a memo
+	KindTake         // remove a memo and return it
+	KindCopy         // return a copy, leaving the memo in place
+	KindPeek         // only report which folder holds a memo
+)
+
+// OpInfo is one verb's row in the op table: every fact the layers between
+// application and folder store need in order to classify a request.
+type OpInfo struct {
+	Name  string
+	Scope Scope
+	Kind  Kind
+	// Blocks: the verb may park on an empty folder, so it must not run
+	// inline on a dispatching thread.
+	Blocks bool
+	// MultiKey: the candidate folders are Request.Keys, not Request.Key.
+	MultiKey bool
+	// Idempotent: re-issuing the verb after an attempt that may have
+	// executed changes nothing, so it retries in flight without a token.
+	Idempotent bool
+}
+
+// ops is the op table, indexed by Op: the one place a fact about a verb is
+// written down (DESIGN.md §5 prints it). A new verb is a new row.
+var ops = [...]OpInfo{
+	OpPut:        {Name: "put", Scope: ScopeFolder, Kind: KindDeposit},
+	OpPutDelayed: {Name: "put_delayed", Scope: ScopeFolder, Kind: KindDeposit},
+	OpGet:        {Name: "get", Scope: ScopeFolder, Kind: KindTake, Blocks: true},
+	OpGetCopy:    {Name: "get_copy", Scope: ScopeFolder, Kind: KindCopy, Blocks: true, Idempotent: true},
+	OpGetSkip:    {Name: "get_skip", Scope: ScopeFolder, Kind: KindTake},
+	OpAltTake:    {Name: "alt_take", Scope: ScopeFolder, Kind: KindTake, Blocks: true, MultiKey: true},
+	OpWatch:      {Name: "watch", Scope: ScopeFolder, Kind: KindPeek, Blocks: true, MultiKey: true, Idempotent: true},
+	OpRegister:   {Name: "register", Scope: ScopeNode, Idempotent: true},
+	OpPing:       {Name: "ping", Scope: ScopeNode, Idempotent: true},
+	// Pump replaces the stored image, so a second attempt can undo another
+	// client's pump that landed between the two — not idempotent — and the
+	// image store keeps no token table to recognise the repeat — not tokened.
+	// It retries only when provably unsent.
+	OpPump:  {Name: "pump", Scope: ScopeHost},
+	OpFetch: {Name: "fetch", Scope: ScopeHost, Idempotent: true},
+}
+
+// Info returns o's row of the op table. Safe for any byte: an undefined Op
+// yields the zero row (empty name, ScopeNone, KindNone), never an index
+// panic — Handle is called in-process with caller-built requests.
+func (o Op) Info() *OpInfo {
+	if int(o) < len(ops) {
+		return &ops[o]
+	}
+	return &ops[OpInvalid]
+}
+
+// Tokened reports verbs that carry an at-most-once dedup token when retries
+// are armed: the deposits whose blind retry would duplicate a memo, and the
+// takes whose blind retry would consume a second one (a folder server
+// acknowledges a repeated deposit token without re-applying, and answers a
+// repeated take token from its consumed-take cache).
+func (v *OpInfo) Tokened() bool { return v.Kind == KindDeposit || v.Kind == KindTake }
+
+// RetrySafe reports whether q may be re-issued although an earlier attempt
+// may have executed: its verb is idempotent, or it is tokened and q carries
+// a token. Everything else retries only when provably unsent.
+func (q *Request) RetrySafe() bool {
+	v := q.Op.Info()
+	return v.Idempotent || (v.Tokened() && q.Token != 0)
+}
+
 func (o Op) String() string {
-	switch o {
-	case OpPut:
-		return "put"
-	case OpPutDelayed:
-		return "put_delayed"
-	case OpGet:
-		return "get"
-	case OpGetCopy:
-		return "get_copy"
-	case OpGetSkip:
-		return "get_skip"
-	case OpAltTake:
-		return "alt_take"
-	case OpWatch:
-		return "watch"
-	case OpRegister:
-		return "register"
-	case OpPing:
-		return "ping"
-	case OpPump:
-		return "pump"
-	case OpFetch:
-		return "fetch"
+	if name := o.Info().Name; name != "" {
+		return name
 	}
 	return fmt.Sprintf("op(%d)", byte(o))
 }
@@ -111,8 +180,7 @@ type Request struct {
 	// a retried maybe-delivered put carries the same token, and the folder
 	// server acknowledges without re-applying if it already holds it. The
 	// token is NOT part of the request codec — it travels as a batch-entry
-	// extension (see batch.go), so the single-frame legacy protocol is
-	// untouched and the rpc layer re-attaches it at every hop.
+	// extension (see batch.go) and the rpc layer re-attaches it at every hop.
 	Token uint64
 	// TraceID identifies the request across hops for the slow-request log
 	// (0 = untraced). Like Token, it is NOT part of the request codec — it
@@ -388,7 +456,7 @@ func DecodeRequestInto(q *Request, buf []byte) error {
 	if r.pos != len(buf) {
 		return fmt.Errorf("wire: %d trailing bytes in request", len(buf)-r.pos)
 	}
-	if q.Op == OpInvalid || q.Op > OpFetch {
+	if q.Op.Info().Scope == ScopeNone {
 		return fmt.Errorf("wire: invalid op %d", q.Op)
 	}
 	return nil

@@ -130,14 +130,48 @@ func TestErrf(t *testing.T) {
 	}
 }
 
-func TestOpStrings(t *testing.T) {
+// TestOpTable: every defined verb has a row with a unique non-empty name,
+// any other byte reads the zero row instead of panicking, and the in-flight
+// retry rule comes out as the literal rows below say.
+func TestOpTable(t *testing.T) {
+	seen := map[string]Op{}
 	for op := OpPut; op <= OpFetch; op++ {
-		if s := op.String(); s == "" || s[0] == 'o' && s[1] == 'p' && s[2] == '(' {
-			t.Fatalf("op %d has no name", op)
+		v := op.Info()
+		if v.Name == "" || v.Scope == ScopeNone || op.String() != v.Name {
+			t.Fatalf("op %d: row %+v, String %q", op, *v, op.String())
+		}
+		if prev, dup := seen[v.Name]; dup {
+			t.Fatalf("ops %d and %d share the name %q", prev, op, v.Name)
+		}
+		seen[v.Name] = op
+	}
+	if int(OpFetch)+1 != len(ops) {
+		t.Fatalf("op table has %d rows, the last verb is %d", len(ops), OpFetch)
+	}
+	for _, op := range []Op{OpInvalid, OpFetch + 1, 99, 255} {
+		if v := op.Info(); *v != (OpInfo{}) {
+			t.Fatalf("op %d: row %+v, want the zero row", op, *v)
 		}
 	}
 	if Op(99).String() != "op(99)" {
 		t.Fatal("unknown op string")
+	}
+	// without / with: RetrySafe of a request carrying no token / a token.
+	retry := []struct {
+		op            Op
+		without, with bool
+	}{
+		{OpPut, false, true}, {OpPutDelayed, false, true}, {OpGet, false, true},
+		{OpGetCopy, true, true}, {OpGetSkip, false, true}, {OpAltTake, false, true},
+		{OpWatch, true, true}, {OpRegister, true, true}, {OpPing, true, true},
+		{OpPump, false, false}, {OpFetch, true, true}, {Op(99), false, false},
+	}
+	for _, r := range retry {
+		without := (&Request{Op: r.op}).RetrySafe()
+		with := (&Request{Op: r.op, Token: 7}).RetrySafe()
+		if without != r.without || with != r.with {
+			t.Errorf("%v: RetrySafe %v without a token, %v with; want %v, %v", r.op, without, with, r.without, r.with)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@
 # goimports, staticcheck, deadcode, and govulncheck. CI installs the pinned
 # versions of the optional tools (see .github/workflows/ci.yml); on a bare Go
 # toolchain they are skipped with a notice so the gate still runs locally.
+# Under CI=true a missing pinned tool fails the gate instead: a step that
+# silently did not run proves nothing.
 set -u
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -13,6 +15,19 @@ step() {
 	echo "==> $1"
 }
 
+# have reports whether the pinned tool $1 is on PATH; when it is not, the
+# step is skipped locally and is a failure under CI=true.
+have() {
+	command -v "$1" >/dev/null 2>&1 && return 0
+	if [ "${CI:-}" = "true" ]; then
+		echo "$1: not installed, and CI=true requires every pinned tool" >&2
+		fail=1
+	else
+		step "$1 (not installed; skipped)"
+	fi
+	return 1
+}
+
 step "gofmt"
 out="$(gofmt -l .)"
 if [ -n "$out" ]; then
@@ -21,7 +36,7 @@ if [ -n "$out" ]; then
 	fail=1
 fi
 
-if command -v goimports >/dev/null 2>&1; then
+if have goimports; then
 	step "goimports"
 	out="$(goimports -l .)"
 	if [ -n "$out" ]; then
@@ -29,8 +44,6 @@ if command -v goimports >/dev/null 2>&1; then
 		echo "$out" >&2
 		fail=1
 	fi
-else
-	step "goimports (not installed; skipped)"
 fi
 
 step "go vet"
@@ -39,35 +52,26 @@ go vet ./... || fail=1
 step "memolint"
 go run ./cmd/memolint -root "$root" || fail=1
 
-if command -v staticcheck >/dev/null 2>&1; then
+if have staticcheck; then
 	step "staticcheck ($(staticcheck -version 2>/dev/null || true))"
 	staticcheck ./... || fail=1
-else
-	step "staticcheck (not installed; skipped)"
 fi
 
-if command -v deadcode >/dev/null 2>&1; then
+if have deadcode; then
 	step "deadcode"
-	# Functions no main and no test can reach. The packages named here have
-	# been cleaned and gate; findings elsewhere are printed so they can be
-	# worked down, and a package joins the pattern once it is clean.
+	# Functions no main and no test can reach: any finding, in any package,
+	# fails the gate.
 	out="$(deadcode -test ./... 2>&1)"
 	if [ -n "$out" ]; then
-		echo "$out"
-		if echo "$out" | grep -qE '^(internal/(folder|memoserver|cluster)|cmd)/'; then
-			echo "deadcode: unreachable functions in a gated package" >&2
-			fail=1
-		fi
+		echo "$out" >&2
+		echo "deadcode: unreachable functions" >&2
+		fail=1
 	fi
-else
-	step "deadcode (not installed; skipped)"
 fi
 
-if command -v govulncheck >/dev/null 2>&1; then
+if have govulncheck; then
 	step "govulncheck"
 	govulncheck ./... || fail=1
-else
-	step "govulncheck (not installed; skipped)"
 fi
 
 if [ "$fail" -ne 0 ]; then

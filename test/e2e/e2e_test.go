@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/rpc"
 	"repro/internal/symbol"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -200,8 +201,8 @@ func readyAddr(t *testing.T, path string) string {
 	return strings.TrimSpace(line)
 }
 
-// rawDo sends one wire request over a fresh TCP mux channel — the protocol
-// exactly as a non-Go client would speak it.
+// rawDo sends one wire request over a fresh TCP mux channel, speaking the
+// batch protocol through rpc.Conn as any client of the daemon must.
 func rawDo(t *testing.T, addr string, q *wire.Request) *wire.Response {
 	t.Helper()
 	conn, err := transport.NewTCP().Dial(addr)
@@ -211,15 +212,9 @@ func rawDo(t *testing.T, addr string, q *wire.Request) *wire.Response {
 	mux := transport.NewMux(conn, transport.DefaultMTU)
 	go mux.Run()
 	defer mux.Close()
-	ch := mux.Channel(1)
-	if err := ch.Send(wire.EncodeRequest(q)); err != nil {
-		t.Fatal(err)
-	}
-	buf, err := ch.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := wire.DecodeResponse(buf)
+	c := rpc.NewConn(mux.Channel(1), rpc.Policy{})
+	defer c.Close()
+	resp, err := c.Call(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
