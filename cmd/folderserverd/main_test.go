@@ -11,7 +11,7 @@ import (
 // or re-default one silently.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"batch-bytes=0", "batch-linger=0s", "batch-max=0", "data-dir=", "debug-addr=", "fsync=batch",
+		"batch-bytes=0", "batch-max=0", "data-dir=", "debug-addr=", "fsync=batch",
 		"host=", "id=0", "idle-timeout=15s", "listen=:7441", "no-thread-cache=false", "ready-file=",
 		"shards=0", "slow-request-threshold=0s", "snapshot-every=0", "trace-ring=0", "trace-sample=0",
 	}

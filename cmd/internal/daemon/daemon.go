@@ -22,7 +22,7 @@ import (
 // Flags holds the shared command line.
 type Flags struct {
 	Cache         threadcache.Config // -no-thread-cache
-	Batch         rpc.Policy         // -batch-max, -batch-bytes, -batch-linger
+	Batch         rpc.Policy         // -batch-max, -batch-bytes
 	IdleTimeout   time.Duration
 	DataDir       string
 	Durable       durable.Config // -fsync, -snapshot-every
@@ -59,7 +59,6 @@ func Register(fs *flag.FlagSet, name string) *Flags {
 	fs.BoolVar(&f.Cache.Disable, "no-thread-cache", false, "disable thread caching (E1 ablation)")
 	fs.IntVar(&f.Batch.MaxCount, "batch-max", 0, "max requests coalesced per rpc batch frame (0 = default 64; 1 disables batching)")
 	fs.IntVar(&f.Batch.MaxBytes, "batch-bytes", 0, "max encoded bytes per rpc batch frame (0 = default 64KiB)")
-	fs.DurationVar(&f.Batch.Linger, "batch-linger", 0, "upper bound a queued request or response waits for batch companions (0 = default 100µs)")
 	fs.DurationVar(&f.IdleTimeout, "idle-timeout", 15*time.Second, "close connections silent for this long (0 = never); rpc clients heartbeat when their receive side goes quiet, so a healthy blocking wait does not trip it")
 	fs.StringVar(&f.DataDir, "data-dir", "", "directory for folder-server durability (per-shard WAL + snapshots); empty keeps folders in memory only")
 	fs.Var(syncFlag{&f.Durable.Sync}, "fsync", "WAL sync `mode`: batch (group commit), always (fsync per record), never (trust the OS cache)")

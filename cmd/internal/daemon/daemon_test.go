@@ -19,12 +19,12 @@ func TestFlagsBindOntoConfigs(t *testing.T) {
 		t.Fatalf("defaults: %+v", f)
 	}
 	err := fs.Parse([]string{"-fsync", "never", "-snapshot-every", "-1", "-batch-max", "3",
-		"-batch-linger", "1ms", "-no-thread-cache", "-idle-timeout", "0"})
+		"-no-thread-cache", "-idle-timeout", "0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Durable.Sync != durable.SyncNever || f.Durable.SnapshotEvery != -1 || f.Batch.MaxCount != 3 ||
-		f.Batch.Linger != time.Millisecond || !f.Cache.Disable || f.IdleTimeout != 0 {
+		!f.Cache.Disable || f.IdleTimeout != 0 {
 		t.Fatalf("parsed: %+v", f)
 	}
 	if err := fs.Parse([]string{"-fsync", "sometimes"}); err == nil {

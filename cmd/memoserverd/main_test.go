@@ -11,7 +11,7 @@ import (
 // or re-default one silently.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"batch-bytes=0", "batch-linger=0s", "batch-max=0", "data-dir=", "debug-addr=", "fsync=batch",
+		"batch-bytes=0", "batch-max=0", "data-dir=", "debug-addr=", "fsync=batch",
 		"heartbeat-interval=5s", "host=", "idle-timeout=15s", "link-retries=2", "listen=:7440",
 		"no-thread-cache=false", "peer=", "ready-file=", "redial-backoff=50ms",
 		"slow-request-threshold=0s", "snapshot-every=0", "trace-ring=0", "trace-sample=0",

@@ -642,7 +642,7 @@ func (n *Node) forward(app *App, q *wire.Request, targetHost string, cancel <-ch
 	if linkStartNS != 0 {
 		// Merge the remote hop's spans into this node's set now (and strip
 		// them from resp so Finish doesn't add them twice), then record the
-		// whole forward — dial, linger, retries, remote work — as one link
+		// whole forward — dial, batcher queue, retries, remote work — as one link
 		// span named after the next-hop peer.
 		if len(resp.Spans) > 0 {
 			q.Spans.AddMany(resp.Spans)

@@ -1,8 +1,8 @@
 package rpc
 
 import (
+	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/pool"
 	"repro/internal/transport"
@@ -13,13 +13,15 @@ import (
 // use one: the Conn for requests, Serve for responses.
 //
 // The engine is backpressure draining: a dedicated sender goroutine ships
-// whatever has accumulated the moment the wire goes idle. A lone entry on
-// an idle wire is sent immediately (no added latency for a single caller);
-// under concurrency the previous frame's transmission time is exactly the
-// window in which companions accumulate, so batch size adapts to the link
-// speed by itself. The Policy bounds the mechanism: MaxCount/MaxBytes cap
-// a frame, and Linger is the safety-valve timer bounding how long an entry
-// may wait for the sender in any case the drain signal loses a race.
+// whatever has accumulated the moment the wire goes idle. On each wake-up
+// it yields the processor once before its first take, so every goroutine
+// that was already runnable — the other handlers of the batch that just
+// arrived, the other callers of a busy client — queues its entry first.
+// A lone entry on an idle process pays a no-op yield and is sent at once;
+// under load the batch is the backlog, and the previous frame's
+// transmission time is the window in which the next one accumulates.
+// Load sizes the batch, not a timer: there is none. The Policy only caps
+// a frame (MaxCount/MaxBytes).
 //
 // The queue itself is bounded: past a high-water mark (a few frames'
 // worth), add blocks until the sender drains — so a peer that stops
@@ -53,8 +55,6 @@ type batcher struct {
 	unblocked *sync.Cond // signaled when queue drains below high water
 	queue     []wire.BatchEntry
 	closed    bool
-	timer     *time.Timer
-	armed     bool
 
 	wake chan struct{} // capacity 1: "queue may be non-empty"
 }
@@ -90,7 +90,7 @@ func (b *batcher) add(e wire.BatchEntry) {
 		b.mu.Unlock()
 		return
 	}
-	b.appendLocked(e)
+	b.queue = append(b.queue, e)
 	b.mu.Unlock()
 	b.signal()
 }
@@ -114,26 +114,20 @@ func (b *batcher) addControl(e wire.BatchEntry) bool {
 		b.mu.Unlock()
 		return false
 	}
-	b.appendLocked(e)
+	b.queue = append(b.queue, e)
 	b.mu.Unlock()
 	b.signal()
 	return true
 }
 
-// appendLocked appends e and arms the linger timer. Caller holds b.mu and
-// signals the sender after unlocking.
-func (b *batcher) appendLocked(e wire.BatchEntry) {
-	b.queue = append(b.queue, e)
-	if !b.armed {
-		b.armed = true
-		if b.timer == nil {
-			b.timer = time.AfterFunc(b.pol.Linger, b.signal)
-		} else {
-			b.timer.Reset(b.pol.Linger)
-		}
-	}
-}
-
+// signal tells the sender the queue may be non-empty. No wake-up is lost,
+// so no entry needs a timer behind it: every append is followed by a
+// signal, and the sender only goes back to waiting after seeing the queue
+// empty under b.mu. An entry appended before that check is taken by that
+// drain. One appended after it has its signal still to come: either the
+// token goes into the empty channel, or the channel already holds one the
+// sender has not consumed yet — in both cases the sender's next receive
+// succeeds and its next drain finds the entry.
 func (b *batcher) signal() {
 	select {
 	case b.wake <- struct{}{}:
@@ -148,6 +142,10 @@ func (b *batcher) signal() {
 func (b *batcher) sender() {
 	var batch []wire.BatchEntry
 	for range b.wake { // never closed; exit is via the closed flag
+		// The first add made us runnable; let everything else that is
+		// runnable add too before the first take. Later frames of this
+		// drain do not yield: the previous send was their window.
+		runtime.Gosched()
 		for {
 			b.mu.Lock()
 			if b.closed {
@@ -155,7 +153,6 @@ func (b *batcher) sender() {
 				return
 			}
 			if len(b.queue) == 0 {
-				b.armed = false
 				b.mu.Unlock()
 				break
 			}
@@ -245,9 +242,6 @@ func (b *batcher) close() {
 	}
 	b.closed = true
 	b.queue = nil
-	if b.timer != nil {
-		b.timer.Stop()
-	}
 	b.unblocked.Broadcast()
 	b.mu.Unlock()
 	// Unblock the sender so it observes closed and exits. The wake channel

@@ -48,8 +48,8 @@ type call struct {
 	rc   chan *wire.Response
 	sent atomic.Bool
 	// sentAtNS is the UnixNano stamp of the frame carrying this call hitting
-	// the wire, taken only for sampled requests — the batcher-linger half of
-	// the rpc span. Written in markSent, read by the caller after the
+	// the wire, taken only for sampled requests — the queued-in-the-batcher half
+	// of the rpc span. Written in markSent, read by the caller after the
 	// response arrives (the transport round trip orders the two).
 	sentAtNS int64
 }
@@ -170,15 +170,15 @@ func (c *Conn) call(q *wire.Request, cancel <-chan struct{}) (*wire.Response, er
 	case resp := <-ca.rc:
 		if q.Sampled && q.Spans != nil {
 			// The rpc client span: full call round trip, with the time the
-			// request lingered in the batcher before hitting the wire as its
-			// wait component.
+			// request sat queued in the batcher before its frame shipped as
+			// its wait component.
 			endNS := time.Now().UnixNano()
-			var linger int64
+			var queued int64
 			if ca.sentAtNS > startNS {
-				linger = ca.sentAtNS - startNS
+				queued = ca.sentAtNS - startNS
 			}
 			q.Spans.Add(wire.Span{Layer: "rpc", Op: "send", Folder: q.FolderID,
-				Hop: q.TraceHop, Start: startNS, Dur: endNS - startNS, Wait: linger})
+				Hop: q.TraceHop, Start: startNS, Dur: endNS - startNS, Wait: queued})
 		}
 		callPool.Put(ca)
 		return resp, nil

@@ -10,7 +10,7 @@
 //   - Conn (client side) assigns every request an id, keeps any number of
 //     calls in flight on one transport.Channel, and coalesces concurrent
 //     small requests into one wire batch frame under a flush policy
-//     (Policy: max batch count, max batch bytes, max linger). Responses
+//     (Policy: max batch count, max batch bytes). Responses
 //     return in completion order and are matched back to callers by id.
 //
 //   - Serve (server side) decodes each inbound batch frame, dispatches its
@@ -39,12 +39,10 @@ import (
 	"repro/internal/transport"
 )
 
-// Flush-policy defaults: linger long enough for concurrent callers to
-// coalesce, short enough to be invisible next to a link round trip.
+// Flush-policy defaults: the caps on one batch frame.
 const (
 	DefaultMaxCount = 64
 	DefaultMaxBytes = 64 << 10
-	DefaultLinger   = 100 * time.Microsecond
 )
 
 // DefaultHeartbeat is the probe interval client dial helpers use when the
@@ -52,21 +50,17 @@ const (
 // (15s, 3× this) never fires on a healthy-but-silent connection.
 const DefaultHeartbeat = 5 * time.Second
 
-// Policy tunes when a partially filled batch is flushed to the transport.
-// The zero Policy means the defaults. MaxCount = 1 disables coalescing
-// (every message travels in its own frame) and is the "unbatched" baseline
-// in benchmarks.
+// Policy caps a batch frame. The batcher drains by backpressure — an entry
+// arriving on an idle wire is sent at once, entries queued behind an
+// in-flight frame ship the moment it completes — so the caps are the only
+// policy there is. The zero Policy means the defaults. MaxCount = 1
+// disables coalescing (every message travels in its own frame) and is the
+// "unbatched" baseline in benchmarks.
 type Policy struct {
 	// MaxCount flushes a batch when it holds this many entries.
 	MaxCount int
 	// MaxBytes flushes a batch when its encoded payload reaches this size.
 	MaxBytes int
-	// Linger is the upper bound on how long a queued entry may wait for
-	// companions. The batcher normally drains by backpressure — an entry
-	// arriving on an idle wire is sent at once, and entries queued behind
-	// an in-flight frame are shipped the moment it completes — so this
-	// bound is only reached when a drain signal loses a race.
-	Linger time.Duration
 }
 
 func (p Policy) withDefaults() Policy {
@@ -75,9 +69,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.MaxBytes <= 0 {
 		p.MaxBytes = DefaultMaxBytes
-	}
-	if p.Linger <= 0 {
-		p.Linger = DefaultLinger
 	}
 	return p
 }

@@ -469,7 +469,7 @@ func TestSubmitThroughThreadCache(t *testing.T) {
 
 func TestPolicyDefaults(t *testing.T) {
 	p := Policy{}.withDefaults()
-	if p.MaxCount != DefaultMaxCount || p.MaxBytes != DefaultMaxBytes || p.Linger != DefaultLinger {
+	if p.MaxCount != DefaultMaxCount || p.MaxBytes != DefaultMaxBytes {
 		t.Fatalf("defaults: %+v", p)
 	}
 	u := Policy{MaxCount: 1}.withDefaults()

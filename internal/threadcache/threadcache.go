@@ -145,12 +145,14 @@ func (p *Pool) SubmitTask(t Task) error {
 }
 
 // worker runs its first task, then parks itself waiting for reuse until the
-// idle timer fires. One handoff channel serves the worker's whole lifetime —
-// parking is free of allocations until the idle timer arms.
+// idle timer fires. One handoff channel and one timer serve the worker's
+// whole lifetime, so a run-then-park cycle allocates nothing.
 func (p *Pool) worker(first Task) {
 	defer p.live.Done()
 	task := first
 	ch := make(chan Task)
+	timer := time.NewTimer(p.cfg.IdleTimeout)
+	defer timer.Stop()
 	for {
 		task.run()
 		p.mu.Lock()
@@ -162,7 +164,8 @@ func (p *Pool) worker(first Task) {
 		p.idle = append(p.idle, ch)
 		p.mu.Unlock()
 
-		timer := time.NewTimer(p.cfg.IdleTimeout)
+		// Go 1.23+ timers: Reset on a stopped or fired timer needs no drain.
+		timer.Reset(p.cfg.IdleTimeout)
 		select {
 		case task = <-ch:
 			timer.Stop()

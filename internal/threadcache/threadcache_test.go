@@ -1,6 +1,7 @@
 package threadcache
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -195,6 +196,32 @@ func TestCachingReducesSpawns(t *testing.T) {
 	}
 	if cached.Spawned >= uncached.Spawned/2 {
 		t.Fatalf("caching barely helped: %d vs %d spawns", cached.Spawned, uncached.Spawned)
+	}
+}
+
+// TestWarmCycleAllocatesNothing: a cached worker keeps one handoff channel
+// and one timer for its lifetime, so SubmitArg → run → park costs no
+// allocation (a fresh timer per park cost three).
+func TestWarmCycleAllocatesNothing(t *testing.T) {
+	p := New(Config{IdleTimeout: time.Minute})
+	defer func() { p.Close(); p.Wait() }()
+	done := make(chan struct{})
+	fn := func(any) { done <- struct{}{} }
+	cycle := func() {
+		if err := p.SubmitArg(fn, nil); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		for p.IdleCount() == 0 { // parked again: the next cycle reuses it
+			runtime.Gosched()
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("warm SubmitArg/run/park cycle allocates %.1f/op, want 0", allocs)
+	}
+	if s := p.Stats(); s.Spawned != 1 {
+		t.Fatalf("spawned %d workers, want the one reused throughout", s.Spawned)
 	}
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/pool"
 )
 
@@ -16,7 +18,7 @@ import (
 // net.Conn. Addresses are standard "host:port" strings. Listen with port 0
 // picks a free port (query it via Listener.Addr).
 type TCP struct {
-	// IdleTimeout, when positive, arms a read deadline on every Recv: a
+	// IdleTimeout, when positive, arms a read deadline on every socket read: a
 	// connection that stays silent for the whole window fails with
 	// ErrIdleTimeout instead of wedging its reader forever behind a dead
 	// peer. The error propagates like any Recv failure — a Mux read pump
@@ -77,13 +79,63 @@ func (l *tcpListener) Accept() (Conn, error) {
 func (l *tcpListener) Close() error { return l.nl.Close() }
 func (l *tcpListener) Addr() string { return l.nl.Addr().String() }
 
-// tcpConn frames messages as 4-byte big-endian length + payload.
+// tcpBufSize sizes each connection's write and read buffers to a full
+// default rpc batch frame: anything up to it leaves in one write, and one
+// read drains as many queued frames as fit. Larger frames bypass the
+// buffers (bufio reads and writes oversize chunks directly).
+const tcpBufSize = 64 << 10
+
+var (
+	mReads = obs.Default.Counter("transport_tcp_reads_total",
+		"read calls issued on tcp sockets (one may return many frames)")
+	mWrites = obs.Default.Counter("transport_tcp_writes_total",
+		"write calls issued on tcp sockets (one per frame up to the buffer size)")
+)
+
+// tcpConn frames messages as 4-byte big-endian length + payload. Both
+// directions are buffered so the framing costs no extra socket operations:
+// Send assembles header and body in w and flushes them with one write, and
+// Recv parses frames out of r, which refills with one read however many
+// frames that read returns.
 type tcpConn struct {
-	nc      net.Conn
-	idle    time.Duration
+	nc net.Conn
+
 	sendMu  sync.Mutex
+	w       *bufio.Writer // over sock{nc}
+	sendHdr [4]byte
+
 	recvMu  sync.Mutex
-	readBuf [4]byte
+	r       *bufio.Reader // over sock{nc}
+	recvHdr [4]byte
+	idle    time.Duration
+}
+
+// sock is the io.Reader and io.Writer the buffers wrap: every call is one
+// socket operation, so this is where they are counted and where the idle
+// deadline is armed.
+type sock struct {
+	nc   net.Conn
+	idle time.Duration
+}
+
+// Read re-arms the idle deadline before each read that reaches the socket:
+// the timeout measures silence, so a slow peer that keeps bytes trickling
+// in is alive, while one that stalls for a whole window — mid-frame or
+// between frames — trips the deadline. Bytes served from the read buffer
+// never get here and cost no deadline call.
+func (s sock) Read(p []byte) (int, error) {
+	if s.idle > 0 {
+		if err := s.nc.SetReadDeadline(time.Now().Add(s.idle)); err != nil {
+			return 0, err
+		}
+	}
+	mReads.Inc()
+	return s.nc.Read(p)
+}
+
+func (s sock) Write(p []byte) (int, error) {
+	mWrites.Inc()
+	return s.nc.Write(p)
 }
 
 func (t *TCP) newConn(nc net.Conn) *tcpConn {
@@ -95,73 +147,50 @@ func (t *TCP) newConn(nc net.Conn) *tcpConn {
 			_ = tc.SetKeepAlivePeriod(t.KeepAlivePeriod)
 		}
 	}
-	return &tcpConn{nc: nc, idle: t.IdleTimeout}
+	s := sock{nc: nc, idle: t.IdleTimeout}
+	return &tcpConn{
+		nc:   nc,
+		idle: t.IdleTimeout,
+		w:    bufio.NewWriterSize(s, tcpBufSize),
+		r:    bufio.NewReaderSize(s, tcpBufSize),
+	}
 }
 
+// Send writes one frame. The writer's errors are sticky and a failed Send
+// may have put part of a frame on the wire; either way the connection is
+// done (the mux tears it down on any send error).
 func (c *tcpConn) Send(msg []byte) error {
 	if len(msg) > MaxFrame {
 		return ErrTooLarge
 	}
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(msg)))
-	if _, err := c.nc.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := c.nc.Write(msg)
-	return err
+	binary.BigEndian.PutUint32(c.sendHdr[:], uint32(len(msg)))
+	_, _ = c.w.Write(c.sendHdr[:]) // sticky: Flush reports a failed write
+	_, _ = c.w.Write(msg)
+	return c.w.Flush()
 }
 
 func (c *tcpConn) Recv() ([]byte, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
-	if err := c.readFullIdle(c.readBuf[:]); err != nil {
+	if _, err := io.ReadFull(c.r, c.recvHdr[:]); err != nil {
 		return nil, c.recvErr(err)
 	}
-	n := binary.BigEndian.Uint32(c.readBuf[:])
+	n := binary.BigEndian.Uint32(c.recvHdr[:])
 	if n > MaxFrame {
 		return nil, ErrTooLarge
 	}
-	// Pooled, not a per-conn scratch buffer: the mux read pump delivers
+	// Pooled, not a slice of the read buffer: the mux read pump delivers
 	// received messages (aliased) to channels consumed asynchronously, so
 	// the buffer's ownership must transfer out of the reader — the final
 	// consumer recycles it with pool.Put.
 	msg := pool.Get(int(n))[:n]
-	if err := c.readFullIdle(msg); err != nil {
+	if _, err := io.ReadFull(c.r, msg); err != nil {
 		pool.Put(msg)
 		return nil, c.recvErr(err)
 	}
 	return msg, nil
-}
-
-// readFullIdle fills buf like io.ReadFull, but re-arms the idle deadline on
-// every read that makes progress: the timeout measures silence, so a slow
-// peer that keeps bytes trickling in is alive, while one that stalls for a
-// whole window — mid-frame or between frames — trips the deadline.
-func (c *tcpConn) readFullIdle(buf []byte) error {
-	off := 0
-	for off < len(buf) {
-		if c.idle > 0 {
-			if err := c.nc.SetReadDeadline(time.Now().Add(c.idle)); err != nil {
-				return err
-			}
-		}
-		n, err := c.nc.Read(buf[off:])
-		off += n
-		if err != nil {
-			if off == len(buf) {
-				// The buffer filled; an EOF alongside the last bytes is
-				// next Recv's problem (io.ReadFull semantics).
-				return nil
-			}
-			if err == io.EOF && off > 0 {
-				return io.ErrUnexpectedEOF
-			}
-			return err
-		}
-	}
-	return nil
 }
 
 // recvErr normalizes read failures: clean EOFs become ErrClosed, deadline

@@ -11,7 +11,7 @@ import (
 // A span is one timed step of a sampled request: which node recorded it,
 // which layer (memo dispatch, rpc send, link forward, folder op, durable
 // commit), what operation, when it started, how long it ran, and how long
-// it waited first (dispatch-queue wait, batcher linger, shard-lock wait,
+// it waited first (dispatch-queue wait, batcher queue time, shard-lock wait,
 // group-commit fsync — each layer reports the wait it owns). Spans ride
 // response batch entries as a flag-gated extension (see batch.go): each hop
 // returns the spans it collected, so the entry node ends up holding the
@@ -43,7 +43,7 @@ type Span struct {
 	// Dur is the span's duration in nanoseconds.
 	Dur int64 `json:"dur_ns"`
 	// Wait is the portion of Dur spent waiting before real work (queue
-	// wait, batcher linger, lock wait); 0 when the layer has none.
+	// wait, batcher queue time, lock wait); 0 when the layer has none.
 	Wait int64 `json:"wait_ns,omitempty"`
 }
 

@@ -62,6 +62,7 @@ scrape 127.0.0.1:7641 "$tmp/memo-metrics" || {
 # collector: the static series of every instrumented layer must be present.
 for series in rpc_calls_total rpc_call_ns node_local_ops_total \
 	pool_gets_total transport_dials_total durable_appends_total \
+	transport_tcp_reads_total transport_tcp_writes_total \
 	durable_wal_bytes durable_snapshot_bytes durable_snapshot_records_total; do
 	grep -q "^# TYPE $series " "$tmp/memo-metrics" || {
 		echo "memoserverd /metrics missing $series" >&2
