@@ -1,14 +1,13 @@
-// Benchmarks regenerating every experiment in DESIGN.md §4 (E1–E11) as
+// Benchmarks regenerating the paper's experiments (DESIGN.md §4, E1–E10) as
 // testing.B targets. Each BenchmarkEn measures the code path behind the
 // corresponding table; `go run ./cmd/dmemo-bench` prints the tables
 // themselves. The paper has no numeric tables — these benches quantify its
-// qualitative claims (see EXPERIMENTS.md for the mapping).
+// qualitative claims (DESIGN.md §4 has the mapping). Numbers for the system
+// itself come from benchmark/ (see benchmark/README.md).
 package repro_test
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,7 +18,6 @@ import (
 	"repro/internal/linda"
 	"repro/internal/lucid"
 	"repro/internal/mdc"
-	"repro/internal/rpc"
 	"repro/internal/symbol"
 	"repro/internal/threadcache"
 	"repro/internal/transferable"
@@ -68,7 +66,7 @@ PPC
 a <-> b 1
 `
 
-// BenchmarkE1ThreadCache measures request service with the folder-server
+// BenchmarkE1ThreadCache measures request service with the memo server's
 // thread cache on vs off (Fig. 1, §4.1).
 func BenchmarkE1ThreadCache(b *testing.B) {
 	for _, mode := range []struct {
@@ -77,7 +75,7 @@ func BenchmarkE1ThreadCache(b *testing.B) {
 	}{{"cache-on", false}, {"cache-off", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			c := bootB(b, oneHostADF, cluster.Options{
-				FolderCache: threadcache.Config{Disable: mode.disable, IdleTimeout: 50 * time.Millisecond},
+				Cache: threadcache.Config{Disable: mode.disable, IdleTimeout: 50 * time.Millisecond},
 			})
 			m := memoB(b, c, "a")
 			k := m.NamedKey("hot")
@@ -474,61 +472,4 @@ func BenchmarkE10Languages(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkE11Batching measures remote put+get round trips with concurrent
-// callers sharing one client connection, rpc batching on vs off (§3.1.1
-// amortization; the rpc-layer microbenchmark is
-// BenchmarkRPCBatchedRoundTrip in internal/rpc).
-func BenchmarkE11Batching(b *testing.B) {
-	const adfText = `APP bench11
-HOSTS
-cli 1 sun4 1
-srv 1 sun4 1
-FOLDERS
-0 srv
-PROCESSES
-0 boss cli
-PPC
-cli <-> srv 1
-`
-	for _, callers := range []int{1, 64} {
-		for _, mode := range []struct {
-			name string
-			pol  rpc.Policy
-		}{{"unbatched", rpc.Policy{MaxCount: 1}}, {"batched", rpc.Policy{}}} {
-			b.Run(fmt.Sprintf("callers-%d/%s", callers, mode.name), func(b *testing.B) {
-				c := bootB(b, adfText, cluster.Options{
-					BaseLatency: 100 * time.Microsecond,
-					Batch:       mode.pol,
-				})
-				m := memoB(b, c, "cli")
-				payload := transferable.Int64(1)
-				k := m.NamedKey("warm")
-				m.Put(k, payload)
-				m.Get(k) // warm the forwarding path
-				var next atomic.Int64
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for w := 0; w < callers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						kw := m.NamedKey("probe", uint32(w))
-						for next.Add(1) <= int64(b.N) {
-							if err := m.Put(kw, payload); err != nil {
-								b.Error(err)
-								return
-							}
-							if _, err := m.Get(kw); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(w)
-				}
-				wg.Wait()
-			})
-		}
-	}
 }

@@ -1,5 +1,6 @@
-// Command dmemo-bench regenerates the reproduction experiments (DESIGN.md
-// §4, E1–E14), printing one table per experiment.
+// Command dmemo-bench regenerates the paper's experiments (DESIGN.md §4,
+// E1–E10), printing one table per experiment. The benchmark of the running
+// system is `go run ./benchmark` (benchmark/README.md).
 //
 // Usage:
 //
@@ -10,11 +11,11 @@
 //	dmemo-bench -json out/      # also write one BENCH_E<n>.json per table
 //
 // With -json each experiment's table is additionally written as
-// machine-readable JSON (BENCH_E<n>.json) under the given directory, so the
-// perf trajectory can be tracked across PRs; the CI bench-smoke step uploads
-// these files as an artifact. The same directory also gets METRICS.json, a
-// snapshot of the process-wide metric registry after the run — the counters
-// and histograms the experiments themselves drove.
+// machine-readable JSON (BENCH_E<n>.json) under the given directory; the CI
+// bench-tables step uploads these files as an artifact. The same directory
+// also gets METRICS.json, a snapshot of the process-wide metric registry
+// after the run — the counters and histograms the experiments themselves
+// drove.
 package main
 
 import (
@@ -29,7 +30,7 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "run reduced workloads")
-	exp := flag.String("exp", "", "run a single experiment by id (E1..E14)")
+	exp := flag.String("exp", "", "run a single experiment by id (E1..E10)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	jsonDir := flag.String("json", "", "also write each table as BENCH_E<n>.json under this directory")
 	flag.Parse()

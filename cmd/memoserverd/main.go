@@ -99,7 +99,6 @@ func main() {
 	node := memoserver.NewWithDialer(c.host, mt,
 		memoserver.Config{
 			Cache:                c.Cache,
-			FolderCache:          c.Cache,
 			Batch:                c.Batch,
 			Resilience:           c.res,
 			DataDir:              c.DataDir,

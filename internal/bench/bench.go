@@ -1,9 +1,10 @@
 // Package bench is the experiment harness: one function per experiment in
-// DESIGN.md §4 (E1–E14), each returning a printable table reproducing a
-// figure or claim of the paper (E11–E14 quantify this reproduction's own
-// scaling, resilience, memory-management, and observability layers). cmd/dmemo-bench
-// drives them from the command line; the repository-root bench_test.go
-// wraps them as testing.B benchmarks.
+// DESIGN.md §4 (E1–E10), each returning a printable table reproducing a
+// figure or claim of the paper. cmd/dmemo-bench drives them from the command
+// line; the repository-root bench_test.go wraps them as testing.B
+// benchmarks. Numbers for this reproduction's own layers (batching, link
+// resilience, allocation, tracing overhead) are not here: the benchmark of
+// the running system is benchmark/, and the alloc budgets are tier-1 tests.
 package bench
 
 import (
@@ -72,9 +73,8 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-// tableJSON is the machine-readable shape of a Table. Field names are
-// stable: downstream tooling diffs these files across PRs to track the
-// perf trajectory.
+// tableJSON is the machine-readable shape of a Table (bench-tables/ holds
+// one committed set; CI uploads a fresh one as an artifact).
 type tableJSON struct {
 	ID      string     `json:"id"`
 	Title   string     `json:"title"`
@@ -144,10 +144,6 @@ func All() []Runner {
 		{"E8", "coordination structures", E8Structures},
 		{"E9", "transferable scaling", E9Transferable},
 		{"E10", "languages on the API", E10Languages},
-		{"E11", "rpc batching amortization", E11Batching},
-		{"E12", "link health and retries", E12LinkHealth},
-		{"E13", "hot-path allocations (pooled vs seed)", E13AllocHotPath},
-		{"E14", "instrumentation overhead", E14Overhead},
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 	"repro/internal/transferable"
 )
 
-// E1ThreadCache reproduces Fig. 1's intra-machine serving behaviour: with
-// thread caching on, a stream of requests is served by a small number of
-// cached threads; with it off, every request spawns a fresh one, and
-// latency rises.
+// E1ThreadCache reproduces Fig. 1's intra-machine serving behaviour at the
+// memo server, where a request's one thread comes from: with thread caching
+// on, a stream of requests is served by a small number of cached threads;
+// with it off, every request spawns a fresh one, and latency rises.
 func E1ThreadCache(cfg Config) (*Table, error) {
 	const adfText = `APP e1
 HOSTS
@@ -26,7 +26,7 @@ PPC
 	ops := cfg.scale(2000, 20000)
 	run := func(disable bool) (threadcache.Stats, time.Duration, error) {
 		c, err := cluster.BootADF(adfText, cluster.Options{
-			FolderCache: threadcache.Config{Disable: disable, IdleTimeout: 50 * time.Millisecond},
+			Cache: threadcache.Config{Disable: disable, IdleTimeout: 50 * time.Millisecond},
 		})
 		if err != nil {
 			return threadcache.Stats{}, 0, err
@@ -48,8 +48,7 @@ PPC
 		}
 		elapsed := time.Since(start)
 		node, _ := c.Node("a")
-		fs, _ := node.LocalFolderServer("e1", 0)
-		return fs.CacheStats(), elapsed, nil
+		return node.CacheStats(), elapsed, nil
 	}
 
 	cached, cachedTime, err := run(false)
@@ -63,7 +62,7 @@ PPC
 	reqs := int64(2 * ops)
 	t := &Table{
 		ID:    "E1",
-		Title: "Thread caching at the folder server (Fig. 1, §4.1)",
+		Title: "Thread caching at the server (Fig. 1, §4.1)",
 		Claim: "cached threads serve repeat requests; caching avoids per-request spawn cost",
 		Columns: []string{
 			"mode", "requests", "threads spawned", "served by cached", "us/op",

@@ -37,8 +37,6 @@ type Options struct {
 	BytesPerLatency int
 	// Cache configures memo-server thread caches.
 	Cache threadcache.Config
-	// FolderCache configures folder-server thread caches.
-	FolderCache threadcache.Config
 	// Lambda is the placement topology attenuation (§5, experiment E5).
 	Lambda float64
 	// FolderShards overrides the lock-stripe count of each folder
@@ -143,7 +141,6 @@ func Boot(f *adf.File, opts Options) (*Cluster, error) {
 func (c *Cluster) startNode(host string) (*memoserver.Node, error) {
 	cfg := memoserver.Config{
 		Cache:        c.opts.Cache,
-		FolderCache:  c.opts.FolderCache,
 		Lambda:       c.opts.Lambda,
 		FolderShards: c.opts.FolderShards,
 		Batch:        c.opts.Batch,

@@ -99,11 +99,6 @@ func (m *Memo) Close() error {
 	return m.client.Close()
 }
 
-// ClientStats reports the health counters of this handle's link to its
-// local memo server (dials, redials, faults, transparent retries) —
-// surfaced by dmemo-bench experiment E12.
-func (m *Memo) ClientStats() memoserver.ClientStats { return m.client.Stats() }
-
 // CreateSymbol returns a fresh unique symbol (§6.1.1 create_symbol).
 func (m *Memo) CreateSymbol() symbol.Symbol { return m.reg.Fresh() }
 

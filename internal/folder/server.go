@@ -16,8 +16,9 @@ import (
 
 // Server is one folder server: a Store, a thread cache, and the wire
 // protocol. A Server is driven either directly (Handle, used by the local
-// memo server — the Fig. 1 same-host path) or by Serve over a transport
-// listener (the standalone folderserverd deployment).
+// memo server — the Fig. 1 same-host path, on the memo server's thread) or by
+// Serve over a transport listener (the standalone folderserverd deployment,
+// the only user of the thread cache).
 type Server struct {
 	// ID is the ADF folder-server number.
 	ID int
@@ -68,8 +69,8 @@ func WithTracer(tr *obs.Tracer) ServerOption {
 	return func(s *Server) { s.tracer = tr }
 }
 
-// NewServer wraps a store. cache configures the thread cache (§4.1); the
-// zero Config gives defaults, Config{Disable: true} is the E1 ablation.
+// NewServer wraps a store. cache configures the thread cache Serve runs
+// requests on (§4.1); the zero Config gives defaults.
 func NewServer(id int, host string, store *Store, cache threadcache.Config, opts ...ServerOption) *Server {
 	s := &Server{
 		ID:    id,
@@ -102,9 +103,6 @@ func OpenServer(id int, host, dir string, dcfg durable.Config, cache threadcache
 // Store exposes the underlying directory (for stats and direct tests).
 func (s *Server) Store() *Store { return s.store }
 
-// CacheStats reports thread-cache counters (experiment E1).
-func (s *Server) CacheStats() threadcache.Stats { return s.pool.Stats() }
-
 // Close retires the thread cache and, for a server that owns its store
 // (OpenServer), flushes and closes the write-ahead log.
 func (s *Server) Close() {
@@ -125,16 +123,17 @@ func (s *Server) Crash() {
 
 // Handle executes one request against this folder server. Blocking
 // operations respect cancel. The caller provides its own concurrency: the
-// memo server submits Handle calls through this server's thread cache via
-// Submit. With a slow log attached and enabled, each request is timed as
-// one span (the Enabled check is a single atomic load, so a disabled log
-// costs no time.Now on the hot path). A sampled request (one whose dispatch
-// wrapper attached a SpanSet) additionally threads an opTrace through the
-// store and emits folder and durable spans with the shard-lock wait, park
-// time, and group-commit wait it accumulated. With a tracer attached
-// (standalone folderserverd) Handle owns the set itself: it begins one for
-// sampled or sampler-admitted entry requests and finishes it into the
-// tracer's ring, returning the spans on the response for the rpc layer.
+// memo server calls Handle on the cached thread that dispatched the request,
+// Serve on a thread of this server's own cache. With a slow log attached and
+// enabled, each request is timed as one span (the Enabled check is a single
+// atomic load, so a disabled log costs no time.Now on the hot path). A
+// sampled request (one whose dispatch wrapper attached a SpanSet)
+// additionally threads an opTrace through the store and emits folder and
+// durable spans with the shard-lock wait, park time, and group-commit wait
+// it accumulated. With a tracer attached (standalone folderserverd) Handle
+// owns the set itself: it begins one for sampled or sampler-admitted entry
+// requests and finishes it into the tracer's ring, returning the spans on
+// the response for the rpc layer.
 func (s *Server) Handle(q *wire.Request, cancel <-chan struct{}) *wire.Response {
 	if set := s.tracer.Begin(q); set != nil {
 		return s.tracer.Finish(q, set, s.handleSpans(q, cancel))
@@ -218,11 +217,6 @@ func (s *Server) handle(q *wire.Request, cancel <-chan struct{}, traced bool) (r
 	}
 	return &wire.Response{Status: wire.StatusOK, Key: k, Payload: payload}, waits
 }
-
-// Submit runs task on the server's thread cache ("each request to a server
-// will cause a thread to be created ... thread caching to avoid the
-// overhead").
-func (s *Server) Submit(task func()) error { return s.pool.Submit(task) }
 
 // Serve accepts connections on l and answers requests until the listener
 // closes. Used by cmd/folderserverd; in the simulated cluster the memo

@@ -169,7 +169,7 @@ type ClientStats struct {
 	Retried int64
 }
 
-// Stats snapshots the client link's health counters (dmemo-bench E12).
+// Stats snapshots the client link's health counters.
 func (c *Client) Stats() ClientStats {
 	return ClientStats{RedialerStats: c.link.stats(), Retried: c.retried.Load()}
 }

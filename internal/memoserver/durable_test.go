@@ -123,7 +123,7 @@ func TestClientRedialsAcrossServerRestart(t *testing.T) {
 	}
 	sim := transport.NewSim(model)
 	start := func() *Node {
-		n := New("a", sim, Config{})
+		n := NewWithNetwork("a", sim, Config{})
 		if err := n.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestClientRedialsAcrossServerRestart(t *testing.T) {
 		}
 		return n
 	}
-	nb := New("b", sim, Config{})
+	nb := NewWithNetwork("b", sim, Config{})
 	if err := nb.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestNodeDurableFolderRecovery(t *testing.T) {
 	sim := transport.NewSim(model)
 	cfg := Config{DataDir: dir, Durable: durable.Config{}}
 	start := func() *Node {
-		n := New("a", sim, cfg)
+		n := NewWithNetwork("a", sim, cfg)
 		if err := n.Start(); err != nil {
 			t.Fatal(err)
 		}

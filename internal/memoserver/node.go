@@ -86,9 +86,6 @@ func (a *App) Program(dir string) ([]byte, bool) {
 type Config struct {
 	// Cache configures the memo server's own thread cache.
 	Cache threadcache.Config
-	// FolderCache configures the thread caches of folder servers this
-	// node creates at registration.
-	FolderCache threadcache.Config
 	// Lambda is the placement topology attenuation (see placement).
 	Lambda float64
 	// FolderShards overrides the lock-stripe count of folder-server
@@ -172,7 +169,6 @@ type Node struct {
 	// obs.Counter instances back both Stats and the registry).
 	localOps   obs.Counter
 	forwards   obs.Counter
-	inlined    obs.Counter
 	retried    obs.Counter
 	registered obs.Counter
 }
@@ -200,13 +196,6 @@ func (n *Node) newPeerLink(host string) *peerLink {
 		return dialMux(raw), nil
 	}
 	return &peerLink{host: host, rlink: newRlink(dial, n.cfg.Batch, n.cfg.Resilience)}
-}
-
-// New creates a memo server for host over the given network. For the
-// simulated transport pass the *transport.Sim itself; for plain transports
-// use NewWithDialer.
-func New(host string, sim *transport.Sim, cfg Config) *Node {
-	return newNode(host, sim, sim.DialFrom, cfg)
 }
 
 // NewWithNetwork creates a memo server over any Network — a listener
@@ -402,8 +391,8 @@ func (n *Node) RegisterApp(f *adf.File) error {
 			// own directory; the server owns the store and flushes its log
 			// on Close.
 			dir := filepath.Join(n.cfg.DataDir, f.App, fmt.Sprintf("folder-%d", fs.ID))
-			srv, err := folder.OpenServer(fs.ID, n.Host, dir, n.cfg.Durable, n.cfg.FolderCache,
-				opts, folder.WithBatchPolicy(n.cfg.Batch), folder.WithSlowLog(n.slow))
+			srv, err := folder.OpenServer(fs.ID, n.Host, dir, n.cfg.Durable, threadcache.Config{},
+				opts, folder.WithSlowLog(n.slow))
 			if err != nil {
 				for _, s := range app.local {
 					s.Close()
@@ -414,8 +403,8 @@ func (n *Node) RegisterApp(f *adf.File) error {
 			continue
 		}
 		store := folder.NewStore(opts...)
-		app.local[fs.ID] = folder.NewServer(fs.ID, n.Host, store, n.cfg.FolderCache,
-			folder.WithBatchPolicy(n.cfg.Batch), folder.WithSlowLog(n.slow))
+		app.local[fs.ID] = folder.NewServer(fs.ID, n.Host, store, threadcache.Config{},
+			folder.WithSlowLog(n.slow))
 	}
 
 	if _, loaded := n.apps.LoadOrStore(f.App, app); loaded {
@@ -528,49 +517,14 @@ func (n *Node) dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response 
 			return wire.Errf("memo server %s: folder server %d not local", n.Host, q.FolderID)
 		}
 		n.localOps.Inc()
-		if !verb.Blocks {
-			// Fast path: an op that cannot wait on a folder completes on
-			// the dispatching thread itself, skipping the goroutine
-			// handoff (and reply-channel round trip) through the folder
-			// server's thread cache. The dispatching thread is already a
-			// cached thread of this node, so the paper's thread-per-
-			// request discipline is preserved one layer up.
-			n.inlined.Inc()
-			return fs.Handle(q, cancel)
-		}
-		// Hand the request to the folder server's thread cache: "each
-		// request to a server will cause a thread to be created to handle
-		// the request". The handoff goroutine may outlive this dispatch —
-		// the cancel arm below returns without waiting — while q.Payload
-		// still aliases the rpc layer's read frame, which recycles as soon
-		// as we return; detach the payload first so an abandoned handler
-		// never reads a reused buffer. Only blocking ops reach this point
-		// and a well-formed one carries no payload, so this copies nothing
-		// unless a peer sent bytes it had no business sending.
-		q.Retain()
-		// The handler goroutine appends spans through the same q.Spans
-		// pointer; pin the set so an abandoned handler (cancel below) can
-		// never race the dispatch wrapper's Finish returning it to the pool.
-		// Nil-safe when the request is unsampled.
-		spans := q.Spans
-		spans.Retain()
-		respCh := make(chan *wire.Response, 1)
-		if err := fs.Submit(func() {
-			resp := fs.Handle(q, cancel)
-			spans.Release()
-			respCh <- resp
-		}); err != nil {
-			spans.Release()
-			return wire.Errf("folder server %d: %v", q.FolderID, err)
-		}
-		select {
-		case resp := <-respCh:
-			return resp
-		case <-cancel:
-			// The folder server observes the same cancel and will
-			// unblock; don't wait for it.
-			return wire.Errf("canceled")
-		}
+		// "Each request to a server will cause a thread to be created to
+		// handle the request" (§4.1): the dispatching thread is already a
+		// cached thread of this node, so it runs the folder server's handler
+		// itself, whatever the verb. A blocking verb parks in the store on
+		// this thread; the store selects on the same cancel and unregisters
+		// its waiter, and a wake is a notification followed by a re-scan, so
+		// a canceled request strands no memo.
+		return fs.Handle(q, cancel)
 	}
 	return n.forward(app, q, targetHost, cancel)
 }
@@ -714,13 +668,14 @@ func (n *Node) forwardRelease(appName string, dest symbol.Key, payload []byte, r
 	}()
 }
 
+// CacheStats reports the node's thread-cache counters (experiment E1): every
+// request, local or forwarded, runs on one thread of this cache.
+func (n *Node) CacheStats() threadcache.Stats { return n.pool.Stats() }
+
 // Stats reports memo-server counters.
 type Stats struct {
 	LocalOps int64
 	Forwards int64
-	// Inlined counts local non-blocking ops that took the fast path,
-	// skipping the folder-server thread-cache handoff.
-	Inlined int64
 	// Retried counts forwarded calls transparently re-issued after a link
 	// failure.
 	Retried    int64
@@ -732,14 +687,13 @@ func (n *Node) Stats() Stats {
 	return Stats{
 		LocalOps:   n.localOps.Load(),
 		Forwards:   n.forwards.Load(),
-		Inlined:    n.inlined.Load(),
 		Retried:    n.retried.Load(),
 		Registered: n.registered.Load(),
 	}
 }
 
 // LinkStat is one peer link's health: the neighbour host plus the link's
-// redial counters (surfaced by dmemo-bench experiment E12).
+// redial counters.
 type LinkStat struct {
 	Peer string
 	transport.RedialerStats
@@ -765,7 +719,6 @@ func (n *Node) LinkStats() []LinkStat {
 func (n *Node) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("node_local_ops_total", "requests resolved on this host", nil, &n.localOps)
 	reg.RegisterCounter("node_forwards_total", "requests forwarded to a peer memo server", nil, &n.forwards)
-	reg.RegisterCounter("node_inlined_total", "local non-blocking ops inlined past the thread cache", nil, &n.inlined)
 	reg.RegisterCounter("node_retried_total", "forwarded calls re-issued after a link failure", nil, &n.retried)
 	reg.RegisterCounter("node_apps_registered_total", "application registrations", nil, &n.registered)
 	reg.RegisterCollector(func(e *obs.Emitter) {

@@ -40,7 +40,7 @@ func bootNet(t testing.TB, adfText string, cfg Config) *testNet {
 	sim := transport.NewSim(model)
 	tn := &testNet{sim: sim, nodes: make(map[string]*Node), file: f}
 	for _, h := range f.Hosts {
-		n := New(h.Name, sim, cfg)
+		n := NewWithNetwork(h.Name, sim, cfg)
 		if err := n.Start(); err != nil {
 			t.Fatal(err)
 		}

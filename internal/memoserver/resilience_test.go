@@ -207,48 +207,8 @@ type clientStatusErr struct{ msg string }
 
 func (e *clientStatusErr) Error() string { return e.msg }
 
-// TestLocalFastPathSkipsSubmit: local non-blocking ops run inline on the
-// dispatching thread — the folder server's thread cache sees no traffic —
-// while blocking ops still go through it.
-func TestLocalFastPathSkipsSubmit(t *testing.T) {
-	tn := bootNet(t, twoHostADF, Config{})
-	c := tn.client(t, "a")
-	k := symbol.K(5)
-	const n = 16
-	for i := 0; i < n; i++ {
-		if resp, err := c.Do(req(wire.OpPut, 0, k, []byte{byte(i)}), nil); err != nil || resp.Status != wire.StatusOK {
-			t.Fatalf("put %d: %+v %v", i, resp, err)
-		}
-		if resp, err := c.Do(req(wire.OpGetSkip, 0, k, nil), nil); err != nil || resp.Status != wire.StatusOK {
-			t.Fatalf("get_skip %d: %+v %v", i, resp, err)
-		}
-	}
-	node := tn.nodes["a"]
-	fs, ok := node.LocalFolderServer(tn.file.App, 0)
-	if !ok {
-		t.Fatal("no local folder server 0 on a")
-	}
-	if st := fs.CacheStats(); st.Spawned+st.Reused != 0 {
-		t.Fatalf("folder-server thread cache saw %+v; non-blocking locals were not inlined", st)
-	}
-	if st := node.Stats(); st.Inlined != 2*n {
-		t.Fatalf("Inlined = %d, want %d", st.Inlined, 2*n)
-	}
-
-	// A blocking op still takes the thread-cache handoff (it may park).
-	if _, err := c.Do(req(wire.OpPut, 0, k, []byte("x")), nil); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := c.Do(req(wire.OpGet, 0, k, nil), nil); err != nil || resp.Status != wire.StatusOK {
-		t.Fatalf("blocking get: %+v %v", resp, err)
-	}
-	if st := fs.CacheStats(); st.Spawned+st.Reused == 0 {
-		t.Fatal("blocking get bypassed the folder-server thread cache")
-	}
-}
-
-// BenchmarkNodeLocalFastPath times a put+get_skip round on the inlined
-// local path and on the forwarded remote path.
+// BenchmarkNodeLocalFastPath times a put+get_skip round on the local path
+// and on the forwarded remote path.
 func BenchmarkNodeLocalFastPath(b *testing.B) {
 	run := func(b *testing.B, folderID int) {
 		tn := bootNet(b, twoHostADF, Config{})
@@ -270,6 +230,6 @@ func BenchmarkNodeLocalFastPath(b *testing.B) {
 		}
 	}
 	// Folder 0 is local to a; folder 1 forwards to b.
-	b.Run("local/inline", func(b *testing.B) { run(b, 0) })
-	b.Run("remote/inline", func(b *testing.B) { run(b, 1) })
+	b.Run("local", func(b *testing.B) { run(b, 0) })
+	b.Run("remote", func(b *testing.B) { run(b, 1) })
 }

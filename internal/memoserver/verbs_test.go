@@ -27,18 +27,17 @@ var verbRows = []struct {
 	// inFlight: re-issued after a link death although the first attempt
 	// reached the wire (tokened verbs qualify because they were stamped).
 	inFlight bool
-	// inline / handoff: how Node.dispatch runs the verb against a local
-	// folder server — on the dispatching thread, or through the folder
-	// server's thread cache. Verbs the node answers itself do neither.
-	inline, handoff bool
+	// local: Node.dispatch runs the verb against the folder server on its
+	// own host. Verbs the node answers itself never reach one.
+	local bool
 }{
-	{op: wire.OpPut, stamps: true, inFlight: true, inline: true},
-	{op: wire.OpPutDelayed, stamps: true, inFlight: true, inline: true},
-	{op: wire.OpGet, stamps: true, inFlight: true, handoff: true},
-	{op: wire.OpGetCopy, inFlight: true, handoff: true},
-	{op: wire.OpGetSkip, stamps: true, inFlight: true, inline: true},
-	{op: wire.OpAltTake, stamps: true, inFlight: true, handoff: true},
-	{op: wire.OpWatch, inFlight: true, handoff: true},
+	{op: wire.OpPut, stamps: true, inFlight: true, local: true},
+	{op: wire.OpPutDelayed, stamps: true, inFlight: true, local: true},
+	{op: wire.OpGet, stamps: true, inFlight: true, local: true},
+	{op: wire.OpGetCopy, inFlight: true, local: true},
+	{op: wire.OpGetSkip, stamps: true, inFlight: true, local: true},
+	{op: wire.OpAltTake, stamps: true, inFlight: true, local: true},
+	{op: wire.OpWatch, inFlight: true, local: true},
 	{op: wire.OpRegister, inFlight: true},
 	{op: wire.OpPing, inFlight: true},
 	{op: wire.OpPump},
@@ -218,9 +217,10 @@ func TestVerbMatrixRetryAndStamp(t *testing.T) {
 	}
 }
 
-// TestVerbMatrixInlineOrHandoff dispatches every verb at a node that owns
-// the folder and holds where it ran to verbRows.
-func TestVerbMatrixInlineOrHandoff(t *testing.T) {
+// TestVerbMatrixLocalDispatch dispatches every verb at a node that owns the
+// folder: each is answered, and the folder-scoped ones — blocking or not —
+// count as one local op.
+func TestVerbMatrixLocalDispatch(t *testing.T) {
 	k := symbol.K(3)
 	for _, row := range verbRows {
 		t.Run(row.op.String(), func(t *testing.T) {
@@ -237,12 +237,8 @@ func TestVerbMatrixInlineOrHandoff(t *testing.T) {
 			if resp.Status == wire.StatusErr && row.op != wire.OpFetch { // nothing was pumped
 				t.Fatalf("%+v", resp)
 			}
-			cache := fs.CacheStats()
-			if got := node.Stats().Inlined == 1; got != row.inline {
-				t.Errorf("inlined = %v, want %v", got, row.inline)
-			}
-			if got := cache.Spawned+cache.Reused == 1; got != row.handoff {
-				t.Errorf("handed to the folder server's thread cache = %v, want %v", got, row.handoff)
+			if got := node.Stats().LocalOps == 1; got != row.local {
+				t.Errorf("ran against the local folder server = %v, want %v", got, row.local)
 			}
 		})
 	}

@@ -196,11 +196,8 @@ func (t *Tracer) Begin(q *wire.Request) *wire.SpanSet {
 // with this tracer's, the completed set is recorded into the ring, and a
 // shallow clone of resp carrying the spans is returned for the rpc layer to
 // ship back toward the entry node (resp itself may be the shared immutable
-// OK response, so it is never mutated). q is never written either: an
-// abandoned handler may still be reading q.Spans concurrently — it holds its
-// own reference on the set, and whatever it appends after the copy below is
-// dropped by the last Release, never leaked. The request object itself is
-// fully reset before any reuse (recycleTask / DecodeRequestInto).
+// OK response, so it is never mutated). q is not written either: the request
+// object is fully reset before any reuse (recycleTask / DecodeRequestInto).
 func (t *Tracer) Finish(q *wire.Request, set *wire.SpanSet, resp *wire.Response) *wire.Response {
 	if len(resp.Spans) > 0 {
 		set.AddMany(resp.Spans)

@@ -13,9 +13,9 @@ import (
 // server decode → thread-cache dispatch → response batcher → client decode.
 // The seed path spent ~29 allocations per op here; the pooled path holds a
 // single-digit budget, and this test keeps it that way — a future PR that
-// quietly re-introduces per-op allocation on the hot path fails here
-// instead of eroding E13. testing.AllocsPerRun counts mallocs process-wide,
-// so the server side of the connection is inside the budget too.
+// quietly re-introduces per-op allocation on the hot path fails here.
+// testing.AllocsPerRun counts mallocs process-wide, so the server side of
+// the connection is inside the budget too.
 func TestSteadyStateCallAllocBudget(t *testing.T) {
 	ip := transport.NewInProc()
 	l, err := ip.Listen("srv/rpc")

@@ -114,8 +114,8 @@ type Redialer struct {
 	dialing chan struct{} // non-nil while a dial is in flight
 	closed  bool
 
-	// Health counters (surfaced per link by dmemo-bench E12 and summed
-	// into the transport_* aggregates in obs.Default).
+	// Health counters (surfaced per link by Stats and summed into the
+	// transport_* aggregates in obs.Default).
 	dials       obs.Counter
 	failedDials obs.Counter
 	faults      obs.Counter

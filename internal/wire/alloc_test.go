@@ -10,7 +10,7 @@ import (
 // when buffers and request storage are reused — the contract the rpc hot
 // path is built on. testing.AllocsPerRun gates run in the ordinary test
 // suite, so a future change that quietly re-introduces a per-op allocation
-// fails CI instead of eroding the E13 numbers.
+// fails CI.
 
 func TestAppendRequestRoundTripAllocFree(t *testing.T) {
 	// A keyed put and a multi-key alt_take: both extension-slot reuse

@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"sync"
-	"sync/atomic"
 )
 
 // Distributed spans.
@@ -137,14 +136,12 @@ func DecodeSpans(buf []byte) ([]Span, error) {
 const maxSpansPerSet = 64
 
 // SpanSet accumulates the spans of one sampled request while it moves
-// through a node. It is created by the owning dispatch wrapper, shared down
-// the local call stack via Request.Spans, and handed to concurrently-running
-// handlers (a blocking folder handler can outlive an abandoned dispatch), so
-// it is mutex-protected and refcounted: Retain before handing it to another
-// goroutine, Release when done; the last Release returns it to the pool.
+// through a node. It is created by the owning dispatch wrapper and shared
+// down the local call stack via Request.Spans; every layer runs on the
+// dispatching thread and has returned before the owner's Release puts the
+// set back in the pool.
 type SpanSet struct {
 	mu    sync.Mutex
-	refs  atomic.Int32
 	spans []Span
 }
 
@@ -152,33 +149,21 @@ var spanSetPool = sync.Pool{
 	New: func() any { return &SpanSet{spans: make([]Span, 0, 8)} },
 }
 
-// NewSpanSet returns an empty set with one reference.
+// NewSpanSet returns an empty set, owned by the caller until Release.
 func NewSpanSet() *SpanSet {
-	set := spanSetPool.Get().(*SpanSet)
-	set.refs.Store(1)
-	return set
+	return spanSetPool.Get().(*SpanSet)
 }
 
-// Retain adds a reference (nil-safe).
-func (s *SpanSet) Retain() {
-	if s != nil {
-		s.refs.Add(1)
-	}
-}
-
-// Release drops a reference (nil-safe); the last one resets the set and
-// returns it to the pool. Spans added after the owner copied the set out
-// are lost, never leaked — exactly right for abandoned handlers.
+// Release resets the set and returns it to the pool (nil-safe). Only the
+// owner calls it, once, after every layer below has returned.
 func (s *SpanSet) Release() {
 	if s == nil {
 		return
 	}
-	if s.refs.Add(-1) == 0 {
-		s.mu.Lock()
-		s.spans = s.spans[:0]
-		s.mu.Unlock()
-		spanSetPool.Put(s)
-	}
+	s.mu.Lock()
+	s.spans = s.spans[:0]
+	s.mu.Unlock()
+	spanSetPool.Put(s)
 }
 
 // Add appends one span (nil-safe; drops past maxSpansPerSet).

@@ -176,18 +176,13 @@ func TestSpanSetCap(t *testing.T) {
 	}
 }
 
-// TestSpanSetRefcount pins the abandoned-handler contract: a retained set
-// survives the owner's Release and resets only on the last one.
-func TestSpanSetRefcount(t *testing.T) {
+// TestSpanSetReleaseResets: a released set comes back from the pool empty,
+// and a nil set is inert.
+func TestSpanSetReleaseResets(t *testing.T) {
 	set := NewSpanSet()
 	set.Add(Span{Layer: "memo"})
-	set.Retain() // handed to a second goroutine
-	set.Release()
-	if set.Len() != 1 {
-		t.Fatalf("set reset while still referenced: Len = %d", set.Len())
-	}
 	set.Add(Span{Layer: "folder"})
-	set.Release() // last reference: resets and returns to the pool
+	set.Release()
 
 	fresh := NewSpanSet()
 	defer fresh.Release()
@@ -195,9 +190,8 @@ func TestSpanSetRefcount(t *testing.T) {
 		t.Fatalf("pooled set not reset: Len = %d", fresh.Len())
 	}
 
-	// Nil-safety across the API — abandoned paths call through nil sets.
+	// Nil-safety across the API — unsampled requests call through nil sets.
 	var nilSet *SpanSet
-	nilSet.Retain()
 	nilSet.Add(Span{})
 	nilSet.AddMany([]Span{{}})
 	if nilSet.Len() != 0 || nilSet.Finish("n") != nil {
