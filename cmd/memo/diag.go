@@ -11,8 +11,8 @@
 // them into a single time-ordered span timeline — the entry node holds the
 // full tree, relay nodes hold their subtrees, and the merge dedups the
 // overlap. Node addresses come from -nodes (name=addr pairs) or from daemon
-// ready files, whose `debug <addr>` line memoserverd/folderserverd write
-// when started with both -ready-file and -debug-addr.
+// ready files, whose `debug <addr>` line memoserverd writes when started
+// with both -ready-file and -debug-addr.
 package main
 
 import (

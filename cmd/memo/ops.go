@@ -15,7 +15,8 @@
 //
 // Exit codes: 0 the operation completed (including an empty get-skip);
 // 1 the operation or connection failed; 2 usage error; 3 the -timeout
-// expired before a blocking operation completed.
+// expired and the blocking operation was canceled having consumed nothing (a
+// get that had already taken its memo when the timer fired prints it, exit 0).
 package main
 
 import (
@@ -75,7 +76,7 @@ func newOpFlags(op string) *opFlags {
 	o.fs.StringVar(&o.adfPath, "adf", "", "application description file (for the app name and folder placement)")
 	o.fs.StringVar(&o.addr, "addr", "", "TCP address of the memo server to speak to")
 	o.fs.StringVar(&o.host, "host", "", "logical host name of that memo server (as in the ADF)")
-	o.fs.DurationVar(&o.timeout, "timeout", 0, "abandon a blocking operation after this long (0 = wait forever); exit code 3")
+	o.fs.DurationVar(&o.timeout, "timeout", 0, "cancel a blocking operation after this long (0 = wait forever); exit code 3 if that left the memo in its folder")
 	o.fs.BoolVar(&o.jsonOut, "json", false, "print a single JSON result line on stdout")
 	o.fs.IntVar(&o.retries, "retries", 2, "transparent retries of the request after a link failure (dedup tokens keep them exactly-once)")
 	o.fs.Float64Var(&o.lambda, "lambda", 0, "placement topology attenuation; must match the value the daemons registered with")
@@ -134,17 +135,18 @@ func runOp(op string, args []string) int {
 	}
 	defer m.Close()
 
-	// One cancel channel serves every blocking call; a fired timer turns the
-	// resulting ErrCanceled into the dedicated timeout exit code.
+	// One cancel channel serves every blocking call; the timer closes it, and
+	// ErrCanceled — the store's word that the call consumed nothing — becomes
+	// the dedicated timeout exit code. Any other error after the timer fired
+	// (a dead link, say) leaves the outcome unknown and exits 1.
 	var cancel chan struct{}
-	timedOut := false
 	if o.timeout > 0 {
 		cancel = make(chan struct{})
-		t := time.AfterFunc(o.timeout, func() { timedOut = true; close(cancel) })
+		t := time.AfterFunc(o.timeout, func() { close(cancel) })
 		defer t.Stop()
 	}
 	code := func(err error) int {
-		if timedOut && err != nil {
+		if err == core.ErrCanceled {
 			return exitTimeout
 		}
 		return exitErr

@@ -2,10 +2,16 @@ package main
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
+	"repro/internal/adf"
+	"repro/internal/memoserver"
 	"repro/internal/symbol"
 	"repro/internal/transferable"
+	"repro/internal/transport"
 )
 
 func TestParseKeys(t *testing.T) {
@@ -48,5 +54,84 @@ func TestResultJSONShape(t *testing.T) {
 	want := `{"ok":true,"op":"get-skip","key":"7","empty":true}`
 	if string(b) != want {
 		t.Errorf("json line %s, want %s", b, want)
+	}
+}
+
+// loopback lets an in-process memo server listen on a kernel-assigned TCP
+// port, as cmd/memoserverd's mapped transport does with -listen :0.
+type loopback struct {
+	*transport.TCP
+	addr string
+}
+
+func (l *loopback) Listen(string) (transport.Listener, error) {
+	ln, err := l.TCP.Listen("127.0.0.1:0")
+	if err == nil {
+		l.addr = ln.Addr()
+	}
+	return ln, err
+}
+
+// TestGetTimeoutNeverEatsTheMemo: a `memo get -timeout` whose timer fires
+// while the get is in flight either prints the value (exit 0, the memo
+// consumed) or exits 3 with the memo still in its folder — never exit 3 with
+// the memo gone.
+func TestGetTimeoutNeverEatsTheMemo(t *testing.T) {
+	const adfText = "APP cli\nHOSTS\na 1 sun4 1\nFOLDERS\n0 a\nPROCESSES\n0 boss a\n"
+	adfPath := filepath.Join(t.TempDir(), "cli.adf")
+	if err := os.WriteFile(adfPath, []byte(adfText), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := adf.Parse(adfText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := &loopback{TCP: transport.NewTCP()}
+	node := memoserver.NewWithDialer("a", lb, memoserver.Config{})
+	if err := node.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Close)
+	if err := node.RegisterApp(f); err != nil {
+		t.Fatal(err)
+	}
+	fs, _ := node.LocalFolderServer("cli", 0)
+
+	stdout := os.Stdout
+	os.Stdout, err = os.Open(os.DevNull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Stdout.Close(); os.Stdout = stdout })
+
+	base := []string{"-adf", adfPath, "-addr", lb.addr, "-host", "a", "-key", "7"}
+	fired := 0
+	for i := 0; i < 60; i++ {
+		if code := runOp("put", append(base, "-value", "kept")); code != exitOK {
+			t.Fatalf("round %d: put exited %d", i, code)
+		}
+		timeout := time.Duration(1+i%12*25) * time.Microsecond
+		code := runOp("get", append(base, "-timeout", timeout.String()))
+		left := fs.Store().MemoCount()
+		switch {
+		case code == exitOK && left == 0:
+		case code == exitTimeout && left == 1:
+			fired++
+			if code := runOp("get-skip", base); code != exitOK || fs.Store().MemoCount() != 0 {
+				t.Fatalf("round %d: draining get-skip exited %d", i, code)
+			}
+		default:
+			t.Fatalf("round %d: get -timeout %v exited %d with %d memos in the folder", i, timeout, code, left)
+		}
+	}
+	t.Logf("%d of 60 timeouts ended the get with the memo kept", fired)
+
+	// With nothing to get, the timeout ends the wait with exit 3 and leaves
+	// no parked get behind to eat a later put.
+	if code := runOp("get", append(base, "-timeout", "5ms")); code != exitTimeout {
+		t.Fatalf("get -timeout on an empty folder exited %d, want %d", code, exitTimeout)
+	}
+	if code := runOp("put", append(base, "-value", "later")); code != exitOK || fs.Store().MemoCount() != 1 {
+		t.Fatalf("put after a timed-out get exited %d with %d memos in the folder", code, fs.Store().MemoCount())
 	}
 }

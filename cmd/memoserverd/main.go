@@ -14,17 +14,19 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
-	"repro/cmd/internal/daemon"
+	"repro/internal/durable"
 	"repro/internal/memoserver"
 	"repro/internal/obs"
-	"repro/internal/rpc"
 	"repro/internal/transport"
 )
 
@@ -48,26 +50,59 @@ func (p peerMap) Set(s string) error {
 	return nil
 }
 
-// config is memoserverd's command line: the shared daemon flags plus its own.
+// syncFlag parses -fsync straight into a durable.SyncMode.
+type syncFlag struct{ mode *durable.SyncMode }
+
+func (f syncFlag) String() string {
+	if f.mode == nil {
+		return ""
+	}
+	return f.mode.String()
+}
+
+func (f syncFlag) Set(s string) (err error) {
+	*f.mode, err = durable.ParseSyncMode(s)
+	return err
+}
+
+// config is memoserverd's command line: each flag is defined once and bound
+// straight onto the field of the memoserver.Config that consumes it.
 type config struct {
-	*daemon.Flags
+	node         memoserver.Config
 	host, listen string
 	peers        peerMap
-	res          rpc.Resilience
+	idleTimeout  time.Duration
+	debugAddr    string
+	readyFile    string
 }
 
 func register(fs *flag.FlagSet) *config {
-	c := &config{Flags: daemon.Register(fs, "memoserverd"), peers: peerMap{}}
+	c := &config{peers: peerMap{}}
+	n := &c.node
 	fs.StringVar(&c.host, "host", "", "this machine's logical host name (as in ADFs)")
 	fs.StringVar(&c.listen, "listen", ":7440", "TCP listen address")
 	fs.Var(c.peers, "peer", "logical-host=tcp-addr mapping (repeatable)")
-	fs.DurationVar(&c.res.Heartbeat, "heartbeat-interval", 5*time.Second, "probe receive-quiet links this often; a peer silent for 2x this is declared dead (0 disables heartbeats; -idle-timeout then defaults off, since blocking waits legitimately silence a connection)")
-	fs.DurationVar(&c.res.Redial.Min, "redial-backoff", 50*time.Millisecond, "first re-dial delay after a peer link dies; doubles per failure up to the transport cap, with jitter")
-	fs.IntVar(&c.res.Retries, "link-retries", 2, "transparent retries of safely-retriable forwarded calls after a link failure")
+	fs.DurationVar(&n.Resilience.Heartbeat, "heartbeat-interval", 5*time.Second, "probe receive-quiet links this often; a peer silent for 2x this is declared dead (0 disables heartbeats; -idle-timeout then defaults off, since blocking waits legitimately silence a connection)")
+	fs.DurationVar(&n.Resilience.Redial.Min, "redial-backoff", 50*time.Millisecond, "first re-dial delay after a peer link dies; doubles per failure up to the transport cap, with jitter")
+	fs.IntVar(&n.Resilience.Retries, "link-retries", 2, "transparent retries of safely-retriable forwarded calls after a link failure")
+	fs.BoolVar(&n.Cache.Disable, "no-thread-cache", false, "disable thread caching (E1 ablation)")
+	fs.IntVar(&n.Batch.MaxCount, "batch-max", 0, "max requests coalesced per rpc batch frame (0 = default 64; 1 disables batching)")
+	fs.IntVar(&n.Batch.MaxBytes, "batch-bytes", 0, "max encoded bytes per rpc batch frame (0 = default 64KiB)")
+	fs.DurationVar(&c.idleTimeout, "idle-timeout", 15*time.Second, "close connections silent for this long (0 = never); rpc clients heartbeat when their receive side goes quiet, so a healthy blocking wait does not trip it")
+	fs.StringVar(&n.DataDir, "data-dir", "", "directory for folder-server durability (per-shard WAL + snapshots); empty keeps folders in memory only")
+	fs.Var(syncFlag{&n.Durable.Sync}, "fsync", "WAL sync `mode`: batch (group commit), always (fsync per record), never (trust the OS cache)")
+	fs.IntVar(&n.Durable.SnapshotEvery, "snapshot-every", 0, "minimum records between WAL snapshot+truncate cycles (0 = default, negative = never)")
+	fs.StringVar(&c.debugAddr, "debug-addr", "", "serve the debug endpoints (/metrics, /statusz, /slowz, /tracez, /debug/pprof/) on this address (e.g. localhost:6060); empty disables them")
+	fs.DurationVar(&n.SlowRequestThreshold, "slow-request-threshold", 0, "record requests that take at least this long in the slow-request log (/slowz); 0 disables span timing")
+	fs.Float64Var(&n.TraceSample, "trace-sample", 0, "span-sample this fraction of entry requests (1 = all, 0.01 = every 100th, 0 = none) into /tracez; requests another node sampled are always traced through")
+	fs.IntVar(&n.TraceRingSize, "trace-ring", 0, "sampled traces kept in the /tracez ring (0 = default 256)")
+	fs.StringVar(&c.readyFile, "ready-file", "", "after the listener is bound, atomically write the actual TCP address here (supports -listen :0; harnesses poll this file for readiness). With -debug-addr a second line `debug <addr>` names the debug endpoint")
 	return c
 }
 
 func main() {
+	log.SetPrefix("memoserverd: ")
+	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 	c := register(flag.CommandLine)
 	flag.Parse()
 
@@ -77,7 +112,7 @@ func main() {
 	}
 	idleSet := false
 	flag.Visit(func(f *flag.Flag) { idleSet = idleSet || f.Name == "idle-timeout" })
-	heartbeat := c.res.Heartbeat
+	heartbeat := c.node.Resilience.Heartbeat
 	if !idleSet {
 		// Keep the read deadline consistent with the probe rate: without
 		// heartbeats a blocked folder wait keeps a healthy connection
@@ -85,45 +120,80 @@ func main() {
 		// interval the deadline must stretch with it or it fires before
 		// the first probe.
 		if heartbeat <= 0 {
-			c.IdleTimeout = 0
-		} else if 3*heartbeat > c.IdleTimeout {
-			c.IdleTimeout = 3 * heartbeat
+			c.idleTimeout = 0
+		} else if 3*heartbeat > c.idleTimeout {
+			c.idleTimeout = 3 * heartbeat
 		}
-	} else if heartbeat > 0 && c.IdleTimeout > 0 && c.IdleTimeout < 2*heartbeat {
-		log.Printf("warning: -idle-timeout %v < 2x -heartbeat-interval %v; healthy silent connections may be killed before their first probe", c.IdleTimeout, heartbeat)
+	} else if heartbeat > 0 && c.idleTimeout > 0 && c.idleTimeout < 2*heartbeat {
+		log.Printf("warning: -idle-timeout %v < 2x -heartbeat-interval %v; healthy silent connections may be killed before their first probe", c.idleTimeout, heartbeat)
 	}
 
 	tcp := transport.NewTCP()
-	tcp.IdleTimeout = c.IdleTimeout
+	tcp.IdleTimeout = c.idleTimeout
 	mt := &mappedTransport{inner: tcp, listen: c.listen, peers: c.peers}
-	node := memoserver.NewWithDialer(c.host, mt,
-		memoserver.Config{
-			Cache:                c.Cache,
-			Batch:                c.Batch,
-			Resilience:           c.res,
-			DataDir:              c.DataDir,
-			Durable:              c.Durable,
-			SlowRequestThreshold: c.SlowThreshold,
-			TraceSample:          c.TraceSample,
-			TraceRingSize:        c.TraceRing,
-		})
+	node := memoserver.NewWithDialer(c.host, mt, c.node)
 	node.RegisterMetrics(obs.Default)
-	c.MirrorSlow(node.SlowLog())
+	// Each slow span goes to the daemon log besides the /slowz ring, so
+	// operators see them without polling. No-op on a nil log.
+	node.SlowLog().SetEmit(func(e obs.SlowEntry) {
+		log.Printf("slow request trace=%x hop=%d op=%s folder=%d at=%s took=%v",
+			e.Trace, e.Hop, e.Op, e.Folder, e.Where, e.Dur)
+	})
 	if err := node.Start(); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("host %s listening on %s", c.host, mt.boundAddr)
-	// The ready file carries the debug address too: `memo top` and the e2e
-	// forensics scraper read it from there.
-	c.Ready(mt.boundAddr, node.SlowLog(),
-		obs.WithTraceRing(node.Tracer().Ring()),
-		obs.WithLinkStatus(func() any { return node.LinkStats() }))
+	debug := c.ready(mt.boundAddr, node)
 
-	// Serve until SIGINT/SIGTERM, then shut down in order: stop accepting,
-	// drain links, flush and close every folder server's WAL.
-	c.AwaitShutdown(nil)
+	// Serve until SIGINT/SIGTERM, then shut down in order: the debug server,
+	// then the node — stop accepting, drain links, flush and close every
+	// folder server's WAL. A durable deployment relies on that last step to
+	// make a routine restart lose nothing.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	log.Printf("%v: shutting down", <-sigc)
+	if debug != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		if err := debug.Shutdown(ctx); err != nil {
+			log.Printf("debug server: %v", err)
+		}
+		cancel()
+	}
 	node.Close()
 	log.Printf("folder state flushed; bye")
+}
+
+// ready publishes that the daemon is serving on addr. With -debug-addr it
+// first starts the debug server — /metrics, /statusz, /slowz, /tracez and
+// pprof on one listener; off by default, and when enabled, bind a loopback
+// address unless you mean to expose the profiler. With -ready-file it then
+// writes addr and a `debug <addr>` line (`memo top` and the e2e forensics
+// scraper read the debug address from there) to a temp file and renames it,
+// so a polling harness never reads a torn write.
+func (c *config) ready(addr string, node *memoserver.Node) *obs.DebugServer {
+	ready := addr + "\n"
+	var debug *obs.DebugServer
+	if c.debugAddr != "" {
+		debug = obs.NewDebugServer(c.debugAddr, []*obs.Registry{obs.Default}, node.SlowLog(),
+			obs.WithTraceRing(node.Tracer().Ring()),
+			obs.WithLinkStatus(func() any { return node.LinkStats() }))
+		if err := debug.Start(); err != nil {
+			log.Fatalf("debug server: %v", err)
+		}
+		log.Printf("debug endpoints on %s", debug.Addr())
+		ready += "debug " + debug.Addr() + "\n"
+	}
+	if c.readyFile == "" {
+		return debug
+	}
+	tmp := c.readyFile + ".tmp"
+	if err := os.WriteFile(tmp, []byte(ready), 0o644); err != nil {
+		log.Fatalf("ready file: %v", err)
+	}
+	if err := os.Rename(tmp, c.readyFile); err != nil {
+		log.Fatalf("ready file: %v", err)
+	}
+	return debug
 }
 
 // mappedTransport lets the memo server use logical addresses ("host/memo")

@@ -1,23 +1,20 @@
 // Package analysis is a self-contained static-analysis framework shaped
 // after golang.org/x/tools/go/analysis, built only on the standard library
 // (go/ast, go/parser, go/types) so the repo's invariants can be machine-
-// checked without any external module. It exists because the hot-path
-// contracts introduced by the pooling and durability work — exactly-one
-// pool.Put per pool.Get, Retain-before-escape for aliasing decoders,
-// WAL appends inside the shard critical section, commit errors gating acks
-// — are invisible to the compiler and to -race, yet a single missed call is
-// silent data corruption.
+// checked without any external module. It exists because two contracts of
+// the durability work — WAL appends inside the shard critical section and
+// fsyncs outside it, commit errors gating acks — are invisible to the
+// compiler, to -race and to every test that does not kill the log at the
+// right instant, yet a single missed call is silent data loss. (The buffer
+// ownership contracts of the pooling work are not checked here: breaking
+// one is a data race or a blown allocation budget, which the test suite
+// reports; DESIGN §9 has the audit.)
 //
 // The framework is deliberately marker-driven: analyzers know almost
 // nothing about this repo's packages. Instead, functions and fields carry
 // machine-readable doc-comment markers (see package markers documentation
 // in markers.go) that register them with the relevant analyzer:
 //
-//	//memolint:pool-get             returns a pooled buffer the caller owns
-//	//memolint:pool-put             consumes a pooled buffer (the recycler)
-//	//memolint:transfers-ownership  callee takes over the pooled buffer
-//	//memolint:returns-buffer       append-style: result carries arg buffers
-//	//memolint:aliases-buffer       result (or *Into dst) aliases input buf
 //	//memolint:shard-lock           on a sync.Mutex field: a shard lock
 //	//memolint:requires-shard-lock  callee must run under a shard lock
 //	//memolint:forbids-shard-lock   callee must NOT run under a shard lock
@@ -49,10 +46,6 @@ type Analyzer struct {
 	Doc string
 	// Run performs the check over one package.
 	Run func(*Pass) error
-	// Strict, when true, enables the analyzer's pickier mode (currently
-	// only poolcheck's all-paths disposal check). Toggled by the driver's
-	// -strict flag and by analysistest.
-	Strict bool
 }
 
 // Pass carries one package's load results to an analyzer.

@@ -2,7 +2,7 @@
 // checks its diagnostics against // want comments, in the style of
 // golang.org/x/tools/go/analysis/analysistest:
 //
-//	buf := pool.Get(64) // want `never released`
+//	s.Put("k", nil) // want `discarded`
 //
 // Each `// want` comment carries one or more quoted or backquoted regular
 // expressions; every unsuppressed diagnostic on that line must match one,
@@ -12,9 +12,9 @@
 // diagnostics.
 //
 // Testdata lives under <analyzer>/testdata/src in GOPATH layout: package
-// path "a" loads from testdata/src/a, and stub dependency packages (pool,
-// wire, durable...) sit alongside so markers resolve exactly as they do in
-// the real tree.
+// path "a" loads from testdata/src/a, and stub dependency packages (store,
+// durable) sit alongside so markers resolve exactly as they do in the real
+// tree.
 package analysistest
 
 import (

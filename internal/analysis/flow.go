@@ -3,150 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
-
-// Path identifies a value a function manipulates: a local variable plus a
-// dotted/indexed access suffix, e.g. t + ".q" for t.q, entries + "[]" for
-// entries[i]. Identity is the root *types.Var (stable under shadowing) plus
-// the rendered suffix.
-type Path struct {
-	Root   *types.Var
-	Suffix string
-}
-
-// PathOf resolves expr to a Path rooted at a local or package variable.
-// Slicing and parenthesization are identity; index expressions collapse to
-// "[]" (any element); &x and *x resolve to x's path (the analyzers reason
-// about the underlying storage, not the pointer value).
-func PathOf(info *types.Info, expr ast.Expr) (Path, bool) {
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.Ident:
-		if v, ok := info.Uses[e].(*types.Var); ok {
-			return Path{Root: v}, true
-		}
-		if v, ok := info.Defs[e].(*types.Var); ok {
-			return Path{Root: v}, true
-		}
-	case *ast.SelectorExpr:
-		if p, ok := PathOf(info, e.X); ok {
-			p.Suffix += "." + e.Sel.Name
-			return p, true
-		}
-	case *ast.IndexExpr:
-		if p, ok := PathOf(info, e.X); ok {
-			p.Suffix += "[]"
-			return p, true
-		}
-	case *ast.SliceExpr:
-		return PathOf(info, e.X)
-	case *ast.StarExpr:
-		return PathOf(info, e.X)
-	case *ast.UnaryExpr:
-		if e.Op.String() == "&" {
-			return PathOf(info, e.X)
-		}
-	}
-	return Path{}, false
-}
-
-// Covers reports whether two paths with the same root refer to overlapping
-// storage: one suffix is a component-wise prefix of the other ("" covers
-// ".q"; ".q" covers ".q.Key"; ".cc" does not cover ".q").
-func (p Path) Covers(q Path) bool {
-	if p.Root == nil || p.Root != q.Root {
-		return false
-	}
-	a, b := p.Suffix, q.Suffix
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if !strings.HasPrefix(b, a) {
-		return false
-	}
-	return len(a) == len(b) || b[len(a)] == '.' || b[len(a)] == '['
-}
-
-// PathSet is a small set of tracked paths (one "family" of aliases).
-type PathSet []Path
-
-// Covers reports whether any member path overlaps p.
-func (s PathSet) Covers(p Path) bool {
-	for _, m := range s {
-		if m.Covers(p) {
-			return true
-		}
-	}
-	return false
-}
-
-// CoversExpr reports whether expr resolves to a path a member overlaps.
-func (s PathSet) CoversExpr(info *types.Info, expr ast.Expr) bool {
-	p, ok := PathOf(info, expr)
-	return ok && s.Covers(p)
-}
-
-// HasRoot reports whether any member is rooted at v.
-func (s PathSet) HasRoot(v *types.Var) bool {
-	if v == nil {
-		return false
-	}
-	for _, m := range s {
-		if m.Root == v {
-			return true
-		}
-	}
-	return false
-}
-
-// Add inserts p if not already present.
-func (s *PathSet) Add(p Path) {
-	for _, m := range *s {
-		if m.Root == p.Root && m.Suffix == p.Suffix {
-			return
-		}
-	}
-	*s = append(*s, p)
-}
-
-// ContainsMember walks n's subtree and returns the first expression covered
-// by the set (a read or carry of a tracked value), or nil. Selector paths
-// are tested atomically: t.cc is a sibling field of t.q — disjoint storage —
-// so its base t must not be re-tested on the way down, even though the bare
-// expression t would overlap t.q.
-func ContainsMember(info *types.Info, set PathSet, n ast.Node) ast.Expr {
-	var found ast.Expr
-	ast.Inspect(n, func(x ast.Node) bool {
-		if found != nil {
-			return false
-		}
-		e, ok := x.(ast.Expr)
-		if !ok {
-			return true
-		}
-		if set.CoversExpr(info, e) {
-			found = e
-			return false
-		}
-		if _, isSel := e.(*ast.SelectorExpr); isSel {
-			if _, resolved := PathOf(info, e); resolved {
-				return false // uncovered sibling path; don't descend to its base
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// EachCall visits every call expression in n's subtree.
-func EachCall(n ast.Node, f func(*ast.CallExpr)) {
-	ast.Inspect(n, func(x ast.Node) bool {
-		if c, ok := x.(*ast.CallExpr); ok {
-			f(c)
-		}
-		return true
-	})
-}
 
 // NodeIndex maps every statement and expression back to the CFG node whose
 // Exprs contain it, so an analyzer can anchor a traversal at the node

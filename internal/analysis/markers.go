@@ -10,15 +10,10 @@ import (
 // //memolint:<name> on a func/method declaration, an interface method, or a
 // struct field. See the package documentation for what each one registers.
 const (
-	MarkPoolGet       = "pool-get"
-	MarkPoolPut       = "pool-put"
-	MarkTransfers     = "transfers-ownership"
-	MarkReturnsBuffer = "returns-buffer"
-	MarkAliases       = "aliases-buffer"
-	MarkShardLock     = "shard-lock"
-	MarkRequiresLock  = "requires-shard-lock"
-	MarkForbidsLock   = "forbids-shard-lock"
-	MarkMustCheck     = "must-check-error"
+	MarkShardLock    = "shard-lock"
+	MarkRequiresLock = "requires-shard-lock"
+	MarkForbidsLock  = "forbids-shard-lock"
+	MarkMustCheck    = "must-check-error"
 )
 
 // Markers indexes every //memolint: marker seen across all loaded packages,
@@ -143,9 +138,4 @@ func Callee(info *types.Info, call *ast.CallExpr) types.Object {
 		}
 	}
 	return nil
-}
-
-// CallHas reports whether call's callee carries the named marker.
-func (mk *Markers) CallHas(info *types.Info, call *ast.CallExpr, name string) bool {
-	return mk.Has(Callee(info, call), name)
 }

@@ -39,13 +39,6 @@ type Options struct {
 	Cache threadcache.Config
 	// Lambda is the placement topology attenuation (§5, experiment E5).
 	Lambda float64
-	// FolderShards overrides the lock-stripe count of each folder
-	// server's store (0 = folder.DefaultShards).
-	FolderShards int
-	// Batch is the rpc flush policy used by every connection in the
-	// cluster — application clients, memo servers, and peer links (zero =
-	// rpc defaults; rpc.Policy{MaxCount: 1} disables coalescing).
-	Batch rpc.Policy
 	// Resilience arms the link-resilience layer on every connection:
 	// heartbeats, reconnect-with-backoff on dead peer links, and bounded
 	// transparent retries of safely-retriable forwarded calls (zero =
@@ -140,12 +133,10 @@ func Boot(f *adf.File, opts Options) (*Cluster, error) {
 // installing it in the node table. Used by Boot and RestartNode.
 func (c *Cluster) startNode(host string) (*memoserver.Node, error) {
 	cfg := memoserver.Config{
-		Cache:        c.opts.Cache,
-		Lambda:       c.opts.Lambda,
-		FolderShards: c.opts.FolderShards,
-		Batch:        c.opts.Batch,
-		Resilience:   c.opts.Resilience,
-		Durable:      c.opts.Durable,
+		Cache:      c.opts.Cache,
+		Lambda:     c.opts.Lambda,
+		Resilience: c.opts.Resilience,
+		Durable:    c.opts.Durable,
 	}
 	if c.opts.DataDir != "" {
 		cfg.DataDir = fmt.Sprintf("%s/%s", c.opts.DataDir, host)
@@ -225,7 +216,7 @@ func (c *Cluster) NewMemo(host string) (*core.Memo, error) {
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown host %s", host)
 	}
-	client, err := memoserver.DialClientResilient(c.dialFrom, host, c.File.App, c.opts.Batch, c.opts.Resilience)
+	client, err := memoserver.DialClientResilient(c.dialFrom, host, c.File.App, rpc.Policy{}, c.opts.Resilience)
 	if err != nil {
 		return nil, err
 	}

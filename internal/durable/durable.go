@@ -50,7 +50,6 @@ package durable
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // Errors.
@@ -119,10 +118,6 @@ type Config struct {
 	// never). Past it, a cycle runs once the log is as large as the last
 	// snapshot; see Log.ShouldSnapshot.
 	SnapshotEvery int
-	// Linger, when positive, is an extra accumulation window before each
-	// sync cycle. Backpressure draining usually makes it unnecessary —
-	// records pile up while the previous fsync runs — so the default is 0.
-	Linger time.Duration
 }
 
 func (c Config) withDefaults() Config {

@@ -257,9 +257,11 @@ func mustOneGen(t *testing.T, dir string) uint64 {
 // Crash hits must fail their commit and not resurface on recovery.
 func TestCrashAbandonsUnsynced(t *testing.T) {
 	dir := t.TempDir()
-	// A long linger holds the syncer back so the append stays buffered and
-	// uncommitted when Crash hits.
-	l, _ := collect(t, dir, 1, Config{Linger: time.Hour})
+	l, _ := collect(t, dir, 1, Config{})
+	// Holding the stripe's io mutex holds the syncer back, so the append
+	// stays buffered and uncommitted when Crash hits.
+	l.shards[0].io.Lock()
+	defer l.shards[0].io.Unlock()
 	seq := l.Append(0, rec(RecPut, symbol.K(1), "doomed", 7))
 	errc := make(chan error, 1)
 	go func() { errc <- l.Commit(0, seq) }()

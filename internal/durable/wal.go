@@ -126,9 +126,6 @@ const maxSpare = 4 << 20
 // buffer frame by frame, one write+fsync and one wake-up per record.
 func (s *stripe) run() {
 	for range s.wake {
-		if s.cfg.Linger > 0 {
-			time.Sleep(s.cfg.Linger)
-		}
 		for {
 			s.io.Lock()
 			s.mu.Lock()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -93,9 +92,7 @@ type readResult struct {
 	spans []wire.Span // handle route, traced
 }
 
-func (r readResult) canceled() bool {
-	return r.err != nil && strings.Contains(r.err.Error(), ErrCanceled.Error())
-}
+func (r readResult) canceled() bool { return r.err == ErrCanceled }
 
 // A route runs the cell's read against srv, or reports that it cannot
 // express the cell; with a nil srv it only reports. The engine route covers
@@ -185,6 +182,8 @@ var routes = []struct {
 			r.ok = true
 		case wire.StatusErr:
 			r.err = errors.New(resp.Err)
+		case wire.StatusCanceled:
+			r.err = ErrCanceled
 		}
 		if c.traced && !slices.ContainsFunc(r.spans, func(sp wire.Span) bool {
 			return sp.Layer == "folder" && sp.Op == q.Op.String()

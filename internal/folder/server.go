@@ -1,24 +1,20 @@
 package folder
 
 import (
-	"fmt"
 	"strconv"
 	"time"
 
 	"repro/internal/durable"
 	"repro/internal/obs"
-	"repro/internal/rpc"
 	"repro/internal/symbol"
 	"repro/internal/threadcache"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// Server is one folder server: a Store, a thread cache, and the wire
-// protocol. A Server is driven either directly (Handle, used by the local
-// memo server — the Fig. 1 same-host path, on the memo server's thread) or by
-// Serve over a transport listener (the standalone folderserverd deployment,
-// the only user of the thread cache).
+// Server is one folder server: a Store and the wire protocol's verbs turned
+// into store operations. It is driven by Handle alone, called by the memo
+// server on its own host (§4.1, Fig. 1: an application reaches a folder
+// server only through memo server threads), on the memo server's thread.
 type Server struct {
 	// ID is the ADF folder-server number.
 	ID int
@@ -26,18 +22,11 @@ type Server struct {
 	Host string
 
 	store *Store
-	pool  *threadcache.Pool
-	batch rpc.Policy
 	// slow, when non-nil, records request spans at or over its threshold.
 	// Shared with the owning daemon (memoserverd hands every folder server
 	// its node-wide log), so one /slowz shows a request's spans across
 	// layers. Nil-safe throughout.
 	slow *obs.SlowLog
-	// tracer, when non-nil, owns span sets for requests that reach Handle
-	// without an enclosing dispatch wrapper — the standalone folderserverd
-	// deployment, where this server is the whole node. Under a memo server
-	// the node's own tracer owns the set and Begin here returns nil.
-	tracer *obs.Tracer
 	// where names this server in slow-log spans, e.g. "folder-3@bonnie".
 	where string
 	// ownsStore marks a store this server opened itself (OpenServer): Close
@@ -48,36 +37,17 @@ type Server struct {
 // ServerOption tunes a Server.
 type ServerOption func(*Server)
 
-// WithBatchPolicy sets the rpc flush policy for connections this server
-// answers (zero = rpc defaults).
-func WithBatchPolicy(p rpc.Policy) ServerOption {
-	return func(s *Server) { s.batch = p }
-}
-
 // WithSlowLog attaches a slow-request log: Handle records per-request spans
 // (trace ID, hop, op, duration) for requests at or over the log's threshold.
 func WithSlowLog(sl *obs.SlowLog) ServerOption {
 	return func(s *Server) { s.slow = sl }
 }
 
-// WithTracer attaches a span tracer for the standalone deployment: Handle
-// begins and finishes span sets itself (sampling entry requests at the
-// tracer's rate, always collecting wire-sampled ones) and records them into
-// the tracer's ring for /tracez. Servers embedded in a memo server do not
-// need this — the node's dispatch wrapper owns the set.
-func WithTracer(tr *obs.Tracer) ServerOption {
-	return func(s *Server) { s.tracer = tr }
-}
-
-// NewServer wraps a store. cache configures the thread cache Serve runs
-// requests on (§4.1); the zero Config gives defaults.
-func NewServer(id int, host string, store *Store, cache threadcache.Config, opts ...ServerOption) *Server {
-	s := &Server{
-		ID:    id,
-		Host:  host,
-		store: store,
-		pool:  threadcache.New(cache),
-	}
+// NewServer wraps a store. The threadcache.Config is unused — a folder server
+// runs on its caller's thread — and stays in the signature because
+// benchmark/ladder.go calls it.
+func NewServer(id int, host string, store *Store, _ threadcache.Config, opts ...ServerOption) *Server {
+	s := &Server{ID: id, Host: host, store: store}
 	for _, o := range opts {
 		o(s)
 	}
@@ -88,14 +58,15 @@ func NewServer(id int, host string, store *Store, cache threadcache.Config, opts
 // OpenServer is the open-from-dir path: it opens (recovering if necessary)
 // a durable store from dir and wraps it in a Server that owns it — Close
 // flushes and closes the write-ahead log. storeOpts configure the store
-// (shards, forward hook); opts configure the server.
-func OpenServer(id int, host, dir string, dcfg durable.Config, cache threadcache.Config,
+// (shards, forward hook); opts configure the server. The threadcache.Config
+// is unused, as in NewServer.
+func OpenServer(id int, host, dir string, dcfg durable.Config, _ threadcache.Config,
 	storeOpts []Option, opts ...ServerOption) (*Server, error) {
 	store, err := OpenStore(dir, dcfg, storeOpts...)
 	if err != nil {
 		return nil, err
 	}
-	s := NewServer(id, host, store, cache, opts...)
+	s := NewServer(id, host, store, threadcache.Config{}, opts...)
 	s.ownsStore = true
 	return s, nil
 }
@@ -103,47 +74,34 @@ func OpenServer(id int, host, dir string, dcfg durable.Config, cache threadcache
 // Store exposes the underlying directory (for stats and direct tests).
 func (s *Server) Store() *Store { return s.store }
 
-// Close retires the thread cache and, for a server that owns its store
-// (OpenServer), flushes and closes the write-ahead log.
+// Close flushes and closes the write-ahead log of a server that owns its
+// store (OpenServer); otherwise there is nothing to release.
 func (s *Server) Close() {
-	s.pool.Close()
 	if s.ownsStore {
 		_ = s.store.Close()
 	}
 }
 
 // Crash hard-stops an owned durable store without flushing — the SIGKILL
-// stand-in for the crash-recovery harness — and retires the thread cache.
+// stand-in for the crash-recovery harness.
 func (s *Server) Crash() {
 	if s.ownsStore {
 		s.store.Crash()
 	}
-	s.pool.Close()
 }
 
-// Handle executes one request against this folder server. Blocking
-// operations respect cancel. The caller provides its own concurrency: the
-// memo server calls Handle on the cached thread that dispatched the request,
-// Serve on a thread of this server's own cache. With a slow log attached and
-// enabled, each request is timed as one span (the Enabled check is a single
-// atomic load, so a disabled log costs no time.Now on the hot path). A
-// sampled request (one whose dispatch wrapper attached a SpanSet)
-// additionally threads an opTrace through the store and emits folder and
-// durable spans with the shard-lock wait, park time, and group-commit wait
-// it accumulated. With a tracer attached (standalone folderserverd) Handle
-// owns the set itself: it begins one for sampled or sampler-admitted entry
-// requests and finishes it into the tracer's ring, returning the spans on
-// the response for the rpc layer.
+// Handle executes one request against this folder server, on the caller's
+// thread: the memo server calls it on the cached thread that dispatched the
+// request. A blocking read respects cancel while it is parked, and only
+// then: a canceled read answers StatusCanceled, which says nothing was
+// consumed; one that had already taken a memo answers with the value. With a
+// slow log attached and enabled, each request is timed as one span (the
+// Enabled check is a single atomic load, so a disabled log costs no time.Now
+// on the hot path). A sampled request (one whose dispatch wrapper attached a
+// SpanSet) additionally threads an opTrace through the store and emits
+// folder and durable spans with the shard-lock wait, park time, and
+// group-commit wait it accumulated.
 func (s *Server) Handle(q *wire.Request, cancel <-chan struct{}) *wire.Response {
-	if set := s.tracer.Begin(q); set != nil {
-		return s.tracer.Finish(q, set, s.handleSpans(q, cancel))
-	}
-	return s.handleSpans(q, cancel)
-}
-
-// handleSpans times one request into the slow log and, when an enclosing
-// wrapper attached a SpanSet, emits this layer's spans into it.
-func (s *Server) handleSpans(q *wire.Request, cancel <-chan struct{}) *wire.Response {
 	traced := q.Sampled && q.Spans != nil
 	if !traced && !s.slow.Enabled() {
 		resp, _ := s.handle(q, cancel, false)
@@ -207,6 +165,8 @@ func (s *Server) handle(q *wire.Request, cancel <-chan struct{}, traced bool) (r
 	}
 	k, payload, ok, err := s.store.read(&op)
 	switch {
+	case err == ErrCanceled:
+		return &wire.Response{Status: wire.StatusCanceled}, waits
 	case err != nil:
 		// An empty alt_take/watch key set fails fast in the store (ErrNoKeys).
 		return wire.Errf("%s: %v", q.Op, err), waits
@@ -216,24 +176,6 @@ func (s *Server) handle(q *wire.Request, cancel <-chan struct{}, traced bool) (r
 		return &wire.Response{Status: wire.StatusWake, Key: k}, waits
 	}
 	return &wire.Response{Status: wire.StatusOK, Key: k, Payload: payload}, waits
-}
-
-// Serve accepts connections on l and answers requests until the listener
-// closes. Used by cmd/folderserverd; in the simulated cluster the memo
-// server calls Handle directly. Each virtual connection is driven by the
-// batching rpc server: requests dispatch concurrently through the thread
-// cache and responses coalesce into batched frames; a peer that sends
-// anything but batch frames has its channel closed.
-func (s *Server) Serve(l transport.Listener) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		mux := transport.NewMux(conn, transport.DefaultMTU)
-		go mux.Run()
-		go rpc.ServeMux(mux, s.Handle, s.pool, s.batch)
-	}
 }
 
 // Collect emits this server's folder_* series, labeled by folder-server id:
@@ -268,16 +210,4 @@ func (s *Server) Collect(e *obs.Emitter) {
 	e.Gauge("folder_memos", "visible memos", labels, int64(memos))
 	e.Gauge("folder_delayed_hidden", "hidden put_delayed values", labels, int64(delayed))
 	e.Gauge("folder_waiters", "waiter registrations (blocked scans park several)", labels, int64(waiters))
-}
-
-// RegisterMetrics attaches this server's series to reg via a scrape-time
-// collector. Standalone folderserverd calls it with obs.Default; under a
-// memo server the node's own collector walks its folder servers instead.
-func (s *Server) RegisterMetrics(reg *obs.Registry) {
-	reg.RegisterCollector(s.Collect)
-}
-
-// String identifies the server in logs.
-func (s *Server) String() string {
-	return fmt.Sprintf("folder-server %d @ %s", s.ID, s.Host)
 }

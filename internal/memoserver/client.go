@@ -60,18 +60,12 @@ func (c *Client) LastTraceID() uint64 { return c.lastTrace.Load() }
 type DialFunc func(srcHost, addr string) (transport.Conn, error)
 
 // DialClient connects to the memo server on host with the default batching
-// policy.
+// policy. The connection heartbeats at the default interval: the daemons arm
+// read deadlines by default, and a client parked on a blocking folder wait
+// must not look dead to them. Use DialClientResilient to choose the interval
+// (or 0 to disable).
 func DialClient(dial DialFunc, host, app string) (*Client, error) {
-	return DialClientPolicy(dial, host, app, rpc.Policy{})
-}
-
-// DialClientPolicy connects with an explicit batch flush policy
-// (cluster.Options.Batch reaches here). The connection heartbeats at the
-// default interval: the daemons arm read deadlines by default, and a
-// client parked on a blocking folder wait must not look dead to them. Use
-// DialClientResilient to choose the interval (or 0 to disable).
-func DialClientPolicy(dial DialFunc, host, app string, pol rpc.Policy) (*Client, error) {
-	return DialClientResilient(dial, host, app, pol, rpc.Resilience{Heartbeat: rpc.DefaultHeartbeat})
+	return DialClientResilient(dial, host, app, rpc.Policy{}, rpc.Resilience{Heartbeat: rpc.DefaultHeartbeat})
 }
 
 // DialClientResilient connects with a batch flush policy and the full

@@ -87,7 +87,7 @@ func TestParkedLocalGetHoldsOneGoroutine(t *testing.T) {
 }
 
 // TestCanceledLocalGetLeavesNothingBehind: cancelling a parked blocking verb
-// ends its Dispatch with an error, and by the time Dispatch has returned
+// ends its Dispatch with StatusCanceled, and by the time Dispatch has returned
 // nothing of the request is left in the store — no waiter, no folder kept
 // alive, no handler that could still consume a memo put afterwards.
 func TestCanceledLocalGetLeavesNothingBehind(t *testing.T) {
@@ -115,8 +115,8 @@ func TestCanceledLocalGetLeavesNothingBehind(t *testing.T) {
 			close(cancel)
 			select {
 			case o := <-done:
-				if o.resp.Status != wire.StatusErr {
-					t.Fatalf("canceled %v answered %+v, want an error", op, o.resp)
+				if o.resp.Status != wire.StatusCanceled {
+					t.Fatalf("canceled %v answered %+v, want StatusCanceled", op, o.resp)
 				}
 				if o.waiters != 0 || o.folders != 0 {
 					t.Fatalf("canceled %v returned with %d waiters and %d folders in the store", op, o.waiters, o.folders)

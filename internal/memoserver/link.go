@@ -100,18 +100,24 @@ func (l *rlink) close() {
 // one; a token already present (stamped by the application's client or an
 // earlier hop) is preserved — dedup is end-to-end. retried counts the
 // re-issues. The bool reports whether the last attempt got a connection at
-// all, so callers can word a dial failure apart from a failed call; a
-// closed cancel yields ErrClientCanceled.
+// all, so callers can word a dial failure apart from a failed call.
+// ErrClientCanceled means the owning store said the canceled call consumed
+// nothing, or that no attempt can have reached it: once an attempt has failed
+// with its request possibly sent, a cancel returns that attempt's link error
+// (outcome unknown) instead.
 func (l *rlink) call(q *wire.Request, cancel <-chan struct{}, retried *obs.Counter) (*wire.Response, bool, error) {
 	if l.res.Retries > 0 && q.Token == 0 && q.Op.Info().Tokened() {
 		q.Token = newToken()
 	}
+	// canceled is what a cancel reports: that, until an attempt fails with
+	// its request possibly executed; from then on that attempt's link error.
+	canceled := error(ErrClientCanceled)
 	for attempt := 0; ; attempt++ {
 		conn, epoch, err := l.get(cancel)
 		if err != nil {
 			select {
 			case <-cancel:
-				return nil, false, ErrClientCanceled
+				return nil, canceled != ErrClientCanceled, canceled
 			default:
 			}
 			if attempt < l.res.Retries {
@@ -125,11 +131,17 @@ func (l *rlink) call(q *wire.Request, cancel <-chan struct{}, retried *obs.Count
 			return resp, true, nil
 		}
 		if err == rpc.ErrCanceled {
-			return nil, true, ErrClientCanceled
+			// The store's answer covers this attempt only: a retry canceled
+			// while parked behind its original's token says nothing of what
+			// the original took.
+			return nil, true, canceled
 		}
 		var le *rpc.LinkError
 		if errors.As(err, &le) {
 			l.fault(epoch)
+			if le.Sent && canceled == ErrClientCanceled {
+				canceled = err
+			}
 			if attempt < l.res.Retries && (!le.Sent || q.RetrySafe()) {
 				retried.Inc()
 				continue

@@ -88,9 +88,6 @@ type Config struct {
 	Cache threadcache.Config
 	// Lambda is the placement topology attenuation (see placement).
 	Lambda float64
-	// FolderShards overrides the lock-stripe count of folder-server
-	// stores this node creates at registration (0 = folder.DefaultShards).
-	FolderShards int
 	// Batch is the rpc flush policy for served connections and peer
 	// links (zero = rpc defaults).
 	Batch rpc.Policy
@@ -383,9 +380,6 @@ func (n *Node) RegisterApp(f *adf.File) error {
 				n.forwardRelease(appName, dest, payload, relToken, committed)
 			}),
 		}
-		if n.cfg.FolderShards > 0 {
-			opts = append(opts, folder.WithShards(n.cfg.FolderShards))
-		}
 		if n.cfg.DataDir != "" {
 			// Durable: open (recovering) the folder server's store from its
 			// own directory; the server owns the store and flushes its log
@@ -587,7 +581,7 @@ func (n *Node) forward(app *App, q *wire.Request, targetHost string, cancel <-ch
 	resp, dialed, err := link.call(&fq, cancel, &n.retried)
 	switch {
 	case err == ErrClientCanceled:
-		return wire.Errf("canceled")
+		return &wire.Response{Status: wire.StatusCanceled}
 	case err != nil && !dialed:
 		return wire.Errf("memo server %s: dial %s: %v", n.Host, hop, err)
 	case err != nil:

@@ -121,6 +121,45 @@ func TestForwardFailsFastAndRedialsAfterSever(t *testing.T) {
 	}
 }
 
+// TestCancelAfterMaybeSentReportsLinkError: "canceled" is a claim that
+// nothing was consumed. A forwarded get whose link died with the request
+// possibly executed, and whose caller cancels while the link is still being
+// re-dialed, must report the link failure (outcome unknown), not canceled.
+func TestCancelAfterMaybeSentReportsLinkError(t *testing.T) {
+	res := rpc.Resilience{
+		Heartbeat: 100 * time.Millisecond,
+		Redial:    transport.Backoff{Min: 5 * time.Millisecond, Max: 20 * time.Millisecond},
+		Retries:   1 << 20, // still re-dialing when the cancel arrives
+	}
+	tn, flaky := bootFlakyNet(t, twoHostADF, Config{Resilience: res})
+	c := flakyClient(t, tn, flaky, "a", rpc.Resilience{Heartbeat: 100 * time.Millisecond})
+
+	cancel := make(chan struct{})
+	type result struct {
+		resp *wire.Response
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		// Folder 1 lives on b: the get forwards a→b and parks there.
+		resp, err := c.Do(req(wire.OpGet, 1, symbol.K(99), nil), cancel)
+		done <- result{resp, err}
+	}()
+	fs, _ := tn.nodes["b"].LocalFolderServer(tn.file.App, 1)
+	awaitWaiters(t, fs, 1)
+	flaky.Sever("a", "b")
+	time.Sleep(30 * time.Millisecond) // the forward has failed once and is re-dialing
+	close(cancel)
+	select {
+	case r := <-done:
+		if r.err != nil || r.resp.Status != wire.StatusErr {
+			t.Fatalf("cancel after a maybe-sent link failure: %+v %v, want an error response (outcome unknown)", r.resp, r.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("canceled forward still re-dialing after 2s")
+	}
+}
+
 // TestWatchSurvivesIdleTimeoutOverTCP is the acceptance criterion for the
 // heartbeat layer: with TCP.IdleTimeout armed on every link and heartbeats
 // on, a Watch parked across hosts — client link and peer link both

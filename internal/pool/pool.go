@@ -100,8 +100,6 @@ func classFor(n int) int {
 
 // Get returns a zero-length buffer with capacity at least n, owned
 // exclusively by the caller until Put.
-//
-//memolint:pool-get
 func Get(n int) []byte {
 	c := classFor(n)
 	if c < 0 {
@@ -123,8 +121,6 @@ func Get(n int) []byte {
 // larger than the largest (they were plain allocations from Get, and
 // parking multi-MiB arrays in the top class would break its memory bound),
 // or arriving when the class is full are dropped for the GC.
-//
-//memolint:pool-put
 func Put(b []byte) {
 	c := cap(b)
 	if c < minSize || c > maxSize {

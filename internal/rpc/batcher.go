@@ -79,8 +79,6 @@ func (b *batcher) highWater() int { return 4 * b.pol.MaxCount }
 // add queues one entry and nudges the sender, blocking while the queue is
 // over the high-water mark. Ownership of e.Msg's buffer passes to the
 // batcher, which recycles it once the entry's frame has shipped.
-//
-//memolint:transfers-ownership
 func (b *batcher) add(e wire.BatchEntry) {
 	b.mu.Lock()
 	for !b.closed && len(b.queue) >= b.highWater() {
@@ -102,12 +100,10 @@ func (b *batcher) add(e wire.BatchEntry) {
 // saturated-but-healthy link still needs its proof-of-life traffic (a
 // probe starved by a full data queue would let the deadman kill a live
 // link). Control entries are tiny and rate-bounded (one probe per
-// interval, one echo per inbound probe, one cancel per abandoned call), so
+// interval, one echo per inbound probe, one cancel per canceled call), so
 // exceeding the high-water mark by their count is harmless. Returns false
 // only when the batcher is already closed. Like add, it takes over e.Msg's
 // buffer (when the entry carries one).
-//
-//memolint:transfers-ownership
 func (b *batcher) addControl(e wire.BatchEntry) bool {
 	b.mu.Lock()
 	if b.closed {

@@ -40,10 +40,10 @@ type Conn struct {
 
 // call is one in-flight request: its parked response channel and whether
 // its request frame reached the transport (the retry-safety distinction
-// LinkError carries). Calls recycle through a pool — but only off the clean
+// LinkError carries). Calls recycle through a pool — but only off the
 // completion path, where the caller has taken the response and no late send
-// into rc can ever happen; canceled and link-failed calls are dropped for
-// the GC rather than risk a stale response crossing into a reused call.
+// into rc can ever happen; link-failed calls are dropped for the GC rather
+// than risk a stale response crossing into a reused call.
 type call struct {
 	rc   chan *wire.Response
 	sent atomic.Bool
@@ -121,10 +121,13 @@ func (c *Conn) markSent(entries []wire.BatchEntry) {
 	c.mu.Unlock()
 }
 
-// Call sends one request and blocks for its response. Closing cancel
-// abandons the call: a cancel entry tells the server to unblock and discard
-// the request, and Call returns ErrCanceled without waiting for it. If the
-// link dies, Call fails fast with a *LinkError (errors.Is ErrLinkDown).
+// Call sends one request and blocks for its response. Closing cancel is a
+// request, not an abandonment: a cancel entry asks the server to unblock the
+// call, and Call keeps waiting for the call's one terminal response. A
+// response with wire.StatusCanceled — the server's statement that the
+// request consumed nothing — returns ErrCanceled; any other response is
+// returned as the value it is (the cancel lost the race). If the link dies,
+// Call fails fast with a *LinkError (errors.Is ErrLinkDown).
 func (c *Conn) Call(q *wire.Request, cancel <-chan struct{}) (*wire.Response, error) {
 	mCalls.Inc()
 	mCallsInflight.Add(1)
@@ -166,44 +169,54 @@ func (c *Conn) call(q *wire.Request, cancel <-chan struct{}) (*wire.Response, er
 	}
 	c.out.add(wire.BatchEntry{ID: id, Token: q.Token, Trace: q.TraceID, Hop: q.TraceHop, Sampled: q.Sampled, Msg: msg})
 
-	select {
-	case resp := <-ca.rc:
-		if q.Sampled && q.Spans != nil {
-			// The rpc client span: full call round trip, with the time the
-			// request sat queued in the batcher before its frame shipped as
-			// its wait component.
-			endNS := time.Now().UnixNano()
-			var queued int64
-			if ca.sentAtNS > startNS {
-				queued = ca.sentAtNS - startNS
-			}
-			q.Spans.Add(wire.Span{Layer: "rpc", Op: "send", Folder: q.FolderID,
-				Hop: q.TraceHop, Start: startNS, Dur: endNS - startNS, Wait: queued})
-		}
-		callPool.Put(ca)
-		return resp, nil
-	case <-cancel:
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		// Tell the server to abandon the in-flight request, which may be
-		// pinning a server thread on a folder wait. Control enqueue: never
-		// parks this already-canceled caller behind the backpressure wait.
-		c.out.addControl(wire.BatchEntry{ID: id, Cancel: true})
-		return nil, ErrCanceled
-	case <-c.done:
-		c.mu.Lock()
-		err := c.callErr(c.err, ca.sent.Load())
-		delete(c.pending, id)
-		c.mu.Unlock()
-		// A response may have raced the teardown.
+	for {
 		select {
 		case resp := <-ca.rc:
-			return resp, nil
-		default:
+			if q.Sampled && q.Spans != nil {
+				// The rpc client span: full call round trip, with the time the
+				// request sat queued in the batcher before its frame shipped as
+				// its wait component.
+				endNS := time.Now().UnixNano()
+				var queued int64
+				if ca.sentAtNS > startNS {
+					queued = ca.sentAtNS - startNS
+				}
+				q.Spans.Add(wire.Span{Layer: "rpc", Op: "send", Folder: q.FolderID,
+					Hop: q.TraceHop, Start: startNS, Dur: endNS - startNS, Wait: queued})
+			}
+			callPool.Put(ca)
+			return terminal(resp)
+		case <-cancel:
+			// Ask the server to unblock the in-flight request, which may be
+			// parked on a folder wait, and keep waiting: only its response
+			// says whether the request consumed anything. The entry shares
+			// the batcher's FIFO with the request, so it cannot overtake it.
+			// Control enqueue: never parks this caller behind the
+			// backpressure wait.
+			c.out.addControl(wire.BatchEntry{ID: id, Cancel: true})
+			cancel = nil
+		case <-c.done:
+			c.mu.Lock()
+			err := c.callErr(c.err, ca.sent.Load())
+			delete(c.pending, id)
+			c.mu.Unlock()
+			// A response may have raced the teardown.
+			select {
+			case resp := <-ca.rc:
+				return terminal(resp)
+			default:
+			}
+			return nil, err
 		}
-		return nil, err
 	}
+}
+
+// terminal turns a call's one response into Call's result.
+func terminal(resp *wire.Response) (*wire.Response, error) {
+	if resp.Status == wire.StatusCanceled {
+		return nil, ErrCanceled
+	}
+	return resp, nil
 }
 
 // callErr shapes the terminal cause into what a caller sees: an explicit
@@ -271,7 +284,8 @@ func (c *Conn) recvLoop() {
 			if ok {
 				ca.rc <- resp
 			}
-			// Responses to unknown ids are replies to canceled calls; drop.
+			// A response to an unknown id answers a call its link failure
+			// already ended; drop.
 			*e = wire.BatchEntry{}
 		}
 		pool.Put(buf)

@@ -77,7 +77,8 @@ func (p Policy) withDefaults() Policy {
 var (
 	// ErrConnClosed reports a call on a closed or failed Conn.
 	ErrConnClosed = errors.New("rpc: connection closed")
-	// ErrCanceled reports a call abandoned via its cancel channel.
+	// ErrCanceled reports a canceled call the server answered with
+	// wire.StatusCanceled: the request consumed nothing.
 	ErrCanceled = errors.New("rpc: call canceled")
 	// ErrLinkDown reports a call failed because the underlying link died —
 	// the transport errored, the mux tore down, or the heartbeat deadline

@@ -237,40 +237,55 @@ func TestOutOfOrderCompletion(t *testing.T) {
 	}
 }
 
+// TestCancelUnblocksServer: closing cancel reaches the handler, and Call
+// returns what the handler then answers — ErrCanceled for StatusCanceled
+// (nothing consumed), the value itself when the cancel lost the race.
 func TestCancelUnblocksServer(t *testing.T) {
-	started := make(chan struct{}, 1)
-	canceled := make(chan struct{}, 1)
-	h := func(q *wire.Request, cancel <-chan struct{}) *wire.Response {
-		started <- struct{}{}
-		select {
-		case <-cancel:
-			canceled <- struct{}{}
-			return wire.Errf("canceled")
-		case <-time.After(5 * time.Second):
-			return wire.Errf("cancel never propagated")
-		}
-	}
-	c := pipe(t, h, nil, Policy{})
+	for _, tc := range []struct {
+		name    string
+		answer  *wire.Response
+		wantErr error
+	}{
+		{"canceled", &wire.Response{Status: wire.StatusCanceled}, ErrCanceled},
+		{"value-wins", &wire.Response{Status: wire.StatusOK, Payload: []byte("taken")}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			started := make(chan struct{}, 1)
+			h := func(q *wire.Request, cancel <-chan struct{}) *wire.Response {
+				started <- struct{}{}
+				select {
+				case <-cancel:
+					return tc.answer
+				case <-time.After(5 * time.Second):
+					return wire.Errf("cancel never propagated")
+				}
+			}
+			c := pipe(t, h, nil, Policy{})
 
-	cancel := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Call(&wire.Request{Op: wire.OpGet}, cancel)
-		done <- err
-	}()
-	<-started
-	close(cancel)
-	if err := <-done; err != ErrCanceled {
-		t.Fatalf("Call returned %v, want ErrCanceled", err)
-	}
-	select {
-	case <-canceled:
-	case <-time.After(2 * time.Second):
-		t.Fatal("server handler never saw the cancel")
-	}
-	// The connection remains alive after a cancel.
-	if c.Err() != nil {
-		t.Fatalf("connection died after cancel: %v", c.Err())
+			cancel := make(chan struct{})
+			type result struct {
+				resp *wire.Response
+				err  error
+			}
+			done := make(chan result, 1)
+			go func() {
+				resp, err := c.Call(&wire.Request{Op: wire.OpGet}, cancel)
+				done <- result{resp, err}
+			}()
+			<-started
+			close(cancel)
+			r := <-done
+			if r.err != tc.wantErr {
+				t.Fatalf("Call returned %v, want %v", r.err, tc.wantErr)
+			}
+			if tc.wantErr == nil && string(r.resp.Payload) != "taken" {
+				t.Fatalf("Call returned %+v, want the value the handler took", r.resp)
+			}
+			// The connection remains alive after a cancel.
+			if c.Err() != nil {
+				t.Fatalf("connection died after cancel: %v", c.Err())
+			}
+		})
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Handler executes one request. cancel fires when the client abandons the
-// call or the connection dies; blocking handlers must honour it. The
+// Handler executes one request. cancel fires when the client cancels the
+// call or the connection dies; blocking handlers must honour it, and answer
+// wire.StatusCanceled only if the request consumed nothing. The
 // request's Payload aliases the connection's read buffer for the duration
 // of the call: handlers that keep the bytes past their return (storing a
 // memo, caching a program image) must copy them — the folder store's own
@@ -119,8 +120,6 @@ var frameBufPool = sync.Pool{New: func() any { return new(frameBuf) }}
 
 // newFrameBuf takes over buf: the frameBuf's refcount decides when it goes
 // back to the pool.
-//
-//memolint:transfers-ownership
 func newFrameBuf(buf []byte) *frameBuf {
 	fb := frameBufPool.Get().(*frameBuf)
 	fb.buf = buf
@@ -270,10 +269,11 @@ func (s *server) dispatch(e wire.BatchEntry, fb *frameBuf) {
 	s.inflight[e.ID] = t.cc
 	s.mu.Unlock()
 
+	// The request aliases the frame and outlives this function: the
+	// reference taken here pins the frame until runDispatch releases it.
 	fb.retain()
 	t.fb = fb
 	if s.submit == nil {
-		//memolint:ignore aliascheck fb.retain above pins the frame buffer until runDispatch releases it, so the aliased request outliving dispatch is safe by refcount rather than by Retain copy
 		go runDispatch(t)
 		return
 	}

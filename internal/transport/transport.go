@@ -18,10 +18,7 @@
 // message be amortized instead of blocking the channel (see mux.go).
 package transport
 
-import (
-	"errors"
-	"sync/atomic"
-)
+import "errors"
 
 // Common errors.
 var (
@@ -76,109 +73,4 @@ type Transport interface {
 	Listen(addr string) (Listener, error)
 	// Name identifies the protocol ("inproc", "tcp", "sim").
 	Name() string
-}
-
-// Stats counts transport activity. The Broadcasts counter exists to prove
-// the §5 claim "No broadcasting is done by the system": nothing in this
-// repository increments it, and tests assert it stays zero.
-type Stats struct {
-	MessagesSent  atomic.Int64
-	BytesSent     atomic.Int64
-	MessagesRecvd atomic.Int64
-	BytesRecvd    atomic.Int64
-	Dials         atomic.Int64
-	Accepts       atomic.Int64
-	Broadcasts    atomic.Int64
-}
-
-// Snapshot is a point-in-time copy of Stats.
-type Snapshot struct {
-	MessagesSent  int64
-	BytesSent     int64
-	MessagesRecvd int64
-	BytesRecvd    int64
-	Dials         int64
-	Accepts       int64
-	Broadcasts    int64
-}
-
-// Snapshot copies the counters.
-func (s *Stats) Snapshot() Snapshot {
-	return Snapshot{
-		MessagesSent:  s.MessagesSent.Load(),
-		BytesSent:     s.BytesSent.Load(),
-		MessagesRecvd: s.MessagesRecvd.Load(),
-		BytesRecvd:    s.BytesRecvd.Load(),
-		Dials:         s.Dials.Load(),
-		Accepts:       s.Accepts.Load(),
-		Broadcasts:    s.Broadcasts.Load(),
-	}
-}
-
-// statsConn decorates a Conn with counting.
-type statsConn struct {
-	Conn
-	stats *Stats
-}
-
-func (c *statsConn) Send(msg []byte) error {
-	if err := c.Conn.Send(msg); err != nil {
-		return err
-	}
-	c.stats.MessagesSent.Add(1)
-	c.stats.BytesSent.Add(int64(len(msg)))
-	return nil
-}
-
-func (c *statsConn) Recv() ([]byte, error) {
-	msg, err := c.Conn.Recv()
-	if err != nil {
-		return nil, err
-	}
-	c.stats.MessagesRecvd.Add(1)
-	c.stats.BytesRecvd.Add(int64(len(msg)))
-	return msg, nil
-}
-
-// WithStats decorates a transport so every connection updates stats.
-func WithStats(t Transport, stats *Stats) Transport {
-	return &statsTransport{inner: t, stats: stats}
-}
-
-type statsTransport struct {
-	inner Transport
-	stats *Stats
-}
-
-func (t *statsTransport) Name() string { return t.inner.Name() }
-
-func (t *statsTransport) Dial(addr string) (Conn, error) {
-	c, err := t.inner.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	t.stats.Dials.Add(1)
-	return &statsConn{Conn: c, stats: t.stats}, nil
-}
-
-func (t *statsTransport) Listen(addr string) (Listener, error) {
-	l, err := t.inner.Listen(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &statsListener{Listener: l, stats: t.stats}, nil
-}
-
-type statsListener struct {
-	Listener
-	stats *Stats
-}
-
-func (l *statsListener) Accept() (Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	l.stats.Accepts.Add(1)
-	return &statsConn{Conn: c, stats: l.stats}, nil
 }

@@ -267,36 +267,6 @@ func TestSimRoundTripLatency(t *testing.T) {
 	}
 }
 
-func TestStatsCounting(t *testing.T) {
-	var stats Stats
-	tr := WithStats(NewInProc(), &stats)
-	l, _ := tr.Listen("a/x")
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		msg, _ := c.Recv()
-		c.Send(msg)
-	}()
-	c, err := tr.Dial("a/x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Send([]byte("12345"))
-	c.Recv()
-	s := stats.Snapshot()
-	if s.Dials != 1 || s.Accepts != 1 {
-		t.Fatalf("dials=%d accepts=%d", s.Dials, s.Accepts)
-	}
-	if s.MessagesSent != 2 || s.BytesSent != 10 {
-		t.Fatalf("sent=%d bytes=%d want 2/10", s.MessagesSent, s.BytesSent)
-	}
-	if s.Broadcasts != 0 {
-		t.Fatalf("broadcasts=%d — the system must never broadcast", s.Broadcasts)
-	}
-}
-
 func muxPair(t *testing.T, mtu int) (*Mux, *Mux) {
 	t.Helper()
 	a, b := Pipe("a", "b")

@@ -126,8 +126,6 @@ func IsBatchFrame(buf []byte) bool {
 // pooled buffer with the mux channel header's worst-case space reserved up
 // front, so the frame never moves again between encoder and wire. The bytes
 // appended are identical to EncodeBatch's output.
-//
-//memolint:returns-buffer
 func AppendBatch(dst []byte, kind BatchKind, entries []BatchEntry) []byte {
 	w := writer{buf: dst}
 	w.byte(batchMagic)
@@ -191,8 +189,6 @@ func EncodeBatch(kind BatchKind, entries []BatchEntry) []byte {
 // DecodeBatch parses a batch frame. Entry messages are returned still
 // encoded and ALIAS buf; callers decode them per kind (DecodeRequest /
 // DecodeResponse).
-//
-//memolint:aliases-buffer
 func DecodeBatch(buf []byte) (BatchKind, []BatchEntry, error) {
 	return DecodeBatchInto(nil, buf)
 }
@@ -201,8 +197,6 @@ func DecodeBatch(buf []byte) (BatchKind, []BatchEntry, error) {
 // may be a reused scratch slice, typically dst[:0] of the previous frame's)
 // — the steady-state read path decodes every frame into the same entry
 // storage. Entry Msg bytes ALIAS buf.
-//
-//memolint:aliases-buffer
 func DecodeBatchInto(dst []BatchEntry, buf []byte) (BatchKind, []BatchEntry, error) {
 	r := &reader{buf: buf}
 	if r.byte() != batchMagic {

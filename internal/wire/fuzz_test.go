@@ -32,6 +32,7 @@ func seedResponses() []*Response {
 		{Status: StatusEmpty},
 		{Status: StatusWake, Key: symbol.K(9)},
 		Errf("boom %d", 7),
+		{Status: StatusCanceled},
 	}
 }
 

@@ -64,8 +64,6 @@ func (r *reader) i64() int64 {
 // AppendSpans serializes spans onto dst (returned, possibly reallocated):
 // uvarint count, then per span node/layer/op strings, signed-varint folder,
 // uvarint hop, and signed-varint start/dur/wait.
-//
-//memolint:returns-buffer
 func AppendSpans(dst []byte, spans []Span) []byte {
 	w := writer{buf: dst}
 	w.u64(uint64(len(spans)))

@@ -154,6 +154,11 @@ const (
 	StatusWake
 	// StatusErr carries an error message.
 	StatusErr
+	// StatusCanceled answers a blocking read whose caller canceled it while
+	// it was parked: the owning store's statement that the read consumed
+	// nothing. Only a store makes it; a canceled read that had already taken
+	// a memo answers StatusOK with the value.
+	StatusCanceled
 )
 
 // Request is one operation sent toward a folder server.
@@ -351,8 +356,6 @@ func (r *reader) keyInto(k *symbol.Key) {
 // pooled buffer, often with transport header space already reserved at the
 // front, so one buffer carries the message from encoder to wire. The bytes
 // appended are identical to EncodeRequest's output.
-//
-//memolint:returns-buffer
 func AppendRequest(dst []byte, q *Request) []byte {
 	w := writer{buf: dst}
 	w.byte(byte(q.Op))
@@ -400,8 +403,6 @@ func EncodeRequest(q *Request) []byte {
 
 // DecodeRequest parses a request. The returned request's Payload ALIASES
 // buf; callers that retain it past buf's lifetime must Retain() first.
-//
-//memolint:aliases-buffer
 func DecodeRequest(buf []byte) (*Request, error) {
 	q := &Request{}
 	if err := DecodeRequestInto(q, buf); err != nil {
@@ -414,8 +415,6 @@ func DecodeRequest(buf []byte) (*Request, error) {
 // extension-slot capacity — the pooled-request decode path. Every field of
 // q is overwritten (Token and the trace fields are zeroed: they travel as
 // batch-entry extensions, not in this codec). q.Payload ALIASES buf.
-//
-//memolint:aliases-buffer
 func DecodeRequestInto(q *Request, buf []byte) error {
 	r := &reader{buf: buf}
 	q.Op = Op(r.byte())
@@ -496,8 +495,6 @@ func ResponseOverhead(p *Response) int {
 }
 
 // AppendResponse serializes a response onto dst (see AppendRequest).
-//
-//memolint:returns-buffer
 func AppendResponse(dst []byte, p *Response) []byte {
 	w := writer{buf: dst}
 	w.byte(byte(p.Status))
@@ -514,8 +511,6 @@ func EncodeResponse(p *Response) []byte {
 
 // DecodeResponse parses a response. The returned response's Payload ALIASES
 // buf; callers that retain it past buf's lifetime must Retain() first.
-//
-//memolint:aliases-buffer
 func DecodeResponse(buf []byte) (*Response, error) {
 	r := &reader{buf: buf}
 	p := &Response{}
@@ -529,7 +524,7 @@ func DecodeResponse(buf []byte) (*Response, error) {
 	if r.pos != len(buf) {
 		return nil, fmt.Errorf("wire: %d trailing bytes in response", len(buf)-r.pos)
 	}
-	if p.Status == StatusInvalid || p.Status > StatusErr {
+	if p.Status == StatusInvalid || p.Status > StatusCanceled {
 		return nil, fmt.Errorf("wire: invalid status %d", p.Status)
 	}
 	return p, nil

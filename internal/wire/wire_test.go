@@ -93,9 +93,15 @@ func TestInvalidOpRejected(t *testing.T) {
 
 func TestInvalidStatusRejected(t *testing.T) {
 	buf := EncodeResponse(OK())
-	buf[0] = 99
-	if _, err := DecodeResponse(buf); err == nil {
-		t.Fatal("invalid status accepted")
+	for _, st := range []Status{StatusInvalid, StatusCanceled + 1, 99} {
+		buf[0] = byte(st)
+		if _, err := DecodeResponse(buf); err == nil {
+			t.Fatalf("invalid status %d accepted", st)
+		}
+	}
+	buf[0] = byte(StatusCanceled)
+	if p, err := DecodeResponse(buf); err != nil || p.Status != StatusCanceled {
+		t.Fatalf("StatusCanceled: %+v %v", p, err)
 	}
 }
 

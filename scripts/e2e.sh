@@ -15,7 +15,7 @@ set -eu
 root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$root"
 
-run='TestSmoke|TestRegressionSeeds|TestFolderServerdCrashRecovery'
+run='TestSmoke|TestRegressionSeeds'
 if [ "${E2E_FULL:-}" = "1" ]; then
 	run="$run|TestChaosSweep"
 fi

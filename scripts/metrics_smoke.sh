@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Metrics smoke test: build the daemons, start one of each with the debug
-# server armed on a loopback port, scrape /metrics, and assert every
-# instrumented layer shows up in the exposition. Then shut both down with
-# SIGTERM and require a clean exit — the graceful-shutdown path (debug
-# server drained, WAL flushed) is part of what this smokes.
+# Metrics smoke test: build the daemon, start it with the debug server armed
+# on a loopback port, scrape /metrics, and assert every instrumented layer
+# shows up in the exposition — the folder_* series once an application is
+# registered. Then shut it down with SIGTERM and require a clean exit — the
+# graceful-shutdown path (debug server drained, WAL flushed) is part of what
+# this smokes.
 set -eu
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -22,25 +23,19 @@ trap cleanup EXIT
 echo "==> memolint (covers internal/obs)"
 go run ./cmd/memolint -root "$root"
 
-echo "==> build daemons"
+echo "==> build daemon"
 go build -o "$tmp/memoserverd" ./cmd/memoserverd
-go build -o "$tmp/folderserverd" ./cmd/folderserverd
 
 echo "==> build memo CLI"
 go build -o "$tmp/memo" ./cmd/memo
 
-echo "==> start daemons"
+echo "==> start daemon"
 "$tmp/memoserverd" -host smoke -listen 127.0.0.1:7640 \
 	-debug-addr 127.0.0.1:7641 -slow-request-threshold 1ms \
 	-trace-sample 1 -ready-file "$tmp/smoke.ready" \
 	-data-dir "$tmp/memo-data" >"$tmp/memoserverd.log" 2>&1 &
 memo_pid=$!
 pids+=("$memo_pid")
-"$tmp/folderserverd" -id 0 -host smoke -listen 127.0.0.1:7642 \
-	-debug-addr 127.0.0.1:7643 -slow-request-threshold 1ms \
-	-data-dir "$tmp/folder-data" >"$tmp/folderserverd.log" 2>&1 &
-folder_pid=$!
-pids+=("$folder_pid")
 
 scrape() { # scrape <addr> <outfile>
 	for _ in $(seq 1 50); do
@@ -71,22 +66,6 @@ for series in rpc_calls_total rpc_call_ns node_local_ops_total \
 	}
 done
 
-echo "==> scrape folderserverd /metrics"
-scrape 127.0.0.1:7643 "$tmp/folder-metrics" || {
-	echo "folderserverd /metrics never came up" >&2
-	cat "$tmp/folderserverd.log" >&2
-	exit 1
-}
-# folder_* series come from the standalone folder server's collector; only
-# this daemon guarantees them without traffic.
-for series in folder_puts_total folder_memos rpc_frames_total; do
-	grep -q "^# TYPE $series " "$tmp/folder-metrics" || {
-		echo "folderserverd /metrics missing $series" >&2
-		cat "$tmp/folder-metrics" >&2
-		exit 1
-	}
-done
-
 echo "==> statusz sanity"
 curl -sf "http://127.0.0.1:7641/statusz" | grep -q '"metrics"' || {
 	echo "memoserverd /statusz not serving JSON" >&2
@@ -113,6 +92,16 @@ put_out="$("$tmp/memo" put -adf "$tmp/smoke.adf" -addr 127.0.0.1:7640 -host smok
 	echo "memo put -trace failed" >&2
 	exit 1
 }
+# The node's collector walks its folder servers, which exist once an
+# application is registered: the folder_* series appear from here on.
+scrape 127.0.0.1:7641 "$tmp/memo-metrics"
+for series in folder_puts_total folder_memos rpc_frames_total; do
+	grep -q "^# TYPE $series " "$tmp/memo-metrics" || {
+		echo "memoserverd /metrics missing $series after register" >&2
+		cat "$tmp/memo-metrics" >&2
+		exit 1
+	}
+done
 trace_id="$(printf '%s' "$put_out" | sed -n 's/.*"trace":"\([^"]*\)".*/\1/p')"
 [ -n "$trace_id" ] || {
 	echo "memo put -trace reported no trace id: $put_out" >&2
@@ -152,14 +141,12 @@ for layer in memo folder durable; do
 done
 
 echo "==> graceful shutdown (SIGTERM)"
-kill -TERM "$memo_pid" "$folder_pid"
-for pid in "$memo_pid" "$folder_pid"; do
-	if ! wait "$pid"; then
-		echo "daemon $pid exited non-zero" >&2
-		cat "$tmp"/*.log >&2
-		exit 1
-	fi
-done
+kill -TERM "$memo_pid"
+if ! wait "$memo_pid"; then
+	echo "memoserverd exited non-zero" >&2
+	cat "$tmp/memoserverd.log" >&2
+	exit 1
+fi
 pids=()
 grep -q "bye" "$tmp/memoserverd.log" || {
 	echo "memoserverd did not log a clean shutdown" >&2

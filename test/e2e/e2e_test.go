@@ -6,15 +6,9 @@ import (
 	"os"
 	"reflect"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/rpc"
-	"repro/internal/symbol"
-	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // The heavy black-box tests boot real daemons and take tens of seconds, so
@@ -134,91 +128,6 @@ func reportFailure(t *testing.T, bins Binaries, seed int64, n int, err error) {
 		t.Logf("appended failing seed to %s: %+v", seedCorpus, entry)
 	}
 	t.Fatalf("chaos run seed=%d n=%d failed the oracle: %v", seed, n, err)
-}
-
-// TestFolderServerdCrashRecovery black-boxes the standalone folder daemon:
-// raw wire deposits over TCP, SIGKILL, restart from the same -data-dir,
-// every acknowledged memo recovered, then a verified-clean SIGTERM drain.
-func TestFolderServerdCrashRecovery(t *testing.T) {
-	requireE2E(t)
-	bins := testBinaries(t)
-	dir := t.TempDir()
-	d := &Daemon{
-		Host:      "solo",
-		ReadyFile: dir + "/ready",
-		LogPath:   dir + "/folderserverd.log",
-		bin:       bins.Folderserverd,
-	}
-	d.args = []string{"-id", "0", "-host", "solo", "-listen", "127.0.0.1:0",
-		"-data-dir", dir + "/data", "-ready-file", d.ReadyFile}
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer d.Kill()
-	addr := readyAddr(t, d.ReadyFile)
-
-	k := symbol.K(77)
-	want := map[string]bool{"one": true, "two": true, "three": true}
-	for v := range want {
-		if r := rawDo(t, addr, &wire.Request{Op: wire.OpPut, Key: k, Payload: []byte(v)}); r.Status != wire.StatusOK {
-			t.Fatalf("put %q: %+v", v, r)
-		}
-	}
-
-	d.Kill()
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	addr = readyAddr(t, d.ReadyFile)
-	got := map[string]bool{}
-	for i := 0; i < len(want); i++ {
-		r := rawDo(t, addr, &wire.Request{Op: wire.OpGetSkip, Key: k})
-		if r.Status != wire.StatusOK {
-			t.Fatalf("recovered take %d: %+v", i, r)
-		}
-		got[string(r.Payload)] = true
-	}
-	if r := rawDo(t, addr, &wire.Request{Op: wire.OpGetSkip, Key: k}); r.Status != wire.StatusEmpty {
-		t.Fatalf("extra memo after recovery: %+v", r)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered %v, want %v", got, want)
-	}
-	if err := d.Term(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func readyAddr(t *testing.T, path string) string {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First line only: with -debug-addr the file carries a `debug <addr>`
-	// second line.
-	line, _, _ := strings.Cut(string(data), "\n")
-	return strings.TrimSpace(line)
-}
-
-// rawDo sends one wire request over a fresh TCP mux channel, speaking the
-// batch protocol through rpc.Conn as any client of the daemon must.
-func rawDo(t *testing.T, addr string, q *wire.Request) *wire.Response {
-	t.Helper()
-	conn, err := transport.NewTCP().Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux := transport.NewMux(conn, transport.DefaultMTU)
-	go mux.Run()
-	defer mux.Close()
-	c := rpc.NewConn(mux.Channel(1), rpc.Policy{})
-	defer c.Close()
-	resp, err := c.Call(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
 }
 
 // --- deterministic unit tests (always run) ---

@@ -69,29 +69,26 @@ func pairOf(p int) (from, to int) { // directed pair index -> host indices
 
 // Binaries are the black-box artifacts under test.
 type Binaries struct {
-	Memoserverd   string
-	Folderserverd string
-	Memo          string
+	Memoserverd string
+	Memo        string
 }
 
 // raceBuilt reports whether the harness itself was built with -race; the
 // race-tagged init in race.go flips it.
 var raceBuilt = false
 
-// BuildBinaries compiles the three real commands into dir. The harness
+// BuildBinaries compiles the two real commands into dir. The harness
 // only ever talks to these binaries over TCP, argv, and exit codes. When
 // the harness itself is race-built, so are the daemons, putting the race
 // detector inside the servers for the whole chaos run.
 func BuildBinaries(dir string) (Binaries, error) {
 	b := Binaries{
-		Memoserverd:   filepath.Join(dir, "memoserverd"),
-		Folderserverd: filepath.Join(dir, "folderserverd"),
-		Memo:          filepath.Join(dir, "memo"),
+		Memoserverd: filepath.Join(dir, "memoserverd"),
+		Memo:        filepath.Join(dir, "memo"),
 	}
 	for out, pkg := range map[string]string{
-		b.Memoserverd:   "repro/cmd/memoserverd",
-		b.Folderserverd: "repro/cmd/folderserverd",
-		b.Memo:          "repro/cmd/memo",
+		b.Memoserverd: "repro/cmd/memoserverd",
+		b.Memo:        "repro/cmd/memo",
 	} {
 		args := []string{"build", "-o", out}
 		if raceBuilt {

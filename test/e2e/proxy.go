@@ -1,5 +1,5 @@
 // Package e2e is the black-box chaos harness: it compiles the real
-// memoserverd/folderserverd/memo binaries, boots a multi-node cluster over
+// memoserverd and memo binaries, boots a multi-node cluster over
 // TCP with durability on, drives it with a seeded weighted action mix
 // through both the client library and the CLI, and checks a global
 // exactly-once/convergence oracle at the end of every run. See DESIGN.md

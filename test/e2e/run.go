@@ -15,8 +15,9 @@ import (
 )
 
 // opTimeout bounds every blocking client call the runner issues. A timed-
-// out blocking take is *uncertain*: its server-side waiter may still
-// consume a later deposit, which the ledger accounts for.
+// out take that reports canceled consumed nothing (the store said so); the
+// ledger still books every errored take as uncertain, cancels included,
+// because a link error's outcome is unknown and it does not tell them apart.
 const opTimeout = 2 * time.Second
 
 // CLI runs one memo-binary subcommand against node host and parses its
