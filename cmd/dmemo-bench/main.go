@@ -73,7 +73,9 @@ func main() {
 	}
 	if *jsonDir != "" {
 		// Snapshot the registry the experiments drove: every rpc call,
-		// pooled buffer, redial, and fsync above is in these counters.
+		// pooled buffer, redial, and fsync above is in these counters, with
+		// what the run cost the allocator and the collector beside them.
+		obs.RegisterRuntime(obs.Default)
 		path := filepath.Join(*jsonDir, "METRICS.json")
 		f, err := os.Create(path)
 		if err == nil {

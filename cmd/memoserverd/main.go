@@ -133,6 +133,7 @@ func main() {
 	mt := &mappedTransport{inner: tcp, listen: c.listen, peers: c.peers}
 	node := memoserver.NewWithDialer(c.host, mt, c.node)
 	node.RegisterMetrics(obs.Default)
+	obs.RegisterRuntime(obs.Default)
 	// Each slow span goes to the daemon log besides the /slowz ring, so
 	// operators see them without polling. No-op on a nil log.
 	node.SlowLog().SetEmit(func(e obs.SlowEntry) {

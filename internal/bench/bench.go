@@ -12,7 +12,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"time"
 )
@@ -82,6 +85,37 @@ type tableJSON struct {
 	Columns []string   `json:"columns"`
 	Rows    [][]string `json:"rows"`
 	Notes   []string   `json:"notes,omitempty"`
+	// Where the numbers came from: a table is not comparable with another
+	// measured on different cores or a different commit.
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	Commit     string `json:"commit"`
+}
+
+// sourceCommit names the source the tables are measured on: the revision
+// stamped into the binary (go build), else what git says of the working
+// directory (go run stamps nothing), else "unknown". A "dirty" suffix marks
+// uncommitted changes.
+func sourceCommit() string {
+	rev, dirty := "", ""
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch {
+			case s.Key == "vcs.revision":
+				rev = s.Value
+			case s.Key == "vcs.modified" && s.Value == "true":
+				dirty = "-dirty"
+			}
+		}
+	}
+	if rev != "" {
+		return rev + dirty
+	}
+	out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=40").Output()
+	if err != nil {
+		return "unknown"
+	}
+	return strings.TrimSpace(string(out))
 }
 
 // WriteJSON writes the table as BENCH_<ID>.json under dir (created if
@@ -93,6 +127,7 @@ func (t *Table) WriteJSON(dir string) (string, error) {
 	blob, err := json.MarshalIndent(tableJSON{
 		ID: t.ID, Title: t.Title, Claim: t.Claim,
 		Columns: t.Columns, Rows: t.Rows, Notes: t.Notes,
+		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Commit: sourceCommit(),
 	}, "", "  ")
 	if err != nil {
 		return "", err

@@ -2,6 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -64,5 +67,31 @@ func TestTableFormatting(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestWriteJSONSaysWhereItWasMeasured: every BENCH_<ID>.json names the cores
+// and the commit its numbers come from.
+func TestWriteJSONSaysWhereItWasMeasured(t *testing.T) {
+	tbl := &Table{ID: "EX", Title: "title", Columns: []string{"a"}, Rows: [][]string{{"1"}}}
+	path, err := tbl.WriteJSON(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		ID         string `json:"id"`
+		GOMAXPROCS int    `json:"gomaxprocs"`
+		NumCPU     int    `json:"num_cpu"`
+		Commit     string `json:"commit"`
+	}
+	if err := json.Unmarshal(blob, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != "EX" || got.GOMAXPROCS != runtime.GOMAXPROCS(0) || got.NumCPU != runtime.NumCPU() || got.Commit == "" {
+		t.Fatalf("provenance missing from %s", blob)
 	}
 }

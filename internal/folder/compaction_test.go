@@ -31,10 +31,10 @@ func storeState(s *Store) (memos map[string][]string, tokens map[uint64]string) 
 	}
 	tokens = map[uint64]string{}
 	s.tokens.mu.Lock()
-	for tok, e := range s.tokens.set {
+	for tok, p := range s.tokens.index {
 		tokens[tok] = "put"
-		if e.res != nil {
-			tokens[tok] = fmt.Sprintf("take %s %q empty=%v", e.res.key.Canon(), e.res.data, e.res.empty)
+		if e := s.tokens.ring[p]; e.kind != slotPut {
+			tokens[tok] = fmt.Sprintf("take %s %q empty=%v", e.name, e.data, e.kind == slotEmpty)
 		}
 	}
 	s.tokens.mu.Unlock()
@@ -285,8 +285,9 @@ func TestTokensNotedDuringSnapshotSurvive(t *testing.T) {
 }
 
 // TestTokenStreamFollowsCompaction: the dump's cursor is an insertion
-// position, not a slice index, so eviction and fifo compaction between two
-// chunks neither skip a live token nor repeat one.
+// number, so eviction and the ring wrapping past the cursor between two
+// chunks neither skip a live token nor repeat one. (The name is from when the
+// table was a compacted fifo slice; the wrap is what replaced compaction.)
 func TestTokenStreamFollowsCompaction(t *testing.T) {
 	var tt tokenTable
 	tt.cap = 4 * dumpChunk
@@ -297,20 +298,21 @@ func TestTokenStreamFollowsCompaction(t *testing.T) {
 			next++
 		}
 	}
-	// A table with history: full, and 3000 evictions into its fifo, so the
-	// next thousand-odd insertions compact it while older entries survive.
+	// A table with history: full, and 3000 evictions in, so the next
+	// thousand-odd insertions wrap the ring's end while older entries survive.
 	note(tt.cap + 3000)
 	oldest, newest := next-uint64(tt.cap), next-1 // live when the dump starts
 	seen := map[uint64]int{}
 	chunks := 0
-	err := tt.stream(func(chunk []tokenDump) error {
+	err := tt.stream(func(chunk []tokSlot) error {
 		for _, d := range chunk {
 			seen[d.tok]++
 		}
 		if chunks++; chunks == 1 {
+			before := tt.next / uint64(tt.cap)
 			note(1100)
-			if tt.base == 0 {
-				t.Fatal("fifo was not compacted; the test no longer exercises the cursor")
+			if tt.next/uint64(tt.cap) == before {
+				t.Fatal("the ring did not wrap; the test no longer exercises the cursor")
 			}
 		}
 		return nil

@@ -3,8 +3,7 @@ package folder
 import (
 	"bytes"
 	"fmt"
-	"math/rand/v2"
-	"sync"
+	"slices"
 	"time"
 
 	"repro/internal/durable"
@@ -68,10 +67,12 @@ func (s *Store) Crash() {
 // operation counters (Stats) stay zero, so a restarted store reports what
 // happened in this incarnation, not its entire logged history.
 func (s *Store) applyRecord(rec *durable.Record) error {
+	var cb [canonBuf]byte
+	canon := rec.Key.AppendCanon(cb[:0])
+	si := int(s.shardIndex(rec.Key))
+	sh := &s.shards[si]
 	switch rec.Type {
 	case durable.RecPut:
-		canon := rec.Key.Canon()
-		sh := s.shardFor(rec.Key)
 		sh.mu.Lock()
 		f := sh.getFold(canon)
 		f.items = append(f.items, bytes.Clone(rec.Payload))
@@ -81,28 +82,20 @@ func (s *Store) applyRecord(rec *durable.Record) error {
 		// that survives here is re-released by the next trigger put, and
 		// its release token deduplicates the delivery if the first one
 		// actually landed.
-		if rec.Token != 0 {
-			s.tokens.note(rec.Token)
-		}
+		s.tokens.note(rec.Token)
 		sh.mu.Unlock()
 	case durable.RecPutDelayed:
-		canon := rec.Key.Canon()
-		sh := s.shardFor(rec.Key)
 		sh.mu.Lock()
 		f := sh.getFold(canon)
 		f.delayed = append(f.delayed, delayedEntry{val: bytes.Clone(rec.Payload), dest: rec.Dest.Clone(), rel: rec.Rel})
-		if rec.Token != 0 {
-			s.tokens.note(rec.Token)
-		}
+		s.tokens.note(rec.Token)
 		sh.mu.Unlock()
 	case durable.RecRelease:
-		canon := rec.Key.Canon()
-		sh := s.shardFor(rec.Key)
 		sh.mu.Lock()
-		if f, ok := sh.folders[canon]; ok {
+		if f, ok := sh.folders[string(canon)]; ok {
 			for i := range f.delayed {
 				if f.delayed[i].rel == rec.Token {
-					f.delayed = append(f.delayed[:i], f.delayed[i+1:]...)
+					f.delayed = slices.Delete(f.delayed, i, i+1)
 					break
 				}
 			}
@@ -110,33 +103,26 @@ func (s *Store) applyRecord(rec *durable.Record) error {
 			// in-memory release and the RecRelease append dumps the folder
 			// without the entry, and the release record lands in the next
 			// generation.
-			sh.gcFold(canon, f)
+			sh.gcFold(f)
 		}
 		sh.mu.Unlock()
 	case durable.RecTake:
-		canon := rec.Key.Canon()
-		sh := s.shardFor(rec.Key)
 		sh.mu.Lock()
-		f, ok := sh.folders[canon]
+		f, ok := sh.folders[string(canon)]
 		found := false
 		if ok {
 			for i := range f.items {
 				if bytes.Equal(f.items[i], rec.Payload) {
-					f.removeAt(i)
+					// A tokened take: re-cache its result — the folder's name
+					// and the removed item itself, as the live take does — so a
+					// post-crash retry is answered from the cache instead of
+					// consuming a second memo.
+					s.tokens.noteTakeCache(tokSlot{tok: rec.Token, kind: slotTake, shard: uint16(si), name: f.name, data: f.removeAt(i)})
 					found = true
 					break
 				}
 			}
-			sh.gcFold(canon, f)
-		}
-		if found && rec.Token != 0 {
-			// A tokened take: re-cache its result so a post-crash retry is
-			// answered from the cache instead of consuming a second memo.
-			s.tokens.noteTakeCache(rec.Token, &takeResult{
-				key:   rec.Key.Clone(),
-				data:  append([]byte(nil), rec.Payload...),
-				shard: int(s.shardIndex(rec.Key)),
-			})
+			sh.gcFold(f)
 		}
 		sh.mu.Unlock()
 		if !found {
@@ -147,11 +133,11 @@ func (s *Store) applyRecord(rec *durable.Record) error {
 	case durable.RecToken:
 		s.tokens.note(rec.Token)
 	case durable.RecTakeCache:
-		res := &takeResult{key: rec.Key.Clone(), empty: rec.Empty, shard: int(s.shardIndex(rec.Key))}
+		sl := tokSlot{tok: rec.Token, kind: slotEmpty}
 		if !rec.Empty {
-			res.data = append([]byte(nil), rec.Payload...)
+			sl = tokSlot{tok: rec.Token, kind: slotTake, shard: uint16(si), name: string(canon), data: bytes.Clone(rec.Payload)}
 		}
-		s.tokens.noteTakeCache(rec.Token, res)
+		s.tokens.noteTakeCache(sl)
 	default:
 		return fmt.Errorf("%w: unexpected record type %v", durable.ErrCorrupt, rec.Type)
 	}
@@ -200,21 +186,30 @@ func (s *Store) snapshot() error {
 	// idempotent). Take results resolve under their shard's lock, so the
 	// same cut/dump ordering covers them: a result published before its
 	// shard's cut is visible here; one published after rides in the new
-	// generation's tokened RecTake. In-progress take claims have applied
-	// nothing yet and are deliberately not dumped. The dump is streamed in
-	// bounded chunks, the table unlocked between them, and every chunk runs
-	// after every cut, so the argument holds chunk by chunk: a token noted
-	// after its chunk was copied is in the new generation's log, and an entry
-	// evicted before its chunk is one the table has forgotten anyway.
-	var rec durable.Record // one record reused for the whole dump: nothing allocated per token
-	err = s.tokens.stream(func(chunk []tokenDump) error {
-		for _, d := range chunk {
-			rec = durable.Record{Type: durable.RecToken, Token: d.tok}
-			if d.res != nil {
-				rec = durable.Record{
-					Type: durable.RecTakeCache, Token: d.tok,
-					Key: d.res.key, Payload: d.res.data, Empty: d.res.empty,
+	// generation's tokened RecTake. In-flight take claims have applied
+	// nothing yet and are not in the ring at all. The dump is streamed in
+	// bounded chunks of ring positions, the table unlocked between them, and
+	// every chunk runs after every cut, so the argument holds chunk by chunk:
+	// a token noted after its chunk was copied is in the new generation's log,
+	// and a position overwritten before its chunk held a fact the table has
+	// forgotten anyway.
+	// One record and one key reused for the whole dump: nothing allocated per
+	// token (a take's slot holds its folder's name, parsed back here).
+	var rec durable.Record
+	var key symbol.Key
+	err = s.tokens.stream(func(chunk []tokSlot) error {
+		for i := range chunk {
+			d := &chunk[i]
+			switch d.kind {
+			case slotPut:
+				rec = durable.Record{Type: durable.RecToken, Token: d.tok}
+			case slotEmpty:
+				rec = durable.Record{Type: durable.RecTakeCache, Token: d.tok, Empty: true}
+			default:
+				if err := symbol.ParseCanonInto(&key, d.name); err != nil {
+					return fmt.Errorf("%w: take cache of token %#x: %v", durable.ErrCorrupt, d.tok, err)
 				}
+				rec = durable.Record{Type: durable.RecTakeCache, Token: d.tok, Key: key, Payload: d.data}
 			}
 			if err := snap.AppendRecord(&rec); err != nil {
 				return err
@@ -234,10 +229,10 @@ func (s *Store) snapshot() error {
 // matter: a replayed put deliberately leaves the folder's delayed list alone
 // (see applyRecord). Caller holds the shard lock.
 func dumpShard(sh *shard, emit func(*durable.Record) error) error {
-	var rec durable.Record // reused: the dump allocates per folder (its key), not per memo
+	var rec durable.Record // reused, with its key: the dump allocates neither per folder nor per memo
+	var key symbol.Key
 	for canon, f := range sh.folders {
-		key, err := symbol.ParseCanon(canon)
-		if err != nil {
+		if err := symbol.ParseCanonInto(&key, canon); err != nil {
 			return fmt.Errorf("%w: unparseable folder key %q", durable.ErrCorrupt, canon)
 		}
 		for _, it := range f.items {
@@ -257,231 +252,4 @@ func dumpShard(sh *shard, emit func(*durable.Record) error) error {
 		}
 	}
 	return nil
-}
-
-// takeResult is a consumed take's cached outcome: the satisfied key and a
-// private payload copy (or an observed-empty miss). shard names the stripe
-// whose log carries the take record, so a cache hit can wait on that
-// stripe's durability barrier before acknowledging.
-type takeResult struct {
-	key   symbol.Key
-	data  []byte
-	empty bool
-	shard int
-}
-
-// tokEntry is one applied (or in-flight) dedup token. Three states:
-//   - put token: done == nil, res == nil — presence alone is the answer.
-//   - in-progress take claim: done != nil, res == nil — the claiming take
-//     is still executing; retries park on done instead of taking again.
-//   - resolved take: res != nil (done closed, or nil after replay) — the
-//     cached result answers retries.
-type tokEntry struct {
-	// done, when non-nil, is closed exactly once: when the claiming take
-	// resolves (res published first) or abandons (entry removed first).
-	done chan struct{}
-	// res is the take's cached outcome; guarded by the table lock.
-	res *takeResult
-}
-
-// tokenTable is the at-most-once dedup table: applied put tokens and
-// consumed-take results, bounded by FIFO eviction. Its lock nests strictly
-// inside a Store shard lock: noteIfNew and resolveTake are only called
-// while the tokened op's target shard is locked, which serializes a retry
-// against its original and orders results against snapshot cuts.
-type tokenTable struct {
-	mu   sync.Mutex
-	cap  int
-	set  map[uint64]*tokEntry
-	fifo []uint64
-	head int
-	// base counts the fifo entries compaction has dropped from the front:
-	// fifo[i] is the table's (base+i)-th insertion ever, a position that
-	// stays put while the slice is compacted under a streaming dump.
-	base uint64
-}
-
-// noteIfNew records tok and reports whether it was new — one acquisition
-// for the check-and-note a tokened put performs, keeping the global table
-// a single short critical section nested inside the shard lock.
-func (t *tokenTable) noteIfNew(tok uint64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.noteLocked(tok)
-}
-
-func (t *tokenTable) note(tok uint64) {
-	if tok == 0 {
-		return
-	}
-	t.mu.Lock()
-	t.noteLocked(tok)
-	t.mu.Unlock()
-}
-
-func (t *tokenTable) noteLocked(tok uint64) bool {
-	if _, ok := t.lookupLocked(tok); ok {
-		return false
-	}
-	t.insertLocked(tok, &tokEntry{})
-	return true
-}
-
-func (t *tokenTable) lookupLocked(tok uint64) (*tokEntry, bool) {
-	if t.set == nil {
-		t.set = make(map[uint64]*tokEntry)
-	}
-	e, ok := t.set[tok]
-	return e, ok
-}
-
-// insertLocked adds a new entry, evicting oldest-first past the cap. An
-// evicted in-progress claim still resolves through its own entry pointer —
-// eviction only forgets the token for future retries.
-func (t *tokenTable) insertLocked(tok uint64, e *tokEntry) {
-	t.set[tok] = e
-	t.fifo = append(t.fifo, tok)
-	if len(t.set) > t.cap && t.cap > 0 {
-		delete(t.set, t.fifo[t.head])
-		t.fifo[t.head] = 0
-		t.head++
-		if t.head > len(t.fifo)/2 && t.head > 1024 {
-			t.base += uint64(t.head)
-			t.fifo = append([]uint64(nil), t.fifo[t.head:]...)
-			t.head = 0
-		}
-	}
-}
-
-// claimTake installs an in-progress claim for tok if it is unseen and
-// reports whether the caller became the owner (and must later resolve or
-// abandon the claim). A false return hands back whatever entry already
-// holds the token.
-func (t *tokenTable) claimTake(tok uint64) (*tokEntry, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e, ok := t.lookupLocked(tok); ok {
-		return e, false
-	}
-	e := &tokEntry{done: make(chan struct{})}
-	t.insertLocked(tok, e)
-	return e, true
-}
-
-// resolveTake publishes the claimed take's result and wakes parked retries.
-// Called under the taken shard's lock — the same critical section that
-// removed the item and appended its RecTake — so a snapshot cut of that
-// shard either sees the result (dumped as RecTakeCache) or precedes the
-// take entirely (its record rides in the new generation).
-func (t *tokenTable) resolveTake(e *tokEntry, res *takeResult) {
-	t.mu.Lock()
-	e.res = res
-	t.mu.Unlock()
-	close(e.done)
-}
-
-// abandonTake drops an unresolved claim (canceled, or its commit failed and
-// the take was rolled back) so a later retry re-executes instead of caching
-// a non-answer. Parked retries wake and race to re-claim.
-func (t *tokenTable) abandonTake(tok uint64, e *tokEntry) {
-	t.mu.Lock()
-	if cur, ok := t.set[tok]; ok && cur == e {
-		delete(t.set, tok)
-	}
-	t.mu.Unlock()
-	close(e.done)
-}
-
-// forget removes tok outright — the failed-commit path, where the take was
-// already resolved but then rolled back by untake. Only a terminally dead
-// log gets here; stale holders of the entry fail their durability barrier.
-func (t *tokenTable) forget(tok uint64) {
-	t.mu.Lock()
-	delete(t.set, tok)
-	t.mu.Unlock()
-}
-
-// result reads e's published outcome (nil for put tokens and abandoned
-// claims).
-func (t *tokenTable) result(e *tokEntry) *takeResult {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return e.res
-}
-
-// noteTakeCache records a recovered take result (replay path — no waiters
-// exist yet). A bare RecToken note for the same token is upgraded in place.
-func (t *tokenTable) noteTakeCache(tok uint64, res *takeResult) {
-	if tok == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e, ok := t.lookupLocked(tok); ok {
-		if e.res == nil && e.done == nil {
-			e.res = res
-		}
-		return
-	}
-	t.insertLocked(tok, &tokEntry{res: res})
-}
-
-// newRelToken mints a non-zero release token for a hidden delayed value.
-func newRelToken() uint64 {
-	for {
-		if t := rand.Uint64(); t != 0 {
-			return t
-		}
-	}
-}
-
-// tokenDump is one live token for a snapshot: res is nil for a plain put
-// token, the cached outcome for a resolved take.
-type tokenDump struct {
-	tok uint64
-	res *takeResult
-}
-
-// dumpChunk is how many live tokens a streaming dump copies per acquisition
-// of the table lock.
-const dumpChunk = 1024
-
-// stream hands emit the live tokens oldest-first (for snapshots), dumpChunk
-// at a time, holding the table lock only while a chunk is copied — never
-// while it is emitted — so tokened operations stall for a chunk, not for the
-// table. It covers the entries present when it starts: later ones belong to
-// the caller's next generation. In-progress take claims are skipped: they
-// have applied nothing yet, and their eventual RecTake lands in the post-cut
-// generation. emit must not retain the chunk.
-func (t *tokenTable) stream(emit func(chunk []tokenDump) error) error {
-	var chunk [dumpChunk]tokenDump
-	t.mu.Lock()
-	pos, end := t.base+uint64(t.head), t.base+uint64(len(t.fifo))
-	t.mu.Unlock()
-	for pos < end {
-		n := 0
-		t.mu.Lock()
-		pos = max(pos, t.base+uint64(t.head)) // evicted meanwhile: forgotten
-		for ; pos < end && n < len(chunk); pos++ {
-			tok := t.fifo[pos-t.base]
-			e, ok := t.set[tok]
-			if !ok || (e.done != nil && e.res == nil) {
-				continue // forgotten, or an in-progress claim
-			}
-			chunk[n] = tokenDump{tok: tok, res: e.res}
-			n++
-		}
-		t.mu.Unlock()
-		if err := emit(chunk[:n]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Tokens reports the live dedup-token count (diagnostics and tests).
-func (s *Store) Tokens() int {
-	s.tokens.mu.Lock()
-	defer s.tokens.mu.Unlock()
-	return len(s.tokens.set)
 }

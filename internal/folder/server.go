@@ -179,8 +179,8 @@ func (s *Server) handle(q *wire.Request, cancel <-chan struct{}, traced bool) (r
 }
 
 // Collect emits this server's folder_* series, labeled by folder-server id:
-// the store's op counters, directory occupancy gauges, and per-shard
-// occupancy/waiter gauges. Runs at scrape time (gauges walk the shards under
+// the store's op counters, the dedup table's occupancy, directory occupancy
+// gauges, and per-shard occupancy/waiter gauges. Runs at scrape time (gauges walk the shards under
 // their locks), so it belongs in an obs.Collector, not on a hot path.
 func (s *Server) Collect(e *obs.Emitter) {
 	id := strconv.Itoa(s.ID)
@@ -194,6 +194,12 @@ func (s *Server) Collect(e *obs.Emitter) {
 	e.Counter("folder_dup_puts_total", "tokened puts deduplicated (acknowledged without applying)", labels, st.DupPuts)
 	e.Counter("folder_dup_takes_total", "tokened takes answered from the consumed-take cache", labels, st.DupTakes)
 	e.Counter("folder_alt_scans_total", "shard-group visits by multi-folder scans", labels, st.AltScans)
+
+	ts := s.store.TokenStats()
+	e.Gauge("folder_tokens", "live dedup facts (applied put tokens and take results)", labels, int64(ts.Tokens))
+	e.Counter("folder_token_evictions_total", "live dedup tokens forgotten by age", labels, ts.Evictions)
+	e.Gauge("folder_take_cache_bytes", "payload bytes held by cached take results", labels, ts.CacheBytes)
+	e.Gauge("folder_claims_inflight", "tokened takes executing (parked gets included)", labels, int64(ts.Claims))
 
 	var folders, memos, delayed, waiters int
 	for i := 0; i < s.store.ShardCount(); i++ {

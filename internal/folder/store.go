@@ -112,12 +112,24 @@ type shard struct {
 	mu      sync.Mutex //memolint:shard-lock
 	folders map[string]*fold
 	rng     uint64 // xorshift state for unordered extraction
-	_       [104]byte
+	// free holds the last few folders that vanished here, emptied but with
+	// their slices' capacity and their name: a ping-pong folder vanishes on
+	// every take and springs back on the next put, and re-making it from
+	// one of these costs nothing.
+	free []*fold
+	_    [80]byte
 }
 
+// maxFreeFolds bounds a shard's free list.
+const maxFreeFolds = 8
+
 // fold is a single folder. Items are the store's private payload copies: a
-// take hands the slice itself to the caller.
+// take hands the slice itself to the caller. A fold is only ever reached
+// through its shard, under the shard lock.
 type fold struct {
+	// name is the folder's canonical key form, the string the shard's map
+	// holds it under.
+	name    string
 	items   [][]byte
 	delayed []delayedEntry
 	// waiters are signalled (and cleared) whenever an item arrives.
@@ -226,22 +238,47 @@ func (sh *shard) nextRand() uint64 {
 	return x
 }
 
-// getFold returns the folder, creating it on demand. Caller holds sh.mu.
-func (sh *shard) getFold(canon string) *fold {
-	f, ok := sh.folders[canon]
-	if !ok {
-		f = &fold{}
-		sh.folders[canon] = f
+// getFold returns the folder named canon (Key.AppendCanon, typically into a
+// stack buffer: looking a folder up makes no string), creating it on demand —
+// from the free list when it can, preferring the fold that last carried this
+// very name, whose string is then reused too. Caller holds sh.mu.
+func (sh *shard) getFold(canon []byte) *fold {
+	if f, ok := sh.folders[string(canon)]; ok {
+		return f
 	}
+	var f *fold
+	if last := len(sh.free) - 1; last < 0 {
+		f = &fold{}
+	} else {
+		pick := last
+		for i, c := range sh.free {
+			if c.name == string(canon) {
+				pick = i
+				break
+			}
+		}
+		f = sh.free[pick]
+		sh.free[pick] = sh.free[last]
+		sh.free[last] = nil
+		sh.free = sh.free[:last]
+	}
+	if f.name != string(canon) {
+		f.name = string(canon)
+	}
+	sh.folders[f.name] = f
 	return f
 }
 
 // gcFold removes the folder if it is completely inert: no memos, no hidden
 // delayed values, no waiters ("The folder will vanish once the memo is
-// removed"). Caller holds sh.mu.
-func (sh *shard) gcFold(canon string, f *fold) {
+// removed"). The caller must not touch f afterwards: it may already be
+// another folder. Caller holds sh.mu.
+func (sh *shard) gcFold(f *fold) {
 	if len(f.items) == 0 && len(f.delayed) == 0 && len(f.waiters) == 0 {
-		delete(sh.folders, canon)
+		delete(sh.folders, f.name)
+		if len(sh.free) < maxFreeFolds {
+			sh.free = append(sh.free, f)
+		}
 	}
 }
 
@@ -337,15 +374,38 @@ func (s *Store) barrier(si int, ot *opTrace) error {
 	return nil
 }
 
-// wake signals every waiter. Non-blocking send: a waiter may be registered
-// on several folders (alt/watch) and signalled by more than one deposit.
-func wake(waiters []chan struct{}) {
-	for _, w := range waiters {
+// waiterPool recycles the channels blocking reads park on. A channel goes
+// back only once it is off every folder's list, and wakeAll signals nothing
+// else, so a recycled channel can never be signalled on behalf of the read
+// that held it before.
+var waiterPool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+
+// releaseWaiter recycles a read's waiter channel (nil: it never parked),
+// draining a wake-up it no longer needs. Only call it with w unregistered.
+func releaseWaiter(w chan struct{}) {
+	if w == nil {
+		return
+	}
+	select {
+	case <-w:
+	default:
+	}
+	waiterPool.Put(w)
+}
+
+// wakeAll signals every waiter and clears the list in place, keeping its
+// capacity for the next read that parks here. Non-blocking send: a waiter may
+// be registered on several folders (alt/watch) and signalled by more than one
+// deposit. Caller holds the shard lock — the woken reads need it anyway.
+func (f *fold) wakeAll() {
+	for i, w := range f.waiters {
 		select {
 		case w <- struct{}{}:
 		default:
 		}
+		f.waiters[i] = nil
 	}
+	f.waiters = f.waiters[:0]
 }
 
 // deposit is the one write path. With dest == nil it is put: the memo
@@ -364,7 +424,8 @@ func wake(waiters []chan struct{}) {
 //
 //memolint:must-check-error
 func (s *Store) deposit(key symbol.Key, dest *symbol.Key, payload []byte, token uint64, ot *opTrace) error {
-	canon := key.Canon()
+	var cb [canonBuf]byte
+	canon := key.AppendCanon(cb[:0])
 	// The store keeps a private copy, made outside any lock.
 	val := bytes.Clone(payload)
 	si := int(s.shardIndex(key))
@@ -379,12 +440,11 @@ func (s *Store) deposit(key symbol.Key, dest *symbol.Key, payload []byte, token 
 	}
 	f := sh.getFold(canon)
 	var released []delayedEntry
-	var waiters []chan struct{}
 	var rel uint64
 	if dest == nil {
 		f.items = append(f.items, val)
 		released, f.delayed = f.delayed, nil
-		waiters, f.waiters = f.waiters, nil
+		f.wakeAll()
 	} else {
 		// Every hidden value gets a release token up front: its eventual
 		// re-deposit (possibly re-driven by crash recovery, possibly retried
@@ -407,7 +467,6 @@ func (s *Store) deposit(key symbol.Key, dest *symbol.Key, payload []byte, token 
 	} else {
 		s.puts.Inc()
 	}
-	wake(waiters)
 	// Deliver released delayed values after dropping the lock: their
 	// destinations may be remote, or even folders on this same store.
 	// Each delivery carries the entry's release token as its dedup token,
@@ -506,55 +565,56 @@ type readOp struct {
 
 // awaitTakeToken is the claim step every tokened destructive read runs
 // before touching a folder. The first caller for a token becomes the owner
-// (owner == true) and must execute the take, then resolve or abandon e. Any
-// other caller parks until the owner finishes and is answered from the
-// cached result — a retry can therefore never consume a second memo, even
-// racing its own original. An abandoned claim (owner canceled, or its log
-// died) wakes the parked retries to race for a fresh claim.
-func (s *Store) awaitTakeToken(token uint64, cancel <-chan struct{}, ot *opTrace) (*takeResult, *tokEntry, bool, error) {
+// (owner == true) and must execute the take, then resolve or abandon the
+// claim. Any other caller parks until the owner finishes and is answered from
+// the cached result — a retry can therefore never consume a second memo, even
+// racing its own original. An abandoned claim (owner canceled) wakes the
+// parked retries to race for a fresh claim.
+func (s *Store) awaitTakeToken(token uint64, cancel <-chan struct{}, ot *opTrace) (tokSlot, bool, error) {
 	for {
-		e, owner := s.tokens.claimTake(token)
-		if owner {
-			return nil, e, true, nil
-		}
-		if e.done != nil {
+		res, park, owner := s.tokens.claimTake(token)
+		switch {
+		case owner:
+			return res, true, nil
+		case park != nil:
 			tp := ot.clock()
 			select {
-			case <-e.done:
-				ot.parked(tp)
+			case <-park:
+				ot.parked(tp) // resolved or abandoned: look again
 			case <-cancel:
-				return nil, nil, false, ErrCanceled
+				return res, false, ErrCanceled
 			}
+		case res.kind == slotPut:
+			// A deposit used the token. Tokens are minted per operation from
+			// 64 random bits, so this is a collision or a protocol error;
+			// refuse rather than guess at an answer.
+			return res, false, fmt.Errorf("folder: take token %#x already applied by a deposit", token)
+		default:
+			return res, false, nil
 		}
-		if res := s.tokens.result(e); res != nil {
-			return res, nil, false, nil
-		}
-		if e.done == nil {
-			// The token is in the table with no take result: a deposit used
-			// it. Tokens are minted per operation from 64 random bits, so
-			// this is a collision or a protocol error; refuse rather than
-			// guess at an answer.
-			return nil, nil, false, fmt.Errorf("folder: take token %#x already applied by a deposit", token)
-		}
-		// Claim abandoned: loop and race to re-claim.
 	}
 }
 
 // takeFromCache answers a deduplicated take from its token's cached result:
 // waits out the original take record's durability (a cache hit must never
 // be acknowledged ahead of the removal it repeats), bumps the dup counter,
-// and hands back a private copy of the payload. ok is false for a cached
-// observed-empty miss.
-func (s *Store) takeFromCache(res *takeResult, ot *opTrace) (symbol.Key, []byte, bool, error) {
+// and hands back a private copy of the payload — the cached slice is the one
+// the original take returned. ok is false for a cached observed-empty miss.
+func (s *Store) takeFromCache(res tokSlot, ot *opTrace) (symbol.Key, []byte, bool, error) {
 	s.dupTakes.Inc()
-	if res.empty {
+	if res.kind == slotEmpty {
 		return symbol.Key{}, nil, false, nil
 	}
-	if err := s.barrier(res.shard, ot); err != nil {
+	if err := s.barrier(int(res.shard), ot); err != nil {
 		return symbol.Key{}, nil, false, err
 	}
-	return res.key, bytes.Clone(res.data), true, nil
+	key, err := symbol.ParseCanon(res.name)
+	return key, bytes.Clone(res.data), err == nil, err
 }
+
+// canonBuf is the stack buffer a request's folder name is built in: enough
+// for a symbol and four or five indices; a longer name spills to the heap.
+const canonBuf = 64
 
 // altGroup is the slice of a read's key set that lives on one shard: the
 // stripe index plus indices into the op's keys/canons.
@@ -570,12 +630,12 @@ var oneIdx = []int{0}
 // keys by shard, in ascending shard order (a deterministic scan order; locks
 // are only ever taken one at a time). Groups share one sorted index slice
 // instead of a map to keep the get_alt/watch path light on allocations.
-func (s *Store) plan(keys []symbol.Key) ([]string, []altGroup) {
-	canons := make([]string, len(keys))
+func (s *Store) plan(keys []symbol.Key) ([][]byte, []altGroup) {
+	canons := make([][]byte, len(keys))
 	shardOf := make([]uint64, len(keys))
 	idxs := make([]int, len(keys))
 	for i, k := range keys {
-		canons[i] = k.Canon()
+		canons[i] = k.AppendCanon(nil)
 		shardOf[i] = s.shardIndex(k)
 		idxs[i] = i
 	}
@@ -613,9 +673,9 @@ func (s *Store) read(op *readOp) (symbol.Key, []byte, bool, error) {
 		}
 		return symbol.Key{}, nil, false, nil
 	}
-	var claim *tokEntry // non-nil while this read owns an unresolved token
+	claim := false // true while this read owns an unresolved token
 	if op.token != 0 && op.mode == modeTake {
-		res, e, owner, err := s.awaitTakeToken(op.token, op.cancel, op.ot)
+		res, owner, err := s.awaitTakeToken(op.token, op.cancel, op.ot)
 		if err != nil {
 			return symbol.Key{}, nil, false, err
 		}
@@ -628,24 +688,27 @@ func (s *Store) read(op *readOp) (symbol.Key, []byte, bool, error) {
 			}
 			return k, out, ok, err
 		}
-		claim = e
+		claim = true
 	}
 
 	// The one-key plan lives in this frame: handing the arrays to a helper
 	// through a pointer moves them to the heap, on every get.
 	multi := len(op.keys) > 1
-	var canon1 [1]string
+	var cb [canonBuf]byte
+	var canon1 [1][]byte
 	var group1 [1]altGroup
 	canons, groups := canon1[:], group1[:]
 	if multi {
 		canons, groups = s.plan(op.keys)
 	} else {
-		canon1[0] = op.keys[0].Canon()
+		canon1[0] = op.keys[0].AppendCanon(cb[:0])
 		group1[0] = altGroup{si: int(s.shardIndex(op.keys[0])), idxs: oneIdx}
 	}
 
-	// w is made on first registration, so a read that finds its memo waiting
-	// never allocates it, and w == nil means nothing was ever registered.
+	// w is drawn from the pool on first registration, so a read that finds its
+	// memo waiting never touches it, and w == nil means nothing was ever
+	// registered. Every return below that can follow a registration leaves w
+	// off every list first and hands it back.
 	var w chan struct{}
 	for {
 		start := 0
@@ -673,7 +736,7 @@ func (s *Store) read(op *readOp) (symbol.Key, []byte, bool, error) {
 			var f *fold
 			for j := range g.idxs {
 				idx := g.idxs[(off+j)%len(g.idxs)]
-				if c, ok := sh.folders[canons[idx]]; ok && len(c.items) > 0 {
+				if c, ok := sh.folders[string(canons[idx])]; ok && len(c.items) > 0 {
 					found, f = idx, c
 					break
 				}
@@ -682,7 +745,7 @@ func (s *Store) read(op *readOp) (symbol.Key, []byte, bool, error) {
 			case found < 0:
 				if op.block {
 					if w == nil {
-						w = make(chan struct{}, 1)
+						w = waiterPool.Get().(chan struct{})
 					}
 					for _, idx := range g.idxs {
 						c := sh.getFold(canons[idx])
@@ -700,17 +763,17 @@ func (s *Store) read(op *readOp) (symbol.Key, []byte, bool, error) {
 						Type: durable.RecTake, Key: op.keys[found], Payload: val, Token: op.token,
 					})
 				}
-				if claim != nil {
+				if claim {
 					// Resolve inside the critical section that removed the
 					// item: snapshot cuts order against it (see the token
 					// dump in snapshot), and a parked retry still waits out
 					// the commit via the durability barrier in takeFromCache.
-					s.tokens.resolveTake(claim, &takeResult{
-						key: op.keys[found].Clone(), data: bytes.Clone(val), shard: si,
-					})
-					claim = nil
+					// The fact holds the folder's own name and the taken
+					// slice itself: nothing is copied, nothing allocated.
+					s.tokens.resolveTake(tokSlot{tok: op.token, kind: slotTake, shard: uint16(si), name: f.name, data: val})
+					claim = false
 				}
-				sh.gcFold(canons[found], f)
+				sh.gcFold(f)
 			case op.mode == modeCopy:
 				val = bytes.Clone(f.items[sh.nextRand()%uint64(len(f.items))])
 			}
@@ -724,6 +787,7 @@ func (s *Store) read(op *readOp) (symbol.Key, []byte, bool, error) {
 			if registered {
 				s.dropWaiter(groups, canons, w)
 			}
+			releaseWaiter(w)
 			key := op.keys[found]
 			switch op.mode {
 			case modeTake:
@@ -743,11 +807,11 @@ func (s *Store) read(op *readOp) (symbol.Key, []byte, bool, error) {
 			return key, val, true, nil
 		}
 		if !op.block {
-			if claim != nil {
+			if claim {
 				// The observed-empty miss is cached too — in memory only, an
 				// empty answer needs no durability — so a retried skip
 				// repeats its original's answer instead of sampling again.
-				s.tokens.resolveTake(claim, &takeResult{empty: true})
+				s.tokens.resolveTake(tokSlot{tok: op.token, kind: slotEmpty})
 			}
 			return symbol.Key{}, nil, false, nil
 		}
@@ -763,9 +827,10 @@ func (s *Store) read(op *readOp) (symbol.Key, []byte, bool, error) {
 			}
 		case <-op.cancel:
 			s.dropWaiter(groups, canons, w)
-			if claim != nil {
+			releaseWaiter(w)
+			if claim {
 				// A later retry re-executes instead of caching a non-answer.
-				s.tokens.abandonTake(op.token, claim)
+				s.tokens.abandonTake(op.token)
 			}
 			return symbol.Key{}, nil, false, ErrCanceled
 		}
@@ -775,29 +840,28 @@ func (s *Store) read(op *readOp) (symbol.Key, []byte, bool, error) {
 // untake puts a taken item back after a failed take commit. No record is
 // logged: commits only fail on a dead log, which accepts no records.
 func (s *Store) untake(key symbol.Key, val []byte) {
+	var cb [canonBuf]byte
 	sh := s.shardFor(key)
 	sh.mu.Lock()
-	f := sh.getFold(key.Canon())
+	f := sh.getFold(key.AppendCanon(cb[:0]))
 	f.items = append(f.items, val)
-	waiters := f.waiters
-	f.waiters = nil
+	f.wakeAll()
 	sh.mu.Unlock()
-	wake(waiters)
 }
 
 // dropWaiter removes w wherever it is still registered, one shard at a time,
 // and lets folders it was keeping alive vanish. Folders that never saw a
 // registration are scanned harmlessly.
-func (s *Store) dropWaiter(groups []altGroup, canons []string, w chan struct{}) {
+func (s *Store) dropWaiter(groups []altGroup, canons [][]byte, w chan struct{}) {
 	for _, g := range groups {
 		sh := &s.shards[g.si]
 		sh.mu.Lock()
 		for _, idx := range g.idxs {
-			if f, ok := sh.folders[canons[idx]]; ok {
+			if f, ok := sh.folders[string(canons[idx])]; ok {
 				if i := slices.Index(f.waiters, w); i >= 0 {
 					f.waiters = slices.Delete(f.waiters, i, i+1)
 				}
-				sh.gcFold(canons[idx], f)
+				sh.gcFold(f)
 			}
 		}
 		sh.mu.Unlock()
@@ -814,7 +878,9 @@ func (s *Store) Get(key symbol.Key, cancel <-chan struct{}) ([]byte, error) {
 
 // GetToken is Get carrying an at-most-once dedup token (0 = none): the
 // retry path for a maybe-executed destructive read. The caller receives the
-// same memo exactly once no matter how many attempts raced.
+// same memo exactly once no matter how many attempts raced. The slice a
+// tokened take returns is also the dedup table's cached answer for retries:
+// read it, encode it, do not write into it.
 //
 //memolint:must-check-error
 func (s *Store) GetToken(key symbol.Key, token uint64, cancel <-chan struct{}) ([]byte, error) {

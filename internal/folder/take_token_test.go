@@ -249,3 +249,109 @@ func TestTakeTokenSurvivesSnapshot(t *testing.T) {
 		t.Fatalf("MemoCount = %d, want 1", got)
 	}
 }
+
+// waitParked returns once a read is parked on k's folder.
+func waitParked(t *testing.T, s *Store, k symbol.Key) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.ShardStats(int(s.shardIndex(k))).Waiters == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no read ever parked")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestParkedClaimOutlivesNewerTokens: a get parked while more than a table's
+// worth of newer tokens pass — an idle worker on a busy job jar — must still
+// have its result cached when the take finally happens. An in-flight claim
+// is not evictable by age; were it, the retry below would consume "second".
+func TestParkedClaimOutlivesNewerTokens(t *testing.T) {
+	s := NewStore()
+	s.tokens.cap = 4
+	k, busy := symbol.K(1), symbol.K(2)
+	const tok = 1000
+	got := make(chan string, 1)
+	go func() {
+		v, err := s.GetToken(k, tok, nil)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- string(v)
+	}()
+	waitParked(t, s, k)
+	for i := uint64(1); i <= 5; i++ { // cap + 1 newer tokens pass
+		if err := s.PutToken(busy, []byte("x"), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.TokenStats(); st.Claims != 1 || st.Tokens != 4 || st.Evictions != 1 {
+		t.Fatalf("table with one parked claim and 5 puts through cap 4: %+v", st)
+	}
+	mustPut(t, s, k, "first")
+	if v := <-got; v != "first" {
+		t.Fatalf("parked get returned %q", v)
+	}
+	// The response is lost; the client retries under the same token.
+	mustPut(t, s, k, "second")
+	retry, err := s.GetToken(k, tok, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(retry) != "first" {
+		t.Fatalf("retry under the parked get's token got %q, want its original's %q: it consumed a second memo", retry, "first")
+	}
+	if st := s.Stats(); st.Takes != 1 || st.DupTakes != 1 || s.MemoCount() != 6 {
+		t.Fatalf("stats %+v, %d memos; want one take, one dedup, 6 memos left", st, s.MemoCount())
+	}
+}
+
+// TestReclaimedTokenKeepsItsWindow: a token abandoned by a canceled get and
+// claimed again by its retry is one fact with one FIFO position — the retry's.
+// A table that kept the abandoned position too would evict the live result
+// when the stale position came up: here after one newer token instead of four.
+func TestReclaimedTokenKeepsItsWindow(t *testing.T) {
+	s := NewStore()
+	s.tokens.cap = 4
+	k, busy := symbol.K(1), symbol.K(2)
+	const tok = 1000
+	cancel := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.GetToken(k, tok, cancel)
+		done <- err
+	}()
+	waitParked(t, s, k)
+	close(cancel)
+	if err := <-done; err != ErrCanceled {
+		t.Fatalf("canceled get: %v", err)
+	}
+	for i := uint64(1); i <= 3; i++ { // three older facts
+		if err := s.PutToken(busy, []byte("x"), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustPut(t, s, k, "first")
+	if v, err := s.GetToken(k, tok, nil); err != nil || string(v) != "first" {
+		t.Fatalf("retry after cancel: %q, %v", v, err)
+	}
+	// One newer token: the table is over its cap and forgets its oldest fact,
+	// which is put token 1 — not the take, which is the newest but one.
+	if err := s.PutToken(busy, []byte("x"), 4); err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, s, k, "second")
+	retry, err := s.GetToken(k, tok, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(retry) != "first" {
+		t.Fatalf("retry one token later got %q, want the cached %q: the take's result was evicted out of turn", retry, "first")
+	}
+	if err := s.PutToken(busy, []byte("x"), 1); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.DupPuts != 0 {
+		t.Fatalf("put token 1 should have been the one evicted: %+v", st)
+	}
+}

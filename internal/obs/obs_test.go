@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -237,5 +240,43 @@ func TestNewTraceID(t *testing.T) {
 			t.Fatalf("duplicate trace id %d in 100 draws", id)
 		}
 		seen[id] = true
+	}
+}
+
+// TestRuntimeSeries: the Go runtime series render in both expositions, the
+// counts as integers and the collector's CPU time as fractional seconds.
+func TestRuntimeSeries(t *testing.T) {
+	r := NewRegistry()
+	RegisterRuntime(r)
+	runtime.GC() // at least one cycle, so the collector has used some CPU
+	var b strings.Builder
+	if err := r.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	vals := map[string]float64{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if name, val, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			f, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				t.Fatalf("line %q: %v", line, err)
+			}
+			vals[name] = f
+		}
+	}
+	for _, name := range []string{"go_gc_cycles_total", "go_gc_cpu_seconds_total", "go_heap_live_bytes",
+		"go_alloc_bytes_total", "go_alloc_objects_total", "go_goroutines"} {
+		if vals[name] <= 0 {
+			t.Errorf("%s = %v, want a positive value\n%s", name, vals[name], b.String())
+		}
+	}
+	if !strings.Contains(b.String(), "# TYPE go_gc_cpu_seconds_total counter") {
+		t.Errorf("go_gc_cpu_seconds_total is not typed a counter:\n%s", b.String())
+	}
+	blob, err := json.Marshal(r.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(blob), `"name":"go_gc_cpu_seconds_total","kind":"counter"`) || !strings.Contains(string(blob), `"float":`) {
+		t.Errorf("JSON snapshot lacks the fractional series: %s", blob)
 	}
 }

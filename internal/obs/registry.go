@@ -32,11 +32,12 @@ func (k Kind) String() string {
 }
 
 // sample is one labeled time series under a metric name. Exactly one of
-// read/hist is set.
+// read/hist/float is set.
 type sample struct {
 	labels string // pre-rendered `{k="v",...}`, or ""
 	read   func() int64
 	hist   *Histogram
+	float  *float64 // a scrape-time value that is not a count (CPU seconds)
 }
 
 // series is one metric name: its help text, kind, and statically
@@ -173,15 +174,23 @@ type Emitter struct {
 	order  []*series
 }
 
-func (e *Emitter) emit(name, help string, kind Kind, labels map[string]string, v int64) {
+func (e *Emitter) add(name, help string, kind Kind, sm sample) {
 	s, ok := e.byName[name]
 	if !ok {
 		s = &series{name: name, help: help, kind: kind}
 		e.byName[name] = s
 		e.order = append(e.order, s)
 	}
-	val := v
-	s.samples = append(s.samples, sample{labels: RenderLabels(labels), read: func() int64 { return val }})
+	s.samples = append(s.samples, sm)
+}
+
+func (e *Emitter) emit(name, help string, kind Kind, labels map[string]string, v int64) {
+	e.add(name, help, kind, sample{labels: RenderLabels(labels), read: func() int64 { return v }})
+}
+
+// emitFloat emits one unlabeled fractional sample.
+func (e *Emitter) emitFloat(name, help string, kind Kind, v float64) {
+	e.add(name, help, kind, sample{float: &v})
 }
 
 // Counter emits one counter sample.
@@ -231,7 +240,13 @@ func (r *Registry) WriteProm(w io.Writer) error {
 				}
 				continue
 			}
-			if _, err := fmt.Fprintf(w, "%s%s %d\n", s.name, sm.labels, sm.read()); err != nil {
+			var err error
+			if sm.float != nil {
+				_, err = fmt.Fprintf(w, "%s%s %g\n", s.name, sm.labels, *sm.float)
+			} else {
+				_, err = fmt.Fprintf(w, "%s%s %d\n", s.name, sm.labels, sm.read())
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -278,6 +293,7 @@ type seriesJSON struct {
 type sampleJSON struct {
 	Labels string         `json:"labels,omitempty"`
 	Value  *int64         `json:"value,omitempty"`
+	Float  *float64       `json:"float,omitempty"`
 	Hist   *histogramJSON `json:"histogram,omitempty"`
 }
 
@@ -310,6 +326,10 @@ func (r *Registry) Snapshot() []seriesJSON {
 					hj.Buckets[le] = n
 				}
 				sj.Samples = append(sj.Samples, sampleJSON{Labels: sm.labels, Hist: hj})
+				continue
+			}
+			if sm.float != nil {
+				sj.Samples = append(sj.Samples, sampleJSON{Labels: sm.labels, Float: sm.float})
 				continue
 			}
 			v := sm.read()

@@ -167,14 +167,16 @@ var dispatchTaskPool = sync.Pool{New: func() any {
 }}
 
 // recycleTask resets t and returns it to the pool. The reset keeps the
-// request's key-extension and key-list capacity — exactly what
-// DecodeRequestInto's reuse branches refill — while dropping every
-// reference into the (possibly already released) frame, so a parked task
+// request's key-extension and key-list capacity and its App string (a Go
+// string of its own, not frame bytes) — exactly what DecodeRequestInto's
+// reuse branches refill or keep — while dropping every reference into the
+// (possibly already released) frame, so a parked task
 // never pins a recycled buffer and never dangles aliased bytes. Only call
 // it when t.cc is known unclosed.
 func recycleTask(t *dispatchTask) {
 	t.s, t.fb = nil, nil
 	t.q = wire.Request{
+		App:  t.q.App,
 		Key:  symbol.Key{X: t.q.Key.X[:0]},
 		Key2: symbol.Key{X: t.q.Key2.X[:0]},
 		Keys: t.q.Keys[:0],

@@ -146,17 +146,24 @@ func (k Key) Equal(o Key) bool {
 // Canon returns the canonical string form of the key, usable as a map key.
 // The form is "S/x0.x1.x2"; an empty vector yields just "S".
 func (k Key) Canon() string {
-	var b strings.Builder
-	b.WriteString(strconv.FormatUint(uint64(k.S), 10))
+	var buf [64]byte
+	return string(k.AppendCanon(buf[:0]))
+}
+
+// AppendCanon appends the canonical form to b: with a stack buffer a lookup
+// by name (m[string(b)]) costs no allocation, and only the party that keeps
+// the name pays for a string.
+func (k Key) AppendCanon(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(k.S), 10)
 	for i, x := range k.X {
 		if i == 0 {
-			b.WriteByte('/')
+			b = append(b, '/')
 		} else {
-			b.WriteByte('.')
+			b = append(b, '.')
 		}
-		b.WriteString(strconv.FormatUint(uint64(x), 10))
+		b = strconv.AppendUint(b, uint64(x), 10)
 	}
-	return b.String()
+	return b
 }
 
 // Hash returns a stable 64-bit FNV-1a hash of the key. Every host must
@@ -192,28 +199,31 @@ func (k Key) Clone() Key {
 
 // ParseCanon parses a string produced by Canon.
 func ParseCanon(s string) (Key, error) {
-	symPart := s
-	var vecPart string
-	if i := strings.IndexByte(s, '/'); i >= 0 {
-		symPart, vecPart = s[:i], s[i+1:]
-	}
+	var k Key
+	err := ParseCanonInto(&k, s)
+	return k, err
+}
+
+// ParseCanonInto is ParseCanon into k's own storage: the index vector's
+// capacity is reused, so a loop parsing many names into one Key allocates
+// only when a vector outgrows every one before it.
+func ParseCanonInto(k *Key, s string) error {
+	symPart, vecPart, _ := strings.Cut(s, "/")
 	sv, err := strconv.ParseUint(symPart, 10, 64)
 	if err != nil {
-		return Key{}, fmt.Errorf("symbol: bad canonical key %q: %v", s, err)
+		return fmt.Errorf("symbol: bad canonical key %q: %v", s, err)
 	}
-	k := Key{S: Symbol(sv)}
-	if vecPart != "" {
-		parts := strings.Split(vecPart, ".")
-		k.X = make([]uint32, len(parts))
-		for i, p := range parts {
-			xv, err := strconv.ParseUint(p, 10, 32)
-			if err != nil {
-				return Key{}, fmt.Errorf("symbol: bad canonical key %q: %v", s, err)
-			}
-			k.X[i] = uint32(xv)
+	k.S, k.X = Symbol(sv), k.X[:0]
+	for more := vecPart != ""; more; {
+		var p string
+		p, vecPart, more = strings.Cut(vecPart, ".")
+		xv, err := strconv.ParseUint(p, 10, 32)
+		if err != nil {
+			return fmt.Errorf("symbol: bad canonical key %q: %v", s, err)
 		}
+		k.X = append(k.X, uint32(xv))
 	}
-	return k, nil
+	return nil
 }
 
 func putU64(b []byte, v uint64) {

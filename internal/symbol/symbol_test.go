@@ -188,3 +188,37 @@ func TestNamesSorted(t *testing.T) {
 		t.Fatalf("Names() = %v", names)
 	}
 }
+
+// TestCanonAllocs: a name built in a caller's buffer costs nothing, Canon
+// costs its string, and parsing names into one reused Key costs nothing.
+func TestCanonAllocs(t *testing.T) {
+	k := K(1<<40, 7, 1<<31, 3)
+	var buf [64]byte
+	var out []byte
+	if n := testing.AllocsPerRun(100, func() { out = k.AppendCanon(buf[:0]) }); n != 0 {
+		t.Errorf("AppendCanon into a stack buffer allocates %v times", n)
+	}
+	if string(out) != k.Canon() {
+		t.Fatalf("AppendCanon %q, Canon %q", out, k.Canon())
+	}
+	var s string
+	if n := testing.AllocsPerRun(100, func() { s = k.Canon() }); n > 1 {
+		t.Errorf("Canon allocates %v times, want its string only", n)
+	}
+	var into Key
+	if n := testing.AllocsPerRun(100, func() {
+		if err := ParseCanonInto(&into, s); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ParseCanonInto a reused key allocates %v times", n)
+	}
+	if !into.Equal(k) {
+		t.Fatalf("parsed %v, want %v", into, k)
+	}
+	for _, bad := range []string{"1/2.", "1/.2", "1/2..3"} {
+		if err := ParseCanonInto(&into, bad); err == nil {
+			t.Errorf("ParseCanonInto(%q) succeeded, want error", bad)
+		}
+	}
+}

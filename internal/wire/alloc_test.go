@@ -16,13 +16,18 @@ func TestAppendRequestRoundTripAllocFree(t *testing.T) {
 	// A keyed put and a multi-key alt_take: both extension-slot reuse
 	// (keyInto) and key-list reuse (DecodeRequestInto) are on the gated
 	// path, so keyed workloads stay allocation-free too — not just pings.
+	// Both carry the application's name, as every request does: decoded into
+	// a reused Request it is the same string each time, so it too costs
+	// nothing (strKeep).
 	put := &Request{
 		Op:      OpPut,
+		App:     "invert",
 		Key:     symbol.K(7, 1, 2),
 		Payload: []byte("a memo payload of moderate length"),
 	}
 	alt := &Request{
 		Op:   OpAltTake,
+		App:  "invert",
 		Keys: []symbol.Key{symbol.K(1, 9), symbol.K(2), symbol.K(3, 4, 5)},
 	}
 	buf := make([]byte, 0, 256)
@@ -40,7 +45,7 @@ func TestAppendRequestRoundTripAllocFree(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("append/decode round trip allocates %.1f/op, want 0", allocs)
 	}
-	if dec.Op != alt.Op || len(dec.Keys) != 3 {
+	if dec.Op != alt.Op || len(dec.Keys) != 3 || dec.App != alt.App {
 		t.Fatalf("round trip diverged: %+v", dec)
 	}
 }

@@ -280,7 +280,12 @@ func (r *reader) byte() byte {
 	return b
 }
 
-func (r *reader) str() string {
+func (r *reader) str() string { return r.strKeep("") }
+
+// strKeep is str for a reused message: when the field's bytes equal old it
+// returns old itself, so decoding the same application name into a pooled
+// request, request after request, allocates no string.
+func (r *reader) strKeep(old string) string {
 	n := r.u64()
 	if r.err != nil {
 		return ""
@@ -289,9 +294,12 @@ func (r *reader) str() string {
 		r.err = ErrTruncated
 		return ""
 	}
-	s := string(r.buf[r.pos : r.pos+int(n)])
+	b := r.buf[r.pos : r.pos+int(n)]
 	r.pos += int(n)
-	return s
+	if string(b) == old {
+		return old
+	}
+	return string(b)
 }
 
 // bytes returns the next length-prefixed byte field ALIASED into the read
@@ -412,13 +420,14 @@ func DecodeRequest(buf []byte) (*Request, error) {
 }
 
 // DecodeRequestInto parses a request into q, reusing q's Keys and key
-// extension-slot capacity — the pooled-request decode path. Every field of
-// q is overwritten (Token and the trace fields are zeroed: they travel as
+// extension-slot capacity, and its App string when the name on the wire is
+// the same — the pooled-request decode path. Every field of q is
+// overwritten (Token and the trace fields are zeroed: they travel as
 // batch-entry extensions, not in this codec). q.Payload ALIASES buf.
 func DecodeRequestInto(q *Request, buf []byte) error {
 	r := &reader{buf: buf}
 	q.Op = Op(r.byte())
-	q.App = r.str()
+	q.App = r.strKeep(q.App)
 	q.FolderID = int(r.u64())
 	q.Hops = int(r.u64())
 	r.keyInto(&q.Key)

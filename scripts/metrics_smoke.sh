@@ -58,7 +58,9 @@ scrape 127.0.0.1:7641 "$tmp/memo-metrics" || {
 for series in rpc_calls_total rpc_call_ns node_local_ops_total \
 	pool_gets_total transport_dials_total durable_appends_total \
 	transport_tcp_reads_total transport_tcp_writes_total \
-	durable_wal_bytes durable_snapshot_bytes durable_snapshot_records_total; do
+	durable_wal_bytes durable_snapshot_bytes durable_snapshot_records_total \
+	go_gc_cycles_total go_gc_cpu_seconds_total go_heap_live_bytes \
+	go_alloc_bytes_total go_alloc_objects_total go_goroutines; do
 	grep -q "^# TYPE $series " "$tmp/memo-metrics" || {
 		echo "memoserverd /metrics missing $series" >&2
 		cat "$tmp/memo-metrics" >&2
@@ -95,10 +97,23 @@ put_out="$("$tmp/memo" put -adf "$tmp/smoke.adf" -addr 127.0.0.1:7640 -host smok
 # The node's collector walks its folder servers, which exist once an
 # application is registered: the folder_* series appear from here on.
 scrape 127.0.0.1:7641 "$tmp/memo-metrics"
-for series in folder_puts_total folder_memos rpc_frames_total; do
+for series in folder_puts_total folder_memos rpc_frames_total \
+	folder_tokens folder_token_evictions_total folder_take_cache_bytes \
+	folder_claims_inflight; do
 	grep -q "^# TYPE $series " "$tmp/memo-metrics" || {
 		echo "memoserverd /metrics missing $series after register" >&2
 		cat "$tmp/memo-metrics" >&2
+		exit 1
+	}
+done
+# Allocations per op is go_alloc_objects_total over rpc_server_requests_total:
+# both must be there as plain positive numbers, and the put's dedup token
+# must show in the table's gauge.
+for series in go_alloc_objects_total rpc_server_requests_total folder_tokens; do
+	awk -v s="$series" '{ n = $1; sub(/\{.*/, "", n) } n == s && $NF > 0 { ok = 1 } END { exit !ok }' \
+		"$tmp/memo-metrics" || {
+		echo "memoserverd /metrics: $series is not positive after a put" >&2
+		grep "^$series" "$tmp/memo-metrics" >&2 || true
 		exit 1
 	}
 done
