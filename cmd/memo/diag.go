@@ -6,13 +6,13 @@
 //
 // Both subcommands scrape the daemons' debug endpoints (-debug-addr):
 // `top` renders one row per node from /statusz (which embeds the /metrics
-// snapshot, the slow-request totals, and peer-link health), and `trace`
-// fetches one trace ID's samples from every node's /tracez ring and merges
-// them into a single time-ordered span timeline — the entry node holds the
-// full tree, relay nodes hold their subtrees, and the merge dedups the
-// overlap. Node addresses come from -nodes (name=addr pairs) or from daemon
-// ready files, whose `debug <addr>` line memoserverd writes when started
-// with both -ready-file and -debug-addr.
+// snapshot and peer-link health), and `trace` fetches one trace ID's samples
+// (sampled trees and slow requests alike) from every node's /tracez and
+// merges them into a single time-ordered span timeline — the entry node
+// holds the full tree, relay nodes hold their subtrees, and the merge dedups
+// the overlap. Node addresses come from -nodes (name=addr pairs) or from
+// daemon ready files, whose `debug <addr>` line memoserverd writes when
+// started with both -ready-file and -debug-addr.
 package main
 
 import (
@@ -108,9 +108,7 @@ type statuszView struct {
 			Value *int64 `json:"value,omitempty"`
 		} `json:"samples"`
 	} `json:"metrics"`
-	Links    json.RawMessage `json:"links"`
-	SlowTot  int64           `json:"slow_requests_total"`
-	TraceTot int64           `json:"traces_total"`
+	Links json.RawMessage `json:"links"`
 }
 
 // sum adds every sample of one series (all label sets).
@@ -203,8 +201,8 @@ func renderTop(w io.Writer, targets []nodeTarget) {
 			st.sum("rpc_server_requests_total"),
 			st.sum("folder_memos"),
 			st.sum("folder_delayed_hidden"),
-			st.SlowTot,
-			st.TraceTot,
+			st.sum("slow_requests_total"),
+			st.sum("trace_samples_total"),
 			st.linkSummary())
 	}
 	tw.Flush()
@@ -243,15 +241,13 @@ func runTrace(args []string) int {
 	seen := map[string]bool{}
 	scraped := 0
 	for _, t := range targets {
-		var body struct {
-			Recent []obs.TraceSample `json:"recent"`
-		}
+		var body obs.TracezBody
 		if err := scrapeJSON(t.Addr, "/tracez?trace="+id, &body); err != nil {
 			fmt.Fprintf(os.Stderr, "memo trace: node %s: %v\n", t.Name, err)
 			continue
 		}
 		scraped++
-		for _, ts := range body.Recent {
+		for _, ts := range append(body.Recent, body.Slow...) {
 			for _, sp := range ts.Spans {
 				key := fmt.Sprintf("%s|%s|%s|%d|%d|%d|%d", sp.Node, sp.Layer, sp.Op, sp.Hop, sp.Start, sp.Dur, sp.Wait)
 				if seen[key] {
@@ -267,7 +263,7 @@ func runTrace(args []string) int {
 		return exitErr
 	}
 	if len(spans) == 0 {
-		fmt.Fprintf(os.Stderr, "memo trace: trace %s not found on %d node(s) (ring evicted, or never sampled)\n", id, scraped)
+		fmt.Fprintf(os.Stderr, "memo trace: trace %s not found on %d node(s) (ring evicted, or neither sampled nor slow)\n", id, scraped)
 		return exitErr
 	}
 	sort.SliceStable(spans, func(i, j int) bool {

@@ -28,6 +28,7 @@ import (
 	"repro/internal/memoserver"
 	"repro/internal/obs"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // peerMap resolves logical host names to TCP addresses.
@@ -92,10 +93,9 @@ func register(fs *flag.FlagSet) *config {
 	fs.StringVar(&n.DataDir, "data-dir", "", "directory for folder-server durability (per-shard WAL + snapshots); empty keeps folders in memory only")
 	fs.Var(syncFlag{&n.Durable.Sync}, "fsync", "WAL sync `mode`: batch (group commit), always (fsync per record), never (trust the OS cache)")
 	fs.IntVar(&n.Durable.SnapshotEvery, "snapshot-every", 0, "minimum records between WAL snapshot+truncate cycles (0 = default, negative = never)")
-	fs.StringVar(&c.debugAddr, "debug-addr", "", "serve the debug endpoints (/metrics, /statusz, /slowz, /tracez, /debug/pprof/) on this address (e.g. localhost:6060); empty disables them")
-	fs.DurationVar(&n.SlowRequestThreshold, "slow-request-threshold", 0, "record requests that take at least this long in the slow-request log (/slowz); 0 disables span timing")
+	fs.StringVar(&c.debugAddr, "debug-addr", "", "serve the debug endpoints (/metrics, /statusz, /tracez, /debug/pprof/) on this address (e.g. localhost:6060); empty disables them")
+	fs.DurationVar(&n.SlowRequestThreshold, "slow-request-threshold", 0, "record requests that take at least this long as slow (the slow section of /tracez, and a log line each), naming untraced ones with a trace ID; 0 times no request on this account")
 	fs.Float64Var(&n.TraceSample, "trace-sample", 0, "span-sample this fraction of entry requests (1 = all, 0.01 = every 100th, 0 = none) into /tracez; requests another node sampled are always traced through")
-	fs.IntVar(&n.TraceRingSize, "trace-ring", 0, "sampled traces kept in the /tracez ring (0 = default 256)")
 	fs.StringVar(&c.readyFile, "ready-file", "", "after the listener is bound, atomically write the actual TCP address here (supports -listen :0; harnesses poll this file for readiness). With -debug-addr a second line `debug <addr>` names the debug endpoint")
 	return c
 }
@@ -134,11 +134,11 @@ func main() {
 	node := memoserver.NewWithDialer(c.host, mt, c.node)
 	node.RegisterMetrics(obs.Default)
 	obs.RegisterRuntime(obs.Default)
-	// Each slow span goes to the daemon log besides the /slowz ring, so
-	// operators see them without polling. No-op on a nil log.
-	node.SlowLog().SetEmit(func(e obs.SlowEntry) {
-		log.Printf("slow request trace=%x hop=%d op=%s folder=%d at=%s took=%v",
-			e.Trace, e.Hop, e.Op, e.Folder, e.Where, e.Dur)
+	// Each slow request goes to the daemon log besides the /tracez ring, so
+	// operators see them without polling.
+	node.Tracer().OnSlow(func(trace uint64, sp wire.Span) {
+		log.Printf("slow request trace=%#x hop=%d op=%s folder=%d at=%s took=%v",
+			trace, sp.Hop, sp.Op, sp.Folder, sp.Node, time.Duration(sp.Dur))
 	})
 	if err := node.Start(); err != nil {
 		log.Fatal(err)
@@ -165,7 +165,7 @@ func main() {
 }
 
 // ready publishes that the daemon is serving on addr. With -debug-addr it
-// first starts the debug server — /metrics, /statusz, /slowz, /tracez and
+// first starts the debug server — /metrics, /statusz, /tracez and
 // pprof on one listener; off by default, and when enabled, bind a loopback
 // address unless you mean to expose the profiler. With -ready-file it then
 // writes addr and a `debug <addr>` line (`memo top` and the e2e forensics
@@ -175,9 +175,8 @@ func (c *config) ready(addr string, node *memoserver.Node) *obs.DebugServer {
 	ready := addr + "\n"
 	var debug *obs.DebugServer
 	if c.debugAddr != "" {
-		debug = obs.NewDebugServer(c.debugAddr, []*obs.Registry{obs.Default}, node.SlowLog(),
-			obs.WithTraceRing(node.Tracer().Ring()),
-			obs.WithLinkStatus(func() any { return node.LinkStats() }))
+		debug = obs.NewDebugServer(c.debugAddr, []*obs.Registry{obs.Default}, node.Tracer(),
+			func() any { return node.LinkStats() })
 		if err := debug.Start(); err != nil {
 			log.Fatalf("debug server: %v", err)
 		}

@@ -17,7 +17,7 @@ func TestFlagSurface(t *testing.T) {
 		"batch-bytes=0", "batch-max=0", "data-dir=", "debug-addr=", "fsync=batch",
 		"heartbeat-interval=5s", "host=", "idle-timeout=15s", "link-retries=2", "listen=:7440",
 		"no-thread-cache=false", "peer=", "ready-file=", "redial-backoff=50ms",
-		"slow-request-threshold=0s", "snapshot-every=0", "trace-ring=0", "trace-sample=0",
+		"slow-request-threshold=0s", "snapshot-every=0", "trace-sample=0",
 	}
 	fs := flag.NewFlagSet("memoserverd", flag.ContinueOnError)
 	register(fs)

@@ -1,8 +1,7 @@
 // Package bench is the experiment harness: one function per experiment in
 // DESIGN.md §4 (E1–E10), each returning a printable table reproducing a
 // figure or claim of the paper. cmd/dmemo-bench drives them from the command
-// line; the repository-root bench_test.go wraps them as testing.B
-// benchmarks. Numbers for this reproduction's own layers (batching, link
+// line. Numbers for this reproduction's own layers (batching, link
 // resilience, allocation, tracing overhead) are not here: the benchmark of
 // the running system is benchmark/, and the alloc budgets are tier-1 tests.
 package bench

@@ -22,51 +22,31 @@ type Server struct {
 	Host string
 
 	store *Store
-	// slow, when non-nil, records request spans at or over its threshold.
-	// Shared with the owning daemon (memoserverd hands every folder server
-	// its node-wide log), so one /slowz shows a request's spans across
-	// layers. Nil-safe throughout.
-	slow *obs.SlowLog
-	// where names this server in slow-log spans, e.g. "folder-3@bonnie".
+	// where names this server in spans, e.g. "folder-3@bonnie".
 	where string
 	// ownsStore marks a store this server opened itself (OpenServer): Close
 	// then flushes and closes its write-ahead log too.
 	ownsStore bool
 }
 
-// ServerOption tunes a Server.
-type ServerOption func(*Server)
-
-// WithSlowLog attaches a slow-request log: Handle records per-request spans
-// (trace ID, hop, op, duration) for requests at or over the log's threshold.
-func WithSlowLog(sl *obs.SlowLog) ServerOption {
-	return func(s *Server) { s.slow = sl }
-}
-
 // NewServer wraps a store. The threadcache.Config is unused — a folder server
 // runs on its caller's thread — and stays in the signature because
 // benchmark/ladder.go calls it.
-func NewServer(id int, host string, store *Store, _ threadcache.Config, opts ...ServerOption) *Server {
-	s := &Server{ID: id, Host: host, store: store}
-	for _, o := range opts {
-		o(s)
-	}
-	s.where = "folder-" + strconv.Itoa(id) + "@" + host
-	return s
+func NewServer(id int, host string, store *Store, _ threadcache.Config) *Server {
+	return &Server{ID: id, Host: host, store: store, where: "folder-" + strconv.Itoa(id) + "@" + host}
 }
 
 // OpenServer is the open-from-dir path: it opens (recovering if necessary)
 // a durable store from dir and wraps it in a Server that owns it — Close
 // flushes and closes the write-ahead log. storeOpts configure the store
-// (shards, forward hook); opts configure the server. The threadcache.Config
-// is unused, as in NewServer.
+// (shards, forward hook). The threadcache.Config is unused, as in NewServer.
 func OpenServer(id int, host, dir string, dcfg durable.Config, _ threadcache.Config,
-	storeOpts []Option, opts ...ServerOption) (*Server, error) {
+	storeOpts []Option) (*Server, error) {
 	store, err := OpenStore(dir, dcfg, storeOpts...)
 	if err != nil {
 		return nil, err
 	}
-	s := NewServer(id, host, store, threadcache.Config{}, opts...)
+	s := NewServer(id, host, store, threadcache.Config{})
 	s.ownsStore = true
 	return s, nil
 }
@@ -94,39 +74,32 @@ func (s *Server) Crash() {
 // thread: the memo server calls it on the cached thread that dispatched the
 // request. A blocking read respects cancel while it is parked, and only
 // then: a canceled read answers StatusCanceled, which says nothing was
-// consumed; one that had already taken a memo answers with the value. With a
-// slow log attached and enabled, each request is timed as one span (the
-// Enabled check is a single atomic load, so a disabled log costs no time.Now
-// on the hot path). A sampled request (one whose dispatch wrapper attached a
-// SpanSet) additionally threads an opTrace through the store and emits
-// folder and durable spans with the shard-lock wait, park time, and
-// group-commit wait it accumulated.
+// consumed; one that had already taken a memo answers with the value. A
+// sampled request (one whose dispatch wrapper attached a SpanSet) is timed,
+// threads an opTrace through the store, and emits folder and durable spans
+// with the shard-lock wait, park time, and group-commit wait it accumulated;
+// any other request takes no timestamp here — whether it was slow is the
+// dispatching memo server's to say, on the same thread.
 func (s *Server) Handle(q *wire.Request, cancel <-chan struct{}) *wire.Response {
-	traced := q.Sampled && q.Spans != nil
-	if !traced && !s.slow.Enabled() {
+	if !q.Sampled || q.Spans == nil {
 		resp, _ := s.handle(q, cancel, false)
 		return resp
 	}
 	start := time.Now()
-	resp, ot := s.handle(q, cancel, traced)
+	resp, ot := s.handle(q, cancel, true)
 	dur := time.Since(start)
-	if s.slow.Enabled() {
-		s.slow.Observe(q.TraceID, q.TraceHop, q.Op.String(), s.ID, s.where, dur)
+	startNS := start.UnixNano()
+	q.Spans.Add(wire.Span{Node: s.where, Layer: "folder", Op: q.Op.String(),
+		Folder: s.ID, Hop: q.Hops, Start: startNS, Dur: int64(dur), Wait: ot.lockWaitNS})
+	if ot.parkNS > 0 {
+		// Aggregate time parked waiting for a memo; anchored at the op
+		// start (the store does not track individual park intervals).
+		q.Spans.Add(wire.Span{Node: s.where, Layer: "folder", Op: "park",
+			Folder: s.ID, Hop: q.Hops, Start: startNS, Dur: ot.parkNS})
 	}
-	if traced {
-		startNS := start.UnixNano()
-		q.Spans.Add(wire.Span{Node: s.where, Layer: "folder", Op: q.Op.String(),
-			Folder: s.ID, Hop: q.TraceHop, Start: startNS, Dur: int64(dur), Wait: ot.lockWaitNS})
-		if ot.parkNS > 0 {
-			// Aggregate time parked waiting for a memo; anchored at the op
-			// start (the store does not track individual park intervals).
-			q.Spans.Add(wire.Span{Node: s.where, Layer: "folder", Op: "park",
-				Folder: s.ID, Hop: q.TraceHop, Start: startNS, Dur: ot.parkNS})
-		}
-		if ot.commitNS > 0 {
-			q.Spans.Add(wire.Span{Node: s.where, Layer: "durable", Op: "commit",
-				Folder: s.ID, Hop: q.TraceHop, Start: startNS, Dur: ot.commitNS})
-		}
+	if ot.commitNS > 0 {
+		q.Spans.Add(wire.Span{Node: s.where, Layer: "durable", Op: "commit",
+			Folder: s.ID, Hop: q.Hops, Start: startNS, Dur: ot.commitNS})
 	}
 	return resp
 }

@@ -29,27 +29,20 @@ type Client struct {
 
 	link    *rlink
 	retried obs.Counter
-	// trace arms request tracing: Do stamps a fresh trace ID on untraced
-	// requests, and the ID rides the wire hop by hop so every server's
-	// slow-request log names the same request.
-	trace bool
-	// sample additionally marks every request sampled, forcing span
-	// collection at every hop regardless of the servers' sampling rates.
+	// sample marks every request sampled under a fresh trace ID, forcing
+	// span collection at every hop regardless of the servers' sampling
+	// rates.
 	sample bool
 	// lastTrace remembers the trace ID of the most recent Do, so a caller
 	// (the memo CLI) can fetch the trace it just generated.
 	lastTrace atomic.Uint64
 }
 
-// EnableTracing makes Do stamp a trace ID on every untraced request.
-// Tracing is off by default: traceless requests stay byte-identical on the
-// wire to pre-trace clients.
-func (c *Client) EnableTracing() { c.trace = true }
-
 // EnableSampling makes Do mark every request sampled (and stamp a trace ID):
 // each hop collects spans and the entry memo server records the full tree in
-// its /tracez ring. Implies EnableTracing.
-func (c *Client) EnableSampling() { c.trace = true; c.sample = true }
+// its /tracez ring. Off by default: a plain client's requests carry no
+// extension bytes, and a server that wants to name them does so itself.
+func (c *Client) EnableSampling() { c.sample = true }
 
 // LastTraceID reports the trace ID stamped on the most recent Do (0 before
 // any traced request) — how `memo trace` learns which trace to fetch after
@@ -105,14 +98,14 @@ func (c *Client) Do(q *wire.Request, cancel <-chan struct{}) (*wire.Response, er
 	if q.App == "" {
 		q.App = c.App
 	}
-	if c.trace && q.TraceID == 0 {
-		// Stamped on the caller's request so it can correlate its own slow
-		// spans; like Token, the ID travels as a flagged batch-entry
-		// extension, not in the request codec.
-		q.TraceID = obs.NewTraceID()
-	}
 	if c.sample {
+		// Stamped on the caller's request so it can fetch the trace; like
+		// Token, the ID travels as a flagged batch-entry extension, not in
+		// the request codec.
 		q.Sampled = true
+		if q.TraceID == 0 {
+			q.TraceID = obs.NewTraceID()
+		}
 	}
 	if q.TraceID != 0 {
 		c.lastTrace.Store(q.TraceID)

@@ -106,19 +106,16 @@ type Config struct {
 	// defaults: group commit, snapshot every durable.DefaultSnapshotEvery
 	// records).
 	Durable durable.Config
-	// SlowRequestThreshold arms the slow-request log: requests whose
-	// dispatch (or folder-server handling) takes at least this long are
-	// recorded with their wire-propagated trace ID. Zero disables span
-	// timing entirely.
+	// SlowRequestThreshold arms slow-request recording: every dispatch is
+	// timed, a request that arrives without a trace ID is given one, and a
+	// dispatch that takes at least this long leaves a trace sample under
+	// that ID. Zero (the default) times nothing on its account.
 	SlowRequestThreshold time.Duration
 	// TraceSample is the span-sampling rate for requests that enter the
 	// cluster at this node: 1 samples every entry request, 1/n every nth,
 	// 0 (the default) samples none locally. Requests another node sampled
 	// are always traced through regardless — the sampled bit rides the wire.
 	TraceSample float64
-	// TraceRingSize bounds the per-node sampled-trace ring served at
-	// /tracez (0 = the obs default).
-	TraceRingSize int
 }
 
 // listenNet is the slice of a transport a Node drives directly; both
@@ -150,17 +147,12 @@ type Node struct {
 	listener transport.Listener
 	closed   bool
 
-	// slow is the node-wide slow-request log, shared with every folder
-	// server this node creates so one log shows a request's spans across
-	// layers. Nil-safe; disabled unless Config.SlowRequestThreshold > 0.
-	slow *obs.SlowLog
-	// tracer is the node's span-tracing front end: entry sampling at
-	// Config.TraceSample, span-set ownership around dispatch, and the
-	// /tracez ring. Always non-nil — a rate-0 node still collects spans for
-	// requests other nodes sampled.
+	// tracer is the node's one record of what requests did: entry sampling
+	// at Config.TraceSample, span-set ownership around dispatch, the
+	// Config.SlowRequestThreshold test, and the /tracez rings. Always
+	// non-nil — a rate-0 node still collects spans for requests other nodes
+	// sampled.
 	tracer *obs.Tracer
-	// where names this node in slow-log spans, e.g. "memo@glen-ellyn".
-	where string
 
 	// Counters for experiments and the node_* metric series (the same
 	// obs.Counter instances back both Stats and the registry).
@@ -211,27 +203,18 @@ func NewWithDialer(host string, t transport.Transport, cfg Config) *Node {
 }
 
 func newNode(host string, t listenNet, dial func(string, string) (transport.Conn, error), cfg Config) *Node {
-	n := &Node{
+	return &Node{
 		Host:     host,
 		net:      t,
 		cfg:      cfg,
 		dialFrom: dial,
 		pool:     threadcache.New(cfg.Cache),
-		where:    "memo@" + host,
+		tracer:   obs.NewTracer("memo@"+host, cfg.TraceSample, cfg.SlowRequestThreshold),
 	}
-	if cfg.SlowRequestThreshold > 0 {
-		n.slow = obs.NewSlowLog(cfg.SlowRequestThreshold, 0)
-	}
-	n.tracer = obs.NewTracer(n.where, cfg.TraceSample, cfg.TraceRingSize)
-	return n
 }
 
-// SlowLog exposes the node's slow-request log (nil when disabled); the
-// daemon wires its emit callback and /slowz endpoint to it.
-func (n *Node) SlowLog() *obs.SlowLog { return n.slow }
-
-// Tracer exposes the node's span tracer; the daemon serves its ring at
-// /tracez.
+// Tracer exposes the node's tracer; the daemon serves its rings at /tracez
+// and hangs its slow-request log line off it.
 func (n *Node) Tracer() *obs.Tracer { return n.tracer }
 
 // Start binds the memo-server address and begins serving.
@@ -385,8 +368,7 @@ func (n *Node) RegisterApp(f *adf.File) error {
 			// own directory; the server owns the store and flushes its log
 			// on Close.
 			dir := filepath.Join(n.cfg.DataDir, f.App, fmt.Sprintf("folder-%d", fs.ID))
-			srv, err := folder.OpenServer(fs.ID, n.Host, dir, n.cfg.Durable, threadcache.Config{},
-				opts, folder.WithSlowLog(n.slow))
+			srv, err := folder.OpenServer(fs.ID, n.Host, dir, n.cfg.Durable, threadcache.Config{}, opts)
 			if err != nil {
 				for _, s := range app.local {
 					s.Close()
@@ -397,8 +379,7 @@ func (n *Node) RegisterApp(f *adf.File) error {
 			continue
 		}
 		store := folder.NewStore(opts...)
-		app.local[fs.ID] = folder.NewServer(fs.ID, n.Host, store, threadcache.Config{},
-			folder.WithSlowLog(n.slow))
+		app.local[fs.ID] = folder.NewServer(fs.ID, n.Host, store, threadcache.Config{})
 	}
 
 	if _, loaded := n.apps.LoadOrStore(f.App, app); loaded {
@@ -443,42 +424,30 @@ func (n *Node) lookupApp(name string) (*App, bool) {
 
 // Dispatch routes one request: to a local folder server, or toward the
 // target host via the next-hop memo server. It blocks for the response
-// (which may wait on a folder), honouring cancel. With the slow-request log
-// armed, each dispatch is timed as one span under this node's name (the
-// disabled check is one atomic load — no time.Now on an uninstrumented
-// daemon). Sampled requests — entry requests the tracer admits, or requests
-// that arrived with the sampled bit set — additionally own a span set for
-// the duration of the dispatch: every layer below appends into it, and
-// Finish records the completed set into the /tracez ring and ships it back
-// toward the entry node on the response.
+// (which may wait on a folder), honouring cancel. The tracer decides what
+// the request leaves behind. With sampling and the slow-request threshold
+// both off, nothing: two checks, no time.Now. With the threshold armed the
+// dispatch is timed as one span under this node's name, and recorded when it
+// ran that long. A sampled request — an entry request the tracer admits, or
+// one that arrived with the sampled bit set — additionally owns a span set
+// for the duration of the dispatch: every layer below appends into it, and
+// Finish records the completed set for /tracez and ships it back toward the
+// entry node on the response.
 func (n *Node) Dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response {
 	set := n.tracer.Begin(q)
-	if set == nil && !n.slow.Enabled() {
+	if set == nil && n.tracer.Threshold() == 0 {
 		return n.dispatch(q, cancel)
 	}
 	start := time.Now()
 	resp := n.dispatch(q, cancel)
-	dur := time.Since(start)
-	if n.slow.Enabled() {
-		n.slow.Observe(q.TraceID, q.TraceHop, q.Op.String(), q.FolderID, n.where, dur)
+	own := wire.Span{Layer: "memo", Op: q.Op.String(), Folder: q.FolderID,
+		Hop: q.Hops, Start: start.UnixNano(), Dur: int64(time.Since(start))}
+	if q.EnqueueNS > 0 && own.Start > q.EnqueueNS {
+		// Time spent in the rpc dispatch queue before a thread picked the
+		// request up (stamped by the rpc server only on sampled entries).
+		own.Wait = own.Start - q.EnqueueNS
 	}
-	if set != nil {
-		startNS := start.UnixNano()
-		var wait int64
-		if q.EnqueueNS > 0 && startNS > q.EnqueueNS {
-			// Time spent in the rpc dispatch queue before a thread picked the
-			// request up (stamped by the rpc server only on sampled entries).
-			wait = startNS - q.EnqueueNS
-		}
-		set.Add(wire.Span{Layer: "memo", Op: q.Op.String(), Folder: q.FolderID,
-			Hop: q.TraceHop, Start: startNS, Dur: int64(dur), Wait: wait})
-		resp = n.tracer.Finish(q, set, resp)
-	} else if n.slow.Enabled() && dur >= n.slow.Threshold() {
-		// Slow but unsampled: record a single-span sample so /tracez always
-		// has the requests /slowz complains about, even at -trace-sample 0.
-		n.tracer.RecordSlow(q, "memo", q.Op.String(), start, dur)
-	}
-	return resp
+	return n.tracer.Finish(q, set, own, resp)
 }
 
 // dispatch addresses q by its verb's scope in the wire op table: the node
@@ -572,7 +541,6 @@ func (n *Node) forward(app *App, q *wire.Request, targetHost string, cancel <-ch
 	// stays as it arrived.
 	fq := *q
 	fq.Hops = q.Hops + 1
-	fq.TraceHop = q.TraceHop + 1
 	n.forwards.Inc()
 	var linkStartNS int64
 	if q.Sampled && q.Spans != nil {
@@ -597,7 +565,7 @@ func (n *Node) forward(app *App, q *wire.Request, targetHost string, cancel <-ch
 			resp.Spans = nil
 		}
 		q.Spans.Add(wire.Span{Layer: "link", Op: hop, Folder: q.FolderID,
-			Hop: q.TraceHop, Start: linkStartNS, Dur: time.Now().UnixNano() - linkStartNS})
+			Hop: q.Hops, Start: linkStartNS, Dur: time.Now().UnixNano() - linkStartNS})
 	}
 	return resp
 }
@@ -706,15 +674,16 @@ func (n *Node) LinkStats() []LinkStat {
 }
 
 // RegisterMetrics attaches this node's series to reg: the node_* routing
-// counters (same obs.Counter instances Stats reads), plus a scrape-time
-// collector that walks the node's folder servers (their folder_* series)
-// and sums peer-link health into the node_link_* series — the registry view
-// of LinkStats.
+// counters (same obs.Counter instances Stats reads), the tracer's two
+// totals, plus a scrape-time collector that walks the node's folder servers
+// (their folder_* series) and sums peer-link health into the node_link_*
+// series — the registry view of LinkStats.
 func (n *Node) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("node_local_ops_total", "requests resolved on this host", nil, &n.localOps)
 	reg.RegisterCounter("node_forwards_total", "requests forwarded to a peer memo server", nil, &n.forwards)
 	reg.RegisterCounter("node_retried_total", "forwarded calls re-issued after a link failure", nil, &n.retried)
 	reg.RegisterCounter("node_apps_registered_total", "application registrations", nil, &n.registered)
+	n.tracer.RegisterMetrics(reg)
 	reg.RegisterCollector(func(e *obs.Emitter) {
 		n.apps.Range(func(_, v any) bool {
 			app := v.(*App)

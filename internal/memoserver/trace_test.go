@@ -21,7 +21,7 @@ func TestCrossNodeTracedPutSpanTree(t *testing.T) {
 		t.Fatalf("put: %+v %v", resp, err)
 	}
 
-	samples := tn.nodes["a"].Tracer().Ring().Recent()
+	samples := tn.nodes["a"].Tracer().Sampled.Recent()
 	if len(samples) != 1 {
 		t.Fatalf("entry ring holds %d samples, want 1", len(samples))
 	}
@@ -76,7 +76,7 @@ func TestClientForcedSampling(t *testing.T) {
 	if id == 0 {
 		t.Fatal("LastTraceID = 0 after a sampled request")
 	}
-	got := tn.nodes["a"].Tracer().Ring().Get(id)
+	got := tn.nodes["a"].Tracer().Sampled.Get(id)
 	if len(got) != 1 {
 		t.Fatalf("entry ring has %d samples for trace %#x, want 1", len(got), id)
 	}
@@ -90,7 +90,7 @@ func TestClientForcedSampling(t *testing.T) {
 		}
 	}
 	// Relay node b collected its half too.
-	if rb := tn.nodes["b"].Tracer().Ring().Get(id); len(rb) == 0 {
+	if rb := tn.nodes["b"].Tracer().Sampled.Get(id); len(rb) == 0 {
 		t.Error("relay node recorded no sample for the forced trace")
 	}
 }
@@ -105,7 +105,7 @@ func TestUnsampledRequestsLeaveNoTrace(t *testing.T) {
 		t.Fatalf("put: %+v %v", resp, err)
 	}
 	for name, n := range tn.nodes {
-		if got := n.Tracer().Ring().Recorded(); got != 0 {
+		if got := n.Tracer().Sampled.Recorded() + n.Tracer().Slow.Recorded(); got != 0 {
 			t.Errorf("node %s recorded %d samples with tracing off", name, got)
 		}
 	}

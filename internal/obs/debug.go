@@ -14,50 +14,31 @@ import (
 
 // DebugServer is the one debug HTTP endpoint a daemon exposes (-debug-addr):
 // /metrics (Prometheus text format over every attached registry), /statusz
-// (JSON snapshot plus recent slow requests and link health), /slowz (the
-// slow-request ring alone), /tracez (the sampled-trace ring), and
+// (JSON snapshot plus recent slow requests and link health), /tracez (the
+// tracer's two rings: sampled trees and slow requests), and
 // /debug/pprof/* (the net/http/pprof handlers, mounted on this server's own
 // mux rather than a bare http.ListenAndServe goroutine — so profiling shares
 // the lifecycle, the listener closes on Shutdown, and a serve error surfaces
 // on Done instead of being logged and lost).
 type DebugServer struct {
-	regs  []*Registry
-	slow  *SlowLog
-	ring  *TraceRing
-	links func() any
+	regs   []*Registry
+	tracer *Tracer
+	links  func() any
 
 	ln   net.Listener
 	srv  *http.Server
 	done chan error
 }
 
-// DebugOption customizes a DebugServer at construction.
-type DebugOption func(*DebugServer)
-
-// WithTraceRing attaches the node's sampled-trace ring: /tracez serves it,
-// and /statusz reports its totals.
-func WithTraceRing(r *TraceRing) DebugOption {
-	return func(d *DebugServer) { d.ring = r }
-}
-
-// WithLinkStatus attaches a per-scrape link-health snapshot (a daemon's
-// Node.LinkStats or a client's Stats) rendered under "links" in /statusz.
-func WithLinkStatus(fn func() any) DebugOption {
-	return func(d *DebugServer) { d.links = fn }
-}
-
 // NewDebugServer builds a debug server for addr serving the given
-// registries (scraped in order) and, when non-nil, the slow-request log.
-// Call Start to bind and serve.
-func NewDebugServer(addr string, regs []*Registry, slow *SlowLog, opts ...DebugOption) *DebugServer {
-	d := &DebugServer{regs: regs, slow: slow, done: make(chan error, 1)}
-	for _, o := range opts {
-		o(d)
-	}
+// registries (scraped in order), the node's tracer, and — when links is
+// non-nil — a per-scrape link-health snapshot (a daemon's Node.LinkStats)
+// rendered under "links" in /statusz. Call Start to bind and serve.
+func NewDebugServer(addr string, regs []*Registry, tracer *Tracer, links func() any) *DebugServer {
+	d := &DebugServer{regs: regs, tracer: tracer, links: links, done: make(chan error, 1)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", d.handleMetrics)
 	mux.HandleFunc("/statusz", d.handleStatusz)
-	mux.HandleFunc("/slowz", d.handleSlowz)
 	mux.HandleFunc("/tracez", d.handleTracez)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -120,11 +101,9 @@ func (d *DebugServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // statuszBody is the /statusz JSON shape.
 type statuszBody struct {
-	Metrics  []seriesJSON `json:"metrics"`
-	Links    any          `json:"links,omitempty"`
-	Slow     []SlowEntry  `json:"slow_requests,omitempty"`
-	SlowTot  int64        `json:"slow_requests_total"`
-	TraceTot int64        `json:"traces_total"`
+	Metrics []seriesJSON  `json:"metrics"`
+	Links   any           `json:"links,omitempty"`
+	Slow    []TraceSample `json:"slow_requests,omitempty"`
 }
 
 func (d *DebugServer) handleStatusz(w http.ResponseWriter, _ *http.Request) {
@@ -135,37 +114,35 @@ func (d *DebugServer) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	if d.links != nil {
 		body.Links = d.links()
 	}
-	body.Slow = d.slow.Recent()
-	body.SlowTot = d.slow.Recorded()
-	body.TraceTot = d.ring.Recorded()
+	body.Slow = d.tracer.Slow.Recent()
 	writeJSON(w, body)
 }
 
-func (d *DebugServer) handleSlowz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, struct {
-		Threshold time.Duration `json:"threshold_ns"`
-		Total     int64         `json:"total"`
-		Recent    []SlowEntry   `json:"recent"`
-	}{d.slow.Threshold(), d.slow.Recorded(), d.slow.Recent()})
+// TracezBody is the /tracez JSON shape: the samples of both retention
+// classes, newest first, and the threshold that makes a request slow.
+type TracezBody struct {
+	Recent        []TraceSample `json:"recent"`
+	SlowThreshold time.Duration `json:"slow_threshold_ns"`
+	Slow          []TraceSample `json:"slow"`
 }
 
-// handleTracez serves the sampled-trace ring: every recent sample, or —
-// with ?trace=<id> (decimal) — only that trace's samples. `memo trace`
-// scrapes this from every node and merges the timelines.
+// handleTracez serves the tracer's rings: every recent sample, or — with
+// ?trace=<id> — only that trace's samples, from whichever ring holds them.
+// `memo trace` scrapes this from every node and merges the timelines.
 func (d *DebugServer) handleTracez(w http.ResponseWriter, req *http.Request) {
-	recent := d.ring.Recent()
+	var id uint64
 	if s := req.URL.Query().Get("trace"); s != "" {
-		id, err := strconv.ParseUint(s, 0, 64)
-		if err != nil {
+		var err error
+		if id, err = strconv.ParseUint(s, 0, 64); err != nil {
 			http.Error(w, "tracez: bad trace id: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		recent = d.ring.Get(id)
 	}
-	writeJSON(w, struct {
-		Total  int64         `json:"total"`
-		Recent []TraceSample `json:"recent"`
-	}{d.ring.Recorded(), recent})
+	writeJSON(w, TracezBody{
+		Recent:        d.tracer.Sampled.Get(id),
+		SlowThreshold: d.tracer.Threshold(),
+		Slow:          d.tracer.Slow.Get(id),
+	})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

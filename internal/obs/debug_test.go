@@ -3,21 +3,76 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
+
+// TestTracez drives the /tracez handler in process: both retention classes
+// in one body, ?trace=<id> answered from whichever ring holds the trace, a
+// malformed id refused.
+func TestTracez(t *testing.T) {
+	tr := NewTracer("memo@test", 1, 10*time.Millisecond)
+	run := func(dur time.Duration) uint64 {
+		q := &wire.Request{Op: wire.OpPut}
+		tr.Finish(q, tr.Begin(q), wire.Span{Layer: "memo", Op: "put", Dur: int64(dur)}, wire.OK())
+		return q.TraceID
+	}
+	fast, slow := run(time.Millisecond), run(time.Second)
+	// Push the slow request's tree out of the sampled ring: only the slow
+	// ring still holds it.
+	for i := 0; i < traceRingCap; i++ {
+		run(time.Millisecond)
+	}
+	h := NewDebugServer("", nil, tr, nil).srv.Handler
+	get := func(url string) (int, TracezBody) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+		var body TracezBody
+		if rec.Code == http.StatusOK {
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+				t.Fatalf("GET %s: %v\n%s", url, err, rec.Body)
+			}
+		}
+		return rec.Code, body
+	}
+
+	code, all := get("/tracez")
+	if code != http.StatusOK || len(all.Recent) != traceRingCap || len(all.Slow) != 1 || all.SlowThreshold != 10*time.Millisecond {
+		t.Fatalf("/tracez: status %d, %d sampled, %d slow, threshold %v", code, len(all.Recent), len(all.Slow), all.SlowThreshold)
+	}
+	if _, one := get(fmt.Sprintf("/tracez?trace=%#x", slow)); len(one.Recent) != 0 || len(one.Slow) != 1 || one.Slow[0].Trace != slow {
+		t.Errorf("slow trace looked up by id: %+v", one)
+	}
+	if _, one := get(fmt.Sprintf("/tracez?trace=%d", fast)); len(one.Recent) != 0 || len(one.Slow) != 0 {
+		t.Errorf("evicted fast trace still served: %+v", one)
+	}
+	newest := all.Recent[0].Trace
+	if _, one := get(fmt.Sprintf("/tracez?trace=%d", newest)); len(one.Recent) != 1 || one.Recent[0].Trace != newest || len(one.Slow) != 0 {
+		t.Errorf("sampled trace looked up by id: %+v", one)
+	}
+	if code, _ := get("/tracez?trace=zebra"); code != http.StatusBadRequest {
+		t.Errorf("bad trace id: status %d, want 400", code)
+	}
+}
 
 func TestDebugServer(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("dbg_ops_total", "ops")
 	c.Add(3)
-	sl := NewSlowLog(time.Millisecond, 8)
-	sl.Observe(77, 1, "put", 0, "memo@test", 5*time.Millisecond)
+	tr := NewTracer("memo@test", 0, time.Millisecond)
+	tr.RegisterMetrics(r)
+	q := &wire.Request{Op: wire.OpPut, TraceID: 77, Hops: 1}
+	tr.Finish(q, tr.Begin(q), wire.Span{Layer: "memo", Op: "put", Hop: 1, Dur: int64(5 * time.Millisecond)}, wire.OK())
 
-	d := NewDebugServer("127.0.0.1:0", []*Registry{r}, sl)
+	d := NewDebugServer("127.0.0.1:0", []*Registry{r}, tr, func() any { return []string{"peer-b"} })
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -56,13 +111,11 @@ func TestDebugServer(t *testing.T) {
 	if err := json.Unmarshal([]byte(statusz), &body); err != nil {
 		t.Fatalf("/statusz not JSON: %v", err)
 	}
-	if len(body.Metrics) == 0 || body.SlowTot != 1 || len(body.Slow) != 1 || body.Slow[0].Trace != 77 {
+	if len(body.Metrics) == 0 || len(body.Slow) != 1 || body.Slow[0].Trace != 77 || body.Links == nil {
 		t.Errorf("/statusz body wrong: %s", statusz)
 	}
-
-	slowz, _ := get("/slowz")
-	if !strings.Contains(slowz, `"trace": 77`) {
-		t.Errorf("/slowz missing entry:\n%s", slowz)
+	if !strings.Contains(metrics, "slow_requests_total 1") || !strings.Contains(metrics, "trace_samples_total 0") {
+		t.Errorf("/metrics missing the tracer's totals:\n%s", metrics)
 	}
 
 	if pprofIdx, _ := get("/debug/pprof/"); !strings.Contains(pprofIdx, "goroutine") {

@@ -1,8 +1,9 @@
 // Package obs is the observability core: allocation-free metric primitives
 // (counters, gauges, fixed-bucket histograms), a process-wide registry with
-// Prometheus text-format and JSON exposition, a bounded slow-request log
-// fed by wire-propagated trace IDs, and the debug HTTP server every daemon
-// mounts at -debug-addr.
+// Prometheus text-format and JSON exposition, the tracer that records what a
+// request did (sampled span trees and slow requests, named by
+// wire-propagated trace IDs), and the debug HTTP server every daemon mounts
+// at -debug-addr.
 //
 // The primitives are designed for the steady-state request path, which PR 5
 // made allocation-free and which memolint audits: a Counter increment, a

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -58,9 +57,8 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 // TestRecordAllocFree is the gate the tentpole promises: counter
-// increments, gauge moves, histogram observations, and disabled/slow-miss
-// slow-log observations are all 0 allocs/op, so instrumentation cannot
-// perturb the PR 5 hot-path allocation budgets.
+// increments, gauge moves and histogram observations are all 0 allocs/op, so
+// instrumentation cannot perturb the PR 5 hot-path allocation budgets.
 func TestRecordAllocFree(t *testing.T) {
 	var c Counter
 	if n := testing.AllocsPerRun(1000, func() { c.Inc() }); n != 0 {
@@ -74,14 +72,6 @@ func TestRecordAllocFree(t *testing.T) {
 	v := int64(1)
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(v); v += 97 }); n != 0 {
 		t.Errorf("Histogram.Observe allocates %v/op, want 0", n)
-	}
-	var nilLog *SlowLog
-	if n := testing.AllocsPerRun(1000, func() { nilLog.Observe(1, 0, "put", 0, "x", time.Second) }); n != 0 {
-		t.Errorf("nil SlowLog.Observe allocates %v/op, want 0", n)
-	}
-	sl := NewSlowLog(time.Hour, 8)
-	if n := testing.AllocsPerRun(1000, func() { sl.Observe(1, 0, "put", 0, "x", time.Millisecond) }); n != 0 {
-		t.Errorf("below-threshold SlowLog.Observe allocates %v/op, want 0", n)
 	}
 }
 
@@ -175,58 +165,6 @@ func TestSnapshotJSON(t *testing.T) {
 	if hj == nil || hj.Count != 1 || hj.Sum != 10 {
 		t.Fatalf("histogram snapshot wrong: %+v", snap[1])
 	}
-}
-
-func TestSlowLog(t *testing.T) {
-	sl := NewSlowLog(10*time.Millisecond, 4)
-	if !sl.Enabled() {
-		t.Fatal("enabled log reports disabled")
-	}
-	sl.Observe(1, 0, "get", 2, "memo@a", 5*time.Millisecond) // below threshold
-	if got := sl.Recorded(); got != 0 {
-		t.Fatalf("recorded %d below-threshold spans", got)
-	}
-	for i := uint64(1); i <= 6; i++ {
-		sl.Observe(i, 1, "get", 2, "memo@a", 20*time.Millisecond)
-	}
-	rec := sl.Recent()
-	if len(rec) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(rec))
-	}
-	if rec[0].Trace != 3 || rec[3].Trace != 6 {
-		t.Fatalf("ring order wrong: %+v", rec)
-	}
-	if !sl.Contains(5) || sl.Contains(1) {
-		t.Fatal("Contains disagrees with the ring")
-	}
-	if got := sl.Recorded(); got != 6 {
-		t.Fatalf("recorded = %d, want 6", got)
-	}
-
-	var emitted []SlowEntry
-	sl.SetEmit(func(e SlowEntry) { emitted = append(emitted, e) })
-	sl.Observe(9, 2, "put", 0, "folder-0@b", time.Second)
-	if len(emitted) != 1 || emitted[0].Trace != 9 || emitted[0].Hop != 2 {
-		t.Fatalf("emit callback saw %+v", emitted)
-	}
-
-	sl.SetThreshold(0)
-	if sl.Enabled() {
-		t.Fatal("threshold 0 should disable")
-	}
-}
-
-func TestNilSlowLog(t *testing.T) {
-	var sl *SlowLog
-	if sl.Enabled() {
-		t.Fatal("nil log enabled")
-	}
-	sl.Observe(1, 0, "get", 0, "x", time.Hour)
-	if sl.Recent() != nil || sl.Contains(1) || sl.Recorded() != 0 {
-		t.Fatal("nil log should be inert")
-	}
-	sl.SetThreshold(time.Second)
-	sl.SetEmit(func(SlowEntry) {})
 }
 
 func TestNewTraceID(t *testing.T) {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,8 +14,10 @@ import (
 // each server's dispatch: it decides at the entry point whether a request is
 // sampled, hands the dispatch wrapper a SpanSet to collect into, and records
 // every finished set — local spans plus whatever remote hops returned — into
-// a bounded per-node TraceRing served at /tracez. `memo trace <id>` merges
-// the rings of all nodes back into one timeline.
+// a bounded per-node TraceRing served at /tracez. A request that ran at or
+// over the slow-request threshold, sampled or not, goes into a second ring
+// that sampled traffic cannot flush. `memo trace <id>` merges the rings of
+// all nodes back into one timeline.
 
 // Sampler makes the entry-point sampling decision. It is counter-based
 // rather than random — one atomic add, deterministic at rate 1, and no rng
@@ -49,45 +52,44 @@ func (s *Sampler) Sample() bool {
 	return s.n.Add(1)%s.every == 0
 }
 
-// TraceSample is one request's spans as seen by one node: the local span
-// set of each hop this node owned, plus the remote spans those hops'
-// forwards returned. The entry node's sample holds the full tree.
+// NewTraceID mints a non-zero request trace ID. 64 random bits: collisions
+// across the windows a trace is compared in are negligible, and zero is
+// reserved for "untraced" so the wire extension can stay flag-gated.
+func NewTraceID() uint64 {
+	for {
+		if t := rand.Uint64(); t != 0 {
+			return t
+		}
+	}
+}
+
+// TraceSample is the one record of what a request did on one node: the
+// spans of a hop this node served, plus whatever its forwards returned. A
+// sampled request's sample holds the node's whole tree (the entry node's,
+// the request's); a slow request that was not sampled leaves its one
+// dispatch span.
 type TraceSample struct {
 	Trace uint64      `json:"trace"`
 	Spans []wire.Span `json:"spans"`
 }
 
-// defaultTraceCap bounds the trace ring when NewTraceRing is given no
-// capacity.
-const defaultTraceCap = 256
+// traceRingCap bounds each of a tracer's two rings.
+const traceRingCap = 256
 
 // TraceRing is a bounded ring of recent trace samples, newest overwriting
-// oldest — the per-node store behind /tracez. All methods are nil-safe.
+// oldest.
 type TraceRing struct {
 	recorded Counter
 
 	mu   sync.Mutex
-	ring []TraceSample
+	ring [traceRingCap]TraceSample
 	next int
 	n    int
 }
 
-// NewTraceRing returns a ring holding the last capacity traces (<= 0 means
-// the default).
-func NewTraceRing(capacity int) *TraceRing {
-	if capacity <= 0 {
-		capacity = defaultTraceCap
-	}
-	return &TraceRing{ring: make([]TraceSample, capacity)}
-}
-
-// Record stores one trace sample (nil-safe; trace 0 and empty span sets are
-// dropped). The spans slice is stored as-is: callers hand over ownership
-// (SpanSet.Finish already returns a private copy).
+// Record stores one trace sample. The spans slice is stored as-is: callers
+// hand over ownership (SpanSet.Finish already returns a private copy).
 func (r *TraceRing) Record(trace uint64, spans []wire.Span) {
-	if r == nil || trace == 0 || len(spans) == 0 {
-		return
-	}
 	r.recorded.Inc()
 	r.mu.Lock()
 	r.ring[r.next] = TraceSample{Trace: trace, Spans: spans}
@@ -99,132 +101,140 @@ func (r *TraceRing) Record(trace uint64, spans []wire.Span) {
 }
 
 // Recorded reports how many samples have been recorded since creation.
-func (r *TraceRing) Recorded() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.recorded.Load()
-}
+func (r *TraceRing) Recorded() int64 { return r.recorded.Load() }
 
 // Recent returns the recorded samples, newest first (at most the ring
-// capacity). Nil-safe.
-func (r *TraceRing) Recent() []TraceSample {
-	if r == nil {
-		return nil
-	}
+// capacity).
+func (r *TraceRing) Recent() []TraceSample { return r.Get(0) }
+
+// Get returns every recorded sample for one trace ID (0 = every sample),
+// newest first — one trace can appear several times on a node that served
+// several of its hops.
+func (r *TraceRing) Get(trace uint64) []TraceSample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]TraceSample, 0, r.n)
-	for i := 1; i <= r.n; i++ {
-		idx := r.next - i
-		if idx < 0 {
-			idx += len(r.ring)
-		}
-		out = append(out, r.ring[idx])
-	}
-	return out
-}
-
-// Get returns every recorded sample for one trace ID, newest first — one
-// trace can appear several times on a node that served several of its hops.
-// Nil-safe.
-func (r *TraceRing) Get(trace uint64) []TraceSample {
-	if r == nil || trace == 0 {
-		return nil
-	}
 	var out []TraceSample
-	for _, ts := range r.Recent() {
-		if ts.Trace == trace {
+	for i := 1; i <= r.n; i++ {
+		ts := r.ring[(r.next-i+len(r.ring))%len(r.ring)]
+		if trace == 0 || ts.Trace == trace {
 			out = append(out, ts)
 		}
 	}
 	return out
 }
 
-// Tracer is one server's span-tracing front end: the sampling decision, the
-// span-set ownership protocol, and the trace ring. A nil Tracer disables
-// tracing entirely (every method is nil-safe); a Tracer with a nil sampler
-// still collects and records spans for requests other nodes sampled.
+// Tracer is one server's front end for recording what requests did: the
+// entry sampling decision, the span-set ownership protocol around a
+// dispatch, the slow-request threshold, and the two rings /tracez serves.
+// Sampled trees and slow requests are retained apart — same record, same
+// ring type — so that a node sampling every request (how the e2e harness
+// runs) cannot evict the slow ones an operator comes looking for. A nil
+// Tracer disables all of it (Begin and Threshold are nil-safe); a Tracer
+// with a nil sampler still collects and records spans for requests other
+// nodes sampled.
 type Tracer struct {
-	node    string
-	sampler *Sampler
-	ring    *TraceRing
+	node      string
+	sampler   *Sampler
+	threshold time.Duration
+
+	Sampled TraceRing
+	Slow    TraceRing
+
+	// onSlow, when set, sees every slow request's own span besides the ring
+	// (the daemon's log line).
+	onSlow func(trace uint64, sp wire.Span)
 }
 
-// NewTracer builds a tracer for a server named node ("memo@a",
-// "folder-0@b"), sampling entry requests at rate (0 = relay-only) into a
-// ring of ringCap traces (<= 0 means the default).
-func NewTracer(node string, rate float64, ringCap int) *Tracer {
-	return &Tracer{node: node, sampler: NewSampler(rate), ring: NewTraceRing(ringCap)}
+// NewTracer builds a tracer for a server named node ("memo@a"), sampling
+// entry requests at rate (0 = relay-only) and recording requests that take
+// at least slow (0 = never: no request is timed on account of it).
+func NewTracer(node string, rate float64, slow time.Duration) *Tracer {
+	return &Tracer{node: node, sampler: NewSampler(rate), threshold: slow}
 }
 
-// Ring exposes the trace ring (nil on a nil tracer) for /tracez.
-func (t *Tracer) Ring() *TraceRing {
+// Threshold reports the slow-request threshold (0 = off, and on a nil
+// tracer): a dispatch wrapper whose Begin returned nil times the request
+// only when this is armed.
+func (t *Tracer) Threshold() time.Duration {
 	if t == nil {
-		return nil
+		return 0
 	}
-	return t.ring
+	return t.threshold
 }
 
-// Begin is called by a dispatch wrapper at the top of a node. If the
-// request deserves spans here — it arrived sampled, or it is an entry
-// request (hop 0) the sampler admits — and no enclosing wrapper owns a set
-// already, Begin attaches a fresh SpanSet to q and returns it; the caller
-// owns the set and must Finish it. Otherwise it returns nil after a couple
-// of branches: the tracing-off hot path allocates nothing and takes no
-// timestamps.
+// OnSlow installs fn to be called, on the dispatching thread, with every
+// slow request's trace ID and own span. Call it before the server starts.
+func (t *Tracer) OnSlow(fn func(trace uint64, sp wire.Span)) { t.onSlow = fn }
+
+// RegisterMetrics attaches the two rings' totals to reg.
+func (t *Tracer) RegisterMetrics(reg *Registry) {
+	reg.RegisterCounter("trace_samples_total", "sampled span trees recorded", nil, &t.Sampled.recorded)
+	reg.RegisterCounter("slow_requests_total", "requests at or over the slow-request threshold", nil, &t.Slow.recorded)
+}
+
+// Begin is called by a dispatch wrapper at the top of a node. It makes the
+// two decisions a request's first node makes: an entry request (hop 0) the
+// sampler admits becomes sampled, and a request that is sampled — or that
+// could turn out slow here, the threshold being armed — and carries no
+// trace ID yet is given one, so every record of it on every host carries the
+// same name without the client's help. If the request is sampled and no
+// enclosing wrapper owns a set already, Begin attaches a fresh SpanSet to q
+// and returns it; the caller owns the set and must Finish it. Otherwise it
+// returns nil: with sampling and the threshold both off that is a couple of
+// branches, no allocation and no timestamp.
 func (t *Tracer) Begin(q *wire.Request) *wire.SpanSet {
 	if t == nil || q.Spans != nil {
 		return nil
 	}
-	if !q.Sampled {
-		if q.Hops != 0 || !t.sampler.Sample() {
-			return nil
-		}
+	if !q.Sampled && q.Hops == 0 && t.sampler.Sample() {
 		q.Sampled = true
-		if q.TraceID == 0 {
-			q.TraceID = NewTraceID()
-		}
+	}
+	if q.TraceID == 0 && (q.Sampled || t.threshold > 0) {
+		q.TraceID = NewTraceID()
+	}
+	if !q.Sampled {
+		return nil
 	}
 	set := wire.NewSpanSet()
 	q.Spans = set
 	return set
 }
 
-// Finish closes out a set returned by Begin: any remote spans still riding
-// resp are merged in, every span recorded without a node name is stamped
-// with this tracer's, the completed set is recorded into the ring, and a
-// shallow clone of resp carrying the spans is returned for the rpc layer to
-// ship back toward the entry node (resp itself may be the shared immutable
-// OK response, so it is never mutated). q is not written either: the request
-// object is fully reset before any reuse (recycleTask / DecodeRequestInto).
-func (t *Tracer) Finish(q *wire.Request, set *wire.SpanSet, resp *wire.Response) *wire.Response {
-	if len(resp.Spans) > 0 {
-		set.AddMany(resp.Spans)
+// Finish closes out a timed dispatch: own is the dispatch's span, set what
+// Begin returned (nil for an unsampled request). For a sampled request own
+// and any remote spans still riding resp are merged into the set, every span
+// recorded without a node name is stamped with this tracer's, the completed
+// tree is recorded, and a shallow clone of resp carrying the spans is
+// returned for the rpc layer to ship back toward the entry node (resp itself
+// may be the shared immutable OK response, so it is never mutated). A request
+// at or over the threshold is recorded as slow as well: its tree when it has
+// one, own alone otherwise. q is not written: the request object is fully
+// reset before any reuse (recycleTask / DecodeRequestInto).
+func (t *Tracer) Finish(q *wire.Request, set *wire.SpanSet, own wire.Span, resp *wire.Response) *wire.Response {
+	own.Node = t.node
+	slow := t.threshold > 0 && own.Dur >= int64(t.threshold)
+	if set == nil {
+		if slow {
+			t.recordSlow(q.TraceID, []wire.Span{own}, own)
+		}
+		return resp
 	}
+	set.Add(own)
+	set.AddMany(resp.Spans)
 	spans := set.Finish(t.node)
-	t.ring.Record(q.TraceID, spans)
 	set.Release()
+	t.Sampled.Record(q.TraceID, spans)
+	if slow {
+		t.recordSlow(q.TraceID, spans, own)
+	}
 	out := *resp
 	out.Spans = spans
 	return &out
 }
 
-// RecordSlow records a single-span sample for a traced request that turned
-// out slow without being sampled — the "always-on for slow" half of the
-// sampling policy: /tracez always has the requests /slowz complains about,
-// even at -trace-sample 0. Nil-safe.
-func (t *Tracer) RecordSlow(q *wire.Request, layer, op string, start time.Time, dur time.Duration) {
-	if t == nil || q.TraceID == 0 {
-		return
+func (t *Tracer) recordSlow(trace uint64, spans []wire.Span, own wire.Span) {
+	t.Slow.Record(trace, spans)
+	if t.onSlow != nil {
+		t.onSlow(trace, own)
 	}
-	t.ring.Record(q.TraceID, []wire.Span{{
-		Node:   t.node,
-		Layer:  layer,
-		Op:     op,
-		Folder: q.FolderID,
-		Hop:    q.TraceHop,
-		Start:  start.UnixNano(),
-		Dur:    int64(dur),
-	}})
 }

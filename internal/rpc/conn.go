@@ -167,7 +167,7 @@ func (c *Conn) call(q *wire.Request, cancel <-chan struct{}) (*wire.Response, er
 	if q.Sampled {
 		startNS = time.Now().UnixNano()
 	}
-	c.out.add(wire.BatchEntry{ID: id, Token: q.Token, Trace: q.TraceID, Hop: q.TraceHop, Sampled: q.Sampled, Msg: msg})
+	c.out.add(wire.BatchEntry{ID: id, Token: q.Token, Trace: q.TraceID, Sampled: q.Sampled, Msg: msg})
 
 	for {
 		select {
@@ -182,7 +182,7 @@ func (c *Conn) call(q *wire.Request, cancel <-chan struct{}) (*wire.Response, er
 					queued = ca.sentAtNS - startNS
 				}
 				q.Spans.Add(wire.Span{Layer: "rpc", Op: "send", Folder: q.FolderID,
-					Hop: q.TraceHop, Start: startNS, Dur: endNS - startNS, Wait: queued})
+					Hop: q.Hops, Start: startNS, Dur: endNS - startNS, Wait: queued})
 			}
 			callPool.Put(ca)
 			return terminal(resp)

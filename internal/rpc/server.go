@@ -248,7 +248,7 @@ func (s *server) dispatch(e wire.BatchEntry, fb *frameBuf) {
 	// stamp — the dispatch wrapper turns it into the queue-wait component of
 	// its span — so the unsampled path takes no clock reading here.
 	t.q.Token = e.Token
-	t.q.TraceID, t.q.TraceHop = e.Trace, e.Hop
+	t.q.TraceID = e.Trace
 	t.q.Sampled = e.Sampled
 	if e.Sampled {
 		t.q.EnqueueNS = time.Now().UnixNano()

@@ -27,11 +27,11 @@ import (
 //	  byte    flags (bit 0: cancel — abandon the in-flight request `id`;
 //	          bit 1: heartbeat — liveness probe/echo, no payload;
 //	          bit 2: token — an at-most-once dedup token follows;
-//	          bit 3: trace — a request trace ID and hop counter follow;
+//	          bit 3: trace — a request trace ID follows;
 //	          bit 4: sampled — the request is span-sampled (request batches);
 //	          bit 5: spans — an encoded span blob follows (response batches))
 //	  uvarint dedup token (present only when flag bit 2 is set)
-//	  uvarint trace id, uvarint hop (present only when flag bit 3 is set)
+//	  uvarint trace id (present only when flag bit 3 is set)
 //	  uvarint len, then len bytes of an encoded span blob (see span.go;
 //	          present only when flag bit 5 is set)
 //	  uvarint len, then len bytes of an encoded Request or Response
@@ -92,9 +92,6 @@ type BatchEntry struct {
 	// Trace carries the request's trace ID (0 = untraced); meaningful only
 	// in request batches.
 	Trace uint64
-	// Hop is the request's forward-hop counter, carried alongside Trace
-	// (present on the wire only when Trace is non-zero).
-	Hop int
 	// Sampled marks a span-sampled request; meaningful only in request
 	// batches. The serving hop collects spans and returns them on its
 	// response entry.
@@ -159,7 +156,6 @@ func AppendBatch(dst []byte, kind BatchKind, entries []BatchEntry) []byte {
 		}
 		if e.Trace != 0 {
 			w.u64(e.Trace)
-			w.u64(uint64(e.Hop))
 		}
 		if len(e.Spans) != 0 {
 			w.bytes(e.Spans)
@@ -174,7 +170,7 @@ func AppendBatch(dst []byte, kind BatchKind, entries []BatchEntry) []byte {
 // header plus worst-case per-entry framing (id, flags, token, trace, span
 // length, message length).
 func BatchOverhead(entries, msgBytes int) int {
-	return 16 + msgBytes + entries*(2*10+1+10+2*10+10)
+	return 16 + msgBytes + entries*(2*10+1+10+10+10)
 }
 
 // EncodeBatch serializes a batch frame into a fresh buffer.
@@ -235,13 +231,6 @@ func DecodeBatchInto(dst []BatchEntry, buf []byte) (BatchKind, []BatchEntry, err
 		}
 		if flags&entryFlagTrace != 0 {
 			e.Trace = r.u64()
-			e.Hop = int(r.u64())
-			if e.Trace == 0 {
-				// Non-canonical frame (trace flag without a trace id): the
-				// hop counter is meaningless without the id, and dropping it
-				// keeps decode→encode canonical, like a flagged zero token.
-				e.Hop = 0
-			}
 		}
 		e.Sampled = flags&entryFlagSampled != 0
 		if flags&entryFlagSpans != 0 {

@@ -26,9 +26,9 @@ func TestBatchRoundTrip(t *testing.T) {
 		Msg: EncodeRequest(&Request{Op: OpPut, Key: symbol.K(9), Payload: []byte("tokened")})})
 	// The trace extension: likewise flag-gated, and composable with the
 	// token on one entry.
-	entries = append(entries, BatchEntry{ID: 201, Trace: 0xABCDEF01, Hop: 2,
+	entries = append(entries, BatchEntry{ID: 201, Trace: 0xABCDEF01,
 		Msg: EncodeRequest(&Request{Op: OpGet, Key: symbol.K(9)})})
-	entries = append(entries, BatchEntry{ID: 202, Token: 7, Trace: 9, Hop: 1,
+	entries = append(entries, BatchEntry{ID: 202, Token: 7, Trace: 9,
 		Msg: EncodeRequest(&Request{Op: OpPut, Key: symbol.K(3), Payload: []byte("both")})})
 
 	frame := EncodeBatch(BatchRequest, entries)
@@ -48,7 +48,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	for i, e := range got {
 		if e.ID != entries[i].ID || e.Cancel != entries[i].Cancel ||
 			e.Heartbeat != entries[i].Heartbeat || e.Token != entries[i].Token ||
-			e.Trace != entries[i].Trace || e.Hop != entries[i].Hop ||
+			e.Trace != entries[i].Trace ||
 			!bytes.Equal(e.Msg, entries[i].Msg) {
 			t.Fatalf("entry %d = %+v, want %+v", i, e, entries[i])
 		}
@@ -138,6 +138,25 @@ func TestBatchExtensionFreeLayout(t *testing.T) {
 	}
 	if !bytes.Equal(frame, want) {
 		t.Fatalf("extension-free frame = %x, want %x", frame, want)
+	}
+}
+
+// TestBatchTraceExtensionLayout pins the traced entry: the trace ID follows
+// the token and nothing follows the trace ID — the hop a span records is the
+// request's own Hops, which the request codec already carries.
+func TestBatchTraceExtensionLayout(t *testing.T) {
+	frame := EncodeBatch(BatchRequest, []BatchEntry{{ID: 5, Token: 3, Trace: 9, Sampled: true, Msg: []byte{0xAA}}})
+	want := []byte{
+		batchMagic, BatchVersion, byte(BatchRequest),
+		1, // entry count
+		5, // id
+		entryFlagToken | entryFlagTrace | entryFlagSampled,
+		3,       // token
+		9,       // trace id
+		1, 0xAA, // msg
+	}
+	if !bytes.Equal(frame, want) {
+		t.Fatalf("traced frame = %x, want %x", frame, want)
 	}
 }
 

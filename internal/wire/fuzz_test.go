@@ -172,7 +172,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	}
 	reqEntries = append(reqEntries, BatchEntry{ID: 99, Cancel: true}, BatchEntry{ID: 98, Heartbeat: true},
 		BatchEntry{ID: 97, Token: 0xABCDEF, Msg: EncodeRequest(&Request{Op: OpPut, Key: symbol.K(3)})},
-		BatchEntry{ID: 96, Sampled: true, Trace: 0x1F3A8C22, Hop: 1, Msg: EncodeRequest(&Request{Op: OpPut, Key: symbol.K(4)})})
+		BatchEntry{ID: 96, Sampled: true, Trace: 0x1F3A8C22, Msg: EncodeRequest(&Request{Op: OpPut, Key: symbol.K(4)})})
 	for i, p := range seedResponses() {
 		respEntries = append(respEntries, BatchEntry{ID: uint64(i), Msg: EncodeResponse(p)})
 	}
@@ -215,7 +215,7 @@ func FuzzDecodeBatch(f *testing.F) {
 			if entries[i].ID != entries2[i].ID || entries[i].Cancel != entries2[i].Cancel ||
 				entries[i].Heartbeat != entries2[i].Heartbeat ||
 				entries[i].Token != entries2[i].Token ||
-				entries[i].Trace != entries2[i].Trace || entries[i].Hop != entries2[i].Hop ||
+				entries[i].Trace != entries2[i].Trace ||
 				entries[i].Sampled != entries2[i].Sampled ||
 				!bytes.Equal(entries[i].Spans, entries2[i].Spans) ||
 				!bytes.Equal(entries[i].Msg, entries2[i].Msg) {

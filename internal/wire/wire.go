@@ -167,7 +167,8 @@ type Request struct {
 	App string
 	// FolderID is the placement-resolved target folder server.
 	FolderID int
-	// Hops counts memo-server forwards so far (diagnostics, E2).
+	// Hops counts memo-server forwards so far (0 = the hop the client
+	// issued): what E2 reports and what every span's Hop records.
 	Hops int
 	// Key is the primary folder key; Key2 is put_delayed's destination.
 	Key, Key2 symbol.Key
@@ -187,14 +188,11 @@ type Request struct {
 	// token is NOT part of the request codec — it travels as a batch-entry
 	// extension (see batch.go) and the rpc layer re-attaches it at every hop.
 	Token uint64
-	// TraceID identifies the request across hops for the slow-request log
-	// (0 = untraced). Like Token, it is NOT part of the request codec — it
+	// TraceID names the request in every host's trace samples (0 =
+	// untraced). Like Token, it is NOT part of the request codec — it
 	// travels as a batch-entry extension (see batch.go) and the rpc layer
 	// re-attaches it at every hop.
 	TraceID uint64
-	// TraceHop counts memo-server forwards the request has taken (0 = the
-	// hop the client issued). Carried on the wire only alongside TraceID.
-	TraceHop int
 	// Sampled marks the request for span collection. Like Token, it is NOT
 	// part of the request codec — it rides the batch entry as a flag bit
 	// (see batch.go) and the rpc layer re-attaches it at every hop.
@@ -456,7 +454,7 @@ func DecodeRequestInto(q *Request, buf []byte) error {
 	q.Dir = r.str()
 	q.TargetHost = r.str()
 	q.Token = 0
-	q.TraceID, q.TraceHop = 0, 0
+	q.TraceID = 0
 	q.Sampled, q.EnqueueNS, q.Spans = false, 0, nil
 	if r.err != nil {
 		return r.err

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Metrics smoke test: build the daemon, start it with the debug server armed
-# on a loopback port, scrape /metrics, and assert every instrumented layer
-# shows up in the exposition — the folder_* series once an application is
-# registered. Then shut it down with SIGTERM and require a clean exit — the
-# graceful-shutdown path (debug server drained, WAL flushed) is part of what
-# this smokes.
+# on a loopback port, scrape /metrics (which series it must carry is
+# memoserver.TestMetricCatalog's to say; here: that a real daemon serves an
+# exposition and that the counters a put moves are positive), follow one
+# traced put through /tracez, `memo top` and `memo trace`. Then shut it down
+# with SIGTERM and require a clean exit — the graceful-shutdown path (debug
+# server drained, WAL flushed) is part of what this smokes.
 set -eu
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -31,7 +32,7 @@ go build -o "$tmp/memo" ./cmd/memo
 
 echo "==> start daemon"
 "$tmp/memoserverd" -host smoke -listen 127.0.0.1:7640 \
-	-debug-addr 127.0.0.1:7641 -slow-request-threshold 1ms \
+	-debug-addr 127.0.0.1:7641 -slow-request-threshold 1ns \
 	-trace-sample 1 -ready-file "$tmp/smoke.ready" \
 	-data-dir "$tmp/memo-data" >"$tmp/memoserverd.log" 2>&1 &
 memo_pid=$!
@@ -53,24 +54,21 @@ scrape 127.0.0.1:7641 "$tmp/memo-metrics" || {
 	cat "$tmp/memoserverd.log" >&2
 	exit 1
 }
-# The memo daemon registers the process-wide registry plus its node
-# collector: the static series of every instrumented layer must be present.
-for series in rpc_calls_total rpc_call_ns node_local_ops_total \
-	pool_gets_total transport_dials_total durable_appends_total \
-	transport_tcp_reads_total transport_tcp_writes_total \
-	durable_wal_bytes durable_snapshot_bytes durable_snapshot_records_total \
-	go_gc_cycles_total go_gc_cpu_seconds_total go_heap_live_bytes \
-	go_alloc_bytes_total go_alloc_objects_total go_goroutines; do
-	grep -q "^# TYPE $series " "$tmp/memo-metrics" || {
-		echo "memoserverd /metrics missing $series" >&2
-		cat "$tmp/memo-metrics" >&2
-		exit 1
-	}
-done
+grep -q '^# TYPE ' "$tmp/memo-metrics" || {
+	echo "memoserverd /metrics is not a Prometheus exposition" >&2
+	cat "$tmp/memo-metrics" >&2
+	exit 1
+}
 
 echo "==> statusz sanity"
 curl -sf "http://127.0.0.1:7641/statusz" | grep -q '"metrics"' || {
 	echo "memoserverd /statusz not serving JSON" >&2
+	exit 1
+}
+# The slow-request log is a section of /tracez now, not an endpoint.
+code="$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:7641/slowz")"
+[ "$code" = 404 ] || {
+	echo "/slowz answered $code, want 404" >&2
 	exit 1
 }
 
@@ -94,22 +92,13 @@ put_out="$("$tmp/memo" put -adf "$tmp/smoke.adf" -addr 127.0.0.1:7640 -host smok
 	echo "memo put -trace failed" >&2
 	exit 1
 }
-# The node's collector walks its folder servers, which exist once an
-# application is registered: the folder_* series appear from here on.
 scrape 127.0.0.1:7641 "$tmp/memo-metrics"
-for series in folder_puts_total folder_memos rpc_frames_total \
-	folder_tokens folder_token_evictions_total folder_take_cache_bytes \
-	folder_claims_inflight; do
-	grep -q "^# TYPE $series " "$tmp/memo-metrics" || {
-		echo "memoserverd /metrics missing $series after register" >&2
-		cat "$tmp/memo-metrics" >&2
-		exit 1
-	}
-done
 # Allocations per op is go_alloc_objects_total over rpc_server_requests_total:
-# both must be there as plain positive numbers, and the put's dedup token
-# must show in the table's gauge.
-for series in go_alloc_objects_total rpc_server_requests_total folder_tokens; do
+# both must be there as plain positive numbers, the put's dedup token must
+# show in the table's gauge, and at 1ns and -trace-sample 1 the put counted
+# as slow and as sampled.
+for series in go_alloc_objects_total rpc_server_requests_total folder_tokens \
+	slow_requests_total trace_samples_total; do
 	awk -v s="$series" '{ n = $1; sub(/\{.*/, "", n) } n == s && $NF > 0 { ok = 1 } END { exit !ok }' \
 		"$tmp/memo-metrics" || {
 		echo "memoserverd /metrics: $series is not positive after a put" >&2
@@ -122,9 +111,17 @@ trace_id="$(printf '%s' "$put_out" | sed -n 's/.*"trace":"\([^"]*\)".*/\1/p')"
 	echo "memo put -trace reported no trace id: $put_out" >&2
 	exit 1
 }
-curl -sf "http://127.0.0.1:7641/tracez?trace=$trace_id" | grep -q '"layer": *"memo"' || {
+# Sampled and, at a 1ns threshold, slow: both sections of /tracez hold it
+# (the body is indented JSON: "recent", then "slow_threshold_ns", then "slow").
+curl -sf "http://127.0.0.1:7641/tracez?trace=$trace_id" -o "$tmp/tracez"
+sed -n '/"recent": \[/,/"slow_threshold_ns"/p' "$tmp/tracez" | grep -q '"layer": *"memo"' || {
 	echo "/tracez does not serve the sampled trace $trace_id" >&2
-	curl -s "http://127.0.0.1:7641/tracez" >&2 || true
+	cat "$tmp/tracez" >&2
+	exit 1
+}
+sed -n '/"slow": \[/,$p' "$tmp/tracez" | grep -q '"layer": *"memo"' || {
+	echo "the slow section of /tracez does not hold the traced put $trace_id" >&2
+	cat "$tmp/tracez" >&2
 	exit 1
 }
 

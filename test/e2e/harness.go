@@ -432,8 +432,8 @@ func (c *Cluster) Abort() {
 
 // Forensics scrapes every node's debug endpoints into dir — called on a
 // failed run before the cluster is torn down, so the artifact bundle holds
-// the metrics, link health, slow-request rings, and span trees of the run
-// the oracle rejected. Per-node scrape failures are recorded inside the
+// the metrics, link health, and trace samples (span trees and slow requests)
+// of the run the oracle rejected. Per-node scrape failures are recorded inside the
 // bundle instead of aborting it: a node may legitimately be dead at failure
 // time.
 func (c *Cluster) Forensics(dir string) error {
@@ -444,7 +444,6 @@ func (c *Cluster) Forensics(dir string) error {
 		for _, ep := range []struct{ path, file string }{
 			{"/metrics", d.Host + "-metrics.txt"},
 			{"/statusz", d.Host + "-statusz.json"},
-			{"/slowz", d.Host + "-slowz.json"},
 			{"/tracez", d.Host + "-tracez.json"},
 		} {
 			body, err := scrapeBody(d.Debug, ep.path)
