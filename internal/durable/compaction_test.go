@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/symbol"
@@ -11,7 +12,7 @@ import (
 
 func discard(*Record) error { return nil }
 
-// appendCommit logs n 32-byte puts round-robin over the stripes and waits for
+// appendCommit logs n 32-byte puts round-robin over the shards and waits for
 // each; it returns the frame bytes they occupy.
 func appendCommit(t testing.TB, l *Log, n int) (size int64) {
 	t.Helper()
@@ -164,8 +165,100 @@ func TestCommitKeepsRecordsLoggedDuringSnapshot(t *testing.T) {
 	}
 }
 
+// TestCrashInsideSnapshotWindowReplaysEachRecordOnce: records committed while
+// a snapshot window is open — on shards already cut and on shards not yet
+// cut — replay exactly once, in per-shard order, whether the log crashes
+// inside the window or the snapshot commits. An uncut shard's records must
+// stay in the old segment: its dump will hold them, so a copy in the new
+// segment would apply them twice.
+func TestCrashInsideSnapshotWindowReplaysEachRecordOnce(t *testing.T) {
+	const shards = 4
+	for _, commit := range []bool{false, true} {
+		name := "crash inside the window"
+		if commit {
+			name = "commit then close"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := Open(dir, shards, Config{SnapshotEvery: -1}, discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			state := make([][]uint64, shards) // the store: tokens applied per shard, in order
+			var tok uint64
+			put := func(sh int, tok uint64) *Record {
+				return &Record{Type: RecPut, Key: symbol.K(symbol.Symbol(sh + 1)), Payload: []byte("v"), Token: tok}
+			}
+			logAll := func() {
+				for i := 0; i < 3; i++ {
+					for sh := 0; sh < shards; sh++ {
+						tok++
+						if err := l.Commit(sh, l.Append(sh, put(sh, tok))); err != nil {
+							t.Fatal(err)
+						}
+						state[sh] = append(state[sh], tok)
+					}
+				}
+			}
+			cut := func(snap *Snapshot, sh int) {
+				err := snap.CutShard(sh, func(emit func(*Record) error) error {
+					for _, tk := range state[sh] {
+						if err := emit(put(sh, tk)); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			logAll()
+			snap, err := l.StartSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log")); len(segs) != 2 {
+				t.Fatalf("segments inside the window: %v, want one per generation", segs)
+			}
+			cut(snap, 0)
+			cut(snap, 1)
+			logAll()
+			if commit {
+				cut(snap, 2)
+				cut(snap, 3)
+				if err := snap.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				l.Crash()
+			}
+
+			got := make([][]uint64, shards)
+			r, err := Open(dir, shards, Config{SnapshotEvery: -1}, func(rec *Record) error {
+				sh := int(rec.Key.S) - 1
+				got[sh] = append(got[sh], rec.Token)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			for sh := range state {
+				if !slices.Equal(got[sh], state[sh]) {
+					t.Errorf("shard %d replayed %v, want %v", sh, got[sh], state[sh])
+				}
+			}
+		})
+	}
+}
+
 // TestEncodeAllocs gates the one-pass encoder: a record is framed in place
-// in its destination, and a WAL append reuses the stripe's buffer.
+// in its destination, and a WAL append reuses the log's buffer.
 func TestEncodeAllocs(t *testing.T) {
 	r := &Record{Type: RecPut, Key: symbol.K(7, 1, 2), Payload: make([]byte, 4096), Token: 42}
 	buf := make([]byte, 0, 8192)
@@ -205,7 +298,7 @@ func TestSyncAlwaysSyncsPerRecord(t *testing.T) {
 	}
 }
 
-// BenchmarkWALAppend is the append path — encode into the stripe buffer — at
+// BenchmarkWALAppend is the append path — encode into the log's buffer — at
 // the benchmark's two payload sizes, with a commit wait every 64 records so
 // the buffer stays the size a closed loop of 64 callers would make it. Run
 // with -benchmem: steady state is 0 allocs/op.

@@ -1,43 +1,46 @@
 // Package durable is the persistence engine under a folder server's Store:
-// a per-shard write-ahead log with group commit, periodic snapshots with log
-// truncation, and replay-on-open recovery.
+// one write-ahead log per store with group commit across all its shards,
+// periodic snapshots with log truncation, and replay-on-open recovery.
 //
 // The paper's folder servers hold their directories in memory ("exclusive
 // access to their folders", §4.1) and lose them on a crash. This package
 // gives a Store crash durability without giving up the sharded design:
 //
 //   - Every mutating operation (put, put_delayed, take, delayed-release)
-//     appends one Record to the WAL stripe of the shard it touched, while
-//     the shard lock is held — so per-folder record order always matches
-//     per-folder application order, which is all replay needs (folders never
-//     span shards, and no record touches two shards).
+//     appends one Record to the log while the lock of the shard it touched
+//     is held — so per-folder record order always matches per-folder
+//     application order, which is all replay needs (folders never span
+//     shards, and no record touches two shards). Every shard encodes into
+//     the same buffer, under one mutex that nests inside the shard locks.
 //
 //   - Appends only buffer; durability is bought by Commit, which blocks
-//     until a dedicated per-stripe syncer has written and fsynced the
-//     record. The syncer drains by backpressure, mirroring the rpc
-//     batcher: one fsync's duration is exactly the window in which the
-//     next batch of records accumulates, so the sync cost amortizes over
+//     until the log's one syncer has written and fsynced the record. The
+//     syncer drains by backpressure, mirroring the rpc batcher: one fsync's
+//     duration is exactly the window in which the next batch of records —
+//     from every shard — accumulates, so the sync cost amortizes over
 //     concurrent operations by itself (SyncAlways degenerates it to one
 //     fsync per record, SyncNever trusts the OS page cache). Records are
-//     encoded once, straight into the stripe's contiguous buffer, and a
-//     group commit is one write(2) of that buffer.
+//     encoded once, straight into the contiguous buffer, and a group commit
+//     is one write(2) of it.
 //
 //   - When the log has outgrown the last snapshot (at least
 //     Config.SnapshotEvery records, and at least as many bytes as that
-//     snapshot holds; see Log.ShouldSnapshot), the owner
-//     cuts a snapshot: shard by shard — under that shard's lock — the
-//     remaining stripe tail is flushed, the shard's in-memory state is
-//     dumped as compacted records into a temp file, and the stripe rotates
-//     onto a fresh log segment of the next generation. The temp file is
-//     fsynced and renamed only after every shard is cut, so a crash at any
-//     point leaves either the old generation (snapshot tmp ignored) or the
-//     new one (stale files deleted on open) — never a torn mixture.
+//     snapshot holds; see Log.ShouldSnapshot), the owner cuts a snapshot.
+//     It opens the next generation's segment, then shard by shard — under
+//     that shard's lock — routes the shard's later records to the new
+//     segment and dumps its in-memory state as compacted records into a
+//     temp file. Until every shard is cut, shards not yet cut keep logging
+//     into the old segment, whose records their dumps include. Commit syncs
+//     and closes the old segment, then fsyncs and renames the temp file, so
+//     a crash at any point leaves either the old generation (snapshot tmp
+//     ignored) or the new one (stale files deleted on open) — never a torn
+//     mixture.
 //
 //   - Open replays the newest complete snapshot, then every surviving log
 //     generation in order. Torn record frames (length or CRC check fails)
-//     mark the end of a stripe: everything before them was acknowledged
+//     mark the end of a segment: everything before them was acknowledged
 //     durable, everything after was not yet acknowledged, so stopping at
-//     the tear is exactly at-most-once. Replayed stripes are never written
+//     the tear is exactly at-most-once. Replayed segments are never written
 //     again — every open starts a fresh generation, and the next snapshot
 //     deletes the superseded history.
 //

@@ -258,10 +258,10 @@ func mustOneGen(t *testing.T, dir string) uint64 {
 func TestCrashAbandonsUnsynced(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := collect(t, dir, 1, Config{})
-	// Holding the stripe's io mutex holds the syncer back, so the append
+	// Holding the writer's io mutex holds the syncer back, so the append
 	// stays buffered and uncommitted when Crash hits.
-	l.shards[0].io.Lock()
-	defer l.shards[0].io.Unlock()
+	l.w.io.Lock()
+	defer l.w.io.Unlock()
 	seq := l.Append(0, rec(RecPut, symbol.K(1), "doomed", 7))
 	errc := make(chan error, 1)
 	go func() { errc <- l.Commit(0, seq) }()

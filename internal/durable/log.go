@@ -13,34 +13,36 @@ import (
 
 // File layout inside a Log directory:
 //
-//	wal-<gen>-<shard>.log   one log stripe per shard of generation <gen>
-//	snap-<gen>              the snapshot that generation <gen> started from
-//	snap-<gen>.tmp          an in-progress snapshot (ignored by recovery)
+//	wal-<gen>-0000.log   generation <gen>'s log segment, every shard's records
+//	snap-<gen>           the snapshot that generation <gen> started from
+//	snap-<gen>.tmp       an in-progress snapshot (ignored by recovery)
 //
 // A generation is the span between two snapshot cuts. Snapshot <g> captures
 // all state up to the cut, and wal-<g>-* hold everything after it, so
 // recovery is: load the newest complete snapshot, then replay every
-// surviving generation's stripes in ascending generation order. Files from
+// surviving generation's segments in ascending generation order. Files from
 // generations older than the newest snapshot are garbage from an
-// interrupted truncation and are deleted on open.
+// interrupted truncation and are deleted on open. (Data directories written
+// before PR 25 hold one segment per shard, wal-<gen>-<shard>.log; one
+// folder's records never span two of them, so they replay the same way.)
 
-func walName(gen uint64, shard int) string {
-	return fmt.Sprintf("wal-%08d-%04d.log", gen, shard)
-}
+func walName(gen uint64) string { return fmt.Sprintf("wal-%08d-0000.log", gen) }
 
 func snapName(gen uint64) string { return fmt.Sprintf("snap-%08d", gen) }
 
 // snapMagic heads every snapshot file.
 var snapMagic = []byte("DMSNAP01")
 
-// Log is the durability engine for one folder store: per-shard WAL stripes
-// plus the snapshot/truncate cycle. All methods are safe for concurrent use
-// except StartSnapshot, whose caller must single-flight snapshots.
+// Log is the durability engine for one folder store: one WAL writer shared
+// by every shard plus the snapshot/truncate cycle. All methods are safe for
+// concurrent use except StartSnapshot, whose caller must single-flight
+// snapshots.
 type Log struct {
 	dir    string
 	cfg    Config
 	gen    atomic.Uint64 // advanced by snapshots (background goroutine)
-	shards []*stripe
+	shards int
+	w      *writer
 
 	// The snapshot trigger's inputs (see ShouldSnapshot): the records and
 	// frame bytes logged since the last cut, and the size of the last
@@ -53,8 +55,8 @@ type Log struct {
 // Open opens (creating if necessary) the log in dir for a store with the
 // given shard count, replaying recovered records through apply in a replay
 // order that preserves each folder's mutation order. It is safe to reopen
-// with a different shard count: records name their folder, and one folder's
-// records never span stripes within a generation.
+// with a different shard count: records name their folder, and a
+// generation's records of one folder sit in one file in append order.
 func Open(dir string, shards int, cfg Config, apply func(*Record) error) (*Log, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("durable: shard count %d", shards)
@@ -85,7 +87,7 @@ func Open(dir string, shards int, cfg Config, apply func(*Record) error) (*Log, 
 	}
 
 	// Replay surviving generations in ascending order. Per-folder order
-	// holds because a folder's records never span stripes within one
+	// holds because a folder's records never span segments within one
 	// generation, and every generation's records post-date the previous
 	// generation's entirely.
 	gen := base
@@ -97,7 +99,7 @@ func Open(dir string, shards int, cfg Config, apply func(*Record) error) (*Log, 
 			gen = g
 		}
 		for _, name := range stripeFiles(dir, g) {
-			n, size, err := replayStripe(name, apply)
+			n, size, err := replaySegment(name, apply)
 			if err != nil {
 				return nil, err
 			}
@@ -106,38 +108,25 @@ func Open(dir string, shards int, cfg Config, apply func(*Record) error) (*Log, 
 		}
 	}
 
-	// Drop garbage from interrupted truncations: stripes and snapshots of
+	// Drop garbage from interrupted truncations: segments and snapshots of
 	// generations older than the base, and abandoned snapshot temp files.
 	if err := removeStale(dir, base, haveSnap); err != nil {
 		return nil, err
 	}
 
-	// Every open starts a fresh generation: replayed stripes stay on disk
+	// Every open starts a fresh generation: replayed segments stay on disk
 	// as read-only history until a snapshot supersedes them, and new
 	// records — whose shard mapping may differ if the store was resized —
 	// always replay after everything recovered here.
 	gen++
-	l := &Log{dir: dir, cfg: cfg, shards: make([]*stripe, shards)}
-	l.gen.Store(gen)
-	for i := range l.shards {
-		name := filepath.Join(dir, walName(gen, i))
-		f, err := os.OpenFile(name, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
-		if err != nil {
-			l.abandon(i)
-			return nil, err
-		}
-		l.shards[i] = newStripe(f, cfg)
+	f, err := createSegment(dir, gen)
+	if err != nil {
+		return nil, err
 	}
-	// Make the fresh generation's directory entries durable before any
-	// record is acknowledged against them. Without this, a crash right
-	// after open can lose the new stripes' directory entries while a later
-	// snapshot's deletions of the old generation survive — leaving a data
-	// directory whose acknowledged records live in files no directory entry
-	// names. (The snapshot cycle already syncs the directory at its own
-	// commit point; open must too.)
-	syncDir(dir)
+	l := &Log{dir: dir, cfg: cfg, shards: shards, w: newWriter(f, shards, cfg)}
+	l.gen.Store(gen)
 	// The trigger resumes where the last incarnation left it: the replayed
-	// stripes are log since the last cut, the replayed snapshot is what the
+	// segments are log since the last cut, the replayed snapshot is what the
 	// next one will cost — so a log that crashed with a full generation
 	// compacts soon after reopening, and one that had just compacted does not.
 	l.appended.Store(walRecs)
@@ -148,13 +137,19 @@ func Open(dir string, shards int, cfg Config, apply func(*Record) error) (*Log, 
 	return l, nil
 }
 
-// abandon closes the stripes created before a failed Open step.
-func (l *Log) abandon(n int) {
-	for i := 0; i < n; i++ {
-		if l.shards[i] != nil {
-			_ = l.shards[i].close()
-		}
+// createSegment creates generation gen's log segment and makes its
+// directory entry durable before any record is acknowledged against it.
+// Without that, a crash can lose the new segment's directory entry while a
+// later snapshot's deletions of the old generation survive — leaving a data
+// directory whose acknowledged records live in a file no directory entry
+// names.
+func createSegment(dir string, gen uint64) (*os.File, error) {
+	f, err := os.OpenFile(filepath.Join(dir, walName(gen)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
+	if err != nil {
+		return nil, err
 	}
+	syncDir(dir)
+	return f, nil
 }
 
 // scanDir lists complete snapshot generations and wal generations present.
@@ -165,38 +160,51 @@ func scanDir(dir string) (snaps, walGens []uint64, err error) {
 	}
 	seen := make(map[uint64]bool)
 	for _, e := range ents {
-		name := e.Name()
+		g, isWAL, ok := fileGen(e.Name())
 		switch {
-		case strings.HasPrefix(name, "snap-") && !strings.HasSuffix(name, ".tmp"):
-			if g, err := strconv.ParseUint(strings.TrimPrefix(name, "snap-"), 10, 64); err == nil {
-				snaps = append(snaps, g)
-			}
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
-			parts := strings.SplitN(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log"), "-", 2)
-			if len(parts) != 2 {
-				continue
-			}
-			if g, err := strconv.ParseUint(parts[0], 10, 64); err == nil && !seen[g] {
-				seen[g] = true
-				walGens = append(walGens, g)
-			}
+		case ok && !isWAL:
+			snaps = append(snaps, g)
+		case ok && !seen[g]:
+			seen[g] = true
+			walGens = append(walGens, g)
 		}
 	}
 	sort.Slice(walGens, func(i, j int) bool { return walGens[i] < walGens[j] })
 	return snaps, walGens, nil
 }
 
-// stripeFiles lists generation g's stripe files in shard order.
+// fileGen parses the generation out of a wal segment's or a completed
+// snapshot's file name; ok is false for any other name, snapshot temp files
+// included.
+func fileGen(name string) (g uint64, isWAL, ok bool) {
+	var num string
+	switch {
+	case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
+		num, _, isWAL = strings.Cut(strings.TrimPrefix(name, "wal-"), "-")
+		if !isWAL {
+			return 0, false, false
+		}
+	case strings.HasPrefix(name, "snap-") && !strings.HasSuffix(name, ".tmp"):
+		num = strings.TrimPrefix(name, "snap-")
+	default:
+		return 0, false, false
+	}
+	g, err := strconv.ParseUint(num, 10, 64)
+	return g, isWAL, err == nil
+}
+
+// stripeFiles lists generation g's segment files in name order: one, or one
+// stripe per shard in a data directory written before PR 25.
 func stripeFiles(dir string, g uint64) []string {
 	matches, _ := filepath.Glob(filepath.Join(dir, fmt.Sprintf("wal-%08d-*.log", g)))
 	sort.Strings(matches)
 	return matches
 }
 
-// replayStripe applies every intact frame of one stripe file, stopping at a
+// replaySegment applies every intact frame of one segment file, stopping at a
 // torn tail (everything after a tear was never acknowledged durable). It
 // reports the records applied and the bytes they occupy.
-func replayStripe(name string, apply func(*Record) error) (n, size int64, err error) {
+func replaySegment(name string, apply func(*Record) error) (n, size int64, err error) {
 	buf, err := os.ReadFile(name)
 	if err != nil {
 		return 0, 0, err
@@ -206,7 +214,7 @@ func replayStripe(name string, apply func(*Record) error) (n, size int64, err er
 }
 
 // replaySnapshot applies every record of a completed snapshot and reports
-// the file's size. Unlike a wal stripe, a completed (renamed) snapshot has no
+// the file's size. Unlike a wal segment, a completed (renamed) snapshot has no
 // legitimate torn tail, so any framing failure before EOF is corruption.
 func replaySnapshot(name string, apply func(*Record) error) (size int64, err error) {
 	buf, err := os.ReadFile(name)
@@ -254,36 +262,21 @@ func removeStale(dir string, base uint64, haveSnap bool) error {
 	}
 	for _, e := range ents {
 		name := e.Name()
-		stale := false
-		switch {
-		case strings.HasSuffix(name, ".tmp"):
-			stale = true
-		case haveSnap && strings.HasPrefix(name, "snap-"):
-			if g, err := strconv.ParseUint(strings.TrimPrefix(name, "snap-"), 10, 64); err == nil && g < base {
-				stale = true
-			}
-		case haveSnap && strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
-			parts := strings.SplitN(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log"), "-", 2)
-			if len(parts) == 2 {
-				if g, err := strconv.ParseUint(parts[0], 10, 64); err == nil && g < base {
-					stale = true
-				}
-			}
-		}
-		if stale {
+		g, _, ok := fileGen(name)
+		if strings.HasSuffix(name, ".tmp") || (haveSnap && ok && g < base) {
 			_ = os.Remove(filepath.Join(dir, name))
 		}
 	}
 	return nil
 }
 
-// Append logs one record to the shard's stripe and returns its commit
-// handle. The caller holds the Store shard lock, which orders the records
-// of each folder. A dead log returns 0; Commit reports why.
+// Append logs one record of the shard and returns its commit handle. The
+// caller holds the Store shard lock, which orders the records of each
+// folder. A dead log returns 0; Commit reports why.
 //
 //memolint:requires-shard-lock
 func (l *Log) Append(shard int, rec *Record) uint64 {
-	seq, size := l.shards[shard].append(rec)
+	seq, size := l.w.append(shard, rec)
 	l.appended.Add(1)
 	l.walBytes.Add(int64(size))
 	mAppends.Inc()
@@ -291,30 +284,30 @@ func (l *Log) Append(shard int, rec *Record) uint64 {
 	return seq
 }
 
-// Commit blocks until the shard's stripe has made seq durable. It must run
-// outside the shard lock (it blocks on fsync), and its error gates the ack.
+// Commit blocks until the log has made the shard's record seq durable. It
+// must run outside the shard lock (it blocks on fsync), and its error gates
+// the ack.
 //
 //memolint:forbids-shard-lock
 //memolint:must-check-error
 func (l *Log) Commit(shard int, seq uint64) error {
-	return l.shards[shard].commit(seq)
+	return l.w.commit(seq)
 }
 
-// Barrier blocks until everything appended to the shard's stripe so far is
-// durable — the wait a deduplicated (already-applied) put performs so its
-// acknowledgement never outruns the original record's fsync. An empty
-// stripe (the original landed in a previous generation) is trivially
+// Barrier blocks until everything appended so far — the shard's records
+// among them — is durable: the wait a deduplicated (already-applied) put
+// performs so its acknowledgement never outruns the original record's fsync.
+// An empty log (the original landed in a previous incarnation) is trivially
 // durable.
 //
 //memolint:forbids-shard-lock
 //memolint:must-check-error
 func (l *Log) Barrier(shard int) error {
-	s := l.shards[shard]
-	seq := s.barrier()
+	seq := l.w.barrier()
 	if seq == 0 {
-		return s.aliveErr()
+		return l.w.aliveErr()
 	}
-	return s.commit(seq)
+	return l.w.commit(seq)
 }
 
 // ShouldSnapshot reports whether a truncation cycle has paid for itself: at
@@ -336,30 +329,22 @@ func (l *Log) ShouldSnapshot() bool {
 // Gen reports the current generation (diagnostics and tests).
 func (l *Log) Gen() uint64 { return l.gen.Load() }
 
-// Shards reports the stripe count.
-func (l *Log) Shards() int { return len(l.shards) }
+// Shards reports the shard count the log was opened for.
+func (l *Log) Shards() int { return l.shards }
 
-// Close flushes every stripe and closes the files. Pending commits complete
+// Close flushes the log and closes its files. Pending commits complete
 // durable; subsequent appends are dead.
 func (l *Log) Close() error {
 	l.retireGauges()
-	var first error
-	for _, s := range l.shards {
-		if err := s.close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return l.w.close()
 }
 
-// Crash abandons buffered records and slams every stripe shut — the
-// in-process stand-in for SIGKILL. What earlier sync cycles wrote survives
-// in the files; pending commits fail with ErrCrashed.
+// Crash abandons buffered records and slams the files shut — the in-process
+// stand-in for SIGKILL. What earlier sync cycles wrote survives in the
+// files; pending commits fail with ErrCrashed.
 func (l *Log) Crash() {
 	l.retireGauges()
-	for _, s := range l.shards {
-		s.crash()
-	}
+	l.w.crash()
 }
 
 // retireGauges withdraws this log's share of the process-wide size gauges.
@@ -378,7 +363,6 @@ type Snapshot struct {
 	buf     []byte
 	size    int64 // bytes written to tmp so far
 	nrec    int64
-	rotated int
 	started time.Time
 	// The log's trigger counters when the snapshot began: what Commit
 	// subtracts, so records logged while it was being written still count
@@ -386,20 +370,32 @@ type Snapshot struct {
 	baseRecs, baseBytes int64
 }
 
-// StartSnapshot begins a snapshot into the next generation. The caller must
-// single-flight snapshots and, on any error from CutShard/AppendRecord,
-// Abort. Even an aborted snapshot advances the generation — its rotated
-// stripes are already live — which is safe: recovery replays every
-// generation the incomplete snapshot failed to supersede.
+// StartSnapshot begins a snapshot into the next generation: it creates that
+// generation's segment and opens the log's window onto it (see CutShard).
+// The caller must single-flight snapshots and, on any error from
+// CutShard/AppendRecord, Abort. Even an aborted snapshot advances the
+// generation — the new segment is already live — which is safe: recovery
+// replays every generation the incomplete snapshot failed to supersede.
 func (l *Log) StartSnapshot() (*Snapshot, error) {
 	gen := l.gen.Load() + 1
-	tmp, err := os.OpenFile(filepath.Join(l.dir, snapName(gen)+".tmp"),
-		os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
+	tmpName := filepath.Join(l.dir, snapName(gen)+".tmp")
+	tmp, err := os.OpenFile(tmpName, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := tmp.Write(snapMagic); err != nil {
+	_, err = tmp.Write(snapMagic)
+	var next *os.File
+	if err == nil {
+		next, err = createSegment(l.dir, gen)
+	}
+	if err == nil {
+		if err = l.w.openWindow(next); err != nil {
+			next.Close()
+		}
+	}
+	if err != nil {
 		tmp.Close()
+		_ = os.Remove(tmpName)
 		return nil, err
 	}
 	return &Snapshot{
@@ -408,22 +404,18 @@ func (l *Log) StartSnapshot() (*Snapshot, error) {
 	}, nil
 }
 
-// CutShard captures one shard: flushes its stripe, dumps the shard's
-// in-memory state (via dump, which emits compacted records), and rotates
-// the stripe onto the new generation's segment. The caller MUST hold that
-// shard's Store lock for the whole call — that is what makes the cut a
-// consistent point between the dumped state and the post-cut records.
+// CutShard captures one shard: it routes the shard's later records to the
+// new generation's segment and dumps the shard's in-memory state (via dump,
+// which emits compacted records). The caller MUST hold that shard's Store
+// lock for the whole call — that is what makes the cut a consistent point
+// between the dumped state and the post-cut records. Until the window ends,
+// a shard not yet cut keeps logging into the old segment: its records there
+// are in its dump, and the new segment holds none of them, so replay sees
+// each record once whether or not the snapshot commits.
 func (s *Snapshot) CutShard(shard int, dump func(emit func(*Record) error) error) error {
-	next, err := os.OpenFile(filepath.Join(s.l.dir, walName(s.gen, shard)),
-		os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
-	if err != nil {
+	if err := s.l.w.cutShard(shard); err != nil {
 		return err
 	}
-	if err := s.l.shards[shard].rotate(next); err != nil {
-		next.Close()
-		return err
-	}
-	s.rotated++
 	if err := dump(s.AppendRecord); err != nil {
 		return err
 	}
@@ -455,15 +447,21 @@ func (s *Snapshot) flush() error {
 	return err
 }
 
-// Commit finalizes the snapshot: fsync, rename into place, fsync the
-// directory, then delete the superseded generation's files. After Commit
-// the log's trigger counters restart toward the next snapshot.
+// Commit finalizes the snapshot: end the log's window, fsync, rename into
+// place, fsync the directory, then delete the superseded generation's files.
+// After Commit the log's trigger counters restart toward the next snapshot.
 func (s *Snapshot) Commit() error {
-	if err := s.flush(); err != nil {
-		s.Abort()
-		return err
+	// A dump may hold records not yet durable when their shard was cut:
+	// ending the window syncs them before the snapshot can supersede the
+	// segment they are in, and fails if the log died meanwhile.
+	err := s.l.w.endWindow()
+	if err == nil {
+		err = s.flush()
 	}
-	if err := s.tmp.Sync(); err != nil {
+	if err == nil {
+		err = s.tmp.Sync()
+	}
+	if err != nil {
 		s.Abort()
 		return err
 	}
@@ -497,53 +495,32 @@ func (s *Snapshot) Commit() error {
 		return nil
 	}
 	for _, e := range ents {
-		name := e.Name()
-		var g uint64
-		switch {
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
-			parts := strings.SplitN(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log"), "-", 2)
-			if len(parts) != 2 {
-				continue
-			}
-			var err error
-			if g, err = strconv.ParseUint(parts[0], 10, 64); err != nil {
-				continue
-			}
-		case strings.HasPrefix(name, "snap-") && !strings.HasSuffix(name, ".tmp"):
-			var err error
-			if g, err = strconv.ParseUint(strings.TrimPrefix(name, "snap-"), 10, 64); err != nil {
-				continue
-			}
-		default:
-			continue
-		}
-		if g < s.gen {
-			_ = os.Remove(filepath.Join(s.l.dir, name))
+		if g, _, ok := fileGen(e.Name()); ok && g < s.gen {
+			_ = os.Remove(filepath.Join(s.l.dir, e.Name()))
 		}
 	}
 	return nil
 }
 
-// Abort discards the snapshot temp file. Stripes already rotated stay on
-// the new generation (recovery handles a generation with no snapshot), so
-// the log's generation still advances when any shard was cut.
+// Abort discards the snapshot temp file and ends the log's window. The log
+// stays on the new generation's segment (recovery handles a generation with
+// no snapshot), so the log's generation still advances.
 func (s *Snapshot) Abort() {
 	_ = s.tmp.Close()
 	s.abortKeepGen()
 }
 
 func (s *Snapshot) abortKeepGen() {
+	_ = s.l.w.endWindow() // a dead log reports itself on every later commit
 	_ = os.Remove(filepath.Join(s.l.dir, snapName(s.gen)+".tmp"))
-	if s.rotated > 0 {
-		s.l.gen.Store(s.gen)
-	}
+	s.l.gen.Store(s.gen)
 }
 
 // syncDir fsyncs a directory so a just-created or just-renamed file's
 // directory entry is durable. Best-effort: some platforms refuse to fsync
-// directories. Called at both directory-shape commit points: Open (fresh
-// generation stripes created) and Snapshot.Commit (snapshot renamed into
-// place).
+// directories. Called at every directory-shape commit point: a segment
+// created (Open, StartSnapshot) and a snapshot renamed into place
+// (Snapshot.Commit).
 func syncDir(dir string) {
 	mDirSyncs.Inc()
 	d, err := os.Open(dir)

@@ -178,7 +178,7 @@ func (r *recReader) key() symbol.Key {
 
 // AppendRecord appends rec to dst as one complete frame — header, body,
 // CRC — and returns the extended slice. It is the only encoder: the WAL
-// stripes and the snapshot writer both call it on their own write buffers, so
+// writer and the snapshot writer both call it on their own write buffers, so
 // a record's bytes are produced once, in place, and nothing is allocated
 // unless dst has to grow.
 func AppendRecord(dst []byte, rec *Record) []byte {

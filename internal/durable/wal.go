@@ -7,29 +7,38 @@ import (
 	"time"
 )
 
-// stripe is one shard's write-ahead log: an append buffer, the current
-// segment file, and a dedicated syncer goroutine that drains the buffer by
-// backpressure — whatever accumulated while the previous write+fsync ran
-// ships in the next cycle, so one fsync amortizes over a group of records
-// exactly the way one in-flight frame amortizes the rpc batcher's sends.
+// writer is a store's one write-ahead log: one append buffer that every shard
+// encodes into, the current generation's segment file, and one syncer
+// goroutine that drains the buffer by backpressure — whatever all shards
+// appended while the previous write+fsync ran ships in the next cycle, so one
+// fsync amortizes over a group of records exactly the way one in-flight frame
+// amortizes the rpc batcher's sends.
 //
 // The buffer is contiguous: records are encoded straight into it, a group
 // commit is one write(2) of it, and the syncer hands the written buffer back
 // as the next cycle's spare, so in steady state an append allocates nothing.
 //
-// Locking: io serializes everything that touches the file (syncer cycles,
-// rotation, close); mu guards the buffer and sequence counters. io is always
-// taken before mu, and appenders take only mu, so an append never waits for
-// an fsync — only Commit does.
-type stripe struct {
+// A snapshot window (openWindow … endWindow) keeps the previous generation's
+// segment live for the shards not yet cut: their records go to oldBuf, a cut
+// shard's to buf, and one cycle writes both before it advances syncSeq.
+//
+// Locking: io serializes everything that touches the files (syncer cycles,
+// window open and end, close); mu guards the buffers, routes and sequence
+// counters. io is always taken before mu, and appenders take only mu, so an
+// append never waits for an fsync — only Commit does.
+type writer struct {
 	cfg Config
 
-	io sync.Mutex // file writes, rotation, close; taken before mu
-	f  *os.File   // current segment; swapped by rotate under io+mu
+	io sync.Mutex // file writes, window open/end, close; taken before mu
 
 	mu      sync.Mutex
-	synced  *sync.Cond // signalled when syncedSeq/failed/state advance
-	buf     []byte     // encoded frames awaiting write: records syncSeq+1..seq
+	synced  *sync.Cond // signalled when syncSeq/failed/closed advance
+	f       *os.File   // current generation's segment
+	old     *os.File   // previous generation's segment while a window is open, else nil
+	cut     []bool     // per shard, while a window is open: routed to f
+	buf     []byte     // frames for f awaiting write
+	oldBuf  []byte     // frames for old awaiting write
+	oldN    uint64     // records in oldBuf
 	spare   []byte     // the last written buffer, emptied, for the next swap
 	seq     uint64     // last appended sequence number
 	syncSeq uint64     // last sequence made durable (per the sync mode)
@@ -39,31 +48,36 @@ type stripe struct {
 	wake chan struct{} // capacity 1: "frames may be pending"
 }
 
-func newStripe(f *os.File, cfg Config) *stripe {
-	s := &stripe{cfg: cfg, f: f, wake: make(chan struct{}, 1)}
-	s.synced = sync.NewCond(&s.mu)
-	go s.run()
-	return s
+func newWriter(f *os.File, shards int, cfg Config) *writer {
+	w := &writer{cfg: cfg, f: f, cut: make([]bool, shards), wake: make(chan struct{}, 1)}
+	w.synced = sync.NewCond(&w.mu)
+	go w.run()
+	return w
 }
 
-// append encodes one record into the buffer and returns its sequence number
-// and frame size. The caller holds the owning Store shard's lock, which is
-// what orders records of one folder. Returns 0 when the stripe is dead (commit
-// will report why).
-func (s *stripe) append(rec *Record) (seq uint64, size int) {
-	s.mu.Lock()
-	if s.closed || s.failed != nil {
-		s.mu.Unlock()
+// append encodes one record into the buffer its shard is routed to and
+// returns its sequence number and frame size. The caller holds the owning
+// Store shard's lock, which is what orders records of one folder. Returns 0
+// when the log is dead (commit will report why).
+func (w *writer) append(shard int, rec *Record) (seq uint64, size int) {
+	w.mu.Lock()
+	if w.closed || w.failed != nil {
+		w.mu.Unlock()
 		return 0, 0
 	}
-	before := len(s.buf)
-	s.buf = AppendRecord(s.buf, rec)
-	size = len(s.buf) - before
-	s.seq++
-	seq = s.seq
-	s.mu.Unlock()
+	dst := &w.buf
+	if w.old != nil && !w.cut[shard] {
+		dst = &w.oldBuf
+		w.oldN++
+	}
+	before := len(*dst)
+	*dst = AppendRecord(*dst, rec)
+	size = len(*dst) - before
+	w.seq++
+	seq = w.seq
+	w.mu.Unlock()
 	select {
-	case s.wake <- struct{}{}:
+	case w.wake <- struct{}{}:
 	default:
 	}
 	return seq, size
@@ -71,114 +85,110 @@ func (s *stripe) append(rec *Record) (seq uint64, size int) {
 
 // commit blocks until seq is durable. seq 0 is a dead append (death is
 // sticky, so the terminal state explains it). A record flushed by close()
-// commits fine even though the stripe is now closed — durability checks
-// come first.
-func (s *stripe) commit(seq uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// commits fine even though the log is now closed — durability checks come
+// first.
+func (w *writer) commit(seq uint64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if seq == 0 {
-		if s.failed != nil {
-			return s.failed
+		if err := w.aliveLocked(); err != nil {
+			return err
 		}
 		return ErrClosed
 	}
-	for {
-		if s.syncSeq >= seq {
-			return nil
+	for w.syncSeq < seq {
+		if err := w.aliveLocked(); err != nil {
+			return err
 		}
-		if s.failed != nil {
-			return s.failed
-		}
-		if s.closed {
-			return ErrClosed
-		}
-		s.synced.Wait()
+		w.synced.Wait()
 	}
+	return nil
 }
 
-// aliveErr reports the stripe's terminal state (nil while alive).
-func (s *stripe) aliveErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed != nil {
-		return s.failed
+// aliveLocked reports the terminal state (nil while alive). Caller holds mu.
+func (w *writer) aliveLocked() error {
+	if w.failed != nil {
+		return w.failed
 	}
-	if s.closed {
+	if w.closed {
 		return ErrClosed
 	}
 	return nil
 }
 
-// barrier returns the current append sequence, for commit-waiting on
-// everything logged so far.
-func (s *stripe) barrier() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
+func (w *writer) aliveErr() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.aliveLocked()
 }
 
-// maxSpare bounds the emptied buffer a stripe keeps for reuse, so one burst
+// barrier returns the current append sequence, for commit-waiting on
+// everything logged so far.
+func (w *writer) barrier() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.seq
+}
+
+// maxSpare bounds the emptied buffer the writer keeps for reuse, so one burst
 // does not pin its high-water mark forever.
 const maxSpare = 4 << 20
 
-// run is the syncer: each cycle takes the whole buffer and makes it durable
-// with one write (+fsync per the mode). SyncAlways instead walks the taken
-// buffer frame by frame, one write+fsync and one wake-up per record.
-func (s *stripe) run() {
-	for range s.wake {
+// run is the syncer: each cycle takes both buffers at one watermark and makes
+// them durable with one write (+fsync per the mode) per non-empty buffer.
+// SyncAlways instead walks the taken buffers frame by frame, one write+fsync
+// per record.
+func (w *writer) run() {
+	for range w.wake {
 		for {
-			s.io.Lock()
-			s.mu.Lock()
-			if s.closed || s.failed != nil {
-				s.mu.Unlock()
-				s.io.Unlock()
+			w.io.Lock()
+			w.mu.Lock()
+			if w.closed || w.failed != nil {
+				w.mu.Unlock()
+				w.io.Unlock()
 				return
 			}
-			if len(s.buf) == 0 {
-				s.mu.Unlock()
-				s.io.Unlock()
+			if len(w.buf) == 0 && len(w.oldBuf) == 0 {
+				w.mu.Unlock()
+				w.io.Unlock()
 				break
 			}
 			// io held through take+write+mark means nothing is ever in
-			// flight elsewhere: the taken buffer is exactly records
-			// syncSeq+1..seq.
-			batch, n := s.buf, s.seq-s.syncSeq
-			s.buf, s.spare = s.spare, nil
-			f := s.f
-			s.mu.Unlock()
+			// flight elsewhere: the taken buffers are exactly records
+			// syncSeq+1..mark.
+			batch, oldBatch, mark, oldN := w.buf, w.oldBuf, w.seq, w.oldN
+			n := mark - w.syncSeq
+			w.buf, w.spare = w.spare, nil
+			w.oldBuf, w.oldN = nil, 0
+			f, old := w.f, w.old
+			w.mu.Unlock()
 
-			for rest := batch; len(rest) > 0; {
-				unit, covers := rest, n
-				if s.cfg.Sync == SyncAlways {
-					unit, covers = rest[:frameLen(rest)], 1
-				}
-				start := time.Now()
-				_, err := f.Write(unit)
-				if err == nil && s.cfg.Sync != SyncNever {
-					err = f.Sync()
-				}
-				mFsyncNS.Observe(int64(time.Since(start)))
-				mCommitBatch.Observe(int64(covers))
-				rest = rest[len(unit):]
-
-				s.mu.Lock()
-				if err != nil {
-					if s.failed == nil {
-						s.failed = err
-					}
-					s.synced.Broadcast()
-					s.mu.Unlock()
-					s.io.Unlock()
-					return
-				}
-				s.syncSeq += covers
-				if len(rest) == 0 && cap(batch) <= maxSpare {
-					s.spare = batch[:0]
-				}
-				s.synced.Broadcast()
-				s.mu.Unlock()
+			// The two buffers interleave sequence numbers, so records are
+			// marked durable one write unit at a time only when one of them
+			// is empty; otherwise all at once, after both.
+			step := len(oldBatch) == 0 || len(batch) == 0
+			err := w.ship(old, oldBatch, oldN, step)
+			if err == nil {
+				err = w.ship(f, batch, n-oldN, step)
 			}
-			s.io.Unlock()
+
+			w.mu.Lock()
+			if err != nil {
+				if w.failed == nil {
+					w.failed = err
+				}
+				w.synced.Broadcast()
+				w.mu.Unlock()
+				w.io.Unlock()
+				return
+			}
+			w.syncSeq = mark
+			if cap(batch) <= maxSpare {
+				w.spare = batch[:0]
+			}
+			w.synced.Broadcast()
+			w.mu.Unlock()
+			w.io.Unlock()
 			// Yield before the next cycle: the waiters just woken re-append
 			// their next records first, so the following fsync covers a full
 			// group instead of racing ahead of its producers — that one
@@ -189,102 +199,174 @@ func (s *stripe) run() {
 	}
 }
 
-// flushLocked writes and (mode permitting) fsyncs the whole buffer to the
-// current file. Caller holds io and mu.
-func (s *stripe) flushLocked() error {
-	if s.failed != nil {
-		return s.failed
-	}
-	if len(s.buf) == 0 {
-		return nil // every earlier cycle synced what it wrote
-	}
-	_, err := s.f.Write(s.buf)
-	if err == nil && s.cfg.Sync != SyncNever {
-		err = s.f.Sync()
-	}
-	if err != nil {
-		s.failed = err
-		s.synced.Broadcast()
-		return err
-	}
-	s.buf = s.buf[:0]
-	s.syncSeq = s.seq
-	s.synced.Broadcast()
-	return nil
-}
-
-// rotate flushes the old segment and switches the stripe onto next. The
-// caller holds the owning Store shard's lock, so no append races the swap;
-// io excludes an in-flight syncer cycle, so no pre-cut frame can land in the
-// post-cut segment.
-func (s *stripe) rotate(next *os.File) error {
-	s.io.Lock()
-	defer s.io.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if err := s.flushLocked(); err != nil {
-		return err
-	}
-	old := s.f
-	s.f = next
-	if err := old.Close(); err != nil {
-		return err
+// ship writes n records' frames to f in write(+fsync) units — all at once, or
+// one frame per unit under SyncAlways — observing each unit once. With step,
+// every unit but the last also marks its records durable and wakes their
+// committers; the caller marks the rest. Caller holds io.
+func (w *writer) ship(f *os.File, frames []byte, n uint64, step bool) error {
+	for len(frames) > 0 {
+		unit, covers := frames, n
+		if w.cfg.Sync == SyncAlways {
+			unit, covers = frames[:frameLen(frames)], 1
+		}
+		start := time.Now()
+		_, err := f.Write(unit)
+		if err == nil && w.cfg.Sync != SyncNever {
+			err = f.Sync()
+		}
+		mFsyncNS.Observe(int64(time.Since(start)))
+		mCommitBatch.Observe(int64(covers))
+		if err != nil {
+			return err
+		}
+		frames = frames[len(unit):]
+		if step && len(frames) > 0 {
+			w.mu.Lock()
+			w.syncSeq += covers
+			w.synced.Broadcast()
+			w.mu.Unlock()
+		}
 	}
 	return nil
 }
 
-// close flushes and retires the stripe; pending commits complete first.
-func (s *stripe) close() error {
-	s.io.Lock()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.io.Unlock()
+// flushLocked writes and (mode permitting) fsyncs both buffers to their
+// segments. Caller holds io and mu.
+func (w *writer) flushLocked() error {
+	if w.failed != nil {
+		return w.failed
+	}
+	for _, s := range [...]struct {
+		f      *os.File
+		frames []byte
+	}{{w.old, w.oldBuf}, {w.f, w.buf}} {
+		if len(s.frames) == 0 {
+			continue // every earlier cycle synced what it wrote
+		}
+		_, err := s.f.Write(s.frames)
+		if err == nil && w.cfg.Sync != SyncNever {
+			err = s.f.Sync()
+		}
+		if err != nil {
+			w.failed = err
+			w.synced.Broadcast()
+			return err
+		}
+	}
+	w.buf, w.oldBuf, w.oldN = w.buf[:0], nil, 0
+	w.syncSeq = w.seq
+	w.synced.Broadcast()
+	return nil
+}
+
+// openWindow makes next the current segment. Until endWindow, the previous
+// one stays live: what is still buffered for it stays there, and so does
+// every record of a shard not yet cut.
+func (w *writer) openWindow(next *os.File) error {
+	w.io.Lock()
+	defer w.io.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.aliveLocked(); err != nil {
+		return err
+	}
+	w.old, w.f = w.f, next
+	w.oldBuf, w.oldN = w.buf, w.seq-w.syncSeq // io held: nothing is in flight
+	w.buf, w.spare = w.spare, nil
+	clear(w.cut)
+	return nil
+}
+
+// cutShard routes the shard's future records to the current segment. The
+// caller holds the owning Store shard's lock.
+func (w *writer) cutShard(shard int) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.aliveLocked(); err != nil {
+		return err
+	}
+	w.cut[shard] = true
+	return nil
+}
+
+// endWindow makes everything appended so far durable, closes the previous
+// generation's segment and routes every shard to the current one. A no-op
+// once the window has ended.
+func (w *writer) endWindow() error {
+	w.io.Lock()
+	defer w.io.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.aliveLocked(); err != nil || w.old == nil {
+		return err
+	}
+	err := w.flushLocked()
+	if cerr := w.old.Close(); err == nil {
+		err = cerr
+	}
+	w.old = nil
+	return err
+}
+
+// close flushes and retires the writer; pending commits complete first.
+func (w *writer) close() error {
+	w.io.Lock()
+	w.mu.Lock()
+	if w.closed {
+		w.mu.Unlock()
+		w.io.Unlock()
 		return nil
 	}
-	err := s.flushLocked()
-	s.closed = true
-	s.buf, s.spare = nil, nil
-	s.synced.Broadcast()
-	f := s.f
-	s.mu.Unlock()
-	s.io.Unlock()
-	// Unblock the syncer so it observes closed and exits; the channel is
-	// never closed because a racing append may still signal it.
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	err := w.flushLocked()
+	w.closed = true
+	w.buf, w.oldBuf, w.spare = nil, nil, nil
+	w.synced.Broadcast()
+	files := [...]*os.File{w.f, w.old}
+	w.mu.Unlock()
+	w.io.Unlock()
+	w.stopSyncer()
+	for _, f := range files {
+		if f == nil {
+			continue
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
 	return err
 }
 
-// crash abandons buffered records and slams the file shut — what SIGKILL
+// crash abandons buffered records and slams the files shut — what SIGKILL
 // does to a real process. Pending commits fail with ErrCrashed; whatever an
-// earlier cycle already wrote stays in the file, exactly like OS-buffered
+// earlier cycle already wrote stays in the files, exactly like OS-buffered
 // data surviving a killed process.
-func (s *stripe) crash() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+func (w *writer) crash() {
+	w.mu.Lock()
+	if w.closed {
+		w.mu.Unlock()
 		return
 	}
-	s.closed = true
-	if s.failed == nil {
-		s.failed = ErrCrashed
+	w.closed = true
+	if w.failed == nil {
+		w.failed = ErrCrashed
 	}
-	s.buf, s.spare = nil, nil
-	s.synced.Broadcast()
-	f := s.f
-	s.mu.Unlock()
+	w.buf, w.oldBuf, w.spare = nil, nil, nil
+	w.synced.Broadcast()
+	files := [...]*os.File{w.f, w.old}
+	w.mu.Unlock()
+	w.stopSyncer()
+	for _, f := range files {
+		if f != nil {
+			_ = f.Close()
+		}
+	}
+}
+
+// stopSyncer unblocks the syncer so it observes closed and exits; the channel
+// is never closed because a racing append may still signal it.
+func (w *writer) stopSyncer() {
 	select {
-	case s.wake <- struct{}{}:
+	case w.wake <- struct{}{}:
 	default:
 	}
-	_ = f.Close()
 }

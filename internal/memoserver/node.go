@@ -676,8 +676,10 @@ func (n *Node) LinkStats() []LinkStat {
 // RegisterMetrics attaches this node's series to reg: the node_* routing
 // counters (same obs.Counter instances Stats reads), the tracer's two
 // totals, plus a scrape-time collector that walks the node's folder servers
-// (their folder_* series) and sums peer-link health into the node_link_*
-// series — the registry view of LinkStats.
+// (their folder_* series), reads the thread cache's counters (the
+// threadcache_* series — CacheStats and IdleCount at scrape time) and sums
+// peer-link health into the node_link_* series — the registry view of
+// LinkStats.
 func (n *Node) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("node_local_ops_total", "requests resolved on this host", nil, &n.localOps)
 	reg.RegisterCounter("node_forwards_total", "requests forwarded to a peer memo server", nil, &n.forwards)
@@ -692,6 +694,11 @@ func (n *Node) RegisterMetrics(reg *obs.Registry) {
 			}
 			return true
 		})
+		cs := n.pool.Stats()
+		e.Counter("threadcache_spawned_total", "request threads created", nil, cs.Spawned)
+		e.Counter("threadcache_reused_total", "requests run on a cached thread", nil, cs.Reused)
+		e.Counter("threadcache_retired_total", "cached threads retired (idle timeout, cache full or closed)", nil, cs.Retired)
+		e.Gauge("threadcache_idle_workers", "threads parked in the cache", nil, int64(n.pool.IdleCount()))
 		var links, dials, failed, faults int64
 		n.peers.Range(func(_, v any) bool {
 			st := v.(*peerLink).stats()

@@ -206,6 +206,8 @@ var metricCatalog = []string{
 	"rpc_frames_total", "rpc_heartbeat_echoes_total", "rpc_link_down_total", "rpc_probes_total",
 	"rpc_server_inflight", "rpc_server_requests_total",
 	"slow_requests_total", "trace_samples_total",
+	"threadcache_idle_workers", "threadcache_retired_total", "threadcache_reused_total",
+	"threadcache_spawned_total",
 	"transport_backoff_resets_total", "transport_dials_total", "transport_failed_dials_total",
 	"transport_faults_total", "transport_flaky_injections_total", "transport_tcp_reads_total",
 	"transport_tcp_writes_total",

@@ -8,7 +8,9 @@
 //
 // A Pool transliterates that into goroutines: Submit hands the task to an
 // idle cached worker if one exists; otherwise it spawns a new worker. After
-// finishing a task the worker waits IdleTimeout for more work, then retires.
+// finishing a task the worker parks on its channel; one pool-level timer,
+// armed while any worker is idle, retires those idle for IdleTimeout — the
+// paper's per-thread timer, without arming one per request.
 // Disabling the cache (Config.Disable) spawns a fresh goroutine per request
 // — the ablation measured by experiment E1. Spawn/reuse counters make the
 // difference observable.
@@ -16,6 +18,7 @@ package threadcache
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,13 +77,21 @@ type Pool struct {
 	cfg Config
 
 	mu     sync.Mutex
-	idle   []chan Task // stack: most recently parked worker first
+	idle   []idleWorker // stack: Submit pops the newest; idle[0] has waited longest
+	sweep  *time.Timer  // retires idle workers; created on the first park
+	armed  bool         // sweep is pending
 	closed bool
 	live   sync.WaitGroup
 
 	spawned atomic.Int64
 	reused  atomic.Int64
 	retired atomic.Int64
+}
+
+// idleWorker is a parked worker: the channel it waits on, and since when.
+type idleWorker struct {
+	ch     chan Task
+	parked time.Time
 }
 
 // New returns a pool with the given configuration.
@@ -130,7 +141,7 @@ func (p *Pool) SubmitTask(t Task) error {
 		return ErrClosed
 	}
 	if n := len(p.idle); n > 0 {
-		w := p.idle[n-1]
+		w := p.idle[n-1].ch
 		p.idle = p.idle[:n-1]
 		p.mu.Unlock()
 		p.reused.Add(1)
@@ -144,60 +155,65 @@ func (p *Pool) SubmitTask(t Task) error {
 	return nil
 }
 
-// worker runs its first task, then parks itself waiting for reuse until the
-// idle timer fires. One handoff channel and one timer serve the worker's
-// whole lifetime, so a run-then-park cycle allocates nothing.
-func (p *Pool) worker(first Task) {
+// worker runs its first task, then parks on its channel until Submit hands
+// it the next one or the sweep closes the channel. One channel serves the
+// worker's whole lifetime, so a run-then-park cycle allocates nothing.
+func (p *Pool) worker(task Task) {
 	defer p.live.Done()
-	task := first
 	ch := make(chan Task)
-	timer := time.NewTimer(p.cfg.IdleTimeout)
-	defer timer.Stop()
-	for {
+	for task.Fn != nil { // a closed channel yields the zero Task
 		task.run()
-		p.mu.Lock()
-		if p.closed || len(p.idle) >= p.cfg.MaxIdle {
-			p.mu.Unlock()
-			p.retired.Add(1)
-			return
+		if !p.park(ch) {
+			break
 		}
-		p.idle = append(p.idle, ch)
-		p.mu.Unlock()
+		task = <-ch
+	}
+	p.retired.Add(1)
+}
 
-		// Go 1.23+ timers: Reset on a stopped or fired timer needs no drain.
-		timer.Reset(p.cfg.IdleTimeout)
-		select {
-		case task = <-ch:
-			timer.Stop()
-			if task.Fn == nil { // pool closed while parked
-				p.retired.Add(1)
-				return
-			}
-		case <-timer.C:
-			// Retire — but a Submit may have popped us concurrently and
-			// be about to send. Remove ourselves under the lock; if we
-			// are already gone, we must take the task.
-			p.mu.Lock()
-			removed := false
-			for i, c := range p.idle {
-				if c == ch {
-					p.idle = append(p.idle[:i], p.idle[i+1:]...)
-					removed = true
-					break
-				}
-			}
-			p.mu.Unlock()
-			if removed {
-				p.retired.Add(1)
-				return
-			}
-			task = <-ch // a Submit won the race; serve it
-			if task.Fn == nil {
-				p.retired.Add(1)
-				return
-			}
+// park pushes ch onto the idle stack, arming the sweep if it is not pending.
+// False: the worker retires instead (pool closed or full).
+func (p *Pool) park(ch chan Task) bool {
+	p.mu.Lock()
+	if p.closed || len(p.idle) >= p.cfg.MaxIdle {
+		p.mu.Unlock()
+		return false
+	}
+	p.idle = append(p.idle, idleWorker{ch, time.Now()})
+	if !p.armed {
+		p.armed = true
+		if p.sweep == nil {
+			p.sweep = time.AfterFunc(p.cfg.IdleTimeout, p.retireIdle)
+		} else {
+			p.sweep.Reset(p.cfg.IdleTimeout)
 		}
 	}
+	p.mu.Unlock()
+	return true
+}
+
+// retireIdle is the sweep: it closes the channels of workers idle for
+// IdleTimeout — the bottom of the stack — and re-arms for the next-oldest,
+// or disarms when none is left. A popped worker is off the stack, so the
+// sweep never closes a channel Submit is sending on.
+func (p *Pool) retireIdle() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return
+	}
+	now := time.Now()
+	n := 0
+	for n < len(p.idle) && now.Sub(p.idle[n].parked) >= p.cfg.IdleTimeout {
+		close(p.idle[n].ch)
+		n++
+	}
+	p.idle = slices.Delete(p.idle, 0, n)
+	if len(p.idle) == 0 {
+		p.armed = false
+		return
+	}
+	p.sweep.Reset(p.idle[0].parked.Add(p.cfg.IdleTimeout).Sub(now))
 }
 
 // Close retires all idle workers and rejects future Submits. It does not
@@ -211,9 +227,13 @@ func (p *Pool) Close() {
 	p.closed = true
 	idle := p.idle
 	p.idle = nil
+	if p.armed {
+		p.sweep.Stop()
+		p.armed = false
+	}
 	p.mu.Unlock()
-	for _, ch := range idle {
-		close(ch)
+	for _, w := range idle {
+		close(w.ch)
 	}
 }
 

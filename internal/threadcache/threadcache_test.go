@@ -225,6 +225,94 @@ func TestWarmCycleAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestIdleWorkersRetireWithoutTraffic: after a burst, with nothing submitted
+// since, the one pool-level sweep retires every worker within a few idle
+// timeouts and disarms; Close with a sweep pending neither panics nor leaves
+// a goroutine behind.
+func TestIdleWorkersRetireWithoutTraffic(t *testing.T) {
+	armed := func(p *Pool) bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.armed
+	}
+	before := runtime.NumGoroutine()
+
+	const idle = 50 * time.Millisecond
+	p := New(Config{IdleTimeout: idle})
+	var wg sync.WaitGroup
+	gate := make(chan struct{})
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		p.Submit(func() { <-gate; wg.Done() })
+	}
+	close(gate)
+	wg.Wait()
+	deadline := time.Now().Add(3 * idle)
+	for {
+		s := p.Stats()
+		if s.Retired == s.Spawned && p.IdleCount() == 0 && !armed(p) {
+			if s.Spawned != 16 {
+				t.Fatalf("a burst of 16 concurrent tasks spawned %d workers", s.Spawned)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("3 idle timeouts after the burst: %+v, idle=%d, sweep armed=%v", s, p.IdleCount(), armed(p))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	p.Close()
+	p.Wait()
+
+	// Close with the sweep pending — an hour away, and then racing its
+	// firing at 1 ms.
+	for i, timeout := range []time.Duration{time.Hour, time.Millisecond, time.Millisecond, time.Millisecond} {
+		q := New(Config{IdleTimeout: timeout})
+		done := make(chan struct{})
+		q.Submit(func() { close(done) })
+		<-done
+		if i == 0 {
+			waitIdle(t, q, 1)
+			if !armed(q) {
+				t.Fatal("a parked worker left the sweep disarmed")
+			}
+		} else {
+			time.Sleep(time.Duration(i) * 500 * time.Microsecond)
+		}
+		q.Close()
+		q.Wait()
+		if armed(q) {
+			t.Fatal("sweep still armed after Close")
+		}
+	}
+	deadline = time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the pools", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// BenchmarkSubmitPark is one warm submit → run → park cycle: SubmitArg with a
+// static function, the task's signal, and the worker back on the stack.
+func BenchmarkSubmitPark(b *testing.B) {
+	p := New(Config{})
+	defer func() { p.Close(); p.Wait() }()
+	done := make(chan struct{})
+	fn := func(any) { done <- struct{}{} }
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := p.SubmitArg(fn, nil); err != nil {
+			b.Fatal(err)
+		}
+		<-done
+		for p.IdleCount() == 0 {
+			runtime.Gosched()
+		}
+	}
+}
+
 func BenchmarkSubmitCached(b *testing.B) {
 	p := New(Config{IdleTimeout: time.Second})
 	defer func() { p.Close(); p.Wait() }()
