@@ -127,8 +127,9 @@ func (s *statuszView) sum(name string) int64 {
 	return total
 }
 
-// linkSummary condenses the /statusz links array (LinkStats / RedialerStats)
-// into "dials/faults" plus the first live error, if any.
+// linkSummary condenses the /statusz links array (memoserver.LinkStat: a
+// peer plus the LinkHealth fields a Client's Stats also reports) into
+// "dials/faults" plus the first live error, if any.
 func (s *statuszView) linkSummary() string {
 	if len(s.Links) == 0 {
 		return "-"

@@ -27,6 +27,7 @@ import (
 	"repro/internal/durable"
 	"repro/internal/memoserver"
 	"repro/internal/obs"
+	"repro/internal/rpc"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -72,7 +73,6 @@ type config struct {
 	node         memoserver.Config
 	host, listen string
 	peers        peerMap
-	idleTimeout  time.Duration
 	debugAddr    string
 	readyFile    string
 }
@@ -83,15 +83,11 @@ func register(fs *flag.FlagSet) *config {
 	fs.StringVar(&c.host, "host", "", "this machine's logical host name (as in ADFs)")
 	fs.StringVar(&c.listen, "listen", ":7440", "TCP listen address")
 	fs.Var(c.peers, "peer", "logical-host=tcp-addr mapping (repeatable)")
-	fs.DurationVar(&n.Resilience.Heartbeat, "heartbeat-interval", 5*time.Second, "probe receive-quiet links this often; a peer silent for 2x this is declared dead (0 disables heartbeats; -idle-timeout then defaults off, since blocking waits legitimately silence a connection)")
+	fs.DurationVar(&n.Resilience.Heartbeat, "heartbeat-interval", 5*time.Second, "probe receive-quiet links this often; a peer silent for 2x this is declared dead; connections silent for 3x this (at least 15s) are closed (0 disables heartbeats and the idle timeout, since blocking waits legitimately silence a connection)")
 	fs.DurationVar(&n.Resilience.Redial.Min, "redial-backoff", 50*time.Millisecond, "first re-dial delay after a peer link dies; doubles per failure up to the transport cap, with jitter")
 	fs.IntVar(&n.Resilience.Retries, "link-retries", 2, "transparent retries of safely-retriable forwarded calls after a link failure")
-	fs.BoolVar(&n.Cache.Disable, "no-thread-cache", false, "disable thread caching (E1 ablation)")
-	fs.IntVar(&n.Batch.MaxCount, "batch-max", 0, "max requests coalesced per rpc batch frame (0 = default 64; 1 disables batching)")
-	fs.IntVar(&n.Batch.MaxBytes, "batch-bytes", 0, "max encoded bytes per rpc batch frame (0 = default 64KiB)")
-	fs.DurationVar(&c.idleTimeout, "idle-timeout", 15*time.Second, "close connections silent for this long (0 = never); rpc clients heartbeat when their receive side goes quiet, so a healthy blocking wait does not trip it")
 	fs.StringVar(&n.DataDir, "data-dir", "", "directory for folder-server durability (per-shard WAL + snapshots); empty keeps folders in memory only")
-	fs.Var(syncFlag{&n.Durable.Sync}, "fsync", "WAL sync `mode`: batch (group commit), always (fsync per record), never (trust the OS cache)")
+	fs.Var(syncFlag{&n.Durable.Sync}, "fsync", "WAL sync `mode`: batch (group commit: an ack waits for the fsync covering its record) or never (trust the OS cache)")
 	fs.IntVar(&n.Durable.SnapshotEvery, "snapshot-every", 0, "minimum records between WAL snapshot+truncate cycles (0 = default, negative = never)")
 	fs.StringVar(&c.debugAddr, "debug-addr", "", "serve the debug endpoints (/metrics, /statusz, /tracez, /debug/pprof/) on this address (e.g. localhost:6060); empty disables them")
 	fs.DurationVar(&n.SlowRequestThreshold, "slow-request-threshold", 0, "record requests that take at least this long as slow (the slow section of /tracez, and a log line each), naming untraced ones with a trace ID; 0 times no request on this account")
@@ -110,26 +106,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "memoserverd: -host is required")
 		os.Exit(2)
 	}
-	idleSet := false
-	flag.Visit(func(f *flag.Flag) { idleSet = idleSet || f.Name == "idle-timeout" })
-	heartbeat := c.node.Resilience.Heartbeat
-	if !idleSet {
-		// Keep the read deadline consistent with the probe rate: without
-		// heartbeats a blocked folder wait keeps a healthy connection
-		// silent (so no deadline at all), and with a long heartbeat
-		// interval the deadline must stretch with it or it fires before
-		// the first probe.
-		if heartbeat <= 0 {
-			c.idleTimeout = 0
-		} else if 3*heartbeat > c.idleTimeout {
-			c.idleTimeout = 3 * heartbeat
-		}
-	} else if heartbeat > 0 && c.idleTimeout > 0 && c.idleTimeout < 2*heartbeat {
-		log.Printf("warning: -idle-timeout %v < 2x -heartbeat-interval %v; healthy silent connections may be killed before their first probe", c.idleTimeout, heartbeat)
-	}
-
-	tcp := transport.NewTCP()
-	tcp.IdleTimeout = c.idleTimeout
+	tcp := &transport.TCP{IdleTimeout: idleTimeout(c.node.Resilience.Heartbeat)}
 	mt := &mappedTransport{inner: tcp, listen: c.listen, peers: c.peers}
 	node := memoserver.NewWithDialer(c.host, mt, c.node)
 	node.RegisterMetrics(obs.Default)
@@ -162,6 +139,18 @@ func main() {
 	}
 	node.Close()
 	log.Printf("folder state flushed; bye")
+}
+
+// idleTimeout is the TCP read deadline for heartbeat interval hb: three
+// probe intervals of the slower of this daemon and its clients (which dial
+// with rpc.DefaultHeartbeat), so a healthy quiet link is never cut before
+// its probes arrive. Without heartbeats a blocked folder wait keeps a
+// healthy connection silent, so there is no deadline at all.
+func idleTimeout(hb time.Duration) time.Duration {
+	if hb <= 0 {
+		return 0
+	}
+	return 3 * max(hb, rpc.DefaultHeartbeat)
 }
 
 // ready publishes that the daemon is serving on addr. With -debug-addr it

@@ -14,9 +14,8 @@ import (
 // list, so register cannot add, drop or re-default one silently.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"batch-bytes=0", "batch-max=0", "data-dir=", "debug-addr=", "fsync=batch",
-		"heartbeat-interval=5s", "host=", "idle-timeout=15s", "link-retries=2", "listen=:7440",
-		"no-thread-cache=false", "peer=", "ready-file=", "redial-backoff=50ms",
+		"data-dir=", "debug-addr=", "fsync=batch", "heartbeat-interval=5s", "host=",
+		"link-retries=2", "listen=:7440", "peer=", "ready-file=", "redial-backoff=50ms",
 		"slow-request-threshold=0s", "snapshot-every=0", "trace-sample=0",
 	}
 	fs := flag.NewFlagSet("memoserverd", flag.ContinueOnError)
@@ -28,26 +27,45 @@ func TestFlagSurface(t *testing.T) {
 	}
 }
 
-// TestFlagsBindOntoConfigs: parsed values land on the rpc, durable and
-// thread-cache config fields themselves, and a bad -fsync is a parse error.
+// TestFlagsBindOntoConfigs: parsed values land on the rpc and durable config
+// fields themselves, and a bad -fsync (the removed "always" included) is a
+// parse error.
 func TestFlagsBindOntoConfigs(t *testing.T) {
 	fs := flag.NewFlagSet("d", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	c := register(fs)
 	n := &c.node
-	if n.Durable.Sync != durable.SyncBatch || c.idleTimeout != 15*time.Second {
+	if n.Durable.Sync != durable.SyncBatch {
 		t.Fatalf("defaults: %+v", c)
 	}
-	err := fs.Parse([]string{"-fsync", "never", "-snapshot-every", "-1", "-batch-max", "3",
-		"-no-thread-cache", "-idle-timeout", "0", "-link-retries", "5"})
+	err := fs.Parse([]string{"-fsync", "never", "-snapshot-every", "-1", "-link-retries", "5",
+		"-heartbeat-interval", "1s"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Durable.Sync != durable.SyncNever || n.Durable.SnapshotEvery != -1 || n.Batch.MaxCount != 3 ||
-		!n.Cache.Disable || c.idleTimeout != 0 || n.Resilience.Retries != 5 {
+	if n.Durable.Sync != durable.SyncNever || n.Durable.SnapshotEvery != -1 ||
+		n.Resilience.Retries != 5 || n.Resilience.Heartbeat != time.Second {
 		t.Fatalf("parsed: %+v", c)
 	}
-	if err := fs.Parse([]string{"-fsync", "sometimes"}); err == nil {
-		t.Fatal("-fsync sometimes accepted")
+	for _, bad := range []string{"sometimes", "always"} {
+		if err := fs.Parse([]string{"-fsync", bad}); err == nil {
+			t.Fatalf("-fsync %s accepted", bad)
+		}
+	}
+}
+
+// TestIdleTimeoutFollowsHeartbeat: the read deadline is three probe
+// intervals of the slower prober — the daemon or a client at
+// rpc.DefaultHeartbeat — and off with heartbeats off.
+func TestIdleTimeoutFollowsHeartbeat(t *testing.T) {
+	for _, tc := range []struct{ hb, want time.Duration }{
+		{0, 0},
+		{250 * time.Millisecond, 15 * time.Second},
+		{5 * time.Second, 15 * time.Second},
+		{10 * time.Second, 30 * time.Second},
+	} {
+		if got := idleTimeout(tc.hb); got != tc.want {
+			t.Errorf("idleTimeout(%v) = %v, want %v", tc.hb, got, tc.want)
+		}
 	}
 }

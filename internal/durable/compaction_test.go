@@ -276,28 +276,6 @@ func TestEncodeAllocs(t *testing.T) {
 	}
 }
 
-// TestSyncAlwaysSyncsPerRecord: with the whole buffer taken per cycle,
-// SyncAlways must still buy every record its own fsync.
-func TestSyncAlwaysSyncsPerRecord(t *testing.T) {
-	l, err := Open(t.TempDir(), 1, Config{Sync: SyncAlways, SnapshotEvery: -1}, discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	before := mFsyncNS.Count()
-	var last uint64
-	r := &Record{Type: RecPut, Key: symbol.K(1), Payload: []byte("x")}
-	for i := 0; i < 50; i++ {
-		last = l.Append(0, r) // no commit between: they pile up in one buffer
-	}
-	if err := l.Commit(0, last); err != nil {
-		t.Fatal(err)
-	}
-	if got := mFsyncNS.Count() - before; got != 50 {
-		t.Fatalf("50 records under SyncAlways cost %d fsyncs, want 50", got)
-	}
-}
-
 // BenchmarkWALAppend is the append path — encode into the log's buffer — at
 // the benchmark's two payload sizes, with a commit wait every 64 records so
 // the buffer stays the size a closed loop of 64 callers would make it. Run

@@ -18,10 +18,11 @@
 //     syncer drains by backpressure, mirroring the rpc batcher: one fsync's
 //     duration is exactly the window in which the next batch of records —
 //     from every shard — accumulates, so the sync cost amortizes over
-//     concurrent operations by itself (SyncAlways degenerates it to one
-//     fsync per record, SyncNever trusts the OS page cache). Records are
-//     encoded once, straight into the contiguous buffer, and a group commit
-//     is one write(2) of it.
+//     concurrent operations by itself (SyncNever skips the fsync and trusts
+//     the OS page cache). A per-record fsync would buy no more durability:
+//     a group-committed ack already waits for the fsync that covers its
+//     record. Records are encoded once, straight into the contiguous
+//     buffer, and a group commit is one write(2) of it.
 //
 //   - When the log has outgrown the last snapshot (at least
 //     Config.SnapshotEvery records, and at least as many bytes as that
@@ -72,12 +73,9 @@ type SyncMode int
 
 const (
 	// SyncBatch (the default) group-commits: one fsync covers every record
-	// that accumulated while the previous fsync ran.
+	// that accumulated while the previous fsync ran, and Commit returns only
+	// once the fsync covering its record has.
 	SyncBatch SyncMode = iota
-	// SyncAlways fsyncs once per record — the durability ceiling and the
-	// throughput floor; the benchmark baseline group commit is measured
-	// against.
-	SyncAlways
 	// SyncNever writes without fsync: records survive a process crash (the
 	// OS holds them) but not a host crash.
 	SyncNever
@@ -87,8 +85,6 @@ func (m SyncMode) String() string {
 	switch m {
 	case SyncBatch:
 		return "batch"
-	case SyncAlways:
-		return "always"
 	case SyncNever:
 		return "never"
 	}
@@ -100,12 +96,10 @@ func ParseSyncMode(s string) (SyncMode, error) {
 	switch s {
 	case "batch", "":
 		return SyncBatch, nil
-	case "always":
-		return SyncAlways, nil
 	case "never":
 		return SyncNever, nil
 	}
-	return 0, fmt.Errorf("durable: unknown sync mode %q (want batch, always, or never)", s)
+	return 0, fmt.Errorf("durable: unknown sync mode %q (want batch|never)", s)
 }
 
 // DefaultSnapshotEvery is the minimum record count between snapshots.

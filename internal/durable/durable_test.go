@@ -333,8 +333,8 @@ func TestParseSyncMode(t *testing.T) {
 		ok   bool
 	}{
 		{"batch", SyncBatch, true}, {"", SyncBatch, true},
-		{"always", SyncAlways, true}, {"never", SyncNever, true},
-		{"bogus", 0, false},
+		{"never", SyncNever, true},
+		{"always", 0, false}, {"bogus", 0, false},
 	} {
 		got, err := ParseSyncMode(tc.in)
 		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {

@@ -283,12 +283,6 @@ const maxFrameBody = 1 << 28
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// frameLen reports the full length of the frame at the head of buf, which
-// must hold at least a header the encoder wrote.
-func frameLen(buf []byte) int {
-	return frameHeader + int(binary.LittleEndian.Uint32(buf))
-}
-
 // nextFrame extracts the first frame's body from buf, returning the body and
 // the remainder. ok is false at a clean end or a torn tail — the caller
 // cannot distinguish the two, and does not need to: both mean "no further

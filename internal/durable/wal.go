@@ -136,8 +136,6 @@ const maxSpare = 4 << 20
 
 // run is the syncer: each cycle takes both buffers at one watermark and makes
 // them durable with one write (+fsync per the mode) per non-empty buffer.
-// SyncAlways instead walks the taken buffers frame by frame, one write+fsync
-// per record.
 func (w *writer) run() {
 	for range w.wake {
 		for {
@@ -163,13 +161,9 @@ func (w *writer) run() {
 			f, old := w.f, w.old
 			w.mu.Unlock()
 
-			// The two buffers interleave sequence numbers, so records are
-			// marked durable one write unit at a time only when one of them
-			// is empty; otherwise all at once, after both.
-			step := len(oldBatch) == 0 || len(batch) == 0
-			err := w.ship(old, oldBatch, oldN, step)
+			err := w.ship(old, oldBatch, oldN)
 			if err == nil {
-				err = w.ship(f, batch, n-oldN, step)
+				err = w.ship(f, batch, n-oldN)
 			}
 
 			w.mu.Lock()
@@ -199,35 +193,20 @@ func (w *writer) run() {
 	}
 }
 
-// ship writes n records' frames to f in write(+fsync) units — all at once, or
-// one frame per unit under SyncAlways — observing each unit once. With step,
-// every unit but the last also marks its records durable and wakes their
-// committers; the caller marks the rest. Caller holds io.
-func (w *writer) ship(f *os.File, frames []byte, n uint64, step bool) error {
-	for len(frames) > 0 {
-		unit, covers := frames, n
-		if w.cfg.Sync == SyncAlways {
-			unit, covers = frames[:frameLen(frames)], 1
-		}
-		start := time.Now()
-		_, err := f.Write(unit)
-		if err == nil && w.cfg.Sync != SyncNever {
-			err = f.Sync()
-		}
-		mFsyncNS.Observe(int64(time.Since(start)))
-		mCommitBatch.Observe(int64(covers))
-		if err != nil {
-			return err
-		}
-		frames = frames[len(unit):]
-		if step && len(frames) > 0 {
-			w.mu.Lock()
-			w.syncSeq += covers
-			w.synced.Broadcast()
-			w.mu.Unlock()
-		}
+// ship writes n records' frames to f with one write (+fsync per the mode),
+// if there are any. Caller holds io.
+func (w *writer) ship(f *os.File, frames []byte, n uint64) error {
+	if len(frames) == 0 {
+		return nil
 	}
-	return nil
+	start := time.Now()
+	_, err := f.Write(frames)
+	if err == nil && w.cfg.Sync != SyncNever {
+		err = f.Sync()
+	}
+	mFsyncNS.Observe(int64(time.Since(start)))
+	mCommitBatch.Observe(int64(n))
+	return err
 }
 
 // flushLocked writes and (mode permitting) fsyncs both buffers to their

@@ -361,13 +361,12 @@ func TestRecoveryBlockedGetWakes(t *testing.T) {
 }
 
 // BenchmarkWALGroupCommit quantifies the durability tax and how group
-// commit amortizes it: puts against a memory-only store, a group-committed
-// WAL (SyncBatch), and an fsync-per-record WAL (SyncAlways), from 1, 16 and
-// 64 putters spread over 256 folders — so over every shard, which share the
-// store's one log. The sync-always column pays one fsync per record no
-// matter the concurrency, while the batch column's fsync covers every record
-// that accumulated during the previous sync cycle; recs/commit is the mean
-// of durable_commit_batch over the run. Recorded in DESIGN.md §7.
+// commit amortizes it: puts against a memory-only store and a
+// group-committed WAL (SyncBatch), from 1, 16 and 64 putters spread over
+// 256 folders — so over every shard, which share the store's one log. The
+// batch column's fsync covers every record that accumulated during the
+// previous sync cycle; recs/commit is the mean of durable_commit_batch over
+// the run. Recorded in DESIGN.md §7.
 func BenchmarkWALGroupCommit(b *testing.B) {
 	commitBatch := func() (count, sum int64) {
 		for _, s := range obs.Default.Snapshot() {
@@ -388,9 +387,6 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 		{"off", func(b *testing.B) *Store { return NewStore() }},
 		{"batch", func(b *testing.B) *Store {
 			return openStore(b, b.TempDir(), durable.Config{Sync: durable.SyncBatch, SnapshotEvery: -1})
-		}},
-		{"always", func(b *testing.B) *Store {
-			return openStore(b, b.TempDir(), durable.Config{Sync: durable.SyncAlways, SnapshotEvery: -1})
 		}},
 	} {
 		for _, putters := range []int{1, 16, 64} {

@@ -52,15 +52,6 @@ func (c *Client) LastTraceID() uint64 { return c.lastTrace.Load() }
 // DialFunc matches Network.DialFrom.
 type DialFunc func(srcHost, addr string) (transport.Conn, error)
 
-// DialClient connects to the memo server on host with the default batching
-// policy. The connection heartbeats at the default interval: the daemons arm
-// read deadlines by default, and a client parked on a blocking folder wait
-// must not look dead to them. Use DialClientResilient to choose the interval
-// (or 0 to disable).
-func DialClient(dial DialFunc, host, app string) (*Client, error) {
-	return DialClientResilient(dial, host, app, rpc.Policy{}, rpc.Resilience{Heartbeat: rpc.DefaultHeartbeat})
-}
-
 // DialClientResilient connects with a batch flush policy and the full
 // link-resilience layer: heartbeats (res.Heartbeat), reconnect with backoff
 // when the link to the local memo server dies (res.Redial — the link heals
@@ -71,14 +62,8 @@ func DialClient(dial DialFunc, host, app string) (*Client, error) {
 // here rather than on the first request.
 func DialClientResilient(dial DialFunc, host, app string, pol rpc.Policy, res rpc.Resilience) (*Client, error) {
 	c := &Client{Host: host, App: app}
-	c.link = newRlink(func() (transport.Conn, error) {
-		raw, err := dial(host, MemoAddr(host))
-		if err != nil {
-			return nil, err
-		}
-		return dialMux(raw), nil
-	}, pol, res)
-	if _, _, err := c.link.get(nil); err != nil {
+	c.link = newRlink(func() (transport.Conn, error) { return dial(host, MemoAddr(host)) }, pol, res)
+	if _, err := c.link.get(nil); err != nil {
 		c.link.close()
 		return nil, fmt.Errorf("memoserver: dial %s: %w", host, err)
 	}
@@ -151,14 +136,14 @@ func (c *Client) Ping() error {
 
 // ClientStats is a snapshot of the client link's health counters.
 type ClientStats struct {
-	transport.RedialerStats
+	LinkHealth
 	// Retried counts requests transparently re-issued after a link failure.
 	Retried int64
 }
 
 // Stats snapshots the client link's health counters.
 func (c *Client) Stats() ClientStats {
-	return ClientStats{RedialerStats: c.link.stats(), Retried: c.retried.Load()}
+	return ClientStats{LinkHealth: c.link.stats(), Retried: c.retried.Load()}
 }
 
 // Close tears the connection down.

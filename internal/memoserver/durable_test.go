@@ -107,7 +107,7 @@ func TestClientStampsTokensOnPuts(t *testing.T) {
 }
 
 // TestClientRedialsAcrossServerRestart: the application↔memo-server link
-// rides the Redialer now — when the local memo server dies and comes back,
+// is an rlink like a peer link — when the local memo server dies and comes back,
 // the same Client heals without being re-dialed by hand.
 func TestClientRedialsAcrossServerRestart(t *testing.T) {
 	f, err := adf.Parse(twoHostADF)
@@ -213,7 +213,7 @@ func TestNodeDurableFolderRecovery(t *testing.T) {
 	}
 
 	na := start()
-	c, err := DialClient(sim.DialFrom, "a", f.App)
+	c, err := dialClient(sim.DialFrom, "a", f.App)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestNodeDurableFolderRecovery(t *testing.T) {
 
 	na = start()
 	t.Cleanup(na.Close)
-	c2, err := DialClient(sim.DialFrom, "a", f.App)
+	c2, err := dialClient(sim.DialFrom, "a", f.App)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/rpc"
@@ -11,23 +12,66 @@ import (
 	"repro/internal/wire"
 )
 
-// rlink is one resilient rpc link: a transport.Redialer managing the raw
-// connection plus the rpc.Conn built on whatever the redialer currently
-// holds. Memo-server peer links and the application↔local-memo-server
-// client link both ride on it, so a dead link anywhere in Fig. 1's path
-// heals the same way: fail fast, back off, re-dial, retry what is safe.
-type rlink struct {
-	rd  *transport.Redialer
-	pol rpc.Policy
-	res rpc.Resilience
+// Process-wide link-health aggregates over every rlink (the per-link view
+// stays on rlink.stats). A backoff reset is a successful dial that healed a
+// link after at least one failure — the "outage ended" event.
+var (
+	mDials = obs.Default.Counter("transport_dials_total",
+		"successful dials across all links")
+	mFailedDials = obs.Default.Counter("transport_failed_dials_total",
+		"dial attempts that errored")
+	mFaults = obs.Default.Counter("transport_faults_total",
+		"live conns found dead")
+	mBackoffResets = obs.Default.Counter("transport_backoff_resets_total",
+		"successful dials that ended a failure streak")
+)
 
-	mu    sync.Mutex
-	epoch uint64
-	conn  *rpc.Conn
+// rlink is one resilient rpc link: its current rpc.Conn plus the re-dial
+// that replaces it. A conn whose Done has closed is never handed out again —
+// the next get counts it as a fault and re-dials under the res.Redial
+// schedule. Dials are single-flight (concurrent gets during an outage share
+// one attempt) and the schedule resets on every successful dial, so a peer
+// that was up for a while gets a fast first retry when it next fails.
+// Memo-server peer links and the application↔local-memo-server client link
+// both ride on it, so a dead link anywhere in Fig. 1's path heals the same
+// way: fail fast, back off, re-dial, retry what is safe.
+type rlink struct {
+	dial func() (transport.Conn, error)
+	pol  rpc.Policy
+	res  rpc.Resilience
+
+	mu      sync.Mutex
+	conn    *rpc.Conn
+	dialing chan struct{} // non-nil while a dial is in flight
+	attempt int           // consecutive failed dials since the last success
+	nextTry time.Time
+	lastErr error
+	closed  bool
+
+	// Health counters (surfaced per link by stats and summed into the
+	// transport_* aggregates in obs.Default).
+	dials       obs.Counter
+	failedDials obs.Counter
+	faults      obs.Counter
 }
 
-// muxChannel is the conn an rlink's Redialer manages: one rpc virtual
-// circuit whose Close also retires the mux carrying it, so a faulted link
+// LinkHealth is a snapshot of one link's health counters.
+type LinkHealth struct {
+	// Dials counts successful dials: the first connect plus every re-dial
+	// that healed the link.
+	Dials int64
+	// FailedDials counts dial attempts that errored.
+	FailedDials int64
+	// Faults counts conns found dead and replaced.
+	Faults int64
+	// LastErr is the most recent dial error, empty while the link is healthy
+	// (cleared by a successful dial) — the human-readable why behind a
+	// failing link in /statusz.
+	LastErr string `json:",omitempty"`
+}
+
+// muxChannel is the channel an rlink's rpc.Conn runs on: one rpc virtual
+// circuit whose Close also retires the mux carrying it, so a dead conn
 // leaks neither.
 type muxChannel struct {
 	*transport.Channel
@@ -39,48 +83,128 @@ func (m *muxChannel) Close() error {
 	return m.mux.Close()
 }
 
-// dialMux wraps a raw transport conn into the mux-backed channel an rlink
-// manages.
+// dialMux wraps a raw transport conn into the mux-backed channel an rlink's
+// rpc.Conn runs on.
 func dialMux(raw transport.Conn) transport.Conn {
 	mux := transport.NewMux(raw, transport.DefaultMTU)
 	go mux.Run()
 	return &muxChannel{Channel: mux.Channel(1), mux: mux}
 }
 
+// newRlink builds a link that reaches its peer through dial, which returns
+// the raw transport conn. Creation does not dial.
 func newRlink(dial func() (transport.Conn, error), pol rpc.Policy, res rpc.Resilience) *rlink {
-	return &rlink{rd: transport.NewRedialer(dial, res.Redial), pol: pol, res: res}
+	return &rlink{dial: dial, pol: pol, res: res}
 }
 
-// get returns the live rpc connection (dialing or re-dialing under backoff
-// if the link is down) and the epoch to report to fault on failure.
-func (l *rlink) get(giveup <-chan struct{}) (*rpc.Conn, uint64, error) {
-	ch, ep, err := l.rd.Get(giveup)
-	if err != nil {
-		return nil, 0, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	// Only a strictly newer epoch replaces the conn: a goroutine that slept
-	// on an old Get result must not tear down the link a concurrent fault
-	// cycle already rebuilt. Whatever is current is what we hand back (a
-	// stale ch is dead anyway), with the matching epoch for fault.
-	if l.conn == nil || ep > l.epoch {
-		if l.conn != nil {
-			l.conn.Close()
+// get returns the live rpc connection, dialing if the link is down. At most
+// one dial cycle runs per call: if the backoff window from the previous
+// failure has not elapsed, get sleeps it out first (abandoned if giveup
+// fires); if another goroutine is already dialing, get waits for that
+// attempt's outcome instead of dialing itself. On failure the backoff
+// advances and the dial error is returned — call decides whether to retry.
+func (l *rlink) get(giveup <-chan struct{}) (*rpc.Conn, error) {
+	for {
+		l.mu.Lock()
+		if l.closed {
+			l.mu.Unlock()
+			return nil, transport.ErrClosed
 		}
-		l.conn = rpc.NewConnResilient(ch, l.pol, l.res)
-		l.epoch = ep
+		if c := l.conn; c != nil {
+			select {
+			case <-c.Done():
+				l.conn = nil
+				l.faults.Inc()
+				mFaults.Inc()
+			default:
+				l.mu.Unlock()
+				return c, nil
+			}
+		}
+		if d := l.dialing; d != nil {
+			// Join the in-flight dial.
+			l.mu.Unlock()
+			select {
+			case <-d:
+			case <-giveup:
+				return nil, transport.ErrClosed
+			}
+			l.mu.Lock()
+			c, err := l.conn, l.lastErr
+			l.mu.Unlock()
+			if c == nil && err != nil {
+				return nil, err
+			}
+			continue
+		}
+		// Become the dialer.
+		done := make(chan struct{})
+		l.dialing = done
+		wait := time.Until(l.nextTry)
+		l.mu.Unlock()
+
+		if wait > 0 {
+			t := time.NewTimer(wait)
+			select {
+			case <-t.C:
+			case <-giveup:
+				t.Stop()
+				// Abandoned before dialing: the schedule stays as it was.
+				l.mu.Lock()
+				l.dialing = nil
+				l.mu.Unlock()
+				close(done)
+				return nil, transport.ErrClosed
+			}
+		}
+		if err := l.redial(done); err != nil {
+			return nil, err
+		}
 	}
-	return l.conn, l.epoch, nil
 }
 
-// fault reports the connection handed out under epoch dead; the next get
-// re-dials. Stale epochs are ignored, so concurrent callers may all fault.
-func (l *rlink) fault(epoch uint64) { l.rd.Fault(epoch) }
+// redial runs one dial, installs its outcome and releases the goroutines
+// waiting on done.
+func (l *rlink) redial(done chan struct{}) error {
+	var c *rpc.Conn
+	raw, err := l.dial()
+	if err == nil {
+		c = rpc.NewConnResilient(dialMux(raw), l.pol, l.res)
+	}
+	var dead *rpc.Conn
+	l.mu.Lock()
+	l.dialing = nil
+	switch {
+	case err != nil:
+		l.failedDials.Inc()
+		mFailedDials.Inc()
+		l.lastErr = err
+		l.nextTry = time.Now().Add(l.res.Redial.Delay(l.attempt, nil))
+		l.attempt++
+	case l.closed:
+		dead = c
+	default:
+		l.dials.Inc()
+		mDials.Inc()
+		if l.attempt > 0 {
+			mBackoffResets.Inc()
+		}
+		l.conn = c
+		l.attempt = 0 // reset-on-success: the next outage backs off from Min
+		l.lastErr = nil
+		l.nextTry = time.Time{}
+	}
+	l.mu.Unlock()
+	close(done)
+	if dead != nil {
+		dead.Close()
+	}
+	return err
+}
 
 func (l *rlink) close() {
-	l.rd.Close()
 	l.mu.Lock()
+	l.closed = true
 	c := l.conn
 	l.conn = nil
 	l.mu.Unlock()
@@ -89,12 +213,29 @@ func (l *rlink) close() {
 	}
 }
 
+// stats snapshots the link's health counters.
+func (l *rlink) stats() LinkHealth {
+	st := LinkHealth{
+		Dials:       l.dials.Load(),
+		FailedDials: l.failedDials.Load(),
+		Faults:      l.faults.Load(),
+	}
+	l.mu.Lock()
+	if l.lastErr != nil {
+		st.LastErr = l.lastErr.Error()
+	}
+	l.mu.Unlock()
+	return st
+}
+
 // call issues q on the link and waits for the response. If the link dies
-// mid-call it is faulted (the next get re-dials under backoff) and the call
-// re-issued, up to res.Retries times: always when the request provably never
-// reached the wire — a failed dial, or LinkError.Sent == false — and, once
-// it may have executed, only when q.RetrySafe (the verb is idempotent, or
-// the folder server deduplicates it by token). This being the one place
+// mid-call its conn is already dead (an rpc.Conn marks itself so before any
+// call on it returns a LinkError), so the next get re-dials under backoff,
+// and the call is re-issued, up to res.Retries times: always when the
+// request provably never reached the wire — a failed dial, or
+// LinkError.Sent == false — and, once it may have executed, only when
+// q.RetrySafe (the verb is idempotent, or the folder server deduplicates it
+// by token). This being the one place
 // that retries, it is also the one place that stamps the token: once,
 // before the first attempt, on q itself, so every attempt carries the same
 // one; a token already present (stamped by the application's client or an
@@ -113,7 +254,7 @@ func (l *rlink) call(q *wire.Request, cancel <-chan struct{}, retried *obs.Count
 	// its request possibly executed; from then on that attempt's link error.
 	canceled := error(ErrClientCanceled)
 	for attempt := 0; ; attempt++ {
-		conn, epoch, err := l.get(cancel)
+		conn, err := l.get(cancel)
 		if err != nil {
 			select {
 			case <-cancel:
@@ -138,7 +279,6 @@ func (l *rlink) call(q *wire.Request, cancel <-chan struct{}, retried *obs.Count
 		}
 		var le *rpc.LinkError
 		if errors.As(err, &le) {
-			l.fault(epoch)
 			if le.Sent && canceled == ErrClientCanceled {
 				canceled = err
 			}
@@ -150,9 +290,6 @@ func (l *rlink) call(q *wire.Request, cancel <-chan struct{}, retried *obs.Count
 		return nil, true, err
 	}
 }
-
-// stats exposes the underlying redialer's health counters.
-func (l *rlink) stats() transport.RedialerStats { return l.rd.Stats() }
 
 // newToken mints a non-zero at-most-once dedup token. 64 random bits
 // against a bounded dedup window (folder.DefaultTokenCap live tokens per

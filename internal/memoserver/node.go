@@ -88,9 +88,6 @@ type Config struct {
 	Cache threadcache.Config
 	// Lambda is the placement topology attenuation (see placement).
 	Lambda float64
-	// Batch is the rpc flush policy for served connections and peer
-	// links (zero = rpc defaults).
-	Batch rpc.Policy
 	// Resilience arms the link-resilience layer on peer links: heartbeats
 	// (so transport idle timeouts can stay on), reconnect with backoff
 	// when a link dies, and bounded transparent retries of safely-
@@ -140,7 +137,7 @@ type Node struct {
 	// lock on the memo-server fan-out. Registration and peer dials are
 	// rare writes; request routing is all reads.
 	apps  sync.Map // app name -> *App
-	peers sync.Map // host -> *peerLink
+	peers sync.Map // host -> *rlink
 
 	mu       sync.Mutex
 	inbound  []*transport.Mux
@@ -162,29 +159,20 @@ type Node struct {
 	registered obs.Counter
 }
 
-// peerLink is the resilient rpc connection to a neighbouring memo server;
+// newPeerLink builds the resilient rpc link to a neighbouring memo server;
 // every forwarded request to that neighbour shares it, so concurrent
-// forwards pipeline and batch. When the link dies the embedded rlink
-// reconnects with exponential backoff + jitter, and forward retries
-// safely-retriable calls on the fresh connection. The same rlink machinery
-// backs the application↔local-memo-server Client.
-type peerLink struct {
-	host string
-	*rlink
-}
-
-func (n *Node) newPeerLink(host string) *peerLink {
+// forwards pipeline and batch. When the link dies it reconnects with
+// exponential backoff + jitter, and forward retries safely-retriable calls
+// on the fresh connection. The same rlink backs the
+// application↔local-memo-server Client.
+func (n *Node) newPeerLink(host string) *rlink {
 	dial := func() (transport.Conn, error) {
 		if n.isClosed() {
 			return nil, fmt.Errorf("memo server %s closed", n.Host)
 		}
-		raw, err := n.dialFrom(n.Host, MemoAddr(host))
-		if err != nil {
-			return nil, err
-		}
-		return dialMux(raw), nil
+		return n.dialFrom(n.Host, MemoAddr(host))
 	}
-	return &peerLink{host: host, rlink: newRlink(dial, n.cfg.Batch, n.cfg.Resilience)}
+	return newRlink(dial, rpc.Policy{}, n.cfg.Resilience)
 }
 
 // NewWithNetwork creates a memo server over any Network — a listener
@@ -270,7 +258,7 @@ func (n *Node) shutdown(crash bool) {
 	}
 	n.peers.Range(func(host, v any) bool {
 		n.peers.Delete(host)
-		v.(*peerLink).close()
+		v.(*rlink).close()
 		return true
 	})
 	for _, m := range inbound {
@@ -314,7 +302,7 @@ func (n *Node) acceptLoop(l transport.Listener) {
 		// Batched requests dispatch concurrently through the node's thread
 		// cache, and responses coalesce into batched frames; a peer that
 		// sends anything but batch frames has its channel closed.
-		go rpc.ServeMux(mux, n.Dispatch, n.pool, n.cfg.Batch)
+		go rpc.ServeMux(mux, n.Dispatch, n.pool, rpc.Policy{})
 	}
 }
 
@@ -571,12 +559,12 @@ func (n *Node) forward(app *App, q *wire.Request, targetHost string, cancel <-ch
 }
 
 // peer returns the resilient link to a neighbouring memo server, creating
-// it on first use. Creation does not dial: the link's Redialer connects
+// it on first use. Creation does not dial: the link connects
 // lazily, so a down neighbour costs its callers dial errors, never a
 // missing table entry.
-func (n *Node) peer(host string) (*peerLink, error) {
+func (n *Node) peer(host string) (*rlink, error) {
 	if v, ok := n.peers.Load(host); ok {
-		return v.(*peerLink), nil
+		return v.(*rlink), nil
 	}
 	if n.isClosed() {
 		return nil, fmt.Errorf("memo server %s closed", n.Host)
@@ -584,7 +572,7 @@ func (n *Node) peer(host string) (*peerLink, error) {
 	p := n.newPeerLink(host)
 	if exist, loaded := n.peers.LoadOrStore(host, p); loaded {
 		p.close()
-		return exist.(*peerLink), nil
+		return exist.(*rlink), nil
 	}
 	if n.isClosed() { // raced Close; don't leak the link
 		n.dropPeer(host)
@@ -595,7 +583,7 @@ func (n *Node) peer(host string) (*peerLink, error) {
 
 func (n *Node) dropPeer(host string) {
 	if v, ok := n.peers.LoadAndDelete(host); ok {
-		v.(*peerLink).close()
+		v.(*rlink).close()
 	}
 }
 
@@ -655,10 +643,10 @@ func (n *Node) Stats() Stats {
 }
 
 // LinkStat is one peer link's health: the neighbour host plus the link's
-// redial counters.
+// dial and fault counters.
 type LinkStat struct {
 	Peer string
-	transport.RedialerStats
+	LinkHealth
 }
 
 // LinkStats snapshots the health counters of every peer link this node has
@@ -666,7 +654,7 @@ type LinkStat struct {
 func (n *Node) LinkStats() []LinkStat {
 	var out []LinkStat
 	n.peers.Range(func(host, v any) bool {
-		out = append(out, LinkStat{Peer: host.(string), RedialerStats: v.(*peerLink).stats()})
+		out = append(out, LinkStat{Peer: host.(string), LinkHealth: v.(*rlink).stats()})
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
@@ -701,7 +689,7 @@ func (n *Node) RegisterMetrics(reg *obs.Registry) {
 		e.Gauge("threadcache_idle_workers", "threads parked in the cache", nil, int64(n.pool.IdleCount()))
 		var links, dials, failed, faults int64
 		n.peers.Range(func(_, v any) bool {
-			st := v.(*peerLink).stats()
+			st := v.(*rlink).stats()
 			links++
 			dials += st.Dials
 			failed += st.FailedDials

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/adf"
+	"repro/internal/rpc"
 	"repro/internal/symbol"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -57,9 +58,15 @@ func bootNet(t testing.TB, adfText string, cfg Config) *testNet {
 	return tn
 }
 
+// dialClient connects an application to the memo server on host with the
+// default heartbeat and no retries.
+func dialClient(dial DialFunc, host, app string) (*Client, error) {
+	return DialClientResilient(dial, host, app, rpc.Policy{}, rpc.Resilience{Heartbeat: rpc.DefaultHeartbeat})
+}
+
 func (tn *testNet) client(t testing.TB, host string) *Client {
 	t.Helper()
-	c, err := DialClient(tn.sim.DialFrom, host, tn.file.App)
+	c, err := dialClient(tn.sim.DialFrom, host, tn.file.App)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +400,7 @@ func TestMultipleApplicationsShareServers(t *testing.T) {
 		}
 	}
 	c1 := tn.client(t, "a") // app t2
-	c2, err := DialClient(tn.sim.DialFrom, "a", "second")
+	c2, err := dialClient(tn.sim.DialFrom, "a", "second")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +433,7 @@ func TestMultipleApplicationsShareServers(t *testing.T) {
 	// And "by using common application names, different programs will be
 	// able to communicate": a third client sharing app name t2 sees t2's
 	// folders.
-	c3, err := DialClient(tn.sim.DialFrom, "b", "t2")
+	c3, err := dialClient(tn.sim.DialFrom, "b", "t2")
 	if err != nil {
 		t.Fatal(err)
 	}

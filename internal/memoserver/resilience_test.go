@@ -170,7 +170,7 @@ func TestWatchSurvivesIdleTimeoutOverTCP(t *testing.T) {
 		hb   = 50 * time.Millisecond
 		park = 10 * idle
 	)
-	net := newTCPMappedWith(transport.NewTCPIdle(idle))
+	net := newTCPMappedWith(&transport.TCP{IdleTimeout: idle})
 	f, err := adf.Parse(twoHostADF)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func (e *clientStatusErr) Error() string { return e.msg }
 func BenchmarkNodeLocalFastPath(b *testing.B) {
 	run := func(b *testing.B, folderID int) {
 		tn := bootNet(b, twoHostADF, Config{})
-		c, err := DialClient(tn.sim.DialFrom, "a", tn.file.App)
+		c, err := dialClient(tn.sim.DialFrom, "a", tn.file.App)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -87,7 +87,7 @@ func TestRealTCPDeployment(t *testing.T) {
 	dial := func(_, addr string) (transport.Conn, error) { return net.Dial(addr) }
 	clients := make([]*Client, len(f.Hosts))
 	for i, h := range f.Hosts {
-		c, err := DialClient(dial, h.Name, f.App)
+		c, err := dialClient(dial, h.Name, f.App)
 		if err != nil {
 			t.Fatal(err)
 		}

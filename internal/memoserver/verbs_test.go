@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,25 +121,79 @@ func (p *scriptedPeer) tokens() []uint64 {
 	return append([]uint64(nil), p.arrivals...)
 }
 
-// link dials the peer the way Client and Node do.
-func (p *scriptedPeer) link(t *testing.T, retries int) *rlink {
+// wedgeConn is a raw link end whose sends can be wedged: once stuck, every
+// Send signals entered and blocks until release, then fails — a peer that
+// stopped reading, then died.
+type wedgeConn struct {
+	transport.Conn
+	stuck   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (w *wedgeConn) Send(msg []byte) error {
+	if w.stuck.Load() {
+		w.once.Do(func() { close(w.entered) })
+		<-w.release
+		return transport.ErrClosed
+	}
+	return w.Conn.Send(msg)
+}
+
+// link dials the peer the way Client and Node do; raw is the client end of
+// the link's latest connection.
+func (p *scriptedPeer) link(t *testing.T, retries int) (l *rlink, raw func() *wedgeConn) {
 	t.Helper()
-	l := newRlink(func() (transport.Conn, error) {
-		raw, err := p.ip.Dial(MemoAddr("peer"))
+	var mu sync.Mutex
+	var last *wedgeConn
+	l = newRlink(func() (transport.Conn, error) {
+		c, err := p.ip.Dial(MemoAddr("peer"))
 		if err != nil {
 			return nil, err
 		}
-		return dialMux(raw), nil
+		mu.Lock()
+		defer mu.Unlock()
+		last = &wedgeConn{Conn: c, entered: make(chan struct{}), release: make(chan struct{})}
+		return last, nil
 	}, rpc.Policy{}, rpc.Resilience{Retries: retries, Redial: transport.Backoff{Min: time.Millisecond, Max: 5 * time.Millisecond}})
 	t.Cleanup(l.close)
-	return l
+	return l, func() *wedgeConn {
+		mu.Lock()
+		defer mu.Unlock()
+		return last
+	}
+}
+
+// rpcCalls reads rpc_calls_total: rpc.Conn.Call entries, process-wide.
+func rpcCalls() int64 {
+	for _, s := range obs.Default.Snapshot() {
+		if s.Name == "rpc_calls_total" {
+			return *s.Samples[0].Value
+		}
+	}
+	return 0
 }
 
 func okHandler(*wire.Request, <-chan struct{}) *wire.Response { return wire.OK() }
 
+// How the link dies under a verb-matrix call.
+const (
+	// diesSent: the request arrives and the link dies under it — the
+	// maybe-executed LinkError{Sent: true}.
+	diesSent = "sent=true"
+	// diesQueued: the request is still queued in the batcher behind a
+	// wedged in-flight frame when the link dies — the provably-unsent
+	// LinkError{Sent: false}.
+	diesQueued = "sent=false"
+	// diesBefore: the link is already dead, and known to be, when the call
+	// starts; the dead conn is never handed out, so nothing fails.
+	diesBefore = "dead"
+)
+
 // TestVerbMatrixRetryAndStamp drives rlink.call for every verb × {token
-// preset, none} × {first attempt reached the wire, provably did not} ×
-// {retries armed, off} and holds the retry and stamp decisions to verbRows.
+// preset, none} × {how the link dies} × {retries armed, off} and holds the
+// retry and stamp decisions to verbRows.
 func TestVerbMatrixRetryAndStamp(t *testing.T) {
 	if len(verbRows) != int(wire.OpFetch) {
 		t.Fatalf("verbRows has %d rows for %d verbs", len(verbRows), wire.OpFetch)
@@ -149,32 +204,30 @@ func TestVerbMatrixRetryAndStamp(t *testing.T) {
 			t.Fatalf("verbRows[%d] is %v, want %v", i, row.op, wire.Op(i+1))
 		}
 		for _, token := range []uint64{0, preset} {
-			for _, sent := range []bool{true, false} {
+			for _, dies := range []string{diesSent, diesQueued, diesBefore} {
 				for _, retries := range []int{0, 1} {
-					name := fmt.Sprintf("%v/token=%x/sent=%v/retries=%d", row.op, token, sent, retries)
+					name := fmt.Sprintf("%v/token=%x/%s/retries=%d", row.op, token, dies, retries)
 					t.Run(name, func(t *testing.T) {
 						p := newScriptedPeer(t, okHandler)
-						l := p.link(t, retries)
-						if sent {
-							// The first attempt arrives and the link dies
-							// under it.
-							p.drops = 1
-						} else {
-							// The link is already dead, and known to be, when
-							// the call starts: the request never leaves. (The
-							// redialer still holds the conn; only a failed
-							// call faults it.)
-							conn, _, err := l.get(nil)
-							if err != nil {
-								t.Fatal(err)
-							}
-							raw, _, _ := l.rd.Get(nil)
-							raw.Close()
-							<-conn.Done()
-						}
+						l, raw := p.link(t, retries)
 						q := &wire.Request{Op: row.op, App: "x", Token: token}
 						var retried obs.Counter
-						_, _, err := l.call(q, nil, &retried)
+						var err error
+						switch dies {
+						case diesSent:
+							p.drops = 1
+							_, _, err = l.call(q, nil, &retried)
+						case diesQueued:
+							err = callBehindWedge(t, l, raw, q, &retried)
+						case diesBefore:
+							conn, gerr := l.get(nil)
+							if gerr != nil {
+								t.Fatal(gerr)
+							}
+							raw().Close()
+							<-conn.Done()
+							_, _, err = l.call(q, nil, &retried)
+						}
 
 						wantToken := token
 						if wantToken == 0 && row.stamps && retries > 0 {
@@ -186,20 +239,21 @@ func TestVerbMatrixRetryAndStamp(t *testing.T) {
 						if q.Token != wantToken {
 							t.Fatalf("request token %x after the call, want %x", q.Token, wantToken)
 						}
-						wantRetry := retries > 0 && (!sent || row.inFlight)
+						wantRetry := retries > 0 && (dies == diesQueued || row.inFlight && dies == diesSent)
+						wantErr := dies != diesBefore && !wantRetry
 						wantArrivals := 0
-						if sent {
+						if dies == diesSent {
 							wantArrivals++
 						}
-						if wantRetry {
+						if !wantErr {
 							wantArrivals++
 						}
-						if wantRetry != (err == nil) || wantRetry != (retried.Load() == 1) {
-							t.Fatalf("err %v, retried %d; want retry = %v", err, retried.Load(), wantRetry)
+						if wantErr != (err != nil) || wantRetry != (retried.Load() == 1) {
+							t.Fatalf("err %v, retried %d; want error = %v, retry = %v", err, retried.Load(), wantErr, wantRetry)
 						}
 						var le *rpc.LinkError
-						if err != nil && (!errors.As(err, &le) || le.Sent != sent) {
-							t.Fatalf("err %v, want a LinkError with Sent = %v", err, sent)
+						if err != nil && (!errors.As(err, &le) || le.Sent != (dies == diesSent)) {
+							t.Fatalf("err %v, want a LinkError with Sent = %v", err, dies == diesSent)
 						}
 						got := p.tokens()
 						if len(got) != wantArrivals {
@@ -215,6 +269,38 @@ func TestVerbMatrixRetryAndStamp(t *testing.T) {
 			}
 		}
 	}
+}
+
+// callBehindWedge issues q on l while the link's wire is wedged under
+// another request's frame, kills the link once q's call has its conn, and
+// returns the call's error. Whether q's entry made the batcher queue before
+// the death or reached the dead conn after it, it never reached the wire.
+func callBehindWedge(t *testing.T, l *rlink, raw func() *wedgeConn, q *wire.Request, retried *obs.Counter) error {
+	t.Helper()
+	conn, err := l.get(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := raw()
+	w.stuck.Store(true)
+	go func() {
+		// The frame that wedges the wire; its call dies with the link.
+		_, _ = conn.Call(&wire.Request{Op: wire.OpPing, App: "x"}, nil)
+	}()
+	<-w.entered
+	calls := rpcCalls()
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := l.call(q, nil, retried)
+		errc <- err
+	}()
+	// get returns before Conn.Call counts, so once the count moves q's
+	// attempt holds the live conn.
+	for rpcCalls() == calls {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(w.release)
+	return <-errc
 }
 
 // TestVerbMatrixLocalDispatch dispatches every verb at a node that owns the
@@ -252,7 +338,7 @@ func TestRetriedPutCarriesOneToken(t *testing.T) {
 	t.Cleanup(fs.Close)
 	p := newScriptedPeer(t, fs.Handle)
 	p.drops = 2
-	l := p.link(t, 2)
+	l, _ := p.link(t, 2)
 	var retried obs.Counter
 	q := &wire.Request{Op: wire.OpPut, Key: symbol.K(1), Payload: []byte("once")}
 	resp, _, err := l.call(q, nil, &retried)

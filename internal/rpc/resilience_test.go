@@ -49,7 +49,7 @@ func clientConn(t *testing.T, raw transport.Conn, res Resilience) *Conn {
 // timeout, serves h, and returns the transport and bound address.
 func serveTCPIdle(t *testing.T, idle time.Duration, h Handler) (*transport.TCP, string) {
 	t.Helper()
-	tcp := transport.NewTCPIdle(idle)
+	tcp := &transport.TCP{IdleTimeout: idle}
 	l, err := tcp.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

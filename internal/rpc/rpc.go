@@ -123,7 +123,7 @@ func (e *LinkError) Is(target error) bool { return target == ErrLinkDown }
 //
 // The fields are consumed at different layers of the stack: Heartbeat by
 // every Conn (NewConnResilient), Redial and Retries by the memo server's
-// peer table only — a raw Conn has no dial function to retry with, so
+// links only (peer links and the client link) — a raw Conn has no dial function to retry with, so
 // NewConnResilient ignores them.
 type Resilience struct {
 	// Heartbeat, when positive, makes the client side of a Conn emit a
@@ -134,12 +134,12 @@ type Resilience struct {
 	// every pending call returns a *LinkError. Size transport idle
 	// timeouts to at least 2–3× this interval.
 	Heartbeat time.Duration
-	// Redial is the backoff schedule the memo-server peer table uses to
-	// re-dial dead peer links (zero = transport backoff defaults). Not
+	// Redial is the backoff schedule the memo server's links use to
+	// re-dial a dead conn (zero = transport backoff defaults). Not
 	// consumed by NewConnResilient.
 	Redial transport.Backoff
 	// Retries bounds how many times a failed call is transparently
-	// re-dialed and re-issued by the memo server's peer table. Calls whose
+	// re-dialed and re-issued by the memo server's links. Calls whose
 	// request provably never reached the wire retry regardless of
 	// operation; calls already in flight retry only for idempotent,
 	// non-destructive operations. 0 disables transparent retries. Not

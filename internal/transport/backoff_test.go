@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"testing"
 	"time"
 )
@@ -20,7 +19,6 @@ func TestBackoffSchedule(t *testing.T) {
 		{"explicit doubles", Backoff{Min: 10 * time.Millisecond, Max: 80 * time.Millisecond}, 2, 40 * time.Millisecond},
 		{"explicit reaches cap", Backoff{Min: 10 * time.Millisecond, Max: 80 * time.Millisecond}, 3, 80 * time.Millisecond},
 		{"explicit stays capped", Backoff{Min: 10 * time.Millisecond, Max: 80 * time.Millisecond}, 50, 80 * time.Millisecond},
-		{"factor 3", Backoff{Min: time.Millisecond, Max: time.Minute, Factor: 3}, 2, 9 * time.Millisecond},
 		{"max below min", Backoff{Min: 50 * time.Millisecond, Max: time.Millisecond}, 5, 50 * time.Millisecond},
 		{"negative attempt", Backoff{Min: 10 * time.Millisecond}, -3, 10 * time.Millisecond},
 	}
@@ -34,204 +32,22 @@ func TestBackoffSchedule(t *testing.T) {
 }
 
 func TestBackoffJitterBounds(t *testing.T) {
-	cases := []struct {
-		name string
-		bo   Backoff
-	}{
-		{"default jitter", Backoff{Min: 40 * time.Millisecond, Max: time.Second}},
-		{"half jitter", Backoff{Min: 40 * time.Millisecond, Max: time.Second, Jitter: 0.5}},
-		{"full jitter", Backoff{Min: 40 * time.Millisecond, Max: time.Second, Jitter: 1}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for attempt := 0; attempt < 6; attempt++ {
-				base := tc.bo.Base(attempt)
-				lo := time.Duration(float64(base) * (1 - tc.bo.withDefaults().Jitter))
-				// The extremes of the rnd range stay within bounds...
-				for _, r := range []float64{0, 0.5, 0.999999} {
-					d := tc.bo.Delay(attempt, func() float64 { return r })
-					if d < lo || d > base {
-						t.Fatalf("attempt %d rnd %v: delay %v outside [%v, %v]", attempt, r, d, lo, base)
-					}
-				}
-				// ...and so does the real randomness.
-				for i := 0; i < 100; i++ {
-					if d := tc.bo.Delay(attempt, nil); d < lo || d > base {
-						t.Fatalf("attempt %d: random delay %v outside [%v, %v]", attempt, d, lo, base)
-					}
-				}
+	bo := Backoff{Min: 40 * time.Millisecond, Max: time.Second}
+	for attempt := 0; attempt < 6; attempt++ {
+		base := bo.Base(attempt)
+		lo := time.Duration(float64(base) * (1 - BackoffJitter))
+		// The extremes of the rnd range stay within bounds...
+		for _, r := range []float64{0, 0.5, 0.999999} {
+			d := bo.Delay(attempt, func() float64 { return r })
+			if d < lo || d > base {
+				t.Fatalf("attempt %d rnd %v: delay %v outside [%v, %v]", attempt, r, d, lo, base)
 			}
-		})
-	}
-}
-
-// scriptedDial fails a scripted number of times before each success and
-// records the time of every attempt.
-type scriptedDial struct {
-	failures int // fail this many dials, then succeed until reset
-	times    []time.Time
-}
-
-func (s *scriptedDial) dial() (Conn, error) {
-	s.times = append(s.times, time.Now())
-	if s.failures > 0 {
-		s.failures--
-		return nil, errors.New("scripted dial failure")
-	}
-	a, _ := Pipe("a", "b")
-	return a, nil
-}
-
-func TestRedialerBackoffPacingAndResetOnSuccess(t *testing.T) {
-	const min = 30 * time.Millisecond
-	sd := &scriptedDial{failures: 3}
-	r := NewRedialer(sd.dial, Backoff{Min: min, Max: time.Second, Jitter: 0.01})
-	defer r.Close()
-
-	// Three failing Gets: the first dial is immediate, the next waits
-	// ≥ Min·(1-j), the next ≥ 2·Min·(1-j).
-	for i := 0; i < 3; i++ {
-		if _, _, err := r.Get(nil); err == nil {
-			t.Fatalf("Get %d succeeded with dial scripted to fail", i)
 		}
-		if got := r.Attempt(); got != i+1 {
-			t.Fatalf("after failure %d: Attempt() = %d, want %d", i, got, i+1)
+		// ...and so does the real randomness.
+		for i := 0; i < 100; i++ {
+			if d := bo.Delay(attempt, nil); d < lo || d > base {
+				t.Fatalf("attempt %d: random delay %v outside [%v, %v]", attempt, d, lo, base)
+			}
 		}
-	}
-	c, epoch, err := r.Get(nil)
-	if err != nil || c == nil {
-		t.Fatalf("Get after failures: %v", err)
-	}
-	if r.Attempt() != 0 {
-		t.Fatalf("Attempt() = %d after success, want 0 (reset-on-success)", r.Attempt())
-	}
-	if len(sd.times) != 4 {
-		t.Fatalf("%d dial attempts, want 4", len(sd.times))
-	}
-	// Lower bounds only: upper bounds would flake under scheduler noise.
-	for i, wantGap := range []time.Duration{min, 2 * min} {
-		gap := sd.times[i+2].Sub(sd.times[i+1])
-		if lo := time.Duration(float64(wantGap) * 0.99); gap < lo {
-			t.Fatalf("gap %d = %v, want ≥ %v (backoff not applied)", i+1, gap, lo)
-		}
-	}
-
-	// After a success, the schedule restarts from Min, not where it left
-	// off: fault the conn, fail once, and check the next wait is ~Min.
-	sd.failures = 1
-	r.Fault(epoch)
-	start := time.Now()
-	if _, _, err := r.Get(nil); err == nil {
-		t.Fatal("Get succeeded with dial scripted to fail")
-	}
-	if _, _, err := r.Get(nil); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if elapsed >= 4*min {
-		t.Fatalf("post-success retry waited %v; schedule did not reset to Min=%v", elapsed, min)
-	}
-}
-
-func TestRedialerSingleFlightAndFaultEpochs(t *testing.T) {
-	dials := 0
-	slow := make(chan struct{})
-	dial := func() (Conn, error) {
-		dials++
-		<-slow
-		a, _ := Pipe("a", "b")
-		return a, nil
-	}
-	r := NewRedialer(dial, Backoff{Min: time.Millisecond})
-	defer r.Close()
-
-	type res struct {
-		c     Conn
-		epoch uint64
-		err   error
-	}
-	results := make(chan res, 4)
-	for i := 0; i < 4; i++ {
-		go func() {
-			c, ep, err := r.Get(nil)
-			results <- res{c, ep, err}
-		}()
-	}
-	time.Sleep(20 * time.Millisecond) // let all four join the dial
-	close(slow)
-	first := <-results
-	if first.err != nil {
-		t.Fatal(first.err)
-	}
-	for i := 0; i < 3; i++ {
-		got := <-results
-		if got.err != nil || got.c != first.c || got.epoch != first.epoch {
-			t.Fatalf("waiter got %+v, dialer got %+v", got, first)
-		}
-	}
-	if dials != 1 {
-		t.Fatalf("%d dials for 4 concurrent Gets, want 1 (single flight)", dials)
-	}
-
-	// A stale Fault (old epoch) must not kill the current conn.
-	r.Fault(first.epoch - 1)
-	if c, ep, err := r.Get(nil); err != nil || c != first.c || ep != first.epoch {
-		t.Fatalf("stale Fault replaced the conn: %v %v %v", c, ep, err)
-	}
-	// A current Fault closes it and the next Get re-dials.
-	r.Fault(first.epoch)
-	if err := first.c.Send([]byte("x")); err == nil {
-		t.Fatal("conn still usable after Fault")
-	}
-	c2, ep2, err := r.Get(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2 == first.c || ep2 != first.epoch+1 {
-		t.Fatalf("Get after Fault: conn %v epoch %d, want fresh conn epoch %d", c2, ep2, first.epoch+1)
-	}
-	if dials != 2 {
-		t.Fatalf("%d dials, want 2", dials)
-	}
-}
-
-func TestRedialerGiveupDuringBackoff(t *testing.T) {
-	sd := &scriptedDial{failures: 100}
-	r := NewRedialer(sd.dial, Backoff{Min: 10 * time.Second}) // painful wait
-	defer r.Close()
-	if _, _, err := r.Get(nil); err == nil {
-		t.Fatal("first Get succeeded")
-	}
-	giveup := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := r.Get(giveup)
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	close(giveup)
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("Get succeeded after giveup")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Get ignored giveup and slept out the backoff")
-	}
-}
-
-func TestRedialerClosedGetFails(t *testing.T) {
-	sd := &scriptedDial{}
-	r := NewRedialer(sd.dial, Backoff{})
-	c, _, err := r.Get(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-	if err := c.Send([]byte("x")); err == nil {
-		t.Fatal("conn usable after Redialer.Close")
-	}
-	if _, _, err := r.Get(nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Get on closed redialer: %v, want ErrClosed", err)
 	}
 }

@@ -38,10 +38,6 @@ var ErrIdleTimeout = errors.New("transport: connection idle timeout")
 // NewTCP returns the TCP transport with unbounded reads.
 func NewTCP() *TCP { return &TCP{} }
 
-// NewTCPIdle returns a TCP transport whose connections fail reads after
-// idle silence — the hardened configuration for daemons.
-func NewTCPIdle(idle time.Duration) *TCP { return &TCP{IdleTimeout: idle} }
-
 // Name implements Transport.
 func (*TCP) Name() string { return "tcp" }
 

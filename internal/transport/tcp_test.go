@@ -17,7 +17,7 @@ import (
 // TestTCPIdleTimeout verifies a silent peer trips the read deadline instead
 // of wedging Recv forever.
 func TestTCPIdleTimeout(t *testing.T) {
-	srv := NewTCPIdle(50 * time.Millisecond)
+	srv := &TCP{IdleTimeout: 50 * time.Millisecond}
 	l, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestTCPIdleTimeout(t *testing.T) {
 // TestTCPIdleTimeoutTearsDownMux verifies the idle error surfaces through
 // Mux.Run — a dead peer can no longer wedge the mux read pump.
 func TestTCPIdleTimeoutTearsDownMux(t *testing.T) {
-	srv := NewTCPIdle(50 * time.Millisecond)
+	srv := &TCP{IdleTimeout: 50 * time.Millisecond}
 	l, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestTCPRecvOversizedHeaderAllocatesNothing(t *testing.T) {
 // reaches the socket, so a peer trickling a frame in a byte at a time
 // outlives many windows, and one that stops mid-frame trips it.
 func TestTCPIdleMeasuresSilence(t *testing.T) {
-	l, err := NewTCPIdle(50 * time.Millisecond).Listen("127.0.0.1:0")
+	l, err := (&TCP{IdleTimeout: 50 * time.Millisecond}).Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
