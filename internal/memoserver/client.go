@@ -13,7 +13,7 @@ import (
 // Client is an application process's connection to its local memo server
 // (Fig. 1: applications talk to the memo server on their own host; the memo
 // server does all remote work). One Client pipelines any number of
-// concurrent requests over one virtual connection: requests are coalesced
+// concurrent requests over one transport connection: requests are coalesced
 // into batch frames by the rpc layer and responses match back by id.
 //
 // The connection rides the same resilient-link machinery as memo-server

@@ -70,27 +70,6 @@ type LinkHealth struct {
 	LastErr string `json:",omitempty"`
 }
 
-// muxChannel is the channel an rlink's rpc.Conn runs on: one rpc virtual
-// circuit whose Close also retires the mux carrying it, so a dead conn
-// leaks neither.
-type muxChannel struct {
-	*transport.Channel
-	mux *transport.Mux
-}
-
-func (m *muxChannel) Close() error {
-	_ = m.Channel.Close()
-	return m.mux.Close()
-}
-
-// dialMux wraps a raw transport conn into the mux-backed channel an rlink's
-// rpc.Conn runs on.
-func dialMux(raw transport.Conn) transport.Conn {
-	mux := transport.NewMux(raw, transport.DefaultMTU)
-	go mux.Run()
-	return &muxChannel{Channel: mux.Channel(1), mux: mux}
-}
-
 // newRlink builds a link that reaches its peer through dial, which returns
 // the raw transport conn. Creation does not dial.
 func newRlink(dial func() (transport.Conn, error), pol rpc.Policy, res rpc.Resilience) *rlink {
@@ -169,7 +148,7 @@ func (l *rlink) redial(done chan struct{}) error {
 	var c *rpc.Conn
 	raw, err := l.dial()
 	if err == nil {
-		c = rpc.NewConnResilient(dialMux(raw), l.pol, l.res)
+		c = rpc.NewConnResilient(raw, l.pol, l.res)
 	}
 	var dead *rpc.Conn
 	l.mu.Lock()

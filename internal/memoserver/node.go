@@ -10,7 +10,7 @@
 //
 // All request traffic — inbound from applications and peers, outbound to
 // peers — travels over the batching rpc layer: many requests pipeline on
-// one virtual connection and coalesce into batch frames, so a burst of
+// one transport connection and coalesce into batch frames, so a burst of
 // small memo operations costs the link one frame, not one frame each.
 package memoserver
 
@@ -139,8 +139,10 @@ type Node struct {
 	apps  sync.Map // app name -> *App
 	peers sync.Map // host -> *rlink
 
-	mu       sync.Mutex
-	inbound  []*transport.Mux
+	mu sync.Mutex
+	// inbound holds the accepted conns still being served; each one's
+	// accept task removes it when Serve returns.
+	inbound  map[transport.Conn]struct{}
 	listener transport.Listener
 	closed   bool
 
@@ -197,6 +199,7 @@ func newNode(host string, t listenNet, dial func(string, string) (transport.Conn
 		cfg:      cfg,
 		dialFrom: dial,
 		pool:     threadcache.New(cfg.Cache),
+		inbound:  make(map[transport.Conn]struct{}),
 		tracer:   obs.NewTracer("memo@"+host, cfg.TraceSample, cfg.SlowRequestThreshold),
 	}
 }
@@ -261,8 +264,8 @@ func (n *Node) shutdown(crash bool) {
 		v.(*rlink).close()
 		return true
 	})
-	for _, m := range inbound {
-		m.Close()
+	for conn := range inbound {
+		conn.Close()
 	}
 	n.apps.Range(func(_, v any) bool {
 		for _, fs := range v.(*App).local {
@@ -283,27 +286,41 @@ func (n *Node) isClosed() bool {
 	return n.closed
 }
 
+// acceptLoop hands each accepted conn to one thread of the node's cache,
+// which serves it until it fails, then closes and retires it. Batched
+// requests dispatch concurrently through the same cache and responses
+// coalesce into batched frames. Closing is the whole answer to a peer that
+// sent anything but batch frames: its Recv fails rather than hangs.
 func (n *Node) acceptLoop(l transport.Listener) {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
 			return
 		}
-		mux := transport.NewMux(conn, transport.DefaultMTU)
 		n.mu.Lock()
 		if n.closed {
 			n.mu.Unlock()
-			mux.Close()
+			conn.Close()
 			return
 		}
-		n.inbound = append(n.inbound, mux)
+		n.inbound[conn] = struct{}{}
 		n.mu.Unlock()
-		go mux.Run()
-		// Batched requests dispatch concurrently through the node's thread
-		// cache, and responses coalesce into batched frames; a peer that
-		// sends anything but batch frames has its channel closed.
-		go rpc.ServeMux(mux, n.Dispatch, n.pool, rpc.Policy{})
+		if err := n.pool.Submit(func() {
+			_ = rpc.Serve(conn, n.Dispatch, n.pool.SubmitArg, rpc.Policy{})
+			n.retire(conn)
+		}); err != nil {
+			n.retire(conn)
+			return
+		}
 	}
+}
+
+// retire closes an accepted conn and drops it from the inbound set.
+func (n *Node) retire(conn transport.Conn) {
+	conn.Close()
+	n.mu.Lock()
+	delete(n.inbound, conn)
+	n.mu.Unlock()
 }
 
 // RegisterApp installs an application: builds its routing table and

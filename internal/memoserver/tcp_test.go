@@ -1,13 +1,20 @@
 package memoserver
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/adf"
+	"repro/internal/rpc"
 	"repro/internal/symbol"
+	"repro/internal/threadcache"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -155,4 +162,160 @@ func TestRealTCPDeployment(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestMemoSizeBoundOverTCP: nothing fragments a frame, so rpc.MaxMessage
+// bounds a memo. Through a forward over TCP (client → b → folder 0 on a),
+// with retries armed on every link: a memo past the old fragmenting
+// threshold round-trips, the largest accepted memo round-trips sampled (its
+// get response carries the spans in the same frame), and one byte more
+// fails with transport.ErrTooLarge before anything is sent — no retry, no
+// fault, nothing stored — on the client link and on the peer link, and the
+// same client link serves the next call.
+func TestMemoSizeBoundOverTCP(t *testing.T) {
+	res := rpc.Resilience{Heartbeat: rpc.DefaultHeartbeat, Retries: 2}
+	nodes, _ := bootTCPPair(t, Config{Resilience: res})
+	addr := nodes[1].listener.Addr()
+	c, err := DialClientResilient(func(_, _ string) (transport.Conn, error) { return transport.NewTCP().Dial(addr) },
+		"b", "t2", rpc.Policy{}, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	k := symbol.K(5)
+	roundTrip := func(payload []byte) *wire.Response {
+		t.Helper()
+		if resp, err := c.Do(req(wire.OpPut, 0, k, payload), nil); err != nil || resp.Status != wire.StatusOK {
+			t.Fatalf("put of %d bytes: %+v %v", len(payload), resp, err)
+		}
+		resp, err := c.Do(req(wire.OpGet, 0, k, nil), nil)
+		if err != nil || resp.Status != wire.StatusOK || !bytes.Equal(resp.Payload, payload) {
+			t.Fatalf("get of a %d-byte memo: status %v, %d bytes, %v", len(payload), resp.Status, len(resp.Payload), err)
+		}
+		return resp
+	}
+	roundTrip(bytes.Repeat([]byte{7}, 200<<10))
+
+	// The largest payload whose put request encodes to exactly MaxMessage.
+	q := req(wire.OpPut, 0, k, nil)
+	q.App = "t2"
+	n := rpc.MaxMessage - len(wire.EncodeRequest(q))
+	for n+len(wire.EncodeRequest(q))-1+len(binary.AppendUvarint(nil, uint64(n))) > rpc.MaxMessage {
+		n--
+	}
+	q.Payload = bytes.Repeat([]byte{9}, n+1)
+	if got := len(wire.EncodeRequest(q)); got != rpc.MaxMessage+1 {
+		t.Fatalf("one byte past the largest memo encodes to %d bytes, want %d", got, rpc.MaxMessage+1)
+	}
+	largest := q.Payload[:n]
+	c.EnableSampling()
+	if resp := roundTrip(largest); len(resp.Spans) == 0 {
+		t.Fatal("the sampled get of the largest memo came back without spans")
+	}
+
+	_, err = c.Do(req(wire.OpPut, 0, k, q.Payload), nil)
+	var le *rpc.LinkError
+	if !errors.Is(err, transport.ErrTooLarge) || errors.As(err, &le) {
+		t.Fatalf("put of %d bytes: %v, want transport.ErrTooLarge and no LinkError", len(q.Payload), err)
+	}
+	// The peer link refuses it the same way when b forwards it.
+	if resp := nodes[1].Dispatch(q, nil); resp.Status != wire.StatusErr ||
+		!strings.Contains(resp.Err, transport.ErrTooLarge.Error()) {
+		t.Fatalf("forwarded oversized put: %+v", resp)
+	}
+	if resp, err := c.Do(req(wire.OpGetSkip, 0, k, nil), nil); err != nil || resp.Status != wire.StatusEmpty {
+		t.Fatalf("get_skip after the refused puts: %+v %v, want empty", resp, err)
+	}
+	if st := c.Stats(); st.Retried != 0 || st.Faults != 0 || st.Dials != 1 {
+		t.Fatalf("client link %+v, want one dial, no retry, no fault", st)
+	}
+	for _, node := range nodes {
+		if st := node.Stats(); st.Retried != 0 {
+			t.Fatalf("host %s retried %d forwards", node.Host, st.Retried)
+		}
+		for _, ls := range node.LinkStats() {
+			if ls.Faults != 0 || ls.Dials != 1 {
+				t.Fatalf("host %s link to %s: %+v, want one dial, no fault", node.Host, ls.Peer, ls.LinkHealth)
+			}
+		}
+	}
+}
+
+// quiesce waits until the process's goroutine count holds still for 100ms
+// and returns it.
+func quiesce(t *testing.T) int {
+	t.Helper()
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(100 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+	t.Fatalf("goroutine count never settled (last %d)", n)
+	return 0
+}
+
+func inboundConns(n *Node) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.inbound)
+}
+
+// TestInboundConnsRetire: an accepted conn is served by two goroutines —
+// rpc.Serve on a thread of the node's cache and its response sender — and
+// a dialed client link runs three: receive loop, request sender and
+// heartbeat. When the client goes, the node forgets its conn: after 200
+// clients that connect, ping and close, the inbound set is empty and the
+// goroutine count is back where it started.
+func TestInboundConnsRetire(t *testing.T) {
+	net := newTCPMapped()
+	n := NewWithDialer("a", net, Config{Cache: threadcache.Config{IdleTimeout: 5 * time.Millisecond}})
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	dial := func(_, addr string) (transport.Conn, error) { return net.Dial(addr) }
+	visit := func() {
+		t.Helper()
+		c, err := dialClient(dial, "a", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	visit() // start whatever the runtime starts lazily
+	base := quiesce(t)
+
+	raw, err := net.Dial(MemoAddr("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := quiesce(t) - base; got != 2 {
+		t.Fatalf("an accepted conn costs %d goroutines, want 2", got)
+	}
+	raw.Close()
+	c, err := dialClient(dial, "a", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if got := quiesce(t) - base; got != 2+3 {
+		t.Fatalf("a dialed link and its accepted end, serving, cost %d goroutines, want 2+3", got)
+	}
+	c.Close()
+
+	for i := 0; i < 200; i++ {
+		visit()
+	}
+	if got := quiesce(t); got > base || inboundConns(n) != 0 {
+		t.Fatalf("after 200 clients came and went: %d goroutines (baseline %d), %d inbound conns", got, base, inboundConns(n))
+	}
 }

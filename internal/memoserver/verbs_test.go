@@ -46,7 +46,7 @@ var verbRows = []struct {
 }
 
 // scriptedPeer is the far end of an rlink: an in-process listener whose
-// connections are answered by rpc.ServeMux with a handler that records every
+// connections are answered by rpc.Serve with a handler that records every
 // arrival and, while drops remain, kills the link instead of answering — the
 // "request reached the wire, response never came" failure.
 type scriptedPeer struct {
@@ -55,7 +55,7 @@ type scriptedPeer struct {
 	handle  rpc.Handler
 
 	mu       sync.Mutex
-	muxes    []*transport.Mux
+	conns    []transport.Conn
 	arrivals []uint64 // the token each arriving request carried
 	drops    int
 }
@@ -73,12 +73,13 @@ func newScriptedPeer(t *testing.T, handle rpc.Handler) *scriptedPeer {
 			if err != nil {
 				return
 			}
-			mux := transport.NewMux(conn, transport.DefaultMTU)
 			p.mu.Lock()
-			p.muxes = append(p.muxes, mux)
+			p.conns = append(p.conns, conn)
 			p.mu.Unlock()
-			go mux.Run()
-			go rpc.ServeMux(mux, p.serve, p.threads, rpc.Policy{})
+			go func() {
+				_ = rpc.Serve(conn, p.serve, p.threads.SubmitArg, rpc.Policy{})
+				conn.Close()
+			}()
 		}
 	}()
 	t.Cleanup(func() {
@@ -107,11 +108,11 @@ func (p *scriptedPeer) serve(q *wire.Request, cancel <-chan struct{}) *wire.Resp
 // sever closes every connection accepted so far.
 func (p *scriptedPeer) sever() {
 	p.mu.Lock()
-	muxes := p.muxes
-	p.muxes = nil
+	conns := p.conns
+	p.conns = nil
 	p.mu.Unlock()
-	for _, m := range muxes {
-		m.Close()
+	for _, c := range conns {
+		c.Close()
 	}
 }
 

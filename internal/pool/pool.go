@@ -35,7 +35,7 @@ import (
 
 // Size classes: powers of two from minSize (64 B) through maxSize (1 MiB).
 // Requests beyond maxSize fall through to plain allocation and are dropped
-// on Put — frames that large are fragmented by the mux anyway.
+// on Put — only a memo near the rpc size bound is that large.
 const (
 	minShift = 6
 	maxShift = 20

@@ -9,7 +9,7 @@ import (
 )
 
 // TestSteadyStateCallAllocBudget gates the whole-path allocation budget of
-// one rpc round trip: client encode → batcher → mux → inproc transport →
+// one rpc round trip: client encode → batcher → inproc transport →
 // server decode → thread-cache dispatch → response batcher → client decode.
 // The seed path spent ~29 allocations per op here; the pooled path holds a
 // single-digit budget, and this test keeps it that way — a future PR that
@@ -25,35 +25,14 @@ func TestSteadyStateCallAllocBudget(t *testing.T) {
 	defer l.Close()
 	tc := threadcache.New(threadcache.Config{})
 	defer tc.Close()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			mux := transport.NewMux(conn, 1<<20)
-			go mux.Run()
-			go func() {
-				for {
-					ch, err := mux.Accept()
-					if err != nil {
-						return
-					}
-					go Serve(ch, echoBenchHandler, tc.SubmitArg, Policy{})
-				}
-			}()
-		}
-	}()
+	go serveLoop(l, echoBenchHandler, tc.SubmitArg, Policy{})
 	conn, err := ip.Dial("srv/rpc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux := transport.NewMux(conn, 1<<20)
-	go mux.Run()
-	defer mux.Close()
 	// Heartbeats off: the probe ticker would add background allocations
 	// unrelated to the per-call budget.
-	c := NewConnResilient(mux.Channel(1), Policy{}, Resilience{})
+	c := NewConnResilient(conn, Policy{}, Resilience{})
 	defer c.Close()
 
 	// Warm the path: buffer pools, call pool, dispatch-task pool, cached
@@ -98,33 +77,12 @@ func TestSampledCallAllocBudget(t *testing.T) {
 	defer l.Close()
 	tc := threadcache.New(threadcache.Config{})
 	defer tc.Close()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			mux := transport.NewMux(conn, 1<<20)
-			go mux.Run()
-			go func() {
-				for {
-					ch, err := mux.Accept()
-					if err != nil {
-						return
-					}
-					go Serve(ch, echoBenchHandler, tc.SubmitArg, Policy{})
-				}
-			}()
-		}
-	}()
+	go serveLoop(l, echoBenchHandler, tc.SubmitArg, Policy{})
 	conn, err := ip.Dial("srv/rpc-sampled")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux := transport.NewMux(conn, 1<<20)
-	go mux.Run()
-	defer mux.Close()
-	c := NewConnResilient(mux.Channel(1), Policy{}, Resilience{})
+	c := NewConnResilient(conn, Policy{}, Resilience{})
 	defer c.Close()
 
 	sampledCall := func() {

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/pool"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -31,19 +30,14 @@ import (
 //
 // The steady state allocates nothing: entry Msg bytes arrive in pooled
 // buffers owned by the batcher (recycled after their frame ships), the
-// frame itself is encoded into a pooled buffer with mux header space
-// reserved up front (stamped in place when the conn is a
-// transport.ReservedSender, so the frame is never copied), and both the
-// queue array and the sender's drain slice are reused across frames.
+// frame itself is encoded into one pooled buffer that goes to the conn as
+// is, and both the queue array and the sender's drain slice are reused
+// across frames.
 type batcher struct {
-	kind wire.BatchKind
-	pol  Policy
-	conn frameSender // transports one encoded frame
-	// reserved is conn as a ReservedSender when it is one (a mux channel):
-	// frames are then encoded behind reserved header space and stamped in
-	// place instead of re-framed.
-	reserved transport.ReservedSender
-	onErr    func(error) // called once when send fails
+	kind  wire.BatchKind
+	pol   Policy
+	conn  frameSender // transports one encoded frame
+	onErr func(error) // called once when send fails
 	// preSend, when set, observes each frame's entries immediately before
 	// the transport send. The Conn uses it to mark calls as
 	// handed-to-the-wire: marking before the send means a send that fails
@@ -66,7 +60,6 @@ type frameSender interface {
 
 func newBatcher(kind wire.BatchKind, pol Policy, conn frameSender, onErr func(error)) *batcher {
 	b := &batcher{kind: kind, pol: pol, conn: conn, onErr: onErr, wake: make(chan struct{}, 1)}
-	b.reserved, _ = conn.(transport.ReservedSender)
 	b.unblocked = sync.NewCond(&b.mu)
 	go b.sender()
 	return b
@@ -180,9 +173,8 @@ func (b *batcher) sender() {
 	}
 }
 
-// sendFrame encodes one frame into a pooled buffer and ships it. On a
-// ReservedSender the mux header is stamped into reserved space at the front
-// of the same buffer — no reframe allocation, no copy.
+// sendFrame encodes one frame into a pooled buffer and ships it; the
+// conn's Send is the frame's one copy (TCP's into its write buffer).
 func (b *batcher) sendFrame(batch []wire.BatchEntry) error {
 	mFrames.Inc()
 	mBatchEntries.Observe(int64(len(batch)))
@@ -190,34 +182,27 @@ func (b *batcher) sendFrame(batch []wire.BatchEntry) error {
 	for i := range batch {
 		msgBytes += len(batch[i].Msg) + len(batch[i].Spans)
 	}
-	reserve := 0
-	if b.reserved != nil {
-		reserve = transport.MuxHeaderSpace
-	}
-	buf := pool.Get(reserve + wire.BatchOverhead(len(batch), msgBytes))
-	buf = buf[:reserve]
-	frame := wire.AppendBatch(buf, b.kind, batch)
-	var err error
-	if b.reserved != nil {
-		err = b.reserved.SendReserved(frame)
-	} else {
-		err = b.conn.Send(frame)
-	}
+	frame := wire.AppendBatch(pool.Get(wire.BatchOverhead(len(batch), msgBytes)), b.kind, batch)
+	err := b.conn.Send(frame)
 	pool.Put(frame)
 	return err
 }
 
-// takeLocked copies up to MaxCount entries / ~MaxBytes encoded bytes
-// (always at least one entry) from the queue head into dst, compacting the
-// queue in place so its backing array is reused forever.
+// takeLocked copies up to MaxCount entries from the queue head into dst,
+// compacting the queue in place so its backing array is reused forever. It
+// stops before an entry that would take the frame past ~MaxBytes encoded
+// bytes unless that entry is the frame's first: a frame is at most MaxBytes
+// or one entry, so no run of small entries can push a MaxMessage-sized one
+// past transport.MaxFrame.
 func (b *batcher) takeLocked(dst []wire.BatchEntry) []wire.BatchEntry {
 	n, size := 0, 0
 	for n < len(b.queue) && n < b.pol.MaxCount {
-		size += len(b.queue[n].Msg) + len(b.queue[n].Spans) + 12 // ~ per-entry framing overhead
-		n++
-		if size >= b.pol.MaxBytes {
+		e := len(b.queue[n].Msg) + len(b.queue[n].Spans) + 12 // ~ per-entry framing overhead
+		if n > 0 && size+e > b.pol.MaxBytes {
 			break
 		}
+		size += e
+		n++
 	}
 	dst = append(dst, b.queue[:n]...)
 	rest := copy(b.queue, b.queue[n:])

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -160,5 +161,29 @@ func TestBatcherLoneAddShipsAtOnce(t *testing.T) {
 	}
 	if best > time.Millisecond {
 		t.Fatalf("best lone add→frame latency %v over 20 tries, want <= 1ms", best)
+	}
+}
+
+// TestBatcherTakeStopsBeforeMaxBytes: a frame takes entries while they fit
+// in MaxBytes; an entry that would push it past starts the next frame, and
+// rides alone when it is too big for any company.
+func TestBatcherTakeStopsBeforeMaxBytes(t *testing.T) {
+	b := &batcher{pol: Policy{MaxCount: 64, MaxBytes: 1000}}
+	b.unblocked = sync.NewCond(&b.mu)
+	for i, n := range []int{400, 400, 5000, 100} {
+		b.queue = append(b.queue, wire.BatchEntry{ID: uint64(i), Msg: make([]byte, n)})
+	}
+	var frames [][]uint64
+	b.mu.Lock()
+	for len(b.queue) > 0 {
+		var ids []uint64
+		for _, e := range b.takeLocked(nil) {
+			ids = append(ids, e.ID)
+		}
+		frames = append(frames, ids)
+	}
+	b.mu.Unlock()
+	if got, want := fmt.Sprint(frames), "[[0 1] [2] [3]]"; got != want {
+		t.Fatalf("frames %s, want %s", got, want)
 	}
 }

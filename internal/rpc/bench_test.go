@@ -16,10 +16,10 @@ import (
 // one connection, batched (default flush policy) versus unbatched
 // (MaxCount = 1: one frame per message — the pre-batching wire behaviour).
 //
-// The sim transport charges each transport message one link delay, and the
-// mux serializes sends on the shared physical conn, exactly like a real
-// link: unbatched concurrent callers queue behind each other's frames,
-// batched callers amortize one delay over a whole frame of requests.
+// The sim transport charges each transport message one link delay, and each
+// side's batcher sends its frames one at a time, exactly like a real link:
+// unbatched concurrent callers queue behind each other's frames, batched
+// callers amortize one delay over a whole frame of requests.
 func BenchmarkRPCBatchedRoundTrip(b *testing.B) {
 	const linkDelay = 50 * time.Microsecond
 	for _, callers := range []int{1, 8, 64} {
@@ -47,34 +47,13 @@ func benchRoundTrips(b *testing.B, callers int, pol Policy, linkDelay time.Durat
 		b.Fatal(err)
 	}
 	defer l.Close()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			mux := transport.NewMux(conn, 1<<20)
-			go mux.Run()
-			go func() {
-				for {
-					ch, err := mux.Accept()
-					if err != nil {
-						return
-					}
-					go Serve(ch, echoBenchHandler, nil, pol)
-				}
-			}()
-		}
-	}()
+	go serveLoop(l, echoBenchHandler, nil, pol)
 
 	conn, err := sim.DialFrom("cli", "srv/rpc")
 	if err != nil {
 		b.Fatal(err)
 	}
-	mux := transport.NewMux(conn, 1<<20)
-	go mux.Run()
-	defer mux.Close()
-	c := NewConn(mux.Channel(1), pol)
+	c := NewConn(conn, pol)
 	defer c.Close()
 
 	// Warm the path so setup cost stays out of the measurement.

@@ -13,13 +13,13 @@ import (
 
 // Conn is the client side of one pipelined RPC connection. Any number of
 // goroutines may Call concurrently; their requests share one transport
-// channel, coalesce into batch frames under the flush policy, and complete
+// conn, coalesce into batch frames under the flush policy, and complete
 // out of order, matched by id.
 type Conn struct {
-	ch  transport.Conn
-	pol Policy
-	hb  time.Duration // heartbeat interval; 0 = disabled
-	out *batcher
+	conn transport.Conn
+	pol  Policy
+	hb   time.Duration // heartbeat interval; 0 = disabled
+	out  *batcher
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -65,13 +65,13 @@ func getCall() *call {
 	return ca
 }
 
-// NewConn starts an RPC connection over ch (typically one transport.Mux
-// channel) and its receive loop. The zero Policy means defaults;
+// NewConn starts an RPC connection over conn, the transport conn that was
+// dialed, and its receive loop. The zero Policy means defaults;
 // heartbeats run at DefaultHeartbeat, so every rpc client is safe against
 // daemon-side idle timeouts out of the box — use NewConnResilient to tune
 // the interval or disable probing.
-func NewConn(ch transport.Conn, pol Policy) *Conn {
-	return NewConnResilient(ch, pol, Resilience{Heartbeat: DefaultHeartbeat})
+func NewConn(conn transport.Conn, pol Policy) *Conn {
+	return NewConnResilient(conn, pol, Resilience{Heartbeat: DefaultHeartbeat})
 }
 
 // NewConnResilient is NewConn with an explicit link-resilience
@@ -81,9 +81,9 @@ func NewConn(ch transport.Conn, pol Policy) *Conn {
 // healthy-but-quiet link, and a peer silent for 2× the interval fails the
 // connection — every pending call returns a *LinkError instead of blocking
 // forever behind a dead wire. res.Heartbeat == 0 disables both.
-func NewConnResilient(ch transport.Conn, pol Policy, res Resilience) *Conn {
+func NewConnResilient(conn transport.Conn, pol Policy, res Resilience) *Conn {
 	c := &Conn{
-		ch:      ch,
+		conn:    conn,
 		pol:     pol.withDefaults(),
 		hb:      res.Heartbeat,
 		pending: make(map[uint64]*call),
@@ -92,7 +92,7 @@ func NewConnResilient(ch transport.Conn, pol Policy, res Resilience) *Conn {
 	now := time.Now().UnixNano()
 	c.lastSent.Store(now)
 	c.lastRecv.Store(now)
-	c.out = newBatcher(wire.BatchRequest, c.pol, ch, c.fail)
+	c.out = newBatcher(wire.BatchRequest, c.pol, conn, c.fail)
 	c.out.preSend = c.markSent
 	go c.recvLoop()
 	if c.hb > 0 {
@@ -127,7 +127,8 @@ func (c *Conn) markSent(entries []wire.BatchEntry) {
 // response with wire.StatusCanceled — the server's statement that the
 // request consumed nothing — returns ErrCanceled; any other response is
 // returned as the value it is (the cancel lost the race). If the link dies,
-// Call fails fast with a *LinkError (errors.Is ErrLinkDown).
+// Call fails fast with a *LinkError (errors.Is ErrLinkDown). A request
+// message over MaxMessage fails at once with transport.ErrTooLarge.
 func (c *Conn) Call(q *wire.Request, cancel <-chan struct{}) (*wire.Response, error) {
 	mCalls.Inc()
 	mCallsInflight.Add(1)
@@ -147,6 +148,10 @@ func (c *Conn) call(q *wire.Request, cancel <-chan struct{}) (*wire.Response, er
 	// bounds the whole message (keys and strings included), so the append
 	// never outgrows the buffer.
 	msg := wire.AppendRequest(pool.Get(wire.RequestOverhead(q)), q)
+	if len(msg) > MaxMessage {
+		pool.Put(msg)
+		return nil, fmt.Errorf("rpc: %w: %d-byte request, limit %d", transport.ErrTooLarge, len(msg), MaxMessage)
+	}
 	ca := getCall()
 	c.mu.Lock()
 	if c.err != nil {
@@ -238,7 +243,7 @@ func (c *Conn) callErr(cause error, sent bool) error {
 func (c *Conn) recvLoop() {
 	var entries []wire.BatchEntry
 	for {
-		buf, err := c.ch.Recv()
+		buf, err := c.conn.Recv()
 		if err != nil {
 			c.fail(err)
 			return
@@ -346,7 +351,7 @@ func (c *Conn) fail(err error) {
 		c.mu.Unlock()
 		c.out.close()
 		close(c.done)
-		_ = c.ch.Close()
+		_ = c.conn.Close()
 	})
 }
 

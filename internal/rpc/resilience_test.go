@@ -11,36 +11,11 @@ import (
 	"repro/internal/wire"
 )
 
-// serveMuxLoop accepts muxed connections on l and drives Serve(h) on every
-// virtual channel — the shared server half of the resilience tests.
-func serveMuxLoop(l transport.Listener, h Handler) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		mux := transport.NewMux(conn, 4096)
-		go mux.Run()
-		go func() {
-			for {
-				ch, err := mux.Accept()
-				if err != nil {
-					return
-				}
-				go Serve(ch, h, nil, Policy{})
-			}
-		}()
-	}
-}
-
-// clientConn wraps a dialed transport conn in a mux and a resilient Conn,
-// with cleanup registered.
+// clientConn wraps a dialed transport conn in a resilient Conn, with
+// cleanup registered.
 func clientConn(t *testing.T, raw transport.Conn, res Resilience) *Conn {
 	t.Helper()
-	mux := transport.NewMux(raw, 4096)
-	go mux.Run()
-	t.Cleanup(func() { mux.Close() })
-	c := NewConnResilient(mux.Channel(1), Policy{}, res)
+	c := NewConnResilient(raw, Policy{}, res)
 	t.Cleanup(func() { c.Close() })
 	return c
 }
@@ -55,7 +30,7 @@ func serveTCPIdle(t *testing.T, idle time.Duration, h Handler) (*transport.TCP, 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go serveMuxLoop(l, h)
+	go serveLoop(l, h, nil, Policy{})
 	return tcp, l.Addr()
 }
 
@@ -70,7 +45,7 @@ func servedPair(t *testing.T, h Handler, res Resilience, wrapClient func(transpo
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go serveMuxLoop(l, h)
+	go serveLoop(l, h, nil, Policy{})
 	raw, err := ip.Dial("srv/rpc")
 	if err != nil {
 		t.Fatal(err)
@@ -89,11 +64,11 @@ func blockForever(q *wire.Request, cancel <-chan struct{}) *wire.Response {
 	return wire.Errf("canceled")
 }
 
-// TestCallsFailFastWhenMuxDiesMidCall is the latent-bug regression: calls
-// in flight when the underlying transport dies must all return promptly
-// with ErrLinkDown, not hang until some outer timeout. The requests were
-// handed to the wire, so each LinkError must report Sent.
-func TestCallsFailFastWhenMuxDiesMidCall(t *testing.T) {
+// TestCallsFailFastWhenTransportDiesMidCall is the latent-bug regression:
+// calls in flight when the underlying transport dies must all return
+// promptly with ErrLinkDown, not hang until some outer timeout. The requests
+// were handed to the wire, so each LinkError must report Sent.
+func TestCallsFailFastWhenTransportDiesMidCall(t *testing.T) {
 	c, raw := servedPair(t, blockForever, Resilience{}, nil)
 	const callers = 8
 	errs := make(chan error, callers)
@@ -116,7 +91,7 @@ func TestCallsFailFastWhenMuxDiesMidCall(t *testing.T) {
 				t.Fatalf("call %d: %v, want *LinkError with Sent", i, err)
 			}
 		case <-time.After(2 * time.Second):
-			t.Fatalf("call %d still blocked after the mux died", i)
+			t.Fatalf("call %d still blocked after the transport died", i)
 		}
 	}
 	// New calls on the dead conn fail fast too — and report not-sent, so

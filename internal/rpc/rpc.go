@@ -1,14 +1,13 @@
 // Package rpc is the pipelined, batching RPC layer between the wire codec
-// and the transports.
+// and the transports. Its batch frames ride a transport.Conn directly, one
+// frame per transport message, with no virtual circuits underneath.
 //
 // The paper's derived transport (§3.1.1) exists so that "communication cost
 // [is] amortized over time"; this package is that amortization applied to
-// request/response traffic. Before it, the stack round-tripped exactly one
-// wire.Request per mux frame per virtual circuit, with one outstanding call
-// per channel. Now:
+// request/response traffic:
 //
 //   - Conn (client side) assigns every request an id, keeps any number of
-//     calls in flight on one transport.Channel, and coalesces concurrent
+//     calls in flight on one transport.Conn, and coalesces concurrent
 //     small requests into one wire batch frame under a flush policy
 //     (Policy: max batch count, max batch bytes). Responses
 //     return in completion order and are matched back to callers by id.
@@ -20,15 +19,17 @@
 //     leave their response for a later frame — they never stall the other
 //     requests of their batch.
 //
-// Cancellation, which the one-channel-per-call design expressed by closing
-// the call's virtual connection, becomes a batched control entry: a cancel
-// entry names the in-flight request id, and the server closes that
-// request's cancel channel.
+// Cancellation is a batched control entry: a cancel entry names the
+// in-flight request id, and the server closes that request's cancel
+// channel.
+//
+// Nothing fragments a frame, so a memo's size is bounded: Call refuses a
+// request message over MaxMessage before queuing it.
 //
 // Batch frames are the only frames either side accepts. A frame that does
 // not start with the batch magic — a bare encoded request, garbage — ends
 // the connection: Serve returns a protocol error without running a handler
-// and the channel is closed; Conn fails every pending call.
+// and the conn is closed; Conn fails every pending call.
 package rpc
 
 import (
@@ -45,6 +46,15 @@ const (
 	DefaultMaxBytes = 64 << 10
 )
 
+// MaxMessage is the largest encoded request Call accepts. A larger one fails
+// with an error matching transport.ErrTooLarge before it is queued; it is
+// not a LinkError, so nothing retries it, and the connection stays up. It
+// is the memo size bound: 64 KiB below transport.MaxFrame leaves room for
+// the batch framing and for what a response adds to the memo it returns
+// (a status byte and up to 64 sampled spans), so the get that takes any
+// accepted memo fits in one frame as well.
+const MaxMessage = transport.MaxFrame - 64<<10
+
 // DefaultHeartbeat is the probe interval client dial helpers use when the
 // caller does not choose one — sized so the daemons' default idle timeout
 // (15s, 3× this) never fires on a healthy-but-silent connection.
@@ -59,7 +69,8 @@ const DefaultHeartbeat = 5 * time.Second
 type Policy struct {
 	// MaxCount flushes a batch when it holds this many entries.
 	MaxCount int
-	// MaxBytes flushes a batch when its encoded payload reaches this size.
+	// MaxBytes caps a batch's encoded payload: an entry that would take it
+	// past this size starts the next frame, unless it would be alone.
 	MaxBytes int
 }
 
@@ -81,9 +92,9 @@ var (
 	// wire.StatusCanceled: the request consumed nothing.
 	ErrCanceled = errors.New("rpc: call canceled")
 	// ErrLinkDown reports a call failed because the underlying link died —
-	// the transport errored, the mux tore down, or the heartbeat deadline
-	// expired. Match with errors.Is; the concrete error is a *LinkError
-	// carrying the cause and whether the request had reached the wire.
+	// the transport errored or the heartbeat deadline expired. Match with
+	// errors.Is; the concrete error is a *LinkError carrying the cause and
+	// whether the request had reached the wire.
 	ErrLinkDown = errors.New("rpc: link down")
 )
 
@@ -98,8 +109,8 @@ type LinkError struct {
 	// the link died. Marked conservatively (just before the frame ships),
 	// so false is a guarantee and true is a maybe.
 	Sent bool
-	// Cause is the terminal link error (transport failure, mux teardown,
-	// heartbeat expiry).
+	// Cause is the terminal link error (transport failure, heartbeat
+	// expiry).
 	Cause error
 }
 

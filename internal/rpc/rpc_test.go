@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -12,8 +13,23 @@ import (
 	"repro/internal/wire"
 )
 
-// pipe builds a connected client/server channel pair over the in-process
-// transport, with the server side running Serve(h).
+// serveLoop runs Serve(h) on every conn l accepts and closes each one when
+// its Serve returns, as memoserver.Node's accept task does.
+func serveLoop(l transport.Listener, h Handler, submit SubmitFunc, pol Policy) {
+	for {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		go func() {
+			_ = Serve(conn, h, submit, pol)
+			conn.Close()
+		}()
+	}
+}
+
+// pipe builds a connected client/server pair over the in-process transport,
+// with the server side running Serve(h).
 func pipe(t *testing.T, h Handler, submit SubmitFunc, pol Policy) *Conn {
 	t.Helper()
 	ip := transport.NewInProc()
@@ -22,33 +38,12 @@ func pipe(t *testing.T, h Handler, submit SubmitFunc, pol Policy) *Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			mux := transport.NewMux(conn, 4096)
-			go mux.Run()
-			go func() {
-				for {
-					ch, err := mux.Accept()
-					if err != nil {
-						return
-					}
-					go Serve(ch, h, submit, pol)
-				}
-			}()
-		}
-	}()
+	go serveLoop(l, h, submit, pol)
 	conn, err := ip.Dial("srv/rpc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux := transport.NewMux(conn, 4096)
-	go mux.Run()
-	t.Cleanup(func() { mux.Close() })
-	c := NewConn(mux.Channel(1), pol)
+	c := NewConn(conn, pol)
 	t.Cleanup(func() { c.Close() })
 	return c
 }
@@ -147,24 +142,13 @@ func TestBatchingCoalesces(t *testing.T) {
 		if err != nil {
 			return
 		}
-		mux := transport.NewMux(&slowConn{Conn: conn, delay: wireDelay, sent: &sent}, 1<<20)
-		go mux.Run()
-		for {
-			ch, err := mux.Accept()
-			if err != nil {
-				return
-			}
-			go Serve(ch, echoHandler, nil, Policy{})
-		}
+		_ = Serve(&slowConn{Conn: conn, delay: wireDelay, sent: &sent}, echoHandler, nil, Policy{})
 	}()
 	conn, err := ip.Dial("srv/rpc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux := transport.NewMux(&slowConn{Conn: conn, delay: wireDelay, sent: &sent}, 1<<20)
-	go mux.Run()
-	defer mux.Close()
-	c := NewConn(mux.Channel(1), Policy{})
+	c := NewConn(&slowConn{Conn: conn, delay: wireDelay, sent: &sent}, Policy{})
 	defer c.Close()
 
 	var wg sync.WaitGroup
@@ -180,8 +164,7 @@ func TestBatchingCoalesces(t *testing.T) {
 	wg.Wait()
 
 	// Unbatched, callers requests + callers responses would cross as
-	// 2*callers messages. (Muxed messages map 1:1 to transport messages
-	// at this MTU.)
+	// 2*callers messages.
 	if n := sent.Load(); n >= 2*callers {
 		t.Fatalf("no coalescing: %d messages for %d calls", n, callers)
 	} else {
@@ -290,15 +273,20 @@ func TestCancelUnblocksServer(t *testing.T) {
 }
 
 // TestNonBatchFrameRejected is the protocol's entry check: a frame that does
-// not start with the batch magic — a bare encoded request, or garbage —
+// not start with the batch magic — a bare encoded request, garbage, or a
+// valid batch behind the mux packet header a previous-version peer sends —
 // makes Serve return an error without invoking the handler, and once the
-// caller closes the channel (as ServeMux does) the peer's Recv fails rather
-// than hangs.
+// caller closes the conn (as memoserver.Node does) the peer's Recv fails
+// rather than hangs.
 func TestNonBatchFrameRejected(t *testing.T) {
+	ping := wire.EncodeBatch(wire.BatchRequest, []wire.BatchEntry{{ID: 1, Msg: wire.EncodeRequest(&wire.Request{Op: wire.OpPing})}})
 	frames := map[string][]byte{
 		"single-frame request": wire.EncodeRequest(&wire.Request{Op: wire.OpPing, Payload: []byte{1}}),
 		"garbage":              {0xFF, 0xFF},
 		"empty":                {},
+		// Channel 1, message 0, no flags: how the previous version framed
+		// every batch.
+		"mux-framed batch": append([]byte{1, 0, 0x00}, ping...),
 	}
 	for name, frame := range frames {
 		t.Run(name, func(t *testing.T) {
@@ -316,27 +304,17 @@ func TestNonBatchFrameRejected(t *testing.T) {
 					served <- nil
 					return
 				}
-				mux := transport.NewMux(conn, 4096)
-				go mux.Run()
-				ch, err := mux.Accept()
-				if err != nil {
-					served <- nil
-					return
-				}
-				served <- Serve(ch, func(q *wire.Request, c <-chan struct{}) *wire.Response {
+				served <- Serve(conn, func(q *wire.Request, c <-chan struct{}) *wire.Response {
 					handled.Add(1)
 					return echoHandler(q, c)
 				}, nil, Policy{})
-				ch.Close()
+				conn.Close()
 			}()
-			conn, err := ip.Dial("srv/rpc")
+			ch, err := ip.Dial("srv/rpc")
 			if err != nil {
 				t.Fatal(err)
 			}
-			mux := transport.NewMux(conn, 4096)
-			go mux.Run()
-			defer mux.Close()
-			ch := mux.Channel(1)
+			defer ch.Close()
 			if err := ch.Send(frame); err != nil {
 				t.Fatal(err)
 			}
@@ -380,22 +358,13 @@ func TestMalformedBatchEntryGetsErrorResponse(t *testing.T) {
 		if err != nil {
 			return
 		}
-		mux := transport.NewMux(conn, 4096)
-		go mux.Run()
-		ch, err := mux.Accept()
-		if err != nil {
-			return
-		}
-		Serve(ch, echoHandler, nil, Policy{})
+		_ = Serve(conn, echoHandler, nil, Policy{})
 	}()
-	conn, err := ip.Dial("srv/rpc")
+	ch, err := ip.Dial("srv/rpc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux := transport.NewMux(conn, 4096)
-	go mux.Run()
-	defer mux.Close()
-	ch := mux.Channel(1)
+	defer ch.Close()
 	frame := wire.EncodeBatch(wire.BatchRequest, []wire.BatchEntry{
 		{ID: 9, Msg: []byte{0xFF, 0xFF}},
 		{ID: 10, Msg: wire.EncodeRequest(&wire.Request{Op: wire.OpPing})},
@@ -490,5 +459,20 @@ func TestPolicyDefaults(t *testing.T) {
 	u := Policy{MaxCount: 1}.withDefaults()
 	if u.MaxCount != 1 {
 		t.Fatalf("MaxCount 1 overridden: %+v", u)
+	}
+}
+
+// TestCallRefusesOversizedRequest: nothing fragments a frame, so a request
+// message past MaxMessage fails at once with transport.ErrTooLarge — not a
+// LinkError, so nothing retries it — and the connection carries on.
+func TestCallRefusesOversizedRequest(t *testing.T) {
+	c := pipe(t, echoHandler, nil, Policy{})
+	_, err := c.Call(&wire.Request{Op: wire.OpPut, Payload: make([]byte, MaxMessage)}, nil)
+	var le *LinkError
+	if !errors.Is(err, transport.ErrTooLarge) || errors.As(err, &le) {
+		t.Fatalf("oversized call: %v, want transport.ErrTooLarge and no LinkError", err)
+	}
+	if resp, err := c.Call(&wire.Request{Op: wire.OpPing, Payload: []byte("after")}, nil); err != nil || string(resp.Payload) != "after" {
+		t.Fatalf("call after the refusal: %+v %v", resp, err)
 	}
 }

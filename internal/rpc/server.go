@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/pool"
 	"repro/internal/symbol"
-	"repro/internal/threadcache"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -29,53 +28,47 @@ type Handler func(q *wire.Request, cancel <-chan struct{}) *wire.Response
 // each request on a plain goroutine.
 type SubmitFunc func(fn func(any), arg any) error
 
-// ServerChannel is the connection Serve drives: a transport.Conn with a
-// liveness signal (satisfied by *transport.Channel).
-type ServerChannel interface {
-	transport.Conn
-	Done() <-chan struct{}
-}
-
-// Serve answers requests on one connection until it closes, returning the
+// Serve answers requests on one transport conn until it fails, returning the
 // terminal receive error. Each batch frame's requests dispatch concurrently
 // through submit; each response is queued on a response batcher, so replies
 // coalesce into batched frames in completion order and a blocked request
 // never delays its batch-mates. Batch frames are the whole protocol: a frame
 // that does not start with the batch magic is a protocol error — Serve
-// returns it without invoking h, and the caller closes the channel (as
-// ServeMux does), which is the only answer such a peer gets.
+// returns it without invoking h, and the caller closes the conn (as
+// memoserver.Node's accept task does), which is the only answer such a peer
+// gets: an rpc peer has no request id to match an unsolicited response to,
+// and must see its Recv fail rather than hang.
 //
 // Buffer ownership: each received frame arrives in a pooled buffer that
 // every request decoded from it aliases. The frame is reference-counted
 // through dispatch and recycled when the last request of the batch
 // completes — a batch holding one long-blocking folder wait pins at most
 // one frame, never a copy per request.
-func Serve(ch ServerChannel, h Handler, submit SubmitFunc, pol Policy) error {
+func Serve(conn transport.Conn, h Handler, submit SubmitFunc, pol Policy) error {
 	s := &server{
-		ch:       ch,
 		h:        h,
 		submit:   submit,
 		inflight: make(map[uint64]chan struct{}),
 	}
-	s.out = newBatcher(wire.BatchResponse, pol.withDefaults(), ch, func(error) { _ = ch.Close() })
+	s.out = newBatcher(wire.BatchResponse, pol.withDefaults(), conn, func(error) { _ = conn.Close() })
 	defer s.shutdown()
 	var entries []wire.BatchEntry
 	for {
-		buf, err := ch.Recv()
+		buf, err := conn.Recv()
 		if err != nil {
 			return err
 		}
 		if !wire.IsBatchFrame(buf) {
 			pool.Put(buf)
-			return fmt.Errorf("rpc: non-batch frame from %s", ch.RemoteAddr())
+			return fmt.Errorf("rpc: non-batch frame from %s", conn.RemoteAddr())
 		}
 		kind, es, err := wire.DecodeBatchInto(entries[:0], buf)
 		if err != nil {
-			return fmt.Errorf("rpc: bad batch from %s: %w", ch.RemoteAddr(), err)
+			return fmt.Errorf("rpc: bad batch from %s: %w", conn.RemoteAddr(), err)
 		}
 		entries = es
 		if kind != wire.BatchRequest {
-			return fmt.Errorf("rpc: %v from %s, want %v", kind, ch.RemoteAddr(), wire.BatchRequest)
+			return fmt.Errorf("rpc: %v from %s, want %v", kind, conn.RemoteAddr(), wire.BatchRequest)
 		}
 		// The frame starts with one reference held by this loop, gains one
 		// per dispatched request, and recycles when the count drains.
@@ -85,28 +78,6 @@ func Serve(ch ServerChannel, h Handler, submit SubmitFunc, pol Policy) error {
 			entries[i] = wire.BatchEntry{}
 		}
 		fb.release()
-	}
-}
-
-// ServeMux runs Serve on every virtual connection mux accepts — one thread
-// of the cache per connection, one per request — until the mux closes or
-// the cache refuses (the server is shutting down). A channel is closed when
-// its Serve returns, and closing it is the whole message in both cases: an
-// rpc peer has no request id to match an unsolicited response to, and a
-// peer that sent a non-batch frame must see its Recv fail rather than hang.
-func ServeMux(mux *transport.Mux, h Handler, threads *threadcache.Pool, pol Policy) {
-	for {
-		ch, err := mux.Accept()
-		if err != nil {
-			return
-		}
-		if err := threads.Submit(func() {
-			_ = Serve(ch, h, threads.SubmitArg, pol)
-			ch.Close()
-		}); err != nil {
-			ch.Close()
-			return
-		}
 	}
 }
 
@@ -139,7 +110,6 @@ func (fb *frameBuf) release() {
 
 // server is the per-connection serving state.
 type server struct {
-	ch     ServerChannel
 	h      Handler
 	submit SubmitFunc
 	out    *batcher

@@ -119,8 +119,8 @@ type inprocConn struct {
 	closeOne      sync.Once
 }
 
-// Pipe returns two connected in-memory endpoints. Exposed for tests and for
-// the Mux's loopback use.
+// Pipe returns two connected in-memory endpoints: the pair an in-process
+// dial builds, exposed for tests.
 func Pipe(addrA, addrB string) (Conn, Conn) {
 	ab := make(chan []byte, 64)
 	ba := make(chan []byte, 64)

@@ -15,6 +15,12 @@ import (
 // some useful processing [can] be done" instead of one long transfer
 // monopolizing the link — the INMOS Transputer remedy described in the paper.
 //
+// Nothing in production constructs one: rpc frames ride the dialed or
+// accepted Conn directly, and rpc.MaxMessage bounds a memo where the mux
+// would fragment it (DESIGN §5). The Mux is kept only for the frozen
+// benchmark ladder's comparison rungs, and goes once those move to a raw
+// conn.
+//
 // Packet layout: uvarint channel id, uvarint message id, one flag byte
 // (bit 0: more fragments follow; bit 1: channel close), fragment payload.
 // Fragments of one message are contiguous per channel because Send holds the
@@ -38,30 +44,12 @@ const (
 	flagClose = 1 << 1
 )
 
-// MuxHeaderSpace is the worst-case size of a mux packet header (two uvarints
-// plus the flag byte). Callers using SendReserved leave this many bytes of
-// scratch at the front of their buffer; the channel stamps its header into
-// that space and ships header+payload as one slice — no second allocation,
-// no frame copy.
-const MuxHeaderSpace = 2*binary.MaxVarintLen64 + 1
-
-// ReservedSender is satisfied by conns able to stamp their framing into
-// caller-reserved header space (satisfied by *Channel). The rpc batcher uses
-// it to make the encode→wire path copy-free.
-type ReservedSender interface {
-	// SendReserved transmits buf[MuxHeaderSpace:] as one message;
-	// buf[:MuxHeaderSpace] is scratch the sender may overwrite. The caller
-	// keeps ownership of buf once SendReserved returns.
-	SendReserved(buf []byte) error
-}
-
 // ErrMuxClosed reports use of a closed Mux or Channel.
 var ErrMuxClosed = errors.New("transport: mux closed")
 
-// DefaultMTU is the fragment payload the rpc stack muxes with: comfortably
-// above a full default batch frame (rpc.DefaultMaxBytes plus framing), so
-// the common frame ships as a single packet on the zero-copy SendReserved
-// path; only outsized memos fragment.
+// DefaultMTU is the fragment payload the benchmark ladder muxes with:
+// comfortably above a full default batch frame (rpc.DefaultMaxBytes plus
+// framing), so the common frame ships as a single packet.
 const DefaultMTU = 128 << 10
 
 // NewMux wraps conn with virtual connections. mtu is the maximum fragment
@@ -239,10 +227,11 @@ func (m *Mux) Close() error {
 }
 
 // sendPacket writes one framed packet to the shared connection. The packet
-// is assembled in a pooled buffer (header + payload copy) and recycled once
-// the underlying Send returns — Conn.Send must not retain its argument.
+// is assembled in a pooled buffer (worst-case header: two uvarints and the
+// flag byte, then a payload copy) and recycled once the underlying Send
+// returns — Conn.Send must not retain its argument.
 func (m *Mux) sendPacket(chID, msgID uint64, flags byte, payload []byte) error {
-	buf := pool.Get(MuxHeaderSpace + len(payload))
+	buf := pool.Get(2*binary.MaxVarintLen64 + 1 + len(payload))
 	buf = binary.AppendUvarint(buf, chID)
 	buf = binary.AppendUvarint(buf, msgID)
 	buf = append(buf, flags)
@@ -252,13 +241,6 @@ func (m *Mux) sendPacket(chID, msgID uint64, flags byte, payload []byte) error {
 	m.sendMu.Unlock()
 	pool.Put(buf)
 	return err
-}
-
-// sendRaw writes one already-framed packet to the shared connection.
-func (m *Mux) sendRaw(pkt []byte) error {
-	m.sendMu.Lock()
-	defer m.sendMu.Unlock()
-	return m.conn.Send(pkt)
 }
 
 // Channel is one virtual connection over a Mux. It satisfies Conn.
@@ -304,35 +286,6 @@ func (c *Channel) Send(msg []byte) error {
 	return nil
 }
 
-// SendReserved transmits buf[MuxHeaderSpace:] as one message, stamping the
-// packet header into the reserved space when the message fits in one
-// fragment — the same bytes reach the wire as Send would produce, without
-// allocating or copying the frame. Larger messages fall back to the
-// fragmenting path. The caller keeps ownership of buf after return.
-func (c *Channel) SendReserved(buf []byte) error {
-	msg := buf[MuxHeaderSpace:]
-	if len(msg) == 0 || len(msg) > c.mux.mtu {
-		return c.Send(msg)
-	}
-	select {
-	case <-c.done:
-		return ErrMuxClosed
-	default:
-	}
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	id := c.nextID
-	c.nextID++
-	var hdr [MuxHeaderSpace]byte
-	n := binary.PutUvarint(hdr[:], c.id)
-	n += binary.PutUvarint(hdr[n:], id)
-	hdr[n] = 0 // flags: single fragment
-	n++
-	start := MuxHeaderSpace - n
-	copy(buf[start:], hdr[:n])
-	return c.mux.sendRaw(buf[start:])
-}
-
 // Recv blocks for the next complete message.
 func (c *Channel) Recv() ([]byte, error) {
 	select {
@@ -370,12 +323,8 @@ func (c *Channel) Close() error {
 	return err
 }
 
-// ID reports the channel id.
-func (c *Channel) ID() uint64 { return c.id }
-
 // Done returns a channel closed when this virtual connection dies (either
-// side closed it, or the Mux tore down). Servers use it to cancel blocking
-// operations whose client has gone away.
+// side closed it, or the Mux tore down).
 func (c *Channel) Done() <-chan struct{} { return c.done }
 
 // LocalAddr implements Conn.

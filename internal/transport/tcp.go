@@ -21,14 +21,11 @@ type TCP struct {
 	// IdleTimeout, when positive, arms a read deadline on every socket read: a
 	// connection that stays silent for the whole window fails with
 	// ErrIdleTimeout instead of wedging its reader forever behind a dead
-	// peer. The error propagates like any Recv failure — a Mux read pump
-	// tears down and Mux.Run returns it. Zero keeps reads unbounded
+	// peer. The error propagates like any Recv failure: rpc.Serve returns
+	// it and an rpc.Conn fails its calls. Zero keeps reads unbounded
 	// (blocking folder waits can legitimately leave a connection quiet;
 	// enable the timeout where traffic — or rpc pings — is guaranteed).
 	IdleTimeout time.Duration
-	// KeepAlivePeriod tunes TCP-level keep-alive probes on dialed and
-	// accepted connections (0 = the kernel/runtime default).
-	KeepAlivePeriod time.Duration
 }
 
 // ErrIdleTimeout reports a connection closed for exceeding TCP.IdleTimeout
@@ -103,7 +100,6 @@ type tcpConn struct {
 	recvMu  sync.Mutex
 	r       *bufio.Reader // over sock{nc}
 	recvHdr [4]byte
-	idle    time.Duration
 }
 
 // sock is the io.Reader and io.Writer the buffers wrap: every call is one
@@ -139,22 +135,18 @@ func (t *TCP) newConn(nc net.Conn) *tcpConn {
 		// Memos are small request/response messages; Nagle hurts.
 		_ = tc.SetNoDelay(true)
 		_ = tc.SetKeepAlive(true)
-		if t.KeepAlivePeriod > 0 {
-			_ = tc.SetKeepAlivePeriod(t.KeepAlivePeriod)
-		}
 	}
 	s := sock{nc: nc, idle: t.IdleTimeout}
 	return &tcpConn{
-		nc:   nc,
-		idle: t.IdleTimeout,
-		w:    bufio.NewWriterSize(s, tcpBufSize),
-		r:    bufio.NewReaderSize(s, tcpBufSize),
+		nc: nc,
+		w:  bufio.NewWriterSize(s, tcpBufSize),
+		r:  bufio.NewReaderSize(s, tcpBufSize),
 	}
 }
 
 // Send writes one frame. The writer's errors are sticky and a failed Send
 // may have put part of a frame on the wire; either way the connection is
-// done (the mux tears it down on any send error).
+// done (the rpc batcher closes it on any send error).
 func (c *tcpConn) Send(msg []byte) error {
 	if len(msg) > MaxFrame {
 		return ErrTooLarge
@@ -177,10 +169,10 @@ func (c *tcpConn) Recv() ([]byte, error) {
 	if n > MaxFrame {
 		return nil, ErrTooLarge
 	}
-	// Pooled, not a slice of the read buffer: the mux read pump delivers
-	// received messages (aliased) to channels consumed asynchronously, so
-	// the buffer's ownership must transfer out of the reader — the final
-	// consumer recycles it with pool.Put.
+	// Pooled, not a slice of the read buffer: the rpc server's dispatched
+	// requests alias the frame until their handlers return, long after the
+	// next Recv, so the buffer's ownership must transfer out of the reader —
+	// the final consumer recycles it with pool.Put.
 	msg := pool.Get(int(n))[:n]
 	if _, err := io.ReadFull(c.r, msg); err != nil {
 		pool.Put(msg)
@@ -190,8 +182,8 @@ func (c *tcpConn) Recv() ([]byte, error) {
 }
 
 // recvErr normalizes read failures: clean EOFs become ErrClosed, deadline
-// expiries become ErrIdleTimeout (wrapped with the cause) so Mux.Run
-// teardown reports why the connection died.
+// expiries become ErrIdleTimeout (wrapped with the cause), so the reader
+// that fails reports why the connection died.
 func (c *tcpConn) recvErr(err error) error {
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		return ErrClosed
@@ -199,7 +191,7 @@ func (c *tcpConn) recvErr(err error) error {
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
 		_ = c.nc.Close()
-		return fmt.Errorf("%w after %v: %v", ErrIdleTimeout, c.idle, err)
+		return fmt.Errorf("%w: %v", ErrIdleTimeout, err)
 	}
 	return err
 }

@@ -12,10 +12,11 @@
 //     exhibits the communication behaviour the paper's placement policy
 //     reacts to.
 //
-// The package also supplies the paper's "derived transport layer" for hosts
-// without one (the INMOS Transputer discussion): a Mux that provides virtual
-// connections and packet fragmentation over any single Conn, letting a long
-// message be amortized instead of blocking the channel (see mux.go).
+// rpc frames ride a Conn directly, one frame per message, so MaxFrame bounds
+// a frame and rpc.MaxMessage, below it, bounds a memo. The paper's "derived
+// transport layer" (the INMOS Transputer discussion: virtual connections and
+// packet fragmentation over one Conn) survives as Mux in mux.go with no
+// production caller, kept only for the benchmark ladder's comparison rungs.
 package transport
 
 import "errors"
@@ -31,7 +32,8 @@ var (
 )
 
 // MaxFrame is the largest single framed message accepted by any transport.
-// The Mux fragments larger payloads.
+// Nothing fragments a larger one: rpc.Conn.Call refuses a request whose
+// frame, or whose response, could not fit.
 const MaxFrame = 16 << 20
 
 // Conn is a bidirectional message connection.

@@ -405,8 +405,8 @@ func TestMuxAccept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch.ID() != 42 {
-		t.Fatalf("accepted channel %d want 42", ch.ID())
+	if ch != mb.Channel(42) {
+		t.Fatal("accepted channel is not channel 42")
 	}
 	got, _ := ch.Recv()
 	if string(got) != "hi" {

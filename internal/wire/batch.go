@@ -7,12 +7,12 @@ import (
 // Batch framing (version 1).
 //
 // A batch frame carries many encoded requests or responses in one transport
-// message, so the per-message cost of the link (latency, mux framing, sim
+// message, so the per-message cost of the link (latency, framing, sim
 // delay, syscalls) is amortized over the whole batch — the §3.1.1 derived
 // transport's "communication cost amortized over time" applied to small
 // memo operations. Each entry is tagged with a caller-chosen id; responses
 // are matched to requests by id, which is what lets internal/rpc pipeline
-// many in-flight requests over one virtual connection and complete them out
+// many in-flight requests over one connection and complete them out
 // of order.
 //
 // Layout:
@@ -120,9 +120,9 @@ func IsBatchFrame(buf []byte) bool {
 
 // AppendBatch serializes a batch frame onto dst (which is returned, possibly
 // reallocated) — the encode-in-place variant: the rpc batcher appends into a
-// pooled buffer with the mux channel header's worst-case space reserved up
-// front, so the frame never moves again between encoder and wire. The bytes
-// appended are identical to EncodeBatch's output.
+// pooled buffer, so the frame never moves again between encoder and the
+// transport's send. The bytes appended are identical to EncodeBatch's
+// output, after any prefix already in dst.
 func AppendBatch(dst []byte, kind BatchKind, entries []BatchEntry) []byte {
 	w := writer{buf: dst}
 	w.byte(batchMagic)

@@ -1,10 +1,10 @@
 // Package wire defines the request/response protocol spoken between
 // application processes, memo servers, and folder servers. Requests and
 // responses travel as entries of batch frames (batch.go), many in flight on
-// one virtual connection (transport.Mux channel); a blocking operation
-// simply leaves its response for a later frame while the folder server's
-// thread waits. A bare encoded Request or Response is not a frame of the
-// protocol: rpc.Serve answers one by closing the channel.
+// one transport connection; a blocking operation simply leaves its response
+// for a later frame while the folder server's thread waits. A bare encoded
+// Request or Response is not a frame of the protocol: rpc.Serve answers one
+// by closing the connection.
 //
 // The encoding reuses the varint conventions of the transferable codec but
 // is deliberately separate: protocol control information is not application
@@ -359,9 +359,8 @@ func (r *reader) keyInto(k *symbol.Key) {
 
 // AppendRequest serializes a request onto dst (which is returned, possibly
 // reallocated) — the encode-in-place variant: the hot path appends into a
-// pooled buffer, often with transport header space already reserved at the
-// front, so one buffer carries the message from encoder to wire. The bytes
-// appended are identical to EncodeRequest's output.
+// pooled buffer, so one buffer carries the message from encoder to its
+// batch frame. The bytes appended are identical to EncodeRequest's output.
 func AppendRequest(dst []byte, q *Request) []byte {
 	w := writer{buf: dst}
 	w.byte(byte(q.Op))
