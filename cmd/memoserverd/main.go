@@ -215,5 +215,3 @@ func (t *mappedTransport) Dial(addr string) (transport.Conn, error) {
 	}
 	return t.inner.Dial(real)
 }
-
-func (t *mappedTransport) Name() string { return "tcp-mapped" }

@@ -75,7 +75,6 @@ func waitTimeout(t *testing.T, what string, wg *sync.WaitGroup, d time.Duration)
 // errors, never a hang). Run under -race by the dedicated CI chaos step.
 func TestChaosSeverRestoreNoLossNoDup(t *testing.T) {
 	c := boot(t, chaosADF, Options{
-		Chaos: true,
 		Resilience: rpc.Resilience{
 			Heartbeat: 100 * time.Millisecond,
 			Redial:    transport.Backoff{Min: 2 * time.Millisecond, Max: 20 * time.Millisecond},
@@ -215,9 +214,9 @@ func TestChaosSeverRestoreNoLossNoDup(t *testing.T) {
 	for attempted.Load() < producers*perProducer/4 {
 		time.Sleep(time.Millisecond)
 	}
-	c.Chaos.Sever("a", "b")
+	c.Sim.Sever("a", "b")
 	time.Sleep(80 * time.Millisecond)
-	c.Chaos.Restore("a", "b")
+	c.Sim.Restore("a", "b")
 
 	waitTimeout(t, "producers", &prodWG, 60*time.Second)
 	close(noiseStop)

@@ -33,8 +33,6 @@ import (
 type Options struct {
 	// BaseLatency is the one-way delay of a cost-1 link (0 = no delay).
 	BaseLatency time.Duration
-	// BytesPerLatency models link bandwidth (see transport.NetModel).
-	BytesPerLatency int
 	// Cache configures memo-server thread caches.
 	Cache threadcache.Config
 	// Lambda is the placement topology attenuation (§5, experiment E5).
@@ -44,10 +42,6 @@ type Options struct {
 	// transparent retries of safely-retriable forwarded calls (zero =
 	// disabled; see rpc.Resilience).
 	Resilience rpc.Resilience
-	// Chaos, when true, interposes a transport.Flaky between the simulated
-	// network and every connection; the booted Cluster exposes it as
-	// .Chaos so tests can sever, blackhole, delay, or drop links.
-	Chaos bool
 	// DataDir, when non-empty, makes every folder server in the cluster
 	// durable: per-host subdirectories of DataDir hold per-shard
 	// write-ahead logs and snapshots, and a crashed host's memo server can
@@ -60,17 +54,16 @@ type Options struct {
 
 // Cluster is a running simulated network.
 type Cluster struct {
-	File  *adf.File
+	File *adf.File
+	// Sim is the cluster's network: every memo server listens on it and
+	// every connection crosses it, so tests read its traffic counters and
+	// cut links with Sim.Sever.
 	Sim   *transport.Sim
 	Table *routing.Table
 	Place *placement.Map
-	// Chaos is the fault-injection layer (nil unless Options.Chaos).
-	Chaos *transport.Flaky
 
 	registry *symbol.Registry
 	opts     Options
-	dialFrom memoserver.DialFunc
-	network  memoserver.Network
 
 	mu    sync.Mutex
 	nodes map[string]*memoserver.Node
@@ -95,30 +88,21 @@ func Boot(f *adf.File, opts Options) (*Cluster, error) {
 	}
 
 	model := transport.NewNetModel(opts.BaseLatency)
-	model.BytesPerLatency = opts.BytesPerLatency
 	for _, l := range f.Links {
 		model.SetLink(l.From, l.To, l.Cost)
 		if l.Duplex {
 			model.SetLink(l.To, l.From, l.Cost)
 		}
 	}
-	sim := transport.NewSim(model)
 
 	c := &Cluster{
 		File:     f,
-		Sim:      sim,
+		Sim:      transport.NewSim(model),
 		Table:    tbl,
 		Place:    place,
 		registry: symbol.NewRegistry(),
 		opts:     opts,
-		dialFrom: sim.DialFrom,
 		nodes:    make(map[string]*memoserver.Node),
-	}
-	c.network = sim
-	if opts.Chaos {
-		c.Chaos = transport.NewFlaky(sim)
-		c.dialFrom = c.Chaos.DialFrom
-		c.network = c.Chaos
 	}
 	for _, h := range f.Hosts {
 		if _, err := c.startNode(h.Name); err != nil {
@@ -141,7 +125,7 @@ func (c *Cluster) startNode(host string) (*memoserver.Node, error) {
 	if c.opts.DataDir != "" {
 		cfg.DataDir = fmt.Sprintf("%s/%s", c.opts.DataDir, host)
 	}
-	n := memoserver.NewWithNetwork(host, c.network, cfg)
+	n := memoserver.NewWithNetwork(host, c.Sim, cfg)
 	if err := n.Start(); err != nil {
 		return nil, err
 	}
@@ -216,7 +200,7 @@ func (c *Cluster) NewMemo(host string) (*core.Memo, error) {
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown host %s", host)
 	}
-	client, err := memoserver.DialClientResilient(c.dialFrom, host, c.File.App, rpc.Policy{}, c.opts.Resilience)
+	client, err := memoserver.DialClientResilient(c.Sim.DialFrom, host, c.File.App, rpc.Policy{}, c.opts.Resilience)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ func appendCommit(t testing.TB, l *Log, n int) (size int64) {
 	for i := 0; i < n; i++ {
 		r := &Record{Type: RecPut, Key: symbol.K(1, uint32(i)), Payload: payload, Token: uint64(i + 1)}
 		size += int64(len(AppendRecord(nil, r)))
-		sh := i % l.Shards()
+		sh := i % l.shards
 		if err := l.Commit(sh, l.Append(sh, r)); err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func cutAll(t testing.TB, l *Log, nrec int) {
 func finishSnapshot(t testing.TB, l *Log, snap *Snapshot, nrec int) {
 	t.Helper()
 	r := &Record{Type: RecPut, Key: symbol.K(2), Payload: make([]byte, 32)}
-	for sh := 0; sh < l.Shards(); sh++ {
+	for sh := 0; sh < l.shards; sh++ {
 		err := snap.CutShard(sh, func(emit func(*Record) error) error {
 			for i := 0; i < nrec; i++ {
 				if err := emit(r); err != nil {

@@ -329,9 +329,6 @@ func (l *Log) ShouldSnapshot() bool {
 // Gen reports the current generation (diagnostics and tests).
 func (l *Log) Gen() uint64 { return l.gen.Load() }
 
-// Shards reports the shard count the log was opened for.
-func (l *Log) Shards() int { return l.shards }
-
 // Close flushes the log and closes its files. Pending commits complete
 // durable; subsequent appends are dead.
 func (l *Log) Close() error {

@@ -178,8 +178,8 @@ func (n *Node) newPeerLink(host string) *rlink {
 }
 
 // NewWithNetwork creates a memo server over any Network — a listener
-// namespace with source-host-aware dialing (transport.Sim, a
-// transport.Flaky wrapping one, or a peer-mapped TCP view).
+// namespace with source-host-aware dialing (transport.Sim, or a
+// peer-mapped TCP view).
 func NewWithNetwork(host string, nw Network, cfg Config) *Node {
 	return newNode(host, nw, nw.DialFrom, cfg)
 }

@@ -11,46 +11,11 @@ import (
 	"repro/internal/wire"
 )
 
-// bootFlakyNet is bootNet with a transport.Flaky interposed, so tests can
-// sever and restore the simulated links.
-func bootFlakyNet(t testing.TB, adfText string, cfg Config) (*testNet, *transport.Flaky) {
+// resilientClient dials a client over the test net's Sim (so client links
+// are severable too) with resilience armed.
+func resilientClient(t testing.TB, tn *testNet, host string, res rpc.Resilience) *Client {
 	t.Helper()
-	f, err := adf.Parse(adfText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := transport.NewNetModel(0)
-	for _, l := range f.Links {
-		model.SetLink(l.From, l.To, l.Cost)
-		if l.Duplex {
-			model.SetLink(l.To, l.From, l.Cost)
-		}
-	}
-	flaky := transport.NewFlaky(transport.NewSim(model))
-	tn := &testNet{nodes: make(map[string]*Node), file: f}
-	for _, h := range f.Hosts {
-		n := NewWithNetwork(h.Name, flaky, cfg)
-		if err := n.Start(); err != nil {
-			t.Fatal(err)
-		}
-		if err := n.RegisterApp(f); err != nil {
-			t.Fatal(err)
-		}
-		tn.nodes[h.Name] = n
-	}
-	t.Cleanup(func() {
-		for _, n := range tn.nodes {
-			n.Close()
-		}
-	})
-	return tn, flaky
-}
-
-// flakyClient dials through the Flaky layer (so client links are severable
-// too) with resilience armed.
-func flakyClient(t testing.TB, tn *testNet, flaky *transport.Flaky, host string, res rpc.Resilience) *Client {
-	t.Helper()
-	c, err := DialClientResilient(flaky.DialFrom, host, tn.file.App, rpc.Policy{}, res)
+	c, err := DialClientResilient(tn.sim.DialFrom, host, tn.file.App, rpc.Policy{}, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +33,8 @@ func TestForwardFailsFastAndRedialsAfterSever(t *testing.T) {
 		Redial:    transport.Backoff{Min: 5 * time.Millisecond, Max: 50 * time.Millisecond},
 		Retries:   2,
 	}
-	tn, flaky := bootFlakyNet(t, twoHostADF, Config{Resilience: res})
-	c := flakyClient(t, tn, flaky, "a", res)
+	tn := bootNet(t, twoHostADF, Config{Resilience: res})
+	c := resilientClient(t, tn, "a", res)
 
 	k := symbol.K(7)
 	// Folder 1 lives on b: this put forwards a→b.
@@ -87,7 +52,7 @@ func TestForwardFailsFastAndRedialsAfterSever(t *testing.T) {
 		}
 	}()
 	time.Sleep(20 * time.Millisecond) // let it reach b and block
-	flaky.Sever("a", "b")
+	tn.sim.Sever("a", "b")
 	select {
 	case resp := <-parked:
 		if resp.Status != wire.StatusErr {
@@ -102,7 +67,7 @@ func TestForwardFailsFastAndRedialsAfterSever(t *testing.T) {
 		t.Fatalf("put during sever: %+v %v", resp, err)
 	}
 
-	flaky.Restore("a", "b")
+	tn.sim.Restore("a", "b")
 	// The next forward re-dials under backoff and succeeds. Allow a few
 	// tries: the redial schedule may still be backing off.
 	deadline := time.Now().Add(5 * time.Second)
@@ -131,8 +96,8 @@ func TestCancelAfterMaybeSentReportsLinkError(t *testing.T) {
 		Redial:    transport.Backoff{Min: 5 * time.Millisecond, Max: 20 * time.Millisecond},
 		Retries:   1 << 20, // still re-dialing when the cancel arrives
 	}
-	tn, flaky := bootFlakyNet(t, twoHostADF, Config{Resilience: res})
-	c := flakyClient(t, tn, flaky, "a", rpc.Resilience{Heartbeat: 100 * time.Millisecond})
+	tn := bootNet(t, twoHostADF, Config{Resilience: res})
+	c := resilientClient(t, tn, "a", rpc.Resilience{Heartbeat: 100 * time.Millisecond})
 
 	cancel := make(chan struct{})
 	type result struct {
@@ -147,7 +112,7 @@ func TestCancelAfterMaybeSentReportsLinkError(t *testing.T) {
 	}()
 	fs, _ := tn.nodes["b"].LocalFolderServer(tn.file.App, 1)
 	awaitWaiters(t, fs, 1)
-	flaky.Sever("a", "b")
+	tn.sim.Sever("a", "b")
 	time.Sleep(30 * time.Millisecond) // the forward has failed once and is re-dialing
 	close(cancel)
 	select {

@@ -63,8 +63,6 @@ func (t *tcpMapped) Dial(addr string) (transport.Conn, error) {
 	return t.inner.Dial(real)
 }
 
-func (t *tcpMapped) Name() string { return "tcp-mapped" }
-
 // TestRealTCPDeployment runs two memo servers over genuine TCP sockets —
 // the cmd/memoserverd deployment — and exercises registration, local and
 // forwarded operations, blocking gets, and watches across the real network

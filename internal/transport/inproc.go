@@ -7,8 +7,8 @@ import (
 )
 
 // InProc is a process-local transport: addresses live in a private namespace
-// and connections are paired in-memory queues. It is the substrate for the
-// simulated cluster and for tests.
+// and connections are paired in-memory queues. It is the substrate of Sim
+// and of tests.
 type InProc struct {
 	mu        sync.Mutex
 	listeners map[string]*inprocListener
@@ -18,9 +18,6 @@ type InProc struct {
 func NewInProc() *InProc {
 	return &InProc{listeners: make(map[string]*inprocListener)}
 }
-
-// Name implements Transport.
-func (t *InProc) Name() string { return "inproc" }
 
 // Listen implements Transport.
 func (t *InProc) Listen(addr string) (Listener, error) {
@@ -41,11 +38,15 @@ func (t *InProc) Listen(addr string) (Listener, error) {
 	return l, nil
 }
 
-// Dial implements Transport. The enqueue happens under the namespace lock so
+// Dial implements Transport.
+func (t *InProc) Dial(addr string) (Conn, error) { return t.dial("dial:"+addr, addr) }
+
+// dial connects to addr from the local address from, which the accepted end
+// reports as its RemoteAddr. The enqueue happens under the namespace lock so
 // a concurrent listener Close either sees the pending connection (and resets
 // it) or the dial sees the listener gone — a dialed connection is never
 // silently orphaned.
-func (t *InProc) Dial(addr string) (Conn, error) {
+func (t *InProc) dial(from, addr string) (Conn, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	l, ok := t.listeners[addr]
@@ -57,7 +58,7 @@ func (t *InProc) Dial(addr string) (Conn, error) {
 		return nil, ErrNoListener
 	default:
 	}
-	client, server := Pipe("dial:"+addr, addr)
+	client, server := Pipe(from, addr)
 	select {
 	case l.incoming <- server.(*inprocConn):
 		return client, nil

@@ -64,29 +64,17 @@ func pattern(n int, s byte) []byte {
 	return out
 }
 
-// Property: the sim network model's delay is monotone in link cost and in
-// message size (with a bandwidth term).
+// Property: the sim network model's delay is monotone in link cost.
 func TestQuickNetModelMonotone(t *testing.T) {
-	f := func(c1, c2 uint8, s1, s2 uint16) bool {
+	f := func(c1, c2 uint8) bool {
 		lo, hi := float64(c1%50)+1, float64(c2%50)+1
 		if lo > hi {
 			lo, hi = hi, lo
 		}
 		m := NewNetModel(1000) // 1µs base
-		m.BytesPerLatency = 64
 		m.SetLink("a", "b", lo)
 		m.SetLink("a", "c", hi)
-		small, big := int(s1)%1024, int(s2)%1024
-		if small > big {
-			small, big = big, small
-		}
-		if m.Delay("a", "b", small) > m.Delay("a", "c", small) {
-			return false // cost monotonicity
-		}
-		if m.Delay("a", "b", small) > m.Delay("a", "b", big) {
-			return false // size monotonicity
-		}
-		return true
+		return m.Delay("a", "b") <= m.Delay("a", "c")
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

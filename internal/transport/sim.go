@@ -1,13 +1,14 @@
 package transport
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/pool"
+	"repro/internal/obs"
 )
 
 // preciseSleep waits d with sub-millisecond accuracy. The kernel timer wheel
@@ -35,9 +36,6 @@ func preciseSleep(d time.Duration) {
 type NetModel struct {
 	// BaseLatency is the one-way delay of a cost-1 link.
 	BaseLatency time.Duration
-	// BytesPerLatency models bandwidth: each full multiple of this size
-	// adds one BaseLatency of serialization delay. Zero disables the term.
-	BytesPerLatency int
 
 	mu    sync.RWMutex
 	costs map[linkKey]float64
@@ -83,17 +81,13 @@ func (m *NetModel) LinkCost(src, dst string) (float64, bool) {
 	return c, ok
 }
 
-// Delay computes the one-way delay for size bytes over the directed link.
-func (m *NetModel) Delay(src, dst string, size int) time.Duration {
+// Delay computes the one-way delay of a message over the directed link.
+func (m *NetModel) Delay(src, dst string) time.Duration {
 	cost, ok := m.LinkCost(src, dst)
 	if !ok || cost == 0 {
 		return 0
 	}
-	d := time.Duration(float64(m.BaseLatency) * cost)
-	if m.BytesPerLatency > 0 {
-		d += time.Duration(size/m.BytesPerLatency) * time.Duration(float64(m.BaseLatency)*cost)
-	}
-	return d
+	return time.Duration(float64(m.BaseLatency) * cost)
 }
 
 // Record notes one message on the directed link.
@@ -125,35 +119,48 @@ func (m *NetModel) LinkTraffic(src, dst string) (msgs, bytes int64) {
 	return c.msgs.Load(), c.bytes.Load()
 }
 
-// ResetTraffic zeroes all per-link counters.
-func (m *NetModel) ResetTraffic() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, c := range m.count {
-		c.msgs.Store(0)
-		c.bytes.Store(0)
-	}
-}
+// ErrSevered reports a connection or dial refused because Sim.Sever cut its
+// link.
+var ErrSevered = errors.New("transport: link severed (fault injection)")
 
-// Sim decorates an in-process transport with the network model. Addresses
-// must be of the form "host/service"; the host part selects the link. A dial
-// from listener-less client code specifies its own host via DialFrom, or
-// embeds it in the address as "host!target" (used by the cluster).
+// mInjections counts the conn ends a cut refused at dial or accept, or
+// closed when Sever ran — so a chaos run's scrape shows how much damage the
+// drill really did.
+var mInjections = obs.Default.Counter("transport_flaky_injections_total",
+	"conn ends a severed sim link refused or closed")
+
+// Sim is the in-process network: an InProc namespace whose addresses are
+// "host/service", with the NetModel's per-link latency and traffic counters
+// applied to every send, and links that tests can cut. A dial names its
+// source host (DialFrom), and the accepted end learns it at connect time, so
+// both directions of a conn know their link without stamping messages.
+//
+// Sever and Restore are the fault injection the resilience tests drive:
+// severing a host pair closes every live conn between the two hosts — both
+// ends fail as after a reset — and refuses new conns between them with
+// ErrSevered until Restore, which exercises reconnect-with-backoff and
+// fail-fast forwarding.
 type Sim struct {
 	inner *InProc
 	model *NetModel
+
+	mu      sync.Mutex
+	severed map[[2]string]bool
+	conns   map[*simConn]struct{}
 }
 
 // NewSim returns a simulated transport over a fresh in-process namespace.
 func NewSim(model *NetModel) *Sim {
-	return &Sim{inner: NewInProc(), model: model}
+	return &Sim{
+		inner:   NewInProc(),
+		model:   model,
+		severed: make(map[[2]string]bool),
+		conns:   make(map[*simConn]struct{}),
+	}
 }
 
 // Model exposes the network model (for traffic assertions).
 func (s *Sim) Model() *NetModel { return s.model }
-
-// Name implements Transport.
-func (s *Sim) Name() string { return "sim" }
 
 // HostOf extracts the host part of a sim address ("host/service" → "host").
 func HostOf(addr string) string {
@@ -161,6 +168,55 @@ func HostOf(addr string) string {
 		return addr[:i]
 	}
 	return addr
+}
+
+// pairKey normalizes an unordered host pair.
+func pairKey(a, b string) [2]string {
+	if b < a {
+		a, b = b, a
+	}
+	return [2]string{a, b}
+}
+
+// Sever cuts the link between hosts a and b: every live conn between them
+// is closed, and new ones are refused with ErrSevered until Restore.
+func (s *Sim) Sever(a, b string) {
+	k := pairKey(a, b)
+	s.mu.Lock()
+	s.severed[k] = true
+	var victims []*simConn
+	for c := range s.conns {
+		if pairKey(c.local, c.remote) == k {
+			victims = append(victims, c)
+			delete(s.conns, c)
+		}
+	}
+	s.mu.Unlock()
+	mInjections.Add(int64(len(victims)))
+	for _, c := range victims {
+		_ = c.Conn.Close()
+	}
+}
+
+// Restore lets the pair connect again. Conns killed by Sever stay dead —
+// recovery is the redialer's job, which is the point.
+func (s *Sim) Restore(a, b string) {
+	s.mu.Lock()
+	delete(s.severed, pairKey(a, b))
+	s.mu.Unlock()
+}
+
+// track registers c so a later Sever finds it, or refuses it if its pair is
+// cut. It runs under the lock Sever takes, so no conn slips past a cut.
+func (s *Sim) track(c *simConn) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.severed[pairKey(c.local, c.remote)] {
+		mInjections.Inc()
+		return ErrSevered
+	}
+	s.conns[c] = struct{}{}
+	return nil
 }
 
 // Listen implements Transport.
@@ -187,11 +243,16 @@ func (s *Sim) DialFrom(srcHost, addr string) (Conn, error) {
 			return nil, ErrNoRoute(srcHost + "->" + dstHost)
 		}
 	}
-	c, err := s.inner.Dial(addr)
+	inner, err := s.inner.dial(srcHost, addr)
 	if err != nil {
 		return nil, err
 	}
-	return &simConn{Conn: c, sim: s, localHost: srcHost, remoteHost: dstHost}, nil
+	c := &simConn{Conn: inner, sim: s, local: srcHost, remote: dstHost}
+	if err := s.track(c); err != nil {
+		_ = inner.Close()
+		return nil, err
+	}
+	return c, nil
 }
 
 // ErrNoRoute reports a dial between hosts with no declared link. The paper's
@@ -206,114 +267,43 @@ type simListener struct {
 	sim *Sim
 }
 
+// Accept implements Listener. The inner conn's RemoteAddr is the dialer's
+// host; a conn whose pair was cut since the dial is closed and skipped.
 func (l *simListener) Accept() (Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
+	for {
+		inner, err := l.Listener.Accept()
+		if err != nil {
+			return nil, err
+		}
+		c := &simConn{Conn: inner, sim: l.sim, local: HostOf(l.Addr()), remote: inner.RemoteAddr()}
+		if l.sim.track(c) == nil {
+			return c, nil
+		}
+		_ = inner.Close()
 	}
-	local := HostOf(l.Addr())
-	// The remote host is embedded by simConn's handshake-free design: the
-	// dialer applies delay on sends in both directions via its own wrapper,
-	// so the accept side wraps with hosts reversed but unknown remote. We
-	// recover the remote host lazily from the first message envelope.
-	return &simServerConn{Conn: c, sim: l.sim, localHost: local}, nil
 }
 
-// envelope prefix: the dialer's host name, so the server side can model
-// return-path delay. Format: length byte + host + payload.
-//
-// sendEnveloped builds the envelope in a pooled buffer and recycles it the
-// moment the inner Send returns (the inproc substrate's handoff copy is
-// synchronous), so stamping the host adds no per-message garbage.
-func sendEnveloped(inner Conn, host string, msg []byte) error {
-	buf := pool.Get(1 + len(host) + len(msg))
-	buf = append(buf, byte(len(host)))
-	buf = append(buf, host...)
-	buf = append(buf, msg...)
-	err := inner.Send(buf)
-	pool.Put(buf)
-	return err
-}
-
-func unpackEnvelope(buf []byte) (host string, msg []byte) {
-	if len(buf) == 0 {
-		return "", buf
-	}
-	n := int(buf[0])
-	if 1+n > len(buf) {
-		return "", buf
-	}
-	return string(buf[1 : 1+n]), buf[1+n:]
-}
-
-// simConn is the dialer-side endpoint.
+// simConn is either end of a simulated conn: local and remote are the hosts
+// of its link, fixed when the conn is made. Send imposes the link's delay
+// and counts the message, then hands it to the in-process pipe unchanged.
 type simConn struct {
 	Conn
-	sim        *Sim
-	localHost  string
-	remoteHost string
+	sim           *Sim
+	local, remote string
 }
 
 func (c *simConn) Send(msg []byte) error {
-	preciseSleep(c.sim.model.Delay(c.localHost, c.remoteHost, len(msg)))
-	c.sim.model.Record(c.localHost, c.remoteHost, len(msg))
-	return sendEnveloped(c.Conn, c.localHost, msg)
+	preciseSleep(c.sim.model.Delay(c.local, c.remote))
+	c.sim.model.Record(c.local, c.remote, len(msg))
+	return c.Conn.Send(msg)
 }
 
-func (c *simConn) Recv() ([]byte, error) {
-	buf, err := c.Conn.Recv()
-	if err != nil {
-		return nil, err
-	}
-	_, msg := unpackEnvelope(buf)
-	return msg, nil
+func (c *simConn) Close() error {
+	c.sim.mu.Lock()
+	delete(c.sim.conns, c)
+	c.sim.mu.Unlock()
+	return c.Conn.Close()
 }
 
-func (c *simConn) LocalAddr() string  { return c.localHost }
-func (c *simConn) RemoteAddr() string { return c.remoteHost }
-
-// simServerConn is the accept-side endpoint; it learns the peer host from
-// message envelopes and applies return-path delay on sends.
-type simServerConn struct {
-	Conn
-	sim       *Sim
-	localHost string
-	mu        sync.Mutex
-	peerHost  string
-}
-
-func (c *simServerConn) Recv() ([]byte, error) {
-	buf, err := c.Conn.Recv()
-	if err != nil {
-		return nil, err
-	}
-	host, msg := unpackEnvelope(buf)
-	if host != "" {
-		c.mu.Lock()
-		c.peerHost = host
-		c.mu.Unlock()
-	}
-	return msg, nil
-}
-
-func (c *simServerConn) Send(msg []byte) error {
-	c.mu.Lock()
-	peer := c.peerHost
-	c.mu.Unlock()
-	if peer != "" {
-		preciseSleep(c.sim.model.Delay(c.localHost, peer, len(msg)))
-		c.sim.model.Record(c.localHost, peer, len(msg))
-	}
-	return sendEnveloped(c.Conn, c.localHost, msg)
-}
-
-func (c *simServerConn) LocalAddr() string { return c.localHost }
-
-func (c *simServerConn) RemoteAddr() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.peerHost != "" {
-		return c.peerHost
-	}
-	return c.Conn.RemoteAddr()
-}
+func (c *simConn) LocalAddr() string  { return c.local }
+func (c *simConn) RemoteAddr() string { return c.remote }

@@ -35,9 +35,6 @@ var ErrIdleTimeout = errors.New("transport: connection idle timeout")
 // NewTCP returns the TCP transport with unbounded reads.
 func NewTCP() *TCP { return &TCP{} }
 
-// Name implements Transport.
-func (*TCP) Name() string { return "tcp" }
-
 // Dial implements Transport.
 func (t *TCP) Dial(addr string) (Conn, error) {
 	nc, err := net.Dial("tcp", addr)

@@ -5,12 +5,13 @@
 // byte slices), not byte streams. Three derivations are provided, selected at
 // run time exactly as the paper's virtual functions select platform code:
 //
-//   - "inproc": goroutine/channel transport for processes in one OS process.
-//   - "tcp": length-prefixed framing over net.Conn for real deployments.
-//   - "sim": an in-process transport that imposes per-link latency and
-//     bandwidth costs derived from the ADF topology, so a simulated cluster
-//     exhibits the communication behaviour the paper's placement policy
-//     reacts to.
+//   - InProc: goroutine/channel transport for processes in one OS process.
+//   - TCP: length-prefixed framing over net.Conn for real deployments.
+//   - Sim: the in-process network of a simulated cluster. It imposes the
+//     per-link latency the ADF topology declares, so the cluster exhibits the
+//     communication behaviour the paper's placement policy reacts to; it
+//     counts traffic per link; and its Sever and Restore cut and heal links
+//     for the resilience tests.
 //
 // rpc frames ride a Conn directly, one frame per message, so MaxFrame bounds
 // a frame and rpc.MaxMessage, below it, bounds a memo. The paper's "derived
@@ -73,6 +74,4 @@ type Transport interface {
 	Dial(addr string) (Conn, error)
 	// Listen binds addr.
 	Listen(addr string) (Listener, error)
-	// Name identifies the protocol ("inproc", "tcp", "sim").
-	Name() string
 }
