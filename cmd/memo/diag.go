@@ -7,12 +7,13 @@
 // Both subcommands scrape the daemons' debug endpoints (-debug-addr):
 // `top` renders one row per node from /statusz (which embeds the /metrics
 // snapshot and peer-link health), and `trace` fetches one trace ID's samples
-// (sampled trees and slow requests alike) from every node's /tracez and
-// merges them into a single time-ordered span timeline — the entry node
-// holds the full tree, relay nodes hold their subtrees, and the merge dedups
-// the overlap. Node addresses come from -nodes (name=addr pairs) or from
-// daemon ready files, whose `debug <addr>` line memoserverd writes when
-// started with both -ready-file and -debug-addr.
+// (sampled and slow requests alike) from every node's /tracez and merges
+// them into a single time-ordered span timeline — each node holds only the
+// spans it made, so this join is the only place the whole request is seen,
+// and the merge dedups the sampled/slow overlap. Node addresses come from
+// -nodes (name=addr pairs) or from daemon ready files, whose `debug <addr>`
+// line memoserverd writes when started with both -ready-file and
+// -debug-addr.
 package main
 
 import (
@@ -234,31 +235,7 @@ func runTrace(args []string) int {
 		return exitUsage
 	}
 
-	// Collect every node's samples for the trace. One request can leave
-	// several samples per node (retries, several hops served by one node)
-	// and the entry node's full tree overlaps the relays' subtrees, so the
-	// merge dedups on span identity.
-	var spans []wire.Span
-	seen := map[string]bool{}
-	scraped := 0
-	for _, t := range targets {
-		var body obs.TracezBody
-		if err := scrapeJSON(t.Addr, "/tracez?trace="+id, &body); err != nil {
-			fmt.Fprintf(os.Stderr, "memo trace: node %s: %v\n", t.Name, err)
-			continue
-		}
-		scraped++
-		for _, ts := range append(body.Recent, body.Slow...) {
-			for _, sp := range ts.Spans {
-				key := fmt.Sprintf("%s|%s|%s|%d|%d|%d|%d", sp.Node, sp.Layer, sp.Op, sp.Hop, sp.Start, sp.Dur, sp.Wait)
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				spans = append(spans, sp)
-			}
-		}
-	}
+	spans, scraped := mergeTrace(targets, id)
 	if scraped == 0 {
 		fmt.Fprintln(os.Stderr, "memo trace: no node answered")
 		return exitErr
@@ -267,12 +244,6 @@ func runTrace(args []string) int {
 		fmt.Fprintf(os.Stderr, "memo trace: trace %s not found on %d node(s) (ring evicted, or neither sampled nor slow)\n", id, scraped)
 		return exitErr
 	}
-	sort.SliceStable(spans, func(i, j int) bool {
-		if spans[i].Start != spans[j].Start {
-			return spans[i].Start < spans[j].Start
-		}
-		return spans[i].Hop < spans[j].Hop
-	})
 
 	if *jsonOut {
 		b, err := json.Marshal(struct {
@@ -306,4 +277,36 @@ func runTrace(args []string) int {
 	}
 	tw.Flush()
 	return exitOK
+}
+
+// mergeTrace is the one join of a trace: every node records only the spans
+// it made, so the timeline is the union of the targets' /tracez samples for
+// id, in time order. A request that was both sampled and slow sits in both
+// of a node's rings, so the merge dedups the sampled/slow overlap. scraped
+// counts the targets that answered.
+func mergeTrace(targets []nodeTarget, id string) (spans []wire.Span, scraped int) {
+	seen := map[wire.Span]bool{}
+	for _, t := range targets {
+		var body obs.TracezBody
+		if err := scrapeJSON(t.Addr, "/tracez?trace="+id, &body); err != nil {
+			fmt.Fprintf(os.Stderr, "memo trace: node %s: %v\n", t.Name, err)
+			continue
+		}
+		scraped++
+		for _, ts := range append(body.Recent, body.Slow...) {
+			for _, sp := range ts.Spans {
+				if !seen[sp] {
+					seen[sp] = true
+					spans = append(spans, sp)
+				}
+			}
+		}
+	}
+	sort.SliceStable(spans, func(i, j int) bool {
+		if spans[i].Start != spans[j].Start {
+			return spans[i].Start < spans[j].Start
+		}
+		return spans[i].Hop < spans[j].Hop
+	})
+	return spans, scraped
 }

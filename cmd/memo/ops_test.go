@@ -57,19 +57,29 @@ func TestResultJSONShape(t *testing.T) {
 	}
 }
 
-// loopback lets an in-process memo server listen on a kernel-assigned TCP
-// port, as cmd/memoserverd's mapped transport does with -listen :0.
+// loopback lets in-process memo servers listen on kernel-assigned TCP
+// ports, as cmd/memoserverd's mapped transport does with -listen :0, and
+// dial each other by logical host, as its -peer mappings do. Every server
+// starts before the first dial.
 type loopback struct {
 	*transport.TCP
-	addr string
+	addrs map[string]string // logical host → listening address
 }
 
-func (l *loopback) Listen(string) (transport.Listener, error) {
+func newLoopback() *loopback {
+	return &loopback{TCP: transport.NewTCP(), addrs: map[string]string{}}
+}
+
+func (l *loopback) Listen(addr string) (transport.Listener, error) {
 	ln, err := l.TCP.Listen("127.0.0.1:0")
 	if err == nil {
-		l.addr = ln.Addr()
+		l.addrs[transport.HostOf(addr)] = ln.Addr()
 	}
 	return ln, err
+}
+
+func (l *loopback) Dial(addr string) (transport.Conn, error) {
+	return l.TCP.Dial(l.addrs[transport.HostOf(addr)])
 }
 
 // TestGetTimeoutNeverEatsTheMemo: a `memo get -timeout` whose timer fires
@@ -86,7 +96,7 @@ func TestGetTimeoutNeverEatsTheMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb := &loopback{TCP: transport.NewTCP()}
+	lb := newLoopback()
 	node := memoserver.NewWithDialer("a", lb, memoserver.Config{})
 	if err := node.Start(); err != nil {
 		t.Fatal(err)
@@ -104,7 +114,7 @@ func TestGetTimeoutNeverEatsTheMemo(t *testing.T) {
 	}
 	t.Cleanup(func() { os.Stdout.Close(); os.Stdout = stdout })
 
-	base := []string{"-adf", adfPath, "-addr", lb.addr, "-host", "a", "-key", "7"}
+	base := []string{"-adf", adfPath, "-addr", lb.addrs["a"], "-host", "a", "-key", "7"}
 	fired := 0
 	for i := 0; i < 60; i++ {
 		if code := runOp("put", append(base, "-value", "kept")); code != exitOK {

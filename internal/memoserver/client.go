@@ -39,9 +39,10 @@ type Client struct {
 }
 
 // EnableSampling makes Do mark every request sampled (and stamp a trace ID):
-// each hop collects spans and the entry memo server records the full tree in
-// its /tracez ring. Off by default: a plain client's requests carry no
-// extension bytes, and a server that wants to name them does so itself.
+// each memo server the request crosses records the spans it made in its
+// /tracez ring, for `memo trace` to join by that ID. Off by default: a
+// plain client's requests carry no extension bytes, and a server that wants
+// to name them does so itself.
 func (c *Client) EnableSampling() { c.sample = true }
 
 // LastTraceID reports the trace ID stamped on the most recent Do (0 before

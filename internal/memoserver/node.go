@@ -436,8 +436,8 @@ func (n *Node) lookupApp(name string) (*App, bool) {
 // ran that long. A sampled request — an entry request the tracer admits, or
 // one that arrived with the sampled bit set — additionally owns a span set
 // for the duration of the dispatch: every layer below appends into it, and
-// Finish records the completed set for /tracez and ships it back toward the
-// entry node on the response.
+// Finish records the completed set for /tracez. Only this node's spans are
+// in it; the other hops record their own under the same trace ID.
 func (n *Node) Dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response {
 	set := n.tracer.Begin(q)
 	if set == nil && n.tracer.Threshold() == 0 {
@@ -452,7 +452,8 @@ func (n *Node) Dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response 
 		// request up (stamped by the rpc server only on sampled entries).
 		own.Wait = own.Start - q.EnqueueNS
 	}
-	return n.tracer.Finish(q, set, own, resp)
+	n.tracer.Finish(q, set, own)
+	return resp
 }
 
 // dispatch addresses q by its verb's scope in the wire op table: the node
@@ -561,14 +562,8 @@ func (n *Node) forward(app *App, q *wire.Request, targetHost string, cancel <-ch
 		return wire.Errf("memo server %s: forward to %s: %v", n.Host, hop, err)
 	}
 	if linkStartNS != 0 {
-		// Merge the remote hop's spans into this node's set now (and strip
-		// them from resp so Finish doesn't add them twice), then record the
-		// whole forward — dial, batcher queue, retries, remote work — as one link
-		// span named after the next-hop peer.
-		if len(resp.Spans) > 0 {
-			q.Spans.AddMany(resp.Spans)
-			resp.Spans = nil
-		}
+		// The whole forward — dial, batcher queue, retries, remote work —
+		// is one link span named after the next-hop peer.
 		q.Spans.Add(wire.Span{Layer: "link", Op: hop, Folder: q.FolderID,
 			Hop: q.Hops, Start: linkStartNS, Dur: time.Now().UnixNano() - linkStartNS})
 	}

@@ -165,8 +165,8 @@ func TestRealTCPDeployment(t *testing.T) {
 // TestMemoSizeBoundOverTCP: nothing fragments a frame, so rpc.MaxMessage
 // bounds a memo. Through a forward over TCP (client → b → folder 0 on a),
 // with retries armed on every link: a memo past the old fragmenting
-// threshold round-trips, the largest accepted memo round-trips sampled (its
-// get response carries the spans in the same frame), and one byte more
+// threshold round-trips, the largest accepted memo round-trips sampled
+// (both nodes record its trace), and one byte more
 // fails with transport.ErrTooLarge before anything is sent — no retry, no
 // fault, nothing stored — on the client link and on the peer link, and the
 // same client link serves the next call.
@@ -181,7 +181,7 @@ func TestMemoSizeBoundOverTCP(t *testing.T) {
 	}
 	t.Cleanup(func() { c.Close() })
 	k := symbol.K(5)
-	roundTrip := func(payload []byte) *wire.Response {
+	roundTrip := func(payload []byte) {
 		t.Helper()
 		if resp, err := c.Do(req(wire.OpPut, 0, k, payload), nil); err != nil || resp.Status != wire.StatusOK {
 			t.Fatalf("put of %d bytes: %+v %v", len(payload), resp, err)
@@ -190,7 +190,6 @@ func TestMemoSizeBoundOverTCP(t *testing.T) {
 		if err != nil || resp.Status != wire.StatusOK || !bytes.Equal(resp.Payload, payload) {
 			t.Fatalf("get of a %d-byte memo: status %v, %d bytes, %v", len(payload), resp.Status, len(resp.Payload), err)
 		}
-		return resp
 	}
 	roundTrip(bytes.Repeat([]byte{7}, 200<<10))
 
@@ -207,8 +206,11 @@ func TestMemoSizeBoundOverTCP(t *testing.T) {
 	}
 	largest := q.Payload[:n]
 	c.EnableSampling()
-	if resp := roundTrip(largest); len(resp.Spans) == 0 {
-		t.Fatal("the sampled get of the largest memo came back without spans")
+	roundTrip(largest)
+	for _, node := range nodes {
+		if got := node.Tracer().Sampled.Get(c.LastTraceID()); len(got) == 0 {
+			t.Fatalf("host %s recorded no sample for the sampled get of the largest memo", node.Host)
+		}
 	}
 
 	_, err = c.Do(req(wire.OpPut, 0, k, q.Payload), nil)

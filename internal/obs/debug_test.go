@@ -21,7 +21,7 @@ func TestTracez(t *testing.T) {
 	tr := NewTracer("memo@test", 1, 10*time.Millisecond)
 	run := func(dur time.Duration) uint64 {
 		q := &wire.Request{Op: wire.OpPut}
-		tr.Finish(q, tr.Begin(q), wire.Span{Layer: "memo", Op: "put", Dur: int64(dur)}, wire.OK())
+		tr.Finish(q, tr.Begin(q), wire.Span{Layer: "memo", Op: "put", Dur: int64(dur)})
 		return q.TraceID
 	}
 	fast, slow := run(time.Millisecond), run(time.Second)
@@ -70,7 +70,7 @@ func TestDebugServer(t *testing.T) {
 	tr := NewTracer("memo@test", 0, time.Millisecond)
 	tr.RegisterMetrics(r)
 	q := &wire.Request{Op: wire.OpPut, TraceID: 77, Hops: 1}
-	tr.Finish(q, tr.Begin(q), wire.Span{Layer: "memo", Op: "put", Hop: 1, Dur: int64(5 * time.Millisecond)}, wire.OK())
+	tr.Finish(q, tr.Begin(q), wire.Span{Layer: "memo", Op: "put", Hop: 1, Dur: int64(5 * time.Millisecond)})
 
 	d := NewDebugServer("127.0.0.1:0", []*Registry{r}, tr, func() any { return []string{"peer-b"} })
 	if err := d.Start(); err != nil {

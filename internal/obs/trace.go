@@ -13,11 +13,11 @@ import (
 // record format and the per-request SpanSet). A Tracer lives at the top of
 // each server's dispatch: it decides at the entry point whether a request is
 // sampled, hands the dispatch wrapper a SpanSet to collect into, and records
-// every finished set — local spans plus whatever remote hops returned — into
-// a bounded per-node TraceRing served at /tracez. A request that ran at or
-// over the slow-request threshold, sampled or not, goes into a second ring
-// that sampled traffic cannot flush. `memo trace <id>` merges the rings of
-// all nodes back into one timeline.
+// every finished set — the spans this node made, nothing from other hops —
+// into a bounded per-node TraceRing served at /tracez. A request that ran at
+// or over the slow-request threshold, sampled or not, goes into a second
+// ring that sampled traffic cannot flush. `memo trace <id>` is the one join:
+// it merges the rings of all nodes back into one timeline by trace ID.
 
 // Sampler makes the entry-point sampling decision. It is counter-based
 // rather than random — one atomic add, deterministic at rate 1, and no rng
@@ -64,10 +64,9 @@ func NewTraceID() uint64 {
 }
 
 // TraceSample is the one record of what a request did on one node: the
-// spans of a hop this node served, plus whatever its forwards returned. A
-// sampled request's sample holds the node's whole tree (the entry node's,
-// the request's); a slow request that was not sampled leaves its one
-// dispatch span.
+// spans of a hop this node served, its outbound rpc and link spans
+// included. A sampled request leaves one sample per node it crossed; a slow
+// request that was not sampled leaves its one dispatch span.
 type TraceSample struct {
 	Trace uint64      `json:"trace"`
 	Spans []wire.Span `json:"spans"`
@@ -202,34 +201,27 @@ func (t *Tracer) Begin(q *wire.Request) *wire.SpanSet {
 
 // Finish closes out a timed dispatch: own is the dispatch's span, set what
 // Begin returned (nil for an unsampled request). For a sampled request own
-// and any remote spans still riding resp are merged into the set, every span
-// recorded without a node name is stamped with this tracer's, the completed
-// tree is recorded, and a shallow clone of resp carrying the spans is
-// returned for the rpc layer to ship back toward the entry node (resp itself
-// may be the shared immutable OK response, so it is never mutated). A request
-// at or over the threshold is recorded as slow as well: its tree when it has
-// one, own alone otherwise. q is not written: the request object is fully
-// reset before any reuse (recycleTask / DecodeRequestInto).
-func (t *Tracer) Finish(q *wire.Request, set *wire.SpanSet, own wire.Span, resp *wire.Response) *wire.Response {
+// joins the set, every span recorded without a node name is stamped with
+// this tracer's, and this node's subtree is recorded. A request at or over
+// the threshold is recorded as slow as well: its subtree when it has one,
+// own alone otherwise. q is not written: the request object is fully reset
+// before any reuse (recycleTask / DecodeRequestInto).
+func (t *Tracer) Finish(q *wire.Request, set *wire.SpanSet, own wire.Span) {
 	own.Node = t.node
 	slow := t.threshold > 0 && own.Dur >= int64(t.threshold)
 	if set == nil {
 		if slow {
 			t.recordSlow(q.TraceID, []wire.Span{own}, own)
 		}
-		return resp
+		return
 	}
 	set.Add(own)
-	set.AddMany(resp.Spans)
 	spans := set.Finish(t.node)
 	set.Release()
 	t.Sampled.Record(q.TraceID, spans)
 	if slow {
 		t.recordSlow(q.TraceID, spans, own)
 	}
-	out := *resp
-	out.Spans = spans
-	return &out
 }
 
 func (t *Tracer) recordSlow(trace uint64, spans []wire.Span, own wire.Span) {

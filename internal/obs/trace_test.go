@@ -46,13 +46,13 @@ func TestTraceRingWrap(t *testing.T) {
 
 // dispatch stands in for a node's dispatch wrapper: Begin, a request that
 // took dur, Finish.
-func dispatch(tr *Tracer, q *wire.Request, dur time.Duration) *wire.Response {
+func dispatch(tr *Tracer, q *wire.Request, dur time.Duration) {
 	set := tr.Begin(q)
 	if set != nil {
 		set.Add(wire.Span{Layer: "folder", Op: "put", Hop: q.Hops})
 	}
 	own := wire.Span{Layer: "memo", Op: q.Op.String(), Folder: q.FolderID, Hop: q.Hops, Start: 1, Dur: int64(dur)}
-	return tr.Finish(q, set, own, wire.OK())
+	tr.Finish(q, set, own)
 }
 
 // TestTracerOffHotPathAllocFree: the three ways a request leaves nothing
@@ -110,9 +110,7 @@ func TestTracerNamesAndRecords(t *testing.T) {
 		logged = append(logged, sp)
 	})
 	q = &wire.Request{Op: wire.OpGet, FolderID: 3, Hops: 1}
-	if resp := dispatch(tr, q, 20*time.Millisecond); len(resp.Spans) != 0 {
-		t.Fatalf("unsampled response carries spans: %+v", resp.Spans)
-	}
+	dispatch(tr, q, 20*time.Millisecond)
 	if q.TraceID == 0 || q.Sampled || q.Spans != nil {
 		t.Fatalf("armed threshold: want a trace ID and nothing else, got %+v", q)
 	}
@@ -136,18 +134,17 @@ func TestTracerNamesAndRecords(t *testing.T) {
 		t.Fatalf("fast traced request: id %d, %d slow records", q.TraceID, tr.Slow.Recorded())
 	}
 
-	// Sampled and slow: the whole local tree goes to both rings, and back on
-	// the response.
+	// Sampled and slow: the whole local tree goes to both rings.
 	tr = NewTracer("memo@a", 1, 10*time.Millisecond)
 	q = &wire.Request{Op: wire.OpPut}
-	resp := dispatch(tr, q, 20*time.Millisecond)
+	dispatch(tr, q, 20*time.Millisecond)
 	if !q.Sampled || q.TraceID == 0 {
 		t.Fatalf("rate-1 entry request not sampled: %+v", q)
 	}
 	for name, ring := range map[string]*TraceRing{"sampled": &tr.Sampled, "slow": &tr.Slow} {
 		got := ring.Get(q.TraceID)
-		if len(got) != 1 || len(got[0].Spans) != 2 || len(resp.Spans) != 2 {
-			t.Fatalf("%s ring = %+v (response %+v), want the two-span tree", name, got, resp.Spans)
+		if len(got) != 1 || len(got[0].Spans) != 2 {
+			t.Fatalf("%s ring = %+v, want the two-span tree", name, got)
 		}
 		for _, sp := range got[0].Spans {
 			if sp.Node != "memo@a" {
@@ -166,5 +163,67 @@ func TestTracerNamesAndRecords(t *testing.T) {
 	}
 	if len(tr.Slow.Get(q.TraceID)) != 1 {
 		t.Fatal("sampled traffic evicted the slow request")
+	}
+}
+
+// TestTracerRelayRecordsUpstreamSample: a relay-only tracer (rate 0) still
+// records a request another node sampled — under the upstream trace ID, in
+// its own sampled ring, every span stamped with a node — because each node
+// keeps the subtree it made and nothing is shipped back to the entry.
+func TestTracerRelayRecordsUpstreamSample(t *testing.T) {
+	tr := NewTracer("memo@b", 0, 0)
+	q := &wire.Request{Op: wire.OpPut, Hops: 1, TraceID: 0xB0B, Sampled: true}
+	set := tr.Begin(q)
+	if set == nil || q.Spans != set {
+		t.Fatalf("relay did not open a span set for an upstream-sampled request: %+v", q)
+	}
+	set.Add(wire.Span{Node: "folder-1@b", Layer: "folder", Op: "put", Hop: 1})
+	set.Add(wire.Span{Layer: "durable", Op: "commit", Hop: 1})
+	tr.Finish(q, set, wire.Span{Layer: "memo", Op: "put", Hop: 1, Dur: 1})
+
+	if q.TraceID != 0xB0B {
+		t.Fatalf("relay renamed the trace: %#x", q.TraceID)
+	}
+	got := tr.Sampled.Get(0xB0B)
+	if len(got) != 1 || len(got[0].Spans) != 3 {
+		t.Fatalf("sampled ring = %+v, want one three-span subtree", got)
+	}
+	want := map[string]string{"folder": "folder-1@b", "durable": "memo@b", "memo": "memo@b"}
+	for _, sp := range got[0].Spans {
+		if sp.Node != want[sp.Layer] {
+			t.Fatalf("%s span recorded by %q, want %q", sp.Layer, sp.Node, want[sp.Layer])
+		}
+		delete(want, sp.Layer)
+	}
+	if len(want) != 0 {
+		t.Fatalf("layers missing from the subtree: %v", want)
+	}
+	if tr.Slow.Recorded() != 0 {
+		t.Fatal("threshold off, yet a slow sample was recorded")
+	}
+}
+
+// TestTracerNestedBeginDefersToOwner: a request that already carries a span
+// set belongs to an enclosing wrapper, so a nested Begin opens nothing and
+// only the owner's Finish records the request — once.
+func TestTracerNestedBeginDefersToOwner(t *testing.T) {
+	tr := NewTracer("memo@a", 1, 0)
+	q := &wire.Request{Op: wire.OpGet}
+	outer := tr.Begin(q)
+	if outer == nil {
+		t.Fatal("rate-1 entry request opened no span set")
+	}
+	if inner := tr.Begin(q); inner != nil {
+		t.Fatal("nested Begin opened a second span set")
+	}
+	// The nested wrapper has no set to finish; its Finish records nothing.
+	tr.Finish(q, nil, wire.Span{Layer: "folder", Op: "get", Dur: 1})
+	if n := tr.Sampled.Recorded(); n != 0 {
+		t.Fatalf("nested Finish recorded %d samples, want 0", n)
+	}
+	outer.Add(wire.Span{Layer: "folder", Op: "get"})
+	tr.Finish(q, outer, wire.Span{Layer: "memo", Op: "get", Dur: 2})
+	if got := tr.Sampled.Get(q.TraceID); len(got) != 1 || len(got[0].Spans) != 2 {
+		t.Fatalf("sampled ring = %+v, want the owner's one two-span sample", got)
 	}
 }

@@ -151,14 +151,11 @@ func (b *batcher) sender() {
 				b.preSend(batch)
 			}
 			err := b.sendFrame(batch)
-			// Recycle each entry's message and span buffers and drop the
-			// references so payloads aren't pinned until the next drain.
+			// Recycle each entry's message buffer and drop the references
+			// so payloads aren't pinned until the next drain.
 			for i := range batch {
 				if m := batch[i].Msg; m != nil {
 					pool.Put(m)
-				}
-				if sp := batch[i].Spans; sp != nil {
-					pool.Put(sp)
 				}
 				batch[i] = wire.BatchEntry{}
 			}
@@ -180,7 +177,7 @@ func (b *batcher) sendFrame(batch []wire.BatchEntry) error {
 	mBatchEntries.Observe(int64(len(batch)))
 	msgBytes := 0
 	for i := range batch {
-		msgBytes += len(batch[i].Msg) + len(batch[i].Spans)
+		msgBytes += len(batch[i].Msg)
 	}
 	frame := wire.AppendBatch(pool.Get(wire.BatchOverhead(len(batch), msgBytes)), b.kind, batch)
 	err := b.conn.Send(frame)
@@ -197,7 +194,7 @@ func (b *batcher) sendFrame(batch []wire.BatchEntry) error {
 func (b *batcher) takeLocked(dst []wire.BatchEntry) []wire.BatchEntry {
 	n, size := 0, 0
 	for n < len(b.queue) && n < b.pol.MaxCount {
-		e := len(b.queue[n].Msg) + len(b.queue[n].Spans) + 12 // ~ per-entry framing overhead
+		e := len(b.queue[n].Msg) + 12 // ~ per-entry framing overhead
 		if n > 0 && size+e > b.pol.MaxBytes {
 			break
 		}

@@ -272,14 +272,6 @@ func (c *Conn) recvLoop() {
 				return
 			}
 			resp.Retain()
-			if len(e.Spans) > 0 {
-				// DecodeSpans copies out of the pooled frame, so the spans
-				// may outlive it; a malformed blob from a peer drops the
-				// spans, never the connection.
-				if spans, serr := wire.DecodeSpans(e.Spans); serr == nil {
-					resp.Spans = spans
-				}
-			}
 			c.mu.Lock()
 			ca, ok := c.pending[e.ID]
 			if ok {

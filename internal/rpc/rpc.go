@@ -51,8 +51,8 @@ const (
 // not a LinkError, so nothing retries it, and the connection stays up. It
 // is the memo size bound: 64 KiB below transport.MaxFrame leaves room for
 // the batch framing and for what a response adds to the memo it returns
-// (a status byte and up to 64 sampled spans), so the get that takes any
-// accepted memo fits in one frame as well.
+// (a status byte and its key), so the get that takes any accepted memo fits
+// in one frame as well.
 const MaxMessage = transport.MaxFrame - 64<<10
 
 // DefaultHeartbeat is the probe interval client dial helpers use when the

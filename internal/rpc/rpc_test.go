@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -474,5 +475,53 @@ func TestCallRefusesOversizedRequest(t *testing.T) {
 	}
 	if resp, err := c.Call(&wire.Request{Op: wire.OpPing, Payload: []byte("after")}, nil); err != nil || string(resp.Payload) != "after" {
 		t.Fatalf("call after the refusal: %+v %v", resp, err)
+	}
+}
+
+// TestSampledResponseFrameIsExtensionFree: the trace ID and the sampled bit
+// ride the request to the handler, and nothing rides back — the response
+// frame to a sampled request is byte-identical to an extension-free one.
+func TestSampledResponseFrameIsExtensionFree(t *testing.T) {
+	ip := transport.NewInProc()
+	l, err := ip.Listen("srv/rpc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	seen := make(chan wire.Request, 1)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		_ = Serve(conn, func(q *wire.Request, c <-chan struct{}) *wire.Response {
+			seen <- wire.Request{TraceID: q.TraceID, Sampled: q.Sampled}
+			return echoHandler(q, c)
+		}, nil, Policy{})
+	}()
+	ch, err := ip.Dial("srv/rpc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ch.Close()
+	q := &wire.Request{Op: wire.OpPut, Key: symbol.K(3), Payload: []byte("traced")}
+	frame := wire.EncodeBatch(wire.BatchRequest, []wire.BatchEntry{
+		{ID: 7, Trace: 0x5A17, Sampled: true, Msg: wire.EncodeRequest(q)},
+	})
+	if err := ch.Send(frame); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ch.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := <-seen; h.TraceID != 0x5A17 || !h.Sampled {
+		t.Fatalf("handler saw trace %#x sampled %v, want 0x5a17 sampled", h.TraceID, h.Sampled)
+	}
+	want := wire.EncodeBatch(wire.BatchResponse, []wire.BatchEntry{
+		{ID: 7, Msg: wire.EncodeResponse(echoHandler(q, nil))},
+	})
+	if !bytes.Equal(got, want) {
+		t.Fatalf("response frame = %x, want the extension-free %x", got, want)
 	}
 }

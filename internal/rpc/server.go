@@ -261,15 +261,9 @@ func (s *server) dispatch(e wire.BatchEntry, fb *frameBuf) {
 // respond queues one response for batched delivery, encoded into a pooled
 // buffer the batcher recycles once the frame ships. ResponseOverhead bounds
 // the whole message (key and error string included), so the append never
-// outgrows the buffer. Spans collected for a sampled request ship as a
-// flag-gated span blob on the same entry, in their own pooled buffer.
+// outgrows the buffer.
 func (s *server) respond(id uint64, resp *wire.Response) {
 	msg := wire.AppendResponse(pool.Get(wire.ResponseOverhead(resp)), resp)
-	if len(resp.Spans) > 0 {
-		sp := wire.AppendSpans(pool.Get(wire.SpansOverhead(resp.Spans)), resp.Spans)
-		s.out.add(wire.BatchEntry{ID: id, Spans: sp, Msg: msg})
-		return
-	}
 	s.out.add(wire.BatchEntry{ID: id, Msg: msg})
 }
 

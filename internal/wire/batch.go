@@ -29,18 +29,17 @@ import (
 //	          bit 2: token — an at-most-once dedup token follows;
 //	          bit 3: trace — a request trace ID follows;
 //	          bit 4: sampled — the request is span-sampled (request batches);
-//	          bit 5: spans — an encoded span blob follows (response batches))
+//	          any other bit set is a malformed frame)
 //	  uvarint dedup token (present only when flag bit 2 is set)
 //	  uvarint trace id (present only when flag bit 3 is set)
-//	  uvarint len, then len bytes of an encoded span blob (see span.go;
-//	          present only when flag bit 5 is set)
 //	  uvarint len, then len bytes of an encoded Request or Response
 //	          (empty for cancel and heartbeat entries)
 //
-// The token, trace, sampled bit, and span blob are flag-gated extensions
-// rather than Request fields so that frames without them are byte-identical
-// to version 1 frames that predate them, and the request codec stays
-// untouched.
+// The token, trace, and sampled bit are flag-gated extensions rather than
+// Request fields so that frames without them are byte-identical to version
+// 1 frames that predate them, and the request codec stays untouched.
+// Nothing rides a response entry but its message: spans stay on the node
+// that recorded them (see span.go).
 //
 // Batch frames are the only frames of the protocol. A frame that does not
 // start with the magic is a protocol error that ends the connection: the
@@ -93,12 +92,8 @@ type BatchEntry struct {
 	// in request batches.
 	Trace uint64
 	// Sampled marks a span-sampled request; meaningful only in request
-	// batches. The serving hop collects spans and returns them on its
-	// response entry.
+	// batches. The serving hop records its own spans under Trace.
 	Sampled bool
-	// Spans is an encoded span blob (AppendSpans output) riding a response
-	// entry back toward the request's entry node; empty = none.
-	Spans []byte
 	// Msg is an encoded Request (BatchRequest) or Response (BatchResponse).
 	Msg []byte
 }
@@ -109,7 +104,8 @@ const (
 	entryFlagToken     byte = 1 << 2
 	entryFlagTrace     byte = 1 << 3
 	entryFlagSampled   byte = 1 << 4
-	entryFlagSpans     byte = 1 << 5
+
+	entryFlagsKnown = entryFlagCancel | entryFlagHeartbeat | entryFlagToken | entryFlagTrace | entryFlagSampled
 )
 
 // IsBatchFrame reports whether buf starts like a batch frame — the entry
@@ -147,9 +143,6 @@ func AppendBatch(dst []byte, kind BatchKind, entries []BatchEntry) []byte {
 		if e.Sampled {
 			flags |= entryFlagSampled
 		}
-		if len(e.Spans) != 0 {
-			flags |= entryFlagSpans
-		}
 		w.byte(flags)
 		if e.Token != 0 {
 			w.u64(e.Token)
@@ -157,20 +150,16 @@ func AppendBatch(dst []byte, kind BatchKind, entries []BatchEntry) []byte {
 		if e.Trace != 0 {
 			w.u64(e.Trace)
 		}
-		if len(e.Spans) != 0 {
-			w.bytes(e.Spans)
-		}
 		w.bytes(e.Msg)
 	}
 	return w.buf
 }
 
 // BatchOverhead conservatively bounds the encoded size of a batch frame
-// carrying entries whose Msg plus span-blob bytes total msgBytes: frame
-// header plus worst-case per-entry framing (id, flags, token, trace, span
-// length, message length).
+// carrying entries whose Msg bytes total msgBytes: frame header plus
+// worst-case per-entry framing (id, flags, token, trace, message length).
 func BatchOverhead(entries, msgBytes int) int {
-	return 16 + msgBytes + entries*(2*10+1+10+10+10)
+	return 16 + msgBytes + entries*(10+1+10+10+10)
 }
 
 // EncodeBatch serializes a batch frame into a fresh buffer.
@@ -224,6 +213,9 @@ func DecodeBatchInto(dst []BatchEntry, buf []byte) (BatchKind, []BatchEntry, err
 		var e BatchEntry
 		e.ID = r.u64()
 		flags := r.byte()
+		if flags&^entryFlagsKnown != 0 {
+			return 0, nil, fmt.Errorf("wire: unknown entry flags %#x", flags&^entryFlagsKnown)
+		}
 		e.Cancel = flags&entryFlagCancel != 0
 		e.Heartbeat = flags&entryFlagHeartbeat != 0
 		if flags&entryFlagToken != 0 {
@@ -233,9 +225,6 @@ func DecodeBatchInto(dst []BatchEntry, buf []byte) (BatchKind, []BatchEntry, err
 			e.Trace = r.u64()
 		}
 		e.Sampled = flags&entryFlagSampled != 0
-		if flags&entryFlagSpans != 0 {
-			e.Spans = r.bytes()
-		}
 		e.Msg = r.bytes()
 		if r.err != nil {
 			return 0, nil, r.err

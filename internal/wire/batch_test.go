@@ -120,21 +120,42 @@ func TestBatchEmptyAndErrors(t *testing.T) {
 			t.Errorf("%s: decode succeeded", name)
 		}
 	}
+	for name, buf := range unknownFlagFrames {
+		if _, _, err := DecodeBatch(buf); err == nil {
+			t.Errorf("%s: decode succeeded", name)
+		}
+	}
 }
 
-// TestBatchExtensionFreeLayout pins the wire bytes of an entry carrying
-// neither token nor trace: extension-free frames must stay byte-identical
-// to version 1 frames that predate both flag-gated extensions.
+// unknownFlagFrames are otherwise well-formed one-entry frames whose entry
+// sets a flag bit the decoder does not know. Bit 5 once announced a span
+// blob before the message; a peer still sending it must be refused, not
+// have its blob misparsed as the message.
+var unknownFlagFrames = map[string][]byte{
+	"flag bit 5": {batchMagic, BatchVersion, byte(BatchResponse), 1, 5, 1 << 5, 1, 0, 1, 0xAA},
+	"flag bit 6": {batchMagic, BatchVersion, byte(BatchRequest), 1, 5, 1 << 6, 1, 0xAA},
+	"flag bit 7": {batchMagic, BatchVersion, byte(BatchRequest), 1, 5, 1 << 7, 1, 0xAA},
+}
+
+// TestBatchExtensionFreeLayout pins the wire bytes of entries carrying no
+// token, trace or sampled bit: extension-free frames must stay
+// byte-identical to version 1 frames that predate the flag-gated
+// extensions, for a multi-byte id and an empty message too.
 func TestBatchExtensionFreeLayout(t *testing.T) {
-	msg := []byte{0xAA, 0xBB}
-	frame := EncodeBatch(BatchRequest, []BatchEntry{{ID: 5, Msg: msg}})
+	frame := EncodeBatch(BatchRequest, []BatchEntry{
+		{ID: 5, Msg: []byte{0xAA, 0xBB}},
+		{ID: 300, Msg: []byte{}},
+	})
 	want := []byte{
 		batchMagic, BatchVersion, byte(BatchRequest),
-		1,          // entry count
+		2,          // entry count
 		5,          // id
 		0,          // flags: no extensions
 		2,          // msg length
 		0xAA, 0xBB, // msg
+		0xAC, 0x02, // id 300, two uvarint bytes
+		0, // flags
+		0, // msg length: empty
 	}
 	if !bytes.Equal(frame, want) {
 		t.Fatalf("extension-free frame = %x, want %x", frame, want)

@@ -176,12 +176,14 @@ func FuzzDecodeBatch(f *testing.F) {
 	for i, p := range seedResponses() {
 		respEntries = append(respEntries, BatchEntry{ID: uint64(i), Msg: EncodeResponse(p)})
 	}
-	respEntries = append(respEntries, BatchEntry{ID: 95, Spans: AppendSpans(nil, sampleSpans()), Msg: EncodeResponse(OK())})
 	f.Add(EncodeBatch(BatchRequest, reqEntries))
 	f.Add(EncodeBatch(BatchResponse, respEntries))
 	f.Add(EncodeBatch(BatchRequest, nil))
 	f.Add([]byte{batchMagic})
 	f.Add([]byte{batchMagic, BatchVersion, byte(BatchRequest), 0xFF, 0xFF, 0xFF})
+	for _, frame := range unknownFlagFrames {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, entries, err := DecodeBatch(data)
 		if err != nil {
@@ -217,7 +219,6 @@ func FuzzDecodeBatch(f *testing.F) {
 				entries[i].Token != entries2[i].Token ||
 				entries[i].Trace != entries2[i].Trace ||
 				entries[i].Sampled != entries2[i].Sampled ||
-				!bytes.Equal(entries[i].Spans, entries2[i].Spans) ||
 				!bytes.Equal(entries[i].Msg, entries2[i].Msg) {
 				t.Fatalf("entry %d diverged", i)
 			}

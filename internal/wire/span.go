@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"encoding/binary"
-	"sync"
-)
+import "sync"
 
 // Distributed spans.
 //
@@ -11,21 +8,16 @@ import (
 // which layer (memo dispatch, rpc send, link forward, folder op, durable
 // commit), what operation, when it started, how long it ran, and how long
 // it waited first (dispatch-queue wait, batcher queue time, shard-lock wait,
-// group-commit fsync — each layer reports the wait it owns). Spans ride
-// response batch entries as a flag-gated extension (see batch.go): each hop
-// returns the spans it collected, so the entry node ends up holding the
-// whole tree.
-//
-// The span codec mirrors the request/response codec conventions: uvarints
-// for counts, length-prefixed strings, and signed varints for the
-// nanosecond fields. Unlike payload decoding, DecodeSpans COPIES — spans
-// outlive the pooled frame they arrive in by design.
+// group-commit fsync — each layer reports the wait it owns). Spans never
+// leave the node that recorded them: only the trace ID and the sampled bit
+// ride requests (see batch.go), each hop records its own subtree, and
+// `memo trace <id>` joins the nodes' records by that ID.
 
 // Span is one recorded step of a sampled request.
 type Span struct {
 	// Node identifies the recording server ("memo@a", "folder-0@b"). Layers
 	// that don't know their host (rpc) leave it empty; the owning dispatch
-	// wrapper fills it before the set leaves the node.
+	// wrapper fills it when it records the set.
 	Node string `json:"node"`
 	// Layer is the subsystem that recorded the span: "memo", "rpc", "link",
 	// "folder", or "durable".
@@ -46,89 +38,7 @@ type Span struct {
 	Wait int64 `json:"wait_ns,omitempty"`
 }
 
-func (w *writer) i64(v int64) { w.buf = binary.AppendVarint(w.buf, v) }
-
-func (r *reader) i64() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf[r.pos:])
-	if n <= 0 {
-		r.err = ErrTruncated
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-// AppendSpans serializes spans onto dst (returned, possibly reallocated):
-// uvarint count, then per span node/layer/op strings, signed-varint folder,
-// uvarint hop, and signed-varint start/dur/wait.
-func AppendSpans(dst []byte, spans []Span) []byte {
-	w := writer{buf: dst}
-	w.u64(uint64(len(spans)))
-	for i := range spans {
-		s := &spans[i]
-		w.str(s.Node)
-		w.str(s.Layer)
-		w.str(s.Op)
-		w.i64(int64(s.Folder))
-		w.u64(uint64(s.Hop))
-		w.i64(s.Start)
-		w.i64(s.Dur)
-		w.i64(s.Wait)
-	}
-	return w.buf
-}
-
-// SpansOverhead conservatively bounds the encoded size of spans — the
-// AppendSpans output never exceeds it.
-func SpansOverhead(spans []Span) int {
-	n := binary.MaxVarintLen64
-	for i := range spans {
-		s := &spans[i]
-		n += len(s.Node) + len(s.Layer) + len(s.Op) + 8*binary.MaxVarintLen64
-	}
-	return n
-}
-
-// DecodeSpans parses a span blob. The returned spans are fully owned (the
-// string fields are copies), so they may outlive buf — span blobs arrive
-// inside pooled batch frames that are recycled right after decode.
-func DecodeSpans(buf []byte) ([]Span, error) {
-	r := &reader{buf: buf}
-	n := r.u64()
-	if r.err != nil {
-		return nil, r.err
-	}
-	// Each span costs at least 8 bytes on the wire; an absurd count is a
-	// hostile blob, not an allocation request.
-	if n > uint64(len(buf))/8 {
-		return nil, ErrTruncated
-	}
-	spans := make([]Span, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var s Span
-		s.Node = r.str()
-		s.Layer = r.str()
-		s.Op = r.str()
-		s.Folder = int(r.i64())
-		s.Hop = int(r.u64())
-		s.Start = r.i64()
-		s.Dur = r.i64()
-		s.Wait = r.i64()
-		if r.err != nil {
-			return nil, r.err
-		}
-		spans = append(spans, s)
-	}
-	if r.pos != len(buf) {
-		return nil, ErrTruncated
-	}
-	return spans, nil
-}
-
-// maxSpansPerSet bounds one request's span tree. A request that somehow
+// maxSpansPerSet bounds one node's record of a request. A request that somehow
 // produces more (a pathological retry storm) keeps the first maxSpansPerSet
 // and drops the rest — tracing must never amplify a failure.
 const maxSpansPerSet = 64
@@ -176,21 +86,6 @@ func (s *SpanSet) Add(sp Span) {
 	s.mu.Unlock()
 }
 
-// AddMany appends spans returned by a remote hop (nil-safe).
-func (s *SpanSet) AddMany(spans []Span) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	for i := range spans {
-		if len(s.spans) >= maxSpansPerSet {
-			break
-		}
-		s.spans = append(s.spans, spans[i])
-	}
-	s.mu.Unlock()
-}
-
 // Len reports the number of collected spans (nil-safe).
 func (s *SpanSet) Len() int {
 	if s == nil {
@@ -203,8 +98,8 @@ func (s *SpanSet) Len() int {
 }
 
 // Finish stamps node on every span recorded without one and returns a
-// private copy of the set — the slice the owner records into its trace ring
-// and attaches to the response, safe against handlers still appending.
+// private copy of the set — the slice the owner records into its trace ring,
+// safe against handlers still appending.
 func (s *SpanSet) Finish(node string) []Span {
 	if s == nil {
 		return nil

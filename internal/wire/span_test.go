@@ -1,141 +1,20 @@
 package wire
 
 import (
-	"bytes"
-	"reflect"
+	"encoding/json"
+	"strings"
+	"sync"
 	"testing"
 )
 
-func sampleSpans() []Span {
-	return []Span{
-		{Node: "a@host", Layer: "memo", Op: "put", Folder: 3, Hop: 0, Start: 1000, Dur: 500},
-		{Node: "b@host", Layer: "rpc", Op: "dispatch", Folder: 3, Hop: 1, Start: 1100, Dur: 200, Wait: 40},
-		{Node: "b@host", Layer: "folder", Op: "put", Folder: 3, Hop: 1, Start: 1200, Dur: 80, Wait: 5},
-		{Node: "", Layer: "durable", Op: "commit", Folder: -1, Hop: 0, Start: -7, Dur: 0, Wait: 0},
-	}
-}
-
-// TestSpanRoundTrip pins the span blob codec on the happy path.
-func TestSpanRoundTrip(t *testing.T) {
-	spans := sampleSpans()
-	buf := AppendSpans(nil, spans)
-	if len(buf) > SpansOverhead(spans) {
-		t.Fatalf("encoded %d bytes > SpansOverhead bound %d", len(buf), SpansOverhead(spans))
-	}
-	got, err := DecodeSpans(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(spans, got) {
-		t.Fatalf("round trip diverged:\n%+v\n%+v", spans, got)
-	}
-	// Empty blob round-trips to zero spans.
-	empty, err := DecodeSpans(AppendSpans(nil, nil))
-	if err != nil || len(empty) != 0 {
-		t.Fatalf("empty blob: spans=%v err=%v", empty, err)
-	}
-}
-
-// TestDecodeSpansCopiesStrings pins the ownership contract: span blobs arrive
-// inside pooled batch frames that are recycled right after decode, so the
-// decoded string fields must not alias the input buffer.
-func TestDecodeSpansCopiesStrings(t *testing.T) {
-	buf := AppendSpans(nil, sampleSpans())
-	spans, err := DecodeSpans(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := make([]Span, len(spans))
-	copy(snap, spans)
-	for i := range buf {
-		buf[i] ^= 0xFF
-	}
-	if !reflect.DeepEqual(snap, spans) {
-		t.Fatalf("decoded spans changed after the source buffer was recycled:\n%+v\n%+v", snap, spans)
-	}
-}
-
-// FuzzSpans: hostile span blobs must never panic the codec, and whatever
-// decodes must re-encode canonically, decode back identical, and stay within
-// the SpansOverhead bound. The decoded spans must also survive the source
-// buffer being clobbered (pooled-frame recycling).
-func FuzzSpans(f *testing.F) {
-	f.Add(AppendSpans(nil, sampleSpans()))
-	f.Add(AppendSpans(nil, nil))
-	f.Add(AppendSpans(nil, sampleSpans()[:1]))
-	f.Add([]byte{})
-	f.Add([]byte{0xFF, 0xFF, 0xFF})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		spans, err := DecodeSpans(data)
-		if err != nil {
-			return
-		}
-		snap := make([]Span, len(spans))
-		copy(snap, spans)
-		for i := range data {
-			data[i] ^= 0xFF
-		}
-		if !reflect.DeepEqual(snap, spans) {
-			t.Fatal("decoded spans alias the input buffer")
-		}
-		buf := AppendSpans(nil, spans)
-		if len(buf) > SpansOverhead(spans) {
-			t.Fatalf("encoded %d bytes > SpansOverhead bound %d", len(buf), SpansOverhead(spans))
-		}
-		spans2, err := DecodeSpans(buf)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if len(spans) != len(spans2) || (len(spans) > 0 && !reflect.DeepEqual(spans, spans2)) {
-			t.Fatalf("round trip diverged:\n%+v\n%+v", spans, spans2)
-		}
-	})
-}
-
-// TestSpanlessBatchByteIdentical pins the extension-compatibility promise in
-// the batch layout doc: entries that use no flag-gated extension (no token,
-// no trace, no sampling, no spans) encode byte-identically to the original
-// version-1 layout — magic, version, kind, count, then per entry uvarint id,
-// zero flags byte, uvarint msg length, msg bytes. A peer that predates the
-// trace extensions decodes these frames unchanged.
-func TestSpanlessBatchByteIdentical(t *testing.T) {
-	entries := []BatchEntry{
-		{ID: 1, Msg: []byte("req-one")},
-		{ID: 300, Msg: []byte{}},
-		{ID: 2, Msg: []byte("x")},
-	}
-	got := EncodeBatch(BatchRequest, entries)
-
-	var want []byte
-	want = append(want, batchMagic, BatchVersion, byte(BatchRequest))
-	var w writer
-	w.buf = want
-	w.u64(uint64(len(entries)))
-	for _, e := range entries {
-		w.u64(e.ID)
-		w.byte(0) // flags: no extensions
-		w.u64(uint64(len(e.Msg)))
-		w.buf = append(w.buf, e.Msg...)
-	}
-	if !bytes.Equal(got, w.buf) {
-		t.Fatalf("extension-less frame diverged from the documented legacy layout:\ngot  %x\nwant %x", got, w.buf)
-	}
-
-	// Sanity check the converse: any extension flips at least one byte.
-	sampled := EncodeBatch(BatchRequest, []BatchEntry{{ID: 1, Sampled: true, Msg: []byte("req-one")}})
-	if bytes.Equal(sampled[:len(got)], got[:len(sampled)]) {
-		t.Fatal("sampled entry encoded identically to a plain entry")
-	}
-}
-
-// TestSpanSetLifecycle covers the pooled, refcounted span accumulator: Add
-// and AddMany collect, Finish stamps the node and returns a private copy,
+// TestSpanSetLifecycle covers the pooled span accumulator: Add collects,
+// Finish stamps the node and returns a private copy,
 // and the cap drops overflow instead of growing without bound.
 func TestSpanSetLifecycle(t *testing.T) {
 	set := NewSpanSet()
 	set.Add(Span{Layer: "memo", Op: "put", Start: 10})
 	set.Add(Span{Node: "remote", Layer: "folder", Op: "put", Start: 20})
-	set.AddMany([]Span{{Layer: "rpc", Op: "send", Start: 30}})
+	set.Add(Span{Layer: "rpc", Op: "send", Start: 30})
 	if set.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", set.Len())
 	}
@@ -170,10 +49,6 @@ func TestSpanSetCap(t *testing.T) {
 	if set.Len() != maxSpansPerSet {
 		t.Fatalf("Len = %d, want cap %d", set.Len(), maxSpansPerSet)
 	}
-	set.AddMany(make([]Span, 10))
-	if set.Len() != maxSpansPerSet {
-		t.Fatalf("AddMany broke the cap: Len = %d", set.Len())
-	}
 }
 
 // TestSpanSetReleaseResets: a released set comes back from the pool empty,
@@ -193,9 +68,67 @@ func TestSpanSetReleaseResets(t *testing.T) {
 	// Nil-safety across the API — unsampled requests call through nil sets.
 	var nilSet *SpanSet
 	nilSet.Add(Span{})
-	nilSet.AddMany([]Span{{}})
 	if nilSet.Len() != 0 || nilSet.Finish("n") != nil {
 		t.Fatal("nil SpanSet not inert")
 	}
 	nilSet.Release()
+}
+
+// TestSpanSetConcurrentAdd: layers on several goroutines may add to one set
+// while the owner snapshots it; every Add lands (up to the cap) and a
+// Finish taken mid-stream is a consistent private copy.
+func TestSpanSetConcurrentAdd(t *testing.T) {
+	set := NewSpanSet()
+	defer set.Release()
+	const writers, each = 4, 10
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				set.Add(Span{Layer: "rpc", Hop: w, Start: int64(i)})
+			}
+		}(w)
+	}
+	mid := set.Finish("n")
+	wg.Wait()
+	if n := set.Len(); n != writers*each {
+		t.Fatalf("Len = %d, want %d", n, writers*each)
+	}
+	if len(mid) > writers*each {
+		t.Fatalf("mid-stream Finish returned %d spans, more than were added", len(mid))
+	}
+	for _, sp := range mid {
+		if sp.Node != "n" || sp.Layer != "rpc" {
+			t.Fatalf("mid-stream Finish returned a torn span: %+v", sp)
+		}
+	}
+}
+
+// TestSpanJSONRoundTrip: /tracez is the only way a span leaves its node, and
+// `memo trace` dedups spans by whole-value equality, so the JSON form must
+// carry every field back unchanged, under the names the endpoint documents.
+func TestSpanJSONRoundTrip(t *testing.T) {
+	sp := Span{Node: "memo@a", Layer: "memo", Op: "put", Folder: 1, Hop: 2, Start: 1e18, Dur: 1500, Wait: 200}
+	b, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"node":"memo@a","layer":"memo","op":"put","folder":1,"hop":2,"start_ns":1000000000000000000,"dur_ns":1500,"wait_ns":200}`
+	if string(b) != want {
+		t.Fatalf("JSON = %s, want %s", b, want)
+	}
+	var back Span
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != sp {
+		t.Fatalf("round trip = %+v, want %+v", back, sp)
+	}
+	// A span with no wait leaves the field out.
+	sp.Wait = 0
+	if b, _ := json.Marshal(sp); strings.Contains(string(b), "wait_ns") {
+		t.Fatalf("zero wait still encoded: %s", b)
+	}
 }

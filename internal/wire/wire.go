@@ -203,8 +203,8 @@ type Request struct {
 	EnqueueNS int64
 	// Spans is the span set of the node currently handling this sampled
 	// request: created by the owning dispatch wrapper, appended to by every
-	// layer below it. Never on the wire — spans travel back on response
-	// batch entries (see span.go).
+	// layer below it. Never on the wire — spans stay on the node that
+	// recorded them (see span.go).
 	Spans *SpanSet
 }
 
@@ -217,10 +217,6 @@ type Response struct {
 	Payload []byte
 	// Err is the message accompanying StatusErr.
 	Err string
-	// Spans carries the spans collected while serving a sampled request.
-	// NOT part of the response codec — the rpc server encodes them as a
-	// batch-entry span blob and the client decodes them back (see span.go).
-	Spans []Span
 }
 
 // Errors returned by decoding.
