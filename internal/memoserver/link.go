@@ -181,6 +181,21 @@ func (l *rlink) redial(done chan struct{}) error {
 	return err
 }
 
+// live returns the link's conn if it is up, without dialing: what the read
+// loop may relay on, since it must never wait for a dial.
+func (l *rlink) live() *rpc.Conn {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if c := l.conn; c != nil {
+		select {
+		case <-c.Done():
+		default:
+			return c
+		}
+	}
+	return nil
+}
+
 func (l *rlink) close() {
 	l.mu.Lock()
 	l.closed = true
@@ -209,44 +224,53 @@ func (l *rlink) stats() LinkHealth {
 
 // call issues q on the link and waits for the response. If the link dies
 // mid-call its conn is already dead (an rpc.Conn marks itself so before any
-// call on it returns a LinkError), so the next get re-dials under backoff,
-// and the call is re-issued, up to res.Retries times: always when the
+// call on it completes with a LinkError), so the next get re-dials under
+// backoff, and the call is re-issued, up to res.Retries times: always when the
 // request provably never reached the wire — a failed dial, or
 // LinkError.Sent == false — and, once it may have executed, only when
 // q.RetrySafe (the verb is idempotent, or the folder server deduplicates it
-// by token). This being the one place
-// that retries, it is also the one place that stamps the token: once,
-// before the first attempt, on q itself, so every attempt carries the same
-// one; a token already present (stamped by the application's client or an
-// earlier hop) is preserved — dedup is end-to-end. retried counts the
-// re-issues. The bool reports whether the last attempt got a connection at
-// all, so callers can word a dial failure apart from a failed call.
+// by token). This being the one place that retries, it is also the one
+// place that stamps the token (see stamp). retried counts the re-issues.
+// The bool reports whether the last attempt got a connection at all, so
+// callers can word a dial failure apart from a failed call.
 // ErrClientCanceled means the owning store said the canceled call consumed
 // nothing, or that no attempt can have reached it: once an attempt has failed
 // with its request possibly sent, a cancel returns that attempt's link error
 // (outcome unknown) instead.
 func (l *rlink) call(q *wire.Request, cancel <-chan struct{}, retried *obs.Counter) (*wire.Response, bool, error) {
-	if l.res.Retries > 0 && q.Token == 0 && q.Op.Info().Tokened() {
-		q.Token = newToken()
-	}
+	return l.resume(q, cancel, nil, retried)
+}
+
+// resume is call continuing from a first attempt issued elsewhere — a
+// relay the read loop sent with rpc.Pending.Relay, stamped there — that
+// failed with first; a nil first means no attempt yet. The attempt counts
+// against the retries like any other.
+func (l *rlink) resume(q *wire.Request, cancel <-chan struct{}, first error, retried *obs.Counter) (*wire.Response, bool, error) {
+	l.stamp(q)
 	// canceled is what a cancel reports: that, until an attempt fails with
 	// its request possibly executed; from then on that attempt's link error.
 	canceled := error(ErrClientCanceled)
 	for attempt := 0; ; attempt++ {
-		conn, err := l.get(cancel)
-		if err != nil {
-			select {
-			case <-cancel:
-				return nil, canceled != ErrClientCanceled, canceled
-			default:
+		var resp *wire.Response
+		err := first
+		first = nil
+		if err == nil {
+			var conn *rpc.Conn
+			conn, err = l.get(cancel)
+			if err != nil {
+				select {
+				case <-cancel:
+					return nil, canceled != ErrClientCanceled, canceled
+				default:
+				}
+				if attempt < l.res.Retries {
+					retried.Inc()
+					continue
+				}
+				return nil, false, err
 			}
-			if attempt < l.res.Retries {
-				retried.Inc()
-				continue
-			}
-			return nil, false, err
+			resp, err = conn.Call(q, cancel)
 		}
-		resp, err := conn.Call(q, cancel)
 		if err == nil {
 			return resp, true, nil
 		}
@@ -267,6 +291,17 @@ func (l *rlink) call(q *wire.Request, cancel <-chan struct{}, retried *obs.Count
 			}
 		}
 		return nil, true, err
+	}
+}
+
+// stamp gives a tokened q its at-most-once dedup token when retries are
+// armed: once, before the first attempt, on q itself, so every attempt
+// carries the same one. A token already present (stamped by the
+// application's client or an earlier hop) is preserved — dedup is
+// end-to-end.
+func (l *rlink) stamp(q *wire.Request) {
+	if l.res.Retries > 0 && q.Token == 0 && q.Op.Info().Tokened() {
+		q.Token = newToken()
 	}
 }
 

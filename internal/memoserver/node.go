@@ -137,7 +137,7 @@ type Node struct {
 	// lock on the memo-server fan-out. Registration and peer dials are
 	// rare writes; request routing is all reads.
 	apps  sync.Map // app name -> *App
-	peers sync.Map // host -> *rlink
+	peers sync.Map // host -> *peerLink
 
 	mu sync.Mutex
 	// inbound holds the accepted conns still being served; each one's
@@ -161,20 +161,26 @@ type Node struct {
 	registered obs.Counter
 }
 
-// newPeerLink builds the resilient rpc link to a neighbouring memo server;
-// every forwarded request to that neighbour shares it, so concurrent
-// forwards pipeline and batch. When the link dies it reconnects with
-// exponential backoff + jitter, and forward retries safely-retriable calls
+// peerLink is the resilient rpc link to a neighbouring memo server; every
+// forwarded request to that neighbour shares it, so concurrent forwards
+// pipeline and batch on it. When the link dies it reconnects with
+// exponential backoff + jitter, and a relay retries safely-retriable calls
 // on the fresh connection. The same rlink backs the
 // application↔local-memo-server Client.
-func (n *Node) newPeerLink(host string) *rlink {
+type peerLink struct {
+	*rlink
+	n    *Node
+	host string
+}
+
+func (n *Node) newPeerLink(host string) *peerLink {
 	dial := func() (transport.Conn, error) {
 		if n.isClosed() {
 			return nil, fmt.Errorf("memo server %s closed", n.Host)
 		}
 		return n.dialFrom(n.Host, MemoAddr(host))
 	}
-	return newRlink(dial, rpc.Policy{}, n.cfg.Resilience)
+	return &peerLink{rlink: newRlink(dial, rpc.Policy{}, n.cfg.Resilience), n: n, host: host}
 }
 
 // NewWithNetwork creates a memo server over any Network — a listener
@@ -261,7 +267,7 @@ func (n *Node) shutdown(crash bool) {
 	}
 	n.peers.Range(func(host, v any) bool {
 		n.peers.Delete(host)
-		v.(*rlink).close()
+		v.(*peerLink).close()
 		return true
 	})
 	for conn := range inbound {
@@ -287,10 +293,12 @@ func (n *Node) isClosed() bool {
 }
 
 // acceptLoop hands each accepted conn to one thread of the node's cache,
-// which serves it until it fails, then closes and retires it. Batched
-// requests dispatch concurrently through the same cache and responses
-// coalesce into batched frames. Closing is the whole answer to a peer that
-// sent anything but batch frames: its Recv fails rather than hangs.
+// which serves it until it fails, then closes and retires it. That thread
+// is the conn's read loop: it routes each request once (route), relaying a
+// forward onto its peer link itself and handing the rest, decision in hand,
+// to the same cache; responses coalesce into batched frames. Closing is the
+// whole answer to a peer that sent anything but batch frames: its Recv
+// fails rather than hangs.
 func (n *Node) acceptLoop(l transport.Listener) {
 	for {
 		conn, err := l.Accept()
@@ -306,7 +314,7 @@ func (n *Node) acceptLoop(l transport.Listener) {
 		n.inbound[conn] = struct{}{}
 		n.mu.Unlock()
 		if err := n.pool.Submit(func() {
-			_ = rpc.Serve(conn, n.Dispatch, n.pool.SubmitArg, rpc.Policy{})
+			_ = rpc.ServeRouted(conn, n.route, n.pool.SubmitArg, rpc.Policy{})
 			n.retire(conn)
 		}); err != nil {
 			n.retire(conn)
@@ -443,48 +451,54 @@ func (n *Node) Dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response 
 	if set == nil && n.tracer.Threshold() == 0 {
 		return n.dispatch(q, cancel)
 	}
-	start := time.Now()
+	startNS := time.Now().UnixNano()
 	resp := n.dispatch(q, cancel)
+	n.finishTrace(q, set, q.Hops, startNS)
+	return resp
+}
+
+// finishTrace records this node's memo span for q — the dispatch from
+// startNS until now, at hop hops — and hands it with q's span set to the
+// tracer.
+func (n *Node) finishTrace(q *wire.Request, set *wire.SpanSet, hops int, startNS int64) {
 	own := wire.Span{Layer: "memo", Op: q.Op.String(), Folder: q.FolderID,
-		Hop: q.Hops, Start: start.UnixNano(), Dur: int64(time.Since(start))}
+		Hop: hops, Start: startNS, Dur: time.Now().UnixNano() - startNS}
 	if q.EnqueueNS > 0 && own.Start > q.EnqueueNS {
-		// Time spent in the rpc dispatch queue before a thread picked the
-		// request up (stamped by the rpc server only on sampled entries).
+		// Time spent in the rpc dispatch queue before it was routed (stamped
+		// by the rpc server only on sampled entries).
 		own.Wait = own.Start - q.EnqueueNS
 	}
 	n.tracer.Finish(q, set, own)
-	return resp
 }
 
 // dispatch addresses q by its verb's scope in the wire op table: the node
 // itself, the memo server on a named host, or a folder server.
 func (n *Node) dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response {
-	verb := q.Op.Info()
-	if verb.Scope == wire.ScopeNode {
+	switch q.Op.Info().Scope {
+	case wire.ScopeNode:
 		return n.execute(nil, q)
-	}
-	app, ok := n.lookupApp(q.App)
-	if !ok {
-		return wire.Errf("memo server %s: application %q not registered", n.Host, q.App)
-	}
-	if verb.Scope == wire.ScopeHost {
+	case wire.ScopeHost:
+		app, ok := n.lookupApp(q.App)
+		if !ok {
+			return errNoApp(n, q)
+		}
 		if q.TargetHost == "" || q.TargetHost == n.Host {
 			return n.execute(app, q)
 		}
 		if _, known := app.Table.NextHop(n.Host, q.TargetHost); !known {
 			return wire.Errf("memo server %s: unknown host %q", n.Host, q.TargetHost)
 		}
-		return n.forward(app, q, q.TargetHost, cancel)
-	}
-	targetHost, ok := app.folderHost[q.FolderID]
-	if !ok {
-		return wire.Errf("memo server %s: app %q has no folder server %d", n.Host, q.App, q.FolderID)
-	}
-	if targetHost == n.Host {
-		fs, ok := app.local[q.FolderID]
-		if !ok {
-			return wire.Errf("memo server %s: folder server %d not local", n.Host, q.FolderID)
+		pl, resp := n.nextHop(app, q.TargetHost)
+		if resp != nil {
+			return resp
 		}
+		return n.forward(pl, q, cancel)
+	}
+	fs, pl, resp := n.folderRoute(q)
+	switch {
+	case resp != nil:
+		return resp
+	case fs != nil:
 		n.localOps.Inc()
 		// "Each request to a server will cause a thread to be created to
 		// handle the request" (§4.1): the dispatching thread is already a
@@ -495,7 +509,171 @@ func (n *Node) dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response 
 		// a canceled request strands no memo.
 		return fs.Handle(q, cancel)
 	}
-	return n.forward(app, q, targetHost, cancel)
+	return n.forward(pl, q, cancel)
+}
+
+// route is the read loop's one routing decision for a request an accepted
+// conn delivered. A folder request whose folder lives elsewhere is
+// rewritten into its forwarded form and relayed onto the live peer conn,
+// answered from that conn's receive loop with no thread (see relay); one
+// whose link must first be dialed continues on a thread in the link's retry
+// loop. A local folder request runs on a thread with its folder server in
+// hand, so the thread routes nothing again. Everything else — other scopes,
+// and local requests the tracer watches — runs Dispatch on a thread.
+func (n *Node) route(p *rpc.Pending) {
+	q := p.Request()
+	if q.Op.Info().Scope != wire.ScopeFolder {
+		p.Run(runDispatch, n)
+		return
+	}
+	fs, pl, resp := n.folderRoute(q)
+	switch {
+	case pl != nil:
+		n.relay(p, pl)
+	case n.tracer.Watches(q):
+		p.Run(runDispatch, n)
+	case resp != nil:
+		p.Run(answerWith, resp)
+	default:
+		n.localOps.Inc()
+		p.Run(runLocal, fs)
+	}
+}
+
+// The RunFuncs route hands a request to a thread with. Static functions:
+// the decision rides as the Pending's arg, so no closure is allocated.
+func runDispatch(p *rpc.Pending) *wire.Response {
+	return p.Arg().(*Node).Dispatch(p.Request(), p.Cancel())
+}
+
+func runLocal(p *rpc.Pending) *wire.Response {
+	return p.Arg().(*folder.Server).Handle(p.Request(), p.Cancel())
+}
+
+func answerWith(p *rpc.Pending) *wire.Response { return p.Arg().(*wire.Response) }
+
+// relayCall is a forwarded request the read loop has taken on: the
+// completion of its call on the peer conn, and what finishing it needs.
+// Pooled; it recycles when the request is answered.
+type relayCall struct {
+	pl *peerLink
+	p  *rpc.Pending
+	// set and startNS are the trace state of a request the tracer watches
+	// (startNS != 0): its span set, if sampled, and when it was routed.
+	set     *wire.SpanSet
+	startNS int64
+	// err is the failure of the attempt sent from the read loop, for the
+	// retry loop that continues it on a thread.
+	err error
+}
+
+var relayCallPool = sync.Pool{New: func() any { return new(relayCall) }}
+
+// relay forwards p one hop over pl without a thread when it can: the
+// request becomes its forwarded form in place (one more hop, its dedup token
+// stamped once), and if the link is up it is sent on the live conn with a
+// relayCall as its completion. Otherwise — the link must be dialed, or the
+// conn refused the request — the link's retry loop takes it on a thread.
+// A request the tracer watches is traced here and finished with the relay.
+func (n *Node) relay(p *rpc.Pending, pl *peerLink) {
+	q := p.Request()
+	r := relayCallPool.Get().(*relayCall)
+	r.pl, r.p = pl, p
+	if r.set = n.tracer.Begin(q); r.set != nil || n.tracer.Threshold() > 0 {
+		r.startNS = time.Now().UnixNano()
+	}
+	n.forwards.Inc()
+	q.Hops++
+	pl.stamp(q)
+	if c := pl.live(); c != nil {
+		err := p.Relay(c, r)
+		if err == nil {
+			return // r belongs to the call now, and may already be recycled
+		}
+		r.err = err
+	}
+	p.Run(resumeRelay, r)
+}
+
+// Complete answers the relayed request from the peer conn's receive loop
+// with the peer's response message as it stands; a failed call continues
+// in the link's retry loop on a thread, from that failure.
+func (r *relayCall) Complete(_ *wire.Response, msg []byte, err error) {
+	if err != nil {
+		r.err = err
+		r.p.Run(resumeRelay, r)
+		return
+	}
+	r.finishTrace()
+	r.p.AnswerEncoded(msg)
+	r.recycle()
+}
+
+// resumeRelay is the thread half of a relay: the link's one retry loop,
+// continuing from the read loop's failed attempt if there was one.
+func resumeRelay(p *rpc.Pending) *wire.Response {
+	r := p.Arg().(*relayCall)
+	resp := r.pl.relay(p.Request(), p.Cancel(), r.err)
+	r.finishTrace()
+	r.recycle()
+	return resp
+}
+
+// finishTrace records a watched relay's link and memo spans, on every
+// outcome, once it has completed.
+func (r *relayCall) finishTrace() {
+	if r.startNS == 0 {
+		return
+	}
+	q := r.p.Request()
+	r.pl.linkSpan(q, r.startNS)
+	r.pl.n.finishTrace(q, r.set, q.Hops-1, r.startNS) // q is one hop on
+}
+
+func (r *relayCall) recycle() {
+	*r = relayCall{}
+	relayCallPool.Put(r)
+}
+
+// folderRoute resolves where a folder request goes: the local folder server
+// that holds it, or the link to the next hop toward its host. Exactly one of
+// the three results is non-nil; the response is the error that ends it.
+func (n *Node) folderRoute(q *wire.Request) (*folder.Server, *peerLink, *wire.Response) {
+	app, ok := n.lookupApp(q.App)
+	if !ok {
+		return nil, nil, errNoApp(n, q)
+	}
+	targetHost, ok := app.folderHost[q.FolderID]
+	if !ok {
+		return nil, nil, wire.Errf("memo server %s: app %q has no folder server %d", n.Host, q.App, q.FolderID)
+	}
+	if targetHost != n.Host {
+		pl, resp := n.nextHop(app, targetHost)
+		return nil, pl, resp
+	}
+	fs, ok := app.local[q.FolderID]
+	if !ok {
+		return nil, nil, wire.Errf("memo server %s: folder server %d not local", n.Host, q.FolderID)
+	}
+	return fs, nil, nil
+}
+
+func errNoApp(n *Node, q *wire.Request) *wire.Response {
+	return wire.Errf("memo server %s: application %q not registered", n.Host, q.App)
+}
+
+// nextHop returns the link to the next memo server along the routing table
+// toward targetHost, or the error response that ends the request.
+func (n *Node) nextHop(app *App, targetHost string) (*peerLink, *wire.Response) {
+	hop, ok := app.Table.NextHop(n.Host, targetHost)
+	if !ok {
+		return nil, wire.Errf("memo server %s: no route to %s", n.Host, targetHost)
+	}
+	pl, err := n.peer(hop)
+	if err != nil {
+		return nil, wire.Errf("memo server %s: dial %s: %v", n.Host, hop, err)
+	}
+	return pl, nil
 }
 
 // execute runs a verb this node answers itself: the node-scoped ones, and
@@ -530,53 +708,59 @@ func (n *Node) execute(app *App, q *wire.Request) *wire.Response {
 	return wire.Errf("memo server %s: unsupported op %s", n.Host, q.Op)
 }
 
-// forward relays the request one hop along the routing table over the
-// cached peer rpc connection; concurrent forwards to one neighbour
-// pipeline and batch on it. A link that dies mid-call is healed and the
-// call retried as far as that is safe (see rlink.call).
-func (n *Node) forward(app *App, q *wire.Request, targetHost string, cancel <-chan struct{}) *wire.Response {
-	hop, ok := app.Table.NextHop(n.Host, targetHost)
-	if !ok {
-		return wire.Errf("memo server %s: no route to %s", n.Host, targetHost)
-	}
-	link, err := n.peer(hop)
-	if err != nil {
-		return wire.Errf("memo server %s: dial %s: %v", n.Host, hop, err)
-	}
-	// A private copy: link.call may stamp a dedup token, and the inbound q
-	// stays as it arrived.
+// forward relays q one hop over pl from a thread — an in-process Dispatch
+// caller, a host-scoped verb, a local-looking request the tracer watches —
+// on a private copy (the relay rewrites hops and may stamp a dedup token;
+// the inbound q stays as it arrived).
+func (n *Node) forward(pl *peerLink, q *wire.Request, cancel <-chan struct{}) *wire.Response {
+	n.forwards.Inc()
 	fq := *q
 	fq.Hops = q.Hops + 1
-	n.forwards.Inc()
-	var linkStartNS int64
+	var startNS int64
 	if q.Sampled && q.Spans != nil {
-		linkStartNS = time.Now().UnixNano()
+		startNS = time.Now().UnixNano()
 	}
-	resp, dialed, err := link.call(&fq, cancel, &n.retried)
+	resp := pl.relay(&fq, cancel, nil)
+	pl.linkSpan(&fq, startNS)
+	return resp
+}
+
+// relay sends fq — a forwarded request, one hop further than it arrived —
+// over the link and waits for the response in the link's one retry loop
+// (rlink.resume), continuing from first when an attempt sent from the read
+// loop already failed with it, and words the outcome for the hop behind.
+func (pl *peerLink) relay(fq *wire.Request, cancel <-chan struct{}, first error) *wire.Response {
+	resp, dialed, err := pl.resume(fq, cancel, first, &pl.n.retried)
 	switch {
 	case err == ErrClientCanceled:
 		return &wire.Response{Status: wire.StatusCanceled}
 	case err != nil && !dialed:
-		return wire.Errf("memo server %s: dial %s: %v", n.Host, hop, err)
+		return wire.Errf("memo server %s: dial %s: %v", pl.n.Host, pl.host, err)
 	case err != nil:
-		return wire.Errf("memo server %s: forward to %s: %v", n.Host, hop, err)
-	}
-	if linkStartNS != 0 {
-		// The whole forward — dial, batcher queue, retries, remote work —
-		// is one link span named after the next-hop peer.
-		q.Spans.Add(wire.Span{Layer: "link", Op: hop, Folder: q.FolderID,
-			Hop: q.Hops, Start: linkStartNS, Dur: time.Now().UnixNano() - linkStartNS})
+		return wire.Errf("memo server %s: forward to %s: %v", pl.n.Host, pl.host, err)
 	}
 	return resp
+}
+
+// linkSpan records, for a sampled forwarded request fq, one link span named
+// after the peer: the whole relay from startNS — dial, batcher queue,
+// retries, remote work — whatever its outcome, since a failed relay's span
+// is the one that names the peer it failed on.
+func (pl *peerLink) linkSpan(fq *wire.Request, startNS int64) {
+	if startNS == 0 || !fq.Sampled || fq.Spans == nil {
+		return
+	}
+	fq.Spans.Add(wire.Span{Layer: "link", Op: pl.host, Folder: fq.FolderID,
+		Hop: fq.Hops - 1, Start: startNS, Dur: time.Now().UnixNano() - startNS})
 }
 
 // peer returns the resilient link to a neighbouring memo server, creating
 // it on first use. Creation does not dial: the link connects
 // lazily, so a down neighbour costs its callers dial errors, never a
 // missing table entry.
-func (n *Node) peer(host string) (*rlink, error) {
+func (n *Node) peer(host string) (*peerLink, error) {
 	if v, ok := n.peers.Load(host); ok {
-		return v.(*rlink), nil
+		return v.(*peerLink), nil
 	}
 	if n.isClosed() {
 		return nil, fmt.Errorf("memo server %s closed", n.Host)
@@ -584,7 +768,7 @@ func (n *Node) peer(host string) (*rlink, error) {
 	p := n.newPeerLink(host)
 	if exist, loaded := n.peers.LoadOrStore(host, p); loaded {
 		p.close()
-		return exist.(*rlink), nil
+		return exist.(*peerLink), nil
 	}
 	if n.isClosed() { // raced Close; don't leak the link
 		n.dropPeer(host)
@@ -595,7 +779,7 @@ func (n *Node) peer(host string) (*rlink, error) {
 
 func (n *Node) dropPeer(host string) {
 	if v, ok := n.peers.LoadAndDelete(host); ok {
-		v.(*rlink).close()
+		v.(*peerLink).close()
 	}
 }
 
@@ -666,7 +850,7 @@ type LinkStat struct {
 func (n *Node) LinkStats() []LinkStat {
 	var out []LinkStat
 	n.peers.Range(func(host, v any) bool {
-		out = append(out, LinkStat{Peer: host.(string), LinkHealth: v.(*rlink).stats()})
+		out = append(out, LinkStat{Peer: host.(string), LinkHealth: v.(*peerLink).stats()})
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
@@ -701,7 +885,7 @@ func (n *Node) RegisterMetrics(reg *obs.Registry) {
 		e.Gauge("threadcache_idle_workers", "threads parked in the cache", nil, int64(n.pool.IdleCount()))
 		var links, dials, failed, faults int64
 		n.peers.Range(func(_, v any) bool {
-			st := v.(*rlink).stats()
+			st := v.(*peerLink).stats()
 			links++
 			dials += st.Dials
 			failed += st.FailedDials

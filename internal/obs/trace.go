@@ -161,6 +161,14 @@ func (t *Tracer) Threshold() time.Duration {
 	return t.threshold
 }
 
+// Watches reports whether Begin could make a record of q: it is sampled
+// already, it is an entry request and this tracer samples those, or the
+// slow threshold is armed. A server may skip Begin and Finish — and the
+// clock — for any other request.
+func (t *Tracer) Watches(q *wire.Request) bool {
+	return q.Sampled || (t != nil && (t.threshold > 0 || (t.sampler != nil && q.Hops == 0)))
+}
+
 // OnSlow installs fn to be called, on the dispatching thread, with every
 // slow request's trace ID and own span. Call it before the server starts.
 func (t *Tracer) OnSlow(fn func(trace uint64, sp wire.Span)) { t.onSlow = fn }

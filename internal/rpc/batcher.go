@@ -39,11 +39,12 @@ type batcher struct {
 	conn  frameSender // transports one encoded frame
 	onErr func(error) // called once when send fails
 	// preSend, when set, observes each frame's entries immediately before
-	// the transport send. The Conn uses it to mark calls as
+	// the transport send, and may veto it. The Conn uses it to mark calls as
 	// handed-to-the-wire: marking before the send means a send that fails
 	// midway still counts as "maybe sent", the conservative direction for
-	// retry safety.
-	preSend func([]wire.BatchEntry)
+	// retry safety; vetoing a frame once the conn has failed means a call
+	// that link failure completed as unsent never reaches the wire.
+	preSend func([]wire.BatchEntry) bool
 
 	mu        sync.Mutex
 	unblocked *sync.Cond // signaled when queue drains below high water
@@ -86,21 +87,27 @@ func (b *batcher) add(e wire.BatchEntry) {
 	b.signal()
 }
 
-// addControl enqueues a control entry (heartbeat probe or echo, cancel)
-// without ever blocking: control traffic must not park behind the
-// backpressure wait — the heartbeat loop and the server read pump cannot
-// afford to stop — and must not be dropped at high water either, because a
-// saturated-but-healthy link still needs its proof-of-life traffic (a
-// probe starved by a full data queue would let the deadman kill a live
-// link). Control entries are tiny and rate-bounded (one probe per
-// interval, one echo per inbound probe, one cancel per canceled call), so
-// exceeding the high-water mark by their count is harmless. Returns false
-// only when the batcher is already closed. Like add, it takes over e.Msg's
-// buffer (when the entry carries one).
+// addControl enqueues an entry without ever blocking: a control entry
+// (heartbeat probe or echo, cancel), or a relayed answer. Control traffic
+// must not park behind the backpressure wait — the heartbeat loop and the
+// server read pump cannot afford to stop — and must not be dropped at high
+// water either, because a saturated-but-healthy link still needs its
+// proof-of-life traffic (a probe starved by a full data queue would let the
+// deadman kill a live link). A relayed answer is added from a peer conn's
+// receive loop, which must never wait on a client that stopped reading.
+// Both are bounded without the high-water mark: control entries are tiny
+// and rate-bounded (one probe per interval, one echo per inbound probe, one
+// cancel per canceled call), and relayed answers by the requests the
+// conn's own peer has in flight, one each. Returns false only when the
+// batcher is already closed, having recycled e.Msg. Like add, it takes over
+// e.Msg's buffer (when the entry carries one).
 func (b *batcher) addControl(e wire.BatchEntry) bool {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
+		if e.Msg != nil {
+			pool.Put(e.Msg)
+		}
 		return false
 	}
 	b.queue = append(b.queue, e)
@@ -147,10 +154,10 @@ func (b *batcher) sender() {
 			}
 			batch = b.takeLocked(batch[:0])
 			b.mu.Unlock()
-			if b.preSend != nil {
-				b.preSend(batch)
+			var err error
+			if b.preSend == nil || b.preSend(batch) {
+				err = b.sendFrame(batch)
 			}
-			err := b.sendFrame(batch)
 			// Recycle each entry's message buffer and drop the references
 			// so payloads aren't pinned until the next drain.
 			for i := range batch {

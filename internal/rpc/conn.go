@@ -7,14 +7,15 @@ import (
 	"time"
 
 	"repro/internal/pool"
+	"repro/internal/symbol"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
 // Conn is the client side of one pipelined RPC connection. Any number of
-// goroutines may Call concurrently; their requests share one transport
-// conn, coalesce into batch frames under the flush policy, and complete
-// out of order, matched by id.
+// goroutines may Call (or Go) concurrently; their requests share one
+// transport conn, coalesce into batch frames under the flush policy, and
+// complete out of order, matched by id.
 type Conn struct {
 	conn transport.Conn
 	pol  Policy
@@ -23,8 +24,12 @@ type Conn struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]*call
-	err     error // terminal cause; nil while alive
+	pending map[uint64]*outCall // nil once the conn has failed
+	err     error               // terminal cause; nil while alive
+
+	// resp is the receive loop's decode target, reused for every response:
+	// a Completion sees it only for the duration of its Complete call.
+	resp wire.Response
 
 	// lastSent/lastRecv are UnixNano stamps of the latest wire activity in
 	// each direction. The heartbeat loop probes when either direction goes
@@ -38,32 +43,40 @@ type Conn struct {
 	failOnce sync.Once
 }
 
-// call is one in-flight request: its parked response channel and whether
-// its request frame reached the transport (the retry-safety distinction
-// LinkError carries). Calls recycle through a pool — but only off the
-// completion path, where the caller has taken the response and no late send
-// into rc can ever happen; link-failed calls are dropped for the GC rather
-// than risk a stale response crossing into a reused call.
-type call struct {
-	rc   chan *wire.Response
-	sent atomic.Bool
-	// sentAtNS is the UnixNano stamp of the frame carrying this call hitting
-	// the wire, taken only for sampled requests — the queued-in-the-batcher half
-	// of the rpc span. Written in markSent, read by the caller after the
-	// response arrives (the transport round trip orders the two).
+// A Completion receives the outcome of a call issued with Go, exactly once:
+// a response, or the error that ended the call. On a response, err is nil,
+// resp is the validated decode of msg, and both alias the receive loop's
+// buffers — valid only until Complete returns, so whatever outlives the
+// call is copied. On failure resp and msg are nil and err is what a
+// blocking Call would have returned: a *LinkError whose Sent says whether
+// the request reached the wire, or ErrConnClosed.
+//
+// Complete runs on the conn's receive loop or on the goroutine that fails
+// the conn, so it must not block: hand anything that may wait to another
+// goroutine.
+type Completion interface {
+	Complete(resp *wire.Response, msg []byte, err error)
+}
+
+// outCall is one request in flight: who completes it, whether its frame
+// reached the transport (the retry-safety distinction LinkError carries),
+// and what the call metrics and a sampled request's rpc span need. Pooled;
+// it recycles the moment its completion is taken, which is exactly once.
+type outCall struct {
+	done    Completion
+	sent    bool  // guarded by Conn.mu
+	startNS int64 // rpc_call_ns
+	// A sampled request's rpc span: its set and labels, and the UnixNano
+	// stamp of its frame hitting the wire — the queued-in-the-batcher half
+	// of the span (written in markSent, read after the response arrives:
+	// the transport round trip orders the two).
+	spans    *wire.SpanSet
+	folder   int
+	hops     int
 	sentAtNS int64
 }
 
-var callPool = sync.Pool{New: func() any {
-	return &call{rc: make(chan *wire.Response, 1)}
-}}
-
-func getCall() *call {
-	ca := callPool.Get().(*call)
-	ca.sent.Store(false)
-	ca.sentAtNS = 0
-	return ca
-}
+var outCallPool = sync.Pool{New: func() any { return new(outCall) }}
 
 // NewConn starts an RPC connection over conn, the transport conn that was
 // dialed, and its receive loop. The zero Policy means defaults;
@@ -86,7 +99,7 @@ func NewConnResilient(conn transport.Conn, pol Policy, res Resilience) *Conn {
 		conn:    conn,
 		pol:     pol.withDefaults(),
 		hb:      res.Heartbeat,
-		pending: make(map[uint64]*call),
+		pending: make(map[uint64]*outCall),
 		done:    make(chan struct{}),
 	}
 	now := time.Now().UnixNano()
@@ -102,23 +115,29 @@ func NewConnResilient(conn transport.Conn, pol Policy, res Resilience) *Conn {
 }
 
 // markSent stamps outbound activity and flags each request entry's call as
-// handed to the wire, just before the frame ships.
-func (c *Conn) markSent(entries []wire.BatchEntry) {
+// handed to the wire, just before the frame ships. It vetoes the frame once
+// the conn has failed: fail has completed every pending call by then, the
+// unmarked ones as unsent, and that must stay true.
+func (c *Conn) markSent(entries []wire.BatchEntry) bool {
 	now := time.Now().UnixNano()
 	c.lastSent.Store(now)
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil {
+		return false
+	}
 	for _, e := range entries {
 		if e.Cancel || e.Heartbeat {
 			continue
 		}
-		if ca, ok := c.pending[e.ID]; ok {
-			ca.sent.Store(true)
+		if oc, ok := c.pending[e.ID]; ok {
+			oc.sent = true
 			if e.Sampled {
-				ca.sentAtNS = now
+				oc.sentAtNS = now
 			}
 		}
 	}
-	c.mu.Unlock()
+	return true
 }
 
 // Call sends one request and blocks for its response. Closing cancel is a
@@ -129,91 +148,61 @@ func (c *Conn) markSent(entries []wire.BatchEntry) {
 // returned as the value it is (the cancel lost the race). If the link dies,
 // Call fails fast with a *LinkError (errors.Is ErrLinkDown). A request
 // message over MaxMessage fails at once with transport.ErrTooLarge.
+//
+// Call is Go with a waiter as the completion: the returned response is the
+// waiter's private copy, payload included.
 func (c *Conn) Call(q *wire.Request, cancel <-chan struct{}) (*wire.Response, error) {
-	mCalls.Inc()
-	mCallsInflight.Add(1)
-	start := time.Now()
-	resp, err := c.call(q, cancel)
-	mCallNS.Observe(int64(time.Since(start)))
-	mCallsInflight.Add(-1)
-	if err == ErrCanceled {
-		mCancels.Inc()
-	}
-	return resp, err
-}
-
-func (c *Conn) call(q *wire.Request, cancel <-chan struct{}) (*wire.Response, error) {
-	// Encode into a pooled buffer; the batcher owns it from add() on and
-	// recycles it once the frame carrying it has shipped. RequestOverhead
-	// bounds the whole message (keys and strings included), so the append
-	// never outgrows the buffer.
-	msg := wire.AppendRequest(pool.Get(wire.RequestOverhead(q)), q)
-	if len(msg) > MaxMessage {
-		pool.Put(msg)
-		return nil, fmt.Errorf("rpc: %w: %d-byte request, limit %d", transport.ErrTooLarge, len(msg), MaxMessage)
-	}
-	ca := getCall()
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.callErr(c.err, false)
-		c.mu.Unlock()
-		pool.Put(msg)
-		callPool.Put(ca)
+	w := waiterPool.Get().(*waiter)
+	id, err := c.Go(q, w)
+	if err != nil {
+		waiterPool.Put(w)
 		return nil, err
 	}
-	c.nextID++
-	id := c.nextID
-	c.pending[id] = ca
-	c.mu.Unlock()
-
-	// The dedup token, trace, and sampled bit ride the batch entry, not the
-	// request codec, so they re-attach at every forwarding hop.
-	var startNS int64
-	if q.Sampled {
-		startNS = time.Now().UnixNano()
-	}
-	c.out.add(wire.BatchEntry{ID: id, Token: q.Token, Trace: q.TraceID, Sampled: q.Sampled, Msg: msg})
-
 	for {
 		select {
-		case resp := <-ca.rc:
-			if q.Sampled && q.Spans != nil {
-				// The rpc client span: full call round trip, with the time the
-				// request sat queued in the batcher before its frame shipped as
-				// its wait component.
-				endNS := time.Now().UnixNano()
-				var queued int64
-				if ca.sentAtNS > startNS {
-					queued = ca.sentAtNS - startNS
-				}
-				q.Spans.Add(wire.Span{Layer: "rpc", Op: "send", Folder: q.FolderID,
-					Hop: q.Hops, Start: startNS, Dur: endNS - startNS, Wait: queued})
+		case <-w.ready:
+			resp, err := w.resp, w.err
+			w.resp, w.err = nil, nil
+			waiterPool.Put(w)
+			if err != nil {
+				return nil, err
 			}
-			callPool.Put(ca)
 			return terminal(resp)
 		case <-cancel:
 			// Ask the server to unblock the in-flight request, which may be
 			// parked on a folder wait, and keep waiting: only its response
-			// says whether the request consumed anything. The entry shares
-			// the batcher's FIFO with the request, so it cannot overtake it.
-			// Control enqueue: never parks this caller behind the
-			// backpressure wait.
-			c.out.addControl(wire.BatchEntry{ID: id, Cancel: true})
+			// says whether the request consumed anything.
+			c.Cancel(id)
 			cancel = nil
-		case <-c.done:
-			c.mu.Lock()
-			err := c.callErr(c.err, ca.sent.Load())
-			delete(c.pending, id)
-			c.mu.Unlock()
-			// A response may have raced the teardown.
-			select {
-			case resp := <-ca.rc:
-				return terminal(resp)
-			default:
-			}
-			return nil, err
 		}
 	}
+}
+
+// waiter is the Completion a blocking Call parks on.
+type waiter struct {
+	ready chan struct{} // capacity 1: the one completion's signal
+	resp  *wire.Response
+	err   error
+}
+
+var waiterPool = sync.Pool{New: func() any {
+	return &waiter{ready: make(chan struct{}, 1)}
+}}
+
+// Complete copies what the caller keeps out of the receive loop's buffers —
+// payload bytes are copied exactly once on the client, and value-less
+// responses (put/ping acknowledgements) not at all — and wakes the caller.
+func (w *waiter) Complete(resp *wire.Response, _ []byte, err error) {
+	if err == nil {
+		r := &wire.Response{Status: resp.Status, Key: symbol.Key{S: resp.Key.S}, Payload: resp.Payload, Err: resp.Err}
+		if len(resp.Key.X) > 0 {
+			r.Key = resp.Key.Clone()
+		}
+		r.Retain()
+		w.resp = r
+	}
+	w.err = err
+	w.ready <- struct{}{}
 }
 
 // terminal turns a call's one response into Call's result.
@@ -222,6 +211,97 @@ func terminal(resp *wire.Response) (*wire.Response, error) {
 		return nil, ErrCanceled
 	}
 	return resp, nil
+}
+
+// Go sends one request and returns at once with its call id; done receives
+// the call's one outcome (see Completion) — possibly before Go returns. Go
+// fails without ever running done when the request cannot be queued: a
+// request message over MaxMessage (transport.ErrTooLarge), or a conn
+// already dead (what Call would return). Cancel(id) asks the server to
+// unblock the call; done still receives its one terminal response.
+func (c *Conn) Go(q *wire.Request, done Completion) (uint64, error) {
+	return c.issue(q, done, nil)
+}
+
+// issue is Go, recording the call id on relayed — when it is non-nil — in
+// the same critical section that makes the call completable, so the id is
+// there before any outcome can reach the relayed request.
+func (c *Conn) issue(q *wire.Request, done Completion, relayed *Pending) (uint64, error) {
+	// Encode into a pooled buffer; the batcher owns it from add() on and
+	// recycles it once the frame carrying it has shipped. RequestOverhead
+	// bounds the whole message (keys and strings included), so the append
+	// never outgrows the buffer.
+	msg := wire.AppendRequest(pool.Get(wire.RequestOverhead(q)), q)
+	if len(msg) > MaxMessage {
+		pool.Put(msg)
+		return 0, fmt.Errorf("rpc: %w: %d-byte request, limit %d", transport.ErrTooLarge, len(msg), MaxMessage)
+	}
+	oc := outCallPool.Get().(*outCall)
+	*oc = outCall{done: done, startNS: time.Now().UnixNano()}
+	if q.Sampled && q.Spans != nil {
+		oc.spans, oc.folder, oc.hops = q.Spans, q.FolderID, q.Hops
+	}
+	c.mu.Lock()
+	if c.err != nil {
+		err := c.callErr(c.err, false)
+		c.mu.Unlock()
+		pool.Put(msg)
+		outCallPool.Put(oc)
+		return 0, err
+	}
+	c.nextID++
+	id := c.nextID
+	c.pending[id] = oc
+	if relayed != nil {
+		relayed.peer, relayed.peerID = c, id
+	}
+	c.mu.Unlock()
+	mCalls.Inc()
+	mCallsInflight.Add(1)
+
+	// The dedup token, trace, and sampled bit ride the batch entry, not the
+	// request codec, so they re-attach at every forwarding hop.
+	c.out.add(wire.BatchEntry{ID: id, Token: q.Token, Trace: q.TraceID, Sampled: q.Sampled, Msg: msg})
+	return id, nil
+}
+
+// Cancel asks the server to unblock call id, which may be parked on a
+// folder wait; the call still completes once, with whatever the server
+// answers. The entry shares the batcher's FIFO with the request, so it
+// cannot overtake it, and is a control enqueue: it never parks the caller
+// behind the backpressure wait. A call already completed is left alone.
+func (c *Conn) Cancel(id uint64) {
+	c.mu.Lock()
+	_, live := c.pending[id]
+	c.mu.Unlock()
+	if live {
+		c.out.addControl(wire.BatchEntry{ID: id, Cancel: true})
+	}
+}
+
+// complete hands a call's one outcome to its completion: first the call
+// metrics and a sampled request's rpc span (the full call round trip, with
+// the time the request sat queued in the batcher as its wait component),
+// then the outCall recycles and done runs.
+func (c *Conn) complete(oc *outCall, resp *wire.Response, msg []byte, err error) {
+	endNS := time.Now().UnixNano()
+	mCallNS.Observe(endNS - oc.startNS)
+	mCallsInflight.Add(-1)
+	if err == nil && resp.Status == wire.StatusCanceled {
+		mCancels.Inc()
+	}
+	if err == nil && oc.spans != nil {
+		var queued int64
+		if oc.sentAtNS > oc.startNS {
+			queued = oc.sentAtNS - oc.startNS
+		}
+		oc.spans.Add(wire.Span{Layer: "rpc", Op: "send", Folder: oc.folder,
+			Hop: oc.hops, Start: oc.startNS, Dur: endNS - oc.startNS, Wait: queued})
+	}
+	done := oc.done
+	*oc = outCall{}
+	outCallPool.Put(oc)
+	done.Complete(resp, msg, err)
 }
 
 // callErr shapes the terminal cause into what a caller sees: an explicit
@@ -235,11 +315,10 @@ func (c *Conn) callErr(cause error, sent bool) error {
 }
 
 // recvLoop matches batched responses back to pending calls. Each received
-// frame lives in a pooled buffer the decoded responses alias; payloads that
-// leave this loop (handed to callers, who own them indefinitely) take their
-// Retain copy here — payload bytes are copied exactly once on the client,
-// and value-less responses (put/ping acknowledgements) not at all — and the
-// frame recycles at the bottom of each iteration.
+// frame lives in a pooled buffer; every response is validated by decoding
+// it into the one reused c.resp and handed, aliasing the frame, to its
+// call's completion, which copies what it keeps. The frame recycles at the
+// bottom of each iteration.
 func (c *Conn) recvLoop() {
 	var entries []wire.BatchEntry
 	for {
@@ -266,25 +345,24 @@ func (c *Conn) recvLoop() {
 				// The echo's whole job was advancing lastRecv.
 				continue
 			}
-			resp, err := wire.DecodeResponse(e.Msg)
-			if err != nil {
+			if err := wire.DecodeResponseInto(&c.resp, e.Msg); err != nil {
 				c.fail(fmt.Errorf("rpc: bad response in batch: %w", err))
 				return
 			}
-			resp.Retain()
 			c.mu.Lock()
-			ca, ok := c.pending[e.ID]
+			oc, ok := c.pending[e.ID]
 			if ok {
 				delete(c.pending, e.ID)
 			}
 			c.mu.Unlock()
 			if ok {
-				ca.rc <- resp
+				c.complete(oc, &c.resp, e.Msg, nil)
 			}
 			// A response to an unknown id answers a call its link failure
-			// already ended; drop.
+			// already completed; drop.
 			*e = wire.BatchEntry{}
 		}
+		c.resp.Payload = nil
 		pool.Put(buf)
 	}
 }
@@ -330,7 +408,8 @@ func (c *Conn) heartbeatLoop() {
 	}
 }
 
-// fail marks the connection dead and wakes every pending call.
+// fail marks the connection dead and completes every pending call on this
+// goroutine, each with the error a blocking Call would see.
 func (c *Conn) fail(err error) {
 	c.failOnce.Do(func() {
 		if err != ErrConnClosed {
@@ -340,10 +419,15 @@ func (c *Conn) fail(err error) {
 		if c.err == nil {
 			c.err = err
 		}
+		pending := c.pending
+		c.pending = nil
 		c.mu.Unlock()
 		c.out.close()
 		close(c.done)
 		_ = c.conn.Close()
+		for _, oc := range pending {
+			c.complete(oc, nil, nil, c.callErr(err, oc.sent))
+		}
 	})
 }
 

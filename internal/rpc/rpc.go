@@ -10,21 +10,24 @@
 //     calls in flight on one transport.Conn, and coalesces concurrent
 //     small requests into one wire batch frame under a flush policy
 //     (Policy: max batch count, max batch bytes). Responses
-//     return in completion order and are matched back to callers by id.
+//     return in completion order and are matched back by id to each
+//     call's Completion (Go); Call is Go plus a wait.
 //
 //   - Serve (server side) decodes each inbound batch frame, dispatches its
 //     requests concurrently (through a thread-cache Submit), and coalesces
 //     the responses into batched response frames under the same flush
 //     policy. Blocking operations (get on an empty folder, watch) simply
 //     leave their response for a later frame — they never stall the other
-//     requests of their batch.
+//     requests of their batch. ServeRouted routes each request on the read
+//     loop first, and may relay it onto another Conn instead of spending a
+//     thread on it: the relayed call's completion answers it.
 //
 // Cancellation is a batched control entry: a cancel entry names the
 // in-flight request id, and the server closes that request's cancel
-// channel.
+// channel — or, for a relayed request, cancels the call it was relayed as.
 //
-// Nothing fragments a frame, so a memo's size is bounded: Call refuses a
-// request message over MaxMessage before queuing it.
+// Nothing fragments a frame, so a memo's size is bounded: Go and Call
+// refuse a request message over MaxMessage before queuing it.
 //
 // Batch frames are the only frames either side accepts. A frame that does
 // not start with the batch magic — a bare encoded request, garbage — ends
@@ -46,13 +49,13 @@ const (
 	DefaultMaxBytes = 64 << 10
 )
 
-// MaxMessage is the largest encoded request Call accepts. A larger one fails
-// with an error matching transport.ErrTooLarge before it is queued; it is
-// not a LinkError, so nothing retries it, and the connection stays up. It
-// is the memo size bound: 64 KiB below transport.MaxFrame leaves room for
-// the batch framing and for what a response adds to the memo it returns
-// (a status byte and its key), so the get that takes any accepted memo fits
-// in one frame as well.
+// MaxMessage is the largest encoded request Go and Call accept. A larger
+// one fails with an error matching transport.ErrTooLarge before it is
+// queued; it is not a LinkError, so nothing retries it, and the connection
+// stays up. It is the memo size bound: 64 KiB below transport.MaxFrame
+// leaves room for the batch framing and for what a response adds to the
+// memo it returns (a status byte and its key), so the get that takes any
+// accepted memo fits in one frame as well.
 const MaxMessage = transport.MaxFrame - 64<<10
 
 // DefaultHeartbeat is the probe interval client dial helpers use when the
@@ -98,7 +101,7 @@ var (
 	ErrLinkDown = errors.New("rpc: link down")
 )
 
-// LinkError is the failure a Call returns when its connection dies. Sent
+// LinkError is how a call ends when its connection dies. Sent
 // distinguishes the two retry classes: a request that never left the local
 // batcher queue (Sent == false) was certainly not executed and is safe to
 // retry for any operation, while a request already handed to the transport

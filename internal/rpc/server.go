@@ -30,25 +30,47 @@ type SubmitFunc func(fn func(any), arg any) error
 
 // Serve answers requests on one transport conn until it fails, returning the
 // terminal receive error. Each batch frame's requests dispatch concurrently
-// through submit; each response is queued on a response batcher, so replies
-// coalesce into batched frames in completion order and a blocked request
-// never delays its batch-mates. Batch frames are the whole protocol: a frame
-// that does not start with the batch magic is a protocol error — Serve
-// returns it without invoking h, and the caller closes the conn (as
-// memoserver.Node's accept task does), which is the only answer such a peer
-// gets: an rpc peer has no request id to match an unsolicited response to,
-// and must see its Recv fail rather than hang.
+// through submit, each running h on a thread; each response is queued on a
+// response batcher, so replies coalesce into batched frames in completion
+// order and a blocked request never delays its batch-mates. Batch frames are
+// the whole protocol: a frame that does not start with the batch magic is a
+// protocol error — Serve returns it without invoking h, and the caller
+// closes the conn (as memoserver.Node's accept task does), which is the only
+// answer such a peer gets: an rpc peer has no request id to match an
+// unsolicited response to, and must see its Recv fail rather than hang.
 //
 // Buffer ownership: each received frame arrives in a pooled buffer that
 // every request decoded from it aliases. The frame is reference-counted
-// through dispatch and recycled when the last request of the batch
-// completes — a batch holding one long-blocking folder wait pins at most
+// through dispatch and recycled when the last request of the batch is
+// answered — a batch holding one long-blocking folder wait pins at most
 // one frame, never a copy per request.
 func Serve(conn transport.Conn, h Handler, submit SubmitFunc, pol Policy) error {
+	return ServeRouted(conn, func(p *Pending) { p.Run(runHandler, h) }, submit, pol)
+}
+
+// runHandler is Serve's RunFunc: the Handler rides as the Pending's arg.
+func runHandler(p *Pending) *wire.Response {
+	return p.arg.(Handler)(&p.q, p.cc)
+}
+
+// A Router routes each request ServeRouted decodes, on the read loop,
+// before a thread is spent on it. It must not block (beyond the
+// backpressure a relayed request's peer conn applies), must hand p on
+// through p.Run or a successful p.Relay, and must not touch p afterwards.
+type Router func(p *Pending)
+
+// A RunFunc answers a Pending on a thread: its result is the response.
+type RunFunc func(p *Pending) *wire.Response
+
+// ServeRouted is Serve with the routing decision taken on the read loop:
+// route sees every decoded request first and either runs it on a thread
+// with the decision in hand (Pending.Run) or relays it onto another Conn
+// without one (Pending.Relay), to be answered from that conn's receive loop.
+func ServeRouted(conn transport.Conn, route Router, submit SubmitFunc, pol Policy) error {
 	s := &server{
-		h:        h,
+		route:    route,
 		submit:   submit,
-		inflight: make(map[uint64]chan struct{}),
+		inflight: make(map[uint64]*Pending),
 	}
 	s.out = newBatcher(wire.BatchResponse, pol.withDefaults(), conn, func(error) { _ = conn.Close() })
 	defer s.shutdown()
@@ -110,81 +132,177 @@ func (fb *frameBuf) release() {
 
 // server is the per-connection serving state.
 type server struct {
-	h      Handler
+	route  Router
 	submit SubmitFunc
 	out    *batcher
 
 	mu       sync.Mutex
-	inflight map[uint64]chan struct{} // request id -> its cancel channel
+	inflight map[uint64]*Pending // request id -> the request, until answered
 	down     bool
 }
 
-// dispatchTask is one batched request in flight: the pooled argument struct
-// handed to SubmitFunc, so dispatch allocates neither a closure nor a fresh
-// request per entry. The cancel channel is recycled with the task whenever
-// the request completed without being canceled (a canceled request's
-// channel is closed and must not be reused).
-type dispatchTask struct {
-	s  *server
-	fb *frameBuf
-	id uint64
-	q  wire.Request
-	cc chan struct{}
+// Pending is one request Serve has decoded and not yet answered. It is
+// answered exactly once, from whichever goroutine finishes it, and recycles
+// with everything it holds: the decoded request (whose payload aliases the
+// frame, pinned until the answer), its cancel channel, and the relay state.
+type Pending struct {
+	s   *server
+	fb  *frameBuf
+	id  uint64
+	q   wire.Request
+	cc  chan struct{}
+	run RunFunc
+	arg any
+
+	// Guarded by s.mu, except that issue writes peer and peerID on the read
+	// loop before the relayed call can complete, and Run reads peer on the
+	// goroutine that completed that call (see Relay).
+	canceled bool   // a cancel entry or the conn's end asked to unblock it
+	ccClosed bool   // cc is closed: it cannot be recycled
+	peer     *Conn  // the conn it is relayed on; nil while a thread has it
+	peerID   uint64 // its call id on peer
 }
 
-var dispatchTaskPool = sync.Pool{New: func() any {
-	return &dispatchTask{cc: make(chan struct{})}
+var pendingPool = sync.Pool{New: func() any {
+	return &Pending{cc: make(chan struct{})}
 }}
 
-// recycleTask resets t and returns it to the pool. The reset keeps the
+// Request is the decoded request. Its payload aliases the received frame
+// until p is answered; a handler that keeps the bytes past that copies them.
+func (p *Pending) Request() *wire.Request { return &p.q }
+
+// Arg is the value the router handed to Run or Relay.
+func (p *Pending) Arg() any { return p.arg }
+
+// Cancel closes when the client cancels the request or the connection dies,
+// while a thread has the request: blocking handlers must honour it, and
+// answer wire.StatusCanceled only if the request consumed nothing. While p
+// is relayed a cancel goes to the peer call instead.
+func (p *Pending) Cancel() <-chan struct{} { return p.cc }
+
+// Run answers p on a thread: fn(p) runs through the server's SubmitFunc, with
+// arg available as p.Arg, and its response is the answer. A relayed p's
+// completion calls Run when the relayed call failed: cancels go back to
+// p.Cancel, which is closed at once if one already went to the dead call.
+func (p *Pending) Run(fn RunFunc, arg any) {
+	if p.peer != nil {
+		p.s.mu.Lock()
+		p.peer = nil
+		if p.canceled && !p.ccClosed {
+			p.ccClosed = true
+			close(p.cc)
+		}
+		p.s.mu.Unlock()
+	}
+	p.run, p.arg = fn, arg
+	if p.s.submit == nil {
+		go runPending(p)
+		return
+	}
+	if err := p.s.submit(runPending, p); err != nil {
+		// Run may be on a peer conn's receive loop or on the goroutine
+		// shutting the node down: answer without waiting on the queue.
+		p.answer(wire.Errf("server shutting down"), false)
+	}
+}
+
+// Relay sends p's request — as it stands, so the router may have rewritten
+// it — on c with done as the call's completion, which answers p: from c's
+// receive loop with AnswerEncoded, with no thread and no re-encode, or, when
+// the call fails, through Run. While the call is in flight a cancel entry
+// for p becomes a cancel of the call on c. An error means the request could
+// not be queued (as with Conn.Go): done never runs and p is the caller's
+// still. Called only by the Router, on the read loop — the one goroutine
+// that also reads p's relay state to route a cancel.
+func (p *Pending) Relay(c *Conn, done Completion) error {
+	_, err := c.issue(&p.q, done, p)
+	return err
+}
+
+// AnswerEncoded answers p with an encoded response message — a relayed
+// call's, validated by the receive loop that hands it over — copied into a
+// pooled buffer, without ever waiting on the response queue: the peer
+// conn's receive loop must not stall behind a client that stopped reading.
+func (p *Pending) AnswerEncoded(msg []byte) {
+	p.finish(append(pool.Get(len(msg)), msg...), false)
+}
+
+// runPending is the thread half of Run. Static function — its any argument
+// is the pooled *Pending, so submission costs no allocation.
+func runPending(a any) {
+	p := a.(*Pending)
+	p.answer(p.run(p), true)
+}
+
+// answer encodes resp into a pooled buffer — ResponseOverhead bounds the
+// whole message, so the append never outgrows it — and answers p with it
+// (see finish for wait).
+func (p *Pending) answer(resp *wire.Response, wait bool) {
+	p.finish(wire.AppendResponse(pool.Get(wire.ResponseOverhead(resp)), resp), wait)
+}
+
+// finish retires p: it leaves the in-flight set, its encoded answer joins
+// the response batcher — waiting out the backpressure when wait is set, as
+// a thread running p may, and never otherwise (a peer conn's receive loop,
+// a failed submit) — and p releases its frame reference and recycles.
+func (p *Pending) finish(msg []byte, wait bool) {
+	s := p.s
+	s.mu.Lock()
+	delete(s.inflight, p.id)
+	s.mu.Unlock()
+	if wait {
+		s.out.add(wire.BatchEntry{ID: p.id, Msg: msg})
+	} else {
+		s.out.addControl(wire.BatchEntry{ID: p.id, Msg: msg})
+	}
+	mServerInflight.Add(-1)
+	p.fb.release()
+	recyclePending(p)
+}
+
+// recyclePending resets p and returns it to the pool. The reset keeps the
 // request's key-extension and key-list capacity and its App string (a Go
 // string of its own, not frame bytes) — exactly what DecodeRequestInto's
 // reuse branches refill or keep — while dropping every reference into the
-// (possibly already released) frame, so a parked task
-// never pins a recycled buffer and never dangles aliased bytes. Only call
-// it when t.cc is known unclosed.
-func recycleTask(t *dispatchTask) {
-	t.s, t.fb = nil, nil
-	t.q = wire.Request{
-		App:  t.q.App,
-		Key:  symbol.Key{X: t.q.Key.X[:0]},
-		Key2: symbol.Key{X: t.q.Key2.X[:0]},
-		Keys: t.q.Keys[:0],
+// (possibly already released) frame, so a pooled Pending never pins a
+// recycled buffer and never dangles aliased bytes. A closed cancel channel
+// is replaced; it is the one allocation a canceled request costs.
+func recyclePending(p *Pending) {
+	cc := p.cc
+	if p.ccClosed {
+		cc = make(chan struct{})
 	}
-	dispatchTaskPool.Put(t)
+	*p = Pending{
+		cc: cc,
+		q: wire.Request{
+			App:  p.q.App,
+			Key:  symbol.Key{X: p.q.Key.X[:0]},
+			Key2: symbol.Key{X: p.q.Key2.X[:0]},
+			Keys: p.q.Keys[:0],
+		},
+	}
+	pendingPool.Put(p)
 }
 
-// runDispatch executes one batched request: handle, respond, release the
-// frame, recycle the task. Static function — its any argument is the pooled
-// *dispatchTask, so submission costs no allocation.
-func runDispatch(a any) {
-	t := a.(*dispatchTask)
-	s := t.s
-	mServerRequests.Inc()
-	mServerInflight.Add(1)
-	resp := s.h(&t.q, t.cc)
-	mServerInflight.Add(-1)
-	s.mu.Lock()
-	_, owned := s.inflight[t.id]
-	if owned {
-		delete(s.inflight, t.id)
+// cancelLocked delivers a cancel to p, once: to the peer call while p is
+// relayed, on p.cc while a thread has it.
+func (p *Pending) cancelLocked() {
+	if p.canceled {
+		return
 	}
-	s.mu.Unlock()
-	s.respond(t.id, resp)
-	t.fb.release()
-	// owned means no cancel (or shutdown) removed the id first, so t.cc was
-	// never closed and the whole task can recycle. Otherwise the channel is
-	// (or is about to be) closed; drop the task for the GC.
-	if owned {
-		recycleTask(t)
+	p.canceled = true
+	if p.peer != nil {
+		p.peer.Cancel(p.peerID)
+		return
 	}
+	p.ccClosed = true
+	close(p.cc)
 }
 
 // dispatch routes one batch entry: heartbeats echo straight back through
 // the response batcher (keeping both directions of the link visibly alive);
-// cancels close the target request's cancel channel; requests run
-// concurrently and respond through the batcher, holding a reference on the
-// frame buffer their decoded payload aliases.
+// cancels reach the target request; requests go to the router, holding a
+// reference on the frame buffer their decoded payload aliases.
 func (s *server) dispatch(e wire.BatchEntry, fb *frameBuf) {
 	if e.Heartbeat {
 		// Control enqueue: the read pump must never park behind a response
@@ -197,19 +315,15 @@ func (s *server) dispatch(e wire.BatchEntry, fb *frameBuf) {
 	}
 	if e.Cancel {
 		s.mu.Lock()
-		cc, ok := s.inflight[e.ID]
-		if ok {
-			delete(s.inflight, e.ID)
+		if p, ok := s.inflight[e.ID]; ok {
+			p.cancelLocked()
 		}
 		s.mu.Unlock()
-		if ok {
-			close(cc)
-		}
 		return
 	}
-	t := dispatchTaskPool.Get().(*dispatchTask)
-	if err := wire.DecodeRequestInto(&t.q, e.Msg); err != nil {
-		recycleTask(t)
+	p := pendingPool.Get().(*Pending)
+	if err := wire.DecodeRequestInto(&p.q, e.Msg); err != nil {
+		recyclePending(p)
 		s.respond(e.ID, wire.Errf("bad request: %v", err))
 		return
 	}
@@ -217,66 +331,54 @@ func (s *server) dispatch(e wire.BatchEntry, fb *frameBuf) {
 	// request codec does not carry them. Only sampled requests get a receive
 	// stamp — the dispatch wrapper turns it into the queue-wait component of
 	// its span — so the unsampled path takes no clock reading here.
-	t.q.Token = e.Token
-	t.q.TraceID = e.Trace
-	t.q.Sampled = e.Sampled
+	p.q.Token = e.Token
+	p.q.TraceID = e.Trace
+	p.q.Sampled = e.Sampled
 	if e.Sampled {
-		t.q.EnqueueNS = time.Now().UnixNano()
+		p.q.EnqueueNS = time.Now().UnixNano()
 	}
-	t.s, t.id = s, e.ID
+	p.s, p.id = s, e.ID
 	s.mu.Lock()
 	if s.down {
 		s.mu.Unlock()
-		recycleTask(t)
+		recyclePending(p)
 		return
 	}
 	if _, dup := s.inflight[e.ID]; dup {
 		// A buggy or hostile peer reused a live id; honouring it would
-		// orphan the first request's cancel channel.
+		// orphan the first request's cancel.
 		s.mu.Unlock()
-		recycleTask(t)
+		recyclePending(p)
 		s.respond(e.ID, wire.Errf("duplicate request id %d", e.ID))
 		return
 	}
-	s.inflight[e.ID] = t.cc
+	s.inflight[e.ID] = p
 	s.mu.Unlock()
 
 	// The request aliases the frame and outlives this function: the
-	// reference taken here pins the frame until runDispatch releases it.
+	// reference taken here pins the frame until p is answered.
 	fb.retain()
-	t.fb = fb
-	if s.submit == nil {
-		go runDispatch(t)
-		return
-	}
-	if err := s.submit(runDispatch, t); err != nil {
-		s.mu.Lock()
-		delete(s.inflight, e.ID)
-		s.mu.Unlock()
-		fb.release()
-		s.respond(e.ID, wire.Errf("server shutting down"))
-	}
+	p.fb = fb
+	mServerRequests.Inc()
+	mServerInflight.Add(1)
+	s.route(p)
 }
 
-// respond queues one response for batched delivery, encoded into a pooled
-// buffer the batcher recycles once the frame ships. ResponseOverhead bounds
-// the whole message (key and error string included), so the append never
-// outgrows the buffer.
+// respond queues a response to a request that never became a Pending.
 func (s *server) respond(id uint64, resp *wire.Response) {
 	msg := wire.AppendResponse(pool.Get(wire.ResponseOverhead(resp)), resp)
 	s.out.add(wire.BatchEntry{ID: id, Msg: msg})
 }
 
-// shutdown cancels every in-flight request so blocked handlers unwind, and
-// retires the response batcher.
+// shutdown cancels every request still in flight so blocked handlers unwind
+// and relayed calls are canceled at their peer, and retires the response
+// batcher; answers that arrive later are dropped.
 func (s *server) shutdown() {
 	s.mu.Lock()
 	s.down = true
-	inflight := s.inflight
-	s.inflight = make(map[uint64]chan struct{})
-	s.mu.Unlock()
-	for _, cc := range inflight {
-		close(cc)
+	for _, p := range s.inflight {
+		p.cancelLocked()
 	}
+	s.mu.Unlock()
 	s.out.close()
 }

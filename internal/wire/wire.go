@@ -316,12 +316,6 @@ func (r *reader) bytes() []byte {
 	return b
 }
 
-func (r *reader) key() symbol.Key {
-	var k symbol.Key
-	r.keyInto(&k)
-	return k
-}
-
 // keyInto decodes a key in place, reusing k's extension-slot capacity — the
 // decode path of a pooled Request re-decodes into the same Key storage.
 func (r *reader) keyInto(k *symbol.Key) {
@@ -514,22 +508,33 @@ func EncodeResponse(p *Response) []byte {
 // DecodeResponse parses a response. The returned response's Payload ALIASES
 // buf; callers that retain it past buf's lifetime must Retain() first.
 func DecodeResponse(buf []byte) (*Response, error) {
-	r := &reader{buf: buf}
 	p := &Response{}
+	if err := DecodeResponseInto(p, buf); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// DecodeResponseInto parses a response into p, reusing p's key
+// extension-slot capacity — the receive loop's decode path, which validates
+// every response into one reused Response. p.Payload ALIASES buf, and
+// p.Key.X is p's own storage, overwritten by the next decode.
+func DecodeResponseInto(p *Response, buf []byte) error {
+	r := &reader{buf: buf}
 	p.Status = Status(r.byte())
-	p.Key = r.key()
+	r.keyInto(&p.Key)
 	p.Payload = r.bytes()
 	p.Err = r.str()
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if r.pos != len(buf) {
-		return nil, fmt.Errorf("wire: %d trailing bytes in response", len(buf)-r.pos)
+		return fmt.Errorf("wire: %d trailing bytes in response", len(buf)-r.pos)
 	}
 	if p.Status == StatusInvalid || p.Status > StatusCanceled {
-		return nil, fmt.Errorf("wire: invalid status %d", p.Status)
+		return fmt.Errorf("wire: invalid status %d", p.Status)
 	}
-	return p, nil
+	return nil
 }
 
 // okResponse is the shared success response for value-less operations. It is
