@@ -53,17 +53,17 @@ func (c *Client) LastTraceID() uint64 { return c.lastTrace.Load() }
 // DialFunc matches Network.DialFrom.
 type DialFunc func(srcHost, addr string) (transport.Conn, error)
 
-// DialClientResilient connects with a batch flush policy and the full
-// link-resilience layer: heartbeats (res.Heartbeat), reconnect with backoff
-// when the link to the local memo server dies (res.Redial — the link heals
-// across a memo-server restart), and bounded transparent retries
-// (res.Retries) of safely-retriable requests, with puts carried under
-// client-generated dedup tokens so maybe-delivered deposits retry safely.
-// The initial dial happens eagerly, so an unreachable memo server surfaces
-// here rather than on the first request.
-func DialClientResilient(dial DialFunc, host, app string, pol rpc.Policy, res rpc.Resilience) (*Client, error) {
+// DialClientResilient connects with the full link-resilience layer:
+// heartbeats (res.Heartbeat), reconnect with backoff when the link to the
+// local memo server dies (res.Redial — the link heals across a memo-server
+// restart), and bounded transparent retries (res.Retries) of
+// safely-retriable requests, with puts carried under client-generated dedup
+// tokens so maybe-delivered deposits retry safely. The initial dial happens
+// eagerly, so an unreachable memo server surfaces here rather than on the
+// first request. The rpc.Policy is an unused placeholder (see rpc.Policy).
+func DialClientResilient(dial DialFunc, host, app string, _ rpc.Policy, res rpc.Resilience) (*Client, error) {
 	c := &Client{Host: host, App: app}
-	c.link = newRlink(func() (transport.Conn, error) { return dial(host, MemoAddr(host)) }, pol, res)
+	c.link = newRlink(func() (transport.Conn, error) { return dial(host, MemoAddr(host)) }, res)
 	if _, err := c.link.get(nil); err != nil {
 		c.link.close()
 		return nil, fmt.Errorf("memoserver: dial %s: %w", host, err)
@@ -96,7 +96,7 @@ func (c *Client) Do(q *wire.Request, cancel <-chan struct{}) (*wire.Response, er
 	if q.TraceID != 0 {
 		c.lastTrace.Store(q.TraceID)
 	}
-	resp, dialed, err := c.link.call(q, cancel, &c.retried)
+	resp, dialed, err := c.link.call(q, cancel, nil, &c.retried)
 	if err != nil && !dialed && err != ErrClientCanceled {
 		err = fmt.Errorf("memoserver: dial %s: %w", c.Host, err)
 	}

@@ -37,7 +37,6 @@ var (
 // way: fail fast, back off, re-dial, retry what is safe.
 type rlink struct {
 	dial func() (transport.Conn, error)
-	pol  rpc.Policy
 	res  rpc.Resilience
 
 	mu      sync.Mutex
@@ -72,8 +71,8 @@ type LinkHealth struct {
 
 // newRlink builds a link that reaches its peer through dial, which returns
 // the raw transport conn. Creation does not dial.
-func newRlink(dial func() (transport.Conn, error), pol rpc.Policy, res rpc.Resilience) *rlink {
-	return &rlink{dial: dial, pol: pol, res: res}
+func newRlink(dial func() (transport.Conn, error), res rpc.Resilience) *rlink {
+	return &rlink{dial: dial, res: res}
 }
 
 // get returns the live rpc connection, dialing if the link is down. At most
@@ -148,7 +147,7 @@ func (l *rlink) redial(done chan struct{}) error {
 	var c *rpc.Conn
 	raw, err := l.dial()
 	if err == nil {
-		c = rpc.NewConnResilient(raw, l.pol, l.res)
+		c = rpc.NewConnResilient(raw, l.res)
 	}
 	var dead *rpc.Conn
 	l.mu.Lock()
@@ -230,22 +229,17 @@ func (l *rlink) stats() LinkHealth {
 // LinkError.Sent == false — and, once it may have executed, only when
 // q.RetrySafe (the verb is idempotent, or the folder server deduplicates it
 // by token). This being the one place that retries, it is also the one
-// place that stamps the token (see stamp). retried counts the re-issues.
+// place that stamps the token (see stamp). A non-nil first is the failure of
+// an attempt already issued elsewhere — a relay the read loop sent with
+// rpc.Pending.Relay, stamped there — and counts against the retries like
+// any other. retried counts the re-issues.
 // The bool reports whether the last attempt got a connection at all, so
 // callers can word a dial failure apart from a failed call.
 // ErrClientCanceled means the owning store said the canceled call consumed
 // nothing, or that no attempt can have reached it: once an attempt has failed
 // with its request possibly sent, a cancel returns that attempt's link error
 // (outcome unknown) instead.
-func (l *rlink) call(q *wire.Request, cancel <-chan struct{}, retried *obs.Counter) (*wire.Response, bool, error) {
-	return l.resume(q, cancel, nil, retried)
-}
-
-// resume is call continuing from a first attempt issued elsewhere — a
-// relay the read loop sent with rpc.Pending.Relay, stamped there — that
-// failed with first; a nil first means no attempt yet. The attempt counts
-// against the retries like any other.
-func (l *rlink) resume(q *wire.Request, cancel <-chan struct{}, first error, retried *obs.Counter) (*wire.Response, bool, error) {
+func (l *rlink) call(q *wire.Request, cancel <-chan struct{}, first error, retried *obs.Counter) (*wire.Response, bool, error) {
 	l.stamp(q)
 	// canceled is what a cancel reports: that, until an attempt fails with
 	// its request possibly executed; from then on that attempt's link error.

@@ -37,7 +37,7 @@ func (s *scriptedDial) dial() (transport.Conn, error) {
 
 func testLink(t *testing.T, dial func() (transport.Conn, error), bo transport.Backoff) *rlink {
 	t.Helper()
-	l := newRlink(dial, rpc.Policy{}, rpc.Resilience{Redial: bo})
+	l := newRlink(dial, rpc.Resilience{Redial: bo})
 	t.Cleanup(l.close)
 	return l
 }

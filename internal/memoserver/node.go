@@ -180,7 +180,7 @@ func (n *Node) newPeerLink(host string) *peerLink {
 		}
 		return n.dialFrom(n.Host, MemoAddr(host))
 	}
-	return &peerLink{rlink: newRlink(dial, rpc.Policy{}, n.cfg.Resilience), n: n, host: host}
+	return &peerLink{rlink: newRlink(dial, n.cfg.Resilience), n: n, host: host}
 }
 
 // NewWithNetwork creates a memo server over any Network — a listener
@@ -314,7 +314,7 @@ func (n *Node) acceptLoop(l transport.Listener) {
 		n.inbound[conn] = struct{}{}
 		n.mu.Unlock()
 		if err := n.pool.Submit(func() {
-			_ = rpc.ServeRouted(conn, n.route, n.pool.SubmitArg, rpc.Policy{})
+			_ = rpc.ServeRouted(conn, n.route, n.pool.SubmitArg)
 			n.retire(conn)
 		}); err != nil {
 			n.retire(conn)
@@ -435,245 +435,252 @@ func (n *Node) lookupApp(name string) (*App, bool) {
 	return v.(*App), true
 }
 
-// Dispatch routes one request: to a local folder server, or toward the
-// target host via the next-hop memo server. It blocks for the response
-// (which may wait on a folder), honouring cancel. The tracer decides what
-// the request leaves behind. With sampling and the slow-request threshold
-// both off, nothing: two checks, no time.Now. With the threshold armed the
-// dispatch is timed as one span under this node's name, and recorded when it
-// ran that long. A sampled request — an entry request the tracer admits, or
-// one that arrived with the sampled bit set — additionally owns a span set
-// for the duration of the dispatch: every layer below appends into it, and
-// Finish records the completed set for /tracez. Only this node's spans are
-// in it; the other hops record their own under the same trace ID.
-func (n *Node) Dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response {
-	set := n.tracer.Begin(q)
-	if set == nil && n.tracer.Threshold() == 0 {
-		return n.dispatch(q, cancel)
+// dest is where resolve sends a request: a folder server on this host, the
+// link to the next memo server toward the host that answers it, this node
+// itself (app is the application a host-scoped verb runs under, nil for a
+// node-scoped one), or the error response that ends it.
+type dest struct {
+	fs   *folder.Server
+	pl   *peerLink
+	app  *App
+	resp *wire.Response
+}
+
+// resolve is the node's one routing decision: where q goes, by its verb's
+// scope in the wire op table. A request that is not node-scoped names an
+// application; a host-scoped one goes to the memo server on its target host
+// (this one, when that is blank), anything else to the folder server it
+// names. The decision is counted once, in node_local_ops_total or
+// node_forwards_total.
+func (n *Node) resolve(q *wire.Request) dest {
+	scope := q.Op.Info().Scope
+	if scope == wire.ScopeNode {
+		return dest{}
 	}
-	startNS := time.Now().UnixNano()
-	resp := n.dispatch(q, cancel)
-	n.finishTrace(q, set, q.Hops, startNS)
+	app, ok := n.lookupApp(q.App)
+	if !ok {
+		return dest{resp: wire.Errf("memo server %s: application %q not registered", n.Host, q.App)}
+	}
+	host, ok := q.TargetHost, true
+	if scope != wire.ScopeHost {
+		host, ok = app.folderHost[q.FolderID]
+	} else if host == "" {
+		host = n.Host
+	}
+	switch {
+	case !ok:
+		return dest{resp: wire.Errf("memo server %s: app %q has no folder server %d", n.Host, q.App, q.FolderID)}
+	case host != n.Host:
+		return n.nextHop(app, host)
+	case scope == wire.ScopeHost:
+		return dest{app: app}
+	}
+	fs, ok := app.local[q.FolderID]
+	if !ok {
+		return dest{resp: wire.Errf("memo server %s: folder server %d not local", n.Host, q.FolderID)}
+	}
+	n.localOps.Inc()
+	return dest{fs: fs}
+}
+
+// nextHop resolves a request for targetHost to the link to the next memo
+// server along the routing table, or the error response that ends it.
+func (n *Node) nextHop(app *App, targetHost string) dest {
+	hop, ok := app.Table.NextHop(n.Host, targetHost)
+	if !ok {
+		return dest{resp: wire.Errf("memo server %s: no route to %s", n.Host, targetHost)}
+	}
+	pl, err := n.peer(hop)
+	if err != nil {
+		return dest{resp: wire.Errf("memo server %s: dial %s: %v", n.Host, hop, err)}
+	}
+	n.forwards.Inc()
+	return dest{pl: pl}
+}
+
+// call is a routed request on its way: where resolve sent it, its trace
+// state, and — for a relay — the failure of the attempt the read loop sent,
+// for the link's retry loop to continue from. The tracer decides what a call
+// leaves behind. With sampling and the slow-request threshold both off,
+// nothing: traced is false and no clock is read. With the threshold armed
+// the call is timed as one memo span under this node's name, and recorded
+// when it ran that long. A sampled request — an entry request the tracer
+// admits, or one that arrived with the sampled bit set — additionally owns a
+// span set for the call's duration: every layer below appends into it, and
+// trace records the completed set for /tracez. Only this node's spans are in
+// it; the other hops record their own under the same trace ID.
+type call struct {
+	n   *Node
+	to  dest
+	p   *rpc.Pending // the inbound request; nil for an in-process Dispatch
+	set *wire.SpanSet
+	// traced is set when the tracer may record the call; startNS is when its
+	// memo span started.
+	traced  bool
+	startNS int64
+	err     error
+}
+
+var callPool = sync.Pool{New: func() any { return new(call) }}
+
+// open resolves q and begins its trace.
+func (n *Node) open(q *wire.Request) call {
+	c := call{n: n, to: n.resolve(q), set: n.tracer.Begin(q)}
+	c.traced = c.set != nil || n.tracer.Threshold() > 0
+	return c
+}
+
+// Dispatch routes one request in process — forwardRelease's deliveries, and
+// callers that hold a Node rather than a conn — and runs it on the calling
+// goroutine, blocking for the response (which may wait on a folder) and
+// honouring cancel. A forward relays through the link's retry loop on a
+// private copy of q: the relay rewrites hops and may stamp a dedup token,
+// and the caller's q stays as it was.
+func (n *Node) Dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response {
+	c := n.open(q)
+	if c.to.pl != nil {
+		fq := *q
+		q = &fq
+	}
+	c.start(q)
+	resp := c.run(q, cancel)
+	c.trace(q)
 	return resp
 }
 
-// finishTrace records this node's memo span for q — the dispatch from
-// startNS until now, at hop hops — and hands it with q's span set to the
-// tracer.
-func (n *Node) finishTrace(q *wire.Request, set *wire.SpanSet, hops int, startNS int64) {
-	own := wire.Span{Layer: "memo", Op: q.Op.String(), Folder: q.FolderID,
-		Hop: hops, Start: startNS, Dur: time.Now().UnixNano() - startNS}
-	if q.EnqueueNS > 0 && own.Start > q.EnqueueNS {
-		// Time spent in the rpc dispatch queue before it was routed (stamped
-		// by the rpc server only on sampled entries).
-		own.Wait = own.Start - q.EnqueueNS
-	}
-	n.tracer.Finish(q, set, own)
-}
-
-// dispatch addresses q by its verb's scope in the wire op table: the node
-// itself, the memo server on a named host, or a folder server.
-func (n *Node) dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response {
-	switch q.Op.Info().Scope {
-	case wire.ScopeNode:
-		return n.execute(nil, q)
-	case wire.ScopeHost:
-		app, ok := n.lookupApp(q.App)
-		if !ok {
-			return errNoApp(n, q)
-		}
-		if q.TargetHost == "" || q.TargetHost == n.Host {
-			return n.execute(app, q)
-		}
-		if _, known := app.Table.NextHop(n.Host, q.TargetHost); !known {
-			return wire.Errf("memo server %s: unknown host %q", n.Host, q.TargetHost)
-		}
-		pl, resp := n.nextHop(app, q.TargetHost)
-		if resp != nil {
-			return resp
-		}
-		return n.forward(pl, q, cancel)
-	}
-	fs, pl, resp := n.folderRoute(q)
-	switch {
-	case resp != nil:
-		return resp
-	case fs != nil:
-		n.localOps.Inc()
-		// "Each request to a server will cause a thread to be created to
-		// handle the request" (§4.1): the dispatching thread is already a
-		// cached thread of this node, so it runs the folder server's handler
-		// itself, whatever the verb. A blocking verb parks in the store on
-		// this thread; the store selects on the same cancel and unregisters
-		// its waiter, and a wake is a notification followed by a re-scan, so
-		// a canceled request strands no memo.
-		return fs.Handle(q, cancel)
-	}
-	return n.forward(pl, q, cancel)
-}
-
-// route is the read loop's one routing decision for a request an accepted
-// conn delivered. A folder request whose folder lives elsewhere is
-// rewritten into its forwarded form and relayed onto the live peer conn,
-// answered from that conn's receive loop with no thread (see relay); one
-// whose link must first be dialed continues on a thread in the link's retry
-// loop. A local folder request runs on a thread with its folder server in
-// hand, so the thread routes nothing again. Everything else — other scopes,
-// and local requests the tracer watches — runs Dispatch on a thread.
+// route takes each request an accepted conn delivered, on the read loop. An
+// untraced local folder op runs on a thread with its folder server in hand
+// and needs no record. Anything else becomes a pooled call. A forward —
+// folder- or host-scoped — is relayed from here onto the live peer conn and
+// answered from that conn's receive loop with no thread (see Complete); one
+// whose link must first be dialed, or whose conn refused it, continues on a
+// thread in the link's retry loop. The rest runs on a thread (runCall).
 func (n *Node) route(p *rpc.Pending) {
 	q := p.Request()
-	if q.Op.Info().Scope != wire.ScopeFolder {
-		p.Run(runDispatch, n)
+	c := n.open(q)
+	if c.to.fs != nil && !c.traced {
+		p.Run(runLocal, c.to.fs)
 		return
 	}
-	fs, pl, resp := n.folderRoute(q)
-	switch {
-	case pl != nil:
-		n.relay(p, pl)
-	case n.tracer.Watches(q):
-		p.Run(runDispatch, n)
-	case resp != nil:
-		p.Run(answerWith, resp)
-	default:
-		n.localOps.Inc()
-		p.Run(runLocal, fs)
+	r := callPool.Get().(*call)
+	*r = c
+	r.p = p
+	if c.to.pl == nil {
+		p.Run(runCall, r)
+		return
 	}
-}
-
-// The RunFuncs route hands a request to a thread with. Static functions:
-// the decision rides as the Pending's arg, so no closure is allocated.
-func runDispatch(p *rpc.Pending) *wire.Response {
-	return p.Arg().(*Node).Dispatch(p.Request(), p.Cancel())
-}
-
-func runLocal(p *rpc.Pending) *wire.Response {
-	return p.Arg().(*folder.Server).Handle(p.Request(), p.Cancel())
-}
-
-func answerWith(p *rpc.Pending) *wire.Response { return p.Arg().(*wire.Response) }
-
-// relayCall is a forwarded request the read loop has taken on: the
-// completion of its call on the peer conn, and what finishing it needs.
-// Pooled; it recycles when the request is answered.
-type relayCall struct {
-	pl *peerLink
-	p  *rpc.Pending
-	// set and startNS are the trace state of a request the tracer watches
-	// (startNS != 0): its span set, if sampled, and when it was routed.
-	set     *wire.SpanSet
-	startNS int64
-	// err is the failure of the attempt sent from the read loop, for the
-	// retry loop that continues it on a thread.
-	err error
-}
-
-var relayCallPool = sync.Pool{New: func() any { return new(relayCall) }}
-
-// relay forwards p one hop over pl without a thread when it can: the
-// request becomes its forwarded form in place (one more hop, its dedup token
-// stamped once), and if the link is up it is sent on the live conn with a
-// relayCall as its completion. Otherwise — the link must be dialed, or the
-// conn refused the request — the link's retry loop takes it on a thread.
-// A request the tracer watches is traced here and finished with the relay.
-func (n *Node) relay(p *rpc.Pending, pl *peerLink) {
-	q := p.Request()
-	r := relayCallPool.Get().(*relayCall)
-	r.pl, r.p = pl, p
-	if r.set = n.tracer.Begin(q); r.set != nil || n.tracer.Threshold() > 0 {
-		r.startNS = time.Now().UnixNano()
-	}
-	n.forwards.Inc()
-	q.Hops++
-	pl.stamp(q)
-	if c := pl.live(); c != nil {
-		err := p.Relay(c, r)
+	r.start(q)
+	if conn := c.to.pl.live(); conn != nil {
+		err := p.Relay(conn, r)
 		if err == nil {
 			return // r belongs to the call now, and may already be recycled
 		}
 		r.err = err
 	}
-	p.Run(resumeRelay, r)
+	p.Run(runCall, r)
 }
 
-// Complete answers the relayed request from the peer conn's receive loop
-// with the peer's response message as it stands; a failed call continues
-// in the link's retry loop on a thread, from that failure.
-func (r *relayCall) Complete(_ *wire.Response, msg []byte, err error) {
-	if err != nil {
-		r.err = err
-		r.p.Run(resumeRelay, r)
-		return
+// The RunFuncs route hands a request to a thread with. Static functions:
+// the decision rides as the Pending's arg, so no closure is allocated.
+func runLocal(p *rpc.Pending) *wire.Response {
+	return p.Arg().(*folder.Server).Handle(p.Request(), p.Cancel())
+}
+
+// runCall runs a call on a thread. A threaded request starts here, so its
+// memo span's wait is the time it queued before a thread took it; a relay
+// started on the read loop.
+func runCall(p *rpc.Pending) *wire.Response {
+	c := p.Arg().(*call)
+	q := p.Request()
+	if c.to.pl == nil {
+		c.start(q)
 	}
-	r.finishTrace()
-	r.p.AnswerEncoded(msg)
-	r.recycle()
-}
-
-// resumeRelay is the thread half of a relay: the link's one retry loop,
-// continuing from the read loop's failed attempt if there was one.
-func resumeRelay(p *rpc.Pending) *wire.Response {
-	r := p.Arg().(*relayCall)
-	resp := r.pl.relay(p.Request(), p.Cancel(), r.err)
-	r.finishTrace()
-	r.recycle()
+	resp := c.run(q, p.Cancel())
+	c.finish(q)
 	return resp
 }
 
-// finishTrace records a watched relay's link and memo spans, on every
-// outcome, once it has completed.
-func (r *relayCall) finishTrace() {
-	if r.startNS == 0 {
+// Complete answers a relayed request from the peer conn's receive loop with
+// the peer's response message as it stands; a failed call continues in the
+// link's retry loop on a thread, from that failure.
+func (c *call) Complete(_ *wire.Response, msg []byte, err error) {
+	p := c.p
+	if err != nil {
+		c.err = err
+		p.Run(runCall, c)
 		return
 	}
-	q := r.p.Request()
-	r.pl.linkSpan(q, r.startNS)
-	r.pl.n.finishTrace(q, r.set, q.Hops-1, r.startNS) // q is one hop on
+	c.finish(p.Request())
+	p.AnswerEncoded(msg)
 }
 
-func (r *relayCall) recycle() {
-	*r = relayCall{}
-	relayCallPool.Put(r)
+// start sets q on its way. A forward becomes its forwarded form in place:
+// one more hop, its dedup token stamped once. A traced call's memo span
+// starts now.
+func (c *call) start(q *wire.Request) {
+	if pl := c.to.pl; pl != nil {
+		q.Hops++
+		pl.stamp(q)
+	}
+	if c.traced {
+		c.startNS = time.Now().UnixNano()
+	}
 }
 
-// folderRoute resolves where a folder request goes: the local folder server
-// that holds it, or the link to the next hop toward its host. Exactly one of
-// the three results is non-nil; the response is the error that ends it.
-func (n *Node) folderRoute(q *wire.Request) (*folder.Server, *peerLink, *wire.Response) {
-	app, ok := n.lookupApp(q.App)
-	if !ok {
-		return nil, nil, errNoApp(n, q)
+// run answers q at its destination on the calling goroutine: the error that
+// ends it, the link's retry loop (continuing from c.err, if the read loop's
+// attempt failed), this node, or the folder server. "Each request to a
+// server will cause a thread to be created to handle the request" (§4.1):
+// the goroutine is already a thread of this node, so it runs the folder
+// server's handler itself, whatever the verb. A blocking verb parks in the
+// store on it; the store selects on the same cancel and unregisters its
+// waiter, and a wake is a notification followed by a re-scan, so a canceled
+// request strands no memo.
+func (c *call) run(q *wire.Request, cancel <-chan struct{}) *wire.Response {
+	switch {
+	case c.to.resp != nil:
+		return c.to.resp
+	case c.to.pl != nil:
+		return c.to.pl.relay(q, cancel, c.err)
+	case c.to.fs == nil:
+		return c.n.execute(c.to.app, q)
 	}
-	targetHost, ok := app.folderHost[q.FolderID]
-	if !ok {
-		return nil, nil, wire.Errf("memo server %s: app %q has no folder server %d", n.Host, q.App, q.FolderID)
-	}
-	if targetHost != n.Host {
-		pl, resp := n.nextHop(app, targetHost)
-		return nil, pl, resp
-	}
-	fs, ok := app.local[q.FolderID]
-	if !ok {
-		return nil, nil, wire.Errf("memo server %s: folder server %d not local", n.Host, q.FolderID)
-	}
-	return fs, nil, nil
+	return c.to.fs.Handle(q, cancel)
 }
 
-func errNoApp(n *Node, q *wire.Request) *wire.Response {
-	return wire.Errf("memo server %s: application %q not registered", n.Host, q.App)
+// trace records a traced call's spans on every outcome, once it has
+// completed: for a sampled forward, a link span named after the peer —
+// dial, batcher queue, retries, remote work; a failed relay's span is the
+// one that names the peer it failed on — and this node's memo span, from
+// startNS until now, at the hop q arrived with (a forward's q is one on).
+func (c *call) trace(q *wire.Request) {
+	if !c.traced {
+		return
+	}
+	endNS := time.Now().UnixNano()
+	hop := q.Hops
+	if pl := c.to.pl; pl != nil {
+		hop--
+		if q.Spans != nil {
+			q.Spans.Add(wire.Span{Layer: "link", Op: pl.host, Folder: q.FolderID,
+				Hop: hop, Start: c.startNS, Dur: endNS - c.startNS})
+		}
+	}
+	own := wire.Span{Layer: "memo", Op: q.Op.String(), Folder: q.FolderID,
+		Hop: hop, Start: c.startNS, Dur: endNS - c.startNS}
+	if q.EnqueueNS > 0 && own.Start > q.EnqueueNS {
+		// Time spent in the rpc dispatch queue before the call started
+		// (stamped by the rpc server only on sampled entries).
+		own.Wait = own.Start - q.EnqueueNS
+	}
+	c.n.tracer.Finish(q, c.set, own)
 }
 
-// nextHop returns the link to the next memo server along the routing table
-// toward targetHost, or the error response that ends the request.
-func (n *Node) nextHop(app *App, targetHost string) (*peerLink, *wire.Response) {
-	hop, ok := app.Table.NextHop(n.Host, targetHost)
-	if !ok {
-		return nil, wire.Errf("memo server %s: no route to %s", n.Host, targetHost)
-	}
-	pl, err := n.peer(hop)
-	if err != nil {
-		return nil, wire.Errf("memo server %s: dial %s: %v", n.Host, hop, err)
-	}
-	return pl, nil
+// finish traces a pooled call and recycles it.
+func (c *call) finish(q *wire.Request) {
+	c.trace(q)
+	*c = call{}
+	callPool.Put(c)
 }
 
 // execute runs a verb this node answers itself: the node-scoped ones, and
@@ -708,29 +715,12 @@ func (n *Node) execute(app *App, q *wire.Request) *wire.Response {
 	return wire.Errf("memo server %s: unsupported op %s", n.Host, q.Op)
 }
 
-// forward relays q one hop over pl from a thread — an in-process Dispatch
-// caller, a host-scoped verb, a local-looking request the tracer watches —
-// on a private copy (the relay rewrites hops and may stamp a dedup token;
-// the inbound q stays as it arrived).
-func (n *Node) forward(pl *peerLink, q *wire.Request, cancel <-chan struct{}) *wire.Response {
-	n.forwards.Inc()
-	fq := *q
-	fq.Hops = q.Hops + 1
-	var startNS int64
-	if q.Sampled && q.Spans != nil {
-		startNS = time.Now().UnixNano()
-	}
-	resp := pl.relay(&fq, cancel, nil)
-	pl.linkSpan(&fq, startNS)
-	return resp
-}
-
 // relay sends fq — a forwarded request, one hop further than it arrived —
 // over the link and waits for the response in the link's one retry loop
-// (rlink.resume), continuing from first when an attempt sent from the read
+// (rlink.call), continuing from first when an attempt sent from the read
 // loop already failed with it, and words the outcome for the hop behind.
 func (pl *peerLink) relay(fq *wire.Request, cancel <-chan struct{}, first error) *wire.Response {
-	resp, dialed, err := pl.resume(fq, cancel, first, &pl.n.retried)
+	resp, dialed, err := pl.call(fq, cancel, first, &pl.n.retried)
 	switch {
 	case err == ErrClientCanceled:
 		return &wire.Response{Status: wire.StatusCanceled}
@@ -740,18 +730,6 @@ func (pl *peerLink) relay(fq *wire.Request, cancel <-chan struct{}, first error)
 		return wire.Errf("memo server %s: forward to %s: %v", pl.n.Host, pl.host, err)
 	}
 	return resp
-}
-
-// linkSpan records, for a sampled forwarded request fq, one link span named
-// after the peer: the whole relay from startNS — dial, batcher queue,
-// retries, remote work — whatever its outcome, since a failed relay's span
-// is the one that names the peer it failed on.
-func (pl *peerLink) linkSpan(fq *wire.Request, startNS int64) {
-	if startNS == 0 || !fq.Sampled || fq.Spans == nil {
-		return
-	}
-	fq.Spans.Add(wire.Span{Layer: "link", Op: pl.host, Folder: fq.FolderID,
-		Hop: fq.Hops - 1, Start: startNS, Dur: time.Now().UnixNano() - startNS})
 }
 
 // peer returns the resilient link to a neighbouring memo server, creating
@@ -814,8 +792,9 @@ func (n *Node) forwardRelease(appName string, dest symbol.Key, payload []byte, r
 	}()
 }
 
-// CacheStats reports the node's thread-cache counters (experiment E1): every
-// request, local or forwarded, runs on one thread of this cache.
+// CacheStats reports the node's thread-cache counters (experiment E1): each
+// accepted conn's read loop and every request that needs a thread run on
+// this cache; a forward the read loop relays takes none.
 func (n *Node) CacheStats() threadcache.Stats { return n.pool.Stats() }
 
 // Stats reports memo-server counters.

@@ -1,6 +1,7 @@
 package memoserver
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -387,7 +388,7 @@ func TestParkedForwardedGetHoldsNoThreadAtEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := rpc.NewConnResilient(raw, rpc.Policy{}, rpc.Resilience{})
+	conn := rpc.NewConnResilient(raw, rpc.Resilience{})
 	t.Cleanup(func() { conn.Close() })
 	// Warm the peer link and both thread caches.
 	put := func(i int) {
@@ -425,6 +426,42 @@ func TestParkedForwardedGetHoldsNoThreadAtEntry(t *testing.T) {
 		if g.err != nil || g.status != wire.StatusOK || len(g.payload) != 1 || g.payload[0] != byte(i) {
 			t.Errorf("get %d woke with %v %v %v, want payload [%d]", i, g.status, g.payload, g.err, byte(i))
 		}
+	}
+}
+
+// TestHostVerbRelaysWithoutThread: a host-scoped verb for another host is
+// relayed from a's read loop like a folder forward. After warm-up, n
+// pump+fetch round trips from a client at a to host b all succeed, each is
+// counted once in a's node_forwards_total, and none of them takes a thread
+// of a's cache.
+func TestHostVerbRelaysWithoutThread(t *testing.T) {
+	const n = 50
+	tn := bootNet(t, twoHostADF, Config{})
+	a := tn.nodes["a"]
+	c := tn.client(t, "a")
+	round := func(i int) {
+		dir := fmt.Sprintf("prog%d", i)
+		blob := []byte(dir + "-image")
+		pump := &wire.Request{Op: wire.OpPump, TargetHost: "b", Dir: dir, Payload: blob}
+		if resp, err := c.Do(pump, nil); err != nil || resp.Status != wire.StatusOK {
+			t.Fatalf("pump %d: %+v %v", i, resp, err)
+		}
+		fetch := &wire.Request{Op: wire.OpFetch, TargetHost: "b", Dir: dir}
+		if resp, err := c.Do(fetch, nil); err != nil || resp.Status != wire.StatusOK || string(resp.Payload) != string(blob) {
+			t.Fatalf("fetch %d: %+v %v", i, resp, err)
+		}
+	}
+	round(-1) // warm the peer link and both thread caches
+	forwards, cache := a.Stats().Forwards, a.CacheStats()
+	for i := 0; i < n; i++ {
+		round(i)
+	}
+	if got := a.Stats().Forwards - forwards; got != 2*n {
+		t.Errorf("node_forwards_total at a moved by %d over %d pump+fetch rounds, want %d", got, n, 2*n)
+	}
+	after := a.CacheStats()
+	if ran := after.Spawned + after.Reused - cache.Spawned - cache.Reused; ran != 0 {
+		t.Errorf("%d pump+fetch rounds to b ran %d tasks on a's thread cache, want 0", n, ran)
 	}
 }
 

@@ -157,7 +157,7 @@ func (p *scriptedPeer) link(t *testing.T, retries int) (l *rlink, raw func() *we
 		defer mu.Unlock()
 		last = &wedgeConn{Conn: c, entered: make(chan struct{}), release: make(chan struct{})}
 		return last, nil
-	}, rpc.Policy{}, rpc.Resilience{Retries: retries, Redial: transport.Backoff{Min: time.Millisecond, Max: 5 * time.Millisecond}})
+	}, rpc.Resilience{Retries: retries, Redial: transport.Backoff{Min: time.Millisecond, Max: 5 * time.Millisecond}})
 	t.Cleanup(l.close)
 	return l, func() *wedgeConn {
 		mu.Lock()
@@ -217,7 +217,7 @@ func TestVerbMatrixRetryAndStamp(t *testing.T) {
 						switch dies {
 						case diesSent:
 							p.drops = 1
-							_, _, err = l.call(q, nil, &retried)
+							_, _, err = l.call(q, nil, nil, &retried)
 						case diesQueued:
 							err = callBehindWedge(t, l, raw, q, &retried)
 						case diesBefore:
@@ -227,7 +227,7 @@ func TestVerbMatrixRetryAndStamp(t *testing.T) {
 							}
 							raw().Close()
 							<-conn.Done()
-							_, _, err = l.call(q, nil, &retried)
+							_, _, err = l.call(q, nil, nil, &retried)
 						}
 
 						wantToken := token
@@ -292,7 +292,7 @@ func callBehindWedge(t *testing.T, l *rlink, raw func() *wedgeConn, q *wire.Requ
 	calls := rpcCalls()
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := l.call(q, nil, retried)
+		_, _, err := l.call(q, nil, nil, retried)
 		errc <- err
 	}()
 	// get returns before Conn.Call counts, so once the count moves q's
@@ -342,7 +342,7 @@ func TestRetriedPutCarriesOneToken(t *testing.T) {
 	l, _ := p.link(t, 2)
 	var retried obs.Counter
 	q := &wire.Request{Op: wire.OpPut, Key: symbol.K(1), Payload: []byte("once")}
-	resp, _, err := l.call(q, nil, &retried)
+	resp, _, err := l.call(q, nil, nil, &retried)
 	if err != nil || resp.Status != wire.StatusOK {
 		t.Fatalf("put across two link deaths: %+v %v", resp, err)
 	}

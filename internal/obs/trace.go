@@ -161,14 +161,6 @@ func (t *Tracer) Threshold() time.Duration {
 	return t.threshold
 }
 
-// Watches reports whether Begin could make a record of q: it is sampled
-// already, it is an entry request and this tracer samples those, or the
-// slow threshold is armed. A server may skip Begin and Finish — and the
-// clock — for any other request.
-func (t *Tracer) Watches(q *wire.Request) bool {
-	return q.Sampled || (t != nil && (t.threshold > 0 || (t.sampler != nil && q.Hops == 0)))
-}
-
 // OnSlow installs fn to be called, on the dispatching thread, with every
 // slow request's trace ID and own span. Call it before the server starts.
 func (t *Tracer) OnSlow(fn func(trace uint64, sp wire.Span)) { t.onSlow = fn }
@@ -213,7 +205,7 @@ func (t *Tracer) Begin(q *wire.Request) *wire.SpanSet {
 // this tracer's, and this node's subtree is recorded. A request at or over
 // the threshold is recorded as slow as well: its subtree when it has one,
 // own alone otherwise. q is not written: the request object is fully reset
-// before any reuse (recycleTask / DecodeRequestInto).
+// before any reuse (recyclePending / DecodeRequestInto).
 func (t *Tracer) Finish(q *wire.Request, set *wire.SpanSet, own wire.Span) {
 	own.Node = t.node
 	slow := t.threshold > 0 && own.Dur >= int64(t.threshold)

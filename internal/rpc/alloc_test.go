@@ -25,14 +25,14 @@ func TestSteadyStateCallAllocBudget(t *testing.T) {
 	defer l.Close()
 	tc := threadcache.New(threadcache.Config{})
 	defer tc.Close()
-	go serveLoop(l, echoBenchHandler, tc.SubmitArg, Policy{})
+	go serveLoop(l, echoBenchHandler, tc.SubmitArg)
 	conn, err := ip.Dial("srv/rpc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Heartbeats off: the probe ticker would add background allocations
 	// unrelated to the per-call budget.
-	c := NewConnResilient(conn, Policy{}, Resilience{})
+	c := NewConnResilient(conn, Resilience{})
 	defer c.Close()
 
 	// Warm the path: buffer pools, call pool, dispatch-task pool, cached
@@ -44,7 +44,7 @@ func TestSteadyStateCallAllocBudget(t *testing.T) {
 	}
 
 	// The request names its application, as every real one does: the pooled
-	// dispatch task keeps that string across requests (recycleTask,
+	// Pending keeps that string across requests (recyclePending,
 	// wire.DecodeRequestInto), so it is not a fifth allocation.
 	q := &wire.Request{Op: wire.OpPing, App: "budget"}
 	allocs := testing.AllocsPerRun(300, func() {
@@ -77,12 +77,12 @@ func TestSampledCallAllocBudget(t *testing.T) {
 	defer l.Close()
 	tc := threadcache.New(threadcache.Config{})
 	defer tc.Close()
-	go serveLoop(l, echoBenchHandler, tc.SubmitArg, Policy{})
+	go serveLoop(l, echoBenchHandler, tc.SubmitArg)
 	conn, err := ip.Dial("srv/rpc-sampled")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewConnResilient(conn, Policy{}, Resilience{})
+	c := NewConnResilient(conn, Resilience{})
 	defer c.Close()
 
 	sampledCall := func() {

@@ -19,8 +19,8 @@ import (
 // A lone entry on an idle process pays a no-op yield and is sent at once;
 // under load the batch is the backlog, and the previous frame's
 // transmission time is the window in which the next one accumulates.
-// Load sizes the batch, not a timer: there is none. The Policy only caps
-// a frame (MaxCount/MaxBytes).
+// Load sizes the batch, not a timer: there is none. DefaultMaxCount and
+// DefaultMaxBytes only cap a frame.
 //
 // The queue itself is bounded: past a high-water mark (a few frames'
 // worth), add blocks until the sender drains — so a peer that stops
@@ -35,7 +35,6 @@ import (
 // across frames.
 type batcher struct {
 	kind  wire.BatchKind
-	pol   Policy
 	conn  frameSender // transports one encoded frame
 	onErr func(error) // called once when send fails
 	// preSend, when set, observes each frame's entries immediately before
@@ -59,8 +58,8 @@ type frameSender interface {
 	Send(msg []byte) error
 }
 
-func newBatcher(kind wire.BatchKind, pol Policy, conn frameSender, onErr func(error)) *batcher {
-	b := &batcher{kind: kind, pol: pol, conn: conn, onErr: onErr, wake: make(chan struct{}, 1)}
+func newBatcher(kind wire.BatchKind, conn frameSender, onErr func(error)) *batcher {
+	b := &batcher{kind: kind, conn: conn, onErr: onErr, wake: make(chan struct{}, 1)}
 	b.unblocked = sync.NewCond(&b.mu)
 	go b.sender()
 	return b
@@ -68,14 +67,14 @@ func newBatcher(kind wire.BatchKind, pol Policy, conn frameSender, onErr func(er
 
 // highWater is the queue depth at which add starts blocking: four full
 // frames of headroom keeps the sender busy without unbounded buildup.
-func (b *batcher) highWater() int { return 4 * b.pol.MaxCount }
+const highWater = 4 * DefaultMaxCount
 
 // add queues one entry and nudges the sender, blocking while the queue is
 // over the high-water mark. Ownership of e.Msg's buffer passes to the
 // batcher, which recycles it once the entry's frame has shipped.
 func (b *batcher) add(e wire.BatchEntry) {
 	b.mu.Lock()
-	for !b.closed && len(b.queue) >= b.highWater() {
+	for !b.closed && len(b.queue) >= highWater {
 		b.unblocked.Wait()
 	}
 	if b.closed {
@@ -131,7 +130,7 @@ func (b *batcher) signal() {
 	}
 }
 
-// sender drains the queue into frames, one Policy-capped frame per send,
+// sender drains the queue into frames, one capped frame per send,
 // for as long as entries remain; then it blocks for the next wake-up. The
 // drain slice and frame buffer are reused across iterations; entry Msg
 // buffers recycle after each send.
@@ -192,17 +191,17 @@ func (b *batcher) sendFrame(batch []wire.BatchEntry) error {
 	return err
 }
 
-// takeLocked copies up to MaxCount entries from the queue head into dst,
-// compacting the queue in place so its backing array is reused forever. It
-// stops before an entry that would take the frame past ~MaxBytes encoded
-// bytes unless that entry is the frame's first: a frame is at most MaxBytes
-// or one entry, so no run of small entries can push a MaxMessage-sized one
-// past transport.MaxFrame.
+// takeLocked copies up to DefaultMaxCount entries from the queue head into
+// dst, compacting the queue in place so its backing array is reused
+// forever. It stops before an entry that would take the frame past
+// ~DefaultMaxBytes encoded bytes unless that entry is the frame's first: a
+// frame is at most DefaultMaxBytes or one entry, so no run of small entries
+// can push a MaxMessage-sized one past transport.MaxFrame.
 func (b *batcher) takeLocked(dst []wire.BatchEntry) []wire.BatchEntry {
 	n, size := 0, 0
-	for n < len(b.queue) && n < b.pol.MaxCount {
+	for n < len(b.queue) && n < DefaultMaxCount {
 		e := len(b.queue[n].Msg) + 12 // ~ per-entry framing overhead
-		if n > 0 && size+e > b.pol.MaxBytes {
+		if n > 0 && size+e > DefaultMaxBytes {
 			break
 		}
 		size += e

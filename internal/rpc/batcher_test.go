@@ -42,7 +42,7 @@ func (f *frameLog) Send(msg []byte) error {
 // into a frame, promptly.
 func TestBatcherNoLostWakeup(t *testing.T) {
 	log := &frameLog{}
-	b := newBatcher(wire.BatchRequest, Policy{}.withDefaults(), log, nil)
+	b := newBatcher(wire.BatchRequest, log, nil)
 	defer b.close()
 
 	const adders = 32
@@ -99,7 +99,7 @@ func TestBatcherNoLostWakeup(t *testing.T) {
 func TestBatcherCoalescesRunnableAdders(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	log := &frameLog{}
-	b := newBatcher(wire.BatchRequest, Policy{}.withDefaults(), log, nil)
+	b := newBatcher(wire.BatchRequest, log, nil)
 	defer b.close()
 
 	const adders = 16
@@ -138,7 +138,7 @@ func TestBatcherCoalescesRunnableAdders(t *testing.T) {
 // entry back waiting for company (bounded loosely, to stay host-proof).
 func TestBatcherLoneAddShipsAtOnce(t *testing.T) {
 	log := &frameLog{}
-	b := newBatcher(wire.BatchRequest, Policy{}.withDefaults(), log, nil)
+	b := newBatcher(wire.BatchRequest, log, nil)
 	defer b.close()
 	best := time.Hour
 	for i := 0; i < 20; i++ {
@@ -165,12 +165,12 @@ func TestBatcherLoneAddShipsAtOnce(t *testing.T) {
 }
 
 // TestBatcherTakeStopsBeforeMaxBytes: a frame takes entries while they fit
-// in MaxBytes; an entry that would push it past starts the next frame, and
-// rides alone when it is too big for any company.
+// in DefaultMaxBytes; an entry that would push it past starts the next
+// frame, and rides alone when it is too big for any company.
 func TestBatcherTakeStopsBeforeMaxBytes(t *testing.T) {
-	b := &batcher{pol: Policy{MaxCount: 64, MaxBytes: 1000}}
+	b := &batcher{}
 	b.unblocked = sync.NewCond(&b.mu)
-	for i, n := range []int{400, 400, 5000, 100} {
+	for i, n := range []int{DefaultMaxBytes * 2 / 5, DefaultMaxBytes * 2 / 5, DefaultMaxBytes * 5, DefaultMaxBytes / 10} {
 		b.queue = append(b.queue, wire.BatchEntry{ID: uint64(i), Msg: make([]byte, n)})
 	}
 	var frames [][]uint64

@@ -13,31 +13,21 @@ import (
 
 // BenchmarkRPCBatchedRoundTrip measures request round trips over the
 // simulated-latency transport with 1, 8, and 64 concurrent callers sharing
-// one connection, batched (default flush policy) versus unbatched
-// (MaxCount = 1: one frame per message — the pre-batching wire behaviour).
+// one connection.
 //
 // The sim transport charges each transport message one link delay, and each
 // side's batcher sends its frames one at a time, exactly like a real link:
-// unbatched concurrent callers queue behind each other's frames, batched
-// callers amortize one delay over a whole frame of requests.
+// concurrent callers amortize one delay over a whole frame of requests.
 func BenchmarkRPCBatchedRoundTrip(b *testing.B) {
 	const linkDelay = 50 * time.Microsecond
 	for _, callers := range []int{1, 8, 64} {
-		for _, mode := range []struct {
-			name string
-			pol  Policy
-		}{
-			{"unbatched", Policy{MaxCount: 1}},
-			{"batched", Policy{}},
-		} {
-			b.Run(fmt.Sprintf("callers=%d/%s", callers, mode.name), func(b *testing.B) {
-				benchRoundTrips(b, callers, mode.pol, linkDelay)
-			})
-		}
+		b.Run(fmt.Sprintf("callers=%d/batched", callers), func(b *testing.B) {
+			benchRoundTrips(b, callers, linkDelay)
+		})
 	}
 }
 
-func benchRoundTrips(b *testing.B, callers int, pol Policy, linkDelay time.Duration) {
+func benchRoundTrips(b *testing.B, callers int, linkDelay time.Duration) {
 	model := transport.NewNetModel(linkDelay)
 	model.SetLink("cli", "srv", 1)
 	model.SetLink("srv", "cli", 1)
@@ -47,13 +37,13 @@ func benchRoundTrips(b *testing.B, callers int, pol Policy, linkDelay time.Durat
 		b.Fatal(err)
 	}
 	defer l.Close()
-	go serveLoop(l, echoBenchHandler, nil, pol)
+	go serveLoop(l, echoBenchHandler, nil)
 
 	conn, err := sim.DialFrom("cli", "srv/rpc")
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := NewConn(conn, pol)
+	c := NewConn(conn, Policy{})
 	defer c.Close()
 
 	// Warm the path so setup cost stays out of the measurement.

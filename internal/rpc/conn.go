@@ -14,11 +14,10 @@ import (
 
 // Conn is the client side of one pipelined RPC connection. Any number of
 // goroutines may Call (or Go) concurrently; their requests share one
-// transport conn, coalesce into batch frames under the flush policy, and
+// transport conn, coalesce into capped batch frames, and
 // complete out of order, matched by id.
 type Conn struct {
 	conn transport.Conn
-	pol  Policy
 	hb   time.Duration // heartbeat interval; 0 = disabled
 	out  *batcher
 
@@ -79,12 +78,12 @@ type outCall struct {
 var outCallPool = sync.Pool{New: func() any { return new(outCall) }}
 
 // NewConn starts an RPC connection over conn, the transport conn that was
-// dialed, and its receive loop. The zero Policy means defaults;
-// heartbeats run at DefaultHeartbeat, so every rpc client is safe against
-// daemon-side idle timeouts out of the box — use NewConnResilient to tune
-// the interval or disable probing.
-func NewConn(conn transport.Conn, pol Policy) *Conn {
-	return NewConnResilient(conn, pol, Resilience{Heartbeat: DefaultHeartbeat})
+// dialed, and its receive loop. Heartbeats run at DefaultHeartbeat, so
+// every rpc client is safe against daemon-side idle timeouts out of the box
+// — use NewConnResilient to tune the interval or disable probing. The
+// Policy is an unused placeholder (see Policy).
+func NewConn(conn transport.Conn, _ Policy) *Conn {
+	return NewConnResilient(conn, Resilience{Heartbeat: DefaultHeartbeat})
 }
 
 // NewConnResilient is NewConn with an explicit link-resilience
@@ -94,10 +93,9 @@ func NewConn(conn transport.Conn, pol Policy) *Conn {
 // healthy-but-quiet link, and a peer silent for 2× the interval fails the
 // connection — every pending call returns a *LinkError instead of blocking
 // forever behind a dead wire. res.Heartbeat == 0 disables both.
-func NewConnResilient(conn transport.Conn, pol Policy, res Resilience) *Conn {
+func NewConnResilient(conn transport.Conn, res Resilience) *Conn {
 	c := &Conn{
 		conn:    conn,
-		pol:     pol.withDefaults(),
 		hb:      res.Heartbeat,
 		pending: make(map[uint64]*outCall),
 		done:    make(chan struct{}),
@@ -105,7 +103,7 @@ func NewConnResilient(conn transport.Conn, pol Policy, res Resilience) *Conn {
 	now := time.Now().UnixNano()
 	c.lastSent.Store(now)
 	c.lastRecv.Store(now)
-	c.out = newBatcher(wire.BatchRequest, c.pol, conn, c.fail)
+	c.out = newBatcher(wire.BatchRequest, conn, c.fail)
 	c.out.preSend = c.markSent
 	go c.recvLoop()
 	if c.hb > 0 {

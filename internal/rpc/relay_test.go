@@ -130,7 +130,7 @@ func TestServeRoutedRelay(t *testing.T) {
 			if err := p.Relay(back, relayPending{p}); err != nil {
 				p.Run(func(*Pending) *wire.Response { return wire.Errf("relay: %v", err) }, nil)
 			}
-		}, nil, Policy{})
+		}, nil)
 		conn.Close()
 	}()
 	raw, err := ip.Dial("front/rpc")

@@ -15,7 +15,7 @@ import (
 // cleanup registered.
 func clientConn(t *testing.T, raw transport.Conn, res Resilience) *Conn {
 	t.Helper()
-	c := NewConnResilient(raw, Policy{}, res)
+	c := NewConnResilient(raw, res)
 	t.Cleanup(func() { c.Close() })
 	return c
 }
@@ -30,7 +30,7 @@ func serveTCPIdle(t *testing.T, idle time.Duration, h Handler) (*transport.TCP, 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go serveLoop(l, h, nil, Policy{})
+	go serveLoop(l, h, nil)
 	return tcp, l.Addr()
 }
 
@@ -45,7 +45,7 @@ func servedPair(t *testing.T, h Handler, res Resilience, wrapClient func(transpo
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go serveLoop(l, h, nil, Policy{})
+	go serveLoop(l, h, nil)
 	raw, err := ip.Dial("srv/rpc")
 	if err != nil {
 		t.Fatal(err)

@@ -8,16 +8,16 @@
 //
 //   - Conn (client side) assigns every request an id, keeps any number of
 //     calls in flight on one transport.Conn, and coalesces concurrent
-//     small requests into one wire batch frame under a flush policy
-//     (Policy: max batch count, max batch bytes). Responses
-//     return in completion order and are matched back by id to each
-//     call's Completion (Go); Call is Go plus a wait.
+//     small requests into one wire batch frame, capped at DefaultMaxCount
+//     entries and DefaultMaxBytes. Responses return in completion order
+//     and are matched back by id to each call's Completion (Go); Call is
+//     Go plus a wait.
 //
 //   - Serve (server side) decodes each inbound batch frame, dispatches its
 //     requests concurrently (through a thread-cache Submit), and coalesces
-//     the responses into batched response frames under the same flush
-//     policy. Blocking operations (get on an empty folder, watch) simply
-//     leave their response for a later frame — they never stall the other
+//     the responses into batched response frames under the same caps.
+//     Blocking operations (get on an empty folder, watch) simply leave
+//     their response for a later frame — they never stall the other
 //     requests of their batch. ServeRouted routes each request on the read
 //     loop first, and may relay it onto another Conn instead of spending a
 //     thread on it: the relayed call's completion answers it.
@@ -43,7 +43,9 @@ import (
 	"repro/internal/transport"
 )
 
-// Flush-policy defaults: the caps on one batch frame.
+// The caps on one batch frame: a frame holds at most DefaultMaxCount
+// entries, and stops before an entry that would take it past
+// DefaultMaxBytes unless that entry is its first.
 const (
 	DefaultMaxCount = 64
 	DefaultMaxBytes = 64 << 10
@@ -63,29 +65,13 @@ const MaxMessage = transport.MaxFrame - 64<<10
 // (15s, 3× this) never fires on a healthy-but-silent connection.
 const DefaultHeartbeat = 5 * time.Second
 
-// Policy caps a batch frame. The batcher drains by backpressure — an entry
-// arriving on an idle wire is sent at once, entries queued behind an
-// in-flight frame ship the moment it completes — so the caps are the only
-// policy there is. The zero Policy means the defaults. MaxCount = 1
-// disables coalescing (every message travels in its own frame) and is the
-// "unbatched" baseline in benchmarks.
-type Policy struct {
-	// MaxCount flushes a batch when it holds this many entries.
-	MaxCount int
-	// MaxBytes caps a batch's encoded payload: an entry that would take it
-	// past this size starts the next frame, unless it would be alone.
-	MaxBytes int
-}
-
-func (p Policy) withDefaults() Policy {
-	if p.MaxCount <= 0 {
-		p.MaxCount = DefaultMaxCount
-	}
-	if p.MaxBytes <= 0 {
-		p.MaxBytes = DefaultMaxBytes
-	}
-	return p
-}
+// Policy is an empty placeholder. The batcher drains by backpressure — an
+// entry arriving on an idle wire is sent at once, entries queued behind an
+// in-flight frame ship the moment it completes — and the frame caps above
+// are constants, so there is nothing left to tune. NewConn, Serve and
+// memoserver.DialClientResilient keep a Policy parameter only so that
+// callers written against the old signatures still compile.
+type Policy struct{}
 
 // Errors.
 var (

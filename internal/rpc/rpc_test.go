@@ -16,14 +16,14 @@ import (
 
 // serveLoop runs Serve(h) on every conn l accepts and closes each one when
 // its Serve returns, as memoserver.Node's accept task does.
-func serveLoop(l transport.Listener, h Handler, submit SubmitFunc, pol Policy) {
+func serveLoop(l transport.Listener, h Handler, submit SubmitFunc) {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
 			return
 		}
 		go func() {
-			_ = Serve(conn, h, submit, pol)
+			_ = Serve(conn, h, submit, Policy{})
 			conn.Close()
 		}()
 	}
@@ -31,7 +31,7 @@ func serveLoop(l transport.Listener, h Handler, submit SubmitFunc, pol Policy) {
 
 // pipe builds a connected client/server pair over the in-process transport,
 // with the server side running Serve(h).
-func pipe(t *testing.T, h Handler, submit SubmitFunc, pol Policy) *Conn {
+func pipe(t *testing.T, h Handler, submit SubmitFunc) *Conn {
 	t.Helper()
 	ip := transport.NewInProc()
 	l, err := ip.Listen("srv/rpc")
@@ -39,12 +39,12 @@ func pipe(t *testing.T, h Handler, submit SubmitFunc, pol Policy) *Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go serveLoop(l, h, submit, pol)
+	go serveLoop(l, h, submit)
 	conn, err := ip.Dial("srv/rpc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewConn(conn, pol)
+	c := NewConn(conn, Policy{})
 	t.Cleanup(func() { c.Close() })
 	return c
 }
@@ -55,7 +55,7 @@ func echoHandler(q *wire.Request, _ <-chan struct{}) *wire.Response {
 }
 
 func TestCallRoundTrip(t *testing.T) {
-	c := pipe(t, echoHandler, nil, Policy{})
+	c := pipe(t, echoHandler, nil)
 	for i := 0; i < 10; i++ {
 		payload := []byte(fmt.Sprintf("msg-%d", i))
 		resp, err := c.Call(&wire.Request{Op: wire.OpPut, Key: symbol.K(7), Payload: payload}, nil)
@@ -82,7 +82,7 @@ func TestConcurrentCallsPipelineOnOneChannel(t *testing.T) {
 		inflight.Add(-1)
 		return echoHandler(q, nil)
 	}
-	c := pipe(t, h, nil, Policy{})
+	c := pipe(t, h, nil)
 	const callers = 16
 	var wg sync.WaitGroup
 	errs := make(chan error, callers)
@@ -187,7 +187,7 @@ func TestOutOfOrderCompletion(t *testing.T) {
 		}
 		return echoHandler(q, nil)
 	}
-	c := pipe(t, h, nil, Policy{})
+	c := pipe(t, h, nil)
 
 	slow := make(chan *wire.Response, 1)
 	go func() {
@@ -244,7 +244,7 @@ func TestCancelUnblocksServer(t *testing.T) {
 					return wire.Errf("cancel never propagated")
 				}
 			}
-			c := pipe(t, h, nil, Policy{})
+			c := pipe(t, h, nil)
 
 			cancel := make(chan struct{})
 			type result struct {
@@ -406,7 +406,7 @@ func TestConnFailsPendingOnTeardown(t *testing.T) {
 		}
 		return wire.Errf("late")
 	}
-	c := pipe(t, h, nil, Policy{})
+	c := pipe(t, h, nil)
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.Call(&wire.Request{Op: wire.OpGet}, nil)
@@ -434,7 +434,7 @@ func TestSubmitThroughThreadCache(t *testing.T) {
 		go fn(arg)
 		return nil
 	}
-	c := pipe(t, echoHandler, submit, Policy{})
+	c := pipe(t, echoHandler, submit)
 	const n = 8
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -452,22 +452,11 @@ func TestSubmitThroughThreadCache(t *testing.T) {
 	}
 }
 
-func TestPolicyDefaults(t *testing.T) {
-	p := Policy{}.withDefaults()
-	if p.MaxCount != DefaultMaxCount || p.MaxBytes != DefaultMaxBytes {
-		t.Fatalf("defaults: %+v", p)
-	}
-	u := Policy{MaxCount: 1}.withDefaults()
-	if u.MaxCount != 1 {
-		t.Fatalf("MaxCount 1 overridden: %+v", u)
-	}
-}
-
 // TestCallRefusesOversizedRequest: nothing fragments a frame, so a request
 // message past MaxMessage fails at once with transport.ErrTooLarge — not a
 // LinkError, so nothing retries it — and the connection carries on.
 func TestCallRefusesOversizedRequest(t *testing.T) {
-	c := pipe(t, echoHandler, nil, Policy{})
+	c := pipe(t, echoHandler, nil)
 	_, err := c.Call(&wire.Request{Op: wire.OpPut, Payload: make([]byte, MaxMessage)}, nil)
 	var le *LinkError
 	if !errors.Is(err, transport.ErrTooLarge) || errors.As(err, &le) {

@@ -38,14 +38,15 @@ type SubmitFunc func(fn func(any), arg any) error
 // closes the conn (as memoserver.Node's accept task does), which is the only
 // answer such a peer gets: an rpc peer has no request id to match an
 // unsolicited response to, and must see its Recv fail rather than hang.
+// The Policy is an unused placeholder (see Policy).
 //
 // Buffer ownership: each received frame arrives in a pooled buffer that
 // every request decoded from it aliases. The frame is reference-counted
 // through dispatch and recycled when the last request of the batch is
 // answered — a batch holding one long-blocking folder wait pins at most
 // one frame, never a copy per request.
-func Serve(conn transport.Conn, h Handler, submit SubmitFunc, pol Policy) error {
-	return ServeRouted(conn, func(p *Pending) { p.Run(runHandler, h) }, submit, pol)
+func Serve(conn transport.Conn, h Handler, submit SubmitFunc, _ Policy) error {
+	return ServeRouted(conn, func(p *Pending) { p.Run(runHandler, h) }, submit)
 }
 
 // runHandler is Serve's RunFunc: the Handler rides as the Pending's arg.
@@ -66,13 +67,13 @@ type RunFunc func(p *Pending) *wire.Response
 // route sees every decoded request first and either runs it on a thread
 // with the decision in hand (Pending.Run) or relays it onto another Conn
 // without one (Pending.Relay), to be answered from that conn's receive loop.
-func ServeRouted(conn transport.Conn, route Router, submit SubmitFunc, pol Policy) error {
+func ServeRouted(conn transport.Conn, route Router, submit SubmitFunc) error {
 	s := &server{
 		route:    route,
 		submit:   submit,
 		inflight: make(map[uint64]*Pending),
 	}
-	s.out = newBatcher(wire.BatchResponse, pol.withDefaults(), conn, func(error) { _ = conn.Close() })
+	s.out = newBatcher(wire.BatchResponse, conn, func(error) { _ = conn.Close() })
 	defer s.shutdown()
 	var entries []wire.BatchEntry
 	for {

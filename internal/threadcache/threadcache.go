@@ -29,14 +29,12 @@ type Config struct {
 	// IdleTimeout is how long a finished worker lingers for more work.
 	// Zero means DefaultIdleTimeout.
 	IdleTimeout time.Duration
-	// MaxIdle bounds the number of lingering workers. Zero means
-	// DefaultMaxIdle.
-	MaxIdle int
 	// Disable turns caching off: every task runs on a fresh goroutine.
 	Disable bool
 }
 
-// Defaults.
+// DefaultIdleTimeout is the idle timeout of a zero Config; DefaultMaxIdle
+// bounds the number of lingering workers.
 const (
 	DefaultIdleTimeout = 100 * time.Millisecond
 	DefaultMaxIdle     = 64
@@ -98,9 +96,6 @@ type idleWorker struct {
 func New(cfg Config) *Pool {
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = DefaultIdleTimeout
-	}
-	if cfg.MaxIdle == 0 {
-		cfg.MaxIdle = DefaultMaxIdle
 	}
 	return &Pool{cfg: cfg}
 }
@@ -175,7 +170,7 @@ func (p *Pool) worker(task Task) {
 // False: the worker retires instead (pool closed or full).
 func (p *Pool) park(ch chan Task) bool {
 	p.mu.Lock()
-	if p.closed || len(p.idle) >= p.cfg.MaxIdle {
+	if p.closed || len(p.idle) >= DefaultMaxIdle {
 		p.mu.Unlock()
 		return false
 	}

@@ -92,11 +92,11 @@ func TestDisableSpawnsPerTask(t *testing.T) {
 }
 
 func TestMaxIdleBounded(t *testing.T) {
-	p := New(Config{IdleTimeout: time.Second, MaxIdle: 2})
+	p := New(Config{IdleTimeout: time.Second})
 	defer func() { p.Close(); p.Wait() }()
 	var wg sync.WaitGroup
 	gate := make(chan struct{})
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 4*DefaultMaxIdle; i++ {
 		wg.Add(1)
 		p.Submit(func() { <-gate; wg.Done() })
 	}
@@ -104,8 +104,8 @@ func TestMaxIdleBounded(t *testing.T) {
 	wg.Wait()
 	deadline := time.Now().Add(time.Second)
 	for time.Now().Before(deadline) {
-		if n := p.IdleCount(); n > 2 {
-			t.Fatalf("idle = %d exceeds MaxIdle 2", n)
+		if n := p.IdleCount(); n > DefaultMaxIdle {
+			t.Fatalf("idle = %d exceeds DefaultMaxIdle %d", n, DefaultMaxIdle)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -148,7 +148,7 @@ func TestCloseIdempotentAndWaits(t *testing.T) {
 }
 
 func TestConcurrentSubmitStress(t *testing.T) {
-	p := New(Config{IdleTimeout: 5 * time.Millisecond, MaxIdle: 8})
+	p := New(Config{IdleTimeout: 5 * time.Millisecond})
 	defer func() { p.Close(); p.Wait() }()
 	var n atomic.Int64
 	var wg sync.WaitGroup
@@ -176,7 +176,7 @@ func TestConcurrentSubmitStress(t *testing.T) {
 func TestCachingReducesSpawns(t *testing.T) {
 	// The E1 claim at unit scale: with caching, far fewer spawns than tasks.
 	run := func(disable bool) Stats {
-		p := New(Config{IdleTimeout: 200 * time.Millisecond, Disable: disable, MaxIdle: 64})
+		p := New(Config{IdleTimeout: 200 * time.Millisecond, Disable: disable})
 		defer func() { p.Close(); p.Wait() }()
 		var wg sync.WaitGroup
 		for i := 0; i < 500; i++ {
