@@ -64,7 +64,6 @@ type opFlags struct {
 	timeout time.Duration
 	jsonOut bool
 	retries int
-	lambda  float64
 	trace   bool
 	// lastTrace reports the trace ID the client stamped (set by connect, 0
 	// until a request ran); emit folds it into the result when -trace is on.
@@ -79,7 +78,6 @@ func newOpFlags(op string) *opFlags {
 	o.fs.DurationVar(&o.timeout, "timeout", 0, "cancel a blocking operation after this long (0 = wait forever); exit code 3 if that left the memo in its folder")
 	o.fs.BoolVar(&o.jsonOut, "json", false, "print a single JSON result line on stdout")
 	o.fs.IntVar(&o.retries, "retries", 2, "transparent retries of the request after a link failure (dedup tokens keep them exactly-once)")
-	o.fs.Float64Var(&o.lambda, "lambda", 0, "placement topology attenuation; must match the value the daemons registered with")
 	o.fs.BoolVar(&o.trace, "trace", false, "mark the request sampled: every hop collects spans into its /tracez ring, and the result reports the trace ID for `memo trace`")
 	return o
 }
@@ -285,7 +283,9 @@ func (o *opFlags) connect() (*core.Memo, *memoserver.Client, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	place, err := placement.New(f, routing.Build(g), placement.Options{Lambda: o.lambda})
+	// memoserverd registers apps at λ = 0, so the client places keys there
+	// too: any other λ would send them to servers the daemons route elsewhere.
+	place, err := placement.New(f, routing.Build(g), placement.Options{})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -61,7 +61,7 @@ func (s *store) BarrierMaybeLocked(i int, c bool) {
 	if c {
 		sh.mu.Lock()
 	}
-	s.wal.Barrier(i) // want `must not run under a shard lock`
+	s.wal.Barrier() // want `must not run under a shard lock`
 	if c {
 		sh.mu.Unlock()
 	}

@@ -24,4 +24,4 @@ func (l *Log) Commit(shard int, seq uint64) error { return nil }
 // Barrier waits for all appended records to be durable.
 //
 //memolint:forbids-shard-lock
-func (l *Log) Barrier(shard int) error { return nil }
+func (l *Log) Barrier() error { return nil }

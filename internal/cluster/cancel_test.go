@@ -29,7 +29,7 @@ func TestCanceledGetNeverEatsItsMemo(t *testing.T) {
 					if durableOn {
 						opts.DataDir = t.TempDir()
 					}
-					c := boot(t, recoveryADF, opts)
+					c := boot(t, chaosADF, opts)
 					m, err := c.NewMemo(host)
 					if err != nil {
 						t.Fatal(err)
@@ -76,4 +76,13 @@ func TestCanceledGetNeverEatsItsMemo(t *testing.T) {
 			}
 		}
 	}
+}
+
+func asInt64(t *testing.T, v transferable.Value) int64 {
+	t.Helper()
+	id, ok := transferable.AsInt(v)
+	if !ok {
+		t.Fatalf("memo payload %v, want integer", v)
+	}
+	return id
 }

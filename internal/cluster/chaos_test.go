@@ -2,20 +2,22 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/rpc"
 	"repro/internal/symbol"
 	"repro/internal/transferable"
 	"repro/internal/transport"
 )
 
-// chaosADF: two hosts, every folder server on b, so all folder traffic from
-// a crosses the severable a—b link while consumers on b stay local.
+// chaosADF: two hosts, every folder server on b, so all deposit traffic from
+// a crosses the a—b link while consumers on b stay local.
 const chaosADF = `APP chaos
 HOSTS
 a 1 sun4 1
@@ -29,34 +31,8 @@ PPC
 a <-> b 1
 `
 
-const poisonID = int64(-1)
-
-// chaosCounts is the exactly-once ledger: producers record each memo id as
-// acked (put returned OK — the memo is definitely in a folder exactly once)
-// or uncertain (put returned an error — the link died with the request
-// maybe applied, so 0 or 1 copies exist, never 2).
-type chaosCounts struct {
-	mu        sync.Mutex
-	acked     map[int64]bool
-	uncertain map[int64]bool
-	seen      map[int64]int // id -> times consumed or drained
-}
-
-func (cc *chaosCounts) ack(id int64)  { cc.mu.Lock(); cc.acked[id] = true; cc.mu.Unlock() }
-func (cc *chaosCounts) miss(id int64) { cc.mu.Lock(); cc.uncertain[id] = true; cc.mu.Unlock() }
-func (cc *chaosCounts) see(id int64)  { cc.mu.Lock(); cc.seen[id]++; cc.mu.Unlock() }
-
-func asInt64(t *testing.T, v transferable.Value) int64 {
-	t.Helper()
-	id, ok := transferable.AsInt(v)
-	if !ok {
-		t.Fatalf("memo payload %v, want integer", v)
-	}
-	return id
-}
-
 // waitTimeout fails the test if the group does not finish in time — a hung
-// goroutine is exactly the bug class this test exists to catch.
+// goroutine is exactly the bug class these tests exist to catch.
 func waitTimeout(t *testing.T, what string, wg *sync.WaitGroup, d time.Duration) {
 	t.Helper()
 	done := make(chan struct{})
@@ -68,20 +44,66 @@ func waitTimeout(t *testing.T, what string, wg *sync.WaitGroup, d time.Duration)
 	}
 }
 
-// TestChaosSeverRestoreNoLossNoDup runs a mixed Put/Get/AltTake workload
-// while the a—b link is severed and later restored, then audits the ledger:
-// every acknowledged memo is consumed exactly once, nothing is consumed
-// twice, and every caller completes (fast-fail with ErrLinkDown-derived
-// errors, never a hang). Run under -race by the dedicated CI chaos step.
-func TestChaosSeverRestoreNoLossNoDup(t *testing.T) {
-	c := boot(t, chaosADF, Options{
-		Resilience: rpc.Resilience{
-			Heartbeat: 100 * time.Millisecond,
-			Redial:    transport.Backoff{Min: 2 * time.Millisecond, Max: 20 * time.Millisecond},
-			Retries:   2,
-		},
-	})
+// faultRow is one way the a—b path fails under the exactly-once workload.
+type faultRow struct {
+	// crash marks a fault that kills b's process. A crash row gives the
+	// cluster a data dir, with a snapshot threshold small enough that the log
+	// compacts mid-workload, and more retries to ride out the restart. A
+	// sever row leaves b's process alone, so its local consumers can never
+	// lose a take's response: it requires every consumer call to succeed or
+	// be canceled, and zero uncertain takes, so every acked memo is consumed
+	// exactly once. It also reads a sentinel across the link throughout:
+	// every read must return, success or fast failure, and one must succeed.
+	crash bool
+	// fault breaks the path mid-workload and heals it.
+	fault func(t *testing.T, c *Cluster)
+}
 
+// TestChaosSeverRestoreNoLossNoDup severs the a—b link mid-workload and
+// restores it. Run under -race by the dedicated CI chaos step.
+func TestChaosSeverRestoreNoLossNoDup(t *testing.T) {
+	runExactlyOnce(t, faultRow{fault: func(t *testing.T, c *Cluster) {
+		c.Sim.Sever("a", "b")
+		time.Sleep(80 * time.Millisecond)
+		c.Sim.Restore("a", "b")
+	}})
+}
+
+// TestRecoveryCrashRestartExactlyOnce hard-crashes the folder-owning memo
+// server mid-workload and reopens it from the same data directory.
+// Maybe-delivered puts are transparently retried across the crash, and their
+// dedup tokens are recovered from the WAL, so a retry can never
+// double-deposit. The one loss the audit excuses is a take that committed in
+// the instant before the crash while its response died with the process. Run
+// under -race by the dedicated CI recovery step.
+func TestRecoveryCrashRestartExactlyOnce(t *testing.T) {
+	runExactlyOnce(t, faultRow{crash: true, fault: func(t *testing.T, c *Cluster) {
+		if err := c.CrashNode("b"); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(50 * time.Millisecond)
+		if _, err := c.RestartNode("b"); err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+	}})
+}
+
+// runExactlyOnce runs producers on a and consumers on b through row's fault,
+// drains what nobody consumed, and audits the ledger: no memo consumed
+// twice, none observed that no put may have deposited, no acked memo lost
+// beyond what the uncertain takes explain, and every caller completes.
+func runExactlyOnce(t *testing.T, row faultRow) {
+	opts := Options{Resilience: rpc.Resilience{
+		Heartbeat: 50 * time.Millisecond,
+		Redial:    transport.Backoff{Min: 2 * time.Millisecond, Max: 30 * time.Millisecond},
+		Retries:   2,
+	}}
+	if row.crash {
+		opts.Resilience.Retries = 6
+		opts.DataDir = t.TempDir()
+		opts.Durable = durable.Config{SnapshotEvery: 200}
+	}
+	c := boot(t, chaosADF, opts)
 	newMemo := func(host string) *core.Memo {
 		m, err := c.NewMemo(host)
 		if err != nil {
@@ -89,36 +111,22 @@ func TestChaosSeverRestoreNoLossNoDup(t *testing.T) {
 		}
 		return m
 	}
-	ctl := newMemo("b") // control-plane handle: local to the folders, reliable
+	ctl := newMemo("b")
+	jobs, alt1, alt2 := ctl.NamedKey("jobs"), ctl.NamedKey("alt1"), ctl.NamedKey("alt2")
+	led := NewLedger()
 
-	jobs := ctl.NamedKey("jobs")
-	alt1 := ctl.NamedKey("alt1")
-	alt2 := ctl.NamedKey("alt2")
-	sentinel := ctl.NamedKey("sentinel")
-	if err := ctl.PutGo(sentinel, int64(7777)); err != nil {
-		t.Fatal(err)
-	}
-
-	cc := &chaosCounts{
-		acked:     make(map[int64]bool),
-		uncertain: make(map[int64]bool),
-		seen:      make(map[int64]int),
-	}
-
-	// Producers on a: unique ids, mostly to jobs, every fifth to an alt
-	// folder. Failed puts are recorded uncertain and never blindly re-put —
-	// the no-duplicate guarantee belongs to the system, not the workload.
-	const producers = 3
-	const perProducer = 120
+	// Producers on a: unique values, mostly to jobs, every fifth to an alt
+	// folder. Failed puts are booked and never blindly re-put — the
+	// no-duplicate guarantee belongs to the system, not the workload.
+	const producers, perProducer = 3, 120
 	var attempted atomic.Int64
 	var prodWG sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		m := newMemo("a")
 		prodWG.Add(1)
-		go func(p int, m *core.Memo) {
+		go func() {
 			defer prodWG.Done()
 			for i := 0; i < perProducer; i++ {
-				id := int64(p*1_000_000 + i)
 				key := jobs
 				switch i % 10 {
 				case 3:
@@ -126,171 +134,128 @@ func TestChaosSeverRestoreNoLossNoDup(t *testing.T) {
 				case 7:
 					key = alt2
 				}
+				v := fmt.Sprintf("p%d-%d", p, i)
 				attempted.Add(1)
-				if err := m.PutGo(key, id); err != nil {
-					cc.miss(id)
-				} else {
-					cc.ack(id)
-				}
+				led.Put(v, m.Put(key, transferable.String(v)))
 			}
-		}(p, m)
+		}()
 	}
 
 	// Consumers on b: blocking gets on jobs plus an AltTake over the alt
-	// folders. They run local to the folder server, so severing a—b cannot
-	// make a consumed memo's ack vanish — the ledger stays exact.
+	// folders, until stop cancels them.
+	stop := make(chan struct{})
 	var consWG sync.WaitGroup
-	const jobConsumers = 2
-	for i := 0; i < jobConsumers; i++ {
+	consume := func(take func(m *core.Memo) (transferable.Value, error)) {
 		m := newMemo("b")
 		consWG.Add(1)
-		go func(m *core.Memo) {
+		go func() {
 			defer consWG.Done()
 			for {
-				v, err := m.Get(jobs)
+				v, err := take(m)
+				s, _ := transferable.AsString(v)
+				led.Take(s, true, err)
+				if errors.Is(err, core.ErrCanceled) {
+					return
+				}
+				if err != nil && !row.crash {
+					t.Errorf("local consumer: %v", err)
+					return
+				}
 				if err != nil {
-					t.Errorf("consumer get: %v", err)
-					return
+					time.Sleep(2 * time.Millisecond)
 				}
-				id := asInt64(t, v)
-				if id == poisonID {
-					// Another consumer may still be parked; pass it on.
-					if err := m.PutGo(jobs, poisonID); err != nil {
-						t.Errorf("re-put poison: %v", err)
-					}
-					return
-				}
-				cc.see(id)
 			}
-		}(m)
+		}()
 	}
-	consWG.Add(1)
-	go func() {
-		defer consWG.Done()
-		m := newMemo("b")
-		for {
-			_, v, err := m.GetAlt(alt1, alt2)
-			if err != nil {
-				t.Errorf("alt consumer: %v", err)
-				return
-			}
-			id := asInt64(t, v)
-			if id == poisonID {
-				return
-			}
-			cc.see(id)
-		}
-	}()
+	for i := 0; i < 2; i++ {
+		consume(func(m *core.Memo) (transferable.Value, error) { return m.GetCancel(jobs, stop) })
+	}
+	consume(func(m *core.Memo) (transferable.Value, error) {
+		_, v, err := m.GetAltCancel(stop, alt1, alt2)
+		return v, err
+	})
 
-	// Noise on a: remote GetCopy across the chaos link. It must always
-	// return — success or fast failure — and succeed again after restore.
 	noiseStop := make(chan struct{})
 	var noiseOK, noiseErr atomic.Int64
 	var noiseWG sync.WaitGroup
-	noiseWG.Add(1)
-	go func() {
-		defer noiseWG.Done()
-		m := newMemo("a")
-		for {
-			select {
-			case <-noiseStop:
-				return
-			default:
-			}
-			if _, err := m.GetCopy(sentinel); err != nil {
-				var re *core.RemoteError
-				if !errors.As(err, &re) {
-					t.Errorf("noise get_copy: unexpected error type %T: %v", err, err)
-					return
-				}
-				noiseErr.Add(1)
-			} else {
-				noiseOK.Add(1)
-			}
+	if !row.crash {
+		sentinel := ctl.NamedKey("sentinel")
+		if err := ctl.PutGo(sentinel, int64(7777)); err != nil {
+			t.Fatal(err)
 		}
-	}()
+		m := newMemo("a")
+		noiseWG.Add(1)
+		go func() {
+			defer noiseWG.Done()
+			for {
+				select {
+				case <-noiseStop:
+					return
+				default:
+				}
+				if _, err := m.GetCopy(sentinel); err != nil {
+					var re *core.RemoteError
+					if !errors.As(err, &re) {
+						t.Errorf("noise get_copy: unexpected error type %T: %v", err, err)
+						return
+					}
+					noiseErr.Add(1)
+				} else {
+					noiseOK.Add(1)
+				}
+			}
+		}()
+	}
 
-	// Mid-flight: sever the link, hold it down, restore.
 	for attempted.Load() < producers*perProducer/4 {
 		time.Sleep(time.Millisecond)
 	}
-	c.Sim.Sever("a", "b")
-	time.Sleep(80 * time.Millisecond)
-	c.Sim.Restore("a", "b")
+	row.fault(t, c)
 
 	waitTimeout(t, "producers", &prodWG, 60*time.Second)
 	close(noiseStop)
 	waitTimeout(t, "noise", &noiseWG, 30*time.Second)
-
-	// Producers are done: poison the consumers, then join them.
-	if err := ctl.PutGo(jobs, poisonID); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctl.PutGo(alt1, poisonID); err != nil {
-		t.Fatal(err)
-	}
+	close(stop)
 	waitTimeout(t, "consumers", &consWG, 30*time.Second)
 
-	// Drain what nobody consumed (leftover memos, surviving poisons).
+	// Drain what nobody consumed through a fresh handle on b.
+	drain := newMemo("b")
 	for _, key := range []symbol.Key{jobs, alt1, alt2} {
 		for {
-			v, ok, err := ctl.GetSkip(key)
+			v, ok, err := drain.GetSkip(key)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("drain %v: %v", key, err)
 			}
+			s, _ := transferable.AsString(v)
+			led.Take(s, ok, nil)
 			if !ok {
 				break
 			}
-			if id := asInt64(t, v); id != poisonID {
-				cc.see(id)
-			}
 		}
 	}
 
-	// The audit. No lock needed: every worker has joined.
-	produced := producers * perProducer
-	if got := len(cc.acked) + len(cc.uncertain); got != produced {
-		t.Fatalf("ledger covers %d ids, want %d", got, produced)
+	if err := led.Check(); err != nil {
+		t.Error(err)
 	}
-	if len(cc.uncertain) == 0 {
-		t.Log("warning: no put failed during the sever window; chaos window may be too gentle")
+	tally := led.Tally()
+	if tally.Puts != producers*perProducer {
+		t.Errorf("ledger booked %d puts, want %d", tally.Puts, producers*perProducer)
 	}
-	for id, n := range cc.seen {
-		if n > 1 {
-			t.Errorf("memo %d consumed %d times (duplicated)", id, n)
-		}
-		if !cc.acked[id] && !cc.uncertain[id] {
-			t.Errorf("memo %d consumed but never produced", id)
-		}
+	if !row.crash && tally.UncertainTakes != 0 {
+		t.Errorf("%d uncertain takes; a local consumer must never lose a take's response", tally.UncertainTakes)
 	}
-	for id := range cc.acked {
-		if cc.seen[id] != 1 {
-			t.Errorf("acked memo %d consumed %d times, want exactly 1 (lost or duplicated)", id, cc.seen[id])
-		}
-	}
-	if noiseOK.Load() == 0 {
+	if !row.crash && noiseOK.Load() == 0 {
 		t.Error("remote get_copy noise never succeeded")
 	}
-	t.Logf("acked %d, uncertain %d (of those %d landed), noise ok/err %d/%d, node-a retries %d",
-		len(cc.acked), len(cc.uncertain), countUncertainLanded(cc), noiseOK.Load(), noiseErr.Load(),
-		nodeStat(t, c, "a"))
-}
-
-func countUncertainLanded(cc *chaosCounts) int {
-	n := 0
-	for id := range cc.uncertain {
-		if cc.seen[id] > 0 {
-			n++
-		}
+	na, _ := c.Node("a")
+	nb, _ := c.Node("b")
+	var dupPuts int64
+	if srv, ok := nb.LocalFolderServer(c.File.App, 0); ok {
+		dupPuts = srv.Store().Stats().DupPuts
 	}
-	return n
-}
-
-func nodeStat(t *testing.T, c *Cluster, host string) int64 {
-	t.Helper()
-	n, ok := c.Node(host)
-	if !ok {
-		t.Fatalf("no node %s", host)
+	t.Logf("%+v, noise ok/err %d/%d, node-a retries %d, dedup hits %d",
+		tally, noiseOK.Load(), noiseErr.Load(), na.Stats().Retried, dupPuts)
+	if tally.UncertainPuts+tally.Unsent == 0 && na.Stats().Retried == 0 {
+		t.Log("warning: the workload never observed the fault; the fault window may be too gentle")
 	}
-	return n.Stats().Retried
 }

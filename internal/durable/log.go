@@ -284,25 +284,26 @@ func (l *Log) Append(shard int, rec *Record) uint64 {
 	return seq
 }
 
-// Commit blocks until the log has made the shard's record seq durable. It
-// must run outside the shard lock (it blocks on fsync), and its error gates
-// the ack.
+// Commit blocks until the log has made record seq durable. It must run
+// outside the shard lock (it blocks on fsync), and its error gates the ack.
+// The log has one writer; the unnamed first parameter is a shard index it
+// ignores.
 //
 //memolint:forbids-shard-lock
 //memolint:must-check-error
-func (l *Log) Commit(shard int, seq uint64) error {
+func (l *Log) Commit(_ int, seq uint64) error {
 	return l.w.commit(seq)
 }
 
-// Barrier blocks until everything appended so far — the shard's records
-// among them — is durable: the wait a deduplicated (already-applied) put
-// performs so its acknowledgement never outruns the original record's fsync.
+// Barrier blocks until everything appended so far is durable: the wait a
+// deduplicated (already-applied) op performs so its acknowledgement never
+// outruns the original record's fsync.
 // An empty log (the original landed in a previous incarnation) is trivially
 // durable.
 //
 //memolint:forbids-shard-lock
 //memolint:must-check-error
-func (l *Log) Barrier(shard int) error {
+func (l *Log) Barrier() error {
 	seq := l.w.barrier()
 	if seq == 0 {
 		return l.w.aliveErr()

@@ -117,7 +117,7 @@ func (s *Store) applyRecord(rec *durable.Record) error {
 					// and the removed item itself, as the live take does — so a
 					// post-crash retry is answered from the cache instead of
 					// consuming a second memo.
-					s.tokens.noteTakeCache(tokSlot{tok: rec.Token, kind: slotTake, shard: uint16(si), name: f.name, data: f.removeAt(i)})
+					s.tokens.noteTakeCache(tokSlot{tok: rec.Token, kind: slotTake, name: f.name, data: f.removeAt(i)})
 					found = true
 					break
 				}
@@ -135,7 +135,7 @@ func (s *Store) applyRecord(rec *durable.Record) error {
 	case durable.RecTakeCache:
 		sl := tokSlot{tok: rec.Token, kind: slotEmpty}
 		if !rec.Empty {
-			sl = tokSlot{tok: rec.Token, kind: slotTake, shard: uint16(si), name: string(canon), data: bytes.Clone(rec.Payload)}
+			sl = tokSlot{tok: rec.Token, kind: slotTake, name: string(canon), data: bytes.Clone(rec.Payload)}
 		}
 		s.tokens.noteTakeCache(sl)
 	default:

@@ -338,17 +338,17 @@ func (ot *opTrace) committed(t0 int64) {
 	}
 }
 
-// commit waits until record seq on stripe si is durable, then lets the
-// background snapshot cycle run. A memory-only store commits trivially.
+// commit waits until record seq is durable, then lets the background
+// snapshot cycle run. A memory-only store commits trivially.
 //
 //memolint:forbids-shard-lock
 //memolint:must-check-error
-func (s *Store) commit(si int, seq uint64, ot *opTrace) error {
+func (s *Store) commit(seq uint64, ot *opTrace) error {
 	if s.wal == nil {
 		return nil
 	}
 	tc := ot.clock()
-	if err := s.wal.Commit(si, seq); err != nil {
+	if err := s.wal.Commit(0, seq); err != nil {
 		return err
 	}
 	ot.committed(tc)
@@ -356,18 +356,18 @@ func (s *Store) commit(si int, seq uint64, ot *opTrace) error {
 	return nil
 }
 
-// barrier waits until everything already appended to stripe si is durable:
-// the wait a deduplicated op owes its original, whose record it repeats the
+// barrier waits until everything already appended is durable: the wait a
+// deduplicated op owes its original, whose record it repeats the
 // acknowledgement of.
 //
 //memolint:forbids-shard-lock
 //memolint:must-check-error
-func (s *Store) barrier(si int, ot *opTrace) error {
+func (s *Store) barrier(ot *opTrace) error {
 	if s.wal == nil {
 		return nil
 	}
 	tc := ot.clock()
-	if err := s.wal.Barrier(si); err != nil {
+	if err := s.wal.Barrier(); err != nil {
 		return err
 	}
 	ot.committed(tc)
@@ -436,7 +436,7 @@ func (s *Store) deposit(key symbol.Key, dest *symbol.Key, payload []byte, token 
 	if token != 0 && !s.tokens.noteIfNew(token) {
 		sh.mu.Unlock()
 		s.dupPuts.Inc()
-		return s.barrier(si, ot)
+		return s.barrier(ot)
 	}
 	f := sh.getFold(canon)
 	var released []delayedEntry
@@ -484,7 +484,7 @@ func (s *Store) deposit(key symbol.Key, dest *symbol.Key, payload []byte, token 
 			s.releaseDone(key, d.rel)
 		}
 	}
-	return s.commit(si, seq, ot)
+	return s.commit(seq, ot)
 }
 
 // releaseDone logs that the delayed entry with release token rel has left
@@ -605,7 +605,7 @@ func (s *Store) takeFromCache(res tokSlot, ot *opTrace) (symbol.Key, []byte, boo
 	if res.kind == slotEmpty {
 		return symbol.Key{}, nil, false, nil
 	}
-	if err := s.barrier(int(res.shard), ot); err != nil {
+	if err := s.barrier(ot); err != nil {
 		return symbol.Key{}, nil, false, err
 	}
 	key, err := symbol.ParseCanon(res.name)
@@ -770,7 +770,7 @@ func (s *Store) read(op *readOp) (symbol.Key, []byte, bool, error) {
 					// the commit via the durability barrier in takeFromCache.
 					// The fact holds the folder's own name and the taken
 					// slice itself: nothing is copied, nothing allocated.
-					s.tokens.resolveTake(tokSlot{tok: op.token, kind: slotTake, shard: uint16(si), name: f.name, data: val})
+					s.tokens.resolveTake(tokSlot{tok: op.token, kind: slotTake, name: f.name, data: val})
 					claim = false
 				}
 				sh.gcFold(f)
@@ -791,7 +791,7 @@ func (s *Store) read(op *readOp) (symbol.Key, []byte, bool, error) {
 			key := op.keys[found]
 			switch op.mode {
 			case modeTake:
-				if err := s.commit(si, seq, op.ot); err != nil {
+				if err := s.commit(seq, op.ot); err != nil {
 					// Only possible once the log is terminally dead. Restore
 					// the item — a payload never leaves the store without
 					// its removal being durable — and forget the token, so

@@ -11,15 +11,12 @@ import (
 // retry repeats: name is the satisfied folder's canonical name — the very
 // string the directory used as its map key, shared, never rebuilt — and data
 // is the taken slice itself, shared read-only with the response the original
-// take returned (takeFromCache hands a retry its own copy). shard names the
-// stripe whose log carries the take record, so a cache hit can wait on that
-// stripe's durability barrier before acknowledging.
+// take returned (takeFromCache hands a retry its own copy).
 type tokSlot struct {
-	tok   uint64
-	kind  slotKind
-	shard uint16 // < MaxShards
-	name  string
-	data  []byte
+	tok  uint64
+	kind slotKind
+	name string
+	data []byte
 }
 
 type slotKind uint8

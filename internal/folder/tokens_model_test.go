@@ -50,7 +50,7 @@ func (r *refTable) live() (facts []int, cacheBytes int64) {
 }
 
 func sameSlot(a, b tokSlot) bool {
-	return a.tok == b.tok && a.kind == b.kind && a.shard == b.shard && a.name == b.name && string(a.data) == string(b.data)
+	return a.tok == b.tok && a.kind == b.kind && a.name == b.name && string(a.data) == string(b.data)
 }
 
 // tableRegressionSeeds are (seed, cap) pairs that have made the differential
@@ -98,7 +98,8 @@ func tableModelRun(seed uint64, tcap, steps int) error {
 		if rng.IntN(4) == 0 {
 			return tokSlot{tok: tok, kind: slotEmpty}
 		}
-		return tokSlot{tok: tok, kind: slotTake, shard: uint16(rng.IntN(32)),
+		rng.IntN(32) // a draw the slot no longer uses; it keeps the regression seeds' streams as they were
+		return tokSlot{tok: tok, kind: slotTake,
 			name: fmt.Sprint("7/", rng.IntN(9)), data: []byte(fmt.Sprint("memo-", rng.IntN(1000)))}
 	}
 	endClaim := func() (uint64, bool) { // a random in-flight claim, removed from the model

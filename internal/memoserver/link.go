@@ -233,16 +233,21 @@ func (l *rlink) stats() LinkHealth {
 // an attempt already issued elsewhere — a relay the read loop sent with
 // rpc.Pending.Relay, stamped there — and counts against the retries like
 // any other. retried counts the re-issues.
-// The bool reports whether the last attempt got a connection at all, so
-// callers can word a dial failure apart from a failed call.
+// The bool reports whether the returned error came from a call rather than a
+// dial, so callers can word a dial failure apart from a failed call: it is
+// true when a later dial failed but an earlier attempt's possibly-sent link
+// error is what the call returns.
 // ErrClientCanceled means the owning store said the canceled call consumed
-// nothing, or that no attempt can have reached it: once an attempt has failed
-// with its request possibly sent, a cancel returns that attempt's link error
-// (outcome unknown) instead.
+// nothing, or that no attempt can have reached it; a LinkError with Sent
+// false means no attempt reached the wire. Once an attempt has failed with
+// its request possibly sent, whatever ends the call — a cancel, a retry that
+// died unsent, a failed re-dial — returns that attempt's link error (outcome
+// unknown) instead.
 func (l *rlink) call(q *wire.Request, cancel <-chan struct{}, first error, retried *obs.Counter) (*wire.Response, bool, error) {
 	l.stamp(q)
 	// canceled is what a cancel reports: that, until an attempt fails with
-	// its request possibly executed; from then on that attempt's link error.
+	// its request possibly executed; from then on that attempt's link error,
+	// which every failure reports.
 	canceled := error(ErrClientCanceled)
 	for attempt := 0; ; attempt++ {
 		var resp *wire.Response
@@ -261,7 +266,10 @@ func (l *rlink) call(q *wire.Request, cancel <-chan struct{}, first error, retri
 					retried.Inc()
 					continue
 				}
-				return nil, false, err
+				if canceled == ErrClientCanceled {
+					return nil, false, err
+				}
+				return nil, true, canceled
 			}
 			resp, err = conn.Call(q, cancel)
 		}
@@ -283,6 +291,9 @@ func (l *rlink) call(q *wire.Request, cancel <-chan struct{}, first error, retri
 				retried.Inc()
 				continue
 			}
+		}
+		if canceled != ErrClientCanceled {
+			err = canceled
 		}
 		return nil, true, err
 	}

@@ -219,7 +219,7 @@ func TestVerbMatrixRetryAndStamp(t *testing.T) {
 							p.drops = 1
 							_, _, err = l.call(q, nil, nil, &retried)
 						case diesQueued:
-							err = callBehindWedge(t, l, raw, q, &retried)
+							err = callBehindWedge(t, l, raw, q, nil, &retried)
 						case diesBefore:
 							conn, gerr := l.get(nil)
 							if gerr != nil {
@@ -272,11 +272,12 @@ func TestVerbMatrixRetryAndStamp(t *testing.T) {
 	}
 }
 
-// callBehindWedge issues q on l while the link's wire is wedged under
-// another request's frame, kills the link once q's call has its conn, and
-// returns the call's error. Whether q's entry made the batcher queue before
-// the death or reached the dead conn after it, it never reached the wire.
-func callBehindWedge(t *testing.T, l *rlink, raw func() *wedgeConn, q *wire.Request, retried *obs.Counter) error {
+// callBehindWedge issues q on l — continuing from first, like a relay whose
+// read-loop attempt failed — while the link's wire is wedged under another
+// request's frame, kills the link once q's attempt has its conn, and returns
+// the call's error. Whether q's entry made the batcher queue before the death
+// or reached the dead conn after it, that attempt never reached the wire.
+func callBehindWedge(t *testing.T, l *rlink, raw func() *wedgeConn, q *wire.Request, first error, retried *obs.Counter) error {
 	t.Helper()
 	conn, err := l.get(nil)
 	if err != nil {
@@ -292,7 +293,7 @@ func callBehindWedge(t *testing.T, l *rlink, raw func() *wedgeConn, q *wire.Requ
 	calls := rpcCalls()
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := l.call(q, nil, nil, retried)
+		_, _, err := l.call(q, nil, first, retried)
 		errc <- err
 	}()
 	// get returns before Conn.Call counts, so once the count moves q's
@@ -302,6 +303,25 @@ func callBehindWedge(t *testing.T, l *rlink, raw func() *wedgeConn, q *wire.Requ
 	}
 	close(w.release)
 	return <-errc
+}
+
+// TestMaybeSentErrorSurvivesRetry: a call whose first attempt may have
+// executed and whose retry dies unsent must still report the maybe-sent
+// error. Sent == false promises nothing executed, and the exactly-once
+// ledger books such a put as never deposited.
+func TestMaybeSentErrorSurvivesRetry(t *testing.T) {
+	p := newScriptedPeer(t, okHandler)
+	l, raw := p.link(t, 1)
+	q := &wire.Request{Op: wire.OpPut, App: "x", Token: 0xABCDEF}
+	var retried obs.Counter
+	err := callBehindWedge(t, l, raw, q, &rpc.LinkError{Sent: true}, &retried)
+	var le *rpc.LinkError
+	if !errors.As(err, &le) || !le.Sent {
+		t.Fatalf("err %v, want the first attempt's LinkError with Sent = true", err)
+	}
+	if retried.Load() != 1 {
+		t.Fatalf("retried %d, want 1", retried.Load())
+	}
 }
 
 // TestVerbMatrixLocalDispatch dispatches every verb at a node that owns the

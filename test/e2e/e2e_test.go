@@ -179,52 +179,6 @@ func TestGenActionsForcedCoverage(t *testing.T) {
 	}
 }
 
-// TestOracleSelfTest injects deliberate duplicate, loss, and phantom
-// outcomes and requires the oracle to flag each — the oracle is only
-// trustworthy if it provably fails on the bugs it exists to catch.
-func TestOracleSelfTest(t *testing.T) {
-	clean := NewLedger()
-	clean.AckPut("a")
-	clean.Consume("a")
-	clean.UncertainPut("b")
-	clean.AckPut("c")
-	clean.UncertainTake() // may have eaten c
-	if err := clean.Check(); err != nil {
-		t.Fatalf("clean history flagged: %v", err)
-	}
-
-	dup := NewLedger()
-	dup.AckPut("a")
-	dup.Consume("a")
-	dup.Consume("a")
-	if err := dup.Check(); err == nil {
-		t.Fatal("duplicate consumption not flagged")
-	}
-
-	loss := NewLedger()
-	loss.AckPut("a")
-	if err := loss.Check(); err == nil {
-		t.Fatal("lost acked value not flagged")
-	}
-
-	phantom := NewLedger()
-	phantom.Consume("never-deposited")
-	if err := phantom.Check(); err == nil {
-		t.Fatal("phantom value not flagged")
-	}
-
-	uncertain := NewLedger()
-	uncertain.UncertainPut("maybe")
-	uncertain.Consume("maybe") // landed once: fine
-	if err := uncertain.Check(); err != nil {
-		t.Fatalf("0-or-1 uncertain landing flagged: %v", err)
-	}
-	uncertain.Consume("maybe") // landed twice: bug
-	if err := uncertain.Check(); err == nil {
-		t.Fatal("uncertain value consumed twice not flagged")
-	}
-}
-
 // TestMinimizePrefix: the corpus minimizer finds the exact threshold with
 // a generous probe budget and still returns a failing prefix on a tight
 // one.

@@ -390,6 +390,15 @@ type CLIResult struct {
 	Code  int    `json:"-"`
 }
 
+// Err is the operation's failure (nil if it succeeded). The CLI reports only
+// a message, so a ledger books a failure as uncertain.
+func (r CLIResult) Err() error {
+	if r.OK {
+		return nil
+	}
+	return fmt.Errorf("memo %s: exit %d: %s", r.Op, r.Code, r.Error)
+}
+
 // Restart resurrects a killed node from its data directory and
 // re-registers the app via the CLI.
 func (c *Cluster) Restart(i int) error {

@@ -9,15 +9,15 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/symbol"
 	"repro/internal/transferable"
 )
 
 // opTimeout bounds every blocking client call the runner issues. A timed-
-// out take that reports canceled consumed nothing (the store said so); the
-// ledger still books every errored take as uncertain, cancels included,
-// because a link error's outcome is unknown and it does not tell them apart.
+// out take that reports canceled consumed nothing (the store said so), and
+// the ledger books it so.
 const opTimeout = 2 * time.Second
 
 // CLI runs one memo-binary subcommand against node host and parses its
@@ -56,7 +56,7 @@ func (c *Cluster) CLI(host int, op string, extra ...string) (CLIResult, error) {
 // runner carries one chaos run's live state.
 type runner struct {
 	c     *Cluster
-	led   *Ledger
+	led   *cluster.Ledger
 	memos [hostCount]*core.Memo
 	seed  int64
 
@@ -65,10 +65,8 @@ type runner struct {
 
 	severed []int // FIFO of severed pair indices
 
-	pumped      map[string]map[string]bool // target host -> allowed images
-	ackedPump   map[string]bool            // target host has >= 1 certain image
-	pumpCertain int
-	pumpTotal   int
+	pumped    map[string]map[string]bool // target host -> allowed images
+	ackedPump map[string]bool            // target host has >= 1 certain image
 }
 
 // RunChaos executes one full seeded chaos run: boot, trace, settle, drain,
@@ -100,7 +98,7 @@ func RunChaos(dir string, bins Binaries, seed int64, n int, logf func(string, ..
 		return err
 	}
 	r := &runner{
-		c: c, led: NewLedger(), seed: seed,
+		c: c, led: cluster.NewLedger(), seed: seed,
 		sem:       make(chan struct{}, 16),
 		pumped:    make(map[string]map[string]bool),
 		ackedPump: make(map[string]bool),
@@ -131,7 +129,7 @@ func RunChaos(dir string, bins Binaries, seed int64, n int, logf func(string, ..
 	if err := c.Shutdown(); err != nil {
 		return fmt.Errorf("clean shutdown: %w", err)
 	}
-	c.logf("run seed=%d n=%d: oracle held (%s)", seed, n, r.led.Stats())
+	c.logf("run seed=%d n=%d: oracle held (%+v)", seed, n, r.led.Tally())
 	return nil
 }
 
@@ -167,62 +165,34 @@ func (r *runner) step(i int, act Action) error {
 	val := r.value(i)
 	switch act.Type {
 	case ActPut:
-		r.led.Intend(val)
-		if err := m.Put(key, transferable.String(val)); err != nil {
-			r.led.UncertainPut(val)
-		} else {
-			r.led.AckPut(val)
-		}
+		r.led.Put(val, m.Put(key, transferable.String(val)))
 
 	case ActPutCLI:
-		r.led.Intend(val)
 		out, err := r.c.CLI(act.Host, "put", "-key", key.Canon(), "-value", val)
 		if err != nil {
 			return err
 		}
-		if out.OK {
-			r.led.AckPut(val)
-		} else {
-			r.led.UncertainPut(val)
-		}
+		r.led.Put(val, out.Err())
 
 	case ActPutDelayed:
-		r.led.Intend(val)
-		if err := m.PutDelayed(key, chaosKey(act.Key2), transferable.String(val)); err != nil {
-			r.led.UncertainPut(val)
-		} else {
-			r.led.AckPut(val)
-		}
+		r.led.Put(val, m.PutDelayed(key, chaosKey(act.Key2), transferable.String(val)))
 
 	case ActGet:
 		r.async(func(cancel <-chan struct{}) {
 			v, err := m.GetCancel(key, cancel)
-			if err != nil {
-				r.led.UncertainTake()
-				return
-			}
-			r.led.Consume(asStr(v))
+			r.led.Take(asStr(v), true, err)
 		})
 
 	case ActGetSkip:
 		v, ok, err := m.GetSkip(key)
-		if err != nil {
-			r.led.UncertainTake()
-		} else if ok {
-			r.led.Consume(asStr(v))
-		}
+		r.led.Take(asStr(v), ok, err)
 
 	case ActGetSkipCLI:
 		out, err := r.c.CLI(act.Host, "get-skip", "-key", key.Canon())
 		if err != nil {
 			return err
 		}
-		switch {
-		case !out.OK:
-			r.led.UncertainTake()
-		case !out.Empty:
-			r.led.Consume(out.Value)
-		}
+		r.led.Take(out.Value, !out.Empty, out.Err())
 
 	case ActAltTake:
 		keys := make([]symbol.Key, len(act.Keys))
@@ -231,11 +201,7 @@ func (r *runner) step(i int, act Action) error {
 		}
 		r.async(func(cancel <-chan struct{}) {
 			_, v, err := m.GetAltCancel(cancel, keys...)
-			if err != nil {
-				r.led.UncertainTake()
-				return
-			}
-			r.led.Consume(asStr(v))
+			r.led.Take(asStr(v), true, err)
 		})
 
 	case ActAltSkip:
@@ -244,20 +210,12 @@ func (r *runner) step(i int, act Action) error {
 			keys[j] = chaosKey(k)
 		}
 		_, v, ok, err := m.GetAltSkip(keys...)
-		switch {
-		case err != nil:
-			r.led.UncertainTake()
-		case ok:
-			r.led.Consume(asStr(v))
-		}
+		r.led.Take(asStr(v), ok, err)
 
 	case ActWatch:
 		r.async(func(cancel <-chan struct{}) {
 			v, err := m.GetCopyCancel(key, cancel)
-			if err != nil {
-				return // observation failed; nothing to account
-			}
-			r.led.Copy(asStr(v))
+			r.led.Copy(asStr(v), err)
 		})
 
 	case ActPump:
@@ -299,12 +257,10 @@ func (r *runner) pump(m *core.Memo, target, image string) {
 	if r.pumped[target] == nil {
 		r.pumped[target] = make(map[string]bool)
 	}
-	r.pumpTotal++
 	err := m.PumpProgram(target, dir, []byte(image))
 	r.pumped[target][image] = true
 	if err == nil {
 		r.ackedPump[target] = true
-		r.pumpCertain++
 	}
 	if !r.ackedPump[target] {
 		return // fetch could block forever on an empty program folder
@@ -314,7 +270,7 @@ func (r *runner) pump(m *core.Memo, target, image string) {
 		return // link trouble; fetch is non-destructive, nothing to account
 	}
 	if !r.pumped[target][string(blob)] {
-		r.led.violate(fmt.Sprintf("fetch from %s returned image %q that was never pumped", target, blob))
+		r.led.Violate(fmt.Sprintf("fetch from %s returned image %q that was never pumped", target, blob))
 	}
 }
 
@@ -364,18 +320,17 @@ func (r *runner) settle() error {
 			got <- asStr(v)
 		}()
 		time.Sleep(50 * time.Millisecond) // let the watcher park
-		r.led.Intend(want)
 		if err := r.memos[putHost].Put(key, transferable.String(want)); err != nil {
 			return fmt.Errorf("settle: sentinel put: %w", err)
 		}
-		r.led.AckPut(want)
+		r.led.Put(want, nil)
 		select {
 		case v := <-got:
 			if v != want {
-				r.led.violate(fmt.Sprintf("watcher on %v converged to %q, want %q", key, v, want))
+				r.led.Violate(fmt.Sprintf("watcher on %v converged to %q, want %q", key, v, want))
 			}
 		case err := <-errc:
-			r.led.violate(fmt.Sprintf("watcher on %v never converged: %v", key, err))
+			r.led.Violate(fmt.Sprintf("watcher on %v never converged: %v", key, err))
 		}
 	}
 	return nil
@@ -396,7 +351,7 @@ func (r *runner) drainAndCheck() error {
 			if !ok {
 				return n, nil
 			}
-			r.led.Consume(asStr(v))
+			r.led.Take(asStr(v), true, nil)
 			n++
 		}
 	}
@@ -439,11 +394,10 @@ func (r *runner) drainAndCheck() error {
 			// all delayed values hidden there.
 			for k := 0; k < keyCount; k++ {
 				tv := fmt.Sprintf("trig%dxr%dk%d", r.seed, round, k)
-				r.led.Intend(tv)
 				if err := m.Put(chaosKey(k), transferable.String(tv)); err != nil {
 					return fmt.Errorf("drain trigger: %w", err)
 				}
-				r.led.AckPut(tv)
+				r.led.Put(tv, nil)
 			}
 		}
 		time.Sleep(50 * time.Millisecond) // cross-server releases are async
@@ -451,7 +405,7 @@ func (r *runner) drainAndCheck() error {
 	if !converged {
 		hidden, _ := r.c.SumGauge("folder_delayed_hidden")
 		memos, _ := r.c.SumGauge("folder_memos")
-		r.led.violate(fmt.Sprintf(
+		r.led.Violate(fmt.Sprintf(
 			"drain never converged after 40 sweeps: folder_memos=%d folder_delayed_hidden=%d",
 			memos, hidden))
 	}
