@@ -21,6 +21,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -28,11 +29,9 @@ import (
 	"time"
 
 	"repro/internal/adf"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/memoserver"
 	"repro/internal/placement"
-	"repro/internal/routing"
 	"repro/internal/rpc"
 	"repro/internal/symbol"
 	"repro/internal/transferable"
@@ -144,7 +143,7 @@ func runOp(op string, args []string) int {
 		defer t.Stop()
 	}
 	code := func(err error) int {
-		if err == core.ErrCanceled {
+		if errors.Is(err, core.ErrCanceled) {
 			return exitTimeout
 		}
 		return exitErr
@@ -260,9 +259,9 @@ func runOp(op string, args []string) int {
 	return exitUsage
 }
 
-// connect replicates cluster.NewMemo over real TCP: same ADF, same routing
-// table, same placement options — so a key maps to the same folder server
-// here as inside every daemon and library client.
+// connect opens the handle cluster.NewMemo would, over real TCP: core.Open
+// with the ADF's λ = 0 placement — the one memoserverd registers apps with —
+// so a key maps to the same folder server here as inside every daemon.
 func (o *opFlags) connect() (*core.Memo, *memoserver.Client, error) {
 	src, err := os.ReadFile(o.adfPath)
 	if err != nil {
@@ -275,17 +274,7 @@ func (o *opFlags) connect() (*core.Memo, *memoserver.Client, error) {
 	if err := adf.Validate(f); err != nil {
 		return nil, nil, err
 	}
-	h, ok := f.HostByName(o.host)
-	if !ok {
-		return nil, nil, fmt.Errorf("host %q not in ADF %s", o.host, o.adfPath)
-	}
-	g, err := f.Graph()
-	if err != nil {
-		return nil, nil, err
-	}
-	// memoserverd registers apps at λ = 0, so the client places keys there
-	// too: any other λ would send them to servers the daemons route elsewhere.
-	place, err := placement.New(f, routing.Build(g), placement.Options{})
+	place, err := placement.New(f, nil, placement.Options{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -304,16 +293,8 @@ func (o *opFlags) connect() (*core.Memo, *memoserver.Client, error) {
 		client.EnableSampling()
 	}
 	o.lastTrace = client.LastTraceID
-	m, err := core.New(core.Config{
-		App:      f.App,
-		Host:     o.host,
-		Domain:   cluster.DomainFor(h.Arch),
-		Registry: symbol.NewRegistry(),
-		Place:    place,
-		Client:   client,
-	})
+	m, err := core.Open(f, o.host, place, symbol.NewRegistry(), client)
 	if err != nil {
-		client.Close()
 		return nil, nil, err
 	}
 	return m, client, nil

@@ -86,7 +86,7 @@ func register(fs *flag.FlagSet) *config {
 	fs.DurationVar(&n.Resilience.Heartbeat, "heartbeat-interval", 5*time.Second, "probe receive-quiet links this often; a peer silent for 2x this is declared dead; connections silent for 3x this (at least 15s) are closed (0 disables heartbeats and the idle timeout, since blocking waits legitimately silence a connection)")
 	fs.DurationVar(&n.Resilience.Redial.Min, "redial-backoff", 50*time.Millisecond, "first re-dial delay after a peer link dies; doubles per failure up to the transport cap, with jitter")
 	fs.IntVar(&n.Resilience.Retries, "link-retries", 2, "transparent retries of safely-retriable forwarded calls after a link failure")
-	fs.StringVar(&n.DataDir, "data-dir", "", "directory for folder-server durability (per-shard WAL + snapshots); empty keeps folders in memory only")
+	fs.StringVar(&n.DataDir, "data-dir", "", "directory for folder-server durability (one WAL + snapshots per store); empty keeps folders in memory only")
 	fs.Var(syncFlag{&n.Durable.Sync}, "fsync", "WAL sync `mode`: batch (group commit: an ack waits for the fsync covering its record) or never (trust the OS cache)")
 	fs.IntVar(&n.Durable.SnapshotEvery, "snapshot-every", 0, "minimum records between WAL snapshot+truncate cycles (0 = default, negative = never)")
 	fs.StringVar(&c.debugAddr, "debug-addr", "", "serve the debug endpoints (/metrics, /statusz, /tracez, /debug/pprof/) on this address (e.g. localhost:6060); empty disables them")

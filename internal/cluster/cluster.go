@@ -25,7 +25,6 @@ import (
 	"repro/internal/rpc"
 	"repro/internal/symbol"
 	"repro/internal/threadcache"
-	"repro/internal/transferable"
 	"repro/internal/transport"
 )
 
@@ -43,8 +42,8 @@ type Options struct {
 	// disabled; see rpc.Resilience).
 	Resilience rpc.Resilience
 	// DataDir, when non-empty, makes every folder server in the cluster
-	// durable: per-host subdirectories of DataDir hold per-shard
-	// write-ahead logs and snapshots, and a crashed host's memo server can
+	// durable: per-host subdirectories of DataDir hold each store's one
+	// write-ahead log and its snapshots, and a crashed host's memo server can
 	// be restarted (RestartNode) recovering every acknowledged memo.
 	DataDir string
 	// Durable tunes the write-ahead logs when DataDir is set (zero =
@@ -179,41 +178,15 @@ func (c *Cluster) Node(host string) (*memoserver.Node, bool) {
 	return n, ok
 }
 
-// DomainFor maps an ADF architecture name to its native word domain
-// (§3.1.3). Unknown architectures get the 64-bit domain.
-func DomainFor(arch string) transferable.Domain {
-	switch arch {
-	case "sun4", "sparc", "multimax", "encore", "sequent", "i386", "transputer":
-		return transferable.Domain32
-	case "i486-16", "i286", "pc16":
-		return transferable.Domain16
-	case "sp1", "alpha", "rs6000":
-		return transferable.Domain64
-	}
-	return transferable.Domain64
-}
-
 // NewMemo opens an API handle for a process on the given host (Fig. 1: the
 // process connects to its host's memo server).
 func (c *Cluster) NewMemo(host string) (*core.Memo, error) {
-	h, ok := c.File.HostByName(host)
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown host %s", host)
-	}
 	client, err := memoserver.DialClientResilient(c.Sim.DialFrom, host, c.File.App, rpc.Policy{}, c.opts.Resilience)
 	if err != nil {
 		return nil, err
 	}
-	m, err := core.New(core.Config{
-		App:      c.File.App,
-		Host:     host,
-		Domain:   DomainFor(h.Arch),
-		Registry: c.registry,
-		Place:    c.Place,
-		Client:   client,
-	})
+	m, err := core.Open(c.File, host, c.Place, c.registry, client)
 	if err != nil {
-		client.Close()
 		return nil, err
 	}
 	c.mu.Lock()

@@ -275,21 +275,6 @@ func TestNoBroadcastsEver(t *testing.T) {
 	}
 }
 
-func TestDomainFor(t *testing.T) {
-	if DomainFor("sun4").IntBits != 32 {
-		t.Fatal("sun4 should be 32-bit")
-	}
-	if DomainFor("sp1").IntBits != 64 {
-		t.Fatal("sp1 should be 64-bit")
-	}
-	if DomainFor("i486-16").IntBits != 16 {
-		t.Fatal("i486-16 should be 16-bit")
-	}
-	if DomainFor("mystery").IntBits != 64 {
-		t.Fatal("unknown arch should default to 64-bit")
-	}
-}
-
 func TestLossyMappingSurfacesOn16BitHost(t *testing.T) {
 	// An Alpha-style host sends a big native int; the 16-bit host's Get
 	// reports ErrLossy (§3.1.3's example, end to end).

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/adf"
 	"repro/internal/memoserver"
 	"repro/internal/placement"
 	"repro/internal/symbol"
@@ -27,11 +28,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Errors.
-var (
-	// ErrCanceled reports a blocking call abandoned via its cancel channel.
-	ErrCanceled = errors.New("memo: operation canceled")
-)
+// ErrCanceled reports a blocking call whose cancel the owning store honoured
+// before it consumed anything. It is wire.ErrCanceled, the one value the
+// store's canceled answer keeps from the store up to here.
+var ErrCanceled = wire.ErrCanceled
 
 // RemoteError carries an error message produced by a server.
 type RemoteError struct{ Msg string }
@@ -67,6 +67,39 @@ type Config struct {
 	Place *placement.Map
 	// Client is the connection to the local memo server.
 	Client *memoserver.Client
+}
+
+// Open builds the handle for a process on host of the application f
+// describes: the app name and the host's native word domain come from f, and
+// place must be the map the memo servers built at registration. It takes
+// ownership of client, closing it if the handle cannot be built.
+func Open(f *adf.File, host string, place *placement.Map, reg *symbol.Registry, client *memoserver.Client) (*Memo, error) {
+	h, ok := f.HostByName(host)
+	if !ok {
+		client.Close()
+		return nil, fmt.Errorf("memo: host %q not in the ADF of %s", host, f.App)
+	}
+	m, err := New(Config{App: f.App, Host: host, Domain: domainFor(h.Arch),
+		Registry: reg, Place: place, Client: client})
+	if err != nil {
+		client.Close()
+		return nil, err
+	}
+	return m, nil
+}
+
+// domainFor maps an ADF architecture name to its native word domain
+// (§3.1.3). Unknown architectures get the 64-bit domain.
+func domainFor(arch string) transferable.Domain {
+	switch arch {
+	case "sun4", "sparc", "multimax", "encore", "sequent", "i386", "transputer":
+		return transferable.Domain32
+	case "i486-16", "i286", "pc16":
+		return transferable.Domain16
+	case "sp1", "alpha", "rs6000":
+		return transferable.Domain64
+	}
+	return transferable.Domain64
 }
 
 // New builds a Memo handle.
@@ -117,13 +150,10 @@ func (m *Memo) NamedKey(name string, x ...uint32) symbol.Key {
 // target computes the folder server for a key.
 func (m *Memo) target(k symbol.Key) int { return m.place.Place(k).ID }
 
-// do sends a request and translates the response.
+// do sends a request and turns an error response into an error.
 func (m *Memo) do(q *wire.Request, cancel <-chan struct{}) (*wire.Response, error) {
 	resp, err := m.client.Do(q, cancel)
 	if err != nil {
-		if err == memoserver.ErrClientCanceled {
-			return nil, ErrCanceled
-		}
 		return nil, err
 	}
 	if resp.Status == wire.StatusErr {
@@ -282,24 +312,18 @@ func (m *Memo) GetAltCancel(cancel <-chan struct{}, keys ...symbol.Key) (symbol.
 	}
 }
 
-// GetAltSkip tries each folder without blocking (§6.1.2 get_alt_skip).
+// GetAltSkip extracts a value from any one of the folders without blocking
+// (§6.1.2 get_alt_skip), returning ok=false when all are empty. Each folder
+// server holding some of the keys gets one alt_skip request, and chooses
+// among its eligible folders itself.
 func (m *Memo) GetAltSkip(keys ...symbol.Key) (symbol.Key, transferable.Value, bool, error) {
 	if len(keys) == 0 {
 		return symbol.Key{}, nil, false, errors.New("memo: get_alt_skip: no keys")
 	}
 	for fid, ks := range m.groupByServer(keys) {
-		var resp *wire.Response
-		var err error
-		if len(ks) == 1 {
-			resp, err = m.do(&wire.Request{
-				Op: wire.OpGetSkip, App: m.app, FolderID: fid, Key: ks[0],
-			}, nil)
-			if resp != nil {
-				resp.Key = ks[0]
-			}
-		} else {
-			resp, err = m.doAltSkipGroup(fid, ks)
-		}
+		resp, err := m.do(&wire.Request{
+			Op: wire.OpAltSkip, App: m.app, FolderID: fid, Keys: ks,
+		}, nil)
 		if err != nil {
 			return symbol.Key{}, nil, false, err
 		}
@@ -310,32 +334,9 @@ func (m *Memo) GetAltSkip(keys ...symbol.Key) (symbol.Key, transferable.Value, b
 		if err != nil {
 			return symbol.Key{}, nil, false, err
 		}
-		key := resp.Key
-		if key.S == symbol.None {
-			key = ks[0]
-		}
-		return key, v, true, nil
+		return resp.Key, v, true, nil
 	}
 	return symbol.Key{}, nil, false, nil
-}
-
-// doAltSkipGroup performs a non-blocking multi-key take on one server by
-// issuing GetSkip per key. (A dedicated alt-skip op would save round trips;
-// the semantics are identical.)
-func (m *Memo) doAltSkipGroup(fid int, ks []symbol.Key) (*wire.Response, error) {
-	for _, k := range ks {
-		resp, err := m.do(&wire.Request{
-			Op: wire.OpGetSkip, App: m.app, FolderID: fid, Key: k,
-		}, nil)
-		if err != nil {
-			return nil, err
-		}
-		if resp.Status != wire.StatusEmpty {
-			resp.Key = k
-			return resp, nil
-		}
-	}
-	return &wire.Response{Status: wire.StatusEmpty}, nil
 }
 
 // watchAny blocks until any watched group reports a non-empty folder.
@@ -354,7 +355,7 @@ func (m *Memo) watchAny(groups map[int][]symbol.Key, cancel <-chan struct{}) err
 	}
 	select {
 	case r := <-results:
-		if r.err != nil && r.err != ErrCanceled {
+		if r.err != nil && !errors.Is(r.err, ErrCanceled) {
 			return r.err
 		}
 		return nil

@@ -322,6 +322,42 @@ func TestGetAltSkip(t *testing.T) {
 	}
 }
 
+// TestGetAltSkipOneRequestPerServer: keys that share a folder server cost
+// one alt_skip request to it, not one get_skip per key, and the store's
+// answer names the key it took from.
+func TestGetAltSkipOneRequestPerServer(t *testing.T) {
+	c := boot(t)
+	m := memoOn(t, c, "a")
+	var keys []symbol.Key
+	for i := uint32(0); len(keys) < 3 && i < 100000; i++ {
+		k := m.Key(m.Symbol("grouped"), i)
+		if srv := c.Place.Place(k); srv.Host == "a" && (keys == nil || srv.ID == c.Place.Place(keys[0]).ID) {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) < 3 {
+		t.Fatal("could not find three keys on one folder server on a")
+	}
+	node, _ := c.Node("a")
+	before := node.Stats().LocalOps
+	if _, _, ok, err := m.GetAltSkip(keys...); err != nil || ok {
+		t.Fatalf("empty alt skip: %v %v", ok, err)
+	}
+	if got := node.Stats().LocalOps - before; got != 1 {
+		t.Fatalf("GetAltSkip over one folder server made %d requests, want 1", got)
+	}
+	if err := m.Put(keys[2], transferable.Int64(5)); err != nil {
+		t.Fatal(err)
+	}
+	k, v, ok, err := m.GetAltSkip(keys...)
+	if err != nil || !ok || !k.Equal(keys[2]) {
+		t.Fatalf("alt skip after a put under %v: %v %v %v", keys[2], k, ok, err)
+	}
+	if n, _ := transferable.AsInt(v); n != 5 {
+		t.Fatalf("value %v", v)
+	}
+}
+
 func TestGetAltNoKeys(t *testing.T) {
 	c := boot(t)
 	m := memoOn(t, c, "a")

@@ -146,7 +146,7 @@ func (s *Store) applyRecord(rec *durable.Record) error {
 
 // maybeSnapshot starts a background snapshot + truncation cycle when enough
 // records have accumulated. Single-flight; failures leave the log serving
-// (the rotated stripes simply carry more history until the next attempt).
+// (it simply carries more history until the next attempt).
 func (s *Store) maybeSnapshot() {
 	if s.wal == nil || !s.wal.ShouldSnapshot() {
 		return

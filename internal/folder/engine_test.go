@@ -78,7 +78,7 @@ type readResult struct {
 	spans []wire.Span // handle route, traced
 }
 
-func (r readResult) canceled() bool { return r.err == ErrCanceled }
+func (r readResult) canceled() bool { return r.err == wire.ErrCanceled }
 
 // A route runs the cell's read against srv, or reports that it cannot
 // express the cell; with a nil srv it only reports. The engine route covers
@@ -169,7 +169,7 @@ var routes = []struct {
 		case wire.StatusErr:
 			r.err = errors.New(resp.Err)
 		case wire.StatusCanceled:
-			r.err = ErrCanceled
+			r.err = wire.ErrCanceled
 		}
 		if c.traced && !slices.ContainsFunc(r.spans, func(sp wire.Span) bool {
 			return sp.Layer == "folder" && sp.Op == q.Op.String()

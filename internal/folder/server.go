@@ -1,6 +1,7 @@
 package folder
 
 import (
+	"fmt"
 	"strconv"
 	"time"
 
@@ -123,7 +124,7 @@ func (s *Server) handle(q *wire.Request, cancel <-chan struct{}, traced bool) (r
 			dest = &q.Key2
 		}
 		if err := s.store.deposit(q.Key, dest, q.Payload, q.Token, ot); err != nil {
-			return wire.Errf("%s: %v", q.Op, err), waits
+			return wire.Fail(fmt.Errorf("%s: %w", q.Op, err)), waits
 		}
 		return wire.OK(), waits
 	case verb.Scope != wire.ScopeFolder:
@@ -138,11 +139,10 @@ func (s *Server) handle(q *wire.Request, cancel <-chan struct{}, traced bool) (r
 	}
 	k, payload, ok, err := s.store.read(&op)
 	switch {
-	case err == ErrCanceled:
-		return &wire.Response{Status: wire.StatusCanceled}, waits
 	case err != nil:
-		// An empty alt_take/watch key set fails fast in the store (ErrNoKeys).
-		return wire.Errf("%s: %v", q.Op, err), waits
+		// A canceled read consumed nothing (StatusCanceled); an empty
+		// alt_take/watch key set fails fast in the store (ErrNoKeys).
+		return wire.Fail(fmt.Errorf("%s: %w", q.Op, err)), waits
 	case !ok:
 		return &wire.Response{Status: wire.StatusEmpty}, waits
 	case op.mode == modePeek:

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/symbol"
+	"repro/internal/wire"
 )
 
 func TestWithShardsRounding(t *testing.T) {
@@ -188,7 +189,7 @@ func TestAltTakeCancelAcrossShardsCleansWaiters(t *testing.T) {
 	close(cancel)
 	select {
 	case err := <-errc:
-		if !errors.Is(err, ErrCanceled) {
+		if !errors.Is(err, wire.ErrCanceled) {
 			t.Fatalf("err = %v", err)
 		}
 	case <-time.After(2 * time.Second):

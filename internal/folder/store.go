@@ -38,9 +38,6 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrCanceled reports a blocking operation abandoned by the caller.
-var ErrCanceled = errors.New("folder: operation canceled")
-
 // ErrNoKeys reports a multi-folder operation (AltTake, Watch) invoked with
 // an empty key set: there is no folder that could ever satisfy it.
 var ErrNoKeys = errors.New("folder: empty key set")
@@ -582,7 +579,7 @@ func (s *Store) awaitTakeToken(token uint64, cancel <-chan struct{}, ot *opTrace
 			case <-park:
 				ot.parked(tp) // resolved or abandoned: look again
 			case <-cancel:
-				return res, false, ErrCanceled
+				return res, false, wire.ErrCanceled
 			}
 		case res.kind == slotPut:
 			// A deposit used the token. Tokens are minted per operation from
@@ -832,7 +829,7 @@ func (s *Store) read(op *readOp) (symbol.Key, []byte, bool, error) {
 				// A later retry re-executes instead of caching a non-answer.
 				s.tokens.abandonTake(op.token)
 			}
-			return symbol.Key{}, nil, false, ErrCanceled
+			return symbol.Key{}, nil, false, wire.ErrCanceled
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/symbol"
+	"repro/internal/wire"
 )
 
 var never = make(chan struct{}) // a cancel channel that never fires
@@ -80,7 +81,7 @@ func TestGetCancel(t *testing.T) {
 	close(cancel)
 	select {
 	case err := <-errc:
-		if !errors.Is(err, ErrCanceled) {
+		if !errors.Is(err, wire.ErrCanceled) {
 			t.Fatalf("err = %v", err)
 		}
 	case <-time.After(2 * time.Second):
@@ -419,7 +420,7 @@ func TestWatchCancel(t *testing.T) {
 	close(cancel)
 	select {
 	case err := <-errc:
-		if !errors.Is(err, ErrCanceled) {
+		if !errors.Is(err, wire.ErrCanceled) {
 			t.Fatalf("err = %v", err)
 		}
 	case <-time.After(2 * time.Second):

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/symbol"
+	"repro/internal/wire"
 )
 
 // TestGetTokenDedup: a retried tokened Get is answered from the
@@ -160,8 +161,8 @@ func TestGetTokenAbandonedClaimRetries(t *testing.T) {
 	}()
 	time.Sleep(10 * time.Millisecond)
 	close(cancel)
-	if err := <-done; err != ErrCanceled {
-		t.Fatalf("canceled owner: %v, want ErrCanceled", err)
+	if err := <-done; err != wire.ErrCanceled {
+		t.Fatalf("canceled owner: %v, want wire.ErrCanceled", err)
 	}
 	mustPut(t, s, k, "after")
 	v, err := s.GetToken(k, tok, nil)
@@ -323,7 +324,7 @@ func TestReclaimedTokenKeepsItsWindow(t *testing.T) {
 	}()
 	waitParked(t, s, k)
 	close(cancel)
-	if err := <-done; err != ErrCanceled {
+	if err := <-done; err != wire.ErrCanceled {
 		t.Fatalf("canceled get: %v", err)
 	}
 	for i := uint64(1); i <= 3; i++ { // three older facts

@@ -63,10 +63,16 @@ type DialFunc func(srcHost, addr string) (transport.Conn, error)
 // first request. The rpc.Policy is an unused placeholder (see rpc.Policy).
 func DialClientResilient(dial DialFunc, host, app string, _ rpc.Policy, res rpc.Resilience) (*Client, error) {
 	c := &Client{Host: host, App: app}
-	c.link = newRlink(func() (transport.Conn, error) { return dial(host, MemoAddr(host)) }, res)
+	c.link = newRlink(func() (transport.Conn, error) {
+		conn, err := dial(host, MemoAddr(host))
+		if err != nil {
+			return nil, fmt.Errorf("memoserver: dial %s: %w", host, err)
+		}
+		return conn, nil
+	}, res)
 	if _, err := c.link.get(nil); err != nil {
 		c.link.close()
-		return nil, fmt.Errorf("memoserver: dial %s: %w", host, err)
+		return nil, err
 	}
 	return c, nil
 }
@@ -96,19 +102,8 @@ func (c *Client) Do(q *wire.Request, cancel <-chan struct{}) (*wire.Response, er
 	if q.TraceID != 0 {
 		c.lastTrace.Store(q.TraceID)
 	}
-	resp, dialed, err := c.link.call(q, cancel, nil, &c.retried)
-	if err != nil && !dialed && err != ErrClientCanceled {
-		err = fmt.Errorf("memoserver: dial %s: %w", c.Host, err)
-	}
-	return resp, err
+	return c.link.call(q, cancel, nil, &c.retried)
 }
-
-// ErrClientCanceled reports a client-side cancellation.
-var ErrClientCanceled = errCanceled{}
-
-type errCanceled struct{}
-
-func (errCanceled) Error() string { return "memoserver: request canceled" }
 
 // Register registers an application with the memo server (the wire-level
 // §4.4 step used by remote launches; in-process boots call RegisterApp).

@@ -12,20 +12,6 @@ import (
 	"repro/internal/wire"
 )
 
-// Process-wide link-health aggregates over every rlink (the per-link view
-// stays on rlink.stats). A backoff reset is a successful dial that healed a
-// link after at least one failure — the "outage ended" event.
-var (
-	mDials = obs.Default.Counter("transport_dials_total",
-		"successful dials across all links")
-	mFailedDials = obs.Default.Counter("transport_failed_dials_total",
-		"dial attempts that errored")
-	mFaults = obs.Default.Counter("transport_faults_total",
-		"live conns found dead")
-	mBackoffResets = obs.Default.Counter("transport_backoff_resets_total",
-		"successful dials that ended a failure streak")
-)
-
 // rlink is one resilient rpc link: its current rpc.Conn plus the re-dial
 // that replaces it. A conn whose Done has closed is never handed out again —
 // the next get counts it as a fault and re-dials under the res.Redial
@@ -47,8 +33,8 @@ type rlink struct {
 	lastErr error
 	closed  bool
 
-	// Health counters (surfaced per link by stats and summed into the
-	// transport_* aggregates in obs.Default).
+	// Health counters (surfaced per link by stats; a node's collector sums
+	// its peer links' into node_link_*).
 	dials       obs.Counter
 	failedDials obs.Counter
 	faults      obs.Counter
@@ -93,7 +79,6 @@ func (l *rlink) get(giveup <-chan struct{}) (*rpc.Conn, error) {
 			case <-c.Done():
 				l.conn = nil
 				l.faults.Inc()
-				mFaults.Inc()
 			default:
 				l.mu.Unlock()
 				return c, nil
@@ -155,7 +140,6 @@ func (l *rlink) redial(done chan struct{}) error {
 	switch {
 	case err != nil:
 		l.failedDials.Inc()
-		mFailedDials.Inc()
 		l.lastErr = err
 		l.nextTry = time.Now().Add(l.res.Redial.Delay(l.attempt, nil))
 		l.attempt++
@@ -163,10 +147,6 @@ func (l *rlink) redial(done chan struct{}) error {
 		dead = c
 	default:
 		l.dials.Inc()
-		mDials.Inc()
-		if l.attempt > 0 {
-			mBackoffResets.Inc()
-		}
 		l.conn = c
 		l.attempt = 0 // reset-on-success: the next outage backs off from Min
 		l.lastErr = nil
@@ -233,69 +213,55 @@ func (l *rlink) stats() LinkHealth {
 // an attempt already issued elsewhere — a relay the read loop sent with
 // rpc.Pending.Relay, stamped there — and counts against the retries like
 // any other. retried counts the re-issues.
-// The bool reports whether the returned error came from a call rather than a
-// dial, so callers can word a dial failure apart from a failed call: it is
-// true when a later dial failed but an earlier attempt's possibly-sent link
-// error is what the call returns.
-// ErrClientCanceled means the owning store said the canceled call consumed
-// nothing, or that no attempt can have reached it; a LinkError with Sent
-// false means no attempt reached the wire. Once an attempt has failed with
-// its request possibly sent, whatever ends the call — a cancel, a retry that
-// died unsent, a failed re-dial — returns that attempt's link error (outcome
-// unknown) instead.
-func (l *rlink) call(q *wire.Request, cancel <-chan struct{}, first error, retried *obs.Counter) (*wire.Response, bool, error) {
+//
+// The call returns the response or the one error that ends it:
+// wire.ErrCanceled when the owning store said the canceled call consumed
+// nothing, or no attempt can have reached it; a LinkError with Sent false
+// when no attempt reached the wire; the dial's own error when the last dial
+// failed. Once an attempt has failed with its request possibly sent,
+// whatever ends the call — a cancel, a retry that died unsent, a failed
+// re-dial — returns that attempt's link error (outcome unknown) instead.
+func (l *rlink) call(q *wire.Request, cancel <-chan struct{}, first error, retried *obs.Counter) (*wire.Response, error) {
 	l.stamp(q)
-	// canceled is what a cancel reports: that, until an attempt fails with
-	// its request possibly executed; from then on that attempt's link error,
-	// which every failure reports.
-	canceled := error(ErrClientCanceled)
+	// maybe is the first failure after which q may have executed.
+	var maybe error
 	for attempt := 0; ; attempt++ {
-		var resp *wire.Response
-		err := first
+		err, retry := first, false
 		first = nil
 		if err == nil {
 			var conn *rpc.Conn
-			conn, err = l.get(cancel)
-			if err != nil {
+			if conn, err = l.get(cancel); err != nil {
 				select {
 				case <-cancel:
-					return nil, canceled != ErrClientCanceled, canceled
+					err = wire.ErrCanceled
 				default:
+					retry = true
 				}
-				if attempt < l.res.Retries {
-					retried.Inc()
-					continue
+			} else {
+				var resp *wire.Response
+				if resp, err = conn.Call(q, cancel); err == nil {
+					return resp, nil
 				}
-				if canceled == ErrClientCanceled {
-					return nil, false, err
-				}
-				return nil, true, canceled
 			}
-			resp, err = conn.Call(q, cancel)
 		}
-		if err == nil {
-			return resp, true, nil
-		}
-		if err == rpc.ErrCanceled {
-			// The store's answer covers this attempt only: a retry canceled
-			// while parked behind its original's token says nothing of what
-			// the original took.
-			return nil, true, canceled
-		}
+		// A wire.ErrCanceled from the store covers this attempt only: a
+		// retry canceled while parked behind its original's token says
+		// nothing of what the original took, so maybe still wins.
 		var le *rpc.LinkError
 		if errors.As(err, &le) {
-			if le.Sent && canceled == ErrClientCanceled {
-				canceled = err
+			if le.Sent && maybe == nil {
+				maybe = err
 			}
-			if attempt < l.res.Retries && (!le.Sent || q.RetrySafe()) {
-				retried.Inc()
-				continue
-			}
+			retry = !le.Sent || q.RetrySafe()
 		}
-		if canceled != ErrClientCanceled {
-			err = canceled
+		if retry && attempt < l.res.Retries {
+			retried.Inc()
+			continue
 		}
-		return nil, true, err
+		if maybe != nil {
+			return nil, maybe
+		}
+		return nil, err
 	}
 }
 

@@ -3,6 +3,7 @@ package memoserver
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -241,5 +242,39 @@ func TestLinkRedialsKnownDeadConnFirst(t *testing.T) {
 				t.Fatalf("stats %+v, want 0 retried, 1 fault, 2 dials", st)
 			}
 		})
+	}
+}
+
+// TestDialFailureWordedOnce: a failed dial is worded where it happens, and
+// nowhere above. A Client whose memo server has gone returns the transport's
+// error under the one dial wording; a forward to a peer with no listener
+// answers StatusErr naming that peer and the failed dial.
+func TestDialFailureWordedOnce(t *testing.T) {
+	tn := bootNet(t, twoHostADF, Config{})
+	c := tn.client(t, "a")
+
+	// a has never dialed b, so the forward's one attempt is a fresh dial.
+	tn.nodes["b"].Close()
+	q := req(wire.OpPut, 1, symbol.K(1), []byte("m"))
+	q.App = tn.file.App
+	resp := tn.nodes["a"].Dispatch(q, never)
+	if resp.Status != wire.StatusErr || !strings.Contains(resp.Err, "dial b: ") ||
+		strings.Count(resp.Err, "dial") != 1 || !strings.Contains(resp.Err, transport.ErrNoListener.Error()) {
+		t.Fatalf("forward to a dead peer: %+v, want one dial b wording over %q", resp, transport.ErrNoListener)
+	}
+
+	old, err := c.link.get(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn.nodes["a"].Close()
+	select {
+	case <-old.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("client conn never died")
+	}
+	err = c.Ping()
+	if !errors.Is(err, transport.ErrNoListener) || strings.Count(err.Error(), "dial") != 1 {
+		t.Fatalf("ping with the memo server gone: %v, want one dial wording over %v", err, transport.ErrNoListener)
 	}
 }

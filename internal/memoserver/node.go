@@ -178,7 +178,11 @@ func (n *Node) newPeerLink(host string) *peerLink {
 		if n.isClosed() {
 			return nil, fmt.Errorf("memo server %s closed", n.Host)
 		}
-		return n.dialFrom(n.Host, MemoAddr(host))
+		conn, err := n.dialFrom(n.Host, MemoAddr(host))
+		if err != nil {
+			return nil, fmt.Errorf("dial %s: %w", host, err)
+		}
+		return conn, nil
 	}
 	return &peerLink{rlink: newRlink(dial, n.cfg.Resilience), n: n, host: host}
 }
@@ -492,7 +496,7 @@ func (n *Node) nextHop(app *App, targetHost string) dest {
 	}
 	pl, err := n.peer(hop)
 	if err != nil {
-		return dest{resp: wire.Errf("memo server %s: dial %s: %v", n.Host, hop, err)}
+		return dest{resp: wire.Fail(err)}
 	}
 	n.forwards.Inc()
 	return dest{pl: pl}
@@ -718,16 +722,11 @@ func (n *Node) execute(app *App, q *wire.Request) *wire.Response {
 // relay sends fq — a forwarded request, one hop further than it arrived —
 // over the link and waits for the response in the link's one retry loop
 // (rlink.call), continuing from first when an attempt sent from the read
-// loop already failed with it, and words the outcome for the hop behind.
+// loop already failed with it, and answers the hop behind through wire.Fail.
 func (pl *peerLink) relay(fq *wire.Request, cancel <-chan struct{}, first error) *wire.Response {
-	resp, dialed, err := pl.call(fq, cancel, first, &pl.n.retried)
-	switch {
-	case err == ErrClientCanceled:
-		return &wire.Response{Status: wire.StatusCanceled}
-	case err != nil && !dialed:
-		return wire.Errf("memo server %s: dial %s: %v", pl.n.Host, pl.host, err)
-	case err != nil:
-		return wire.Errf("memo server %s: forward to %s: %v", pl.n.Host, pl.host, err)
+	resp, err := pl.call(fq, cancel, first, &pl.n.retried)
+	if err != nil {
+		return wire.Fail(fmt.Errorf("memo server %s: forward to %s: %w", pl.n.Host, pl.host, err))
 	}
 	return resp
 }

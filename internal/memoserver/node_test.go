@@ -249,7 +249,7 @@ func TestCancelBlockedRemoteGet(t *testing.T) {
 	close(cancel)
 	select {
 	case err := <-errc:
-		if err != ErrClientCanceled {
+		if err != wire.ErrCanceled {
 			t.Fatalf("err = %v", err)
 		}
 	case <-time.After(5 * time.Second):

@@ -208,9 +208,7 @@ var metricCatalog = []string{
 	"slow_requests_total", "trace_samples_total",
 	"threadcache_idle_workers", "threadcache_retired_total", "threadcache_reused_total",
 	"threadcache_spawned_total",
-	"transport_backoff_resets_total", "transport_dials_total", "transport_failed_dials_total",
-	"transport_faults_total", "transport_flaky_injections_total", "transport_tcp_reads_total",
-	"transport_tcp_writes_total",
+	"transport_flaky_injections_total", "transport_tcp_reads_total", "transport_tcp_writes_total",
 }
 
 // TestMetricCatalog boots the TCP cluster durable, drives a forwarded put

@@ -43,6 +43,7 @@ var verbRows = []struct {
 	{op: wire.OpPing, inFlight: true},
 	{op: wire.OpPump},
 	{op: wire.OpFetch, inFlight: true},
+	{op: wire.OpAltSkip, stamps: true, inFlight: true, local: true},
 }
 
 // scriptedPeer is the far end of an rlink: an in-process listener whose
@@ -196,8 +197,8 @@ const (
 // preset, none} × {how the link dies} × {retries armed, off} and holds the
 // retry and stamp decisions to verbRows.
 func TestVerbMatrixRetryAndStamp(t *testing.T) {
-	if len(verbRows) != int(wire.OpFetch) {
-		t.Fatalf("verbRows has %d rows for %d verbs", len(verbRows), wire.OpFetch)
+	if len(verbRows) != int(wire.OpAltSkip) {
+		t.Fatalf("verbRows has %d rows for %d verbs", len(verbRows), wire.OpAltSkip)
 	}
 	const preset = 0xABCDEF
 	for i, row := range verbRows {
@@ -217,7 +218,7 @@ func TestVerbMatrixRetryAndStamp(t *testing.T) {
 						switch dies {
 						case diesSent:
 							p.drops = 1
-							_, _, err = l.call(q, nil, nil, &retried)
+							_, err = l.call(q, nil, nil, &retried)
 						case diesQueued:
 							err = callBehindWedge(t, l, raw, q, nil, &retried)
 						case diesBefore:
@@ -227,7 +228,7 @@ func TestVerbMatrixRetryAndStamp(t *testing.T) {
 							}
 							raw().Close()
 							<-conn.Done()
-							_, _, err = l.call(q, nil, nil, &retried)
+							_, err = l.call(q, nil, nil, &retried)
 						}
 
 						wantToken := token
@@ -293,7 +294,7 @@ func callBehindWedge(t *testing.T, l *rlink, raw func() *wedgeConn, q *wire.Requ
 	calls := rpcCalls()
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := l.call(q, nil, first, retried)
+		_, err := l.call(q, nil, first, retried)
 		errc <- err
 	}()
 	// get returns before Conn.Call counts, so once the count moves q's
@@ -362,7 +363,7 @@ func TestRetriedPutCarriesOneToken(t *testing.T) {
 	l, _ := p.link(t, 2)
 	var retried obs.Counter
 	q := &wire.Request{Op: wire.OpPut, Key: symbol.K(1), Payload: []byte("once")}
-	resp, _, err := l.call(q, nil, nil, &retried)
+	resp, err := l.call(q, nil, nil, &retried)
 	if err != nil || resp.Status != wire.StatusOK {
 		t.Fatalf("put across two link deaths: %+v %v", resp, err)
 	}

@@ -142,7 +142,7 @@ func (c *Conn) markSent(entries []wire.BatchEntry) bool {
 // request, not an abandonment: a cancel entry asks the server to unblock the
 // call, and Call keeps waiting for the call's one terminal response. A
 // response with wire.StatusCanceled — the server's statement that the
-// request consumed nothing — returns ErrCanceled; any other response is
+// request consumed nothing — returns wire.ErrCanceled; any other response is
 // returned as the value it is (the cancel lost the race). If the link dies,
 // Call fails fast with a *LinkError (errors.Is ErrLinkDown). A request
 // message over MaxMessage fails at once with transport.ErrTooLarge.
@@ -206,7 +206,7 @@ func (w *waiter) Complete(resp *wire.Response, _ []byte, err error) {
 // terminal turns a call's one response into Call's result.
 func terminal(resp *wire.Response) (*wire.Response, error) {
 	if resp.Status == wire.StatusCanceled {
-		return nil, ErrCanceled
+		return nil, wire.ErrCanceled
 	}
 	return resp, nil
 }

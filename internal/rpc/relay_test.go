@@ -152,8 +152,8 @@ func TestServeRoutedRelay(t *testing.T) {
 	}()
 	<-parked
 	close(cancel)
-	if err := <-errc; err != ErrCanceled {
-		t.Fatalf("canceled relayed call: %v, want ErrCanceled", err)
+	if err := <-errc; err != wire.ErrCanceled {
+		t.Fatalf("canceled relayed call: %v, want wire.ErrCanceled", err)
 	}
 
 	go func() {

@@ -77,9 +77,6 @@ type Policy struct{}
 var (
 	// ErrConnClosed reports a call on a closed or failed Conn.
 	ErrConnClosed = errors.New("rpc: connection closed")
-	// ErrCanceled reports a canceled call the server answered with
-	// wire.StatusCanceled: the request consumed nothing.
-	ErrCanceled = errors.New("rpc: call canceled")
 	// ErrLinkDown reports a call failed because the underlying link died —
 	// the transport errored or the heartbeat deadline expired. Match with
 	// errors.Is; the concrete error is a *LinkError carrying the cause and

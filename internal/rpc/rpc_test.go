@@ -222,7 +222,7 @@ func TestOutOfOrderCompletion(t *testing.T) {
 }
 
 // TestCancelUnblocksServer: closing cancel reaches the handler, and Call
-// returns what the handler then answers — ErrCanceled for StatusCanceled
+// returns what the handler then answers — wire.ErrCanceled for StatusCanceled
 // (nothing consumed), the value itself when the cancel lost the race.
 func TestCancelUnblocksServer(t *testing.T) {
 	for _, tc := range []struct {
@@ -230,7 +230,7 @@ func TestCancelUnblocksServer(t *testing.T) {
 		answer  *wire.Response
 		wantErr error
 	}{
-		{"canceled", &wire.Response{Status: wire.StatusCanceled}, ErrCanceled},
+		{"canceled", &wire.Response{Status: wire.StatusCanceled}, wire.ErrCanceled},
 		{"value-wins", &wire.Response{Status: wire.StatusOK, Payload: []byte("taken")}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -19,6 +19,7 @@ func seedRequests() []*Request {
 		{Op: OpPutDelayed, App: "a", Key: symbol.K(1), Key2: symbol.K(2, 4), Payload: []byte{0}},
 		{Op: OpAltTake, App: "alt", Keys: []symbol.Key{symbol.K(1), symbol.K(2, 9), symbol.K(3)}},
 		{Op: OpWatch, App: "w", Keys: []symbol.Key{symbol.K(5)}},
+		{Op: OpAltSkip, App: "alt", Keys: []symbol.Key{symbol.K(4), symbol.K(6, 1)}},
 		{Op: OpRegister, ADF: "APP x\nHOSTS\na 1 sun4 1\n"},
 		{Op: OpPump, App: "p", Dir: "worker", TargetHost: "far", Payload: bytes.Repeat([]byte{0xAB}, 100)},
 		{Op: OpFetch, App: "p", Dir: "worker", TargetHost: "far"},

@@ -22,9 +22,10 @@ import (
 // Op identifies a request type.
 type Op byte
 
-// Request operations. The first seven mirror the §6.1.2 API; Register
-// implements §4.4; Watch supports cross-server get_alt; Ping is for health
-// checks and tests.
+// Request operations. Put through AltTake, with AltSkip, carry the §6.1.2
+// API; Register implements §4.4; Watch supports cross-server get_alt; Ping
+// is for health checks and tests. A new verb is appended, so no existing op
+// number moves.
 const (
 	OpInvalid Op = iota
 	OpPut
@@ -43,6 +44,10 @@ const (
 	// folder-addressed.
 	OpPump
 	OpFetch
+	// OpAltSkip is get_alt_skip's take on one folder server: a non-blocking
+	// take from any of Request.Keys, the store choosing among eligible
+	// folders.
+	OpAltSkip
 )
 
 // Scope says what a verb's requests are addressed to, which is how a memo
@@ -104,8 +109,9 @@ var ops = [...]OpInfo{
 	// client's pump that landed between the two — not idempotent — and the
 	// image store keeps no token table to recognise the repeat — not tokened.
 	// It retries only when provably unsent.
-	OpPump:  {Name: "pump", Scope: ScopeHost},
-	OpFetch: {Name: "fetch", Scope: ScopeHost, Idempotent: true},
+	OpPump:    {Name: "pump", Scope: ScopeHost},
+	OpFetch:   {Name: "fetch", Scope: ScopeHost, Idempotent: true},
+	OpAltSkip: {Name: "alt_skip", Scope: ScopeFolder, Kind: KindTake, MultiKey: true},
 }
 
 // Info returns o's row of the op table. Safe for any byte: an undefined Op
@@ -219,9 +225,14 @@ type Response struct {
 	Err string
 }
 
-// Errors returned by decoding.
+// Errors.
 var (
+	// ErrTruncated is returned by decoding.
 	ErrTruncated = errors.New("wire: truncated message")
+	// ErrCanceled is StatusCanceled as a Go error: the owning store's
+	// statement that a canceled blocking read consumed nothing. It keeps
+	// this one value from the store up to the application.
+	ErrCanceled = errors.New("memo: operation canceled")
 )
 
 type writer struct{ buf []byte }
@@ -545,6 +556,15 @@ var okResponse = &Response{Status: StatusOK}
 // OK is the canonical success response for value-less operations. The
 // returned response is shared — do not mutate it.
 func OK() *Response { return okResponse }
+
+// Fail is the one error→response mapping: ErrCanceled (however wrapped)
+// answers StatusCanceled, any other error StatusErr with its text.
+func Fail(err error) *Response {
+	if errors.Is(err, ErrCanceled) {
+		return &Response{Status: StatusCanceled}
+	}
+	return &Response{Status: StatusErr, Err: err.Error()}
+}
 
 // Errf builds an error response.
 func Errf(format string, args ...any) *Response {

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -134,6 +136,14 @@ func TestErrf(t *testing.T) {
 	if p.Status != StatusErr || p.Err != "folder 3 missing" {
 		t.Fatalf("%+v", p)
 	}
+	// Fail: a wrapped ErrCanceled is still the store's canceled answer;
+	// anything else is an error response carrying its text.
+	if p := Fail(fmt.Errorf("get: %w", ErrCanceled)); p.Status != StatusCanceled || p.Err != "" {
+		t.Fatalf("Fail(canceled) = %+v", p)
+	}
+	if p := Fail(errors.New("boom")); p.Status != StatusErr || p.Err != "boom" {
+		t.Fatalf("Fail(boom) = %+v", p)
+	}
 }
 
 // TestOpTable: every defined verb has a row with a unique non-empty name,
@@ -141,7 +151,7 @@ func TestErrf(t *testing.T) {
 // retry rule comes out as the literal rows below say.
 func TestOpTable(t *testing.T) {
 	seen := map[string]Op{}
-	for op := OpPut; op <= OpFetch; op++ {
+	for op := OpPut; op <= OpAltSkip; op++ {
 		v := op.Info()
 		if v.Name == "" || v.Scope == ScopeNone || op.String() != v.Name {
 			t.Fatalf("op %d: row %+v, String %q", op, *v, op.String())
@@ -151,10 +161,10 @@ func TestOpTable(t *testing.T) {
 		}
 		seen[v.Name] = op
 	}
-	if int(OpFetch)+1 != len(ops) {
-		t.Fatalf("op table has %d rows, the last verb is %d", len(ops), OpFetch)
+	if int(OpAltSkip)+1 != len(ops) {
+		t.Fatalf("op table has %d rows, the last verb is %d", len(ops), OpAltSkip)
 	}
-	for _, op := range []Op{OpInvalid, OpFetch + 1, 99, 255} {
+	for _, op := range []Op{OpInvalid, OpAltSkip + 1, 99, 255} {
 		if v := op.Info(); *v != (OpInfo{}) {
 			t.Fatalf("op %d: row %+v, want the zero row", op, *v)
 		}
@@ -170,7 +180,8 @@ func TestOpTable(t *testing.T) {
 		{OpPut, false, true}, {OpPutDelayed, false, true}, {OpGet, false, true},
 		{OpGetCopy, true, true}, {OpGetSkip, false, true}, {OpAltTake, false, true},
 		{OpWatch, true, true}, {OpRegister, true, true}, {OpPing, true, true},
-		{OpPump, false, false}, {OpFetch, true, true}, {Op(99), false, false},
+		{OpPump, false, false}, {OpFetch, true, true}, {OpAltSkip, false, true},
+		{Op(99), false, false},
 	}
 	for _, r := range retry {
 		without := (&Request{Op: r.op}).RetrySafe()

@@ -14,11 +14,9 @@ import (
 	"time"
 
 	"repro/internal/adf"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/memoserver"
 	"repro/internal/placement"
-	"repro/internal/routing"
 	"repro/internal/rpc"
 	"repro/internal/symbol"
 	"repro/internal/transport"
@@ -227,11 +225,7 @@ func NewCluster(dir string, bins Binaries, logff func(string, ...any)) (*Cluster
 	if err := adf.Validate(f); err != nil {
 		return nil, err
 	}
-	g, err := f.Graph()
-	if err != nil {
-		return nil, err
-	}
-	c.Place, err = placement.New(f, routing.Build(g), placement.Options{})
+	c.Place, err = placement.New(f, nil, placement.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -356,27 +350,14 @@ func (c *Cluster) rawClient(i int) (*memoserver.Client, error) {
 }
 
 // Memo opens a full client-library handle entering the cluster at node i —
-// the same construction cmd/memo's op mode and cluster.NewMemo use, so key
+// core.Open, as cmd/memo's op mode and cluster.NewMemo use it, so key
 // placement agrees with every other participant.
 func (c *Cluster) Memo(i int) (*core.Memo, error) {
 	client, err := c.rawClient(i)
 	if err != nil {
 		return nil, err
 	}
-	h, _ := c.File.HostByName(hostNames[i])
-	m, err := core.New(core.Config{
-		App:      c.File.App,
-		Host:     hostNames[i],
-		Domain:   cluster.DomainFor(h.Arch),
-		Registry: symbol.NewRegistry(),
-		Place:    c.Place,
-		Client:   client,
-	})
-	if err != nil {
-		client.Close()
-		return nil, err
-	}
-	return m, nil
+	return core.Open(c.File, hostNames[i], c.Place, symbol.NewRegistry(), client)
 }
 
 // CLIResult is one parsed -json line from the memo binary.
