@@ -13,9 +13,9 @@
 // With -json each experiment's table is additionally written as
 // machine-readable JSON (BENCH_E<n>.json) under the given directory; the CI
 // bench-tables step uploads these files as an artifact. The same directory
-// also gets METRICS.json, a snapshot of the process-wide metric registry
-// after the run — the counters and histograms the experiments themselves
-// drove.
+// also gets METRICS.txt, the process-wide metric registry after the run in
+// the Prometheus text exposition /metrics serves — the counters and
+// histograms the experiments themselves drove.
 package main
 
 import (
@@ -72,14 +72,15 @@ func main() {
 		}
 	}
 	if *jsonDir != "" {
-		// Snapshot the registry the experiments drove: every rpc call,
-		// pooled buffer, redial, and fsync above is in these counters, with
-		// what the run cost the allocator and the collector beside them.
+		// Scrape the registry the experiments drove, in the exposition
+		// /metrics serves: every rpc call, pooled buffer, redial, and fsync
+		// above is in these counters, with what the run cost the allocator
+		// and the collector beside them.
 		obs.RegisterRuntime(obs.Default)
-		path := filepath.Join(*jsonDir, "METRICS.json")
+		path := filepath.Join(*jsonDir, "METRICS.txt")
 		f, err := os.Create(path)
 		if err == nil {
-			err = obs.Default.WriteJSON(f)
+			err = obs.Default.WriteProm(f)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}

@@ -5,8 +5,9 @@
 //	memo trace -nodes ... 0x1f3a8c22d9e47b01                   # one trace's merged timeline
 //
 // Both subcommands scrape the daemons' debug endpoints (-debug-addr):
-// `top` renders one row per node from /statusz (which embeds the /metrics
-// snapshot and peer-link health), and `trace` fetches one trace ID's samples
+// `top` renders one row per node from /metrics (read back with
+// obs.ParseText; peer-link health is its per-peer node_link_* series), and
+// `trace` fetches one trace ID's samples
 // (sampled and slow requests alike) from every node's /tracez and merges
 // them into a single time-ordered span timeline — each node holds only the
 // spans it made, so this join is the only place the whole request is seen,
@@ -85,9 +86,9 @@ func parseTargets(nodes, readyFiles string) ([]nodeTarget, error) {
 	return out, nil
 }
 
-// scrapeJSON fetches one debug endpoint and decodes its JSON body. The
-// short timeout keeps a dead node from stalling the whole table.
-func scrapeJSON(addr, path string, v any) error {
+// scrape fetches one debug endpoint and hands its body to read. The short
+// timeout keeps a dead node from stalling the whole table.
+func scrape(addr, path string, read func(io.Reader) error) error {
 	client := &http.Client{Timeout: 2 * time.Second}
 	resp, err := client.Get("http://" + addr + path)
 	if err != nil {
@@ -98,64 +99,21 @@ func scrapeJSON(addr, path string, v any) error {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return fmt.Errorf("%s: %s: %s", path, resp.Status, strings.TrimSpace(string(body)))
 	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	return read(resp.Body)
 }
 
-// statuszView is the subset of /statusz `memo top` renders.
-type statuszView struct {
-	Metrics []struct {
-		Name    string `json:"name"`
-		Samples []struct {
-			Value *int64 `json:"value,omitempty"`
-		} `json:"samples"`
-	} `json:"metrics"`
-	Links json.RawMessage `json:"links"`
-}
-
-// sum adds every sample of one series (all label sets).
-func (s *statuszView) sum(name string) int64 {
-	var total int64
-	for i := range s.Metrics {
-		if s.Metrics[i].Name != name {
-			continue
-		}
-		for _, smp := range s.Metrics[i].Samples {
-			if smp.Value != nil {
-				total += *smp.Value
-			}
-		}
-	}
-	return total
-}
-
-// linkSummary condenses the /statusz links array (memoserver.LinkStat: a
-// peer plus the LinkHealth fields a Client's Stats also reports) into
-// "dials/faults" plus the first live error, if any.
-func (s *statuszView) linkSummary() string {
-	if len(s.Links) == 0 {
+// linkSummary condenses a node's per-peer node_link_* samples into
+// "dials/faults" over all its peers plus the first failing peer's dial
+// error, or "-" when the node holds no peer link.
+func linkSummary(samples []obs.Sample) string {
+	if obs.Sum(samples, "node_peer_links") == 0 {
 		return "-"
 	}
-	var links []struct {
-		Peer    string `json:"Peer"`
-		Dials   int64  `json:"Dials"`
-		Faults  int64  `json:"Faults"`
-		LastErr string `json:"LastErr"`
-	}
-	if err := json.Unmarshal(s.Links, &links); err != nil {
-		return "-"
-	}
-	var dials, faults int64
-	firstErr := ""
-	for _, l := range links {
-		dials += l.Dials
-		faults += l.Faults
-		if firstErr == "" && l.LastErr != "" {
-			firstErr = l.Peer + ": " + l.LastErr
+	out := fmt.Sprintf("%d/%d", int64(obs.Sum(samples, "node_link_dials_total")), int64(obs.Sum(samples, "node_link_faults_total")))
+	for _, smp := range samples {
+		if smp.Name == "node_link_error" && smp.Value != 0 {
+			return out + " (" + smp.Label("peer") + ": " + smp.Label("error") + ")"
 		}
-	}
-	out := fmt.Sprintf("%d/%d", dials, faults)
-	if firstErr != "" {
-		out += " (" + firstErr + ")"
 	}
 	return out
 }
@@ -190,22 +148,27 @@ func renderTop(w io.Writer, targets []nodeTarget) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "NODE\tUP\tLOCAL\tFWD\tRETRY\tRPC\tMEMOS\tHIDDEN\tSLOW\tTRACES\tLINKS d/f")
 	for _, t := range targets {
-		var st statuszView
-		if err := scrapeJSON(t.Addr, "/statusz", &st); err != nil {
+		var samples []obs.Sample
+		err := scrape(t.Addr, "/metrics", func(r io.Reader) (err error) {
+			samples, err = obs.ParseText(r)
+			return err
+		})
+		if err != nil {
 			fmt.Fprintf(tw, "%s\tdown\t-\t-\t-\t-\t-\t-\t-\t-\t%v\n", t.Name, err)
 			continue
 		}
+		sum := func(name string) int64 { return int64(obs.Sum(samples, name)) }
 		fmt.Fprintf(tw, "%s\tyes\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
 			t.Name,
-			st.sum("node_local_ops_total"),
-			st.sum("node_forwards_total"),
-			st.sum("node_retried_total"),
-			st.sum("rpc_server_requests_total"),
-			st.sum("folder_memos"),
-			st.sum("folder_delayed_hidden"),
-			st.sum("slow_requests_total"),
-			st.sum("trace_samples_total"),
-			st.linkSummary())
+			sum("node_local_ops_total"),
+			sum("node_forwards_total"),
+			sum("node_retried_total"),
+			sum("rpc_server_requests_total"),
+			sum("folder_memos"),
+			sum("folder_delayed_hidden"),
+			sum("slow_requests_total"),
+			sum("trace_samples_total"),
+			linkSummary(samples))
 	}
 	tw.Flush()
 }
@@ -288,7 +251,8 @@ func mergeTrace(targets []nodeTarget, id string) (spans []wire.Span, scraped int
 	seen := map[wire.Span]bool{}
 	for _, t := range targets {
 		var body obs.TracezBody
-		if err := scrapeJSON(t.Addr, "/tracez?trace="+id, &body); err != nil {
+		err := scrape(t.Addr, "/tracez?trace="+id, func(r io.Reader) error { return json.NewDecoder(r).Decode(&body) })
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "memo trace: node %s: %v\n", t.Name, err)
 			continue
 		}

@@ -19,10 +19,12 @@ import (
 )
 
 // TestRenderTop renders `memo top` against an in-process node's debug
-// server: every column is a sum over the /statusz metrics list, the slow
-// and trace totals included, and an unreachable node is a row, not an error.
+// server: every column is a sum over the node's /metrics samples, the slow
+// and trace totals included; the LINKS column names a peer whose dial
+// failed, with that dial's error; and an unreachable node is a row, not an
+// error.
 func TestRenderTop(t *testing.T) {
-	f, err := adf.Parse("APP top\nHOSTS\na 1 sun4 1\nFOLDERS\n0 a\nPROCESSES\n0 boss a\n")
+	f, err := adf.Parse("APP top\nHOSTS\na 1 sun4 1\nb 1 sun4 1\nFOLDERS\n0 a\n1 b\nPROCESSES\n0 boss a\nPPC\na <-> b 1\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,10 +41,14 @@ func TestRenderTop(t *testing.T) {
 			t.Fatalf("put: %+v", resp)
 		}
 	}
+	// b never starts: a put to its folder fails a's dial (slow too, unsampled).
+	q := &wire.Request{Op: wire.OpPut, App: "top", FolderID: 1, Key: symbol.K(7), Payload: []byte("x")}
+	if resp := node.Dispatch(q, nil); resp.Status != wire.StatusErr {
+		t.Fatalf("put to a host that never started: %+v", resp)
+	}
 	reg := obs.NewRegistry()
 	node.RegisterMetrics(reg)
-	debug := obs.NewDebugServer("127.0.0.1:0", []*obs.Registry{reg}, node.Tracer(),
-		func() any { return node.LinkStats() })
+	debug := obs.NewDebugServer("127.0.0.1:0", []*obs.Registry{reg}, node.Tracer())
 	if err := debug.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +61,7 @@ func TestRenderTop(t *testing.T) {
 		t.Fatalf("want a header and two rows:\n%s", out.String())
 	}
 	header, row := strings.Fields(lines[0]), strings.Fields(lines[1])
-	want := map[string]string{"NODE": "a", "UP": "yes", "LOCAL": "4", "MEMOS": "4", "SLOW": "4", "TRACES": "2"}
+	want := map[string]string{"NODE": "a", "UP": "yes", "LOCAL": "4", "FWD": "1", "MEMOS": "4", "SLOW": "5", "TRACES": "2"}
 	for i, col := range header {
 		if w, ok := want[col]; ok && i < len(row) && row[i] == w {
 			delete(want, col)
@@ -63,6 +69,9 @@ func TestRenderTop(t *testing.T) {
 	}
 	if len(want) != 0 {
 		t.Errorf("columns missing or wrong, want %v:\n%s", want, out.String())
+	}
+	if !strings.HasSuffix(lines[0], "LINKS d/f") || !strings.Contains(lines[1], "  0/0 (b: dial b: ") {
+		t.Errorf("LINKS column does not name b's failed dial:\n%s", out.String())
 	}
 	if down := strings.Fields(lines[2]); len(down) < 2 || down[0] != "gone" || down[1] != "down" {
 		t.Errorf("unreachable node rendered as %q", lines[2])
@@ -93,7 +102,7 @@ func TestTraceJoinsTwoNodes(t *testing.T) {
 		if err := node.RegisterApp(f); err != nil {
 			t.Fatal(err)
 		}
-		debug := obs.NewDebugServer("127.0.0.1:0", nil, node.Tracer(), nil)
+		debug := obs.NewDebugServer("127.0.0.1:0", nil, node.Tracer())
 		if err := debug.Start(); err != nil {
 			t.Fatal(err)
 		}

@@ -89,7 +89,7 @@ func register(fs *flag.FlagSet) *config {
 	fs.StringVar(&n.DataDir, "data-dir", "", "directory for folder-server durability (one WAL + snapshots per store); empty keeps folders in memory only")
 	fs.Var(syncFlag{&n.Durable.Sync}, "fsync", "WAL sync `mode`: batch (group commit: an ack waits for the fsync covering its record) or never (trust the OS cache)")
 	fs.IntVar(&n.Durable.SnapshotEvery, "snapshot-every", 0, "minimum records between WAL snapshot+truncate cycles (0 = default, negative = never)")
-	fs.StringVar(&c.debugAddr, "debug-addr", "", "serve the debug endpoints (/metrics, /statusz, /tracez, /debug/pprof/) on this address (e.g. localhost:6060); empty disables them")
+	fs.StringVar(&c.debugAddr, "debug-addr", "", "serve the debug endpoints (/metrics, /tracez, /debug/pprof/) on this address (e.g. localhost:6060); empty disables them")
 	fs.DurationVar(&n.SlowRequestThreshold, "slow-request-threshold", 0, "record requests that take at least this long as slow (the slow section of /tracez, and a log line each), naming untraced ones with a trace ID; 0 times no request on this account")
 	fs.Float64Var(&n.TraceSample, "trace-sample", 0, "span-sample this fraction of entry requests (1 = all, 0.01 = every 100th, 0 = none) into /tracez; requests another node sampled are always traced through")
 	fs.StringVar(&c.readyFile, "ready-file", "", "after the listener is bound, atomically write the actual TCP address here (supports -listen :0; harnesses poll this file for readiness). With -debug-addr a second line `debug <addr>` names the debug endpoint")
@@ -154,8 +154,8 @@ func idleTimeout(hb time.Duration) time.Duration {
 }
 
 // ready publishes that the daemon is serving on addr. With -debug-addr it
-// first starts the debug server — /metrics, /statusz, /tracez and
-// pprof on one listener; off by default, and when enabled, bind a loopback
+// first starts the debug server — /metrics, /tracez and pprof on one
+// listener; off by default, and when enabled, bind a loopback
 // address unless you mean to expose the profiler. With -ready-file it then
 // writes addr and a `debug <addr>` line (`memo top` and the e2e forensics
 // scraper read the debug address from there) to a temp file and renames it,
@@ -164,8 +164,7 @@ func (c *config) ready(addr string, node *memoserver.Node) *obs.DebugServer {
 	ready := addr + "\n"
 	var debug *obs.DebugServer
 	if c.debugAddr != "" {
-		debug = obs.NewDebugServer(c.debugAddr, []*obs.Registry{obs.Default}, node.Tracer(),
-			func() any { return node.LinkStats() })
+		debug = obs.NewDebugServer(c.debugAddr, []*obs.Registry{obs.Default}, node.Tracer())
 		if err := debug.Start(); err != nil {
 			log.Fatalf("debug server: %v", err)
 		}

@@ -65,8 +65,9 @@ func (t RecType) String() string {
 }
 
 // Record is one logged Store mutation. Every record describes a transition
-// of exactly one folder (and therefore one shard), which is what lets the
-// per-shard logs replay independently.
+// of exactly one folder (and therefore one shard), which is what lets replay
+// apply the store's one log in order, each record under its own shard's
+// lock alone.
 type Record struct {
 	Type RecType
 	// Key is the folder: the put/take target, or put_delayed's trigger.

@@ -1,6 +1,7 @@
 package folder
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"strings"
@@ -369,12 +370,15 @@ func TestRecoveryBlockedGetWakes(t *testing.T) {
 // the run. Recorded in DESIGN.md §7.
 func BenchmarkWALGroupCommit(b *testing.B) {
 	commitBatch := func() (count, sum int64) {
-		for _, s := range obs.Default.Snapshot() {
-			if s.Name == "durable_commit_batch" && len(s.Samples) == 1 && s.Samples[0].Hist != nil {
-				return s.Samples[0].Hist.Count, s.Samples[0].Hist.Sum
-			}
+		var buf bytes.Buffer
+		if err := obs.Default.WriteProm(&buf); err != nil {
+			b.Fatal(err)
 		}
-		return 0, 0
+		samples, err := obs.ParseText(&buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return int64(obs.Sum(samples, "durable_commit_batch_count")), int64(obs.Sum(samples, "durable_commit_batch_sum"))
 	}
 	keys := make([]symbol.Key, 256)
 	for i := range keys {

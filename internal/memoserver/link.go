@@ -33,8 +33,8 @@ type rlink struct {
 	lastErr error
 	closed  bool
 
-	// Health counters (surfaced per link by stats; a node's collector sums
-	// its peer links' into node_link_*).
+	// Health counters (surfaced per link by stats; a node's collector
+	// renders its peer links' as the node_link_* series, one per peer).
 	dials       obs.Counter
 	failedDials obs.Counter
 	faults      obs.Counter
@@ -51,8 +51,8 @@ type LinkHealth struct {
 	Faults int64
 	// LastErr is the most recent dial error, empty while the link is healthy
 	// (cleared by a successful dial) — the human-readable why behind a
-	// failing link in /statusz.
-	LastErr string `json:",omitempty"`
+	// failing link, served as node_link_error's error label.
+	LastErr string
 }
 
 // newRlink builds a link that reaches its peer through dial, which returns

@@ -248,7 +248,8 @@ func TestLinkRedialsKnownDeadConnFirst(t *testing.T) {
 // TestDialFailureWordedOnce: a failed dial is worded where it happens, and
 // nowhere above. A Client whose memo server has gone returns the transport's
 // error under the one dial wording; a forward to a peer with no listener
-// answers StatusErr naming that peer and the failed dial.
+// answers StatusErr naming that peer and the failed dial — the same error
+// the forwarding node's node_link_error serves for that peer.
 func TestDialFailureWordedOnce(t *testing.T) {
 	tn := bootNet(t, twoHostADF, Config{})
 	c := tn.client(t, "a")
@@ -261,6 +262,16 @@ func TestDialFailureWordedOnce(t *testing.T) {
 	if resp.Status != wire.StatusErr || !strings.Contains(resp.Err, "dial b: ") ||
 		strings.Count(resp.Err, "dial") != 1 || !strings.Contains(resp.Err, transport.ErrNoListener.Error()) {
 		t.Fatalf("forward to a dead peer: %+v, want one dial b wording over %q", resp, transport.ErrNoListener)
+	}
+	// a's exposition names the same failure, against the same peer.
+	named := false
+	for _, smp := range nodeExposition(tn.nodes["a"]) {
+		if smp.Name == "node_link_error" && smp.Label("peer") == "b" {
+			named = smp.Value == 1 && strings.Contains(resp.Err, smp.Label("error")) && strings.HasPrefix(smp.Label("error"), "dial b: ")
+		}
+	}
+	if !named {
+		t.Fatalf("a's node_link_error{peer=\"b\"} does not name the forward's %q:\n%+v", resp.Err, nodeExposition(tn.nodes["a"]))
 	}
 
 	old, err := c.link.get(nil)

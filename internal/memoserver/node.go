@@ -16,8 +16,9 @@ package memoserver
 
 import (
 	"fmt"
+	"maps"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -816,32 +817,13 @@ func (n *Node) Stats() Stats {
 	}
 }
 
-// LinkStat is one peer link's health: the neighbour host plus the link's
-// dial and fault counters.
-type LinkStat struct {
-	Peer string
-	LinkHealth
-}
-
-// LinkStats snapshots the health counters of every peer link this node has
-// opened, sorted by peer host.
-func (n *Node) LinkStats() []LinkStat {
-	var out []LinkStat
-	n.peers.Range(func(host, v any) bool {
-		out = append(out, LinkStat{Peer: host.(string), LinkHealth: v.(*peerLink).stats()})
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
-	return out
-}
-
 // RegisterMetrics attaches this node's series to reg: the node_* routing
 // counters (same obs.Counter instances Stats reads), the tracer's two
 // totals, plus a scrape-time collector that walks the node's folder servers
 // (their folder_* series), reads the thread cache's counters (the
-// threadcache_* series — CacheStats and IdleCount at scrape time) and sums
-// peer-link health into the node_link_* series — the registry view of
-// LinkStats.
+// threadcache_* series — CacheStats and IdleCount at scrape time) and
+// renders each peer link's health as the node_link_* series, one {peer}
+// sample each.
 func (n *Node) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("node_local_ops_total", "requests resolved on this host", nil, &n.localOps)
 	reg.RegisterCounter("node_forwards_total", "requests forwarded to a peer memo server", nil, &n.forwards)
@@ -861,18 +843,24 @@ func (n *Node) RegisterMetrics(reg *obs.Registry) {
 		e.Counter("threadcache_reused_total", "requests run on a cached thread", nil, cs.Reused)
 		e.Counter("threadcache_retired_total", "cached threads retired (idle timeout, cache full or closed)", nil, cs.Retired)
 		e.Gauge("threadcache_idle_workers", "threads parked in the cache", nil, int64(n.pool.IdleCount()))
-		var links, dials, failed, faults int64
-		n.peers.Range(func(_, v any) bool {
-			st := v.(*peerLink).stats()
-			links++
-			dials += st.Dials
-			failed += st.FailedDials
-			faults += st.Faults
+		links := map[string]LinkHealth{}
+		n.peers.Range(func(host, v any) bool {
+			links[host.(string)] = v.(*peerLink).stats()
 			return true
 		})
-		e.Gauge("node_peer_links", "open peer links", nil, links)
-		e.Counter("node_link_dials_total", "successful peer-link dials", nil, dials)
-		e.Counter("node_link_failed_dials_total", "failed peer-link dial attempts", nil, failed)
-		e.Counter("node_link_faults_total", "peer-link faults (link declared dead)", nil, faults)
+		e.Gauge("node_peer_links", "open peer links", nil, int64(len(links)))
+		for _, host := range slices.Sorted(maps.Keys(links)) {
+			st := links[host]
+			peer := map[string]string{"peer": host}
+			e.Counter("node_link_dials_total", "successful peer-link dials", peer, st.Dials)
+			e.Counter("node_link_failed_dials_total", "failed peer-link dial attempts", peer, st.FailedDials)
+			e.Counter("node_link_faults_total", "peer-link faults (link declared dead)", peer, st.Faults)
+			failing := int64(0)
+			if st.LastErr != "" {
+				failing = 1
+			}
+			e.Gauge("node_link_error", "1 while the peer link's last dial failed, naming that error; 0 with an empty error once a dial heals it",
+				map[string]string{"peer": host, "error": st.LastErr}, failing)
+		}
 	})
 }

@@ -17,6 +17,30 @@ import (
 	"repro/internal/wire"
 )
 
+// exposition renders regs as a daemon's /metrics serves them and reads the
+// samples back.
+func exposition(regs ...*obs.Registry) []obs.Sample {
+	var b bytes.Buffer
+	for _, r := range regs {
+		if err := r.WriteProm(&b); err != nil {
+			panic(err)
+		}
+	}
+	samples, err := obs.ParseText(&b)
+	if err != nil {
+		panic(err)
+	}
+	return samples
+}
+
+// nodeExposition is n's own series — the node_*, folder_*, threadcache_*
+// and tracer series memoserverd serves beside obs.Default — read back.
+func nodeExposition(n *Node) []obs.Sample {
+	reg := obs.NewRegistry()
+	n.RegisterMetrics(reg)
+	return exposition(reg)
+}
+
 // bootTCPPair starts the twoHostADF cluster over real TCP sockets with the
 // given config and returns the nodes (a, b order) plus a wire client per
 // host, all registered.
@@ -62,7 +86,7 @@ func bootTCPPair(t *testing.T, cfg Config) ([]*Node, []*Client) {
 func slowSample(t *testing.T, n *Node, op wire.Op) obs.TraceSample {
 	t.Helper()
 	var found []obs.TraceSample
-	for _, ts := range n.Tracer().Slow.Recent() {
+	for _, ts := range n.Tracer().Slow.Get(0) {
 		for _, sp := range ts.Spans {
 			if sp.Node == "memo@"+n.Host && sp.Layer == "memo" && sp.Op == op.String() {
 				found = append(found, ts)
@@ -70,7 +94,7 @@ func slowSample(t *testing.T, n *Node, op wire.Op) obs.TraceSample {
 		}
 	}
 	if len(found) != 1 {
-		t.Fatalf("host %s holds %d slow %s samples, want 1: %+v", n.Host, len(found), op, n.Tracer().Slow.Recent())
+		t.Fatalf("host %s holds %d slow %s samples, want 1: %+v", n.Host, len(found), op, n.Tracer().Slow.Get(0))
 	}
 	return found[0]
 }
@@ -144,7 +168,7 @@ func TestSlowRequestIsJoinableWithoutClientHelp(t *testing.T) {
 	}
 	hops := map[string]int{}
 	for _, n := range nodes {
-		debug := obs.NewDebugServer("127.0.0.1:0", nil, n.Tracer(), nil)
+		debug := obs.NewDebugServer("127.0.0.1:0", nil, n.Tracer())
 		if err := debug.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +222,7 @@ var metricCatalog = []string{
 	"folder_token_evictions_total", "folder_tokens", "folder_waiters",
 	"go_alloc_bytes_total", "go_alloc_objects_total", "go_gc_cpu_seconds_total", "go_gc_cycles_total",
 	"go_goroutines", "go_heap_live_bytes",
-	"node_apps_registered_total", "node_forwards_total", "node_link_dials_total",
+	"node_apps_registered_total", "node_forwards_total", "node_link_dials_total", "node_link_error",
 	"node_link_failed_dials_total", "node_link_faults_total", "node_local_ops_total",
 	"node_peer_links", "node_retried_total",
 	"pool_gets_total", "pool_misses_total", "pool_oversize_total", "pool_puts_total",
@@ -208,13 +232,15 @@ var metricCatalog = []string{
 	"slow_requests_total", "trace_samples_total",
 	"threadcache_idle_workers", "threadcache_retired_total", "threadcache_reused_total",
 	"threadcache_spawned_total",
-	"transport_flaky_injections_total", "transport_tcp_reads_total", "transport_tcp_writes_total",
+	"transport_tcp_reads_total", "transport_tcp_writes_total",
 }
 
 // TestMetricCatalog boots the TCP cluster durable, drives a forwarded put
 // and a local get, and compares the series names of the exposition
 // memoserverd serves — the process-wide registry, the node's own series and
-// the Go runtime's — with metricCatalog, both directions.
+// the Go runtime's — with metricCatalog, both directions. It reads b, the
+// node that forwarded the put: the per-peer node_link_* series have a
+// sample only on a node that holds a peer link.
 func TestMetricCatalog(t *testing.T) {
 	nodes, clients := bootTCPPair(t, Config{DataDir: t.TempDir()})
 	k := symbol.K(7, 1)
@@ -228,7 +254,7 @@ func TestMetricCatalog(t *testing.T) {
 	// The daemon registers the node and the runtime into obs.Default; a
 	// test must not, so serve a private registry beside it.
 	reg := obs.NewRegistry()
-	nodes[0].RegisterMetrics(reg)
+	nodes[1].RegisterMetrics(reg)
 	obs.RegisterRuntime(reg)
 	var body bytes.Buffer
 	for _, r := range []*obs.Registry{obs.Default, reg} {

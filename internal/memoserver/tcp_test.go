@@ -233,9 +233,9 @@ func TestMemoSizeBoundOverTCP(t *testing.T) {
 		if st := node.Stats(); st.Retried != 0 {
 			t.Fatalf("host %s retried %d forwards", node.Host, st.Retried)
 		}
-		for _, ls := range node.LinkStats() {
-			if ls.Faults != 0 || ls.Dials != 1 {
-				t.Fatalf("host %s link to %s: %+v, want one dial, no fault", node.Host, ls.Peer, ls.LinkHealth)
+		for _, smp := range nodeExposition(node) {
+			if (smp.Name == "node_link_faults_total" && smp.Value != 0) || (smp.Name == "node_link_dials_total" && smp.Value != 1) {
+				t.Fatalf("host %s: %s%s = %v, want one dial, no fault", node.Host, smp.Name, smp.Labels, smp.Value)
 			}
 		}
 	}

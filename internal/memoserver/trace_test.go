@@ -34,7 +34,7 @@ func TestCrossNodeTracedPutSpanTree(t *testing.T) {
 		t.Fatalf("put: %+v %v", resp, err)
 	}
 
-	samples := tn.nodes["a"].Tracer().Sampled.Recent()
+	samples := tn.nodes["a"].Tracer().Sampled.Get(0)
 	if len(samples) != 1 {
 		t.Fatalf("entry ring holds %d samples, want 1", len(samples))
 	}

@@ -169,12 +169,7 @@ func (p *scriptedPeer) link(t *testing.T, retries int) (l *rlink, raw func() *we
 
 // rpcCalls reads rpc_calls_total: rpc.Conn.Call entries, process-wide.
 func rpcCalls() int64 {
-	for _, s := range obs.Default.Snapshot() {
-		if s.Name == "rpc_calls_total" {
-			return *s.Samples[0].Value
-		}
-	}
-	return 0
+	return int64(obs.Sum(exposition(obs.Default), "rpc_calls_total"))
 }
 
 func okHandler(*wire.Request, <-chan struct{}) *wire.Response { return wire.OK() }

@@ -13,9 +13,9 @@ import (
 )
 
 // DebugServer is the one debug HTTP endpoint a daemon exposes (-debug-addr):
-// /metrics (Prometheus text format over every attached registry), /statusz
-// (JSON snapshot plus recent slow requests and link health), /tracez (the
-// tracer's two rings: sampled trees and slow requests), and
+// /metrics (Prometheus text format over every attached registry — the one
+// exposition of every number the daemon keeps, read back with ParseText),
+// /tracez (the tracer's two rings: sampled trees and slow requests), and
 // /debug/pprof/* (the net/http/pprof handlers, mounted on this server's own
 // mux rather than a bare http.ListenAndServe goroutine — so profiling shares
 // the lifecycle, the listener closes on Shutdown, and a serve error surfaces
@@ -23,7 +23,6 @@ import (
 type DebugServer struct {
 	regs   []*Registry
 	tracer *Tracer
-	links  func() any
 
 	ln   net.Listener
 	srv  *http.Server
@@ -31,14 +30,12 @@ type DebugServer struct {
 }
 
 // NewDebugServer builds a debug server for addr serving the given
-// registries (scraped in order), the node's tracer, and — when links is
-// non-nil — a per-scrape link-health snapshot (a daemon's Node.LinkStats)
-// rendered under "links" in /statusz. Call Start to bind and serve.
-func NewDebugServer(addr string, regs []*Registry, tracer *Tracer, links func() any) *DebugServer {
-	d := &DebugServer{regs: regs, tracer: tracer, links: links, done: make(chan error, 1)}
+// registries (scraped in order) and the node's tracer. Call Start to bind
+// and serve.
+func NewDebugServer(addr string, regs []*Registry, tracer *Tracer) *DebugServer {
+	d := &DebugServer{regs: regs, tracer: tracer, done: make(chan error, 1)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", d.handleMetrics)
-	mux.HandleFunc("/statusz", d.handleStatusz)
 	mux.HandleFunc("/tracez", d.handleTracez)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -97,25 +94,6 @@ func (d *DebugServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			return
 		}
 	}
-}
-
-// statuszBody is the /statusz JSON shape.
-type statuszBody struct {
-	Metrics []seriesJSON  `json:"metrics"`
-	Links   any           `json:"links,omitempty"`
-	Slow    []TraceSample `json:"slow_requests,omitempty"`
-}
-
-func (d *DebugServer) handleStatusz(w http.ResponseWriter, _ *http.Request) {
-	var body statuszBody
-	for _, r := range d.regs {
-		body.Metrics = append(body.Metrics, r.Snapshot()...)
-	}
-	if d.links != nil {
-		body.Links = d.links()
-	}
-	body.Slow = d.tracer.Slow.Recent()
-	writeJSON(w, body)
 }
 
 // TracezBody is the /tracez JSON shape: the samples of both retention

@@ -30,7 +30,7 @@ func TestTracez(t *testing.T) {
 	for i := 0; i < traceRingCap; i++ {
 		run(time.Millisecond)
 	}
-	h := NewDebugServer("", nil, tr, nil).srv.Handler
+	h := NewDebugServer("", nil, tr).srv.Handler
 	get := func(url string) (int, TracezBody) {
 		t.Helper()
 		rec := httptest.NewRecorder()
@@ -72,7 +72,7 @@ func TestDebugServer(t *testing.T) {
 	q := &wire.Request{Op: wire.OpPut, TraceID: 77, Hops: 1}
 	tr.Finish(q, tr.Begin(q), wire.Span{Layer: "memo", Op: "put", Hop: 1, Dur: int64(5 * time.Millisecond)})
 
-	d := NewDebugServer("127.0.0.1:0", []*Registry{r}, tr, func() any { return []string{"peer-b"} })
+	d := NewDebugServer("127.0.0.1:0", []*Registry{r}, tr)
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,16 +103,23 @@ func TestDebugServer(t *testing.T) {
 		t.Errorf("/metrics content type %q", ctype)
 	}
 
-	statusz, ctype := get("/statusz")
-	if ctype != "application/json" {
-		t.Errorf("/statusz content type %q", ctype)
+	// Each number has one home: the metrics are /metrics, the slow requests
+	// the slow section of /tracez; there is no /statusz echoing both.
+	tracez, _ := get("/tracez")
+	var body TracezBody
+	if err := json.Unmarshal([]byte(tracez), &body); err != nil {
+		t.Fatalf("/tracez not JSON: %v", err)
 	}
-	var body statuszBody
-	if err := json.Unmarshal([]byte(statusz), &body); err != nil {
-		t.Fatalf("/statusz not JSON: %v", err)
+	if len(body.Slow) != 1 || body.Slow[0].Trace != 77 {
+		t.Errorf("/tracez slow section wrong: %s", tracez)
 	}
-	if len(body.Metrics) == 0 || len(body.Slow) != 1 || body.Slow[0].Trace != 77 || body.Links == nil {
-		t.Errorf("/statusz body wrong: %s", statusz)
+	resp, err := http.Get(base + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/statusz answered %s, want 404", resp.Status)
 	}
 	if !strings.Contains(metrics, "slow_requests_total 1") || !strings.Contains(metrics, "trace_samples_total 0") {
 		t.Errorf("/metrics missing the tracer's totals:\n%s", metrics)

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -111,15 +109,9 @@ func TestRegistryProm(t *testing.T) {
 		}
 	}
 
-	// Every sample line parses as "name[{labels}] value".
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			t.Errorf("unparsable sample line %q", line)
-		}
+	// Every sample line reads back.
+	if _, err := ParseText(strings.NewReader(out)); err != nil {
+		t.Errorf("exposition does not read back: %v", err)
 	}
 }
 
@@ -148,22 +140,52 @@ func TestRegistryKindClash(t *testing.T) {
 	r.Gauge("x_total", "")
 }
 
-func TestSnapshotJSON(t *testing.T) {
+// TestParseText: what WriteProm writes, ParseText reads back — a counter,
+// a histogram's _count and _sum, a fractional sample, and labelled samples
+// whose label values hold spaces, quotes and the block's own delimiters —
+// and a sample line without a value is refused.
+func TestParseText(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("snap_total", "")
-	c.Add(5)
+	r.Counter("snap_total", "").Add(5)
 	h := r.Histogram("snap_ns", "")
 	h.Observe(10)
-	snap := r.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("snapshot has %d series, want 2", len(snap))
+	h.Observe(30)
+	r.RegisterCollector(func(e *Emitter) {
+		e.emitFloat("snap_cpu_seconds_total", "", KindCounter, 0.25)
+		e.emitFloat("snap_gc_cpu_seconds_total", "", KindCounter, 1.5e-05)
+		e.Gauge("snap_link_error", "", map[string]string{"peer": "b", "error": `dial b: "refused", {x} at 1 2`}, 1)
+		e.Gauge("snap_link_error", "", map[string]string{"peer": "c", "error": ""}, 0)
+	})
+	var b strings.Builder
+	if err := r.WriteProm(&b); err != nil {
+		t.Fatal(err)
 	}
-	if snap[0].Name != "snap_total" || *snap[0].Samples[0].Value != 5 {
-		t.Fatalf("counter snapshot wrong: %+v", snap[0])
+	samples, err := ParseText(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatalf("%v\n%s", err, b.String())
 	}
-	hj := snap[1].Samples[0].Hist
-	if hj == nil || hj.Count != 1 || hj.Sum != 10 {
-		t.Fatalf("histogram snapshot wrong: %+v", snap[1])
+	for name, want := range map[string]float64{
+		"snap_total": 5, "snap_ns_count": 2, "snap_ns_sum": 40, "snap_cpu_seconds_total": 0.25,
+		"snap_gc_cpu_seconds_total": 1.5e-05, "snap_link_error": 1,
+	} {
+		if got := Sum(samples, name); got != want {
+			t.Errorf("Sum(%s) = %v, want %v\n%s", name, got, want, b.String())
+		}
+	}
+	var links []Sample
+	for _, s := range samples {
+		if s.Name == "snap_link_error" {
+			links = append(links, s)
+		}
+	}
+	if len(links) != 2 || links[0].Label("peer") != "b" || links[0].Label("error") != `dial b: "refused", {x} at 1 2` ||
+		links[0].Value != 1 || links[1].Label("peer") != "c" || links[1].Label("error") != "" || links[1].Label("zone") != "" {
+		t.Errorf("labelled samples read back as %+v", links)
+	}
+	for _, bad := range []string{"snap_total\n", `snap_total{peer="b"}` + "\n", "snap_total 1 2\n", `snap_total{peer="b} 1` + "\n"} {
+		if _, err := ParseText(strings.NewReader(bad)); err == nil {
+			t.Errorf("ParseText(%q) accepted a line without exactly one value", bad)
+		}
 	}
 }
 
@@ -181,7 +203,7 @@ func TestNewTraceID(t *testing.T) {
 	}
 }
 
-// TestRuntimeSeries: the Go runtime series render in both expositions, the
+// TestRuntimeSeries: the Go runtime series render in the exposition, the
 // counts as integers and the collector's CPU time as fractional seconds.
 func TestRuntimeSeries(t *testing.T) {
 	r := NewRegistry()
@@ -191,30 +213,17 @@ func TestRuntimeSeries(t *testing.T) {
 	if err := r.WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
-	vals := map[string]float64{}
-	for _, line := range strings.Split(b.String(), "\n") {
-		if name, val, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				t.Fatalf("line %q: %v", line, err)
-			}
-			vals[name] = f
-		}
+	samples, err := ParseText(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, name := range []string{"go_gc_cycles_total", "go_gc_cpu_seconds_total", "go_heap_live_bytes",
 		"go_alloc_bytes_total", "go_alloc_objects_total", "go_goroutines"} {
-		if vals[name] <= 0 {
-			t.Errorf("%s = %v, want a positive value\n%s", name, vals[name], b.String())
+		if v := Sum(samples, name); v <= 0 {
+			t.Errorf("%s = %v, want a positive value\n%s", name, v, b.String())
 		}
 	}
 	if !strings.Contains(b.String(), "# TYPE go_gc_cpu_seconds_total counter") {
 		t.Errorf("go_gc_cpu_seconds_total is not typed a counter:\n%s", b.String())
-	}
-	blob, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(blob), `"name":"go_gc_cpu_seconds_total","kind":"counter"`) || !strings.Contains(string(blob), `"float":`) {
-		t.Errorf("JSON snapshot lacks the fractional series: %s", blob)
 	}
 }

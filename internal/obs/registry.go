@@ -1,10 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -282,70 +283,106 @@ func writePromHist(w io.Writer, name, labels string, h *Histogram) error {
 	return err
 }
 
-// seriesJSON is the JSON snapshot shape of one series.
-type seriesJSON struct {
-	Name    string       `json:"name"`
-	Kind    string       `json:"kind"`
-	Help    string       `json:"help,omitempty"`
-	Samples []sampleJSON `json:"samples"`
+// Sample is one sample line of an exposition, read back by ParseText: the
+// name as written (a histogram's _bucket, _sum and _count lines are samples
+// of their own), its label block as RenderLabels renders it, and its value.
+type Sample struct {
+	Name   string
+	Labels string // `{k="v",...}`, or ""
+	Value  float64
 }
 
-type sampleJSON struct {
-	Labels string         `json:"labels,omitempty"`
-	Value  *int64         `json:"value,omitempty"`
-	Float  *float64       `json:"float,omitempty"`
-	Hist   *histogramJSON `json:"histogram,omitempty"`
-}
-
-type histogramJSON struct {
-	Count   int64            `json:"count"`
-	Sum     int64            `json:"sum"`
-	Buckets map[string]int64 `json:"buckets"`
-}
-
-// Snapshot returns the registry's current state as a JSON-marshalable
-// structure — the /statusz body and the METRICS.json dmemo-bench emits.
-func (r *Registry) Snapshot() []seriesJSON {
-	gathered := r.gather()
-	out := make([]seriesJSON, 0, len(gathered))
-	for _, s := range gathered {
-		sj := seriesJSON{Name: s.name, Kind: s.kind.String(), Help: s.help}
-		for _, sm := range s.samples {
-			if sm.hist != nil {
-				buckets := sm.hist.Snapshot()
-				hj := &histogramJSON{Sum: sm.hist.Sum(), Buckets: make(map[string]int64)}
-				for i, n := range buckets {
-					hj.Count += n
-					if n == 0 {
-						continue
-					}
-					le := "+Inf"
-					if b := BucketBound(i); b >= 0 {
-						le = fmt.Sprint(b)
-					}
-					hj.Buckets[le] = n
-				}
-				sj.Samples = append(sj.Samples, sampleJSON{Labels: sm.labels, Hist: hj})
-				continue
-			}
-			if sm.float != nil {
-				sj.Samples = append(sj.Samples, sampleJSON{Labels: sm.labels, Float: sm.float})
-				continue
-			}
-			v := sm.read()
-			sj.Samples = append(sj.Samples, sampleJSON{Labels: sm.labels, Value: &v})
+// ParseText is the inverse of WriteProm: it reads a text exposition (a
+// /metrics body) back into its samples, in order. HELP/TYPE comments and
+// blank lines are skipped; a sample line without exactly one value is an
+// error, not a silent zero.
+func ParseText(r io.Reader) ([]Sample, error) {
+	var out []Sample
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || line[0] == '#' {
+			continue
 		}
-		out = append(out, sj)
+		end := strings.IndexAny(line, "{ ")
+		if end < 0 {
+			return nil, fmt.Errorf("obs: no value in %q", line)
+		}
+		s := Sample{Name: line[:end]}
+		rest := line[end:]
+		if rest[0] == '{' {
+			n, err := scanLabels(rest, nil)
+			if err != nil {
+				return nil, fmt.Errorf("obs: %v in %q", err, line)
+			}
+			s.Labels, rest = rest[:n], rest[n:]
+		}
+		f := strings.Fields(rest)
+		if len(f) != 1 {
+			return nil, fmt.Errorf("obs: want one value in %q", line)
+		}
+		v, err := strconv.ParseFloat(f[0], 64)
+		if err != nil {
+			return nil, fmt.Errorf("obs: bad value in %q: %v", line, err)
+		}
+		s.Value = v
+		out = append(out, s)
 	}
-	return out
+	return out, sc.Err()
 }
 
-// WriteJSON writes the Snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	blob, err := json.MarshalIndent(r.Snapshot(), "", "  ")
-	if err != nil {
-		return err
+// Label returns the value of one label of s — RenderLabels inverted for
+// one key — or "" when s carries no such label.
+func (s Sample) Label(key string) string {
+	var val string
+	_, _ = scanLabels(s.Labels, func(k, quoted string) {
+		if k == key {
+			val, _ = strconv.Unquote(quoted)
+		}
+	})
+	return val
+}
+
+// Sum adds the values of every sample named name, across label sets.
+func Sum(samples []Sample, name string) float64 {
+	var total float64
+	for _, s := range samples {
+		if s.Name == name {
+			total += s.Value
+		}
 	}
-	_, err = w.Write(append(blob, '\n'))
-	return err
+	return total
+}
+
+// scanLabels reads the `{k="v",...}` block that s starts with, handing each
+// key and its still-quoted value to each (if non-nil), and returns the
+// block's length. Values are Go-quoted, as RenderLabels writes them, so a
+// '}' or ',' inside one does not end it.
+func scanLabels(s string, each func(key, quoted string)) (int, error) {
+	if !strings.HasPrefix(s, "{") {
+		return 0, fmt.Errorf("no label block")
+	}
+	i := 1
+	for i < len(s) && s[i] != '}' {
+		eq := strings.IndexByte(s[i:], '=')
+		if eq < 0 {
+			return 0, fmt.Errorf("label without a value")
+		}
+		q, err := strconv.QuotedPrefix(s[i+eq+1:])
+		if err != nil {
+			return 0, fmt.Errorf("label value not quoted")
+		}
+		if each != nil {
+			each(s[i:i+eq], q)
+		}
+		i += eq + 1 + len(q)
+		if i < len(s) && s[i] == ',' {
+			i++
+		}
+	}
+	if i == len(s) {
+		return 0, fmt.Errorf("unterminated label block")
+	}
+	return i + 1, nil
 }

@@ -102,10 +102,6 @@ func (r *TraceRing) Record(trace uint64, spans []wire.Span) {
 // Recorded reports how many samples have been recorded since creation.
 func (r *TraceRing) Recorded() int64 { return r.recorded.Load() }
 
-// Recent returns the recorded samples, newest first (at most the ring
-// capacity).
-func (r *TraceRing) Recent() []TraceSample { return r.Get(0) }
-
 // Get returns every recorded sample for one trace ID (0 = every sample),
 // newest first — one trace can appear several times on a node that served
 // several of its hops.

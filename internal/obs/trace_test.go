@@ -26,13 +26,13 @@ func TestTraceRingWrap(t *testing.T) {
 	if got := r.Recorded(); got != int64(total) {
 		t.Fatalf("Recorded = %d, want %d", got, total)
 	}
-	rec := r.Recent()
+	rec := r.Get(0)
 	if len(rec) != traceRingCap {
 		t.Fatalf("ring holds %d samples, want %d", len(rec), traceRingCap)
 	}
 	for i, ts := range rec {
 		if want := int64(total - 1 - i); ts.Spans[0].Start != want {
-			t.Fatalf("Recent[%d] is record %d, want %d (newest first, oldest %d evicted)", i, ts.Spans[0].Start, want, extra)
+			t.Fatalf("Get(0)[%d] is record %d, want %d (newest first, oldest %d evicted)", i, ts.Spans[0].Start, want, extra)
 		}
 	}
 	got := r.Get(7)

@@ -1,10 +1,10 @@
 // Package pool provides size-classed byte buffers for the request hot path.
 //
-// The steady-state request path used to allocate at least five times per hop
-// (encode, mux framing, sim envelope, transport copy, decode). Every one of
-// those buffers has the same life cycle — filled, handed to exactly one
-// consumer, dead — so they recycle through a small set of size-classed free
-// lists instead of the garbage collector.
+// Every hop of the request path fills buffers — the encoded request or
+// response, the frame the transport sends, the copy it receives — and each
+// has the same life cycle: filled, handed to exactly one consumer, dead. So
+// they recycle through a small set of size-classed free lists instead of
+// the garbage collector.
 //
 // Ownership rules (the whole contract):
 //

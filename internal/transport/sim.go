@@ -124,10 +124,9 @@ func (m *NetModel) LinkTraffic(src, dst string) (msgs, bytes int64) {
 var ErrSevered = errors.New("transport: link severed (fault injection)")
 
 // mInjections counts the conn ends a cut refused at dial or accept, or
-// closed when Sever ran — so a chaos run's scrape shows how much damage the
-// drill really did.
-var mInjections = obs.Default.Counter("transport_flaky_injections_total",
-	"conn ends a severed sim link refused or closed")
+// closed when Sever ran — how much damage a drill really did. No daemon
+// runs on Sim, so it is registered nowhere: the sim tests read it directly.
+var mInjections obs.Counter
 
 // Sim is the in-process network: an InProc namespace whose addresses are
 // "host/service", with the NetModel's per-link latency and traffic counters

@@ -184,13 +184,16 @@ func frame(body []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
 }
 
-func oversizeGets() int64 {
-	for _, s := range obs.Default.Snapshot() {
-		if s.Name == "pool_oversize_total" {
-			return *s.Samples[0].Value
-		}
+func oversizeGets(t *testing.T) int64 {
+	var b bytes.Buffer
+	if err := obs.Default.WriteProm(&b); err != nil {
+		t.Fatal(err)
 	}
-	return -1
+	samples, err := obs.ParseText(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(obs.Sum(samples, "pool_oversize_total"))
 }
 
 // TestTCPSendIsOneWrite: header and body of a frame leave in a single
@@ -261,11 +264,11 @@ func TestTCPRecvManyFramesPerRead(t *testing.T) {
 func TestTCPRecvOversizedHeaderAllocatesNothing(t *testing.T) {
 	f := &fakeNetConn{in: binary.BigEndian.AppendUint32(nil, MaxFrame+1)}
 	c := NewTCP().newConn(f)
-	before := oversizeGets()
+	before := oversizeGets(t)
 	if _, err := c.Recv(); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("recv: %v, want ErrTooLarge", err)
 	}
-	if got := oversizeGets() - before; got != 0 {
+	if got := oversizeGets(t) - before; got != 0 {
 		t.Fatalf("pool.Get beyond the largest class ran %d times", got)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -16,6 +15,7 @@ import (
 	"repro/internal/adf"
 	"repro/internal/core"
 	"repro/internal/memoserver"
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/rpc"
 	"repro/internal/symbol"
@@ -422,8 +422,8 @@ func (c *Cluster) Abort() {
 
 // Forensics scrapes every node's debug endpoints into dir — called on a
 // failed run before the cluster is torn down, so the artifact bundle holds
-// the metrics, link health, and trace samples (span trees and slow requests)
-// of the run the oracle rejected. Per-node scrape failures are recorded inside the
+// the metrics (per-peer link health among them) and trace samples (span
+// trees and slow requests) of the run the oracle rejected. Per-node scrape failures are recorded inside the
 // bundle instead of aborting it: a node may legitimately be dead at failure
 // time.
 func (c *Cluster) Forensics(dir string) error {
@@ -433,7 +433,6 @@ func (c *Cluster) Forensics(dir string) error {
 	for _, d := range c.Nodes {
 		for _, ep := range []struct{ path, file string }{
 			{"/metrics", d.Host + "-metrics.txt"},
-			{"/statusz", d.Host + "-statusz.json"},
 			{"/tracez", d.Host + "-tracez.json"},
 		} {
 			body, err := scrapeBody(d.Debug, ep.path)
@@ -496,29 +495,9 @@ func scrapeSum(debugAddr, series string) (int64, error) {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	samples, err := obs.ParseText(resp.Body)
 	if err != nil {
 		return 0, err
 	}
-	var sum int64
-	for _, line := range strings.Split(string(body), "\n") {
-		if !strings.HasPrefix(line, series) {
-			continue
-		}
-		rest := line[len(series):]
-		// Exact series match: next char is '{' (labels) or ' ' (bare).
-		if rest == "" || (rest[0] != '{' && rest[0] != ' ') {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			continue
-		}
-		f, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-		if err != nil {
-			continue
-		}
-		sum += int64(f)
-	}
-	return sum, nil
+	return int64(obs.Sum(samples, series)), nil
 }

@@ -89,7 +89,7 @@ func RunChaos(dir string, bins Binaries, seed int64, n int, logf func(string, ..
 			if ferr := c.Forensics(fdir); ferr != nil {
 				c.logf("forensics scrape: %v", ferr)
 			} else {
-				c.logf("forensics bundle (metrics, statusz, tracez per node) written to %s", fdir)
+				c.logf("forensics bundle (metrics, tracez per node) written to %s", fdir)
 			}
 			c.Abort()
 		}
