@@ -9,9 +9,9 @@
 //	memo get-skip  -adf app.adf -addr 127.0.0.1:7440 -host a -key 7 -json
 //	memo alt-take  -adf app.adf -addr 127.0.0.1:7440 -host a -keys 7,9/1.2
 //
-// Keys are numeric canonical form ("S" or "S/x0.x1"): symbol interning is
-// per-process, so names minted by one process mean nothing to another — the
-// number is the only spelling every client resolves identically.
+// Keys are numeric canonical form ("S" or "S/x0.x1"); there is no named
+// spelling. A folder a program names is still reachable: its symbol is the
+// name's hash (symbol.Named), the same number in every process.
 //
 // Exit codes: 0 the operation completed (including an empty get-skip);
 // 1 the operation or connection failed; 2 usage error; 3 the -timeout
@@ -293,7 +293,7 @@ func (o *opFlags) connect() (*core.Memo, *memoserver.Client, error) {
 		client.EnableSampling()
 	}
 	o.lastTrace = client.LastTraceID
-	m, err := core.Open(f, o.host, place, symbol.NewRegistry(), client)
+	m, err := core.Open(f, o.host, place, client)
 	if err != nil {
 		return nil, nil, err
 	}

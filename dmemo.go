@@ -47,7 +47,7 @@ type (
 	ADF = adf.File
 	// Key names a folder: a symbol plus a vector of unsigned integers.
 	Key = symbol.Key
-	// Symbol is an interned folder-name symbol.
+	// Symbol is a folder-name symbol: a name's hash or a fresh random one.
 	Symbol = symbol.Symbol
 	// Value is a transferable datum (§3.1.3).
 	Value = transferable.Value

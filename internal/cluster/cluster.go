@@ -23,7 +23,6 @@ import (
 	"repro/internal/placement"
 	"repro/internal/routing"
 	"repro/internal/rpc"
-	"repro/internal/symbol"
 	"repro/internal/threadcache"
 	"repro/internal/transport"
 )
@@ -61,8 +60,7 @@ type Cluster struct {
 	Table *routing.Table
 	Place *placement.Map
 
-	registry *symbol.Registry
-	opts     Options
+	opts Options
 
 	mu    sync.Mutex
 	nodes map[string]*memoserver.Node
@@ -95,13 +93,12 @@ func Boot(f *adf.File, opts Options) (*Cluster, error) {
 	}
 
 	c := &Cluster{
-		File:     f,
-		Sim:      transport.NewSim(model),
-		Table:    tbl,
-		Place:    place,
-		registry: symbol.NewRegistry(),
-		opts:     opts,
-		nodes:    make(map[string]*memoserver.Node),
+		File:  f,
+		Sim:   transport.NewSim(model),
+		Table: tbl,
+		Place: place,
+		opts:  opts,
+		nodes: make(map[string]*memoserver.Node),
 	}
 	for _, h := range f.Hosts {
 		if _, err := c.startNode(h.Name); err != nil {
@@ -185,7 +182,7 @@ func (c *Cluster) NewMemo(host string) (*core.Memo, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := core.Open(c.File, host, c.Place, c.registry, client)
+	m, err := core.Open(c.File, host, c.Place, client)
 	if err != nil {
 		return nil, err
 	}

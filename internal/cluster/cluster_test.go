@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/adf"
 	"repro/internal/core"
+	"repro/internal/memoserver"
+	"repro/internal/rpc"
 	"repro/internal/symbol"
 	"repro/internal/transferable"
 )
@@ -87,15 +89,51 @@ func TestPutGetAcrossCluster(t *testing.T) {
 	}
 }
 
+// TestSymbolAgreementAcrossProcesses: two processes build their handles
+// as separate programs do — each its own core.Config, sharing nothing but
+// the placement map — and name jobs and results in opposite orders. Each
+// name must still reach one folder, and their fresh symbols must differ.
 func TestSymbolAgreementAcrossProcesses(t *testing.T) {
 	c := boot(t, paperADF, Options{})
-	a, _ := c.NewMemo("glen")
-	b, _ := c.NewMemo("aurora")
-	if a.Symbol("shared") != b.Symbol("shared") {
-		t.Fatal("processes disagree on interned symbol")
+	process := func(host string) *core.Memo {
+		client, err := memoserver.DialClientResilient(c.Sim.DialFrom, host, c.File.App, rpc.Policy{}, rpc.Resilience{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := core.New(core.Config{App: c.File.App, Host: host, Domain: transferable.Domain32,
+			Registry: symbol.NewRegistry(), Place: c.Place, Client: client})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		return m
 	}
-	if a.CreateSymbol() == b.CreateSymbol() {
-		t.Fatal("create_symbol returned duplicate symbols")
+	a, b := process("glen"), process("aurora")
+	aJobs, aResults := a.NamedKey("jobs"), a.NamedKey("results")
+	bResults, bJobs := b.NamedKey("results"), b.NamedKey("jobs")
+	if err := a.Put(aJobs, transferable.String("job")); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Put(aResults, transferable.String("result")); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		k    symbol.Key
+		want string
+	}{{bJobs, "job"}, {bResults, "result"}} {
+		v, ok, err := b.GetSkip(tc.k)
+		if err != nil || !ok {
+			t.Fatalf("b's get_skip of %v: ok=%v err=%v, want a's %q", tc.k, ok, err, tc.want)
+		}
+		if s, _ := transferable.AsString(v); s != tc.want {
+			t.Fatalf("b's get_skip of %v took %q, want a's %q", tc.k, s, tc.want)
+		}
+	}
+	if a.Symbol("jobs") != bJobs.S {
+		t.Fatalf("a's Symbol(jobs) = %d, b's jobs key is %v", a.Symbol("jobs"), bJobs)
+	}
+	if sa, sb := a.CreateSymbol(), b.CreateSymbol(); sa == sb {
+		t.Fatalf("both processes' create_symbol returned %d", sa)
 	}
 }
 

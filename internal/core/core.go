@@ -43,7 +43,6 @@ type Memo struct {
 	app    string
 	host   string
 	domain transferable.Domain
-	reg    *symbol.Registry
 	place  *placement.Map
 	client *memoserver.Client
 
@@ -51,7 +50,7 @@ type Memo struct {
 	closed bool
 }
 
-// Config assembles a Memo handle. All fields are required.
+// Config assembles a Memo handle. App, Place and Client are required.
 type Config struct {
 	// App is the application name (folder names are scoped by it server-
 	// side through the placement map's per-app registration).
@@ -60,7 +59,9 @@ type Config struct {
 	Host string
 	// Domain is the host's native word domain (§3.1.3).
 	Domain transferable.Domain
-	// Registry is the application-wide symbol registry.
+	// Registry is ignored: symbols are computed, not interned (see
+	// symbol.Registry). It remains so that callers written against the old
+	// Config still compile.
 	Registry *symbol.Registry
 	// Place must be identical to the placement map the memo servers built
 	// at registration.
@@ -71,16 +72,18 @@ type Config struct {
 
 // Open builds the handle for a process on host of the application f
 // describes: the app name and the host's native word domain come from f, and
-// place must be the map the memo servers built at registration. It takes
-// ownership of client, closing it if the handle cannot be built.
-func Open(f *adf.File, host string, place *placement.Map, reg *symbol.Registry, client *memoserver.Client) (*Memo, error) {
+// place must be the map the memo servers built at registration. Handles
+// opened by different processes need share nothing else: a named symbol is
+// a function of its name. It takes ownership of client, closing it if the
+// handle cannot be built.
+func Open(f *adf.File, host string, place *placement.Map, client *memoserver.Client) (*Memo, error) {
 	h, ok := f.HostByName(host)
 	if !ok {
 		client.Close()
 		return nil, fmt.Errorf("memo: host %q not in the ADF of %s", host, f.App)
 	}
 	m, err := New(Config{App: f.App, Host: host, Domain: domainFor(h.Arch),
-		Registry: reg, Place: place, Client: client})
+		Place: place, Client: client})
 	if err != nil {
 		client.Close()
 		return nil, err
@@ -104,7 +107,7 @@ func domainFor(arch string) transferable.Domain {
 
 // New builds a Memo handle.
 func New(cfg Config) (*Memo, error) {
-	if cfg.App == "" || cfg.Registry == nil || cfg.Place == nil || cfg.Client == nil {
+	if cfg.App == "" || cfg.Place == nil || cfg.Client == nil {
 		return nil, errors.New("memo: incomplete config")
 	}
 	d := cfg.Domain
@@ -115,7 +118,6 @@ func New(cfg Config) (*Memo, error) {
 		app:    cfg.App,
 		host:   cfg.Host,
 		domain: d,
-		reg:    cfg.Registry,
 		place:  cfg.Place,
 		client: cfg.Client,
 	}, nil
@@ -133,18 +135,18 @@ func (m *Memo) Close() error {
 }
 
 // CreateSymbol returns a fresh unique symbol (§6.1.1 create_symbol).
-func (m *Memo) CreateSymbol() symbol.Symbol { return m.reg.Fresh() }
+func (m *Memo) CreateSymbol() symbol.Symbol { return symbol.Fresh() }
 
-// Symbol interns a named symbol, so cooperating processes can agree on
-// well-known folders.
-func (m *Memo) Symbol(name string) symbol.Symbol { return m.reg.Intern(name) }
+// Symbol returns the symbol a name denotes — the same in every process on
+// every host, so cooperating processes agree on well-known folders.
+func (m *Memo) Symbol(name string) symbol.Symbol { return symbol.Named(name) }
 
 // Key builds a folder key from a symbol and index vector.
 func (m *Memo) Key(s symbol.Symbol, x ...uint32) symbol.Key { return symbol.K(s, x...) }
 
 // NamedKey builds a folder key directly from a name.
 func (m *Memo) NamedKey(name string, x ...uint32) symbol.Key {
-	return symbol.K(m.reg.Intern(name), x...)
+	return symbol.K(symbol.Named(name), x...)
 }
 
 // target computes the folder server for a key.

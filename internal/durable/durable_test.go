@@ -51,6 +51,20 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNamedKeyRecordRoundTrip: a named symbol's 64-bit hash survives the
+// log, through AppendRecord's framing and DecodeRecord.
+func TestNamedKeyRecordRoundTrip(t *testing.T) {
+	want := &Record{Type: RecPutDelayed, Key: symbol.K(symbol.Named("jobs"), 4, 1<<31),
+		Dest: symbol.K(symbol.Named("results")), Payload: []byte("hidden"), Token: 7}
+	got, err := DecodeRecord(AppendRecord(nil, want)[frameHeader:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Key.Equal(want.Key) || !got.Dest.Equal(want.Dest) || string(got.Payload) != "hidden" || got.Token != 7 {
+		t.Fatalf("round trip %+v -> %+v", want, got)
+	}
+}
+
 func TestDecodeRecordRejects(t *testing.T) {
 	good := encodeBody(rec(RecPut, symbol.K(7, 1), "x", 3))
 	if _, err := DecodeRecord(append(good, 0)); err == nil {

@@ -17,6 +17,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		{Type: RecPutDelayed, Key: symbol.K(9), Dest: symbol.K(11, 0, 5), Payload: []byte("hidden")},
 		{Type: RecTake, Key: symbol.K(3), Payload: []byte("taken")},
 		{Type: RecToken, Token: ^uint64(0)},
+		{Type: RecPut, Key: symbol.K(symbol.Named("jobs"), 4, 9), Payload: []byte("named")},
 	}
 	for _, r := range seeds {
 		f.Add(encodeBody(r))

@@ -446,7 +446,7 @@ func (s *Store) deposit(key symbol.Key, dest *symbol.Key, payload []byte, token 
 		// Every hidden value gets a release token up front: its eventual
 		// re-deposit (possibly re-driven by crash recovery, possibly retried
 		// across a link failure) dedups on it.
-		rel = newRelToken()
+		rel = wire.NewID()
 		f.delayed = append(f.delayed, delayedEntry{val: val, dest: dest.Clone(), rel: rel})
 	}
 	var seq uint64

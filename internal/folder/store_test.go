@@ -570,9 +570,8 @@ func BenchmarkPutGetParallel(b *testing.B) {
 
 func ExampleStore_PutDelayed() {
 	s := NewStore()
-	reg := symbol.NewRegistry()
-	operand := symbol.K(reg.Intern("operand"))
-	jobJar := symbol.K(reg.Intern("jobjar"))
+	operand := symbol.K(symbol.Named("operand"))
+	jobJar := symbol.K(symbol.Named("jobjar"))
 	// Arrange for an operation to drop into the job jar when the operand
 	// arrives (§6.3.3 dataflow).
 	s.PutDelayed(operand, jobJar, []byte("add-step"))

@@ -1,7 +1,6 @@
 package folder
 
 import (
-	"math/rand/v2"
 	"slices"
 	"sync"
 )
@@ -202,15 +201,6 @@ func (t *tokenTable) noteTakeCache(sl tokSlot) {
 		return
 	}
 	t.insertLocked(sl)
-}
-
-// newRelToken mints a non-zero release token for a hidden delayed value.
-func newRelToken() uint64 {
-	for {
-		if t := rand.Uint64(); t != 0 {
-			return t
-		}
-	}
 }
 
 // dumpChunk is how many ring positions a streaming dump copies per

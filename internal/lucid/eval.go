@@ -61,31 +61,21 @@ func (c *LocalCache) Len() int {
 // FolderCache memoizes stream elements in D-Memo folders, so evaluators in
 // different processes (on different hosts) share one demand-driven memo
 // table — the paper's "simulation of demand driven dataflow" over the memo
-// space. Element (name, i) lives in the folder {S: sym("lucid:"+name),
+// space. Element (name, i) lives in the folder {S: Named("lucid:"+name),
 // X: [i]}; elements are write-once in value (deterministic), so the benign
 // race of two evaluators storing the same element is tolerated and the
 // folder keeps a single representative memo.
 type FolderCache struct {
 	m *core.Memo
-
-	mu   sync.Mutex
-	syms map[string]symbol.Symbol
 }
 
 // NewFolderCache builds a folder-backed cache over a Memo handle.
 func NewFolderCache(m *core.Memo) *FolderCache {
-	return &FolderCache{m: m, syms: make(map[string]symbol.Symbol)}
+	return &FolderCache{m: m}
 }
 
 func (c *FolderCache) key(name string, i int) symbol.Key {
-	c.mu.Lock()
-	s, ok := c.syms[name]
-	if !ok {
-		s = c.m.Symbol("lucid:" + name)
-		c.syms[name] = s
-	}
-	c.mu.Unlock()
-	return symbol.K(s, uint32(i))
+	return c.m.NamedKey("lucid:"+name, uint32(i))
 }
 
 // Load implements Cache with a non-destructive read: take the memo, put it

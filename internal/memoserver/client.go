@@ -96,7 +96,7 @@ func (c *Client) Do(q *wire.Request, cancel <-chan struct{}) (*wire.Response, er
 		// the request codec.
 		q.Sampled = true
 		if q.TraceID == 0 {
-			q.TraceID = obs.NewTraceID()
+			q.TraceID = wire.NewID()
 		}
 	}
 	if q.TraceID != 0 {

@@ -2,7 +2,6 @@ package memoserver
 
 import (
 	"errors"
-	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -272,18 +271,6 @@ func (l *rlink) call(q *wire.Request, cancel <-chan struct{}, first error, retri
 // end-to-end.
 func (l *rlink) stamp(q *wire.Request) {
 	if l.res.Retries > 0 && q.Token == 0 && q.Op.Info().Tokened() {
-		q.Token = newToken()
-	}
-}
-
-// newToken mints a non-zero at-most-once dedup token. 64 random bits
-// against a bounded dedup window (folder.DefaultTokenCap live tokens per
-// store) puts the collision probability per put far below the failure
-// rates the token exists to mask.
-func newToken() uint64 {
-	for {
-		if t := rand.Uint64(); t != 0 {
-			return t
-		}
+		q.Token = wire.NewID()
 	}
 }

@@ -189,20 +189,6 @@ func TestParseText(t *testing.T) {
 	}
 }
 
-func TestNewTraceID(t *testing.T) {
-	seen := make(map[uint64]bool)
-	for i := 0; i < 100; i++ {
-		id := NewTraceID()
-		if id == 0 {
-			t.Fatal("zero trace id")
-		}
-		if seen[id] {
-			t.Fatalf("duplicate trace id %d in 100 draws", id)
-		}
-		seen[id] = true
-	}
-}
-
 // TestRuntimeSeries: the Go runtime series render in the exposition, the
 // counts as integers and the collector's CPU time as fractional seconds.
 func TestRuntimeSeries(t *testing.T) {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,17 +49,6 @@ func (s *Sampler) Sample() bool {
 		return false
 	}
 	return s.n.Add(1)%s.every == 0
-}
-
-// NewTraceID mints a non-zero request trace ID. 64 random bits: collisions
-// across the windows a trace is compared in are negligible, and zero is
-// reserved for "untraced" so the wire extension can stay flag-gated.
-func NewTraceID() uint64 {
-	for {
-		if t := rand.Uint64(); t != 0 {
-			return t
-		}
-	}
 }
 
 // TraceSample is the one record of what a request did on one node: the
@@ -185,7 +173,7 @@ func (t *Tracer) Begin(q *wire.Request) *wire.SpanSet {
 		q.Sampled = true
 	}
 	if q.TraceID == 0 && (q.Sampled || t.threshold > 0) {
-		q.TraceID = NewTraceID()
+		q.TraceID = wire.NewID()
 	}
 	if !q.Sampled {
 		return nil

@@ -108,9 +108,8 @@ func TestHostShareSplitAcrossServers(t *testing.T) {
 func TestPlacementDeterministic(t *testing.T) {
 	m1 := buildMap(t, invertADF, Options{Lambda: 0.5})
 	m2 := buildMap(t, invertADF, Options{Lambda: 0.5})
-	reg := symbol.NewRegistry()
 	for i := 0; i < 500; i++ {
-		k := symbol.K(reg.Intern(fmt.Sprintf("f%d", i)), uint32(i))
+		k := symbol.K(symbol.Named(fmt.Sprintf("f%d", i)), uint32(i))
 		a := m1.Place(k)
 		b := m2.Place(k)
 		if a.ID != b.ID {
@@ -132,11 +131,10 @@ func TestObservedSharesTrackIntended(t *testing.T) {
 	// 10% relative (or 0.5 point absolute) of the intended share. This is
 	// the E4 claim at unit-test scale.
 	m := buildMap(t, invertADF, Options{})
-	reg := symbol.NewRegistry()
 	const n = 100000
 	got := make(map[string]int)
 	for i := 0; i < n; i++ {
-		k := symbol.K(reg.Intern(fmt.Sprintf("folder-%d", i/16)), uint32(i%16))
+		k := symbol.K(symbol.Named(fmt.Sprintf("folder-%d", i/16)), uint32(i%16))
 		got[m.Place(k).Host]++
 	}
 	for host, share := range m.HostShares() {

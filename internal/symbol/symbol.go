@@ -1,120 +1,68 @@
 // Package symbol implements D-Memo symbols and folder keys (paper §6.1.1).
 //
 // A key is "a symbol, S, followed by a vector of unsigned integers, X". Keys
-// name folders. Symbols are interned in a Registry so that distinct processes
-// of one application can agree on symbol identity by name: create_symbol in
-// the paper returns a fresh unique symbol, while Intern resolves a stable
-// symbol for a known name (the paper's named objects rely on this).
+// name folders. A symbol is a function of what names it and of nothing a
+// process holds: Named hashes a name, so every process on every host that
+// names "jobs" reaches the same folder, and Fresh (the paper's
+// create_symbol) draws 64 random bits, so two processes' fresh symbols do
+// not meet.
 package symbol
 
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"math/rand/v2"
 	"strconv"
 	"strings"
-	"sync"
 )
 
-// Symbol identifies an interned name. The zero Symbol is invalid.
+// Symbol identifies a folder family: a named symbol's FNV-1a hash or a
+// fresh random one. The zero Symbol is invalid.
 type Symbol uint64
 
 // None is the invalid zero symbol.
 const None Symbol = 0
 
-// Registry interns symbols. It is safe for concurrent use. The zero value is
-// not usable; call NewRegistry.
-type Registry struct {
-	mu      sync.RWMutex
-	byName  map[string]Symbol
-	names   map[Symbol]string
-	next    Symbol
-	anonSeq uint64
+// FNV-1a 64-bit parameters (the same hash Key.Hash uses).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// Named returns the symbol for name: its FNV-1a 64-bit hash, with the
+// invalid zero mapped to 1. The value is part of what memos and data
+// directories carry, so it must never change.
+func Named(name string) Symbol {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= fnvPrime64
+	}
+	if h == 0 {
+		return 1
+	}
+	return Symbol(h)
 }
 
-// NewRegistry returns an empty symbol registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		byName: make(map[string]Symbol),
-		names:  make(map[Symbol]string),
-		next:   1,
-	}
-}
-
-// Intern returns the symbol for name, creating it if necessary. Interning the
-// same name twice yields the same symbol.
-func (r *Registry) Intern(name string) Symbol {
-	r.mu.RLock()
-	s, ok := r.byName[name]
-	r.mu.RUnlock()
-	if ok {
-		return s
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s, ok := r.byName[name]; ok {
-		return s
-	}
-	s = r.next
-	r.next++
-	r.byName[name] = s
-	r.names[s] = name
-	return s
-}
-
-// Fresh returns a new unique anonymous symbol (the paper's create_symbol).
-// The generated name is reserved in the registry so it cannot collide with a
-// later Intern.
-func (r *Registry) Fresh() Symbol {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// Fresh returns a new anonymous symbol (§6.1.1 create_symbol): 64 random
+// non-zero bits, so symbols minted by different processes do not collide
+// in any application's lifetime.
+func Fresh() Symbol {
 	for {
-		r.anonSeq++
-		name := "#anon" + strconv.FormatUint(r.anonSeq, 10)
-		if _, taken := r.byName[name]; taken {
-			continue
+		if s := Symbol(rand.Uint64()); s != None {
+			return s
 		}
-		s := r.next
-		r.next++
-		r.byName[name] = s
-		r.names[s] = name
-		return s
 	}
 }
 
-// Name reports the interned name for s, or "" if s is unknown.
-func (r *Registry) Name(s Symbol) string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.names[s]
-}
+// Registry is an empty placeholder. Symbols are computed (Named, Fresh),
+// not interned, so there is no per-process state to keep; NewRegistry and
+// core.Config's Registry field remain only so that callers written against
+// the old Config still compile.
+type Registry struct{}
 
-// Lookup returns the symbol for name without creating it.
-func (r *Registry) Lookup(name string) (Symbol, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s, ok := r.byName[name]
-	return s, ok
-}
-
-// Len reports the number of interned symbols.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.byName)
-}
-
-// Names returns all interned names in sorted order (for diagnostics).
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	out := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		out = append(out, n)
-	}
-	r.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
+// NewRegistry returns the empty placeholder (see Registry).
+func NewRegistry() *Registry { return &Registry{} }
 
 // Key is a folder name: a symbol plus a vector of unsigned integers. The
 // vector lets applications build structured names — the paper stores array
@@ -181,8 +129,8 @@ func (k Key) Hash() uint64 {
 	return h.Sum64()
 }
 
-// String renders the key with its symbol number; use Registry.Name for a
-// human-readable symbol.
+// String renders the key with its symbol number: a named symbol's name is
+// not recoverable from its hash.
 func (k Key) String() string {
 	return "key{" + k.Canon() + "}"
 }

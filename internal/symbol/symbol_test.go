@@ -1,92 +1,51 @@
 package symbol
 
 import (
-	"sync"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
 
-func TestInternStable(t *testing.T) {
-	r := NewRegistry()
-	a := r.Intern("alpha")
-	b := r.Intern("beta")
-	if a == b {
-		t.Fatalf("distinct names got same symbol %d", a)
+// TestNamedPinned: a named symbol is stored in every memo and data
+// directory that uses it, so a changed hash would orphan every named
+// folder on restart.
+func TestNamedPinned(t *testing.T) {
+	if got := Named("jobs"); got != 4735831730983038941 {
+		t.Fatalf("Named(jobs) = %d, want 4735831730983038941", got)
 	}
-	if got := r.Intern("alpha"); got != a {
-		t.Fatalf("re-intern alpha: got %d want %d", got, a)
-	}
-	if r.Name(a) != "alpha" || r.Name(b) != "beta" {
-		t.Fatalf("names: %q %q", r.Name(a), r.Name(b))
+	if Named("jobs") == Named("results") {
+		t.Fatal("distinct names share a symbol")
 	}
 }
 
-func TestInternZeroNeverIssued(t *testing.T) {
-	r := NewRegistry()
-	for i := 0; i < 100; i++ {
-		if s := r.Fresh(); s == None {
-			t.Fatal("Fresh issued the invalid zero symbol")
+func TestNamedNonZeroNoAlloc(t *testing.T) {
+	for i := 0; i < 1000; i++ {
+		if Named(fmt.Sprintf("name%d", i)) == None {
+			t.Fatalf("Named(name%d) is the invalid zero symbol", i)
 		}
 	}
-	if s := r.Intern("x"); s == None {
-		t.Fatal("Intern issued the invalid zero symbol")
+	if Named("") == None {
+		t.Fatal("Named(\"\") is the invalid zero symbol")
 	}
+	name := "lucid:fib"
+	var s Symbol
+	if n := testing.AllocsPerRun(100, func() { s = Named(name) }); n != 0 {
+		t.Errorf("Named allocates %v times", n)
+	}
+	_ = s
 }
 
-func TestFreshUnique(t *testing.T) {
-	r := NewRegistry()
+func TestFreshNonZeroDistinct(t *testing.T) {
 	seen := make(map[Symbol]bool)
 	for i := 0; i < 1000; i++ {
-		s := r.Fresh()
+		s := Fresh()
+		if s == None {
+			t.Fatal("Fresh issued the invalid zero symbol")
+		}
 		if seen[s] {
 			t.Fatalf("Fresh repeated symbol %d", s)
 		}
 		seen[s] = true
-	}
-}
-
-func TestFreshDoesNotCollideWithIntern(t *testing.T) {
-	r := NewRegistry()
-	// Pre-claim a name Fresh would otherwise generate.
-	pre := r.Intern("#anon1")
-	f := r.Fresh()
-	if f == pre {
-		t.Fatal("Fresh returned a symbol already interned by name")
-	}
-}
-
-func TestLookup(t *testing.T) {
-	r := NewRegistry()
-	if _, ok := r.Lookup("missing"); ok {
-		t.Fatal("Lookup found a missing name")
-	}
-	s := r.Intern("present")
-	got, ok := r.Lookup("present")
-	if !ok || got != s {
-		t.Fatalf("Lookup(present) = %d,%v want %d,true", got, ok, s)
-	}
-}
-
-func TestConcurrentIntern(t *testing.T) {
-	r := NewRegistry()
-	const workers = 32
-	var wg sync.WaitGroup
-	results := make([]Symbol, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = r.Intern("shared")
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < workers; i++ {
-		if results[i] != results[0] {
-			t.Fatalf("concurrent Intern disagreed: %d vs %d", results[i], results[0])
-		}
-	}
-	if r.Len() != 1 {
-		t.Fatalf("registry has %d symbols, want 1", r.Len())
 	}
 }
 
@@ -178,44 +137,36 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestNamesSorted(t *testing.T) {
-	r := NewRegistry()
-	r.Intern("b")
-	r.Intern("a")
-	r.Intern("c")
-	names := r.Names()
-	if len(names) != 3 || names[0] != "a" || names[1] != "b" || names[2] != "c" {
-		t.Fatalf("Names() = %v", names)
-	}
-}
-
 // TestCanonAllocs: a name built in a caller's buffer costs nothing, Canon
-// costs its string, and parsing names into one reused Key costs nothing.
+// costs its string, and parsing names into one reused Key costs nothing —
+// for a numeric symbol and for a named one, whose hash fills 19–20 digits.
 func TestCanonAllocs(t *testing.T) {
-	k := K(1<<40, 7, 1<<31, 3)
-	var buf [64]byte
-	var out []byte
-	if n := testing.AllocsPerRun(100, func() { out = k.AppendCanon(buf[:0]) }); n != 0 {
-		t.Errorf("AppendCanon into a stack buffer allocates %v times", n)
-	}
-	if string(out) != k.Canon() {
-		t.Fatalf("AppendCanon %q, Canon %q", out, k.Canon())
-	}
-	var s string
-	if n := testing.AllocsPerRun(100, func() { s = k.Canon() }); n > 1 {
-		t.Errorf("Canon allocates %v times, want its string only", n)
+	for _, k := range []Key{K(1<<40, 7, 1<<31, 3), K(Named("jobs"), 4, 1<<31)} {
+		var buf [64]byte
+		var out []byte
+		if n := testing.AllocsPerRun(100, func() { out = k.AppendCanon(buf[:0]) }); n != 0 {
+			t.Errorf("%v: AppendCanon into a stack buffer allocates %v times", k, n)
+		}
+		if string(out) != k.Canon() {
+			t.Fatalf("AppendCanon %q, Canon %q", out, k.Canon())
+		}
+		var s string
+		if n := testing.AllocsPerRun(100, func() { s = k.Canon() }); n > 1 {
+			t.Errorf("%v: Canon allocates %v times, want its string only", k, n)
+		}
+		var into Key
+		if n := testing.AllocsPerRun(100, func() {
+			if err := ParseCanonInto(&into, s); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%v: ParseCanonInto a reused key allocates %v times", k, n)
+		}
+		if !into.Equal(k) {
+			t.Fatalf("parsed %v, want %v", into, k)
+		}
 	}
 	var into Key
-	if n := testing.AllocsPerRun(100, func() {
-		if err := ParseCanonInto(&into, s); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("ParseCanonInto a reused key allocates %v times", n)
-	}
-	if !into.Equal(k) {
-		t.Fatalf("parsed %v, want %v", into, k)
-	}
 	for _, bad := range []string{"1/2.", "1/.2", "1/2..3"} {
 		if err := ParseCanonInto(&into, bad); err == nil {
 			t.Errorf("ParseCanonInto(%q) succeeded, want error", bad)

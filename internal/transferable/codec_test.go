@@ -61,6 +61,16 @@ func TestKeyValueRoundTrip(t *testing.T) {
 	}
 }
 
+// TestKeyValueNamedSymbol: a key naming a folder by name carries a 64-bit
+// hash inside the memo.
+func TestKeyValueNamedSymbol(t *testing.T) {
+	k := symbol.K(symbol.Named("jobs"), 4, 1<<31)
+	got := roundTrip(t, KeyValue{K: k})
+	if kv, ok := got.(KeyValue); !ok || !kv.K.Equal(k) {
+		t.Fatalf("named key round trip: got %#v", got)
+	}
+}
+
 func TestListRoundTrip(t *testing.T) {
 	l := NewList(Int64(1), String("two"), NewList(Bool(true)))
 	got := roundTrip(t, l).(*List)

@@ -23,6 +23,7 @@ func seedRequests() []*Request {
 		{Op: OpRegister, ADF: "APP x\nHOSTS\na 1 sun4 1\n"},
 		{Op: OpPump, App: "p", Dir: "worker", TargetHost: "far", Payload: bytes.Repeat([]byte{0xAB}, 100)},
 		{Op: OpFetch, App: "p", Dir: "worker", TargetHost: "far"},
+		{Op: OpGet, App: "named", Key: symbol.K(symbol.Named("jobs"), 4, 9)},
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 
 	"repro/internal/symbol"
 )
@@ -212,6 +213,18 @@ type Request struct {
 	// layer below it. Never on the wire — spans stay on the node that
 	// recorded them (see span.go).
 	Spans *SpanSet
+}
+
+// NewID mints a non-zero request identifier: a Token, a TraceID, or a
+// folder's release token for a hidden delayed value. 64 random bits make a
+// collision within any dedup window or trace comparison negligible, and
+// zero stays free to mean "none".
+func NewID() uint64 {
+	for {
+		if id := rand.Uint64(); id != 0 {
+			return id
+		}
+	}
 }
 
 // Response answers a Request.

@@ -39,6 +39,25 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNamedKeyRoundTrip: a named symbol is a 64-bit hash, a 9–10 byte
+// varint, far past the small numbers the other cases carry.
+func TestNamedKeyRoundTrip(t *testing.T) {
+	k := symbol.K(symbol.Named("jobs"), 4, 1<<31)
+	q := &Request{Op: OpPutDelayed, App: "a", Key: k, Key2: symbol.K(symbol.Named("results")),
+		Keys: []symbol.Key{k}, Payload: []byte("v")}
+	got, err := DecodeRequest(EncodeRequest(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Key.Equal(k) || !got.Key2.Equal(q.Key2) || len(got.Keys) != 1 || !got.Keys[0].Equal(k) {
+		t.Fatalf("named keys: got %v %v %v", got.Key, got.Key2, got.Keys)
+	}
+	p, err := DecodeResponse(EncodeResponse(&Response{Status: StatusWake, Key: k}))
+	if err != nil || !p.Key.Equal(k) {
+		t.Fatalf("named response key: got %v, %v", p, err)
+	}
+}
+
 func TestMinimalRequest(t *testing.T) {
 	q := &Request{Op: OpPing}
 	got, err := DecodeRequest(EncodeRequest(q))
@@ -229,5 +248,19 @@ func BenchmarkDecodeRequest(b *testing.B) {
 		if _, err := DecodeRequest(buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func TestNewID(t *testing.T) {
+	seen := make(map[uint64]bool)
+	for i := 0; i < 100; i++ {
+		id := NewID()
+		if id == 0 {
+			t.Fatal("zero id")
+		}
+		if seen[id] {
+			t.Fatalf("duplicate id %d in 100 draws", id)
+		}
+		seen[id] = true
 	}
 }

@@ -52,10 +52,12 @@ a <-> c 1
 b <-> c 1
 `
 
-// chaosKey maps a trace key index to the shared keyspace; sentinelKey is
-// outside it, reserved for the settle phase's watcher-convergence probes.
-func chaosKey(i int) symbol.Key    { return symbol.K(symbol.Symbol(100 + i)) }
-func sentinelKey(i int) symbol.Key { return symbol.K(symbol.Symbol(900 + i)) }
+// chaosKey maps a trace key index to the shared keyspace, numeric as the
+// memo CLI spells keys. The settle phase's watcher-convergence probes use
+// named keys outside it ("sentinel0", "sentinel1"), which each handle
+// resolves for itself, so they also check that names agree across
+// processes.
+func chaosKey(i int) symbol.Key { return symbol.K(symbol.Symbol(100 + i)) }
 func pairOf(p int) (from, to int) { // directed pair index -> host indices
 	from = p / (hostCount - 1)
 	to = p % (hostCount - 1)
@@ -357,7 +359,7 @@ func (c *Cluster) Memo(i int) (*core.Memo, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.Open(c.File, hostNames[i], c.Place, symbol.NewRegistry(), client)
+	return core.Open(c.File, hostNames[i], c.Place, client)
 }
 
 // CLIResult is one parsed -json line from the memo binary.

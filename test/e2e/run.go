@@ -301,11 +301,14 @@ func (r *runner) settle() error {
 
 	// Watcher convergence: a watcher parked on an untouched key before the
 	// deposit must see the deposit, across entry nodes — i.e. the watch/
-	// notify path still works after the chaos.
+	// notify path still works after the chaos. The watching and the putting
+	// handle each name the key themselves, so a name that two processes
+	// resolve differently fails here.
 	for s := 0; s < 2; s++ {
-		key := sentinelKey(s)
+		name := fmt.Sprintf("sentinel%d", s)
 		want := fmt.Sprintf("sentinel%dx%d", r.seed, s)
 		watchHost, putHost := (s+1)%hostCount, s%hostCount
+		key := r.memos[watchHost].NamedKey(name)
 		got := make(chan string, 1)
 		errc := make(chan error, 1)
 		go func() {
@@ -320,7 +323,7 @@ func (r *runner) settle() error {
 			got <- asStr(v)
 		}()
 		time.Sleep(50 * time.Millisecond) // let the watcher park
-		if err := r.memos[putHost].Put(key, transferable.String(want)); err != nil {
+		if err := r.memos[putHost].Put(r.memos[putHost].NamedKey(name), transferable.String(want)); err != nil {
 			return fmt.Errorf("settle: sentinel put: %w", err)
 		}
 		r.led.Put(want, nil)
@@ -366,7 +369,7 @@ func (r *runner) drainAndCheck() error {
 			}
 		}
 		for s := 0; s < 2; s++ {
-			n, err := sweep(sentinelKey(s))
+			n, err := sweep(m.NamedKey(fmt.Sprintf("sentinel%d", s)))
 			drained += n
 			if err != nil {
 				return fmt.Errorf("drain sweep: %w", err)
