@@ -8,6 +8,21 @@ import (
 	"repro/internal/transferable"
 )
 
+// splitADF: two hosts, the one folder server on b, so a take entered at a
+// is forwarded a→b and one entered at b stays local.
+const splitADF = `APP split
+HOSTS
+a 1 sun4 1
+b 1 sun4 1
+FOLDERS
+0 b
+PROCESSES
+0 boss a
+1 worker b
+PPC
+a <-> b 1
+`
+
 // TestCanceledGetNeverEatsItsMemo pins the cancel rule: a canceled blocking
 // take returns canceled only when the owning store says nothing was
 // consumed; otherwise it returns the value. Each round puts one memo, issues
@@ -29,7 +44,7 @@ func TestCanceledGetNeverEatsItsMemo(t *testing.T) {
 					if durableOn {
 						opts.DataDir = t.TempDir()
 					}
-					c := boot(t, chaosADF, opts)
+					c := boot(t, splitADF, opts)
 					m, err := c.NewMemo(host)
 					if err != nil {
 						t.Fatal(err)

@@ -4,9 +4,12 @@
 # peer links through severable proxies), drives a seeded mixed-action
 # trace through the client library AND the memo CLI — including one
 # SIGKILL-and-restart and one link sever/heal per trace — then drains the
-# cluster and audits the exactly-once/convergence oracle. The regression
-# seed corpus (test/e2e/regression_seeds.json) replays first, so every
-# previously-found bug stays found.
+# cluster and audits the exactly-once/convergence oracle. The runner is the
+# one the in-process cluster runs in plain `go test ./...` (RunChaos over
+# its Target interface): every library op on a bounded async pool, so
+# faults land on work in flight. The regression seed corpus
+# (test/e2e/regression_seeds.json) replays on both clusters, in-process and
+# on the daemons, so every previously-found bug stays found.
 #
 # Knobs (env): E2E_SEED picks the fresh smoke seed, E2E_FULL=1 adds the
 # long multi-seed sweep, E2E_NO_MINIMIZE=1 skips failing-seed shrinking.

@@ -5,9 +5,9 @@ import (
 	"math/rand"
 )
 
-// ActionType enumerates the chaos mix. Weights live in actionWeights; the
-// generated trace is a pure function of the seed (see GenActions), which is
-// what makes regression seeds replayable.
+// ActionType enumerates the chaos mix. A Weights table sets its shares; the
+// generated trace is a pure function of the seed and the table (see
+// GenActions), which is what makes regression seeds replayable.
 type ActionType int
 
 const (
@@ -21,8 +21,8 @@ const (
 	ActAltSkip                      // non-blocking multi-key take
 	ActWatch                        // get_copy: observe without consuming (async)
 	ActPump                         // pump a program image, fetch it back
-	ActKill                         // SIGKILL a node, restart it, re-register via the CLI
-	ActSever                        // cut one directed inter-node link
+	ActKill                         // crash a node, restart it from its data dir, re-register
+	ActSever                        // cut one inter-node link (one direction on daemons, both in-process)
 	ActHeal                         // heal the oldest severed link
 	actTypeCount
 )
@@ -39,11 +39,15 @@ func (a ActionType) String() string {
 	return fmt.Sprintf("action(%d)", int(a))
 }
 
-// actionWeights is the mix, in percent. Deposits outnumber takes slightly
-// so folders stay non-empty and blocking takes resolve fast; chaos actions
-// are rare enough that most of the trace is plain traffic *through* the
-// faults they cause.
-var actionWeights = [actTypeCount]int{
+// Weights is an action mix: each action type's share of a trace.
+type Weights [actTypeCount]int
+
+// e2eWeights is the daemon harness's mix, in percent, and the one the
+// regression corpus replays under. Deposits outnumber takes slightly so
+// folders stay non-empty and blocking takes resolve fast; chaos actions are
+// rare enough that most of the trace is plain traffic *through* the faults
+// they cause.
+var e2eWeights = Weights{
 	ActPut:        22,
 	ActPutCLI:     5,
 	ActPutDelayed: 6,
@@ -72,23 +76,24 @@ type Action struct {
 	Pair int   // directed-link index for sever/heal
 }
 
-// GenActions derives the full action trace from the seed. It is a pure
-// function — same (seed, n, shape) in, same trace out — and deterministically
-// guarantees at least one kill and one sever/heal pair so even a short
-// smoke exercises both recovery paths.
-func GenActions(seed int64, n, hosts, keys, pairs int) []Action {
+// GenActions derives the full action trace of the fixed cluster shape from
+// the seed under mix w. It is a pure function — same (seed, n, w) in, same
+// trace out — and deterministically guarantees at least one kill and one
+// sever/heal pair, of the kinds w weights at all, so even a short smoke
+// exercises both recovery paths.
+func GenActions(seed int64, n int, w Weights) []Action {
 	rng := rand.New(rand.NewSource(seed))
 	pick := func() ActionType {
 		total := 0
-		for _, w := range actionWeights {
-			total += w
+		for _, x := range w {
+			total += x
 		}
 		r := rng.Intn(total)
-		for t, w := range actionWeights {
-			if r < w {
+		for t, x := range w {
+			if r < x {
 				return ActionType(t)
 			}
-			r -= w
+			r -= x
 		}
 		return ActPut
 	}
@@ -96,17 +101,17 @@ func GenActions(seed int64, n, hosts, keys, pairs int) []Action {
 	for i := range acts {
 		a := Action{
 			Type: pick(),
-			Host: rng.Intn(hosts),
-			Key:  rng.Intn(keys),
-			Key2: rng.Intn(keys),
-			Node: rng.Intn(hosts),
-			Pair: rng.Intn(pairs),
+			Host: rng.Intn(hostCount),
+			Key:  rng.Intn(keyCount),
+			Key2: rng.Intn(keyCount),
+			Node: rng.Intn(hostCount),
+			Pair: rng.Intn(pairCount),
 		}
 		if a.Type == ActAltTake || a.Type == ActAltSkip {
 			k := 2 + rng.Intn(2)
 			seen := map[int]bool{}
 			for len(a.Keys) < k {
-				x := rng.Intn(keys)
+				x := rng.Intn(keyCount)
 				if !seen[x] {
 					seen[x] = true
 					a.Keys = append(a.Keys, x)
@@ -115,19 +120,20 @@ func GenActions(seed int64, n, hosts, keys, pairs int) []Action {
 		}
 		acts[i] = a
 	}
-	// Forced coverage: if the weighted draw produced no kill or no sever,
-	// overwrite fixed positions (deterministic — depends only on the trace).
+	// Forced coverage: if the weighted draw produced no kill or no sever of a
+	// weighted kind, overwrite fixed positions (deterministic — depends only
+	// on the trace).
 	hasKill, hasSever := false, false
 	for _, a := range acts {
 		hasKill = hasKill || a.Type == ActKill
 		hasSever = hasSever || a.Type == ActSever
 	}
 	if n >= 4 {
-		if !hasSever {
+		if !hasSever && w[ActSever] > 0 {
 			acts[n/3] = Action{Type: ActSever, Pair: acts[n/3].Pair}
 			acts[n/3+1] = Action{Type: ActHeal}
 		}
-		if !hasKill {
+		if !hasKill && w[ActKill] > 0 {
 			acts[2*n/3] = Action{Type: ActKill, Node: acts[2*n/3].Node}
 		}
 	}

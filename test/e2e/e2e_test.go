@@ -13,7 +13,8 @@ import (
 
 // The heavy black-box tests boot real daemons and take tens of seconds, so
 // they run only when E2E=1 (scripts/e2e.sh sets it; plain `go test ./...`
-// stays fast). The deterministic unit tests below always run.
+// stays fast). The in-process chaos runs and the deterministic unit tests
+// below always run.
 func requireE2E(t *testing.T) {
 	t.Helper()
 	if os.Getenv("E2E") == "" {
@@ -69,26 +70,32 @@ func TestSmoke(t *testing.T) {
 		seed = v
 	}
 	const n = 120
-	if err := RunChaos(t.TempDir(), bins, seed, n, t.Logf); err != nil {
+	if err := RunDaemons(t.TempDir(), bins, seed, n, t.Logf); err != nil {
 		reportFailure(t, bins, seed, n, err)
 	}
 }
 
 // TestRegressionSeeds replays the corpus first-class: every seed that ever
-// found a bug keeps hunting it on each run.
+// found a bug keeps hunting it on each run, in-process always and on the
+// daemons under E2E=1.
 func TestRegressionSeeds(t *testing.T) {
-	requireE2E(t)
 	seeds, err := LoadSeeds(seedCorpus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bins := testBinaries(t)
 	for _, s := range seeds {
-		s := s
 		t.Run(fmt.Sprintf("seed%d_n%d", s.Seed, s.Actions), func(t *testing.T) {
-			if err := RunChaos(t.TempDir(), bins, s.Seed, s.Actions, t.Logf); err != nil {
-				t.Fatalf("regression seed %d (%s): %v", s.Seed, s.Note, err)
-			}
+			t.Run("sim", func(t *testing.T) {
+				if _, err := RunChaos(bootSim(t), s.Seed, GenActions(s.Seed, s.Actions, e2eWeights), t.Logf); err != nil {
+					t.Fatalf("regression seed %d (%s): %v", s.Seed, s.Note, err)
+				}
+			})
+			t.Run("daemons", func(t *testing.T) {
+				requireE2E(t)
+				if err := RunDaemons(t.TempDir(), testBinaries(t), s.Seed, s.Actions, t.Logf); err != nil {
+					t.Fatalf("regression seed %d (%s): %v", s.Seed, s.Note, err)
+				}
+			})
 		})
 	}
 }
@@ -104,7 +111,7 @@ func TestChaosSweep(t *testing.T) {
 	for _, seed := range []int64{11, 12, 13} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			if err := RunChaos(t.TempDir(), bins, seed, 200, t.Logf); err != nil {
+			if err := RunDaemons(t.TempDir(), bins, seed, 200, t.Logf); err != nil {
 				reportFailure(t, bins, seed, 200, err)
 			}
 		})
@@ -118,7 +125,7 @@ func reportFailure(t *testing.T, bins Binaries, seed int64, n int, err error) {
 	minimized := n
 	if os.Getenv("E2E_NO_MINIMIZE") == "" {
 		minimized = MinimizePrefix(n, 5, func(k int) bool {
-			return RunChaos(t.TempDir(), bins, seed, k, t.Logf) != nil
+			return RunDaemons(t.TempDir(), bins, seed, k, t.Logf) != nil
 		})
 	}
 	entry := Seed{Seed: seed, Actions: minimized, Note: "auto-minimized failing run"}
@@ -140,8 +147,8 @@ func TestSeedReplayDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range append(seeds, Seed{Seed: 424242, Actions: 500}) {
-		a := GenActions(s.Seed, s.Actions, hostCount, keyCount, pairCount)
-		b := GenActions(s.Seed, s.Actions, hostCount, keyCount, pairCount)
+		a := GenActions(s.Seed, s.Actions, e2eWeights)
+		b := GenActions(s.Seed, s.Actions, e2eWeights)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: two generations disagree", s.Seed)
 		}
@@ -149,32 +156,35 @@ func TestSeedReplayDeterminism(t *testing.T) {
 			t.Fatalf("seed %d: %d actions, want %d", s.Seed, len(a), s.Actions)
 		}
 	}
-	x := GenActions(1, 200, hostCount, keyCount, pairCount)
-	y := GenActions(2, 200, hostCount, keyCount, pairCount)
+	x := GenActions(1, 200, e2eWeights)
+	y := GenActions(2, 200, e2eWeights)
 	if reflect.DeepEqual(x, y) {
 		t.Fatal("different seeds produced identical traces")
 	}
 }
 
 // TestGenActionsForcedCoverage: every trace long enough for the smoke
-// gate contains at least one kill and one sever, whatever the seed rolls.
+// gate contains at least one kill and one sever of each kind its mix
+// weights, whatever the seed rolls, and none of a kind it does not: the
+// sever row is never forced a kill.
 func TestGenActionsForcedCoverage(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
-		acts := GenActions(seed, 100, hostCount, keyCount, pairCount)
-		kills, severs := 0, 0
-		for _, a := range acts {
-			switch a.Type {
-			case ActKill:
-				kills++
-			case ActSever:
-				severs++
+	for _, w := range []Weights{e2eWeights, severWeights, crashWeights} {
+		for seed := int64(0); seed < 50; seed++ {
+			kills, severs := 0, 0
+			for _, a := range GenActions(seed, 100, w) {
+				switch a.Type {
+				case ActKill:
+					kills++
+				case ActSever:
+					severs++
+				}
+				if a.Host >= hostCount || a.Key >= keyCount || a.Pair >= pairCount || a.Node >= hostCount {
+					t.Fatalf("mix %v seed %d: action out of range: %+v", w, seed, a)
+				}
 			}
-			if a.Host >= hostCount || a.Key >= keyCount || a.Pair >= pairCount || a.Node >= hostCount {
-				t.Fatalf("seed %d: action out of range: %+v", seed, a)
+			if (kills > 0) != (w[ActKill] > 0) || (severs > 0) != (w[ActSever] > 0) {
+				t.Fatalf("mix %v seed %d: kills=%d severs=%d", w, seed, kills, severs)
 			}
-		}
-		if kills == 0 || severs == 0 {
-			t.Fatalf("seed %d: kills=%d severs=%d, want both >= 1", seed, kills, severs)
 		}
 	}
 }

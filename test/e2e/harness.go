@@ -1,6 +1,7 @@
 package e2e
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -15,7 +16,6 @@ import (
 	"repro/internal/adf"
 	"repro/internal/core"
 	"repro/internal/memoserver"
-	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/rpc"
 	"repro/internal/symbol"
@@ -52,6 +52,20 @@ a <-> c 1
 b <-> c 1
 `
 
+// chaosFile and chaosPlace are chaosADF parsed and placed once: daemons,
+// handles and the runner's owner-local rule all place a key with this map.
+var chaosFile, chaosPlace = func() (*adf.File, *placement.Map) {
+	f, err := adf.Parse(chaosADF)
+	if err != nil {
+		panic(err)
+	}
+	p, err := placement.New(f, nil, placement.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return f, p
+}()
+
 // chaosKey maps a trace key index to the shared keyspace, numeric as the
 // memo CLI spells keys. The settle phase's watcher-convergence probes use
 // named keys outside it ("sentinel0", "sentinel1"), which each handle
@@ -65,6 +79,22 @@ func pairOf(p int) (from, to int) { // directed pair index -> host indices
 		to++
 	}
 	return from, to
+}
+
+// pairHosts is pairOf in host names.
+func pairHosts(p int) (from, to string) {
+	f, t := pairOf(p)
+	return hostNames[f], hostNames[t]
+}
+
+// eventually polls ok every interval until it holds, or d has passed.
+func eventually(d, interval time.Duration, ok func() bool) bool {
+	for deadline := time.Now().Add(d); !ok(); time.Sleep(interval) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
 }
 
 // Binaries are the black-box artifacts under test.
@@ -148,12 +178,8 @@ func (d *Daemon) Start() error {
 	}
 	d.cmd = cmd
 	d.logf = lf
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, err := os.Stat(d.ReadyFile); err == nil {
-			return nil
-		}
-		time.Sleep(20 * time.Millisecond)
+	if eventually(10*time.Second, 20*time.Millisecond, func() bool { _, err := os.Stat(d.ReadyFile); return err == nil }) {
+		return nil
 	}
 	return fmt.Errorf("daemon %s: ready file %s never appeared (log: %s)", d.Host, d.ReadyFile, d.LogPath)
 }
@@ -205,12 +231,8 @@ func (d *Daemon) Term() error {
 
 // Cluster is the live system under test.
 type Cluster struct {
-	Dir     string
 	Bins    Binaries
 	ADFPath string
-	ADFText string
-	File    *adf.File
-	Place   *placement.Map
 	Nodes   [hostCount]*Daemon
 	Proxies [pairCount]*Proxy
 	logff   func(string, ...any)
@@ -219,25 +241,13 @@ type Cluster struct {
 // NewCluster reserves ports, wires every directed peer link through its
 // own proxy, writes the ADF, and prepares (but does not start) the nodes.
 func NewCluster(dir string, bins Binaries, logff func(string, ...any)) (*Cluster, error) {
-	c := &Cluster{Dir: dir, Bins: bins, ADFText: chaosADF, logff: logff}
-	f, err := adf.Parse(chaosADF)
-	if err != nil {
-		return nil, err
-	}
-	if err := adf.Validate(f); err != nil {
-		return nil, err
-	}
-	c.Place, err = placement.New(f, nil, placement.Options{})
-	if err != nil {
-		return nil, err
-	}
-	c.File = f
-	c.ADFPath = filepath.Join(dir, "chaos.adf")
+	c := &Cluster{Bins: bins, ADFPath: filepath.Join(dir, "chaos.adf"), logff: logff}
 	if err := os.WriteFile(c.ADFPath, []byte(chaosADF), 0o644); err != nil {
 		return nil, err
 	}
 
 	var listens [hostCount]string
+	var err error
 	for i := range listens {
 		if listens[i], err = reservePort(); err != nil {
 			return nil, err
@@ -324,7 +334,7 @@ func (c *Cluster) registerLib(i int) error {
 		return err
 	}
 	defer cl.Close()
-	return cl.Register(c.ADFText)
+	return cl.Register(chaosADF)
 }
 
 // RegisterCLI re-registers the ADF with node i through the memo binary —
@@ -347,7 +357,7 @@ func (c *Cluster) rawClient(i int) (*memoserver.Client, error) {
 	tcp := transport.NewTCP()
 	addr := c.Nodes[i].Listen
 	dial := func(srcHost, logical string) (transport.Conn, error) { return tcp.Dial(addr) }
-	return memoserver.DialClientResilient(dial, hostNames[i], c.File.App, rpc.Policy{},
+	return memoserver.DialClientResilient(dial, hostNames[i], chaosFile.App, rpc.Policy{},
 		rpc.Resilience{Heartbeat: rpc.DefaultHeartbeat, Retries: 2})
 }
 
@@ -359,7 +369,7 @@ func (c *Cluster) Memo(i int) (*core.Memo, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.Open(c.File, hostNames[i], c.Place, client)
+	return core.Open(chaosFile, hostNames[i], chaosPlace, client)
 }
 
 // CLIResult is one parsed -json line from the memo binary.
@@ -382,14 +392,37 @@ func (r CLIResult) Err() error {
 	return fmt.Errorf("memo %s: exit %d: %s", r.Op, r.Code, r.Error)
 }
 
-// Restart resurrects a killed node from its data directory and
+// Kill SIGKILLs node i, resurrects it from its data directory and
 // re-registers the app via the CLI.
-func (c *Cluster) Restart(i int) error {
+func (c *Cluster) Kill(i int) error {
+	c.Nodes[i].Kill()
 	if err := c.Nodes[i].Start(); err != nil {
 		return err
 	}
 	return c.RegisterCLI(i)
 }
+
+// Sever cuts directed link pair at its proxy; Heal restores it.
+func (c *Cluster) Sever(pair int) { c.Proxies[pair].Sever() }
+func (c *Cluster) Heal(pair int)  { c.Proxies[pair].Heal() }
+
+// PutCLI and GetSkipCLI run one op through the memo binary at node i.
+func (c *Cluster) PutCLI(i int, key symbol.Key, val string) (CLIResult, error) {
+	return c.CLI(i, "put", "-key", key.Canon(), "-value", val)
+}
+
+func (c *Cluster) GetSkipCLI(i int, key symbol.Key) (CLIResult, error) {
+	return c.CLI(i, "get-skip", "-key", key.Canon())
+}
+
+// Ping asks node i through the memo binary whether it answers.
+func (c *Cluster) Ping(i int) error {
+	out, err := c.CLI(i, "ping")
+	return errors.Join(err, out.Err())
+}
+
+// Metrics scrapes node i's /metrics.
+func (c *Cluster) Metrics(i int) ([]byte, error) { return scrapeBody(c.Nodes[i].Debug, "/metrics") }
 
 // Shutdown SIGTERMs every running node and verifies each drained cleanly.
 func (c *Cluster) Shutdown() error {
@@ -473,33 +506,4 @@ func scrapeBody(debugAddr, path string) ([]byte, error) {
 	}
 	defer resp.Body.Close()
 	return io.ReadAll(resp.Body)
-}
-
-// SumGauge scrapes /metrics on every node and sums the given series
-// (across all label sets).
-func (c *Cluster) SumGauge(series string) (int64, error) {
-	var sum int64
-	for _, d := range c.Nodes {
-		v, err := scrapeSum(d.Debug, series)
-		if err != nil {
-			return 0, fmt.Errorf("node %s: %w", d.Host, err)
-		}
-		sum += v
-	}
-	return sum, nil
-}
-
-// scrapeSum fetches /metrics from one debug address and sums every sample
-// of one series.
-func scrapeSum(debugAddr, series string) (int64, error) {
-	resp, err := http.Get("http://" + debugAddr + "/metrics")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	samples, err := obs.ParseText(resp.Body)
-	if err != nil {
-		return 0, err
-	}
-	return int64(obs.Sum(samples, series)), nil
 }

@@ -1,9 +1,10 @@
-// Package e2e is the black-box chaos harness: it compiles the real
-// memoserverd and memo binaries, boots a multi-node cluster over
-// TCP with durability on, drives it with a seeded weighted action mix
-// through both the client library and the CLI, and checks a global
-// exactly-once/convergence oracle at the end of every run. See DESIGN.md
-// §11 for the architecture and the invariants.
+// Package e2e is the chaos harness: one seeded runner drives a weighted
+// action mix through both the client library and the CLI of a durable
+// three-node cluster, and checks a global exactly-once/convergence oracle
+// at the end of every run. The cluster is either the real memoserverd and
+// memo binaries over TCP, which the package compiles, or the in-process
+// cluster over transport.Sim. See DESIGN.md §11 for the architecture and
+// the invariants.
 package e2e
 
 import (
@@ -108,13 +109,6 @@ func (p *Proxy) Heal() {
 	p.mu.Lock()
 	p.severed = false
 	p.mu.Unlock()
-}
-
-// Severed reports whether the link is currently cut.
-func (p *Proxy) Severed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.severed
 }
 
 // Close shuts the proxy down for good.

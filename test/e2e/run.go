@@ -1,16 +1,22 @@
 package e2e
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os/exec"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/rpc"
 	"repro/internal/symbol"
 	"repro/internal/transferable"
 )
@@ -53,15 +59,65 @@ func (c *Cluster) CLI(host int, op string, extra ...string) (CLIResult, error) {
 	return res, nil
 }
 
+// Target is a running cluster of hostCount nodes that RunChaos drives: the
+// daemons of Cluster, or the in-process cluster over transport.Sim of
+// simTarget. Node and pair indices are the trace's.
+type Target interface {
+	// Memo opens a library handle entering the cluster at node i.
+	Memo(i int) (*core.Memo, error)
+	// PutCLI and GetSkipCLI run one op as the memo binary, a client process
+	// of its own, does. Their error is harness breakage; the op's own
+	// failure is in the result.
+	PutCLI(i int, key symbol.Key, val string) (CLIResult, error)
+	GetSkipCLI(i int, key symbol.Key) (CLIResult, error)
+	Ping(i int) error
+	// Kill crashes node i and restarts it from its data directory.
+	Kill(i int) error
+	Sever(pair int)
+	Heal(pair int)
+	// Metrics renders node i's /metrics exposition.
+	Metrics(i int) ([]byte, error)
+}
+
+// sumGauge sums every sample of one series over tg's nodes, each read back
+// from its exposition with obs.ParseText.
+func sumGauge(tg Target, series string) (int64, error) {
+	var sum float64
+	for i, h := range hostNames {
+		text, err := tg.Metrics(i)
+		var samples []obs.Sample
+		if err == nil {
+			samples, err = obs.ParseText(bytes.NewReader(text))
+		}
+		if err != nil {
+			return 0, fmt.Errorf("node %s: %w", h, err)
+		}
+		sum += obs.Sum(samples, series)
+	}
+	return int64(sum), nil
+}
+
+// settleBound is how long settle waits for the trace's ops once it has
+// canceled them all. Every caller completes within it, or the run fails
+// naming the actions still running.
+const settleBound = 15 * time.Second
+
 // runner carries one chaos run's live state.
 type runner struct {
-	c     *Cluster
+	tg    Target
 	led   *cluster.Ledger
 	memos [hostCount]*core.Memo
 	seed  int64
+	logf  func(string, ...any)
 
-	wg  sync.WaitGroup
-	sem chan struct{} // bounds concurrently-parked blocking ops
+	ctx     context.Context // done at settle, so every parked op cancels at once
+	stop    context.CancelFunc
+	wg      sync.WaitGroup
+	sem     chan struct{} // bounds concurrently running library ops
+	running sync.Map      // action index -> ActionType while its op runs
+
+	killed       [hostCount]bool // nodes some kill of the trace crashes
+	remoteCopies atomic.Int64
 
 	severed []int // FIFO of severed pair indices
 
@@ -69,10 +125,59 @@ type runner struct {
 	ackedPump map[string]bool            // target host has >= 1 certain image
 }
 
-// RunChaos executes one full seeded chaos run: boot, trace, settle, drain,
-// oracle, clean shutdown. A nil return means the oracle held and every
-// daemon drained cleanly.
-func RunChaos(dir string, bins Binaries, seed int64, n int, logf func(string, ...any)) (err error) {
+// Outcome is what one run booked: the ledger's tally, and how many watches
+// entered away from their key's owner returned a value.
+type Outcome struct {
+	cluster.Tally
+	RemoteCopies int
+}
+
+// RunChaos drives the trace acts through tg, settles, drains and audits the
+// ledger. Every library op runs on a bounded async pool, so faults land on
+// work in flight; chaos, CLI and pump steps run inline. A nil error means
+// the oracle held.
+func RunChaos(tg Target, seed int64, acts []Action, logf func(string, ...any)) (Outcome, error) {
+	r := &runner{
+		tg: tg, led: cluster.NewLedger(), seed: seed, logf: logf,
+		sem:       make(chan struct{}, 16),
+		pumped:    make(map[string]map[string]bool),
+		ackedPump: make(map[string]bool),
+	}
+	r.ctx, r.stop = context.WithCancel(context.Background())
+	defer r.stop()
+	for _, a := range acts {
+		if a.Type == ActKill {
+			r.killed[a.Node] = true
+		}
+	}
+	for i := range r.memos {
+		m, err := tg.Memo(i)
+		if err != nil {
+			return Outcome{}, err
+		}
+		defer m.Close()
+		r.memos[i] = m
+	}
+	for i, act := range acts {
+		if err := r.step(i, act); err != nil {
+			return Outcome{}, fmt.Errorf("action %d (%s): %w", i, act.Type, err)
+		}
+	}
+	if err := r.settle(); err != nil {
+		return Outcome{}, err
+	}
+	if err := r.drainAndCheck(); err != nil {
+		return Outcome{}, err
+	}
+	out := Outcome{Tally: r.led.Tally(), RemoteCopies: int(r.remoteCopies.Load())}
+	logf("run seed=%d n=%d: oracle held (%+v)", seed, len(acts), out)
+	return out, nil
+}
+
+// RunDaemons boots the daemon cluster in dir, runs seed's n-action trace
+// under the e2e weights, and shuts every daemon down. A nil return means the
+// oracle held and every daemon drained cleanly.
+func RunDaemons(dir string, bins Binaries, seed int64, n int, logf func(string, ...any)) error {
 	c, err := NewCluster(dir, bins, logf)
 	if err != nil {
 		return err
@@ -97,39 +202,13 @@ func RunChaos(dir string, bins Binaries, seed int64, n int, logf func(string, ..
 	if err := c.StartAll(); err != nil {
 		return err
 	}
-	r := &runner{
-		c: c, led: cluster.NewLedger(), seed: seed,
-		sem:       make(chan struct{}, 16),
-		pumped:    make(map[string]map[string]bool),
-		ackedPump: make(map[string]bool),
-	}
-	for i := range r.memos {
-		m, err := c.Memo(i)
-		if err != nil {
-			return err
-		}
-		defer m.Close()
-		r.memos[i] = m
-	}
-
-	acts := GenActions(seed, n, hostCount, keyCount, pairCount)
-	for i, act := range acts {
-		if err := r.step(i, act); err != nil {
-			return fmt.Errorf("action %d (%s): %w", i, act.Type, err)
-		}
-	}
-
-	if err := r.settle(); err != nil {
-		return err
-	}
-	if err := r.drainAndCheck(); err != nil {
+	if _, err := RunChaos(c, seed, GenActions(seed, n, e2eWeights), logf); err != nil {
 		return err
 	}
 	clean = true
 	if err := c.Shutdown(); err != nil {
 		return fmt.Errorf("clean shutdown: %w", err)
 	}
-	c.logf("run seed=%d n=%d: oracle held (%+v)", seed, n, r.led.Tally())
 	return nil
 }
 
@@ -142,19 +221,63 @@ func asStr(v transferable.Value) string {
 	return fmt.Sprint(transferable.ToGo(v))
 }
 
-// async runs one blocking client op in the background with a bounded
-// cancel. Outcomes flow into the ledger from the goroutine.
-func (r *runner) async(op func(cancel <-chan struct{})) {
+// owner is the index of the host whose folder server holds trace key k.
+func owner(k int) int { return slices.Index(hostNames[:], chaosPlace.Place(chaosKey(k)).Host) }
+
+// async runs action i's library op on the bounded pool. Its cancel fires
+// after opTimeout or when settle stops the run, whichever comes first; the
+// outcome flows into the ledger from the goroutine.
+func (r *runner) async(i int, t ActionType, op func(cancel <-chan struct{})) {
 	r.sem <- struct{}{}
 	r.wg.Add(1)
+	r.running.Store(i, t)
 	go func() {
 		defer r.wg.Done()
 		defer func() { <-r.sem }()
-		cancel := make(chan struct{})
-		t := time.AfterFunc(opTimeout, func() { close(cancel) })
-		defer t.Stop()
-		op(cancel)
+		defer r.running.Delete(i)
+		ctx, cancel := context.WithTimeout(r.ctx, opTimeout)
+		defer cancel()
+		op(ctx.Done())
 	}()
+}
+
+// take books a take action i ran and holds the runner's owner-local rule: a
+// take entered at the host that owns every key it names, on a node no kill
+// of the trace crashes, crosses no link and outlives no restart, so it ends
+// acknowledged or canceled, never uncertain or unsent.
+func (r *runner) take(i int, act Action, v string, ok bool, err error) {
+	r.led.Take(v, ok, err)
+	if err == nil || errors.Is(err, core.ErrCanceled) || r.killed[act.Host] {
+		return
+	}
+	keys := act.Keys
+	if keys == nil {
+		keys = []int{act.Key}
+	}
+	for _, k := range keys {
+		if owner(k) != act.Host {
+			return
+		}
+	}
+	r.led.Violate(fmt.Sprintf("action %d (%s at %s): owner-local take ended %v",
+		i, act.Type, hostNames[act.Host], err))
+}
+
+// watched holds the watch rule for action i: a watch entered at a node no
+// kill crashes ends with a value or a typed error, a cancel, the entry
+// node's answer (a forward failing fast across a cut link) or a link error.
+// It counts the remote watches that returned a value.
+func (r *runner) watched(i int, act Action, err error) {
+	var re *core.RemoteError
+	var le *rpc.LinkError
+	switch {
+	case err == nil:
+		if owner(act.Key) != act.Host {
+			r.remoteCopies.Add(1)
+		}
+	case !r.killed[act.Host] && !errors.Is(err, core.ErrCanceled) && !errors.As(err, &re) && !errors.As(err, &le):
+		r.led.Violate(fmt.Sprintf("action %d (watch at %s): untyped error %v", i, hostNames[act.Host], err))
+	}
 }
 
 // step executes one trace action. Only harness breakage returns an error;
@@ -162,77 +285,79 @@ func (r *runner) async(op func(cancel <-chan struct{})) {
 func (r *runner) step(i int, act Action) error {
 	m := r.memos[act.Host]
 	key := chaosKey(act.Key)
+	keys := make([]symbol.Key, len(act.Keys))
+	for j, k := range act.Keys {
+		keys[j] = chaosKey(k)
+	}
 	val := r.value(i)
 	switch act.Type {
 	case ActPut:
-		r.led.Put(val, m.Put(key, transferable.String(val)))
+		r.async(i, act.Type, func(<-chan struct{}) { r.led.Put(val, m.Put(key, transferable.String(val))) })
 
 	case ActPutCLI:
-		out, err := r.c.CLI(act.Host, "put", "-key", key.Canon(), "-value", val)
+		out, err := r.tg.PutCLI(act.Host, key, val)
 		if err != nil {
 			return err
 		}
 		r.led.Put(val, out.Err())
 
 	case ActPutDelayed:
-		r.led.Put(val, m.PutDelayed(key, chaosKey(act.Key2), transferable.String(val)))
+		r.async(i, act.Type, func(<-chan struct{}) {
+			r.led.Put(val, m.PutDelayed(key, chaosKey(act.Key2), transferable.String(val)))
+		})
 
 	case ActGet:
-		r.async(func(cancel <-chan struct{}) {
+		r.async(i, act.Type, func(cancel <-chan struct{}) {
 			v, err := m.GetCancel(key, cancel)
-			r.led.Take(asStr(v), true, err)
+			r.take(i, act, asStr(v), true, err)
 		})
 
 	case ActGetSkip:
-		v, ok, err := m.GetSkip(key)
-		r.led.Take(asStr(v), ok, err)
+		r.async(i, act.Type, func(<-chan struct{}) {
+			v, ok, err := m.GetSkip(key)
+			r.take(i, act, asStr(v), ok, err)
+		})
 
 	case ActGetSkipCLI:
-		out, err := r.c.CLI(act.Host, "get-skip", "-key", key.Canon())
+		out, err := r.tg.GetSkipCLI(act.Host, key)
 		if err != nil {
 			return err
 		}
-		r.led.Take(out.Value, !out.Empty, out.Err())
+		r.take(i, act, out.Value, !out.Empty, out.Err())
 
 	case ActAltTake:
-		keys := make([]symbol.Key, len(act.Keys))
-		for j, k := range act.Keys {
-			keys[j] = chaosKey(k)
-		}
-		r.async(func(cancel <-chan struct{}) {
+		r.async(i, act.Type, func(cancel <-chan struct{}) {
 			_, v, err := m.GetAltCancel(cancel, keys...)
-			r.led.Take(asStr(v), true, err)
+			r.take(i, act, asStr(v), true, err)
 		})
 
 	case ActAltSkip:
-		keys := make([]symbol.Key, len(act.Keys))
-		for j, k := range act.Keys {
-			keys[j] = chaosKey(k)
-		}
-		_, v, ok, err := m.GetAltSkip(keys...)
-		r.led.Take(asStr(v), ok, err)
+		r.async(i, act.Type, func(<-chan struct{}) {
+			_, v, ok, err := m.GetAltSkip(keys...)
+			r.take(i, act, asStr(v), ok, err)
+		})
 
 	case ActWatch:
-		r.async(func(cancel <-chan struct{}) {
+		r.async(i, act.Type, func(cancel <-chan struct{}) {
 			v, err := m.GetCopyCancel(key, cancel)
 			r.led.Copy(asStr(v), err)
+			r.watched(i, act, err)
 		})
 
 	case ActPump:
 		r.pump(m, hostNames[act.Node], "img-"+val)
 
 	case ActKill:
-		r.c.logf("action %d: SIGKILL node %s", i, hostNames[act.Node])
-		r.c.Nodes[act.Node].Kill()
-		if err := r.c.Restart(act.Node); err != nil {
+		r.logf("action %d: kill node %s", i, hostNames[act.Node])
+		if err := r.tg.Kill(act.Node); err != nil {
 			return fmt.Errorf("restart node %s: %w", hostNames[act.Node], err)
 		}
 
 	case ActSever:
-		if !r.c.Proxies[act.Pair].Severed() {
-			from, to := pairOf(act.Pair)
-			r.c.logf("action %d: sever link %s->%s", i, hostNames[from], hostNames[to])
-			r.c.Proxies[act.Pair].Sever()
+		if !slices.Contains(r.severed, act.Pair) {
+			from, to := pairHosts(act.Pair)
+			r.logf("action %d: sever link %s->%s", i, from, to)
+			r.tg.Sever(act.Pair)
 			r.severed = append(r.severed, act.Pair)
 		}
 
@@ -240,9 +365,9 @@ func (r *runner) step(i int, act Action) error {
 		if len(r.severed) > 0 {
 			p := r.severed[0]
 			r.severed = r.severed[1:]
-			from, to := pairOf(p)
-			r.c.logf("action %d: heal link %s->%s", i, hostNames[from], hostNames[to])
-			r.c.Proxies[p].Heal()
+			from, to := pairHosts(p)
+			r.logf("action %d: heal link %s->%s", i, from, to)
+			r.tg.Heal(p)
 		}
 	}
 	return nil
@@ -274,27 +399,29 @@ func (r *runner) pump(m *core.Memo, target, image string) {
 	}
 }
 
-// settle ends the chaos phase: every link healed, every node answering,
-// every parked blocking op resolved or timed out, and a watcher-
-// convergence probe on keys no chaos action ever touched.
+// settle ends the chaos phase: every link healed, every parked op canceled
+// and every op returned within settleBound, every node answering, and a
+// watcher-convergence probe on keys no chaos action ever touched.
 func (r *runner) settle() error {
 	for _, p := range r.severed {
-		r.c.Proxies[p].Heal()
+		r.tg.Heal(p)
 	}
 	r.severed = nil
-	r.wg.Wait()
+	r.stop()
+	done := make(chan struct{})
+	go func() { r.wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(settleBound):
+		r.running.Range(func(i, t any) bool {
+			r.led.Violate(fmt.Sprintf("action %d (%s) still running %v after settle canceled it", i, t, settleBound))
+			return true
+		})
+		return errors.Join(fmt.Errorf("settle: ops still running %v after the stop", settleBound), r.led.Check())
+	}
 
-	for i := range r.c.Nodes {
-		ok := false
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			if out, err := r.c.CLI(i, "ping"); err == nil && out.OK {
-				ok = true
-				break
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
-		if !ok {
+	for i := range r.memos {
+		if !eventually(10*time.Second, 100*time.Millisecond, func() bool { return r.tg.Ping(i) == nil }) {
 			return fmt.Errorf("settle: node %s never answered ping", hostNames[i])
 		}
 	}
@@ -309,6 +436,10 @@ func (r *runner) settle() error {
 		want := fmt.Sprintf("sentinel%dx%d", r.seed, s)
 		watchHost, putHost := (s+1)%hostCount, s%hostCount
 		key := r.memos[watchHost].NamedKey(name)
+		before, err := sumGauge(r.tg, "folder_waiters")
+		if err != nil {
+			return fmt.Errorf("settle: %w", err)
+		}
 		got := make(chan string, 1)
 		errc := make(chan error, 1)
 		go func() {
@@ -322,7 +453,13 @@ func (r *runner) settle() error {
 			}
 			got <- asStr(v)
 		}()
-		time.Sleep(50 * time.Millisecond) // let the watcher park
+		// The put must find the watcher parked, so the probe tests the wake
+		// path: wait until folder_waiters rises above its value from before
+		// the watcher started (or the watcher has already failed).
+		eventually(10*time.Second, time.Millisecond, func() bool {
+			n, err := sumGauge(r.tg, "folder_waiters")
+			return err == nil && n > before || len(errc)+len(got) > 0
+		})
 		if err := r.memos[putHost].Put(r.memos[putHost].NamedKey(name), transferable.String(want)); err != nil {
 			return fmt.Errorf("settle: sentinel put: %w", err)
 		}
@@ -358,28 +495,25 @@ func (r *runner) drainAndCheck() error {
 			n++
 		}
 	}
+	keys := []symbol.Key{m.NamedKey("sentinel0"), m.NamedKey("sentinel1")}
+	for k := 0; k < keyCount; k++ {
+		keys = append(keys, chaosKey(k))
+	}
 	converged := false
 	for round := 0; round < 40 && !converged; round++ {
 		drained := 0
-		for k := 0; k < keyCount; k++ {
-			n, err := sweep(chaosKey(k))
+		for _, key := range keys {
+			n, err := sweep(key)
 			drained += n
 			if err != nil {
 				return fmt.Errorf("drain sweep: %w", err)
 			}
 		}
-		for s := 0; s < 2; s++ {
-			n, err := sweep(m.NamedKey(fmt.Sprintf("sentinel%d", s)))
-			drained += n
-			if err != nil {
-				return fmt.Errorf("drain sweep: %w", err)
-			}
-		}
-		hidden, err := r.c.SumGauge("folder_delayed_hidden")
+		hidden, err := sumGauge(r.tg, "folder_delayed_hidden")
 		if err != nil {
 			return fmt.Errorf("drain metrics: %w", err)
 		}
-		memos, err := r.c.SumGauge("folder_memos")
+		memos, err := sumGauge(r.tg, "folder_memos")
 		if err != nil {
 			return fmt.Errorf("drain metrics: %w", err)
 		}
@@ -406,8 +540,8 @@ func (r *runner) drainAndCheck() error {
 		time.Sleep(50 * time.Millisecond) // cross-server releases are async
 	}
 	if !converged {
-		hidden, _ := r.c.SumGauge("folder_delayed_hidden")
-		memos, _ := r.c.SumGauge("folder_memos")
+		hidden, _ := sumGauge(r.tg, "folder_delayed_hidden")
+		memos, _ := sumGauge(r.tg, "folder_memos")
 		r.led.Violate(fmt.Sprintf(
 			"drain never converged after 40 sweeps: folder_memos=%d folder_delayed_hidden=%d",
 			memos, hidden))
