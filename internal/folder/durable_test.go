@@ -426,7 +426,7 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 
 // TestReleaseRedeliveredAfterCrashExactlyOnce guards the release protocol:
 // a hidden value whose delivery was handed out but never confirmed
-// (committed never called — the crash window between the trigger put and
+// (done never called — the crash window between the trigger put and
 // the re-deposit becoming safe) must survive recovery and be re-released
 // by the next trigger — carrying the SAME release token, so the
 // destination deduplicates if the first delivery actually landed.
@@ -439,12 +439,12 @@ func TestReleaseRedeliveredAfterCrashExactlyOnce(t *testing.T) {
 	var mu sync.Mutex
 	var deliveries []delivery
 	hook := func(confirm bool) Option {
-		return WithForward(func(dest symbol.Key, payload []byte, relToken uint64, committed func()) {
+		return WithForward(func(dest symbol.Key, payload []byte, relToken uint64, done func(bool)) {
 			mu.Lock()
 			deliveries = append(deliveries, delivery{dest.Canon(), relToken})
 			mu.Unlock()
-			if confirm && committed != nil {
-				committed()
+			if confirm {
+				done(true)
 			}
 		})
 	}

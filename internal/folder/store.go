@@ -46,11 +46,14 @@ var ErrNoKeys = errors.New("folder: empty key set")
 // live on a different folder server. The Store calls it outside its locks.
 // relToken is the entry's release token: the delivery must carry it as the
 // deposit's dedup token, so a crash-recovered re-release deduplicates
-// instead of duplicating. committed, when non-nil, must be called once the
-// delivery has been handed off safely (destination acknowledged, or queued
-// on the remote dispatcher); the store then logs the release as done so
-// recovery stops re-delivering it.
-type ForwardFunc func(dest symbol.Key, payload []byte, relToken uint64, committed func())
+// instead of duplicating. done reports the delivery's end, once:
+// done(true) once it has been handed off safely (destination acknowledged,
+// or queued on the remote dispatcher), and the store logs the release as
+// done so recovery stops re-delivering it; done(false) once it has failed
+// (the destination stayed unreachable past the link's retries), and the
+// store hides the entry in the trigger's folder again, where the next
+// trigger re-releases it under the same token.
+type ForwardFunc func(dest symbol.Key, payload []byte, relToken uint64, done func(delivered bool))
 
 // DefaultShards is the shard count used when WithShards is not given. A
 // power of two comfortably above typical core counts: striping is cheap and
@@ -471,17 +474,33 @@ func (s *Store) deposit(key symbol.Key, dest *symbol.Key, payload []byte, token 
 	// (releaseDone). Replay therefore keeps any entry whose RecRelease
 	// never landed, and the next trigger re-delivers it — deduplicated, so
 	// an acknowledged hidden value survives a crash at any instant without
-	// ever landing twice.
+	// ever landing twice. A delivery that fails hides its entry here again
+	// (rehide), as replay would, so a destination that stays down past the
+	// retries strands nothing.
 	for _, d := range released {
 		s.released.Inc()
 		if s.forward != nil {
-			rel := d.rel
-			s.forward(d.dest, d.val, rel, func() { s.releaseDone(key, rel) })
-		} else if err := s.deposit(d.dest, nil, d.val, d.rel, nil); err == nil {
-			s.releaseDone(key, d.rel)
+			s.forward(d.dest, d.val, d.rel, func(delivered bool) { s.releaseEnded(key, d, delivered) })
+		} else {
+			s.releaseEnded(key, d, s.deposit(d.dest, nil, d.val, d.rel, nil) == nil)
 		}
 	}
 	return s.commit(seq, ot)
+}
+
+// releaseEnded settles delayed entry d, released from trigger's folder: a
+// delivered entry is logged done, a failed one is hidden there again.
+func (s *Store) releaseEnded(trigger symbol.Key, d delayedEntry, delivered bool) {
+	if delivered {
+		s.releaseDone(trigger, d.rel)
+		return
+	}
+	var cb [canonBuf]byte
+	sh := &s.shards[s.shardIndex(trigger)]
+	sh.mu.Lock()
+	f := sh.getFold(trigger.AppendCanon(cb[:0]))
+	f.delayed = append(f.delayed, d)
+	sh.mu.Unlock()
 }
 
 // releaseDone logs that the delayed entry with release token rel has left

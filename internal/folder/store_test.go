@@ -250,14 +250,12 @@ func TestPutDelayedForwardHook(t *testing.T) {
 	var forwarded []string
 	var tokens []uint64
 	var mu sync.Mutex
-	s := NewStore(WithForward(func(dest symbol.Key, payload []byte, relToken uint64, committed func()) {
+	s := NewStore(WithForward(func(dest symbol.Key, payload []byte, relToken uint64, done func(bool)) {
 		mu.Lock()
 		forwarded = append(forwarded, dest.Canon()+"="+string(payload))
 		tokens = append(tokens, relToken)
 		mu.Unlock()
-		if committed != nil {
-			committed()
-		}
+		done(true)
 	}))
 	s.PutDelayed(symbol.K(1), symbol.K(2, 3), []byte("x"))
 	s.Put(symbol.K(1), nil)

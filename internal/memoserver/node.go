@@ -377,8 +377,8 @@ func (n *Node) RegisterApp(f *adf.File) error {
 			continue
 		}
 		opts := []folder.Option{
-			folder.WithForward(func(dest symbol.Key, payload []byte, relToken uint64, committed func()) {
-				n.forwardRelease(appName, dest, payload, relToken, committed)
+			folder.WithForward(func(dest symbol.Key, payload []byte, relToken uint64, done func(bool)) {
+				n.forwardRelease(appName, dest, payload, relToken, done)
 			}),
 		}
 		if n.cfg.DataDir != "" {
@@ -768,12 +768,13 @@ var never = make(chan struct{})
 // folder lives. It runs asynchronously: the releasing Put must not block on
 // remote delivery, and the destination may even be a folder on the same
 // store (which would deadlock a synchronous call through the thread cache).
-// The release token rides as the deposit's dedup token, and committed fires
-// only on an acknowledged delivery — so the releasing store logs the
-// release done, and a crash-recovered re-delivery deduplicates.
-func (n *Node) forwardRelease(appName string, dest symbol.Key, payload []byte, relToken uint64, committed func()) {
+// The release token rides as the deposit's dedup token, and done reports
+// whether the delivery was acknowledged — so the releasing store logs the
+// release done or hides the entry again, and any re-delivery deduplicates.
+func (n *Node) forwardRelease(appName string, dest symbol.Key, payload []byte, relToken uint64, done func(delivered bool)) {
 	app, ok := n.lookupApp(appName)
 	if !ok {
+		done(false)
 		return
 	}
 	target := app.Place.Place(dest)
@@ -785,11 +786,7 @@ func (n *Node) forwardRelease(appName string, dest symbol.Key, payload []byte, r
 		Payload:  payload,
 		Token:    relToken,
 	}
-	go func() {
-		if resp := n.Dispatch(q, never); resp.Status == wire.StatusOK && committed != nil {
-			committed()
-		}
-	}()
+	go func() { done(n.Dispatch(q, never).Status == wire.StatusOK) }()
 }
 
 // CacheStats reports the node's thread-cache counters (experiment E1): each

@@ -86,6 +86,63 @@ func TestForwardFailsFastAndRedialsAfterSever(t *testing.T) {
 	}
 }
 
+// TestReleaseToDownDestinationHiddenAgain: a put_delayed value released
+// toward a destination that stays unreachable past the link's retries is
+// hidden in its trigger folder again, not stranded; once the link is back,
+// the next trigger delivers it, exactly once.
+func TestReleaseToDownDestinationHiddenAgain(t *testing.T) {
+	res := rpc.Resilience{
+		Heartbeat: 100 * time.Millisecond,
+		Redial:    transport.Backoff{Min: 5 * time.Millisecond, Max: 20 * time.Millisecond},
+		Retries:   2,
+	}
+	tn := bootNet(t, twoHostADF, Config{Resilience: res})
+	c := resilientClient(t, tn, "a", res)
+	app, _ := tn.nodes["a"].lookupApp(tn.file.App)
+	dest := symbol.K(11)
+	for app.Place.Place(dest).Host != "b" {
+		dest.S++
+	}
+	trigger := symbol.K(10) // folder 0, on a
+	trigFS, _ := tn.nodes["a"].LocalFolderServer(tn.file.App, 0)
+	destFS, _ := tn.nodes["b"].LocalFolderServer(tn.file.App, app.Place.Place(dest).ID)
+	put := func(q *wire.Request) {
+		t.Helper()
+		if resp, err := c.Do(q, nil); err != nil || resp.Status != wire.StatusOK {
+			t.Fatalf("%v: %+v %v", q.Op, resp, err)
+		}
+	}
+
+	q := req(wire.OpPutDelayed, 0, trigger, []byte("precious"))
+	q.Key2 = dest
+	put(q)
+	tn.sim.Sever("a", "b")
+	put(req(wire.OpPut, 0, trigger, []byte("trig1")))
+	deadline := time.Now().Add(5 * time.Second)
+	for trigFS.Store().DelayedCount() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("release to an unreachable destination was never hidden again")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := destFS.Store().MemoCount(); got != 0 {
+		t.Fatalf("destination holds %d memos across the cut", got)
+	}
+
+	tn.sim.Restore("a", "b")
+	put(req(wire.OpPut, 0, trigger, []byte("trig2")))
+	for destFS.Store().MemoCount() != 1 || trigFS.Store().DelayedCount() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("re-release after restore: destination memos %d, hidden %d, want 1 and 0",
+				destFS.Store().MemoCount(), trigFS.Store().DelayedCount())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if v, ok, err := destFS.Store().GetSkip(dest); err != nil || !ok || string(v) != "precious" {
+		t.Fatalf("destination holds %q %v %v, want the released value", v, ok, err)
+	}
+}
+
 // TestCancelAfterMaybeSentReportsLinkError: "canceled" is a claim that
 // nothing was consumed. A forwarded get whose link died with the request
 // possibly executed, and whose caller cancels while the link is still being

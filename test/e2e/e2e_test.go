@@ -109,7 +109,6 @@ func TestChaosSweep(t *testing.T) {
 	}
 	bins := testBinaries(t)
 	for _, seed := range []int64{11, 12, 13} {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			if err := RunDaemons(t.TempDir(), bins, seed, 200, t.Logf); err != nil {
 				reportFailure(t, bins, seed, 200, err)

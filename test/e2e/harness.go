@@ -181,7 +181,7 @@ func (d *Daemon) Start() error {
 	if eventually(10*time.Second, 20*time.Millisecond, func() bool { _, err := os.Stat(d.ReadyFile); return err == nil }) {
 		return nil
 	}
-	return fmt.Errorf("daemon %s: ready file %s never appeared (log: %s)", d.Host, d.ReadyFile, d.LogPath)
+	return fmt.Errorf("daemon %s: ready file %s never appeared; log:\n%s", d.Host, d.ReadyFile, logTail(d.LogPath, 20))
 }
 
 // Kill SIGKILLs the daemon — the crash the WAL exists for.
@@ -235,13 +235,13 @@ type Cluster struct {
 	ADFPath string
 	Nodes   [hostCount]*Daemon
 	Proxies [pairCount]*Proxy
-	logff   func(string, ...any)
+	logf    func(string, ...any)
 }
 
 // NewCluster reserves ports, wires every directed peer link through its
 // own proxy, writes the ADF, and prepares (but does not start) the nodes.
-func NewCluster(dir string, bins Binaries, logff func(string, ...any)) (*Cluster, error) {
-	c := &Cluster{Bins: bins, ADFPath: filepath.Join(dir, "chaos.adf"), logff: logff}
+func NewCluster(dir string, bins Binaries, logf func(string, ...any)) (*Cluster, error) {
+	c := &Cluster{Bins: bins, ADFPath: filepath.Join(dir, "chaos.adf"), logf: logf}
 	if err := os.WriteFile(c.ADFPath, []byte(chaosADF), 0o644); err != nil {
 		return nil, err
 	}
@@ -304,12 +304,6 @@ func NewCluster(dir string, bins Binaries, logff func(string, ...any)) (*Cluster
 		c.Nodes[i] = d
 	}
 	return c, nil
-}
-
-func (c *Cluster) logf(format string, args ...any) {
-	if c.logff != nil {
-		c.logff(format, args...)
-	}
 }
 
 // StartAll boots every node and registers the application with each.

@@ -82,7 +82,9 @@ func (s simTarget) Ping(i int) error {
 // Kill crashes node i and restarts it on the same data directory. A killed
 // process runs nothing more, but a crashed in-process store's snapshot
 // goroutine can still be creating its next segment, so the restart waits
-// out that straggler first.
+// out that straggler first. The pause goes once Store.Crash waits for the
+// snapshot cycle (ROADMAP: "An in-process crash leaves the store's snapshot
+// goroutine running").
 func (s simTarget) Kill(i int) error {
 	if err := s.c.CrashNode(hostNames[i]); err != nil {
 		return err

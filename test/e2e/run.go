@@ -16,7 +16,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/rpc"
 	"repro/internal/symbol"
 	"repro/internal/transferable"
 )
@@ -226,9 +225,14 @@ func owner(k int) int { return slices.Index(hostNames[:], chaosPlace.Place(chaos
 
 // async runs action i's library op on the bounded pool. Its cancel fires
 // after opTimeout or when settle stops the run, whichever comes first; the
-// outcome flows into the ledger from the goroutine.
-func (r *runner) async(i int, t ActionType, op func(cancel <-chan struct{})) {
-	r.sem <- struct{}{}
+// outcome flows into the ledger from the goroutine. A pool that stays full
+// for settleBound fails the run the way a hung settle does.
+func (r *runner) async(i int, t ActionType, op func(cancel <-chan struct{})) error {
+	select {
+	case r.sem <- struct{}{}:
+	case <-time.After(settleBound):
+		return r.stuck("no pool slot")
+	}
 	r.wg.Add(1)
 	r.running.Store(i, t)
 	go func() {
@@ -239,6 +243,17 @@ func (r *runner) async(i int, t ActionType, op func(cancel <-chan struct{})) {
 		defer cancel()
 		op(ctx.Done())
 	}()
+	return nil
+}
+
+// stuck fails the run over ops that did not return within settleBound: one
+// violation naming each action still running, then the ledger's verdict.
+func (r *runner) stuck(what string) error {
+	r.running.Range(func(i, t any) bool {
+		r.led.Violate(fmt.Sprintf("action %d (%s) still running after %v", i, t, settleBound))
+		return true
+	})
+	return errors.Join(fmt.Errorf("%s: ops still running after %v", what, settleBound), r.led.Check())
 }
 
 // take books a take action i ran and holds the runner's owner-local rule: a
@@ -264,18 +279,18 @@ func (r *runner) take(i int, act Action, v string, ok bool, err error) {
 }
 
 // watched holds the watch rule for action i: a watch entered at a node no
-// kill crashes ends with a value or a typed error, a cancel, the entry
-// node's answer (a forward failing fast across a cut link) or a link error.
-// It counts the remote watches that returned a value.
+// kill crashes ends with a value or a typed error, a cancel or the entry
+// node's answer (a forward failing fast across a cut link). Its client link
+// goes only to that node, which no sever cuts, so a link error breaks the
+// rule. It counts the remote watches that returned a value.
 func (r *runner) watched(i int, act Action, err error) {
 	var re *core.RemoteError
-	var le *rpc.LinkError
 	switch {
 	case err == nil:
 		if owner(act.Key) != act.Host {
 			r.remoteCopies.Add(1)
 		}
-	case !r.killed[act.Host] && !errors.Is(err, core.ErrCanceled) && !errors.As(err, &re) && !errors.As(err, &le):
+	case !r.killed[act.Host] && !errors.Is(err, core.ErrCanceled) && !errors.As(err, &re):
 		r.led.Violate(fmt.Sprintf("action %d (watch at %s): untyped error %v", i, hostNames[act.Host], err))
 	}
 }
@@ -292,7 +307,7 @@ func (r *runner) step(i int, act Action) error {
 	val := r.value(i)
 	switch act.Type {
 	case ActPut:
-		r.async(i, act.Type, func(<-chan struct{}) { r.led.Put(val, m.Put(key, transferable.String(val))) })
+		return r.async(i, act.Type, func(<-chan struct{}) { r.led.Put(val, m.Put(key, transferable.String(val))) })
 
 	case ActPutCLI:
 		out, err := r.tg.PutCLI(act.Host, key, val)
@@ -302,18 +317,18 @@ func (r *runner) step(i int, act Action) error {
 		r.led.Put(val, out.Err())
 
 	case ActPutDelayed:
-		r.async(i, act.Type, func(<-chan struct{}) {
+		return r.async(i, act.Type, func(<-chan struct{}) {
 			r.led.Put(val, m.PutDelayed(key, chaosKey(act.Key2), transferable.String(val)))
 		})
 
 	case ActGet:
-		r.async(i, act.Type, func(cancel <-chan struct{}) {
+		return r.async(i, act.Type, func(cancel <-chan struct{}) {
 			v, err := m.GetCancel(key, cancel)
 			r.take(i, act, asStr(v), true, err)
 		})
 
 	case ActGetSkip:
-		r.async(i, act.Type, func(<-chan struct{}) {
+		return r.async(i, act.Type, func(<-chan struct{}) {
 			v, ok, err := m.GetSkip(key)
 			r.take(i, act, asStr(v), ok, err)
 		})
@@ -326,19 +341,19 @@ func (r *runner) step(i int, act Action) error {
 		r.take(i, act, out.Value, !out.Empty, out.Err())
 
 	case ActAltTake:
-		r.async(i, act.Type, func(cancel <-chan struct{}) {
+		return r.async(i, act.Type, func(cancel <-chan struct{}) {
 			_, v, err := m.GetAltCancel(cancel, keys...)
 			r.take(i, act, asStr(v), true, err)
 		})
 
 	case ActAltSkip:
-		r.async(i, act.Type, func(<-chan struct{}) {
+		return r.async(i, act.Type, func(<-chan struct{}) {
 			_, v, ok, err := m.GetAltSkip(keys...)
 			r.take(i, act, asStr(v), ok, err)
 		})
 
 	case ActWatch:
-		r.async(i, act.Type, func(cancel <-chan struct{}) {
+		return r.async(i, act.Type, func(cancel <-chan struct{}) {
 			v, err := m.GetCopyCancel(key, cancel)
 			r.led.Copy(asStr(v), err)
 			r.watched(i, act, err)
@@ -413,11 +428,7 @@ func (r *runner) settle() error {
 	select {
 	case <-done:
 	case <-time.After(settleBound):
-		r.running.Range(func(i, t any) bool {
-			r.led.Violate(fmt.Sprintf("action %d (%s) still running %v after settle canceled it", i, t, settleBound))
-			return true
-		})
-		return errors.Join(fmt.Errorf("settle: ops still running %v after the stop", settleBound), r.led.Check())
+		return r.stuck("settle")
 	}
 
 	for i := range r.memos {
