@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -273,14 +274,18 @@ func TestCrashAbandonsUnsynced(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := collect(t, dir, 1, Config{})
 	// Holding the writer's io mutex holds the syncer back, so the append
-	// stays buffered and uncommitted when Crash hits.
+	// stays buffered and uncommitted when Crash hits. Crash fails the
+	// commit at once, then waits for io, as for a write under way.
 	l.w.io.Lock()
-	defer l.w.io.Unlock()
 	seq := l.Append(0, rec(RecPut, symbol.K(1), "doomed", 7))
 	errc := make(chan error, 1)
 	go func() { errc <- l.Commit(0, seq) }()
 	time.Sleep(10 * time.Millisecond)
-	l.Crash()
+	crashed := make(chan struct{})
+	go func() {
+		l.Crash()
+		close(crashed)
+	}()
 	select {
 	case err := <-errc:
 		if !errors.Is(err, ErrCrashed) {
@@ -289,6 +294,14 @@ func TestCrashAbandonsUnsynced(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("commit hung across Crash")
 	}
+	select {
+	case <-crashed:
+		l.w.io.Unlock()
+		t.Fatal("Crash returned while a write could still be under way")
+	case <-time.After(20 * time.Millisecond):
+	}
+	l.w.io.Unlock()
+	<-crashed
 	l2, got := collect(t, dir, 1, Config{})
 	defer l2.Close()
 	if len(got) != 0 {
@@ -337,6 +350,55 @@ func TestCrashRightAfterOpenKeepsRecoveredState(t *testing.T) {
 	defer l3.Close()
 	if len(got) != 6 {
 		t.Fatalf("crash right after open lost state: %d records recovered, want 6", len(got))
+	}
+}
+
+// TestDeadLogTouchesNoSegment: a crashed incarnation must leave the data
+// directory to the one restarted on it. StartSnapshot on a crashed log fails
+// with the crash error and creates no file, and no segment is ever created
+// over one that exists — the restarted log's live segment keeps its records.
+func TestDeadLogTouchesNoSegment(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := collect(t, dir, 1, Config{})
+	l.Crash()
+	listing := func() []string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range ents {
+			out = append(out, e.Name())
+		}
+		return out
+	}
+	before := listing()
+	if snap, err := l.StartSnapshot(); !errors.Is(err, ErrCrashed) {
+		if err == nil {
+			snap.Abort()
+		}
+		t.Fatalf("StartSnapshot on a crashed log: %v, want ErrCrashed", err)
+	}
+	if after := listing(); !slices.Equal(before, after) {
+		t.Fatalf("StartSnapshot on a crashed log changed the directory: %v -> %v", before, after)
+	}
+
+	l2, _ := collect(t, dir, 1, Config{})
+	defer l2.Close()
+	if err := l2.Commit(0, l2.Append(0, rec(RecPut, symbol.K(1), "live", 1))); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, walName(l2.Gen()))
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err := createSegment(dir, l2.Gen()); err == nil {
+		f.Close()
+		t.Fatalf("createSegment reopened the live segment of generation %d", l2.Gen())
+	}
+	if fi2, err := os.Stat(seg); err != nil || fi2.Size() != fi.Size() {
+		t.Fatalf("live segment of %d bytes changed: %v %v", fi.Size(), fi2, err)
 	}
 }
 

@@ -142,9 +142,10 @@ func Open(dir string, shards int, cfg Config, apply func(*Record) error) (*Log, 
 // Without that, a crash can lose the new segment's directory entry while a
 // later snapshot's deletions of the old generation survive — leaving a data
 // directory whose acknowledged records live in a file no directory entry
-// names.
+// names. The segment must not exist yet (O_EXCL): a generation's segment is
+// created once, so no path can truncate one a live log is writing.
 func createSegment(dir string, gen uint64) (*os.File, error) {
-	f, err := os.OpenFile(filepath.Join(dir, walName(gen)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
+	f, err := os.OpenFile(filepath.Join(dir, walName(gen)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o666)
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +375,11 @@ type Snapshot struct {
 // CutShard/AppendRecord, Abort. Even an aborted snapshot advances the
 // generation — the new segment is already live — which is safe: recovery
 // replays every generation the incomplete snapshot failed to supersede.
+// A dead log starts nothing and creates no file.
 func (l *Log) StartSnapshot() (*Snapshot, error) {
+	if err := l.w.aliveErr(); err != nil {
+		return nil, err
+	}
 	gen := l.gen.Load() + 1
 	tmpName := filepath.Join(l.dir, snapName(gen)+".tmp")
 	tmp, err := os.OpenFile(tmpName, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)

@@ -318,7 +318,9 @@ func (w *writer) close() error {
 // crash abandons buffered records and slams the files shut — what SIGKILL
 // does to a real process. Pending commits fail with ErrCrashed; whatever an
 // earlier cycle already wrote stays in the files, exactly like OS-buffered
-// data surviving a killed process.
+// data surviving a killed process. A write already under way lands before
+// crash returns, as a kill cannot stop a write(2) the kernel has taken: a
+// log reopened on the directory afterwards reads files nothing writes to.
 func (w *writer) crash() {
 	w.mu.Lock()
 	if w.closed {
@@ -334,6 +336,8 @@ func (w *writer) crash() {
 	files := [...]*os.File{w.f, w.old}
 	w.mu.Unlock()
 	w.stopSyncer()
+	w.io.Lock() // waits out a write under way
+	defer w.io.Unlock()
 	for _, f := range files {
 		if f != nil {
 			_ = f.Close()

@@ -115,8 +115,8 @@ func TestCompactionWriteAmplification(t *testing.T) {
 	s.tokens.cap = 512
 	// Snapshots run here, on the trigger's say-so, instead of in the
 	// background: the sizes can then be read at exact points.
-	s.snapshotting.Store(true)
-	defer s.snapshotting.Store(false)
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
 
 	tok := uint64(100)
 	var walTotal, snapTotal, lastSnap int64
@@ -176,12 +176,11 @@ func TestCrashOverLongGeneration(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		waitNotSnapshotting(t, s)
-		s.snapshotting.Store(true) // cut one by hand, at a known point
+		s.snapMu.Lock() // cut one by hand, at a known point
 		if err := s.snapshot(); err != nil {
 			t.Fatal(err)
 		}
-		s.snapshotting.Store(false)
+		s.snapMu.Unlock()
 		return s, &tok
 	}
 
@@ -190,10 +189,12 @@ func TestCrashOverLongGeneration(t *testing.T) {
 		s, tok := fill(t, dir)
 		gen := s.Log().Gen()
 		churn(t, s, 10*floor, 64, tok) // 20× the floor in records, a fraction of the snapshot in bytes
-		waitNotSnapshotting(t, s)
+		// Taking the cycle's lock waits out a running cycle.
+		s.snapMu.Lock()
 		if s.Log().Gen() != gen || s.wal.ShouldSnapshot() {
 			t.Fatalf("generation %d -> %d: the log was cut before it outgrew the snapshot", gen, s.Log().Gen())
 		}
+		s.snapMu.Unlock()
 		s.Crash()
 		r := openStore(t, dir, cfg, WithShards(4))
 		defer r.Close()
@@ -204,8 +205,7 @@ func TestCrashOverLongGeneration(t *testing.T) {
 		dir := t.TempDir()
 		s, tok := fill(t, dir)
 		churn(t, s, 2*floor, 64, tok)
-		waitNotSnapshotting(t, s)
-		s.snapshotting.Store(true)
+		s.snapMu.Lock()
 		snap, err := s.wal.StartSnapshot()
 		if err != nil {
 			t.Fatal(err)
@@ -220,6 +220,9 @@ func TestCrashOverLongGeneration(t *testing.T) {
 			}
 		}
 		churn(t, s, floor, 64, tok) // the new generation is live on the cut shards
+		// Crash takes the cycle's lock for good, so hand it back first; the
+		// half-cut snapshot stays abandoned.
+		s.snapMu.Unlock()
 		s.Crash()
 		if tmps, _ := filepath.Glob(filepath.Join(dir, "snap-*.tmp")); len(tmps) != 1 {
 			t.Fatalf("want one abandoned snapshot temp file, have %v", tmps)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/durable"
 	"repro/internal/symbol"
@@ -34,36 +33,46 @@ func (s *Store) Log() *durable.Log { return s.wal }
 // Close flushes and closes the write-ahead log. Pending operation commits
 // complete durable first. A memory-only store closes trivially.
 //
-// Close joins an in-flight background snapshot cycle before closing the
-// log: the orderly-shutdown contract is that no goroutine is still writing
-// into the data directory when Close returns. (Replay re-arms the snapshot
-// counter, so a freshly reopened store's first commit can fire a cycle
-// moments before Close — exactly the race this wait closes.) Concurrent
-// mutating operations during Close remain the caller's responsibility;
-// Crash deliberately does not wait, matching its SIGKILL semantics.
+// Close first joins a running background snapshot cycle and keeps any later
+// one from starting (stopSnapshots): the orderly-shutdown contract is that
+// no goroutine is still writing into the data directory when Close returns.
+// (Replay re-arms the snapshot counter, so a freshly reopened store's first
+// commit can fire a cycle moments before Close.) Concurrent mutating
+// operations during Close remain the caller's responsibility.
 func (s *Store) Close() error {
 	if s.wal == nil {
 		return nil
 	}
-	for s.snapshotting.Load() {
-		time.Sleep(time.Millisecond)
-	}
+	s.stopSnapshots()
 	return s.wal.Close()
 }
 
 // Crash abandons buffered-but-uncommitted log records and slams the log
 // shut — the in-process stand-in for SIGKILL, used by the crash-recovery
 // harness. Acknowledged operations survive in the log; unacknowledged ones
-// fail their commit and are rolled back or reported to the caller.
+// fail their commit and are rolled back or reported to the caller. Like a
+// kill it also stops the store's background work: the log dies first, so a
+// running snapshot cycle's next step fails and it aborts, and Crash returns
+// only once that cycle has ended. Nothing writes into the data directory
+// afterwards, so a store reopened on it right away owns it alone.
 func (s *Store) Crash() {
 	if s.wal != nil {
 		s.wal.Crash()
+		s.stopSnapshots()
 	}
 }
 
+// stopSnapshots waits out a running snapshot cycle and keeps the cycle's
+// lock for good, so no later commit starts another. Close and Crash share it.
+func (s *Store) stopSnapshots() { s.stopSnaps.Do(s.snapMu.Lock) }
+
 // applyRecord replays one recovered record. Replay runs before the store is
 // published, but it takes the shard locks anyway — they are uncontended and
-// keep the mutation paths uniform. Replay rebuilds state only: the
+// keep the mutation paths uniform. Replay rebuilds exactly the memory the
+// live store had at the log's last record: a released delayed entry left its
+// folder in the critical section that logged its RecRelease, so replay keeps
+// it until that record and a RecRelease always finds its entry, as a RecTake
+// always finds its memo; a miss is corruption. Replay rebuilds state only: the
 // operation counters (Stats) stay zero, so a restarted store reports what
 // happened in this incarnation, not its entire logged history.
 func (s *Store) applyRecord(rec *durable.Record) error {
@@ -76,8 +85,8 @@ func (s *Store) applyRecord(rec *durable.Record) error {
 		sh.mu.Lock()
 		f := sh.getFold(canon)
 		f.items = append(f.items, bytes.Clone(rec.Payload))
-		// Deliberately NOT clearing f.delayed, although the live put
-		// released those entries: each entry is removed only by its own
+		// Deliberately NOT clearing f.delayed: the live put only marked
+		// those entries in flight, and each leaves only with its own
 		// RecRelease record, logged once its re-deposit was safe. An entry
 		// that survives here is re-released by the next trigger put, and
 		// its release token deduplicates the delivery if the first one
@@ -92,40 +101,27 @@ func (s *Store) applyRecord(rec *durable.Record) error {
 		sh.mu.Unlock()
 	case durable.RecRelease:
 		sh.mu.Lock()
-		if f, ok := sh.folders[string(canon)]; ok {
-			for i := range f.delayed {
-				if f.delayed[i].rel == rec.Token {
-					f.delayed = slices.Delete(f.delayed, i, i+1)
-					break
-				}
-			}
-			// A missing entry is legal: a snapshot cut between the
-			// in-memory release and the RecRelease append dumps the folder
-			// without the entry, and the release record lands in the next
-			// generation.
-			sh.gcFold(f)
-		}
-		sh.mu.Unlock()
-	case durable.RecTake:
-		sh.mu.Lock()
-		f, ok := sh.folders[string(canon)]
-		found := false
-		if ok {
-			for i := range f.items {
-				if bytes.Equal(f.items[i], rec.Payload) {
-					// A tokened take: re-cache its result — the folder's name
-					// and the removed item itself, as the live take does — so a
-					// post-crash retry is answered from the cache instead of
-					// consuming a second memo.
-					s.tokens.noteTakeCache(tokSlot{tok: rec.Token, kind: slotTake, name: f.name, data: f.removeAt(i)})
-					found = true
-					break
-				}
-			}
-			sh.gcFold(f)
-		}
+		f := sh.getFold(canon)
+		found := f.endRelease(rec.Token, true)
+		sh.gcFold(f)
 		sh.mu.Unlock()
 		if !found {
+			return fmt.Errorf("%w: release of %v finds no hidden value with its token", durable.ErrCorrupt, rec.Key)
+		}
+	case durable.RecTake:
+		sh.mu.Lock()
+		f := sh.getFold(canon)
+		i := slices.IndexFunc(f.items, func(it []byte) bool { return bytes.Equal(it, rec.Payload) })
+		if i >= 0 {
+			// A tokened take: re-cache its result — the folder's name and
+			// the removed item itself, as the live take does — so a
+			// post-crash retry is answered from the cache instead of
+			// consuming a second memo.
+			s.tokens.noteTakeCache(tokSlot{tok: rec.Token, kind: slotTake, name: f.name, data: f.removeAt(i)})
+		}
+		sh.gcFold(f)
+		sh.mu.Unlock()
+		if i < 0 {
 			// Per-folder record order guarantees the put replays before its
 			// take; a miss is corruption, not a tolerable anomaly.
 			return fmt.Errorf("%w: take of %v finds no matching memo", durable.ErrCorrupt, rec.Key)
@@ -145,17 +141,14 @@ func (s *Store) applyRecord(rec *durable.Record) error {
 }
 
 // maybeSnapshot starts a background snapshot + truncation cycle when enough
-// records have accumulated. Single-flight; failures leave the log serving
-// (it simply carries more history until the next attempt).
+// records have accumulated. Single-flight, under snapMu; failures leave the
+// log serving (it simply carries more history until the next attempt).
 func (s *Store) maybeSnapshot() {
-	if s.wal == nil || !s.wal.ShouldSnapshot() {
-		return
-	}
-	if !s.snapshotting.CompareAndSwap(false, true) {
+	if s.wal == nil || !s.wal.ShouldSnapshot() || !s.snapMu.TryLock() {
 		return
 	}
 	go func() {
-		defer s.snapshotting.Store(false)
+		defer s.snapMu.Unlock()
 		_ = s.snapshot()
 	}()
 }
@@ -225,9 +218,10 @@ func (s *Store) snapshot() error {
 }
 
 // dumpShard emits one shard's state as compacted records: per folder the
-// visible items then the hidden delayed values. Replay order does not
-// matter: a replayed put deliberately leaves the folder's delayed list alone
-// (see applyRecord). Caller holds the shard lock.
+// visible items then the hidden delayed values, releases in flight included
+// (replay loads them unmarked, and the next trigger re-releases them).
+// Replay order does not matter: a replayed put deliberately leaves the
+// folder's delayed list alone (see applyRecord). Caller holds the shard lock.
 func dumpShard(sh *shard, emit func(*durable.Record) error) error {
 	var rec durable.Record // reused, with its key: the dump allocates neither per folder nor per memo
 	var key symbol.Key

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -138,7 +139,6 @@ func TestSnapshotTruncateRecover(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	waitNotSnapshotting(t, s)
 	s.Crash()
 
 	// The directory must hold a snapshot and only recent generations.
@@ -163,19 +163,6 @@ func TestSnapshotTruncateRecover(t *testing.T) {
 	}
 	if v, ok, _ := r.GetSkip(keep); !ok || string(v) != "keeper" {
 		t.Fatalf("keeper: %q %v", v, ok)
-	}
-}
-
-// waitNotSnapshotting lets an in-flight background snapshot finish so Crash
-// cannot race its file operations.
-func waitNotSnapshotting(t *testing.T, s *Store) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for s.snapshotting.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("snapshot never finished")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -291,7 +278,6 @@ func TestTokenDedupSurvivesSnapshot(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	waitNotSnapshotting(t, s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -490,6 +476,167 @@ func TestReleaseRedeliveredAfterCrashExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestReleaseInFlightSurvivesSnapshot: a snapshot cut while a released
+// value's delivery is still in flight keeps the value. Whether the delivery
+// then fails or never ends, a crash and reopen find it hidden, and the next
+// trigger delivers it once, under its original release token.
+func TestReleaseInFlightSurvivesSnapshot(t *testing.T) {
+	for _, ending := range []string{"failed", "never ended"} {
+		t.Run("delivery "+ending, func(t *testing.T) {
+			dir := t.TempDir()
+			trig, dest := symbol.K(1), symbol.K(2)
+			var held []func(bool)
+			var heldTok uint64
+			s := openStore(t, dir, durable.Config{}, WithForward(func(_ symbol.Key, _ []byte, rel uint64, done func(bool)) {
+				held, heldTok = append(held, done), rel
+			}))
+			if err := s.PutDelayed(trig, dest, []byte("precious")); err != nil {
+				t.Fatal(err)
+			}
+			mustPut(t, s, trig, "go")
+			mustPut(t, s, trig, "again") // in flight: a second trigger skips it
+			if len(held) != 1 {
+				t.Fatalf("%d deliveries started, want 1", len(held))
+			}
+			if got := s.DelayedCount(); got != 1 {
+				t.Fatalf("DelayedCount with the release in flight = %d, want 1", got)
+			}
+			if err := s.snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			if ending == "failed" {
+				held[0](false)
+			}
+			s.Crash()
+
+			var delivered []uint64
+			r := openStore(t, dir, durable.Config{}, WithForward(func(_ symbol.Key, _ []byte, rel uint64, done func(bool)) {
+				delivered = append(delivered, rel)
+				done(true)
+			}))
+			defer r.Close()
+			if got := r.DelayedCount(); got != 1 {
+				t.Fatalf("after reopen DelayedCount = %d, want 1: the snapshot dropped the value in flight", got)
+			}
+			mustPut(t, r, trig, "go once more")
+			mustPut(t, r, trig, "and again")
+			if len(delivered) != 1 || delivered[0] != heldTok {
+				t.Fatalf("deliveries after reopen %v, want one under the original token %d", delivered, heldTok)
+			}
+			if got := r.DelayedCount(); got != 0 {
+				t.Fatalf("DelayedCount after the confirmed delivery = %d, want 0", got)
+			}
+		})
+	}
+}
+
+// TestReleaseWaitsForTriggerCommit: a released value goes out only once its
+// trigger put is durable, and with it the hidden value's own earlier record.
+// Were it delivered sooner, a crash could erase an unacknowledged
+// put_delayed whose value had already landed, and the client's retry would
+// hide it again under a new release token: two deliveries no token dedups.
+// A crash at the delivery must therefore recover the trigger.
+func TestReleaseWaitsForTriggerCommit(t *testing.T) {
+	dir := t.TempDir()
+	trig, dest := symbol.K(1), symbol.K(2)
+	var s *Store
+	s = openStore(t, dir, durable.Config{}, WithForward(func(symbol.Key, []byte, uint64, func(bool)) { s.Crash() }))
+	if err := s.PutDelayed(trig, dest, []byte("precious")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(trig, []byte("go")); err != nil {
+		t.Fatalf("trigger put: %v", err)
+	}
+	r := openStore(t, dir, durable.Config{})
+	defer r.Close()
+	if m, d := r.MemoCount(), r.DelayedCount(); m != 1 || d != 1 {
+		t.Fatalf("after a crash at the delivery: %d memos, %d hidden; want the trigger and the unconfirmed release", m, d)
+	}
+}
+
+// TestCrashJoinsSnapshotCycle: Crash stops the store's background work as a
+// kill does. A snapshot cycle stalled at a shard's cut holds Crash until the
+// cycle has ended; then its temp file is gone, and nothing writes into the
+// directory after Crash has returned.
+func TestCrashJoinsSnapshotCycle(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, durable.Config{SnapshotEvery: 1}, WithShards(2))
+	k := symbol.K(1)
+	for s.shardIndex(k) != 0 {
+		k.S++
+	}
+	stall := &s.shards[1]
+	stall.mu.Lock()       // the cycle's cut of shard 1 waits here
+	mustPut(t, s, k, "v") // its commit starts the cycle
+	tmps := func() []string {
+		m, _ := filepath.Glob(filepath.Join(dir, "snap-*.tmp"))
+		return m
+	}
+	// Shard 0's dump, flushed to the temp file at its cut, says the cycle
+	// is past every step a crash could fail before shard 1.
+	cutZero := func() bool {
+		m := tmps()
+		if len(m) != 1 {
+			return false
+		}
+		fi, err := os.Stat(m[0])
+		return err == nil && fi.Size() > int64(len("DMSNAP01"))
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !cutZero() {
+		if time.Now().After(deadline) {
+			stall.mu.Unlock()
+			t.Fatal("the snapshot cycle never cut shard 0")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	crashed := make(chan struct{})
+	go func() {
+		s.Crash()
+		close(crashed)
+	}()
+	select {
+	case <-crashed:
+		stall.mu.Unlock()
+		t.Fatal("Crash returned while a snapshot cycle was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	stall.mu.Unlock()
+	select {
+	case <-crashed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Crash never returned once the cycle could go on")
+	}
+	if left := tmps(); len(left) != 0 {
+		t.Fatalf("Crash returned with the cycle's temp file %v still there", left)
+	}
+	listing := func() string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, e := range ents {
+			fi, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%s:%d ", e.Name(), fi.Size())
+		}
+		return b.String()
+	}
+	before := listing()
+	time.Sleep(20 * time.Millisecond)
+	if after := listing(); after != before {
+		t.Fatalf("the directory changed after Crash returned: %s -> %s", before, after)
+	}
+	r := openStore(t, dir, durable.Config{SnapshotEvery: 1}, WithShards(2))
+	defer r.Close()
+	if v, ok, err := r.GetSkip(k); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("after reopen: %q %v %v, want the acknowledged memo", v, ok, err)
+	}
+}
+
 // TestReleaseTokenDedupAtDestination: the same release delivered twice (the
 // crash-retry path) lands once, because the re-deposit carries the release
 // token as its dedup token. Exercised through a real local delivery.
@@ -550,7 +697,6 @@ func TestCloseJoinsBackgroundSnapshot(t *testing.T) {
 			t.Fatalf("churn take: ok=%v err=%v", ok, err)
 		}
 	}
-	waitNotSnapshotting(t, s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +708,7 @@ func TestCloseJoinsBackgroundSnapshot(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if r.snapshotting.Load() {
-		t.Fatal("Close returned with a snapshot cycle still in flight")
+	if r.snapMu.TryLock() {
+		t.Fatal("Close left the snapshot cycle free to start")
 	}
 }

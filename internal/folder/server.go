@@ -187,6 +187,6 @@ func (s *Server) Collect(e *obs.Emitter) {
 	}
 	e.Gauge("folder_folders", "live folders", labels, int64(folders))
 	e.Gauge("folder_memos", "visible memos", labels, int64(memos))
-	e.Gauge("folder_delayed_hidden", "hidden put_delayed values", labels, int64(delayed))
+	e.Gauge("folder_delayed_hidden", "hidden put_delayed values, releases in flight included", labels, int64(delayed))
 	e.Gauge("folder_waiters", "waiter registrations (blocked scans park several)", labels, int64(waiters))
 }

@@ -46,13 +46,15 @@ var ErrNoKeys = errors.New("folder: empty key set")
 // live on a different folder server. The Store calls it outside its locks.
 // relToken is the entry's release token: the delivery must carry it as the
 // deposit's dedup token, so a crash-recovered re-release deduplicates
-// instead of duplicating. done reports the delivery's end, once:
-// done(true) once it has been handed off safely (destination acknowledged,
-// or queued on the remote dispatcher), and the store logs the release as
-// done so recovery stops re-delivering it; done(false) once it has failed
-// (the destination stayed unreachable past the link's retries), and the
-// store hides the entry in the trigger's folder again, where the next
-// trigger re-releases it under the same token.
+// instead of duplicating. Until done is called the entry stays hidden in the
+// trigger's folder, marked in flight: counted, snapshotted, and skipped by
+// later triggers. done reports the delivery's end, once: done(true) once it
+// has been handed off safely (destination acknowledged, or queued on the
+// remote dispatcher), and the store removes the entry and logs its release
+// in one critical section, so recovery stops re-delivering it; done(false)
+// once it has failed (the destination stayed unreachable past the link's
+// retries), and the store clears the mark, so the next trigger re-releases
+// it under the same token.
 type ForwardFunc func(dest symbol.Key, payload []byte, relToken uint64, done func(delivered bool))
 
 // DefaultShards is the shard count used when WithShards is not given. A
@@ -80,8 +82,10 @@ type Store struct {
 	// before acknowledging. Nil (the default) keeps the historical
 	// memory-only store. See OpenStore.
 	wal *durable.Log
-	// snapshotting single-flights the background snapshot cycle.
-	snapshotting atomic.Bool
+	// snapMu is held by the background snapshot cycle while it runs (which
+	// single-flights it), and for good once Close or Crash has joined it.
+	snapMu    sync.Mutex
+	stopSnaps sync.Once
 
 	// tokens is the at-most-once dedup table: applied put tokens, checked
 	// and recorded inside the target shard's critical section (shard lock
@@ -143,6 +147,10 @@ type delayedEntry struct {
 	// by its eventual re-deposit as a dedup token, and named by the
 	// RecRelease record once that re-deposit is safe.
 	rel uint64
+	// inFlight marks an entry a trigger has released whose delivery has not
+	// ended: it stays in its folder, counted and dumped as hidden, until
+	// releaseEnded removes it or clears the mark.
+	inFlight bool
 }
 
 // Option configures a Store.
@@ -443,7 +451,14 @@ func (s *Store) deposit(key symbol.Key, dest *symbol.Key, payload []byte, token 
 	var rel uint64
 	if dest == nil {
 		f.items = append(f.items, val)
-		released, f.delayed = f.delayed, nil
+		// Released entries stay, marked in flight; one already in flight
+		// is skipped.
+		for i := range f.delayed {
+			if d := &f.delayed[i]; !d.inFlight {
+				d.inFlight = true
+				released = append(released, *d)
+			}
+		}
 		f.wakeAll()
 	} else {
 		// Every hidden value gets a release token up front: its eventual
@@ -467,55 +482,60 @@ func (s *Store) deposit(key symbol.Key, dest *symbol.Key, payload []byte, token 
 	} else {
 		s.puts.Inc()
 	}
-	// Deliver released delayed values after dropping the lock: their
-	// destinations may be remote, or even folders on this same store.
-	// Each delivery carries the entry's release token as its dedup token,
-	// and only once the delivery is safe is the release logged done
-	// (releaseDone). Replay therefore keeps any entry whose RecRelease
-	// never landed, and the next trigger re-delivers it — deduplicated, so
-	// an acknowledged hidden value survives a crash at any instant without
-	// ever landing twice. A delivery that fails hides its entry here again
-	// (rehide), as replay would, so a destination that stays down past the
-	// retries strands nothing.
+	// Deliver released delayed values once this put is durable, and with
+	// it every hidden value's earlier RecPutDelayed: a value that reached
+	// its destination while a crash could still erase its record here would
+	// be hidden again by the client's retry, under a new release token.
+	// Deliveries run outside the lock — their destinations may be remote,
+	// or folders on this same store — and carry the entry's release token
+	// as their dedup token. The entry leaves its folder only in the
+	// critical section that logs its RecRelease (releaseEnded), so memory
+	// is what replay rebuilds at every instant: a crash before that record
+	// re-releases the entry, deduplicated at the destination, and an
+	// acknowledged hidden value is neither lost nor delivered twice.
+	if err := s.commit(seq, ot); err != nil {
+		return err
+	}
 	for _, d := range released {
 		s.released.Inc()
 		if s.forward != nil {
-			s.forward(d.dest, d.val, d.rel, func(delivered bool) { s.releaseEnded(key, d, delivered) })
+			s.forward(d.dest, d.val, d.rel, func(delivered bool) { s.releaseEnded(key, d.rel, delivered) })
 		} else {
-			s.releaseEnded(key, d, s.deposit(d.dest, nil, d.val, d.rel, nil) == nil)
+			s.releaseEnded(key, d.rel, s.deposit(d.dest, nil, d.val, d.rel, nil) == nil)
 		}
 	}
-	return s.commit(seq, ot)
+	return nil
 }
 
-// releaseEnded settles delayed entry d, released from trigger's folder: a
-// delivered entry is logged done, a failed one is hidden there again.
-func (s *Store) releaseEnded(trigger symbol.Key, d delayedEntry, delivered bool) {
-	if delivered {
-		s.releaseDone(trigger, d.rel)
-		return
+// endRelease ends the release of the delayed entry with release token rel:
+// a delivered entry leaves the folder, a failed one loses its in-flight
+// mark. It reports whether the entry was there. Caller holds the shard lock.
+func (f *fold) endRelease(rel uint64, delivered bool) bool {
+	i := slices.IndexFunc(f.delayed, func(d delayedEntry) bool { return d.rel == rel })
+	if i >= 0 && delivered {
+		f.delayed = slices.Delete(f.delayed, i, i+1)
+	} else if i >= 0 {
+		f.delayed[i].inFlight = false
 	}
+	return i >= 0
+}
+
+// releaseEnded settles the in-flight entry with release token rel, released
+// from trigger's folder (endRelease). A delivered entry's RecRelease is
+// logged in the critical section that removes it, so a snapshot cut finds
+// the entry either still hidden or gone with its record in the new
+// generation. No commit wait for the record: if a crash loses it, recovery
+// re-releases the entry and its token deduplicates the second delivery.
+func (s *Store) releaseEnded(trigger symbol.Key, rel uint64, delivered bool) {
 	var cb [canonBuf]byte
-	sh := &s.shards[s.shardIndex(trigger)]
-	sh.mu.Lock()
-	f := sh.getFold(trigger.AppendCanon(cb[:0]))
-	f.delayed = append(f.delayed, d)
-	sh.mu.Unlock()
-}
-
-// releaseDone logs that the delayed entry with release token rel has left
-// trigger's folder durably-enough: its re-deposit committed locally or was
-// handed to the remote dispatcher. No commit wait — if the record is lost
-// to a crash, recovery re-releases the entry and the release token
-// deduplicates the second delivery.
-func (s *Store) releaseDone(trigger symbol.Key, rel uint64) {
-	if s.wal == nil || rel == 0 {
-		return
-	}
 	si := int(s.shardIndex(trigger))
 	sh := &s.shards[si]
 	sh.mu.Lock()
-	s.wal.Append(si, &durable.Record{Type: durable.RecRelease, Key: trigger, Token: rel})
+	f := sh.folders[string(trigger.AppendCanon(cb[:0]))] // kept alive by the entry
+	if f.endRelease(rel, delivered) && delivered && s.wal != nil {
+		s.wal.Append(si, &durable.Record{Type: durable.RecRelease, Key: trigger, Token: rel})
+	}
+	sh.gcFold(f)
 	sh.mu.Unlock()
 }
 
@@ -999,7 +1019,8 @@ func (s *Store) FolderCount() int {
 	return n
 }
 
-// DelayedCount reports hidden values awaiting triggers.
+// DelayedCount reports hidden values: those awaiting a trigger and those
+// released but still in flight to their destination.
 func (s *Store) DelayedCount() int {
 	n := 0
 	for i := range s.shards {
@@ -1049,7 +1070,8 @@ type ShardStats struct {
 	Folders int
 	// Memos is the stripe's visible memo count.
 	Memos int
-	// Delayed is the stripe's hidden put_delayed value count.
+	// Delayed is the stripe's hidden put_delayed value count, releases in
+	// flight included.
 	Delayed int
 	// Waiters is the number of waiter registrations parked on the stripe's
 	// folders (one blocked multi-folder scan may register on several).

@@ -770,7 +770,8 @@ var never = make(chan struct{})
 // store (which would deadlock a synchronous call through the thread cache).
 // The release token rides as the deposit's dedup token, and done reports
 // whether the delivery was acknowledged — so the releasing store logs the
-// release done or hides the entry again, and any re-delivery deduplicates.
+// release done or clears the entry's in-flight mark for the next trigger,
+// and any re-delivery deduplicates.
 func (n *Node) forwardRelease(appName string, dest symbol.Key, payload []byte, relToken uint64, done func(delivered bool)) {
 	app, ok := n.lookupApp(appName)
 	if !ok {

@@ -88,8 +88,9 @@ func TestForwardFailsFastAndRedialsAfterSever(t *testing.T) {
 
 // TestReleaseToDownDestinationHiddenAgain: a put_delayed value released
 // toward a destination that stays unreachable past the link's retries is
-// hidden in its trigger folder again, not stranded; once the link is back,
-// the next trigger delivers it, exactly once.
+// releasable again from its trigger folder, not stranded: a later trigger,
+// with the link still cut, releases it a second time, and once the link is
+// back the value lands exactly once.
 func TestReleaseToDownDestinationHiddenAgain(t *testing.T) {
 	res := rpc.Resilience{
 		Heartbeat: 100 * time.Millisecond,
@@ -117,29 +118,40 @@ func TestReleaseToDownDestinationHiddenAgain(t *testing.T) {
 	q.Key2 = dest
 	put(q)
 	tn.sim.Sever("a", "b")
-	put(req(wire.OpPut, 0, trigger, []byte("trig1")))
+	// A fresh request each time: the client stamps a dedup token on it.
+	trig := func() { put(req(wire.OpPut, 0, trigger, []byte("trig"))) }
+	trig()
+	// A trigger releases only entries not in flight, and a failed delivery
+	// clears the mark: keep triggering, link still cut, until one releases
+	// the entry a second time.
 	deadline := time.Now().Add(5 * time.Second)
-	for trigFS.Store().DelayedCount() != 1 {
+	for trigFS.Store().Stats().Released < 2 {
 		if time.Now().After(deadline) {
-			t.Fatal("release to an unreachable destination was never hidden again")
+			t.Fatal("release to an unreachable destination never became releasable again")
 		}
 		time.Sleep(5 * time.Millisecond)
+		trig()
 	}
 	if got := destFS.Store().MemoCount(); got != 0 {
 		t.Fatalf("destination holds %d memos across the cut", got)
 	}
 
+	// The second delivery may land once the link is redialed, or fail and
+	// wait for a trigger: keep triggering until the destination holds it.
 	tn.sim.Restore("a", "b")
-	put(req(wire.OpPut, 0, trigger, []byte("trig2")))
 	for destFS.Store().MemoCount() != 1 || trigFS.Store().DelayedCount() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("re-release after restore: destination memos %d, hidden %d, want 1 and 0",
 				destFS.Store().MemoCount(), trigFS.Store().DelayedCount())
 		}
+		trig()
 		time.Sleep(5 * time.Millisecond)
 	}
 	if v, ok, err := destFS.Store().GetSkip(dest); err != nil || !ok || string(v) != "precious" {
 		t.Fatalf("destination holds %q %v %v, want the released value", v, ok, err)
+	}
+	if got := destFS.Store().MemoCount(); got != 0 {
+		t.Fatalf("destination holds %d more copies of the released value", got)
 	}
 }
 

@@ -101,18 +101,28 @@ func TestRegressionSeeds(t *testing.T) {
 }
 
 // TestChaosSweep is the longer seeded run for the dedicated CI job: fresh
-// seeds at a larger action count. E2E_FULL=1 arms it.
+// seeds at a larger action count, in-process under the crash row's weights
+// (kills landing on snapshots and put_delayed releases in flight) and on
+// the daemons under E2E=1. E2E_FULL=1 arms it.
 func TestChaosSweep(t *testing.T) {
-	requireE2E(t)
 	if os.Getenv("E2E_FULL") == "" {
 		t.Skip("set E2E_FULL=1 for the long chaos sweep")
 	}
-	bins := testBinaries(t)
+	const n = 200
 	for _, seed := range []int64{11, 12, 13} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			if err := RunDaemons(t.TempDir(), bins, seed, 200, t.Logf); err != nil {
-				reportFailure(t, bins, seed, 200, err)
-			}
+			t.Run("sim", func(t *testing.T) {
+				if _, err := RunChaos(bootSim(t), seed, GenActions(seed, n, crashWeights), t.Logf); err != nil {
+					t.Fatalf("chaos run seed=%d n=%d in-process: %v", seed, n, err)
+				}
+			})
+			t.Run("daemons", func(t *testing.T) {
+				requireE2E(t)
+				bins := testBinaries(t)
+				if err := RunDaemons(t.TempDir(), bins, seed, n, t.Logf); err != nil {
+					reportFailure(t, bins, seed, n, err)
+				}
+			})
 		})
 	}
 }

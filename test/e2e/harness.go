@@ -238,8 +238,9 @@ type Cluster struct {
 	logf    func(string, ...any)
 }
 
-// NewCluster reserves ports, wires every directed peer link through its
-// own proxy, writes the ADF, and prepares (but does not start) the nodes.
+// NewCluster reserves the daemons' ports, wires every directed peer link
+// through its own proxy (each listening on a port of its own choosing),
+// writes the ADF, and prepares (but does not start) the nodes.
 func NewCluster(dir string, bins Binaries, logf func(string, ...any)) (*Cluster, error) {
 	c := &Cluster{Bins: bins, ADFPath: filepath.Join(dir, "chaos.adf"), logf: logf}
 	if err := os.WriteFile(c.ADFPath, []byte(chaosADF), 0o644); err != nil {
@@ -254,12 +255,8 @@ func NewCluster(dir string, bins Binaries, logf func(string, ...any)) (*Cluster,
 		}
 	}
 	for p := range c.Proxies {
-		addr, err := reservePort()
-		if err != nil {
-			return nil, err
-		}
 		_, to := pairOf(p)
-		if c.Proxies[p], err = NewProxy(addr, listens[to]); err != nil {
+		if c.Proxies[p], err = NewProxy("127.0.0.1:0", listens[to]); err != nil {
 			return nil, err
 		}
 	}

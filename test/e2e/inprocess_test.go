@@ -79,17 +79,12 @@ func (s simTarget) Ping(i int) error {
 	return cl.Ping()
 }
 
-// Kill crashes node i and restarts it on the same data directory. A killed
-// process runs nothing more, but a crashed in-process store's snapshot
-// goroutine can still be creating its next segment, so the restart waits
-// out that straggler first. The pause goes once Store.Crash waits for the
-// snapshot cycle (ROADMAP: "An in-process crash leaves the store's snapshot
-// goroutine running").
+// Kill crashes node i and restarts it on the same data directory at once:
+// a crashed store, like a killed process, has stopped writing into it.
 func (s simTarget) Kill(i int) error {
 	if err := s.c.CrashNode(hostNames[i]); err != nil {
 		return err
 	}
-	time.Sleep(50 * time.Millisecond)
 	_, err := s.c.RestartNode(hostNames[i])
 	return err
 }

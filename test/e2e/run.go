@@ -529,10 +529,11 @@ func (r *runner) drainAndCheck() error {
 			return fmt.Errorf("drain metrics: %w", err)
 		}
 		// Convergence needs the folder gauges to agree with the sweep:
-		// nothing visible (a released delayed value still in flight between
-		// servers shows up here first and gets swept next round) and nothing
-		// hidden. Program images live in the node's program store, not in
-		// folders, so they never appear in folder_memos.
+		// nothing visible and nothing hidden. A released delayed value stays
+		// counted in folder_delayed_hidden until its destination holds it,
+		// so it is always in one of the two, and hidden is read first.
+		// Program images live in the node's program store, not in folders,
+		// so they never appear in folder_memos.
 		if drained == 0 && hidden == 0 && memos == 0 {
 			converged = true
 			break
@@ -547,8 +548,14 @@ func (r *runner) drainAndCheck() error {
 				}
 				r.led.Put(tv, nil)
 			}
+			// Cross-server releases are async: wait for them to land. One
+			// whose delivery fails stays hidden, and the next round's
+			// triggers release it again.
+			eventually(opTimeout, 5*time.Millisecond, func() bool {
+				n, err := sumGauge(r.tg, "folder_delayed_hidden")
+				return err == nil && n == 0
+			})
 		}
-		time.Sleep(50 * time.Millisecond) // cross-server releases are async
 	}
 	if !converged {
 		hidden, _ := sumGauge(r.tg, "folder_delayed_hidden")
