@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/adf"
 	"repro/internal/memoserver"
+	"repro/internal/obs"
 	"repro/internal/symbol"
 	"repro/internal/transferable"
 	"repro/internal/transport"
@@ -106,6 +108,18 @@ func TestGetTimeoutNeverEatsTheMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs, _ := node.LocalFolderServer("cli", 0)
+	// memos reads fs's folder_memos back from its exposition.
+	memos := func() int {
+		reg := obs.NewRegistry()
+		reg.RegisterCollector(fs.Collect)
+		var b bytes.Buffer
+		_ = reg.WriteProm(&b) // writing into a buffer cannot fail
+		samples, err := obs.ParseText(&b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int(obs.Sum(samples, "folder_memos"))
+	}
 
 	stdout := os.Stdout
 	os.Stdout, err = os.Open(os.DevNull)
@@ -122,12 +136,12 @@ func TestGetTimeoutNeverEatsTheMemo(t *testing.T) {
 		}
 		timeout := time.Duration(1+i%12*25) * time.Microsecond
 		code := runOp("get", append(base, "-timeout", timeout.String()))
-		left := fs.Store().MemoCount()
+		left := memos()
 		switch {
 		case code == exitOK && left == 0:
 		case code == exitTimeout && left == 1:
 			fired++
-			if code := runOp("get-skip", base); code != exitOK || fs.Store().MemoCount() != 0 {
+			if code := runOp("get-skip", base); code != exitOK || memos() != 0 {
 				t.Fatalf("round %d: draining get-skip exited %d", i, code)
 			}
 		default:
@@ -141,7 +155,7 @@ func TestGetTimeoutNeverEatsTheMemo(t *testing.T) {
 	if code := runOp("get", append(base, "-timeout", "5ms")); code != exitTimeout {
 		t.Fatalf("get -timeout on an empty folder exited %d, want %d", code, exitTimeout)
 	}
-	if code := runOp("put", append(base, "-value", "later")); code != exitOK || fs.Store().MemoCount() != 1 {
-		t.Fatalf("put after a timed-out get exited %d with %d memos in the folder", code, fs.Store().MemoCount())
+	if code := runOp("put", append(base, "-value", "later")); code != exitOK || memos() != 1 {
+		t.Fatalf("put after a timed-out get exited %d with %d memos in the folder", code, memos())
 	}
 }

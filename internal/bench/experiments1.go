@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/threadcache"
 	"repro/internal/transferable"
 )
@@ -48,8 +49,9 @@ PPC
 			}
 		}
 		elapsed := time.Since(start)
-		node, _ := c.Node("a")
-		return node.CacheStats(), elapsed, nil
+		samples, err := c.Samples("a")
+		spawned, reused := obs.Sum(samples, "threadcache_spawned_total"), obs.Sum(samples, "threadcache_reused_total")
+		return threadcache.Stats{Spawned: int64(spawned), Reused: int64(reused)}, elapsed, err
 	}
 
 	cached, cachedTime, err := run(false)

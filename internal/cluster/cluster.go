@@ -12,6 +12,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/memoserver"
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/routing"
 	"repro/internal/rpc"
@@ -230,51 +232,41 @@ func (c *Cluster) Run(bodies map[string]ProcFunc) error {
 	}
 }
 
-// FolderStats aggregates per-host memo-server and folder-server counters
-// for the experiments.
-type FolderStats struct {
-	Host     string
-	FolderID int
-	Puts     int64
-	Takes    int64
-}
-
-// FolderServerStats lists per-folder-server operation counts (E4/E5 memo
-// distribution measurements).
-func (c *Cluster) FolderServerStats() []FolderStats {
-	var out []FolderStats
-	for _, fs := range c.File.Folders {
-		n, ok := c.Node(fs.Host)
-		if !ok {
-			continue
-		}
-		srv, ok := n.LocalFolderServer(c.File.App, fs.ID)
-		if !ok {
-			continue
-		}
-		st := srv.Store().Stats()
-		out = append(out, FolderStats{Host: fs.Host, FolderID: fs.ID, Puts: st.Puts, Takes: st.Takes})
+// Samples reads host's node series — the node_*, folder_*, threadcache_*
+// and tracer series its /metrics serves — back through obs.ParseText.
+func (c *Cluster) Samples(host string) ([]obs.Sample, error) {
+	n, ok := c.Node(host)
+	if !ok {
+		return nil, fmt.Errorf("cluster: unknown host %s", host)
 	}
-	return out
+	reg := obs.NewRegistry()
+	n.RegisterMetrics(reg)
+	var b bytes.Buffer
+	_ = reg.WriteProm(&b) // writing into a buffer cannot fail
+	return obs.ParseText(&b)
 }
 
-// HostPutShares reports the observed fraction of puts landing on each host.
+// HostPutShares reports the observed fraction of puts landing on each host:
+// each host's folder_puts_total over the cluster's.
 func (c *Cluster) HostPutShares() map[string]float64 {
-	stats := c.FolderServerStats()
-	var total int64
-	perHost := make(map[string]int64)
-	for _, s := range stats {
-		perHost[s.Host] += s.Puts
-		total += s.Puts
+	var total float64
+	perHost := make(map[string]float64)
+	for _, h := range c.File.Hosts {
+		samples, _ := c.Samples(h.Name) // none once Shutdown has emptied the node table
+		for _, smp := range samples {
+			if smp.Name == "folder_puts_total" {
+				perHost[h.Name] += smp.Value
+				total += smp.Value
+			}
+		}
 	}
-	out := make(map[string]float64, len(perHost))
 	if total == 0 {
-		return out
+		return map[string]float64{}
 	}
-	for h, n := range perHost {
-		out[h] = float64(n) / float64(total)
+	for h := range perHost {
+		perHost[h] /= total
 	}
-	return out
+	return perHost
 }
 
 // Shutdown stops every memo server and closes all handles.

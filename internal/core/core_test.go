@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/symbol"
 	"repro/internal/transferable"
 )
@@ -338,13 +339,19 @@ func TestGetAltSkipOneRequestPerServer(t *testing.T) {
 	if len(keys) < 3 {
 		t.Fatal("could not find three keys on one folder server on a")
 	}
-	node, _ := c.Node("a")
-	before := node.Stats().LocalOps
+	localOps := func() float64 {
+		samples, err := c.Samples("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return obs.Sum(samples, "node_local_ops_total")
+	}
+	before := localOps()
 	if _, _, ok, err := m.GetAltSkip(keys...); err != nil || ok {
 		t.Fatalf("empty alt skip: %v %v", ok, err)
 	}
-	if got := node.Stats().LocalOps - before; got != 1 {
-		t.Fatalf("GetAltSkip over one folder server made %d requests, want 1", got)
+	if got := localOps() - before; got != 1 {
+		t.Fatalf("GetAltSkip over one folder server made %v requests, want 1", got)
 	}
 	if err := m.Put(keys[2], transferable.Int64(5)); err != nil {
 		t.Fatal(err)

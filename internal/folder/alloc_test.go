@@ -64,7 +64,6 @@ func TestHandleRoundAllocBudget(t *testing.T) {
 		// Every get arrives first and parks; the put that follows wakes it.
 		store := NewStore()
 		h := newHandleRounder(NewServer(0, "a", store, threadcache.Config{}), key)
-		si := int(store.shardIndex(key))
 		goGet, gotIt := make(chan struct{}), make(chan struct{})
 		defer close(goGet)
 		go func() {
@@ -75,7 +74,7 @@ func TestHandleRoundAllocBudget(t *testing.T) {
 		}()
 		got := testing.AllocsPerRun(2000, func() {
 			goGet <- struct{}{}
-			for store.ShardStats(si).Waiters == 0 {
+			for store.occupancy(nil).waiters == 0 {
 				runtime.Gosched()
 			}
 			h.doPut(t)

@@ -148,8 +148,8 @@ func TestCompactionWriteAmplification(t *testing.T) {
 	if snapshots < 3 {
 		t.Fatalf("only %d snapshots in %d rounds", snapshots, 20*floor)
 	}
-	if s.Tokens() != 512 {
-		t.Fatalf("token table holds %d, want it full at 512", s.Tokens())
+	if liveTokens(s) != 512 {
+		t.Fatalf("token table holds %d, want it full at 512", liveTokens(s))
 	}
 	if snapTotal > 2*walTotal+lastSnap {
 		t.Fatalf("%d snapshots wrote %d bytes for %d bytes of log: amplification above 2", snapshots, snapTotal, walTotal)
@@ -281,9 +281,9 @@ func TestTokensNotedDuringSnapshotSurvive(t *testing.T) {
 	r := openStore(t, dir, cfg, WithShards(4))
 	defer r.Close()
 	requireSameState(t, s, r)
-	if want := preload + int(noted.Load()); r.Tokens() != want || r.MemoCount() != want {
+	if want := preload + int(noted.Load()); liveTokens(r) != want || r.occupancy(nil).memos != want {
 		t.Fatalf("recovered %d tokens and %d memos, want %d of each (%d noted while %d snapshots ran)",
-			r.Tokens(), r.MemoCount(), want, noted.Load(), cycles)
+			liveTokens(r), r.occupancy(nil).memos, want, noted.Load(), cycles)
 	}
 }
 
@@ -357,8 +357,8 @@ func snapshotStore(t testing.TB, memos, size, tokenCap int) *Store {
 	}
 	tok := uint64(1)
 	churn(t, s, tokenCap/2, size, &tok)
-	if s.Tokens() != tokenCap {
-		t.Fatalf("token table holds %d, want %d", s.Tokens(), tokenCap)
+	if liveTokens(s) != tokenCap {
+		t.Fatalf("token table holds %d, want %d", liveTokens(s), tokenCap)
 	}
 	return s
 }

@@ -72,7 +72,7 @@ func copyDir(t *testing.T, from string) string {
 func TestParentDataDirOpens(t *testing.T) {
 	s := openStore(t, copyDir(t, filepath.Join("testdata", "parent-datadir")), compatCfg, WithShards(2))
 	defer s.Close()
-	if m, d, tok := s.MemoCount(), s.DelayedCount(), s.Tokens(); m != 3 || d != 1 || tok != 8 {
+	if m, d, tok := s.occupancy(nil).memos, s.occupancy(nil).delayed, liveTokens(s); m != 3 || d != 1 || tok != 8 {
 		t.Fatalf("recovered %d memos, %d hidden values, %d tokens; the parent left 3, 1 and 8", m, d, tok)
 	}
 	// Every applied put token still deduplicates.
@@ -81,8 +81,8 @@ func TestParentDataDirOpens(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := s.Stats(); st.DupPuts != 5 || st.Puts != 0 {
-		t.Fatalf("retried puts: %+v, want all 5 deduplicated", st)
+	if dups, puts := s.dupPuts.Load(), s.puts.Load(); dups != 5 || puts != 0 {
+		t.Fatalf("retried puts: %d dedups, %d puts, want all 5 deduplicated", dups, puts)
 	}
 	// Every take result still answers its retry, consuming nothing.
 	if v, ok, err := s.GetSkipToken(symbol.K(1), 201); err != nil || !ok || string(v) != "job-a" {
@@ -95,8 +95,8 @@ func TestParentDataDirOpens(t *testing.T) {
 	if k, v, err := s.AltTakeToken([]symbol.Key{symbol.K(8), symbol.K(5)}, 203, nil); err != nil || !k.Equal(symbol.K(5)) || string(v) != "late" {
 		t.Fatalf("retry of alt_take 203: %v %q %v", k, v, err)
 	}
-	if st := s.Stats(); st.DupTakes != 3 || st.Takes != 0 || s.MemoCount() != 4 {
-		t.Fatalf("retried takes: %+v, %d memos; want 3 cache hits and nothing consumed", st, s.MemoCount())
+	if dups, takes, memos := s.dupTakes.Load(), s.takes.Load(), s.occupancy(nil).memos; dups != 3 || takes != 0 || memos != 4 {
+		t.Fatalf("retried takes: %d dedups, %d takes, %d memos; want 3 cache hits and nothing consumed", dups, takes, memos)
 	}
 	// The hidden value is still released by its trigger.
 	mustPut(t, s, symbol.K(3), "trigger")

@@ -18,7 +18,7 @@ import (
 // background as records accumulate.
 func OpenStore(dir string, dcfg durable.Config, opts ...Option) (*Store, error) {
 	s := NewStore(opts...)
-	lg, err := durable.Open(dir, s.ShardCount(), dcfg, s.applyRecord)
+	lg, err := durable.Open(dir, len(s.shards), dcfg, s.applyRecord)
 	if err != nil {
 		return nil, fmt.Errorf("folder: open store %s: %w", dir, err)
 	}
@@ -73,8 +73,9 @@ func (s *Store) stopSnapshots() { s.stopSnaps.Do(s.snapMu.Lock) }
 // folder in the critical section that logged its RecRelease, so replay keeps
 // it until that record and a RecRelease always finds its entry, as a RecTake
 // always finds its memo; a miss is corruption. Replay rebuilds state only: the
-// operation counters (Stats) stay zero, so a restarted store reports what
-// happened in this incarnation, not its entire logged history.
+// operation counters behind the folder_*_total series stay zero, so a
+// restarted store reports what happened in this incarnation, not its entire
+// logged history.
 func (s *Store) applyRecord(rec *durable.Record) error {
 	var cb [canonBuf]byte
 	canon := rec.Key.AppendCanon(cb[:0])

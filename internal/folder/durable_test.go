@@ -60,14 +60,14 @@ func TestStoreRecoverState(t *testing.T) {
 
 	r := openStore(t, dir, durable.Config{})
 	defer r.Close()
-	if got, want := r.MemoCount(), 3; got != want {
-		t.Fatalf("recovered MemoCount = %d, want %d", got, want)
+	if got, want := r.occupancy(nil).memos, 3; got != want {
+		t.Fatalf("recovered memos = %d, want %d", got, want)
 	}
-	if got := r.DelayedCount(); got != 1 {
-		t.Fatalf("recovered DelayedCount = %d, want 1", got)
+	if got := r.occupancy(nil).delayed; got != 1 {
+		t.Fatalf("recovered hidden delayed = %d, want 1", got)
 	}
-	if got := r.FolderCount(); got != 3 {
-		t.Fatalf("recovered FolderCount = %d, want 3", got)
+	if got := r.occupancy(nil).folders; got != 3 {
+		t.Fatalf("recovered folders = %d, want 3", got)
 	}
 	if v, ok, _ := r.GetSkip(other); !ok || string(v) != "x" {
 		t.Fatalf("recovered other folder: %q %v", v, ok)
@@ -95,7 +95,7 @@ func TestStoreRecoverAfterCrash(t *testing.T) {
 
 	r := openStore(t, dir, durable.Config{})
 	defer r.Close()
-	if got := r.MemoCount(); got != 9 {
+	if got := r.occupancy(nil).memos; got != 9 {
 		t.Fatalf("recovered %d memos after crash, want 9", got)
 	}
 	// The store keeps full multiset semantics: draining yields 9 distinct
@@ -158,7 +158,7 @@ func TestSnapshotTruncateRecover(t *testing.T) {
 
 	r := openStore(t, dir, durable.Config{SnapshotEvery: 16}, WithShards(4))
 	defer r.Close()
-	if got := r.MemoCount(); got != 1 {
+	if got := r.occupancy(nil).memos; got != 1 {
 		t.Fatalf("recovered %d memos, want 1", got)
 	}
 	if v, ok, _ := r.GetSkip(keep); !ok || string(v) != "keeper" {
@@ -186,7 +186,7 @@ func TestShardCountChangeAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := openStore(t, dir, durable.Config{}, WithShards(2))
-	if got := r.MemoCount(); got != 32 {
+	if got := r.occupancy(nil).memos; got != 32 {
 		t.Fatalf("recovered %d memos with fewer shards, want 32", got)
 	}
 	for i := 0; i < 16; i++ { // churn so both shard mappings are in the log
@@ -199,7 +199,7 @@ func TestShardCountChangeAcrossReopen(t *testing.T) {
 	}
 	r2 := openStore(t, dir, durable.Config{}, WithShards(8))
 	defer r2.Close()
-	if got := r2.MemoCount(); got != 16 {
+	if got := r2.occupancy(nil).memos; got != 16 {
 		t.Fatalf("recovered %d memos after regrow, want 16", got)
 	}
 }
@@ -216,11 +216,11 @@ func TestTokenDedup(t *testing.T) {
 		if err := s.PutToken(k, []byte("v"), 42); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.MemoCount(); got != 1 {
-			t.Fatalf("MemoCount = %d after duplicate tokened put, want 1", got)
+		if got := s.occupancy(nil).memos; got != 1 {
+			t.Fatalf("memos = %d after duplicate tokened put, want 1", got)
 		}
-		if st := s.Stats(); st.DupPuts != 1 || st.Puts != 1 {
-			t.Fatalf("stats: %+v", st)
+		if dups, puts := s.dupPuts.Load(), s.puts.Load(); dups != 1 || puts != 1 {
+			t.Fatalf("%d dedups, %d puts", dups, puts)
 		}
 	})
 	t.Run("across-crash", func(t *testing.T) {
@@ -238,11 +238,11 @@ func TestTokenDedup(t *testing.T) {
 		if err := r.PutToken(k, []byte("v"), 99); err != nil {
 			t.Fatal(err)
 		}
-		if got := r.MemoCount(); got != 1 {
-			t.Fatalf("MemoCount = %d after post-crash retry, want 1", got)
+		if got := r.occupancy(nil).memos; got != 1 {
+			t.Fatalf("memos = %d after post-crash retry, want 1", got)
 		}
-		if st := r.Stats(); st.DupPuts != 1 {
-			t.Fatalf("stats: %+v", st)
+		if dups := r.dupPuts.Load(); dups != 1 {
+			t.Fatalf("%d dedups", dups)
 		}
 	})
 	t.Run("delayed", func(t *testing.T) {
@@ -253,8 +253,8 @@ func TestTokenDedup(t *testing.T) {
 		if err := s.PutDelayedToken(symbol.K(1), symbol.K(2), []byte("h"), 7); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.DelayedCount(); got != 1 {
-			t.Fatalf("DelayedCount = %d, want 1", got)
+		if got := s.occupancy(nil).delayed; got != 1 {
+			t.Fatalf("hidden delayed = %d, want 1", got)
 		}
 	})
 }
@@ -286,8 +286,8 @@ func TestTokenDedupSurvivesSnapshot(t *testing.T) {
 	if err := r.PutToken(k, []byte("v"), 1234); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.MemoCount(); got != 1 {
-		t.Fatalf("MemoCount = %d (token lost across snapshot?)", got)
+	if got := r.occupancy(nil).memos; got != 1 {
+		t.Fatalf("memos = %d (token lost across snapshot?)", got)
 	}
 }
 
@@ -301,7 +301,7 @@ func TestTokenEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.Tokens(); got != 4 {
+	if got := liveTokens(s); got != 4 {
 		t.Fatalf("Tokens = %d, want 4", got)
 	}
 	// Oldest evicted: token 1 no longer dedups; newest still does.
@@ -311,8 +311,8 @@ func TestTokenEviction(t *testing.T) {
 	if err := s.PutToken(k, []byte("v"), 6); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Puts != 7 || st.DupPuts != 1 {
-		t.Fatalf("stats: %+v", st)
+	if puts, dups := s.puts.Load(), s.dupPuts.Load(); puts != 7 || dups != 1 {
+		t.Fatalf("%d puts, %d dedups", puts, dups)
 	}
 }
 
@@ -451,8 +451,8 @@ func TestReleaseRedeliveredAfterCrashExactlyOnce(t *testing.T) {
 	mu.Unlock()
 
 	r := openStore(t, dir, durable.Config{}, hook(true))
-	if got := r.DelayedCount(); got != 1 {
-		t.Fatalf("unconfirmed release lost across crash: DelayedCount = %d, want 1", got)
+	if got := r.occupancy(nil).delayed; got != 1 {
+		t.Fatalf("unconfirmed release lost across crash: hidden delayed = %d, want 1", got)
 	}
 	mustPut(t, r, trig, "go-again") // re-releases the recovered entry
 	mu.Lock()
@@ -471,8 +471,8 @@ func TestReleaseRedeliveredAfterCrashExactlyOnce(t *testing.T) {
 	// A CONFIRMED release, by contrast, must not resurface.
 	r2 := openStore(t, dir, durable.Config{}, hook(true))
 	defer r2.Close()
-	if got := r2.DelayedCount(); got != 0 {
-		t.Fatalf("confirmed release resurfaced: DelayedCount = %d, want 0", got)
+	if got := r2.occupancy(nil).delayed; got != 0 {
+		t.Fatalf("confirmed release resurfaced: hidden delayed = %d, want 0", got)
 	}
 }
 
@@ -498,8 +498,8 @@ func TestReleaseInFlightSurvivesSnapshot(t *testing.T) {
 			if len(held) != 1 {
 				t.Fatalf("%d deliveries started, want 1", len(held))
 			}
-			if got := s.DelayedCount(); got != 1 {
-				t.Fatalf("DelayedCount with the release in flight = %d, want 1", got)
+			if got := s.occupancy(nil).delayed; got != 1 {
+				t.Fatalf("hidden delayed with the release in flight = %d, want 1", got)
 			}
 			if err := s.snapshot(); err != nil {
 				t.Fatal(err)
@@ -515,16 +515,16 @@ func TestReleaseInFlightSurvivesSnapshot(t *testing.T) {
 				done(true)
 			}))
 			defer r.Close()
-			if got := r.DelayedCount(); got != 1 {
-				t.Fatalf("after reopen DelayedCount = %d, want 1: the snapshot dropped the value in flight", got)
+			if got := r.occupancy(nil).delayed; got != 1 {
+				t.Fatalf("after reopen hidden delayed = %d, want 1: the snapshot dropped the value in flight", got)
 			}
 			mustPut(t, r, trig, "go once more")
 			mustPut(t, r, trig, "and again")
 			if len(delivered) != 1 || delivered[0] != heldTok {
 				t.Fatalf("deliveries after reopen %v, want one under the original token %d", delivered, heldTok)
 			}
-			if got := r.DelayedCount(); got != 0 {
-				t.Fatalf("DelayedCount after the confirmed delivery = %d, want 0", got)
+			if got := r.occupancy(nil).delayed; got != 0 {
+				t.Fatalf("hidden delayed after the confirmed delivery = %d, want 0", got)
 			}
 		})
 	}
@@ -549,7 +549,7 @@ func TestReleaseWaitsForTriggerCommit(t *testing.T) {
 	}
 	r := openStore(t, dir, durable.Config{})
 	defer r.Close()
-	if m, d := r.MemoCount(), r.DelayedCount(); m != 1 || d != 1 {
+	if m, d := r.occupancy(nil).memos, r.occupancy(nil).delayed; m != 1 || d != 1 {
 		t.Fatalf("after a crash at the delivery: %d memos, %d hidden; want the trigger and the unconfirmed release", m, d)
 	}
 }
@@ -648,10 +648,10 @@ func TestReleaseTokenDedupAtDestination(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustPut(t, s, trig, "go")
-	if got := s.MemoCount(); got != 2 { // trigger memo + released value
-		t.Fatalf("MemoCount = %d, want 2", got)
+	if got := s.occupancy(nil).memos; got != 2 { // trigger memo + released value
+		t.Fatalf("memos = %d, want 2", got)
 	}
-	if got := s.Stats().DupPuts; got != 0 {
+	if got := s.dupPuts.Load(); got != 0 {
 		t.Fatalf("DupPuts = %d before any retry", got)
 	}
 	if err := s.Close(); err != nil {
@@ -671,8 +671,8 @@ func TestGetSkipSurfacesDeadLog(t *testing.T) {
 	if _, ok, err := s.GetSkip(k); ok || err == nil {
 		t.Fatalf("GetSkip on dead log: ok=%v err=%v, want rolled-back take with an error", ok, err)
 	}
-	if got := s.MemoCount(); got != 1 {
-		t.Fatalf("take not rolled back: MemoCount = %d", got)
+	if got := s.occupancy(nil).memos; got != 1 {
+		t.Fatalf("take not rolled back: memos = %d", got)
 	}
 	if _, _, _, err := s.AltSkip([]symbol.Key{k}); err == nil {
 		t.Fatal("AltSkip on dead log returned no error")

@@ -211,13 +211,7 @@ func matrixPut(t *testing.T, srv *Server, m *modelStore, k symbol.Key, v string)
 	m.put(k, v)
 }
 
-func waiters(s *Store) int {
-	n := 0
-	for i := 0; i < s.ShardCount(); i++ {
-		n += s.ShardStats(i).Waiters
-	}
-	return n
-}
+func waiters(s *Store) int { return s.occupancy(nil).waiters }
 
 // awaitWaiters blocks until the store holds exactly n waiter registrations.
 func awaitWaiters(t *testing.T, s *Store, n int) {
@@ -248,7 +242,7 @@ func checkRead(t *testing.T, c cell, srv *Server, m *modelStore, keys []symbol.K
 	case c.mode == modePeek && (m.count(r.key) == 0 || len(r.val) != 0):
 		t.Fatalf("peek reported %v (payload %q); model holds %d there", r.key, r.val, m.count(r.key))
 	}
-	if got := srv.store.MemoCount(); got != m.total() {
+	if got := srv.store.occupancy(nil).memos; got != m.total() {
 		t.Fatalf("store holds %d memos, model %d", got, m.total())
 	}
 }
@@ -302,15 +296,15 @@ func TestReadMatrix(t *testing.T) {
 					if again.err != nil || !again.key.Equal(r.key) || string(again.val) != string(r.val) {
 						t.Fatalf("retry = %v %q %v, want the original's %v %q", again.key, again.val, again.err, r.key, r.val)
 					}
-					if st := srv.store.Stats(); st.DupTakes != 1 || st.Takes != 1 || srv.store.MemoCount() != m.total() {
-						t.Fatalf("retry consumed again: %+v, %d memos, model %d", st, srv.store.MemoCount(), m.total())
+					if dups, takes, memos := srv.store.dupTakes.Load(), srv.store.takes.Load(), srv.store.occupancy(nil).memos; dups != 1 || takes != 1 || memos != m.total() {
+						t.Fatalf("retry consumed again: %d dedups, %d takes, %d memos, model %d", dups, takes, memos, m.total())
 					}
 					return
 				}
 				checkRead(t, c, srv, m, keys, again)
-				if srv.store.Tokens() != 0 || srv.store.Stats().DupTakes != 0 {
-					t.Fatalf("untokened or non-destructive read touched the token table: %d tokens, %+v",
-						srv.store.Tokens(), srv.store.Stats())
+				if liveTokens(srv.store) != 0 || srv.store.dupTakes.Load() != 0 {
+					t.Fatalf("untokened or non-destructive read touched the token table: %d tokens, %d dedups",
+						liveTokens(srv.store), srv.store.dupTakes.Load())
 				}
 			})
 
@@ -320,7 +314,7 @@ func TestReadMatrix(t *testing.T) {
 					if r := run(srv, keys, nil); r.ok || r.err != nil {
 						t.Fatalf("read of empty folders: ok=%t err=%v", r.ok, r.err)
 					}
-					if got := srv.store.FolderCount(); got != 1 {
+					if got := srv.store.occupancy(nil).folders; got != 1 {
 						t.Fatalf("a miss left folders behind: %d, want the decoy's 1", got)
 					}
 					matrixPut(t, srv, m, keys[0], "late")
@@ -330,8 +324,8 @@ func TestReadMatrix(t *testing.T) {
 						if r := run(srv, keys, nil); r.ok || r.err != nil {
 							t.Fatalf("retry %d of a missed skip: ok=%t err=%v", n, r.ok, r.err)
 						}
-						if st := srv.store.Stats(); st.DupTakes != n || srv.store.MemoCount() != m.total() {
-							t.Fatalf("retry %d: %+v, %d memos, model %d", n, st, srv.store.MemoCount(), m.total())
+						if dups, memos := srv.store.dupTakes.Load(), srv.store.occupancy(nil).memos; dups != n || memos != m.total() {
+							t.Fatalf("retry %d: %d dedups, %d memos, model %d", n, dups, memos, m.total())
 						}
 					}
 				})
@@ -363,14 +357,14 @@ func TestReadMatrix(t *testing.T) {
 					if again := <-got; again.err != nil || !again.key.Equal(r.key) || string(again.val) != string(r.val) {
 						t.Fatalf("racing retry = %v %q %v, want the original's %v %q", again.key, again.val, again.err, r.key, r.val)
 					}
-					if st := srv.store.Stats(); st.DupTakes != 1 || st.Takes != 1 || srv.store.MemoCount() != m.total() {
-						t.Fatalf("racing retry consumed again: %+v, %d memos, model %d", st, srv.store.MemoCount(), m.total())
+					if dups, takes, memos := srv.store.dupTakes.Load(), srv.store.takes.Load(), srv.store.occupancy(nil).memos; dups != 1 || takes != 1 || memos != m.total() {
+						t.Fatalf("racing retry consumed again: %d dedups, %d takes, %d memos, model %d", dups, takes, memos, m.total())
 					}
 				}
 				if n := waiters(srv.store); n != 0 {
 					t.Fatalf("%d waiter registrations left after the wake", n)
 				}
-				if got, want := srv.store.FolderCount(), len(m.items); got != want {
+				if got, want := srv.store.occupancy(nil).folders, len(m.items); got != want {
 					t.Fatalf("%d folders after the wake, model has %d", got, want)
 				}
 			})
@@ -387,11 +381,11 @@ func TestReadMatrix(t *testing.T) {
 				}
 				// Only the decoy's folder survives: every registration, on
 				// every shard, is gone and its folder with it.
-				if w, f := waiters(srv.store), srv.store.FolderCount(); w != 0 || f != 1 {
+				if w, f := waiters(srv.store), srv.store.occupancy(nil).folders; w != 0 || f != 1 {
 					t.Fatalf("after cancel: %d waiter registrations, %d folders (want 0, 1)", w, f)
 				}
-				if srv.store.Tokens() != 0 {
-					t.Fatalf("canceled read kept its token claim (%d live)", srv.store.Tokens())
+				if liveTokens(srv.store) != 0 {
+					t.Fatalf("canceled read kept its token claim (%d live)", liveTokens(srv.store))
 				}
 				// The abandoned token re-executes rather than replaying a
 				// non-answer.

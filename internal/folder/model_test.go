@@ -137,8 +137,8 @@ func TestQuickStoreMatchesModel(t *testing.T) {
 					return false
 				}
 			}
-			if s.MemoCount() != m.total() {
-				t.Logf("memo counts diverge: store %d model %d", s.MemoCount(), m.total())
+			if s.occupancy(nil).memos != m.total() {
+				t.Logf("memo counts diverge: store %d model %d", s.occupancy(nil).memos, m.total())
 				return false
 			}
 		}
@@ -158,7 +158,7 @@ func TestQuickStoreMatchesModel(t *testing.T) {
 				return false
 			}
 		}
-		return s.DelayedCount() == len(flatten(m.delayed))
+		return s.occupancy(nil).delayed == len(flatten(m.delayed))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

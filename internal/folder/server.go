@@ -52,7 +52,7 @@ func OpenServer(id int, host, dir string, dcfg durable.Config, _ threadcache.Con
 	return s, nil
 }
 
-// Store exposes the underlying directory (for stats and direct tests).
+// Store exposes the underlying directory (for crashes and direct tests).
 func (s *Server) Store() *Store { return s.store }
 
 // Close flushes and closes the write-ahead log of a server that owns its
@@ -158,35 +158,32 @@ func (s *Server) handle(q *wire.Request, cancel <-chan struct{}, traced bool) (r
 func (s *Server) Collect(e *obs.Emitter) {
 	id := strconv.Itoa(s.ID)
 	labels := map[string]string{"folder_server": id}
-	st := s.store.Stats()
-	e.Counter("folder_puts_total", "puts applied", labels, st.Puts)
-	e.Counter("folder_takes_total", "memos taken (get/alt_take/alt_skip)", labels, st.Takes)
-	e.Counter("folder_copies_total", "non-consuming reads (get_copy)", labels, st.Copies)
-	e.Counter("folder_delayed_total", "put_delayed values hidden", labels, st.DelayedIn)
-	e.Counter("folder_released_total", "delayed values released by triggers", labels, st.Released)
-	e.Counter("folder_dup_puts_total", "tokened puts deduplicated (acknowledged without applying)", labels, st.DupPuts)
-	e.Counter("folder_dup_takes_total", "tokened takes answered from the consumed-take cache", labels, st.DupTakes)
-	e.Counter("folder_alt_scans_total", "shard-group visits by multi-folder scans", labels, st.AltScans)
+	store := s.store
+	e.Counter("folder_puts_total", "puts applied", labels, store.puts.Load())
+	e.Counter("folder_takes_total", "memos taken (get/alt_take/alt_skip)", labels, store.takes.Load())
+	e.Counter("folder_copies_total", "non-consuming reads (get_copy)", labels, store.copies.Load())
+	e.Counter("folder_delayed_total", "put_delayed values hidden", labels, store.delayedIn.Load())
+	e.Counter("folder_released_total", "delayed values released by triggers", labels, store.released.Load())
+	e.Counter("folder_dup_puts_total", "tokened puts deduplicated (acknowledged without applying)", labels, store.dupPuts.Load())
+	e.Counter("folder_dup_takes_total", "tokened takes answered from the consumed-take cache", labels, store.dupTakes.Load())
+	e.Counter("folder_alt_scans_total", "shard-group visits by multi-folder scans", labels, store.altScans.Load())
 
-	ts := s.store.TokenStats()
-	e.Gauge("folder_tokens", "live dedup facts (applied put tokens and take results)", labels, int64(ts.Tokens))
-	e.Counter("folder_token_evictions_total", "live dedup tokens forgotten by age", labels, ts.Evictions)
-	e.Gauge("folder_take_cache_bytes", "payload bytes held by cached take results", labels, ts.CacheBytes)
-	e.Gauge("folder_claims_inflight", "tokened takes executing (parked gets included)", labels, int64(ts.Claims))
+	t := &store.tokens
+	t.mu.Lock()
+	tokens, claims, evictions, cacheBytes := len(t.index), len(t.claims), t.evictions, t.cacheBytes
+	t.mu.Unlock()
+	e.Gauge("folder_tokens", "live dedup facts (applied put tokens and take results)", labels, int64(tokens))
+	e.Counter("folder_token_evictions_total", "live dedup tokens forgotten by age", labels, evictions)
+	e.Gauge("folder_take_cache_bytes", "payload bytes held by cached take results", labels, cacheBytes)
+	e.Gauge("folder_claims_inflight", "tokened takes executing (parked gets included)", labels, int64(claims))
 
-	var folders, memos, delayed, waiters int
-	for i := 0; i < s.store.ShardCount(); i++ {
-		sh := s.store.ShardStats(i)
-		folders += sh.Folders
-		memos += sh.Memos
-		delayed += sh.Delayed
-		waiters += sh.Waiters
+	o := store.occupancy(func(i int, o occupancy) {
 		shLabels := map[string]string{"folder_server": id, "shard": strconv.Itoa(i)}
-		e.Gauge("folder_shard_memos", "visible memos per stripe", shLabels, int64(sh.Memos))
-		e.Gauge("folder_shard_waiters", "waiter registrations per stripe", shLabels, int64(sh.Waiters))
-	}
-	e.Gauge("folder_folders", "live folders", labels, int64(folders))
-	e.Gauge("folder_memos", "visible memos", labels, int64(memos))
-	e.Gauge("folder_delayed_hidden", "hidden put_delayed values, releases in flight included", labels, int64(delayed))
-	e.Gauge("folder_waiters", "waiter registrations (blocked scans park several)", labels, int64(waiters))
+		e.Gauge("folder_shard_memos", "visible memos per stripe", shLabels, int64(o.memos))
+		e.Gauge("folder_shard_waiters", "waiter registrations per stripe", shLabels, int64(o.waiters))
+	})
+	e.Gauge("folder_folders", "live folders", labels, int64(o.folders))
+	e.Gauge("folder_memos", "visible memos", labels, int64(o.memos))
+	e.Gauge("folder_delayed_hidden", "hidden put_delayed values, releases in flight included", labels, int64(o.delayed))
+	e.Gauge("folder_waiters", "waiter registrations (blocked scans park several)", labels, int64(o.waiters))
 }

@@ -24,12 +24,12 @@ func TestWithShardsRounding(t *testing.T) {
 		{MaxShards + 1, MaxShards}, {int(^uint(0) >> 1), MaxShards},
 	} {
 		s := NewStore(WithShards(tc.in))
-		if got := s.ShardCount(); got != tc.want {
-			t.Errorf("WithShards(%d): ShardCount = %d, want %d", tc.in, got, tc.want)
+		if got := len(s.shards); got != tc.want {
+			t.Errorf("WithShards(%d): shards = %d, want %d", tc.in, got, tc.want)
 		}
 	}
-	if got := NewStore().ShardCount(); got != DefaultShards {
-		t.Errorf("default ShardCount = %d, want %d", got, DefaultShards)
+	if got := len(NewStore().shards); got != DefaultShards {
+		t.Errorf("default shards = %d, want %d", got, DefaultShards)
 	}
 }
 
@@ -80,8 +80,8 @@ func TestAltSkipEmptyKeySet(t *testing.T) {
 // crossShardKeys returns n keys guaranteed to live on n distinct shards.
 func crossShardKeys(t *testing.T, s *Store, n int) []symbol.Key {
 	t.Helper()
-	if s.ShardCount() < n {
-		t.Fatalf("store has %d shards, need %d", s.ShardCount(), n)
+	if len(s.shards) < n {
+		t.Fatalf("store has %d shards, need %d", len(s.shards), n)
 	}
 	keys := make([]symbol.Key, 0, n)
 	seen := make(map[uint64]bool)
@@ -113,8 +113,8 @@ func TestAltTakeAcrossShards(t *testing.T) {
 			t.Fatalf("AltTake = %v %v, want %v %d", got, v, k, i)
 		}
 	}
-	if s.FolderCount() != 0 {
-		t.Fatalf("folders leaked: %d", s.FolderCount())
+	if s.occupancy(nil).folders != 0 {
+		t.Fatalf("folders leaked: %d", s.occupancy(nil).folders)
 	}
 }
 
@@ -146,7 +146,7 @@ func TestAltTakeBlocksAcrossShardsThenWakes(t *testing.T) {
 			t.Fatalf("AltTake never woke for shard of key %d", target)
 		}
 	}
-	if n := s.FolderCount(); n != 0 {
+	if n := s.occupancy(nil).folders; n != 0 {
 		t.Fatalf("waiter registration leaked %d folders", n)
 	}
 }
@@ -171,8 +171,8 @@ func TestWatchAcrossShards(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Watch never fired across shards")
 	}
-	if s.MemoCount() != 1 {
-		t.Fatalf("Watch consumed the memo: count=%d", s.MemoCount())
+	if s.occupancy(nil).memos != 1 {
+		t.Fatalf("Watch consumed the memo: count=%d", s.occupancy(nil).memos)
 	}
 }
 
@@ -196,9 +196,9 @@ func TestAltTakeCancelAcrossShardsCleansWaiters(t *testing.T) {
 		t.Fatal("cancel ignored")
 	}
 	deadline := time.Now().Add(time.Second)
-	for s.FolderCount() != 0 {
+	for s.occupancy(nil).folders != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("canceled cross-shard waiter leaked folders (count=%d)", s.FolderCount())
+			t.Fatalf("canceled cross-shard waiter leaked folders (count=%d)", s.occupancy(nil).folders)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -225,8 +225,8 @@ func TestSingleShardStoreStillWorks(t *testing.T) {
 			t.Fatalf("missing %q in %v", want, got)
 		}
 	}
-	if s.MemoCount() != 0 || s.FolderCount() != 0 {
-		t.Fatalf("residue: memos=%d folders=%d", s.MemoCount(), s.FolderCount())
+	if s.occupancy(nil).memos != 0 || s.occupancy(nil).folders != 0 {
+		t.Fatalf("residue: memos=%d folders=%d", s.occupancy(nil).memos, s.occupancy(nil).folders)
 	}
 }
 
@@ -345,24 +345,23 @@ func TestStoreStressCrossShard(t *testing.T) {
 	if got := consumed.Load(); got != total {
 		t.Fatalf("consumed %d memos, produced %d", got, total)
 	}
-	st := s.Stats()
-	if st.Puts != total {
-		t.Errorf("Stats.Puts = %d, want %d (every id delivered by exactly one Put)", st.Puts, total)
+	if puts := s.puts.Load(); puts != total {
+		t.Errorf("puts = %d, want %d (every id delivered by exactly one Put)", puts, total)
 	}
-	if st.Takes != total {
-		t.Errorf("Stats.Takes = %d, want %d", st.Takes, total)
+	if takes := s.takes.Load(); takes != total {
+		t.Errorf("takes = %d, want %d", takes, total)
 	}
-	if st.DelayedIn != st.Released {
-		t.Errorf("DelayedIn = %d, Released = %d: hidden values stranded", st.DelayedIn, st.Released)
+	if in, out := s.delayedIn.Load(), s.released.Load(); in != out {
+		t.Errorf("delayed in = %d, released = %d: hidden values stranded", in, out)
 	}
-	if n := s.MemoCount(); n != 0 {
-		t.Errorf("MemoCount = %d after drain", n)
+	if n := s.occupancy(nil).memos; n != 0 {
+		t.Errorf("memos = %d after drain", n)
 	}
-	if n := s.DelayedCount(); n != 0 {
-		t.Errorf("DelayedCount = %d after drain", n)
+	if n := s.occupancy(nil).delayed; n != 0 {
+		t.Errorf("hidden delayed = %d after drain", n)
 	}
-	if n := s.FolderCount(); n != 0 {
-		t.Errorf("FolderCount = %d after all workers joined", n)
+	if n := s.occupancy(nil).folders; n != 0 {
+		t.Errorf("folders = %d after all workers joined", n)
 	}
 }
 

@@ -94,11 +94,10 @@ type Store struct {
 	// additionally restores it from the log.
 	tokens tokenTable
 
-	// Operation counters (obs.Counter so the same instances back both
-	// Stats snapshots and the registry's folder_* series — one source of
-	// truth, no double bookkeeping). altScans counts shard-group visits by
-	// the multi-folder scans (AltTake/AltSkip/Watch): scans per satisfied
-	// take is the §6.1.2 get_alt selection cost.
+	// Operation counters, rendered as the folder_* series by
+	// Server.Collect. altScans counts shard-group visits by the
+	// multi-folder scans (AltTake/AltSkip/Watch): scans per satisfied take
+	// is the §6.1.2 get_alt selection cost.
 	puts      obs.Counter
 	takes     obs.Counter
 	copies    obs.Counter
@@ -499,7 +498,10 @@ func (s *Store) deposit(key symbol.Key, dest *symbol.Key, payload []byte, token 
 	for _, d := range released {
 		s.released.Inc()
 		if s.forward != nil {
-			s.forward(d.dest, d.val, d.rel, func(delivered bool) { s.releaseEnded(key, d.rel, delivered) })
+			// done may run after the request's buffers, key's among them,
+			// are reused.
+			trigger := key.Clone()
+			s.forward(d.dest, d.val, d.rel, func(delivered bool) { s.releaseEnded(trigger, d.rel, delivered) })
 		} else {
 			s.releaseEnded(key, d.rel, s.deposit(d.dest, nil, d.val, d.rel, nil) == nil)
 		}
@@ -990,105 +992,40 @@ func (s *Store) Watch(keys []symbol.Key, cancel <-chan struct{}) (symbol.Key, er
 	return k, err
 }
 
-// ShardCount reports the number of stripes (for diagnostics and tests).
-func (s *Store) ShardCount() int { return len(s.shards) }
+// occupancy is what one walk of the stripes counts, each under its lock.
+type occupancy struct {
+	// folders counts live (non-vanished) folders, memos visible memos.
+	folders, memos int
+	// delayed counts hidden put_delayed values, releases in flight included.
+	delayed int
+	// waiters counts waiter registrations (one blocked multi-folder scan
+	// may register on several folders).
+	waiters int
+}
 
-// MemoCount reports the number of visible memos across all folders.
-func (s *Store) MemoCount() int {
-	n := 0
+// occupancy walks every stripe under its lock, handing each stripe's counts
+// to shard (if non-nil), and returns the totals: the folder_* occupancy
+// gauges, and what the tests read of the directory.
+func (s *Store) occupancy(shard func(i int, o occupancy)) occupancy {
+	var total occupancy
 	for i := range s.shards {
 		sh := &s.shards[i]
+		var o occupancy
 		sh.mu.Lock()
+		o.folders = len(sh.folders)
 		for _, f := range sh.folders {
-			n += len(f.items)
+			o.memos += len(f.items)
+			o.delayed += len(f.delayed)
+			o.waiters += len(f.waiters)
 		}
 		sh.mu.Unlock()
-	}
-	return n
-}
-
-// FolderCount reports the number of existing (non-vanished) folders.
-func (s *Store) FolderCount() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.folders)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// DelayedCount reports hidden values: those awaiting a trigger and those
-// released but still in flight to their destination.
-func (s *Store) DelayedCount() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, f := range sh.folders {
-			n += len(f.delayed)
+		if shard != nil {
+			shard(i, o)
 		}
-		sh.mu.Unlock()
+		total.folders += o.folders
+		total.memos += o.memos
+		total.delayed += o.delayed
+		total.waiters += o.waiters
 	}
-	return n
-}
-
-// Stats is a snapshot of operation counters.
-type Stats struct {
-	Puts, Takes, Copies, DelayedIn, Released int64
-	// DupPuts counts tokened puts acknowledged without applying — retries
-	// of an already-applied put, deduplicated by their token.
-	DupPuts int64
-	// DupTakes counts tokened destructive reads answered from a token's
-	// cached result instead of consuming again — retries of a
-	// maybe-executed get/get_skip/alt_take.
-	DupTakes int64
-	// AltScans counts shard-group visits by the multi-folder scans
-	// (AltTake, AltSkip, Watch); scans per take is the get_alt selection
-	// cost.
-	AltScans int64
-}
-
-// Stats snapshots the counters.
-func (s *Store) Stats() Stats {
-	return Stats{
-		Puts:      s.puts.Load(),
-		Takes:     s.takes.Load(),
-		Copies:    s.copies.Load(),
-		DelayedIn: s.delayedIn.Load(),
-		Released:  s.released.Load(),
-		DupPuts:   s.dupPuts.Load(),
-		DupTakes:  s.dupTakes.Load(),
-		AltScans:  s.altScans.Load(),
-	}
-}
-
-// ShardStats is a snapshot of one stripe's occupancy.
-type ShardStats struct {
-	// Folders is the stripe's live (non-vanished) folder count.
-	Folders int
-	// Memos is the stripe's visible memo count.
-	Memos int
-	// Delayed is the stripe's hidden put_delayed value count, releases in
-	// flight included.
-	Delayed int
-	// Waiters is the number of waiter registrations parked on the stripe's
-	// folders (one blocked multi-folder scan may register on several).
-	Waiters int
-}
-
-// ShardStats snapshots stripe i's occupancy under its lock.
-func (s *Store) ShardStats(i int) ShardStats {
-	sh := &s.shards[i]
-	var st ShardStats
-	sh.mu.Lock()
-	st.Folders = len(sh.folders)
-	for _, f := range sh.folders {
-		st.Memos += len(f.items)
-		st.Delayed += len(f.delayed)
-		st.Waiters += len(f.waiters)
-	}
-	sh.mu.Unlock()
-	return st
+	return total
 }

@@ -30,16 +30,16 @@ func TestPutGetSingle(t *testing.T) {
 func TestFolderCreatedOnDemandAndVanishes(t *testing.T) {
 	s := NewStore()
 	k := symbol.K(1)
-	if s.FolderCount() != 0 {
+	if s.occupancy(nil).folders != 0 {
 		t.Fatal("folders exist before use")
 	}
 	s.Put(k, []byte("x"))
-	if s.FolderCount() != 1 {
-		t.Fatalf("FolderCount = %d", s.FolderCount())
+	if s.occupancy(nil).folders != 1 {
+		t.Fatalf("folders = %d", s.occupancy(nil).folders)
 	}
 	s.Get(k, never)
-	if s.FolderCount() != 0 {
-		t.Fatalf("folder did not vanish after last memo removed: %d", s.FolderCount())
+	if s.occupancy(nil).folders != 0 {
+		t.Fatalf("folder did not vanish after last memo removed: %d", s.occupancy(nil).folders)
 	}
 }
 
@@ -89,9 +89,9 @@ func TestGetCancel(t *testing.T) {
 	}
 	// The canceled waiter must not leak a folder.
 	deadline := time.Now().Add(time.Second)
-	for s.FolderCount() != 0 {
+	for s.occupancy(nil).folders != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("canceled waiter leaked folder (count=%d)", s.FolderCount())
+			t.Fatalf("canceled waiter leaked folder (count=%d)", s.occupancy(nil).folders)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -109,8 +109,8 @@ func TestGetCopyDoesNotConsume(t *testing.T) {
 	if err != nil || string(b) != "keep" {
 		t.Fatalf("copy 2: %q %v", b, err)
 	}
-	if s.MemoCount() != 1 {
-		t.Fatalf("MemoCount = %d", s.MemoCount())
+	if s.occupancy(nil).memos != 1 {
+		t.Fatalf("memos = %d", s.occupancy(nil).memos)
 	}
 	// The original is still gettable.
 	if v, err := s.Get(k, never); err != nil || string(v) != "keep" {
@@ -136,7 +136,7 @@ func TestGetSkip(t *testing.T) {
 	if _, ok, _ := s.GetSkip(k); ok {
 		t.Fatal("GetSkip found a memo in an empty folder")
 	}
-	if s.FolderCount() != 0 {
+	if s.occupancy(nil).folders != 0 {
 		t.Fatal("GetSkip on missing folder created it")
 	}
 	s.Put(k, []byte("x"))
@@ -189,8 +189,8 @@ func TestPutDelayedHiddenUntilTrigger(t *testing.T) {
 	s := NewStore()
 	trigger, dest := symbol.K(7), symbol.K(8)
 	s.PutDelayed(trigger, dest, []byte("payload"))
-	if s.DelayedCount() != 1 {
-		t.Fatalf("DelayedCount = %d", s.DelayedCount())
+	if s.occupancy(nil).delayed != 1 {
+		t.Fatalf("hidden delayed = %d", s.occupancy(nil).delayed)
 	}
 	// Hidden: not gettable from trigger or dest.
 	if _, ok, _ := s.GetSkip(trigger); ok {
@@ -210,8 +210,8 @@ func TestPutDelayedHiddenUntilTrigger(t *testing.T) {
 	if !ok || string(tv) != "the trigger" {
 		t.Fatalf("trigger memo = %q,%v", tv, ok)
 	}
-	if s.DelayedCount() != 0 {
-		t.Fatalf("DelayedCount after release = %d", s.DelayedCount())
+	if s.occupancy(nil).delayed != 0 {
+		t.Fatalf("hidden delayed after release = %d", s.occupancy(nil).delayed)
 	}
 }
 
@@ -266,6 +266,25 @@ func TestPutDelayedForwardHook(t *testing.T) {
 	}
 	if len(tokens) != 1 || tokens[0] == 0 {
 		t.Fatalf("release token = %v, want one non-zero token", tokens)
+	}
+}
+
+// TestReleaseDoneOutlivesTriggerKey: a forwarded release ends after the
+// triggering put has returned, when the caller (the wire decoder, in a
+// server) may have reused the trigger key's storage; done must still settle
+// the entry in the trigger's folder.
+func TestReleaseDoneOutlivesTriggerKey(t *testing.T) {
+	var done func(bool)
+	s := NewStore(WithForward(func(_ symbol.Key, _ []byte, _ uint64, d func(bool)) { done = d }))
+	trigger := symbol.K(1, 2)
+	if err := s.PutDelayed(trigger, symbol.K(3), []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, s, trigger, "go")
+	trigger.X[0] = 9 // the caller's buffer, reused
+	done(true)
+	if n := s.occupancy(nil).delayed; n != 0 {
+		t.Fatalf("%d hidden values after the delivered release, want 0", n)
 	}
 }
 
@@ -353,8 +372,8 @@ func TestAltTakeEventuallyDrainsAllFolders(t *testing.T) {
 	if len(seen) != 3 {
 		t.Fatalf("AltTake drained %d distinct folders, want 3", len(seen))
 	}
-	if s.MemoCount() != 0 {
-		t.Fatalf("memos left: %d", s.MemoCount())
+	if s.occupancy(nil).memos != 0 {
+		t.Fatalf("memos left: %d", s.occupancy(nil).memos)
 	}
 }
 
@@ -391,8 +410,8 @@ func TestWatchDoesNotConsume(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Watch never fired")
 	}
-	if s.MemoCount() != 1 {
-		t.Fatalf("Watch consumed the memo: count=%d", s.MemoCount())
+	if s.occupancy(nil).memos != 1 {
+		t.Fatalf("Watch consumed the memo: count=%d", s.occupancy(nil).memos)
 	}
 }
 
@@ -477,7 +496,7 @@ func TestManyProducersManyConsumers(t *testing.T) {
 	}()
 	// Wait for all real memos to be consumed, then poison.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.MemoCount() > 0 || s.Stats().Puts < producers*perProducer {
+	for s.occupancy(nil).memos > 0 || s.puts.Load() < producers*perProducer {
 		if time.Now().After(deadline) {
 			t.Fatal("memos not drained")
 		}
@@ -520,10 +539,10 @@ func TestStatsCounters(t *testing.T) {
 	s.PutDelayed(symbol.K(54), symbol.K(55), []byte("d"))
 	s.Put(symbol.K(54), nil)
 	s.Get(symbol.K(55), never)
-	st := s.Stats()
 	// Puts: 2 explicit + 1 delayed release (released via local Put).
-	if st.Puts != 3 || st.Takes != 2 || st.Copies != 1 || st.DelayedIn != 1 || st.Released != 1 {
-		t.Fatalf("stats = %+v", st)
+	puts, takes, copies, in, out := s.puts.Load(), s.takes.Load(), s.copies.Load(), s.delayedIn.Load(), s.released.Load()
+	if puts != 3 || takes != 2 || copies != 1 || in != 1 || out != 1 {
+		t.Fatalf("puts %d takes %d copies %d delayed %d released %d", puts, takes, copies, in, out)
 	}
 }
 

@@ -30,12 +30,11 @@ func TestGetTokenDedup(t *testing.T) {
 	if string(retry) != string(first) {
 		t.Fatalf("retry payload %q, want the original's %q", retry, first)
 	}
-	if got := s.MemoCount(); got != 1 {
-		t.Fatalf("MemoCount = %d, want 1 (retry consumed a second memo)", got)
+	if got := s.occupancy(nil).memos; got != 1 {
+		t.Fatalf("memos = %d, want 1 (retry consumed a second memo)", got)
 	}
-	st := s.Stats()
-	if st.Takes != 1 || st.DupTakes != 1 {
-		t.Fatalf("stats = %+v, want Takes 1 DupTakes 1", st)
+	if takes, dups := s.takes.Load(), s.dupTakes.Load(); takes != 1 || dups != 1 {
+		t.Fatalf("%d takes, %d dedups, want 1 and 1", takes, dups)
 	}
 	// The cached copy is private: scribbling on a returned payload must not
 	// poison later retries.
@@ -91,8 +90,8 @@ func TestAltTakeTokenDedup(t *testing.T) {
 	if !k2.Equal(k1) || string(v2) != string(v1) {
 		t.Fatalf("retry = (%v, %q), want the original's (%v, %q)", k2, v2, k1, v1)
 	}
-	if got := s.MemoCount(); got != 1 {
-		t.Fatalf("MemoCount = %d, want 1", got)
+	if got := s.occupancy(nil).memos; got != 1 {
+		t.Fatalf("memos = %d, want 1", got)
 	}
 }
 
@@ -138,11 +137,11 @@ func TestGetTokenConcurrentRetry(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("%d callers returned, want both", n)
 	}
-	if got := s.MemoCount(); got != 0 {
-		t.Fatalf("MemoCount = %d, want 0", got)
+	if got := s.occupancy(nil).memos; got != 0 {
+		t.Fatalf("memos = %d, want 0", got)
 	}
-	if st := s.Stats(); st.Takes != 1 || st.DupTakes != 1 {
-		t.Fatalf("stats = %+v, want exactly one take + one dedup", st)
+	if takes, dups := s.takes.Load(), s.dupTakes.Load(); takes != 1 || dups != 1 {
+		t.Fatalf("%d takes, %d dedups, want exactly one take + one dedup", takes, dups)
 	}
 }
 
@@ -192,8 +191,8 @@ func TestTakeTokenCrashRecovery(t *testing.T) {
 
 	r := openStore(t, dir, durable.Config{})
 	defer r.Close()
-	if got := r.MemoCount(); got != 1 {
-		t.Fatalf("recovered MemoCount = %d, want 1", got)
+	if got := r.occupancy(nil).memos; got != 1 {
+		t.Fatalf("recovered memos = %d, want 1", got)
 	}
 	v, ok, err := r.GetSkipToken(k, tok)
 	if err != nil || !ok {
@@ -202,8 +201,8 @@ func TestTakeTokenCrashRecovery(t *testing.T) {
 	if string(v) != string(taken) {
 		t.Fatalf("post-crash retry payload %q, want %q", v, taken)
 	}
-	if got := r.MemoCount(); got != 1 {
-		t.Fatalf("post-crash retry consumed a memo: MemoCount = %d, want 1", got)
+	if got := r.occupancy(nil).memos; got != 1 {
+		t.Fatalf("post-crash retry consumed a memo: memos = %d, want 1", got)
 	}
 }
 
@@ -246,16 +245,24 @@ func TestTakeTokenSurvivesSnapshot(t *testing.T) {
 	if _, ok, err := r.GetSkipToken(symbol.K(10), emptyTok); err != nil || ok {
 		t.Fatalf("post-snapshot empty-miss retry: ok=%v err=%v", ok, err)
 	}
-	if got := r.MemoCount(); got != 1 {
-		t.Fatalf("MemoCount = %d, want 1", got)
+	if got := r.occupancy(nil).memos; got != 1 {
+		t.Fatalf("memos = %d, want 1", got)
 	}
 }
 
-// waitParked returns once a read is parked on k's folder.
-func waitParked(t *testing.T, s *Store, k symbol.Key) {
+// liveTokens is the dedup table's live fact count (folder_tokens), read
+// under its lock.
+func liveTokens(s *Store) int {
+	s.tokens.mu.Lock()
+	defer s.tokens.mu.Unlock()
+	return len(s.tokens.index)
+}
+
+// waitParked returns once a read is parked in the store.
+func waitParked(t *testing.T, s *Store) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.ShardStats(int(s.shardIndex(k))).Waiters == 0 {
+	for s.occupancy(nil).waiters == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no read ever parked")
 		}
@@ -280,14 +287,17 @@ func TestParkedClaimOutlivesNewerTokens(t *testing.T) {
 		}
 		got <- string(v)
 	}()
-	waitParked(t, s, k)
+	waitParked(t, s)
 	for i := uint64(1); i <= 5; i++ { // cap + 1 newer tokens pass
 		if err := s.PutToken(busy, []byte("x"), i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := s.TokenStats(); st.Claims != 1 || st.Tokens != 4 || st.Evictions != 1 {
-		t.Fatalf("table with one parked claim and 5 puts through cap 4: %+v", st)
+	s.tokens.mu.Lock()
+	claims, tokens, evictions := len(s.tokens.claims), len(s.tokens.index), s.tokens.evictions
+	s.tokens.mu.Unlock()
+	if claims != 1 || tokens != 4 || evictions != 1 {
+		t.Fatalf("table with one parked claim and 5 puts through cap 4: %d claims, %d tokens, %d evictions", claims, tokens, evictions)
 	}
 	mustPut(t, s, k, "first")
 	if v := <-got; v != "first" {
@@ -302,8 +312,8 @@ func TestParkedClaimOutlivesNewerTokens(t *testing.T) {
 	if string(retry) != "first" {
 		t.Fatalf("retry under the parked get's token got %q, want its original's %q: it consumed a second memo", retry, "first")
 	}
-	if st := s.Stats(); st.Takes != 1 || st.DupTakes != 1 || s.MemoCount() != 6 {
-		t.Fatalf("stats %+v, %d memos; want one take, one dedup, 6 memos left", st, s.MemoCount())
+	if takes, dups, memos := s.takes.Load(), s.dupTakes.Load(), s.occupancy(nil).memos; takes != 1 || dups != 1 || memos != 6 {
+		t.Fatalf("%d takes, %d dedups, %d memos; want one take, one dedup, 6 memos left", takes, dups, memos)
 	}
 }
 
@@ -322,7 +332,7 @@ func TestReclaimedTokenKeepsItsWindow(t *testing.T) {
 		_, err := s.GetToken(k, tok, cancel)
 		done <- err
 	}()
-	waitParked(t, s, k)
+	waitParked(t, s)
 	close(cancel)
 	if err := <-done; err != wire.ErrCanceled {
 		t.Fatalf("canceled get: %v", err)
@@ -352,7 +362,7 @@ func TestReclaimedTokenKeepsItsWindow(t *testing.T) {
 	if err := s.PutToken(busy, []byte("x"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.DupPuts != 0 {
-		t.Fatalf("put token 1 should have been the one evicted: %+v", st)
+	if dups := s.dupPuts.Load(); dups != 0 {
+		t.Fatalf("put token 1 should have been the one evicted: %d dedups", dups)
 	}
 }

@@ -237,25 +237,3 @@ func (t *tokenTable) stream(emit func(chunk []tokSlot) error) error {
 	}
 	return nil
 }
-
-// TokenStats is a snapshot of the dedup table's occupancy.
-type TokenStats struct {
-	// Tokens is the number of live resolved facts (put tokens and take
-	// results); Claims the number of tokened takes still executing.
-	Tokens, Claims int
-	// Evictions counts live tokens forgotten by age since the store opened.
-	Evictions int64
-	// CacheBytes is the payload the ring's take results hold.
-	CacheBytes int64
-}
-
-// TokenStats snapshots the dedup table.
-func (s *Store) TokenStats() TokenStats {
-	t := &s.tokens
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return TokenStats{Tokens: len(t.index), Claims: len(t.claims), Evictions: t.evictions, CacheBytes: t.cacheBytes}
-}
-
-// Tokens reports the live dedup-token count (diagnostics and tests).
-func (s *Store) Tokens() int { return s.TokenStats().Tokens }

@@ -19,23 +19,13 @@ func (tn *testNet) local(op wire.Op, k symbol.Key, payload []byte) *wire.Request
 	return q
 }
 
-// localWaiters sums the waiter registrations of a folder server's store —
-// what the folder_waiters gauge reports.
-func localWaiters(fs *folder.Server) int {
-	n := 0
-	for i := 0; i < fs.Store().ShardCount(); i++ {
-		n += fs.Store().ShardStats(i).Waiters
-	}
-	return n
-}
-
 // awaitWaiters polls until fs has exactly want waiter registrations.
 func awaitWaiters(t *testing.T, fs *folder.Server, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for localWaiters(fs) != want {
+	for folderSeries(fs, "folder_waiters") != want {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d waiters parked, want %d", localWaiters(fs), want)
+			t.Fatalf("%d waiters parked, want %d", folderSeries(fs, "folder_waiters"), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -81,7 +71,7 @@ func TestParkedLocalGetHoldsOneGoroutine(t *testing.T) {
 			t.Errorf("get %d woke with %+v, want payload [%d]", i, resp, byte(i))
 		}
 	}
-	if w, m := localWaiters(fs), fs.Store().MemoCount(); w != 0 || m != 0 {
+	if w, m := folderSeries(fs, "folder_waiters"), folderSeries(fs, "folder_memos"); w != 0 || m != 0 {
 		t.Errorf("%d waiters and %d memos left, want none", w, m)
 	}
 }
@@ -109,7 +99,7 @@ func TestCanceledLocalGetLeavesNothingBehind(t *testing.T) {
 				resp := node.Dispatch(q, cancel)
 				// Read on this goroutine, before anything else can run: what
 				// Dispatch left behind at the moment it returned.
-				done <- outcome{resp, localWaiters(fs), fs.Store().FolderCount()}
+				done <- outcome{resp, folderSeries(fs, "folder_waiters"), folderSeries(fs, "folder_folders")}
 			}()
 			awaitWaiters(t, fs, 1)
 			close(cancel)

@@ -32,12 +32,11 @@ func TestDedupTokenForwardedTwiceAppliesOnce(t *testing.T) {
 	if !ok {
 		t.Fatal("no folder server 1 on b")
 	}
-	st := fs.Store().Stats()
-	if st.Puts != 1 || st.DupPuts != 1 {
-		t.Fatalf("store stats after duplicate tokened put: %+v", st)
+	if puts, dups := folderSeries(fs, "folder_puts_total"), folderSeries(fs, "folder_dup_puts_total"); puts != 1 || dups != 1 {
+		t.Fatalf("after duplicate tokened put: %d puts, %d dedups", puts, dups)
 	}
-	if got := fs.Store().MemoCount(); got != 1 {
-		t.Fatalf("MemoCount = %d, want 1", got)
+	if got := folderSeries(fs, "folder_memos"); got != 1 {
+		t.Fatalf("folder_memos = %d, want 1", got)
 	}
 }
 
@@ -65,8 +64,8 @@ func TestClientStampsTokensOnPuts(t *testing.T) {
 		t.Fatalf("re-put: %+v %v", resp, err)
 	}
 	fs, _ := tn.nodes["a"].LocalFolderServer(tn.file.App, 0)
-	if got := fs.Store().MemoCount(); got != 1 {
-		t.Fatalf("MemoCount = %d, want 1 (token dedup failed)", got)
+	if got := folderSeries(fs, "folder_memos"); got != 1 {
+		t.Fatalf("folder_memos = %d, want 1 (token dedup failed)", got)
 	}
 	// Destructive reads get tokens too: a re-sent get_skip (what a retry
 	// does) is answered from the consumed-take cache with the original's
@@ -86,9 +85,8 @@ func TestClientStampsTokensOnPuts(t *testing.T) {
 	if string(resp2.Payload) != "v" {
 		t.Fatalf("re-get_skip payload = %q, want the original's %q", resp2.Payload, "v")
 	}
-	st := fs.Store().Stats()
-	if st.Takes != 1 || st.DupTakes != 1 {
-		t.Fatalf("store stats after duplicate tokened take: %+v", st)
+	if takes, dups := folderSeries(fs, "folder_takes_total"), folderSeries(fs, "folder_dup_takes_total"); takes != 1 || dups != 1 {
+		t.Fatalf("after duplicate tokened take: %d takes, %d dedups", takes, dups)
 	}
 	// Non-destructive reads still never get tokens.
 	w := req(wire.OpGetCopy, 0, symbol.K(5), nil)

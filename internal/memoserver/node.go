@@ -154,8 +154,7 @@ type Node struct {
 	// sampled.
 	tracer *obs.Tracer
 
-	// Counters for experiments and the node_* metric series (the same
-	// obs.Counter instances back both Stats and the registry).
+	// Counters behind the node_* metric series (RegisterMetrics).
 	localOps   obs.Counter
 	forwards   obs.Counter
 	retried    obs.Counter
@@ -790,38 +789,13 @@ func (n *Node) forwardRelease(appName string, dest symbol.Key, payload []byte, r
 	go func() { done(n.Dispatch(q, never).Status == wire.StatusOK) }()
 }
 
-// CacheStats reports the node's thread-cache counters (experiment E1): each
-// accepted conn's read loop and every request that needs a thread run on
-// this cache; a forward the read loop relays takes none.
-func (n *Node) CacheStats() threadcache.Stats { return n.pool.Stats() }
-
-// Stats reports memo-server counters.
-type Stats struct {
-	LocalOps int64
-	Forwards int64
-	// Retried counts forwarded calls transparently re-issued after a link
-	// failure.
-	Retried    int64
-	Registered int64
-}
-
-// Stats snapshots counters.
-func (n *Node) Stats() Stats {
-	return Stats{
-		LocalOps:   n.localOps.Load(),
-		Forwards:   n.forwards.Load(),
-		Retried:    n.retried.Load(),
-		Registered: n.registered.Load(),
-	}
-}
-
 // RegisterMetrics attaches this node's series to reg: the node_* routing
-// counters (same obs.Counter instances Stats reads), the tracer's two
-// totals, plus a scrape-time collector that walks the node's folder servers
-// (their folder_* series), reads the thread cache's counters (the
-// threadcache_* series — CacheStats and IdleCount at scrape time) and
-// renders each peer link's health as the node_link_* series, one {peer}
-// sample each.
+// counters, the tracer's two totals, plus a scrape-time collector that walks
+// the node's folder servers (their folder_* series), reads the thread
+// cache's counters (the threadcache_* series: each accepted conn's read loop
+// and every request that needs a thread run on this cache; a forward the
+// read loop relays takes none) and renders each peer link's health as the
+// node_link_* series, one {peer} sample each.
 func (n *Node) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("node_local_ops_total", "requests resolved on this host", nil, &n.localOps)
 	reg.RegisterCounter("node_forwards_total", "requests forwarded to a peer memo server", nil, &n.forwards)

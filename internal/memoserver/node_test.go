@@ -154,9 +154,8 @@ func TestLocalPutGet(t *testing.T) {
 	if err != nil || resp.Status != wire.StatusOK || string(resp.Payload) != "v" {
 		t.Fatalf("get: %+v %v", resp, err)
 	}
-	st := tn.nodes["a"].Stats()
-	if st.LocalOps != 2 || st.Forwards != 0 {
-		t.Fatalf("stats = %+v", st)
+	if local, fwd := tn.nodes["a"].localOps.Load(), tn.nodes["a"].forwards.Load(); local != 2 || fwd != 0 {
+		t.Fatalf("%d local ops, %d forwards", local, fwd)
 	}
 }
 
@@ -172,11 +171,11 @@ func TestRemotePutGetForwards(t *testing.T) {
 	if err != nil || string(resp.Payload) != "remote" {
 		t.Fatalf("get: %+v %v", resp, err)
 	}
-	if tn.nodes["a"].Stats().Forwards != 2 {
-		t.Fatalf("a forwards = %d want 2", tn.nodes["a"].Stats().Forwards)
+	if tn.nodes["a"].forwards.Load() != 2 {
+		t.Fatalf("a forwards = %d want 2", tn.nodes["a"].forwards.Load())
 	}
-	if tn.nodes["b"].Stats().LocalOps != 2 {
-		t.Fatalf("b localOps = %d want 2", tn.nodes["b"].Stats().LocalOps)
+	if tn.nodes["b"].localOps.Load() != 2 {
+		t.Fatalf("b localOps = %d want 2", tn.nodes["b"].localOps.Load())
 	}
 }
 
@@ -193,7 +192,7 @@ func TestMultiHopForwarding(t *testing.T) {
 	}
 	// Every intermediate hop forwarded both requests.
 	for _, h := range []string{"a", "b", "c"} {
-		if f := tn.nodes[h].Stats().Forwards; f != 2 {
+		if f := tn.nodes[h].forwards.Load(); f != 2 {
 			t.Fatalf("node %s forwards = %d want 2", h, f)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/adf"
+	"repro/internal/folder"
 	"repro/internal/obs"
 	"repro/internal/symbol"
 	"repro/internal/transport"
@@ -31,6 +32,14 @@ func exposition(regs ...*obs.Registry) []obs.Sample {
 		panic(err)
 	}
 	return samples
+}
+
+// folderSeries is fs's value of one folder_* series, read back from fs's
+// own exposition (the samples labeled with its folder_server id).
+func folderSeries(fs *folder.Server, series string) int {
+	reg := obs.NewRegistry()
+	reg.RegisterCollector(fs.Collect)
+	return int(obs.Sum(exposition(reg), series))
 }
 
 // nodeExposition is n's own series — the node_*, folder_*, threadcache_*

@@ -168,14 +168,14 @@ func TestRelayCancelRaces(t *testing.T) {
 	awaitWaiters(t, fsB, 1)
 	r.send(t, cancelEntry(31))
 	time.Sleep(20 * time.Millisecond)
-	if _, answered := r.seen[32]; answered || localWaiters(fsB) != 1 {
-		t.Fatalf("a stale cancel reached the next relayed get (answered %v, %d waiters at b)", answered, localWaiters(fsB))
+	if _, answered := r.seen[32]; answered || folderSeries(fsB, "folder_waiters") != 1 {
+		t.Fatalf("a stale cancel reached the next relayed get (answered %v, %d waiters at b)", answered, folderSeries(fsB, "folder_waiters"))
 	}
 	r.send(t, r.req(33, wire.OpPut, 1, symbol.K(5), []byte("v5")))
 	if resp := r.await(t, 32, 5*time.Second); resp.Status != wire.StatusOK || string(resp.Payload) != "v5" {
 		t.Fatalf("parked get after a stale cancel: %+v, want v5", resp)
 	}
-	if n := fsB.Store().MemoCount(); n != 0 {
+	if n := folderSeries(fsB, "folder_memos"); n != 0 {
 		t.Fatalf("%d memos left at b, want 0", n)
 	}
 }
@@ -314,7 +314,7 @@ func TestRelayedPutSurvivesLinkDeath(t *testing.T) {
 		if err := <-parked; err != nil {
 			t.Fatalf("get retried across the link death: %v", err)
 		}
-		if got := rig.node.Stats().Retried; got < 2 {
+		if got := rig.node.retried.Load(); got < 2 {
 			t.Fatalf("node retried %d calls, want the put and the get", got)
 		}
 	})
@@ -326,10 +326,10 @@ func TestRelayedPutSurvivesLinkDeath(t *testing.T) {
 		rig.peer.mu.Unlock()
 		rig.put(t, symbol.K(3), "maybe")
 		rig.landedOnce(t, symbol.K(3), "maybe", 2)
-		if st := rig.fs.Store().Stats(); st.DupPuts != 1 {
-			t.Fatalf("%d deduplicated puts at b, want 1", st.DupPuts)
+		if dups := folderSeries(rig.fs, "folder_dup_puts_total"); dups != 1 {
+			t.Fatalf("%d deduplicated puts at b, want 1", dups)
 		}
-		if got := rig.node.Stats().Retried; got != 1 {
+		if got := rig.node.retried.Load(); got != 1 {
 			t.Fatalf("node retried %d calls, want 1", got)
 		}
 	})
@@ -452,14 +452,14 @@ func TestHostVerbRelaysWithoutThread(t *testing.T) {
 		}
 	}
 	round(-1) // warm the peer link and both thread caches
-	forwards, cache := a.Stats().Forwards, a.CacheStats()
+	forwards, cache := a.forwards.Load(), a.pool.Stats()
 	for i := 0; i < n; i++ {
 		round(i)
 	}
-	if got := a.Stats().Forwards - forwards; got != 2*n {
+	if got := a.forwards.Load() - forwards; got != 2*n {
 		t.Errorf("node_forwards_total at a moved by %d over %d pump+fetch rounds, want %d", got, n, 2*n)
 	}
-	after := a.CacheStats()
+	after := a.pool.Stats()
 	if ran := after.Spawned + after.Reused - cache.Spawned - cache.Reused; ran != 0 {
 		t.Errorf("%d pump+fetch rounds to b ran %d tasks on a's thread cache, want 0", n, ran)
 	}

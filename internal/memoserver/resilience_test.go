@@ -81,8 +81,8 @@ func TestForwardFailsFastAndRedialsAfterSever(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := tn.nodes["a"].Stats(); got.Retried == 0 {
-		t.Fatalf("stats: %+v, want Retried > 0 (transparent retries never fired)", got)
+	if got := tn.nodes["a"].retried.Load(); got == 0 {
+		t.Fatalf("node retried %d calls, want > 0 (transparent retries never fired)", got)
 	}
 }
 
@@ -125,24 +125,24 @@ func TestReleaseToDownDestinationHiddenAgain(t *testing.T) {
 	// clears the mark: keep triggering, link still cut, until one releases
 	// the entry a second time.
 	deadline := time.Now().Add(5 * time.Second)
-	for trigFS.Store().Stats().Released < 2 {
+	for folderSeries(trigFS, "folder_released_total") < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("release to an unreachable destination never became releasable again")
 		}
 		time.Sleep(5 * time.Millisecond)
 		trig()
 	}
-	if got := destFS.Store().MemoCount(); got != 0 {
+	if got := folderSeries(destFS, "folder_memos"); got != 0 {
 		t.Fatalf("destination holds %d memos across the cut", got)
 	}
 
 	// The second delivery may land once the link is redialed, or fail and
 	// wait for a trigger: keep triggering until the destination holds it.
 	tn.sim.Restore("a", "b")
-	for destFS.Store().MemoCount() != 1 || trigFS.Store().DelayedCount() != 0 {
+	for folderSeries(destFS, "folder_memos") != 1 || folderSeries(trigFS, "folder_delayed_hidden") != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("re-release after restore: destination memos %d, hidden %d, want 1 and 0",
-				destFS.Store().MemoCount(), trigFS.Store().DelayedCount())
+				folderSeries(destFS, "folder_memos"), folderSeries(trigFS, "folder_delayed_hidden"))
 		}
 		trig()
 		time.Sleep(5 * time.Millisecond)
@@ -150,7 +150,7 @@ func TestReleaseToDownDestinationHiddenAgain(t *testing.T) {
 	if v, ok, err := destFS.Store().GetSkip(dest); err != nil || !ok || string(v) != "precious" {
 		t.Fatalf("destination holds %q %v %v, want the released value", v, ok, err)
 	}
-	if got := destFS.Store().MemoCount(); got != 0 {
+	if got := folderSeries(destFS, "folder_memos"); got != 0 {
 		t.Fatalf("destination holds %d more copies of the released value", got)
 	}
 }

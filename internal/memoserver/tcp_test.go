@@ -230,8 +230,8 @@ func TestMemoSizeBoundOverTCP(t *testing.T) {
 		t.Fatalf("client link %+v, want one dial, no retry, no fault", st)
 	}
 	for _, node := range nodes {
-		if st := node.Stats(); st.Retried != 0 {
-			t.Fatalf("host %s retried %d forwards", node.Host, st.Retried)
+		if got := node.retried.Load(); got != 0 {
+			t.Fatalf("host %s retried %d forwards", node.Host, got)
 		}
 		for _, smp := range nodeExposition(node) {
 			if (smp.Name == "node_link_faults_total" && smp.Value != 0) || (smp.Name == "node_link_dials_total" && smp.Value != 1) {

@@ -3,6 +3,7 @@ package memoserver
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/symbol"
 	"repro/internal/wire"
 )
@@ -124,7 +125,8 @@ func TestUnsampledRequestsLeaveNoTrace(t *testing.T) {
 		t.Fatalf("put: %+v %v", resp, err)
 	}
 	for name, n := range tn.nodes {
-		if got := n.Tracer().Sampled.Recorded() + n.Tracer().Slow.Recorded(); got != 0 {
+		samples := nodeExposition(n)
+		if got := int64(obs.Sum(samples, "trace_samples_total") + obs.Sum(samples, "slow_requests_total")); got != 0 {
 			t.Errorf("node %s recorded %d samples with tracing off", name, got)
 		}
 	}

@@ -340,7 +340,7 @@ func TestVerbMatrixLocalDispatch(t *testing.T) {
 			if resp.Status == wire.StatusErr && row.op != wire.OpFetch { // nothing was pumped
 				t.Fatalf("%+v", resp)
 			}
-			if got := node.Stats().LocalOps == 1; got != row.local {
+			if got := node.localOps.Load() == 1; got != row.local {
 				t.Errorf("ran against the local folder server = %v, want %v", got, row.local)
 			}
 		})
@@ -371,7 +371,7 @@ func TestRetriedPutCarriesOneToken(t *testing.T) {
 			t.Fatalf("attempts arrived with tokens %x, want %x on each", got, q.Token)
 		}
 	}
-	if n, st := fs.Store().MemoCount(), fs.Store().Stats(); n != 1 || st.DupPuts != int64(len(got)-1) {
-		t.Fatalf("%d memos, %d deduplicated puts after %d arrivals; want 1 and %d", n, st.DupPuts, len(got), len(got)-1)
+	if n, dups := folderSeries(fs, "folder_memos"), folderSeries(fs, "folder_dup_puts_total"); n != 1 || dups != len(got)-1 {
+		t.Fatalf("%d memos, %d deduplicated puts after %d arrivals; want 1 and %d", n, dups, len(got), len(got)-1)
 	}
 }

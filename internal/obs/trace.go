@@ -87,9 +87,6 @@ func (r *TraceRing) Record(trace uint64, spans []wire.Span) {
 	r.mu.Unlock()
 }
 
-// Recorded reports how many samples have been recorded since creation.
-func (r *TraceRing) Recorded() int64 { return r.recorded.Load() }
-
 // Get returns every recorded sample for one trace ID (0 = every sample),
 // newest first — one trace can appear several times on a node that served
 // several of its hops.

@@ -23,8 +23,8 @@ func TestTraceRingWrap(t *testing.T) {
 		}
 		r.Record(id, []wire.Span{{Op: "put", Start: int64(i)}})
 	}
-	if got := r.Recorded(); got != int64(total) {
-		t.Fatalf("Recorded = %d, want %d", got, total)
+	if got := r.recorded.Load(); got != int64(total) {
+		t.Fatalf("recorded = %d, want %d", got, total)
 	}
 	rec := r.Get(0)
 	if len(rec) != traceRingCap {
@@ -83,7 +83,7 @@ func TestTracerOffHotPathAllocFree(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("unsampled below threshold: %v allocs/op, want 0", n)
 	}
-	if armed.Slow.Recorded()+rare.Slow.Recorded()+rare.Sampled.Recorded() != 0 {
+	if armed.Slow.recorded.Load()+rare.Slow.recorded.Load()+rare.Sampled.recorded.Load() != 0 {
 		t.Error("a fast unsampled request left a sample")
 	}
 }
@@ -124,14 +124,14 @@ func TestTracerNamesAndRecords(t *testing.T) {
 	if len(logged) != 1 || logged[0] != slow[0].Spans[0] {
 		t.Fatalf("OnSlow saw %+v, want the slow span", logged)
 	}
-	if tr.Sampled.Recorded() != 0 {
+	if tr.Sampled.recorded.Load() != 0 {
 		t.Fatal("an unsampled request reached the sampled ring")
 	}
 	// A trace ID that arrived with the request is kept.
 	q = &wire.Request{Op: wire.OpGet, Hops: 1, TraceID: 42}
 	dispatch(tr, q, time.Millisecond)
-	if q.TraceID != 42 || tr.Slow.Recorded() != 1 {
-		t.Fatalf("fast traced request: id %d, %d slow records", q.TraceID, tr.Slow.Recorded())
+	if q.TraceID != 42 || tr.Slow.recorded.Load() != 1 {
+		t.Fatalf("fast traced request: id %d, %d slow records", q.TraceID, tr.Slow.recorded.Load())
 	}
 
 	// Sampled and slow: the whole local tree goes to both rings.
@@ -198,7 +198,7 @@ func TestTracerRelayRecordsUpstreamSample(t *testing.T) {
 	if len(want) != 0 {
 		t.Fatalf("layers missing from the subtree: %v", want)
 	}
-	if tr.Slow.Recorded() != 0 {
+	if tr.Slow.recorded.Load() != 0 {
 		t.Fatal("threshold off, yet a slow sample was recorded")
 	}
 }
@@ -218,7 +218,7 @@ func TestTracerNestedBeginDefersToOwner(t *testing.T) {
 	}
 	// The nested wrapper has no set to finish; its Finish records nothing.
 	tr.Finish(q, nil, wire.Span{Layer: "folder", Op: "get", Dur: 1})
-	if n := tr.Sampled.Recorded(); n != 0 {
+	if n := tr.Sampled.recorded.Load(); n != 0 {
 		t.Fatalf("nested Finish recorded %d samples, want 0", n)
 	}
 	outer.Add(wire.Span{Layer: "folder", Op: "get"})

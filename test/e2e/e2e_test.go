@@ -280,10 +280,11 @@ func TestProxySeverHeal(t *testing.T) {
 		}
 	}()
 
-	p, err := NewProxy("127.0.0.1:0", echo.Addr().String())
+	p, err := NewProxy("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.target.Store(echo.Addr().String())
 	defer p.Close()
 
 	roundTrip := func() error {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -132,20 +131,11 @@ func BuildBinaries(dir string) (Binaries, error) {
 	return b, nil
 }
 
-// reservePort grabs a free TCP port and releases it for a daemon to bind.
-// The tiny reuse race is acceptable in a test harness.
-func reservePort() (string, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr, nil
-}
-
 // Daemon is one memoserverd process plus everything needed to kill and
-// resurrect it: fixed listen address, data directory, argv.
+// resurrect it: listen and debug addresses, data directory, argv. Both
+// addresses are "127.0.0.1:0" until the first boot's ready file names the
+// ports the daemon chose; a restart re-binds those, so handles and proxies
+// re-dial what they knew.
 type Daemon struct {
 	Host      string
 	Listen    string
@@ -160,7 +150,8 @@ type Daemon struct {
 	logf *os.File
 }
 
-// Start launches the daemon and waits for its ready file.
+// Start launches the daemon, waits for its ready file and reads the bound
+// addresses from it: the listener on its first line, then `debug <addr>`.
 func (d *Daemon) Start() error {
 	if err := os.Remove(d.ReadyFile); err != nil && !os.IsNotExist(err) {
 		return err
@@ -169,7 +160,7 @@ func (d *Daemon) Start() error {
 	if err != nil {
 		return err
 	}
-	cmd := exec.Command(d.bin, d.args...)
+	cmd := exec.Command(d.bin, append([]string{"-listen", d.Listen, "-debug-addr", d.Debug}, d.args...)...)
 	cmd.Stdout = lf
 	cmd.Stderr = lf
 	if err := cmd.Start(); err != nil {
@@ -178,10 +169,16 @@ func (d *Daemon) Start() error {
 	}
 	d.cmd = cmd
 	d.logf = lf
-	if eventually(10*time.Second, 20*time.Millisecond, func() bool { _, err := os.Stat(d.ReadyFile); return err == nil }) {
-		return nil
+	var ready []byte
+	if !eventually(10*time.Second, 20*time.Millisecond, func() bool { ready, err = os.ReadFile(d.ReadyFile); return err == nil }) {
+		return fmt.Errorf("daemon %s: ready file %s never appeared; log:\n%s", d.Host, d.ReadyFile, logTail(d.LogPath, 20))
 	}
-	return fmt.Errorf("daemon %s: ready file %s never appeared; log:\n%s", d.Host, d.ReadyFile, logTail(d.LogPath, 20))
+	f := strings.Fields(string(ready))
+	if len(f) != 3 || f[1] != "debug" {
+		return fmt.Errorf("daemon %s: ready file %q does not name both addresses", d.Host, ready)
+	}
+	d.Listen, d.Debug = f[0], f[2]
+	return nil
 }
 
 // Kill SIGKILLs the daemon — the crash the WAL exists for.
@@ -238,38 +235,28 @@ type Cluster struct {
 	logf    func(string, ...any)
 }
 
-// NewCluster reserves the daemons' ports, wires every directed peer link
-// through its own proxy (each listening on a port of its own choosing),
-// writes the ADF, and prepares (but does not start) the nodes.
+// NewCluster wires every directed peer link through its own proxy (each
+// listening on a port of its own choosing, its target set once the daemon
+// behind it has booted), writes the ADF, and prepares (but does not start)
+// the nodes.
 func NewCluster(dir string, bins Binaries, logf func(string, ...any)) (*Cluster, error) {
 	c := &Cluster{Bins: bins, ADFPath: filepath.Join(dir, "chaos.adf"), logf: logf}
 	if err := os.WriteFile(c.ADFPath, []byte(chaosADF), 0o644); err != nil {
 		return nil, err
 	}
 
-	var listens [hostCount]string
 	var err error
-	for i := range listens {
-		if listens[i], err = reservePort(); err != nil {
-			return nil, err
-		}
-	}
 	for p := range c.Proxies {
-		_, to := pairOf(p)
-		if c.Proxies[p], err = NewProxy("127.0.0.1:0", listens[to]); err != nil {
+		if c.Proxies[p], err = NewProxy("127.0.0.1:0"); err != nil {
 			return nil, err
 		}
 	}
 	for i := range c.Nodes {
-		debug, err := reservePort()
-		if err != nil {
-			return nil, err
-		}
 		host := hostNames[i]
 		d := &Daemon{
 			Host:      host,
-			Listen:    listens[i],
-			Debug:     debug,
+			Listen:    "127.0.0.1:0",
+			Debug:     "127.0.0.1:0",
 			DataDir:   filepath.Join(dir, "data-"+host),
 			ReadyFile: filepath.Join(dir, host+".ready"),
 			LogPath:   filepath.Join(dir, host+".log"),
@@ -277,8 +264,6 @@ func NewCluster(dir string, bins Binaries, logf func(string, ...any)) (*Cluster,
 		}
 		d.args = []string{
 			"-host", host,
-			"-listen", d.Listen,
-			"-debug-addr", d.Debug,
 			"-data-dir", d.DataDir,
 			"-ready-file", d.ReadyFile,
 			// Aggressive snapshots so chaos runs cross the snapshot+truncate
@@ -303,11 +288,17 @@ func NewCluster(dir string, bins Binaries, logf func(string, ...any)) (*Cluster,
 	return c, nil
 }
 
-// StartAll boots every node and registers the application with each.
+// StartAll boots every node, points the proxies in front of each at the
+// address it bound, and registers the application with each.
 func (c *Cluster) StartAll() error {
-	for _, d := range c.Nodes {
+	for i, d := range c.Nodes {
 		if err := d.Start(); err != nil {
 			return err
+		}
+		for p, px := range c.Proxies {
+			if _, to := pairOf(p); to == i {
+				px.target.Store(d.Listen)
+			}
 		}
 	}
 	for i := range c.Nodes {

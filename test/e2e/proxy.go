@@ -11,6 +11,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 )
 
 // Proxy is a TCP forwarder standing in for one directed inter-node link
@@ -21,7 +22,7 @@ import (
 // first frame write faults. Heal restores forwarding.
 type Proxy struct {
 	ln     net.Listener
-	target string
+	target atomic.Value // string; a connection accepted while unset dies
 
 	mu      sync.Mutex
 	severed bool
@@ -29,13 +30,13 @@ type Proxy struct {
 	closed  bool
 }
 
-// NewProxy starts a proxy on addr forwarding to target.
-func NewProxy(addr, target string) (*Proxy, error) {
+// NewProxy starts a proxy on addr with no target yet: Store one in target.
+func NewProxy(addr string) (*Proxy, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	p := &Proxy{ln: ln, target: target, conns: make(map[net.Conn]struct{})}
+	p := &Proxy{ln: ln, conns: make(map[net.Conn]struct{})}
 	go p.accept()
 	return p, nil
 }
@@ -63,7 +64,8 @@ func (p *Proxy) accept() {
 
 func (p *Proxy) pipe(c net.Conn) {
 	defer p.drop(c)
-	up, err := net.Dial("tcp", p.target)
+	target, _ := p.target.Load().(string)
+	up, err := net.Dial("tcp", target)
 	if err != nil {
 		return
 	}

@@ -78,18 +78,26 @@ type Target interface {
 	Metrics(i int) ([]byte, error)
 }
 
-// sumGauge sums every sample of one series over tg's nodes, each read back
-// from its exposition with obs.ParseText.
+// scrape reads node i's exposition back with obs.ParseText.
+func scrape(tg Target, i int) ([]obs.Sample, error) {
+	text, err := tg.Metrics(i)
+	var samples []obs.Sample
+	if err == nil {
+		samples, err = obs.ParseText(bytes.NewReader(text))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("node %s: %w", hostNames[i], err)
+	}
+	return samples, nil
+}
+
+// sumGauge sums every sample of one series over tg's nodes.
 func sumGauge(tg Target, series string) (int64, error) {
 	var sum float64
-	for i, h := range hostNames {
-		text, err := tg.Metrics(i)
-		var samples []obs.Sample
-		if err == nil {
-			samples, err = obs.ParseText(bytes.NewReader(text))
-		}
+	for i := range hostNames {
+		samples, err := scrape(tg, i)
 		if err != nil {
-			return 0, fmt.Errorf("node %s: %w", h, err)
+			return 0, err
 		}
 		sum += obs.Sum(samples, series)
 	}
@@ -118,17 +126,22 @@ type runner struct {
 	killed       [hostCount]bool // nodes some kill of the trace crashes
 	remoteCopies atomic.Int64
 
+	dupPuts, dupTakes int64 // dedup hits carried (see carry)
+
 	severed []int // FIFO of severed pair indices
 
 	pumped    map[string]map[string]bool // target host -> allowed images
 	ackedPump map[string]bool            // target host has >= 1 certain image
 }
 
-// Outcome is what one run booked: the ledger's tally, and how many watches
-// entered away from their key's owner returned a value.
+// Outcome is what one run booked: the ledger's tally, how many watches
+// entered away from their key's owner returned a value, and the run's
+// folder_dup_puts_total and folder_dup_takes_total over every incarnation
+// of every node.
 type Outcome struct {
 	cluster.Tally
-	RemoteCopies int
+	RemoteCopies      int
+	dupPuts, dupTakes int64
 }
 
 // RunChaos drives the trace acts through tg, settles, drains and audits the
@@ -168,7 +181,12 @@ func RunChaos(tg Target, seed int64, acts []Action, logf func(string, ...any)) (
 	if err := r.drainAndCheck(); err != nil {
 		return Outcome{}, err
 	}
-	out := Outcome{Tally: r.led.Tally(), RemoteCopies: int(r.remoteCopies.Load())}
+	for i := range hostNames {
+		if err := r.carry(i); err != nil {
+			return Outcome{}, err
+		}
+	}
+	out := Outcome{r.led.Tally(), int(r.remoteCopies.Load()), r.dupPuts, r.dupTakes}
 	logf("run seed=%d n=%d: oracle held (%+v)", seed, len(acts), out)
 	return out, nil
 }
@@ -364,6 +382,9 @@ func (r *runner) step(i int, act Action) error {
 
 	case ActKill:
 		r.logf("action %d: kill node %s", i, hostNames[act.Node])
+		if err := r.carry(act.Node); err != nil {
+			return err
+		}
 		if err := r.tg.Kill(act.Node); err != nil {
 			return fmt.Errorf("restart node %s: %w", hostNames[act.Node], err)
 		}
@@ -385,6 +406,19 @@ func (r *runner) step(i int, act Action) error {
 			r.tg.Heal(p)
 		}
 	}
+	return nil
+}
+
+// carry adds node i's folder_dup_puts_total and folder_dup_takes_total to
+// the run's totals: before each kill, since a restarted store counts from
+// zero, and for every node once the run has drained.
+func (r *runner) carry(i int) error {
+	samples, err := scrape(r.tg, i)
+	if err != nil {
+		return err
+	}
+	r.dupPuts += int64(obs.Sum(samples, "folder_dup_puts_total"))
+	r.dupTakes += int64(obs.Sum(samples, "folder_dup_takes_total"))
 	return nil
 }
 
