@@ -19,6 +19,8 @@
 //	//memolint:requires-shard-lock  callee must run under a shard lock
 //	//memolint:forbids-shard-lock   callee must NOT run under a shard lock
 //	//memolint:must-check-error     the error result must be consumed
+//	//memolint:blocks               callee may wait (fsync, a reply, a wake)
+//	//memolint:nonblocking          function must never reach a blocks one
 //
 // Diagnostics are suppressed by an adjacent comment
 //

@@ -14,6 +14,13 @@
 //     (AltTake, AltSkip, Watch) visit shards one at a time in ascending
 //     order, and the deadlock-freedom of that scan rests on never nesting
 //     stripe locks.
+//   - functions marked //memolint:nonblocking (a conn's router, the folder
+//     store's wake and re-scan path, rpc.Pending's completions) must not
+//     reach a function marked //memolint:blocks (Log.Commit, Log.Barrier,
+//     rpc.Conn.Call, the in-process wait on a parked read, the wait on
+//     another attempt's take token), directly or through functions of
+//     their own package: they run on a read loop or on another request's
+//     goroutine, which a wait would stall.
 //
 // A function whose own contract is "caller holds the shard lock" should be
 // marked //memolint:requires-shard-lock: its body is then analyzed with a
@@ -30,7 +37,7 @@ import (
 func New() *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "lockcheck",
-		Doc:  "WAL appends under the shard lock, commits outside it, never two shard locks at once",
+		Doc:  "WAL appends under the shard lock, commits outside it, never two shard locks at once, nothing nonblocking reaches a wait",
 	}
 	a.Run = run
 	return a
@@ -50,6 +57,7 @@ func run(pass *analysis.Pass) error {
 			checkFunc(pass, fd)
 		}
 	}
+	checkNonblocking(pass)
 	return nil
 }
 

@@ -29,3 +29,9 @@ func TestIgnore(t *testing.T) {
 		t.Errorf("suppression reason = %q, want %q", suppressed[0].Reason, want)
 	}
 }
+
+// TestNonblocking: a nonblocking function that calls a blocking one, or
+// reaches it through an unmarked helper, is reported; a clean one is not.
+func TestNonblocking(t *testing.T) {
+	analysistest.Run(t, "testdata", lockcheck.New(), "nonblock")
+}

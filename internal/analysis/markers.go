@@ -14,6 +14,8 @@ const (
 	MarkRequiresLock = "requires-shard-lock"
 	MarkForbidsLock  = "forbids-shard-lock"
 	MarkMustCheck    = "must-check-error"
+	MarkBlocks       = "blocks"
+	MarkNonblocking  = "nonblocking"
 )
 
 // Markers indexes every //memolint: marker seen across all loaded packages,

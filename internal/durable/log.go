@@ -292,6 +292,7 @@ func (l *Log) Append(shard int, rec *Record) uint64 {
 //
 //memolint:forbids-shard-lock
 //memolint:must-check-error
+//memolint:blocks
 func (l *Log) Commit(_ int, seq uint64) error {
 	return l.w.commit(seq)
 }
@@ -304,6 +305,7 @@ func (l *Log) Commit(_ int, seq uint64) error {
 //
 //memolint:forbids-shard-lock
 //memolint:must-check-error
+//memolint:blocks
 func (l *Log) Barrier() error {
 	seq := l.w.barrier()
 	if seq == 0 {

@@ -13,9 +13,9 @@ import (
 )
 
 // Server is one folder server: a Store and the wire protocol's verbs turned
-// into store operations. It is driven by Handle alone, called by the memo
-// server on its own host (§4.1, Fig. 1: an application reaches a folder
-// server only through memo server threads), on the memo server's thread.
+// into store operations. It is driven by the memo server on its own host
+// (§4.1, Fig. 1: an application reaches a folder server only through a
+// memo server), through Serve on a conn's read loop or Handle on a thread.
 type Server struct {
 	// ID is the ADF folder-server number.
 	ID int
@@ -31,7 +31,7 @@ type Server struct {
 }
 
 // NewServer wraps a store. The threadcache.Config is unused — a folder server
-// runs on its caller's thread — and stays in the signature because
+// runs on its caller's goroutine — and stays in the signature because
 // benchmark/ladder.go calls it.
 func NewServer(id int, host string, store *Store, _ threadcache.Config) *Server {
 	return &Server{ID: id, Host: host, store: store, where: "folder-" + strconv.Itoa(id) + "@" + host}
@@ -72,29 +72,105 @@ func (s *Server) Crash() {
 }
 
 // Handle executes one request against this folder server, on the caller's
-// thread: the memo server calls it on the cached thread that dispatched the
-// request. A blocking read respects cancel while it is parked, and only
-// then: a canceled read answers StatusCanceled, which says nothing was
-// consumed; one that had already taken a memo answers with the value. A
-// sampled request (one whose dispatch wrapper attached a SpanSet) is timed,
-// threads an opTrace through the store, and emits folder and durable spans
-// with the shard-lock wait, park time, and group-commit wait it accumulated;
-// any other request takes no timestamp here — whether it was slow is the
-// dispatching memo server's to say, on the same thread.
+// thread, and blocks until it is answered: a blocking read that finds
+// nothing parks on a waiter record and waits there, and respects cancel
+// while it does, and only then: a canceled read answers StatusCanceled,
+// which says nothing was consumed; one that had already taken a memo
+// answers with the value. The memo server calls it on a thread for an op on
+// a durable store, whose commit waits on the group fsync, and for in-process
+// callers (Node.Dispatch); Serve is the threadless entrance. A sampled
+// request (one whose dispatch wrapper attached a SpanSet) is timed, threads
+// an opTrace through the store, and emits folder and durable spans with the
+// shard-lock wait, park time, and group-commit wait it accumulated; any
+// other request takes no timestamp here — whether it was slow is the
+// dispatching memo server's to say.
 func (s *Server) Handle(q *wire.Request, cancel <-chan struct{}) *wire.Response {
 	if !q.Sampled || q.Spans == nil {
-		resp, _ := s.handle(q, cancel, false)
-		return resp
+		return s.handle(q, cancel, nil)
 	}
 	start := time.Now()
-	resp, ot := s.handle(q, cancel, true)
+	var ot opTrace
+	resp := s.handle(q, cancel, &ot)
+	s.spans(q, start, &ot)
+	return resp
+}
+
+// Serve starts q on the calling goroutine — a conn's read loop — and never
+// blocks it. It reports false, having done nothing, when q might wait: the
+// store is durable, or q is a tokened take whose token another attempt still
+// holds; the caller runs q through Handle on a thread instead. Otherwise q
+// is answered: the response is returned when q completed at once, and nil
+// when it parked, to be answered through a from the goroutine that
+// completes it — a deposit's that re-scanned it, or a canceler's through the
+// hook a.Hold received. Spans are as in Handle.
+func (s *Server) Serve(q *wire.Request, a Answerer) (*wire.Response, bool) {
+	if s.store.wal != nil {
+		return nil, false
+	}
+	var start time.Time
+	var waits opTrace
+	var ot *opTrace
+	if q.Sampled && q.Spans != nil {
+		start, ot = time.Now(), &waits
+	}
+	var one [1]symbol.Key
+	resp, op := s.do(q, ot, &one)
+	if resp == nil {
+		r, done, held := s.store.begin(&op, false)
+		switch {
+		case held:
+			return nil, false
+		case done:
+			resp = respond(q.Op, op.mode, r)
+		default:
+			w := s.store.newWaiter(&op)
+			a.Hold(w, w.ticket())
+			if !w.step() {
+				w.srv, w.q, w.ans, w.start = s, q, a, start
+				w.trace.add(&waits)
+				w.park()
+				return nil, true
+			}
+			s.store.count(op.mode)
+			resp = respond(q.Op, op.mode, outcome{key: op.keys[w.found], val: w.val, ok: true})
+			ot.add(&w.trace)
+			w.release()
+		}
+	}
+	if ot != nil {
+		s.spans(q, start, ot)
+	}
+	return resp, true
+}
+
+// answer answers the parked read w of a request Serve started, on the
+// goroutine that completed it, and recycles w.
+//
+//memolint:nonblocking
+func (s *Server) answer(w *waiter) {
+	r := outcome{err: w.err}
+	if r.err == nil {
+		s.store.count(w.op.mode)
+		r = outcome{key: w.op.keys[w.found], val: w.val, ok: true}
+	}
+	resp := respond(w.q.Op, w.op.mode, r)
+	if !w.start.IsZero() {
+		s.spans(w.q, w.start, &w.trace)
+	}
+	w.ans.Answer(resp)
+	w.release()
+}
+
+// spans emits a sampled request's folder span — its shard-lock wait the
+// span's wait — and, when it had them, its park and group-commit spans,
+// anchored at the op's start (the store does not track individual
+// intervals).
+func (s *Server) spans(q *wire.Request, start time.Time, ot *opTrace) {
 	dur := time.Since(start)
 	startNS := start.UnixNano()
 	q.Spans.Add(wire.Span{Node: s.where, Layer: "folder", Op: q.Op.String(),
 		Folder: s.ID, Hop: q.Hops, Start: startNS, Dur: int64(dur), Wait: ot.lockWaitNS})
 	if ot.parkNS > 0 {
-		// Aggregate time parked waiting for a memo; anchored at the op
-		// start (the store does not track individual park intervals).
 		q.Spans.Add(wire.Span{Node: s.where, Layer: "folder", Op: "park",
 			Folder: s.ID, Hop: q.Hops, Start: startNS, Dur: ot.parkNS})
 	}
@@ -102,53 +178,65 @@ func (s *Server) Handle(q *wire.Request, cancel <-chan struct{}) *wire.Response 
 		q.Spans.Add(wire.Span{Node: s.where, Layer: "durable", Op: "commit",
 			Folder: s.ID, Hop: q.Hops, Start: startNS, Dur: ot.commitNS})
 	}
-	return resp
 }
 
-// handle turns the request straight into the store's terms — a deposit, or
-// a readOp for the one read engine, both read off the verb's row of the
-// wire op table — and the outcome into a response. With traced set the
-// store also accumulates the op's waits, returned alongside.
-func (s *Server) handle(q *wire.Request, cancel <-chan struct{}, traced bool) (resp *wire.Response, waits opTrace) {
-	var ot *opTrace
-	if traced {
-		ot = &waits
+// handle runs q to its response on the calling goroutine, accumulating its
+// waits in ot when it is traced.
+func (s *Server) handle(q *wire.Request, cancel <-chan struct{}, ot *opTrace) *wire.Response {
+	var one [1]symbol.Key
+	resp, op := s.do(q, ot, &one)
+	if resp != nil {
+		return resp
 	}
+	op.cancel = cancel
+	k, payload, ok, err := s.store.read(&op)
+	return respond(q.Op, op.mode, outcome{key: k, val: payload, ok: ok, err: err})
+}
+
+// do turns the request straight into the store's terms, read off the verb's
+// row of the wire op table: a deposit, run here, or a readOp for the one
+// read engine, returned with a nil response. A one-key read's key is copied
+// into one, the caller's.
+func (s *Server) do(q *wire.Request, ot *opTrace, one *[1]symbol.Key) (*wire.Response, readOp) {
 	verb := q.Op.Info()
 	switch {
 	case q.Op == wire.OpPing:
-		return wire.OK(), waits
+		return wire.OK(), readOp{}
 	case verb.Kind == wire.KindDeposit:
 		var dest *symbol.Key
 		if q.Op == wire.OpPutDelayed {
 			dest = &q.Key2
 		}
 		if err := s.store.deposit(q.Key, dest, q.Payload, q.Token, ot); err != nil {
-			return wire.Fail(fmt.Errorf("%s: %w", q.Op, err)), waits
+			return wire.Fail(fmt.Errorf("%s: %w", q.Op, err)), readOp{}
 		}
-		return wire.OK(), waits
+		return wire.OK(), readOp{}
 	case verb.Scope != wire.ScopeFolder:
 		// Node- and host-scoped verbs belong to a memo server; an undefined
 		// Op (the zero row) lands here too.
-		return wire.Errf("folder server: unsupported op %s", q.Op), waits
+		return wire.Errf("folder server: unsupported op %s", q.Op), readOp{}
 	}
-	one := [1]symbol.Key{q.Key}
-	op := readOp{keys: one[:], mode: verb.Kind, block: verb.Blocks, token: q.Token, cancel: cancel, ot: ot}
+	one[0] = q.Key
+	op := readOp{keys: one[:], mode: verb.Kind, block: verb.Blocks, token: q.Token, ot: ot}
 	if verb.MultiKey {
 		op.keys = q.Keys
 	}
-	k, payload, ok, err := s.store.read(&op)
+	return nil, op
+}
+
+// respond turns a read's outcome into its response.
+func respond(op wire.Op, mode readMode, r outcome) *wire.Response {
 	switch {
-	case err != nil:
+	case r.err != nil:
 		// A canceled read consumed nothing (StatusCanceled); an empty
 		// alt_take/watch key set fails fast in the store (ErrNoKeys).
-		return wire.Fail(fmt.Errorf("%s: %w", q.Op, err)), waits
-	case !ok:
-		return &wire.Response{Status: wire.StatusEmpty}, waits
-	case op.mode == modePeek:
-		return &wire.Response{Status: wire.StatusWake, Key: k}, waits
+		return wire.Fail(fmt.Errorf("%s: %w", op, r.err))
+	case !r.ok:
+		return &wire.Response{Status: wire.StatusEmpty}
+	case mode == modePeek:
+		return &wire.Response{Status: wire.StatusWake, Key: r.key}
 	}
-	return &wire.Response{Status: wire.StatusOK, Key: k, Payload: payload}, waits
+	return &wire.Response{Status: wire.StatusOK, Key: r.key, Payload: r.val}
 }
 
 // Collect emits this server's folder_* series, labeled by folder-server id:

@@ -16,9 +16,9 @@
 // (put, put_delayed). Store.read is the read side: each reading verb is a
 // readOp value — which keys, take/copy/peek, block or skip, dedup token —
 // and the engine visits the op's shards one at a time, never holding two
-// shard locks at once, leaving one shared waiter channel on the folders of
-// every shard that could not satisfy a blocking read so a Put on any of
-// them wakes the caller. The exported methods are thin wrappers over the
+// shard locks at once. A blocking read that finds nothing leaves one waiter
+// record on the folders it could be satisfied from, and a Put on any of them
+// re-scans it (waiter.go). The exported methods are thin wrappers over the
 // two.
 package folder
 
@@ -135,8 +135,8 @@ type fold struct {
 	name    string
 	items   [][]byte
 	delayed []delayedEntry
-	// waiters are signalled (and cleared) whenever an item arrives.
-	waiters []chan struct{}
+	// waiters are notified (and cleared) whenever an item arrives.
+	waiters []*waiter
 }
 
 type delayedEntry struct {
@@ -345,6 +345,16 @@ func (ot *opTrace) committed(t0 int64) {
 	}
 }
 
+// add accumulates the waits another accumulator recorded for the same op:
+// the part of a read that ran on its waiter record.
+func (ot *opTrace) add(o *opTrace) {
+	if ot != nil {
+		ot.lockWaitNS += o.lockWaitNS
+		ot.parkNS += o.parkNS
+		ot.commitNS += o.commitNS
+	}
+}
+
 // commit waits until record seq is durable, then lets the background
 // snapshot cycle run. A memory-only store commits trivially.
 //
@@ -381,43 +391,10 @@ func (s *Store) barrier(ot *opTrace) error {
 	return nil
 }
 
-// waiterPool recycles the channels blocking reads park on. A channel goes
-// back only once it is off every folder's list, and wakeAll signals nothing
-// else, so a recycled channel can never be signalled on behalf of the read
-// that held it before.
-var waiterPool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
-
-// releaseWaiter recycles a read's waiter channel (nil: it never parked),
-// draining a wake-up it no longer needs. Only call it with w unregistered.
-func releaseWaiter(w chan struct{}) {
-	if w == nil {
-		return
-	}
-	select {
-	case <-w:
-	default:
-	}
-	waiterPool.Put(w)
-}
-
-// wakeAll signals every waiter and clears the list in place, keeping its
-// capacity for the next read that parks here. Non-blocking send: a waiter may
-// be registered on several folders (alt/watch) and signalled by more than one
-// deposit. Caller holds the shard lock — the woken reads need it anyway.
-func (f *fold) wakeAll() {
-	for i, w := range f.waiters {
-		select {
-		case w <- struct{}{}:
-		default:
-		}
-		f.waiters[i] = nil
-	}
-	f.waiters = f.waiters[:0]
-}
-
 // deposit is the one write path. With dest == nil it is put: the memo
 // becomes visible in key's folder, every delayed value hidden there is
-// released and every waiter woken. Otherwise it is put_delayed: the payload
+// released and every waiter notified, then re-scanned on this goroutine
+// once the deposit has unlocked and committed. Otherwise it is put_delayed: the payload
 // is hidden in key's (the trigger's) folder until the next put there
 // releases it into *dest (§6.1.2); it is not gettable from the trigger.
 //
@@ -448,6 +425,8 @@ func (s *Store) deposit(key symbol.Key, dest *symbol.Key, payload []byte, token 
 	f := sh.getFold(canon)
 	var released []delayedEntry
 	var rel uint64
+	var wb [4]*waiter
+	woken := wb[:0]
 	if dest == nil {
 		f.items = append(f.items, val)
 		// Released entries stay, marked in flight; one already in flight
@@ -458,7 +437,7 @@ func (s *Store) deposit(key symbol.Key, dest *symbol.Key, payload []byte, token 
 				released = append(released, *d)
 			}
 		}
-		f.wakeAll()
+		woken = f.wakeAll(woken)
 	} else {
 		// Every hidden value gets a release token up front: its eventual
 		// re-deposit (possibly re-driven by crash recovery, possibly retried
@@ -492,7 +471,9 @@ func (s *Store) deposit(key symbol.Key, dest *symbol.Key, payload []byte, token 
 	// is what replay rebuilds at every instant: a crash before that record
 	// re-releases the entry, deduplicated at the destination, and an
 	// acknowledged hidden value is neither lost nor delivered twice.
-	if err := s.commit(seq, ot); err != nil {
+	err := s.commit(seq, ot)
+	rescanAll(woken)
+	if err != nil {
 		return err
 	}
 	for _, d := range released {
@@ -589,17 +570,25 @@ type readOp struct {
 	keys []symbol.Key
 	// mode is always set: the zero Kind is not a read.
 	mode readMode
-	// block parks the read until a memo arrives or cancel closes; without
+	// block parks the read until a memo arrives or it is canceled; without
 	// it a miss is reported at once.
 	block bool
 	// token, when non-zero, is a take's at-most-once dedup token: the first
 	// attempt to claim it executes the take and caches the (key, payload) it
 	// consumed, every retry is answered from that cache. Copies and peeks
 	// consume nothing and ignore it.
-	token  uint64
+	token uint64
+	// cancel ends an in-process wait (Store.read); a read Server.Serve
+	// parked is canceled through its Answerer's hook instead.
 	cancel <-chan struct{}
 	ot     *opTrace // nil = untraced
+	// claim is set while the read owns its token's unresolved claim.
+	claim bool
 }
+
+// errHeld reports a claim step that would have waited: another attempt
+// holds the token, and the caller may not block.
+var errHeld = errors.New("folder: take token claimed by another attempt")
 
 // awaitTakeToken is the claim step every tokened destructive read runs
 // before touching a folder. The first caller for a token becomes the owner
@@ -607,21 +596,22 @@ type readOp struct {
 // claim. Any other caller parks until the owner finishes and is answered from
 // the cached result — a retry can therefore never consume a second memo, even
 // racing its own original. An abandoned claim (owner canceled) wakes the
-// parked retries to race for a fresh claim.
-func (s *Store) awaitTakeToken(token uint64, cancel <-chan struct{}, ot *opTrace) (tokSlot, bool, error) {
+// parked retries to race for a fresh claim. With wait unset a caller that
+// would park fails with errHeld instead, having claimed nothing.
+func (s *Store) awaitTakeToken(token uint64, cancel <-chan struct{}, ot *opTrace, wait bool) (tokSlot, bool, error) {
 	for {
 		res, park, owner := s.tokens.claimTake(token)
 		switch {
 		case owner:
 			return res, true, nil
+		case park != nil && !wait:
+			return res, false, errHeld
 		case park != nil:
 			tp := ot.clock()
-			select {
-			case <-park:
-				ot.parked(tp) // resolved or abandoned: look again
-			case <-cancel:
+			if !awaitClaim(park, cancel) {
 				return res, false, wire.ErrCanceled
 			}
+			ot.parked(tp) // resolved or abandoned: look again
 		case res.kind == slotPut:
 			// A deposit used the token. Tokens are minted per operation from
 			// 64 random bits, so this is a collision or a protocol error;
@@ -630,6 +620,19 @@ func (s *Store) awaitTakeToken(token uint64, cancel <-chan struct{}, ot *opTrace
 		default:
 			return res, false, nil
 		}
+	}
+}
+
+// awaitClaim waits until the claim park stands for is resolved or
+// abandoned (true), or cancel closes (false).
+//
+//memolint:blocks
+func awaitClaim(park, cancel <-chan struct{}) bool {
+	select {
+	case <-park:
+		return true
+	case <-cancel:
+		return false
 	}
 }
 
@@ -693,217 +696,220 @@ func (s *Store) plan(keys []symbol.Key) ([][]byte, []altGroup) {
 	return canons, groups
 }
 
-// read is the one read engine. It returns the satisfied key, the payload
-// (nil for a peek) and ok == true, or ok == false for a non-blocking miss.
-// A blocking read of an empty key set fails with ErrNoKeys — no folder
+// outcome is what a read reports: the satisfied key, the payload (nil for a
+// peek) and ok, or ok == false for a non-blocking miss, or the error.
+type outcome struct {
+	key symbol.Key
+	val []byte
+	ok  bool
+	err error
+}
+
+// read is the one read engine, for in-process callers: a blocking read that
+// finds nothing parks on a record and blocks the calling goroutine in its
+// wait. A blocking read of an empty key set fails with ErrNoKeys — no folder
 // could ever satisfy it — and a non-blocking one just misses.
-//
-// The pass visits the op's shards one lock at a time, never holding two.
-// A shard that cannot satisfy a blocking read gets the shared waiter w left
-// on every one of its folders before the pass moves on, so a deposit that
-// lands on an already-visited shard finds w there and no wakeup is lost.
 //
 //memolint:must-check-error
 func (s *Store) read(op *readOp) (symbol.Key, []byte, bool, error) {
+	r, done, _ := s.begin(op, true)
+	if !done {
+		w := s.newWaiter(op)
+		if !w.step() {
+			w.ready = make(chan struct{}, 1)
+			w.park()
+			w.wait(op.cancel)
+		}
+		found, val, seq, err := w.found, w.val, w.seq, w.err
+		op.ot.add(&w.trace)
+		w.release()
+		if r.err = err; err == nil {
+			r = s.finish(op, found, val, seq)
+		}
+	}
+	return r.key, r.val, r.ok, r.err
+}
+
+// begin runs what a read does before it can park: the token claim —
+// waiting out a claim another attempt holds when wait is set, reporting held
+// otherwise — and one pass that registers nothing. done reports an outcome in
+// r; otherwise op is a blocking read that found nothing and owns its token's
+// claim, if any, and the caller parks it on a record (newWaiter).
+func (s *Store) begin(op *readOp, wait bool) (r outcome, done, held bool) {
 	if len(op.keys) == 0 {
 		if op.block {
-			return symbol.Key{}, nil, false, ErrNoKeys
+			r.err = ErrNoKeys
 		}
-		return symbol.Key{}, nil, false, nil
+		return r, true, false
 	}
-	claim := false // true while this read owns an unresolved token
 	if op.token != 0 && op.mode == modeTake {
-		res, owner, err := s.awaitTakeToken(op.token, op.cancel, op.ot)
-		if err != nil {
-			return symbol.Key{}, nil, false, err
-		}
-		if !owner {
-			k, out, ok, err := s.takeFromCache(res, op.ot)
-			if err == nil && !ok && op.block {
+		res, owner, err := s.awaitTakeToken(op.token, op.cancel, op.ot, wait)
+		switch {
+		case err == errHeld:
+			return r, false, true
+		case err != nil:
+			r.err = err
+			return r, true, false
+		case !owner:
+			r.key, r.val, r.ok, r.err = s.takeFromCache(res, op.ot)
+			if r.err == nil && !r.ok && op.block {
 				// Only a skip caches an empty answer, and tokens are minted
 				// per operation — reaching here is a token-space violation.
-				err = fmt.Errorf("folder: take token %#x cached an empty result", op.token)
+				r.err = fmt.Errorf("folder: take token %#x cached an empty result", op.token)
 			}
-			return k, out, ok, err
+			return r, true, false
 		}
-		claim = true
+		op.claim = true
 	}
 
 	// The one-key plan lives in this frame: handing the arrays to a helper
 	// through a pointer moves them to the heap, on every get.
-	multi := len(op.keys) > 1
 	var cb [canonBuf]byte
 	var canon1 [1][]byte
 	var group1 [1]altGroup
 	canons, groups := canon1[:], group1[:]
-	if multi {
+	if len(op.keys) > 1 {
 		canons, groups = s.plan(op.keys)
 	} else {
 		canon1[0] = op.keys[0].AppendCanon(cb[:0])
 		group1[0] = altGroup{si: int(s.shardIndex(op.keys[0])), idxs: oneIdx}
 	}
+	if found, val, seq := s.pass(op, canons, groups, nil); found >= 0 {
+		return s.finish(op, found, val, seq), true, false
+	}
+	if op.block {
+		return r, false, false
+	}
+	if op.claim {
+		// The observed-empty miss is cached too — in memory only, an empty
+		// answer needs no durability — so a retried skip repeats its
+		// original's answer instead of sampling again.
+		s.tokens.resolveTake(tokSlot{tok: op.token, kind: slotEmpty})
+		op.claim = false
+	}
+	return r, true, false
+}
 
-	// w is drawn from the pool on first registration, so a read that finds its
-	// memo waiting never touches it, and w == nil means nothing was ever
-	// registered. Every return below that can follow a registration leaves w
-	// off every list first and hands it back.
-	var w chan struct{}
-	for {
-		start := 0
-		if len(groups) > 1 {
-			start = int(s.nextSeq() % uint64(len(groups)))
+// pass visits the planned shards of op once, one lock at a time, never
+// holding two, starting from a rotating shard. It returns the index of the
+// satisfied key (-1: none), the value, and a take's record seq. With w set,
+// every folder of a shard that cannot satisfy the read gets w on its waiter
+// list before the pass moves on, so a deposit that lands on an
+// already-visited shard finds w there and no wakeup is lost.
+func (s *Store) pass(op *readOp, canons [][]byte, groups []altGroup, w *waiter) (found int, val []byte, seq uint64) {
+	multi := len(op.keys) > 1
+	start := 0
+	if len(groups) > 1 {
+		start = int(s.nextSeq() % uint64(len(groups)))
+	}
+	for gi := range groups {
+		g := groups[(start+gi)%len(groups)]
+		if multi {
+			s.altScans.Inc()
 		}
-		found, si, registered := -1, 0, false
-		var val []byte
-		var seq uint64
-		for gi := range groups {
-			g := groups[(start+gi)%len(groups)]
-			if multi {
-				s.altScans.Inc()
-			}
-			sh := &s.shards[g.si]
-			t0 := op.ot.clock()
-			sh.mu.Lock()
-			op.ot.lockAcquired(t0)
-			// Among several eligible folders the choice rotates (§6.1.2
-			// get_alt is nondeterministic).
-			off := 0
-			if len(g.idxs) > 1 {
-				off = int(sh.nextRand() % uint64(len(g.idxs)))
-			}
-			var f *fold
-			for j := range g.idxs {
-				idx := g.idxs[(off+j)%len(g.idxs)]
-				if c, ok := sh.folders[string(canons[idx])]; ok && len(c.items) > 0 {
-					found, f = idx, c
-					break
-				}
-			}
-			switch {
-			case found < 0:
-				if op.block {
-					if w == nil {
-						w = waiterPool.Get().(chan struct{})
-					}
-					for _, idx := range g.idxs {
-						c := sh.getFold(canons[idx])
-						c.waiters = append(c.waiters, w)
-					}
-					registered = true
-				}
-			case op.mode == modeTake:
-				si = g.si
-				val = sh.takeLocked(f)
-				if s.wal != nil {
-					// The token rides in the record so replay can re-cache
-					// the result for retries.
-					seq = s.wal.Append(si, &durable.Record{
-						Type: durable.RecTake, Key: op.keys[found], Payload: val, Token: op.token,
-					})
-				}
-				if claim {
-					// Resolve inside the critical section that removed the
-					// item: snapshot cuts order against it (see the token
-					// dump in snapshot), and a parked retry still waits out
-					// the commit via the durability barrier in takeFromCache.
-					// The fact holds the folder's own name and the taken
-					// slice itself: nothing is copied, nothing allocated.
-					s.tokens.resolveTake(tokSlot{tok: op.token, kind: slotTake, name: f.name, data: val})
-					claim = false
-				}
-				sh.gcFold(f)
-			case op.mode == modeCopy:
-				val = bytes.Clone(f.items[sh.nextRand()%uint64(len(f.items))])
-			}
-			sh.mu.Unlock()
-			if found >= 0 {
+		sh := &s.shards[g.si]
+		t0 := op.ot.clock()
+		sh.mu.Lock()
+		op.ot.lockAcquired(t0)
+		// Among several eligible folders the choice rotates (§6.1.2
+		// get_alt is nondeterministic).
+		off := 0
+		if len(g.idxs) > 1 {
+			off = int(sh.nextRand() % uint64(len(g.idxs)))
+		}
+		found = -1
+		var f *fold
+		for j := range g.idxs {
+			idx := g.idxs[(off+j)%len(g.idxs)]
+			if c, ok := sh.folders[string(canons[idx])]; ok && len(c.items) > 0 {
+				found, f = idx, c
 				break
 			}
 		}
-
-		if found >= 0 {
-			if registered {
-				s.dropWaiter(groups, canons, w)
-			}
-			releaseWaiter(w)
-			key := op.keys[found]
-			switch op.mode {
-			case modeTake:
-				if err := s.commit(seq, op.ot); err != nil {
-					// Only possible once the log is terminally dead. Restore
-					// the item — a payload never leaves the store without
-					// its removal being durable — and forget the token, so
-					// stale holders of its entry fail their barrier too.
-					s.untake(key, val)
-					s.tokens.forget(op.token)
-					return symbol.Key{}, nil, false, err
+		switch {
+		case found < 0:
+			if w != nil {
+				for _, idx := range g.idxs {
+					// A multi-key read is still on the folders that did not
+					// notify it.
+					if c := sh.getFold(canons[idx]); !multi || !slices.Contains(c.waiters, w) {
+						c.waiters = append(c.waiters, w)
+					}
 				}
-				s.takes.Inc()
-			case modeCopy:
-				s.copies.Inc()
+				w.registered = true
 			}
-			return key, val, true, nil
+		case op.mode == modeTake:
+			val = sh.takeLocked(f)
+			if s.wal != nil {
+				// The token rides in the record so replay can re-cache
+				// the result for retries.
+				seq = s.wal.Append(g.si, &durable.Record{
+					Type: durable.RecTake, Key: op.keys[found], Payload: val, Token: op.token,
+				})
+			}
+			if op.claim {
+				// Resolve inside the critical section that removed the
+				// item: snapshot cuts order against it (see the token
+				// dump in snapshot), and a parked retry still waits out
+				// the commit via the durability barrier in takeFromCache.
+				// The fact holds the folder's own name and the taken
+				// slice itself: nothing is copied, nothing allocated.
+				s.tokens.resolveTake(tokSlot{tok: op.token, kind: slotTake, name: f.name, data: val})
+				op.claim = false
+			}
+			sh.gcFold(f)
+		case op.mode == modeCopy:
+			val = bytes.Clone(f.items[sh.nextRand()%uint64(len(f.items))])
 		}
-		if !op.block {
-			if claim {
-				// The observed-empty miss is cached too — in memory only, an
-				// empty answer needs no durability — so a retried skip
-				// repeats its original's answer instead of sampling again.
-				s.tokens.resolveTake(tokSlot{tok: op.token, kind: slotEmpty})
-			}
-			return symbol.Key{}, nil, false, nil
+		sh.mu.Unlock()
+		if found >= 0 {
+			return found, val, seq
 		}
-		tp := op.ot.clock()
-		select {
-		case <-w:
-			op.ot.parked(tp)
-			// The deposit that woke a one-key read already cleared that
-			// folder's list; a multi-key read is still registered on the
-			// folders that did not wake it.
-			if multi {
-				s.dropWaiter(groups, canons, w)
-			}
-		case <-op.cancel:
-			s.dropWaiter(groups, canons, w)
-			releaseWaiter(w)
-			if claim {
-				// A later retry re-executes instead of caching a non-answer.
-				s.tokens.abandonTake(op.token)
-			}
-			return symbol.Key{}, nil, false, wire.ErrCanceled
+	}
+	return -1, nil, 0
+}
+
+// finish completes a satisfied read for its caller: a take waits for its
+// record's group commit, and the read is counted. A failed commit — only a
+// terminally dead log fails one — restores the item, since a payload never
+// leaves the store without its removal being durable, and forgets the token,
+// so stale holders of its entry fail their barrier too.
+func (s *Store) finish(op *readOp, found int, val []byte, seq uint64) outcome {
+	key := op.keys[found]
+	if op.mode == modeTake {
+		if err := s.commit(seq, op.ot); err != nil {
+			s.untake(key, val)
+			s.tokens.forget(op.token)
+			return outcome{err: err}
 		}
+	}
+	s.count(op.mode)
+	return outcome{key: key, val: val, ok: true}
+}
+
+// count books one satisfied read in the folder_* counters.
+func (s *Store) count(mode readMode) {
+	switch mode {
+	case modeTake:
+		s.takes.Inc()
+	case modeCopy:
+		s.copies.Inc()
 	}
 }
 
-// untake puts a taken item back after a failed take commit. No record is
-// logged: commits only fail on a dead log, which accepts no records.
+// untake puts a taken item back after a failed take commit, and re-scans
+// the reads it notified. No record is logged: commits only fail on a dead
+// log, which accepts no records.
 func (s *Store) untake(key symbol.Key, val []byte) {
 	var cb [canonBuf]byte
+	var wb [4]*waiter
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	f := sh.getFold(key.AppendCanon(cb[:0]))
 	f.items = append(f.items, val)
-	f.wakeAll()
+	woken := f.wakeAll(wb[:0])
 	sh.mu.Unlock()
-}
-
-// dropWaiter removes w wherever it is still registered, one shard at a time,
-// and lets folders it was keeping alive vanish. Folders that never saw a
-// registration are scanned harmlessly.
-func (s *Store) dropWaiter(groups []altGroup, canons [][]byte, w chan struct{}) {
-	for _, g := range groups {
-		sh := &s.shards[g.si]
-		sh.mu.Lock()
-		for _, idx := range g.idxs {
-			if f, ok := sh.folders[string(canons[idx])]; ok {
-				if i := slices.Index(f.waiters, w); i >= 0 {
-					f.waiters = slices.Delete(f.waiters, i, i+1)
-				}
-				sh.gcFold(f)
-			}
-		}
-		sh.mu.Unlock()
-	}
+	rescanAll(woken)
 }
 
 // Get removes and returns a memo, blocking until one is available or cancel

@@ -298,9 +298,10 @@ func (n *Node) isClosed() bool {
 
 // acceptLoop hands each accepted conn to one thread of the node's cache,
 // which serves it until it fails, then closes and retires it. That thread
-// is the conn's read loop: it routes each request once (route), relaying a
-// forward onto its peer link itself and handing the rest, decision in hand,
-// to the same cache; responses coalesce into batched frames. Closing is the
+// is the conn's read loop: it routes each request once (route), running an
+// op on a memory-only folder and relaying a forward onto its peer link
+// itself, and handing the rest, decision in hand, to the same cache;
+// responses coalesce into batched frames. Closing is the
 // whole answer to a peer that sent anything but batch frames: its Recv
 // fails rather than hangs.
 func (n *Node) acceptLoop(l transport.Listener) {
@@ -552,23 +553,46 @@ func (n *Node) Dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response 
 	return resp
 }
 
-// route takes each request an accepted conn delivered, on the read loop. An
-// untraced local folder op runs on a thread with its folder server in hand
-// and needs no record. Anything else becomes a pooled call. A forward —
-// folder- or host-scoped — is relayed from here onto the live peer conn and
-// answered from that conn's receive loop with no thread (see Complete); one
-// whose link must first be dialed, or whose conn refused it, continues on a
-// thread in the link's retry loop. The rest runs on a thread (runCall).
+// route takes each request an accepted conn delivered, on the read loop, and
+// never blocks it. A local folder op on a memory-only store, where nothing
+// can wait, runs right here (folder.Server.Serve): answered on the spot, or
+// parked in the store as a waiter record that holds p — no thread waits on
+// it — and answered by the deposit that fills it or the cancel that ends it.
+// One that might wait — an op on a durable store, whose commit waits on the
+// group fsync, or a tokened take whose token another attempt holds — runs on
+// a thread with its folder server in hand. A forward — folder- or
+// host-scoped — is relayed from here onto the live peer conn and answered
+// from that conn's receive loop with no thread (see Complete); one whose
+// link must first be dialed, or whose conn refused it, continues on a
+// thread in the link's retry loop. Node- and host-scoped verbs this node
+// answers run on a thread (runCall). An untraced local op needs no record;
+// anything else becomes a pooled call.
+//
+//memolint:nonblocking
 func (n *Node) route(p *rpc.Pending) {
 	q := p.Request()
 	c := n.open(q)
-	if c.to.fs != nil && !c.traced {
-		p.Run(runLocal, c.to.fs)
+	if fs := c.to.fs; fs != nil && !c.traced {
+		if resp, ok := fs.Serve(q, p); !ok {
+			p.Run(runLocal, fs)
+		} else if resp != nil {
+			p.Reply(resp)
+		}
 		return
 	}
 	r := callPool.Get().(*call)
 	*r = c
 	r.p = p
+	if fs := c.to.fs; fs != nil {
+		r.start(q)
+		if resp, ok := fs.Serve(q, r); !ok {
+			p.Run(runCall, r)
+		} else if resp != nil {
+			r.finish(q)
+			p.Reply(resp)
+		}
+		return
+	}
 	if c.to.pl == nil {
 		p.Run(runCall, r)
 		return
@@ -592,7 +616,8 @@ func runLocal(p *rpc.Pending) *wire.Response {
 
 // runCall runs a call on a thread. A threaded request starts here, so its
 // memo span's wait is the time it queued before a thread took it; a relay
-// started on the read loop.
+// started on the read loop, and a local op that Serve refused restarts its
+// span here.
 func runCall(p *rpc.Pending) *wire.Response {
 	c := p.Arg().(*call)
 	q := p.Request()
@@ -602,6 +627,21 @@ func runCall(p *rpc.Pending) *wire.Response {
 	resp := c.run(q, p.Cancel())
 	c.finish(q)
 	return resp
+}
+
+// Hold and Answer make a traced local op's call the folder store's Answerer:
+// the store's cancel hook goes on to the inbound request, and the answer —
+// from whichever goroutine completed the parked read — records the call's
+// trace first.
+func (c *call) Hold(h wire.Canceler, id uint64) { c.p.Hold(h, id) }
+
+// Answer is the Answerer half; see Hold.
+//
+//memolint:nonblocking
+func (c *call) Answer(resp *wire.Response) {
+	p := c.p
+	c.finish(p.Request())
+	p.Answer(resp)
 }
 
 // Complete answers a relayed request from the peer conn's receive loop with
@@ -631,15 +671,15 @@ func (c *call) start(q *wire.Request) {
 	}
 }
 
-// run answers q at its destination on the calling goroutine: the error that
-// ends it, the link's retry loop (continuing from c.err, if the read loop's
-// attempt failed), this node, or the folder server. "Each request to a
-// server will cause a thread to be created to handle the request" (§4.1):
-// the goroutine is already a thread of this node, so it runs the folder
-// server's handler itself, whatever the verb. A blocking verb parks in the
-// store on it; the store selects on the same cancel and unregisters its
-// waiter, and a wake is a notification followed by a re-scan, so a canceled
-// request strands no memo.
+// run answers q at its destination on the calling goroutine, blocking until
+// it is answered: the error that ends it, the link's retry loop (continuing
+// from c.err, if the read loop's attempt failed), this node, or the folder
+// server. The goroutine is a thread of this node running a request route
+// could not answer without one, or an in-process Dispatch caller, so it runs
+// the folder server's handler itself: a blocking verb that finds nothing
+// parks a waiter record in the store and waits on it here, and cancel
+// reaches that record, which a wake re-scans under the shard lock, so a
+// canceled request strands no memo.
 func (c *call) run(q *wire.Request, cancel <-chan struct{}) *wire.Response {
 	switch {
 	case c.to.resp != nil:
@@ -760,8 +800,9 @@ func (n *Node) dropPeer(host string) {
 	}
 }
 
-// never is a cancel channel that never fires, for background deliveries.
-var never = make(chan struct{})
+// never is a cancel channel that never fires, for background deliveries: a
+// nil channel, which belongs to no testing/synctest bubble.
+var never chan struct{}
 
 // forwardRelease delivers a put_delayed release to wherever the destination
 // folder lives. It runs asynchronously: the releasing Put must not block on
@@ -793,8 +834,9 @@ func (n *Node) forwardRelease(appName string, dest symbol.Key, payload []byte, r
 // counters, the tracer's two totals, plus a scrape-time collector that walks
 // the node's folder servers (their folder_* series), reads the thread
 // cache's counters (the threadcache_* series: each accepted conn's read loop
-// and every request that needs a thread run on this cache; a forward the
-// read loop relays takes none) and renders each peer link's health as the
+// and every request that needs a thread run on this cache; an op on a
+// memory-only folder and a forward the read loop relays take none) and
+// renders each peer link's health as the
 // node_link_* series, one {peer} sample each.
 func (n *Node) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("node_local_ops_total", "requests resolved on this host", nil, &n.localOps)

@@ -338,15 +338,22 @@ func TestRelayedPutSurvivesLinkDeath(t *testing.T) {
 // TestStalledClientDoesNotStallRelays: a client that stops reading its
 // responses backs up its own conn's response queue only. The peer conn's
 // receive loop answers relayed requests without waiting on that queue, so
-// a second client's forwarded put+get still completes promptly.
+// a second client's forwarded put+get still completes promptly. And a put
+// from the second client that fills a get the stalled client parked at a
+// answers that get from the second client's read loop without waiting on
+// the stalled queue either: the put returns promptly, and so does the
+// second client's next request on the same conn.
 func TestStalledClientDoesNotStallRelays(t *testing.T) {
 	tn := bootNet(t, twoHostADF, Config{})
+	fsA, _ := tn.nodes["a"].LocalFolderServer(tn.file.App, 0)
 	stalled := dialRaw(t, tn, "a", false)
+	stalled.send(t, stalled.req(1, wire.OpGet, 0, symbol.K(3), nil))
+	awaitWaiters(t, fsA, 1)
 	const frames, perFrame = 300, 64
 	entries := make([]wire.BatchEntry, perFrame)
 	for f := 0; f < frames; f++ {
 		for i := range entries {
-			entries[i] = stalled.req(uint64(f*perFrame+i+1), wire.OpGetSkip, 1, symbol.K(1), nil)
+			entries[i] = stalled.req(uint64(f*perFrame+i+2), wire.OpGetSkip, 1, symbol.K(1), nil)
 		}
 		stalled.send(t, entries...)
 	}
@@ -355,7 +362,10 @@ func TestStalledClientDoesNotStallRelays(t *testing.T) {
 	c := tn.client(t, "a")
 	done := make(chan error, 1)
 	go func() {
-		resp, err := c.Do(req(wire.OpPut, 1, symbol.K(2), []byte("through")), nil)
+		resp, err := c.Do(req(wire.OpPut, 0, symbol.K(3), []byte("parked")), nil)
+		if err == nil && resp.Status == wire.StatusOK {
+			resp, err = c.Do(req(wire.OpPut, 1, symbol.K(2), []byte("through")), nil)
+		}
 		if err == nil && resp.Status == wire.StatusOK {
 			resp, err = c.Do(req(wire.OpGet, 1, symbol.K(2), nil), nil)
 		}
@@ -370,7 +380,10 @@ func TestStalledClientDoesNotStallRelays(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("a forwarded put+get stalled behind a client that stopped reading")
+		t.Fatal("a put that woke a stalled client's get, or a forwarded put+get behind it, stalled")
+	}
+	if w, m := folderSeries(fsA, "folder_waiters"), folderSeries(fsA, "folder_memos"); w != 0 || m != 0 {
+		t.Fatalf("the stalled client's get left %d waiters and %d memos at a, want it answered with the memo", w, m)
 	}
 }
 

@@ -149,6 +149,8 @@ func (c *Conn) markSent(entries []wire.BatchEntry) bool {
 //
 // Call is Go with a waiter as the completion: the returned response is the
 // waiter's private copy, payload included.
+//
+//memolint:blocks
 func (c *Conn) Call(q *wire.Request, cancel <-chan struct{}) (*wire.Response, error) {
 	w := waiterPool.Get().(*waiter)
 	id, err := c.Go(q, w)
@@ -221,9 +223,10 @@ func (c *Conn) Go(q *wire.Request, done Completion) (uint64, error) {
 	return c.issue(q, done, nil)
 }
 
-// issue is Go, recording the call id on relayed — when it is non-nil — in
-// the same critical section that makes the call completable, so the id is
-// there before any outcome can reach the relayed request.
+// issue is Go, making c relayed's holder under the call id — when relayed
+// is non-nil — in the same critical section that makes the call
+// completable, so the hook is there before any outcome can reach the
+// relayed request.
 func (c *Conn) issue(q *wire.Request, done Completion, relayed *Pending) (uint64, error) {
 	// Encode into a pooled buffer; the batcher owns it from add() on and
 	// recycles it once the frame carrying it has shipped. RequestOverhead
@@ -251,7 +254,7 @@ func (c *Conn) issue(q *wire.Request, done Completion, relayed *Pending) (uint64
 	id := c.nextID
 	c.pending[id] = oc
 	if relayed != nil {
-		relayed.peer, relayed.peerID = c, id
+		relayed.holder, relayed.holderID = c, id
 	}
 	c.mu.Unlock()
 	mCalls.Inc()

@@ -19,12 +19,14 @@
 //     Blocking operations (get on an empty folder, watch) simply leave
 //     their response for a later frame — they never stall the other
 //     requests of their batch. ServeRouted routes each request on the read
-//     loop first, and may relay it onto another Conn instead of spending a
-//     thread on it: the relayed call's completion answers it.
+//     loop first, and may answer it there, park it with a holder, or relay
+//     it onto another Conn instead of spending a thread on it: the holder,
+//     or the relayed call's completion, answers it.
 //
 // Cancellation is a batched control entry: a cancel entry names the
 // in-flight request id, and the server closes that request's cancel
-// channel — or, for a relayed request, cancels the call it was relayed as.
+// channel — or, for a request a holder has (a relayed call, a read parked
+// in a folder store), asks the holder to cancel it.
 //
 // Nothing fragments a frame, so a memo's size is bounded: Go and Call
 // refuse a request message over MaxMessage before queuing it.

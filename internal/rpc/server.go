@@ -56,17 +56,21 @@ func runHandler(p *Pending) *wire.Response {
 
 // A Router routes each request ServeRouted decodes, on the read loop,
 // before a thread is spent on it. It must not block (beyond the
-// backpressure a relayed request's peer conn applies), must hand p on
-// through p.Run or a successful p.Relay, and must not touch p afterwards.
+// backpressure of a response queue or of a relayed request's peer conn),
+// must hand p on — answer it (Reply), hand it to whatever holds it until it
+// can be answered (Hold), run it on a thread (Run) or relay it (a
+// successful Relay) — and must not touch p afterwards.
 type Router func(p *Pending)
 
 // A RunFunc answers a Pending on a thread: its result is the response.
 type RunFunc func(p *Pending) *wire.Response
 
 // ServeRouted is Serve with the routing decision taken on the read loop:
-// route sees every decoded request first and either runs it on a thread
-// with the decision in hand (Pending.Run) or relays it onto another Conn
-// without one (Pending.Relay), to be answered from that conn's receive loop.
+// route sees every decoded request first and either answers it there, runs
+// it on a thread with the decision in hand (Pending.Run), or hands it on
+// without one — parked with a holder that answers it later (Pending.Hold),
+// or relayed onto another Conn (Pending.Relay) to be answered from that
+// conn's receive loop.
 func ServeRouted(conn transport.Conn, route Router, submit SubmitFunc) error {
 	s := &server{
 		route:    route,
@@ -145,7 +149,7 @@ type server struct {
 // Pending is one request Serve has decoded and not yet answered. It is
 // answered exactly once, from whichever goroutine finishes it, and recycles
 // with everything it holds: the decoded request (whose payload aliases the
-// frame, pinned until the answer), its cancel channel, and the relay state.
+// frame, pinned until the answer), its cancel channel, and its holder.
 type Pending struct {
 	s   *server
 	fb  *frameBuf
@@ -155,13 +159,16 @@ type Pending struct {
 	run RunFunc
 	arg any
 
-	// Guarded by s.mu, except that issue writes peer and peerID on the read
-	// loop before the relayed call can complete, and Run reads peer on the
-	// goroutine that completed that call (see Relay).
-	canceled bool   // a cancel entry or the conn's end asked to unblock it
-	ccClosed bool   // cc is closed: it cannot be recycled
-	peer     *Conn  // the conn it is relayed on; nil while a thread has it
-	peerID   uint64 // its call id on peer
+	// Guarded by s.mu, except that the holder is written on the read loop
+	// before the holder can answer p (Hold, and issue for a relay), and Run
+	// clears it on the goroutine that completed a failed relayed call.
+	canceled bool // a cancel entry or the conn's end asked to unblock it
+	ccClosed bool // cc is closed: it cannot be recycled
+	// holder is the one cancel hook: whatever holds p while no thread has
+	// it — the peer Conn it is relayed on, or the folder store it is parked
+	// in — and holderID the id p goes by there. Nil while a thread has p.
+	holder   wire.Canceler
+	holderID uint64
 }
 
 var pendingPool = sync.Pool{New: func() any {
@@ -177,8 +184,8 @@ func (p *Pending) Arg() any { return p.arg }
 
 // Cancel closes when the client cancels the request or the connection dies,
 // while a thread has the request: blocking handlers must honour it, and
-// answer wire.StatusCanceled only if the request consumed nothing. While p
-// is relayed a cancel goes to the peer call instead.
+// answer wire.StatusCanceled only if the request consumed nothing. While a
+// holder has p a cancel goes to the holder instead.
 func (p *Pending) Cancel() <-chan struct{} { return p.cc }
 
 // Run answers p on a thread: fn(p) runs through the server's SubmitFunc, with
@@ -186,9 +193,9 @@ func (p *Pending) Cancel() <-chan struct{} { return p.cc }
 // completion calls Run when the relayed call failed: cancels go back to
 // p.Cancel, which is closed at once if one already went to the dead call.
 func (p *Pending) Run(fn RunFunc, arg any) {
-	if p.peer != nil {
+	if p.holder != nil {
 		p.s.mu.Lock()
-		p.peer = nil
+		p.holder = nil
 		if p.canceled && !p.ccClosed {
 			p.ccClosed = true
 			close(p.cc)
@@ -220,10 +227,32 @@ func (p *Pending) Relay(c *Conn, done Completion) error {
 	return err
 }
 
+// Hold hands p to h, which answers it later from whichever goroutine
+// completes it (Answer), and makes h the target of a cancel for p: a cancel
+// entry or the conn's end becomes h.Cancel(id). Called only by the Router,
+// on the read loop, before h can answer p.
+func (p *Pending) Hold(h wire.Canceler, id uint64) {
+	p.holder, p.holderID = h, id
+}
+
+// Reply answers p on the read loop, waiting out the response queue's
+// backpressure: a client that stops reading stops its own conn's read loop,
+// and nothing else.
+func (p *Pending) Reply(resp *wire.Response) { p.answer(resp, true) }
+
+// Answer answers p from the goroutine that completed it, without ever
+// waiting on the response queue: that goroutine may be another conn's read
+// loop, which must not stall behind a client that stopped reading.
+//
+//memolint:nonblocking
+func (p *Pending) Answer(resp *wire.Response) { p.answer(resp, false) }
+
 // AnswerEncoded answers p with an encoded response message — a relayed
 // call's, validated by the receive loop that hands it over — copied into a
 // pooled buffer, without ever waiting on the response queue: the peer
 // conn's receive loop must not stall behind a client that stopped reading.
+//
+//memolint:nonblocking
 func (p *Pending) AnswerEncoded(msg []byte) {
 	p.finish(append(pool.Get(len(msg)), msg...), false)
 }
@@ -285,19 +314,21 @@ func recyclePending(p *Pending) {
 	pendingPool.Put(p)
 }
 
-// cancelLocked delivers a cancel to p, once: to the peer call while p is
-// relayed, on p.cc while a thread has it.
-func (p *Pending) cancelLocked() {
+// cancelLocked delivers a cancel to p, once: on p.cc while a thread has it,
+// or, while a holder has it, by returning the holder and p's id there, for
+// the caller to cancel once it has unlocked — a holder may answer p on the
+// spot, which takes s.mu. A holder that has answered p since ignores the id.
+func (p *Pending) cancelLocked() (wire.Canceler, uint64) {
 	if p.canceled {
-		return
+		return nil, 0
 	}
 	p.canceled = true
-	if p.peer != nil {
-		p.peer.Cancel(p.peerID)
-		return
+	if p.holder != nil {
+		return p.holder, p.holderID
 	}
 	p.ccClosed = true
 	close(p.cc)
+	return nil, 0
 }
 
 // dispatch routes one batch entry: heartbeats echo straight back through
@@ -315,11 +346,16 @@ func (s *server) dispatch(e wire.BatchEntry, fb *frameBuf) {
 		return
 	}
 	if e.Cancel {
+		var h wire.Canceler
+		var id uint64
 		s.mu.Lock()
 		if p, ok := s.inflight[e.ID]; ok {
-			p.cancelLocked()
+			h, id = p.cancelLocked()
 		}
 		s.mu.Unlock()
+		if h != nil {
+			h.Cancel(id)
+		}
 		return
 	}
 	p := pendingPool.Get().(*Pending)
@@ -371,15 +407,26 @@ func (s *server) respond(id uint64, resp *wire.Response) {
 	s.out.add(wire.BatchEntry{ID: id, Msg: msg})
 }
 
-// shutdown cancels every request still in flight so blocked handlers unwind
-// and relayed calls are canceled at their peer, and retires the response
-// batcher; answers that arrive later are dropped.
+// shutdown cancels every request still in flight so blocked handlers unwind,
+// parked reads are answered canceled and relayed calls are canceled at their
+// peer, and retires the response batcher; answers that arrive later are
+// dropped.
 func (s *server) shutdown() {
+	type held struct {
+		h  wire.Canceler
+		id uint64
+	}
+	var hs []held
 	s.mu.Lock()
 	s.down = true
 	for _, p := range s.inflight {
-		p.cancelLocked()
+		if h, id := p.cancelLocked(); h != nil {
+			hs = append(hs, held{h, id})
+		}
 	}
 	s.mu.Unlock()
 	s.out.close()
+	for _, c := range hs {
+		c.h.Cancel(c.id)
+	}
 }

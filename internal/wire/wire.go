@@ -248,6 +248,14 @@ var (
 	ErrCanceled = errors.New("memo: operation canceled")
 )
 
+// A Canceler holds a request in flight under an id of its own and can be
+// asked to unblock it: a peer rpc.Conn holding a relayed call, or a folder
+// store holding a parked read. Cancel of an id it no longer holds does
+// nothing; the request is still answered once, by whoever completes it.
+type Canceler interface {
+	Cancel(id uint64)
+}
+
 type writer struct{ buf []byte }
 
 func (w *writer) u64(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
