@@ -17,9 +17,9 @@
 //
 //	//memolint:shard-lock           on a sync.Mutex field: a shard lock
 //	//memolint:requires-shard-lock  callee must run under a shard lock
-//	//memolint:forbids-shard-lock   callee must NOT run under a shard lock
 //	//memolint:must-check-error     the error result must be consumed
-//	//memolint:blocks               callee may wait (fsync, a reply, a wake)
+//	//memolint:blocks               callee may wait (fsync, a reply, a wake):
+//	                                never under a shard lock
 //	//memolint:nonblocking          function must never reach a blocks one
 //
 // Diagnostics are suppressed by an adjacent comment

@@ -6,10 +6,11 @@
 //     sync.Mutex field marked //memolint:shard-lock — is held on every
 //     path; per-folder WAL order equals application order only because the
 //     append happens inside the shard critical section.
-//   - functions marked //memolint:forbids-shard-lock (durable.Log.Commit,
-//     Barrier — they block on fsync) must never be called while a shard
-//     lock may be held: an fsync under the shard lock would stall every
-//     operation on the stripe for milliseconds.
+//   - a function that waits — one marked //memolint:blocks (durable.Log.Commit
+//     and Barrier block on fsync), or one that reaches such a function
+//     through functions of its own package — must never be called while a
+//     shard lock may be held: an fsync under the shard lock would stall
+//     every operation on the stripe for milliseconds.
 //   - no two shard locks may be held at once: multi-shard operations
 //     (AltTake, AltSkip, Watch) visit shards one at a time in ascending
 //     order, and the deadlock-freedom of that scan rests on never nesting
@@ -48,16 +49,11 @@ func New() *analysis.Analyzer {
 const callerLock = "<caller>"
 
 func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkFunc(pass, fd)
-		}
+	r := newReacher(pass)
+	for _, fd := range r.order {
+		checkFunc(pass, r, fd)
 	}
-	checkNonblocking(pass)
+	checkNonblocking(pass, r)
 	return nil
 }
 
@@ -83,7 +79,7 @@ func cloneSet(m map[string]bool) map[string]bool {
 	return out
 }
 
-func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
+func checkFunc(pass *analysis.Pass, r *reacher, fd *ast.FuncDecl) {
 	info := pass.Info
 	g := analysis.BuildCFG(fd.Body)
 
@@ -203,11 +199,11 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 						pass.Reportf(c.Pos(), "%s requires the shard lock but no shard lock is held on every path to this call", analysis.FuncName(callee))
 					}
 				}
-				if pass.Markers.Has(callee, analysis.MarkForbidsLock) {
-					for k := range held.may {
-						pass.Reportf(c.Pos(), "%s must not run under a shard lock, but %s may be held here (fsync inside the critical section)", analysis.FuncName(callee), k)
-						break
+				for k := range held.may {
+					if chain := r.waits(callee); chain != nil {
+						pass.Reportf(c.Pos(), "%s must not run under a shard lock, but %s may be held here: it %s", analysis.FuncName(callee), k, blocksIn(chain))
 					}
+					break
 				}
 			})
 		}

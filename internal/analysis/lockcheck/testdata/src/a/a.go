@@ -67,6 +67,30 @@ func (s *store) BarrierMaybeLocked(i int, c bool) {
 	}
 }
 
+// awaitWake blocks until a deposit wakes it.
+//
+//memolint:blocks
+func (s *store) awaitWake() {}
+
+// WaitLocked waits on something other than the WAL under the lock.
+func (s *store) WaitLocked(i int) {
+	sh := &s.shards[i]
+	sh.mu.Lock()
+	s.awaitWake() // want `store.awaitWake must not run under a shard lock, but sh.mu may be held here: it blocks$`
+	sh.mu.Unlock()
+}
+
+// flush reaches the fsync through no marker of its own.
+func (s *store) flush(i int, seq uint64) error { return s.wal.Commit(i, seq) }
+
+// FlushLocked fsyncs under the lock through an unmarked helper.
+func (s *store) FlushLocked(i int, seq uint64) error {
+	sh := &s.shards[i]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return s.flush(i, seq) // want `store.flush must not run under a shard lock, but sh.mu may be held here: it blocks in store.flush → Log.Commit`
+}
+
 // Nested acquires a second stripe while holding the first: the deadlock the
 // one-at-a-time discipline exists to prevent.
 func (s *store) Nested(i, j int) {

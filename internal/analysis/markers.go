@@ -12,7 +12,6 @@ import (
 const (
 	MarkShardLock    = "shard-lock"
 	MarkRequiresLock = "requires-shard-lock"
-	MarkForbidsLock  = "forbids-shard-lock"
 	MarkMustCheck    = "must-check-error"
 	MarkBlocks       = "blocks"
 	MarkNonblocking  = "nonblocking"

@@ -31,10 +31,11 @@ PROCESSES
 PPC
 `
 	ops := cfg.scale(2000, 20000)
-	run := func(disable bool) (threadcache.Stats, time.Duration, error) {
+	type counts struct{ spawned, reused int64 }
+	run := func(disable bool) (counts, time.Duration, error) {
 		dir, err := os.MkdirTemp("", "e1-")
 		if err != nil {
-			return threadcache.Stats{}, 0, err
+			return counts{}, 0, err
 		}
 		defer os.RemoveAll(dir)
 		c, err := cluster.BootADF(adfText, cluster.Options{
@@ -43,27 +44,27 @@ PPC
 			Durable: durable.Config{Sync: durable.SyncNever},
 		})
 		if err != nil {
-			return threadcache.Stats{}, 0, err
+			return counts{}, 0, err
 		}
 		defer c.Shutdown()
 		m, err := c.NewMemo("a")
 		if err != nil {
-			return threadcache.Stats{}, 0, err
+			return counts{}, 0, err
 		}
 		k := m.NamedKey("hot")
 		start := time.Now()
 		for i := 0; i < ops; i++ {
 			if err := m.Put(k, transferable.Int64(int64(i))); err != nil {
-				return threadcache.Stats{}, 0, err
+				return counts{}, 0, err
 			}
 			if _, err := m.Get(k); err != nil {
-				return threadcache.Stats{}, 0, err
+				return counts{}, 0, err
 			}
 		}
 		elapsed := time.Since(start)
 		samples, err := c.Samples("a")
 		spawned, reused := obs.Sum(samples, "threadcache_spawned_total"), obs.Sum(samples, "threadcache_reused_total")
-		return threadcache.Stats{Spawned: int64(spawned), Reused: int64(reused)}, elapsed, err
+		return counts{int64(spawned), int64(reused)}, elapsed, err
 	}
 
 	cached, cachedTime, err := run(false)
@@ -83,16 +84,16 @@ PPC
 			"mode", "requests", "threads spawned", "served by cached", "us/op",
 		},
 		Rows: [][]string{
-			{"cache on", fmt.Sprint(reqs), fmt.Sprint(cached.Spawned), fmt.Sprint(cached.Reused),
+			{"cache on", fmt.Sprint(reqs), fmt.Sprint(cached.spawned), fmt.Sprint(cached.reused),
 				F(float64(cachedTime.Microseconds()) / float64(reqs))},
-			{"cache off", fmt.Sprint(reqs), fmt.Sprint(uncached.Spawned), fmt.Sprint(uncached.Reused),
+			{"cache off", fmt.Sprint(reqs), fmt.Sprint(uncached.spawned), fmt.Sprint(uncached.reused),
 				F(float64(uncachedTime.Microseconds()) / float64(reqs))},
 		},
 	}
 	t.Notes = append(t.Notes, "each put and get commits to the folder's write-ahead log (never fsynced), so each takes a thread; an op on a memory-only folder takes none")
-	if cached.Spawned*10 < uncached.Spawned {
+	if cached.spawned*10 < uncached.spawned {
 		t.Notes = append(t.Notes, fmt.Sprintf("shape holds: caching cut thread creations %dx",
-			uncached.Spawned/max64(cached.Spawned, 1)))
+			uncached.spawned/max64(cached.spawned, 1)))
 	} else {
 		t.Notes = append(t.Notes, "WARNING: caching did not reduce spawns as expected")
 	}

@@ -290,7 +290,6 @@ func (l *Log) Append(shard int, rec *Record) uint64 {
 // The log has one writer; the unnamed first parameter is a shard index it
 // ignores.
 //
-//memolint:forbids-shard-lock
 //memolint:must-check-error
 //memolint:blocks
 func (l *Log) Commit(_ int, seq uint64) error {
@@ -303,7 +302,6 @@ func (l *Log) Commit(_ int, seq uint64) error {
 // An empty log (the original landed in a previous incarnation) is trivially
 // durable.
 //
-//memolint:forbids-shard-lock
 //memolint:must-check-error
 //memolint:blocks
 func (l *Log) Barrier() error {

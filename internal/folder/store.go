@@ -358,7 +358,6 @@ func (ot *opTrace) add(o *opTrace) {
 // commit waits until record seq is durable, then lets the background
 // snapshot cycle run. A memory-only store commits trivially.
 //
-//memolint:forbids-shard-lock
 //memolint:must-check-error
 func (s *Store) commit(seq uint64, ot *opTrace) error {
 	if s.wal == nil {
@@ -377,7 +376,6 @@ func (s *Store) commit(seq uint64, ot *opTrace) error {
 // deduplicated op owes its original, whose record it repeats the
 // acknowledgement of.
 //
-//memolint:forbids-shard-lock
 //memolint:must-check-error
 func (s *Store) barrier(ot *opTrace) error {
 	if s.wal == nil {

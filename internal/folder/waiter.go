@@ -3,7 +3,6 @@ package folder
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/symbol"
@@ -34,28 +33,37 @@ type Answerer interface {
 // Records are pooled with no channel in them: the channel an in-process wait
 // blocks on is made for that one wait, so nothing the pool hands out can
 // carry a channel from one testing/synctest bubble into another.
+//
+// mu guards the record's generation, phase and request flags, which at most
+// three parties touch: the pass that owns the record, a depositor under a
+// shard lock, and a canceler. Lock order is shard lock, then mu: nobody
+// takes a shard lock while holding mu.
 type waiter struct {
-	// state packs the record's generation — the ticket a canceler names the
-	// read by, bumped on every reuse — above its phase and two request bits.
-	// It is the one field a canceler holding a stale ticket may still read,
-	// so a reuse never writes it but atomically.
-	state atomic.Uint64
+	mu sync.Mutex
+	// gen is the ticket a canceler names the read by, bumped on every reuse;
+	// it is the one field a canceler holding a stale ticket still reads.
+	gen   uint64
+	phase uint8
+	// A pass owns a scanning record; these let a deposit or a cancel that
+	// meets it there leave word for the pass instead of waiting for it.
+	notified  bool // a deposit met w scanning: pass again before parking
+	cancelReq bool // a cancel met w scanning: answer canceled unless the pass takes
 	record
 }
 
-// record is everything of a waiter but its state, reset as one on reuse.
+// record is everything of a waiter but its lock and state, reset as one on
+// reuse.
 type record struct {
 	s *Store
 
-	// op is the read with keys of its own (keys, xs: in key1 and x8 while
-	// they fit), planned into cb, canon1 and group1 when it has one key: a
-	// parked read outlives the frame, and the request memory, its caller
-	// planned in.
+	// op is the read, planned into cb, canon1 and group1 when it has one
+	// key. Its keys are borrowed: keys (in key1 while it fits) copies the
+	// headers of the caller's keys, whose memory outlives the record — an
+	// in-process caller waits for its own answer, and a request Serve parked
+	// is held by its Answerer until answered.
 	op     readOp
 	keys   []symbol.Key
-	xs     []uint32
 	key1   [1]symbol.Key
-	x8     [8]uint32
 	cb     [canonBuf]byte
 	canon1 [1][]byte
 	group1 [1]altGroup
@@ -84,43 +92,30 @@ type record struct {
 	start time.Time
 }
 
-// The phases of a record and its two request bits. A pass owns a scanning
-// record; the bits let a deposit or a cancel that meets it there leave word
-// for the pass instead of waiting for it.
+// The phases of a record.
 const (
-	phaseScanning uint64 = iota // a pass owns w
-	phaseParked                 // registered and idle: a notify or a cancel may take it
-	phaseDone                   // answered, or being answered by whoever moved it here
-	phaseMask     = 3
-
-	bitNotified = 1 << 2 // a deposit met w scanning: pass again before parking
-	bitCancel   = 1 << 3 // a cancel met w scanning: answer canceled unless the pass takes
-	genShift    = 4
+	phaseScanning uint8 = iota // a pass owns w
+	phaseParked                // registered and idle: a notify or a cancel may take it
+	phaseDone                  // answered, or being answered by whoever moved it here
 )
 
 var recordPool = sync.Pool{New: func() any { return new(waiter) }}
 
 // newWaiter draws a record for op, a blocking read that found nothing, in a
-// new generation and owned by the caller (scanning). It copies op's keys and
-// takes over op's token claim; op itself is not retained.
+// new generation and owned by the caller (scanning). It borrows op's keys,
+// copying their headers, and takes over op's token claim; op itself is not
+// retained — for a one-key read its keys are the caller's frame.
 func (s *Store) newWaiter(op *readOp) *waiter {
 	w := recordPool.Get().(*waiter)
-	w.state.Store((w.state.Load()>>genShift+1)<<genShift | phaseScanning)
+	w.mu.Lock()
+	w.gen++
+	w.phase, w.notified, w.cancelReq = phaseScanning, false, false
+	w.mu.Unlock()
 	w.s, w.found = s, -1
 	if w.keys == nil {
-		w.keys, w.xs = w.key1[:0], w.x8[:0]
+		w.keys = w.key1[:0]
 	}
-	n := 0
-	for _, k := range op.keys {
-		n += len(k.X)
-	}
-	w.xs = slices.Grow(w.xs[:0], n)
-	w.keys = w.keys[:0]
-	for _, k := range op.keys {
-		x := len(w.xs)
-		w.xs = append(w.xs, k.X...)
-		w.keys = append(w.keys, symbol.Key{S: k.S, X: w.xs[x:len(w.xs):len(w.xs)]})
-	}
+	w.keys = append(w.keys[:0], op.keys...)
 	w.op = readOp{keys: w.keys, mode: op.mode, block: true, token: op.token, claim: op.claim}
 	op.claim = false
 	if op.ot != nil {
@@ -136,16 +131,16 @@ func (s *Store) newWaiter(op *readOp) *waiter {
 	return w
 }
 
-// ticket is the id a canceler names w by. Read it only while w cannot be
-// recycled under the reader: its owner, or the goroutine waiting on it.
-func (w *waiter) ticket() uint64 { return w.state.Load() >> genShift }
+// ticket is the id a canceler names w by. Only its owner writes gen, in
+// newWaiter, so the owner, or the goroutine waiting on w, reads it unlocked.
+func (w *waiter) ticket() uint64 { return w.gen }
 
-// release recycles a done record, dropping every reference it holds, so a
-// cancel that still names its old ticket finds it done.
+// release recycles a done record, dropping every reference it holds; its
+// generation stays, so a cancel that still names its old ticket finds it
+// done.
 func (w *waiter) release() {
-	gen := w.state.Load() >> genShift
-	w.record = record{keys: w.keys[:0], xs: w.xs[:0]}
-	w.state.Store(gen<<genShift | phaseDone)
+	clear(w.keys)
+	w.record = record{keys: w.keys[:0]}
 	recordPool.Put(w)
 }
 
@@ -163,7 +158,9 @@ func (w *waiter) step() bool {
 		return false
 	}
 	w.found, w.val, w.seq = found, val, seq
-	w.state.Store(w.state.Load()&^(1<<genShift-1) | phaseDone)
+	w.mu.Lock()
+	w.phase = phaseDone
+	w.mu.Unlock()
 	if w.registered {
 		w.s.dropWaiter(w)
 	}
@@ -179,19 +176,23 @@ func (w *waiter) park() {
 		w.parkedAt = w.op.ot.clock()
 	}
 	for {
-		old := w.state.Load()
+		w.mu.Lock()
 		switch {
-		case old&bitCancel != 0:
-			if w.state.CompareAndSwap(old, old&^phaseMask|phaseDone) {
-				w.canceled()
-				return
-			}
-		case old&bitNotified != 0:
-			if w.state.CompareAndSwap(old, old&^bitNotified) && w.step() {
+		case w.cancelReq:
+			w.phase = phaseDone
+			w.mu.Unlock()
+			w.canceled()
+			return
+		case w.notified:
+			w.notified = false
+			w.mu.Unlock()
+			if w.step() {
 				w.complete()
 				return
 			}
-		case w.state.CompareAndSwap(old, old|phaseParked):
+		default:
+			w.phase = phaseParked
+			w.mu.Unlock()
 			return
 		}
 	}
@@ -202,24 +203,16 @@ func (w *waiter) park() {
 // it a rescan once it has unlocked (and committed); a w some pass owns is
 // told to pass again, and a done one ignores it.
 func (w *waiter) notify() bool {
-	for {
-		old := w.state.Load()
-		var next uint64
-		switch old & phaseMask {
-		case phaseParked:
-			next = old &^ phaseMask // scanning
-		case phaseScanning:
-			if old&bitNotified != 0 {
-				return false
-			}
-			next = old | bitNotified
-		default:
-			return false
-		}
-		if w.state.CompareAndSwap(old, next) {
-			return old&phaseMask == phaseParked
-		}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	switch w.phase {
+	case phaseParked:
+		w.phase = phaseScanning
+		return true
+	case phaseScanning:
+		w.notified = true
 	}
+	return false
 }
 
 // rescan is the waker's half of a wake: one pass for a w that notify took
@@ -241,24 +234,17 @@ func (w *waiter) rescan() {
 //
 //memolint:nonblocking
 func (w *waiter) Cancel(ticket uint64) {
-	for {
-		old := w.state.Load()
-		if old>>genShift != ticket {
-			return
-		}
-		switch old & phaseMask {
-		case phaseParked:
-			if w.state.CompareAndSwap(old, old&^phaseMask|phaseDone) {
-				w.canceled()
-				return
-			}
-		case phaseScanning:
-			if old&bitCancel != 0 || w.state.CompareAndSwap(old, old|bitCancel) {
-				return
-			}
-		default:
-			return
-		}
+	w.mu.Lock()
+	parked := w.gen == ticket && w.phase == phaseParked
+	switch {
+	case parked:
+		w.phase = phaseDone
+	case w.gen == ticket && w.phase == phaseScanning:
+		w.cancelReq = true
+	}
+	w.mu.Unlock()
+	if parked {
+		w.canceled()
 	}
 }
 

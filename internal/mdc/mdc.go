@@ -12,7 +12,6 @@
 package mdc
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -207,6 +206,3 @@ func (s *System) Shutdown() {
 	s.mu.Unlock()
 	s.wg.Wait()
 }
-
-// ErrStopped reports an operation on a shut-down system.
-var ErrStopped = errors.New("mdc: system stopped")

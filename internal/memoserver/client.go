@@ -130,16 +130,15 @@ func (c *Client) Ping() error {
 	return nil
 }
 
-// ClientStats is a snapshot of the client link's health counters.
+// ClientStats is a snapshot of the client's retry counter.
 type ClientStats struct {
-	LinkHealth
 	// Retried counts requests transparently re-issued after a link failure.
 	Retried int64
 }
 
-// Stats snapshots the client link's health counters.
+// Stats snapshots the client's retry counter.
 func (c *Client) Stats() ClientStats {
-	return ClientStats{LinkHealth: c.link.stats(), Retried: c.retried.Load()}
+	return ClientStats{Retried: c.retried.Load()}
 }
 
 // Close tears the connection down.

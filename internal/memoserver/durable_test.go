@@ -176,8 +176,8 @@ func TestClientRedialsAcrossServerRestart(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if st := c.Stats(); st.Dials < 2 {
-		t.Fatalf("client link stats %+v, want >= 2 dials (initial + redial)", st)
+	if d := c.link.dials.Load(); d < 2 {
+		t.Fatalf("client link: %d dials, want >= 2 (initial + redial)", d)
 	}
 }
 

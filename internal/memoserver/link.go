@@ -32,26 +32,12 @@ type rlink struct {
 	lastErr error
 	closed  bool
 
-	// Health counters (surfaced per link by stats; a node's collector
-	// renders its peer links' as the node_link_* series, one per peer).
-	dials       obs.Counter
-	failedDials obs.Counter
-	faults      obs.Counter
-}
-
-// LinkHealth is a snapshot of one link's health counters.
-type LinkHealth struct {
-	// Dials counts successful dials: the first connect plus every re-dial
-	// that healed the link.
-	Dials int64
-	// FailedDials counts dial attempts that errored.
-	FailedDials int64
-	// Faults counts conns found dead and replaced.
-	Faults int64
-	// LastErr is the most recent dial error, empty while the link is healthy
-	// (cleared by a successful dial) — the human-readable why behind a
-	// failing link, served as node_link_error's error label.
-	LastErr string
+	// Health counters: a node's collector renders its peer links' as the
+	// node_link_* series, one per peer, with lastErr — the most recent dial
+	// error, nil once a dial heals the link — as node_link_error's label.
+	dials       obs.Counter // successful dials: the first plus every healing re-dial
+	failedDials obs.Counter // dial attempts that errored
+	faults      obs.Counter // conns found dead and replaced
 }
 
 // newRlink builds a link that reaches its peer through dial, which returns
@@ -183,21 +169,6 @@ func (l *rlink) close() {
 	if c != nil {
 		c.Close()
 	}
-}
-
-// stats snapshots the link's health counters.
-func (l *rlink) stats() LinkHealth {
-	st := LinkHealth{
-		Dials:       l.dials.Load(),
-		FailedDials: l.failedDials.Load(),
-		Faults:      l.faults.Load(),
-	}
-	l.mu.Lock()
-	if l.lastErr != nil {
-		st.LastErr = l.lastErr.Error()
-	}
-	l.mu.Unlock()
-	return st
 }
 
 // call issues q on the link and waits for the response. If the link dies

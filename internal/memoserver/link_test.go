@@ -71,8 +71,11 @@ func TestLinkBackoffPacingAndResetOnSuccess(t *testing.T) {
 	if n := l.failedAttempts(); n != 0 {
 		t.Fatalf("%d failed attempts after success, want 0 (reset-on-success)", n)
 	}
-	if st := l.stats(); st != (LinkHealth{Dials: 1, FailedDials: 3}) {
-		t.Fatalf("stats %+v, want 1 dial, 3 failed, no fault, no error", st)
+	l.mu.Lock()
+	lastErr := l.lastErr
+	l.mu.Unlock()
+	if d, f, x := l.dials.Load(), l.failedDials.Load(), l.faults.Load(); d != 1 || f != 3 || x != 0 || lastErr != nil {
+		t.Fatalf("%d dials, %d failed, %d faults, last error %v; want 1 dial, 3 failed, no fault, no error", d, f, x, lastErr)
 	}
 	if len(sd.times) != 4 {
 		t.Fatalf("%d dial attempts, want 4", len(sd.times))
@@ -101,8 +104,8 @@ func TestLinkBackoffPacingAndResetOnSuccess(t *testing.T) {
 	if elapsed := time.Since(start); elapsed >= 4*min {
 		t.Fatalf("post-success retry waited %v; schedule did not reset to Min=%v", elapsed, min)
 	}
-	if st := l.stats(); st.Dials != 2 || st.FailedDials != 4 || st.Faults != 1 {
-		t.Fatalf("stats %+v, want 2 dials, 4 failed, 1 fault", st)
+	if d, f, x := l.dials.Load(), l.failedDials.Load(), l.faults.Load(); d != 2 || f != 4 || x != 1 {
+		t.Fatalf("%d dials, %d failed, %d faults; want 2 dials, 4 failed, 1 fault", d, f, x)
 	}
 }
 
@@ -155,8 +158,8 @@ func TestLinkSingleFlight(t *testing.T) {
 	if second == first {
 		t.Fatal("get handed out the dead conn")
 	}
-	if n, st := dials.Load(), l.stats(); n != 2 || st.Dials != 2 || st.Faults != 1 {
-		t.Fatalf("%d dials, stats %+v; want 2 dials and 1 fault", n, st)
+	if n, d, x := dials.Load(), l.dials.Load(), l.faults.Load(); n != 2 || d != 2 || x != 1 {
+		t.Fatalf("%d dials, link counted %d dials and %d faults; want 2 dials and 1 fault", n, d, x)
 	}
 }
 
@@ -238,8 +241,8 @@ func TestLinkRedialsKnownDeadConnFirst(t *testing.T) {
 			if err := c.Ping(); err != nil {
 				t.Fatalf("ping after restart: %v", err)
 			}
-			if st := c.Stats(); st.Retried != 0 || st.Faults != 1 || st.Dials != 2 {
-				t.Fatalf("stats %+v, want 0 retried, 1 fault, 2 dials", st)
+			if r, x, d := c.retried.Load(), c.link.faults.Load(), c.link.dials.Load(); r != 0 || x != 1 || d != 2 {
+				t.Fatalf("%d retried, %d faults, %d dials; want 0 retried, 1 fault, 2 dials", r, x, d)
 			}
 		})
 	}

@@ -255,16 +255,19 @@ func (n *Node) shutdown(crash bool) {
 	inbound := n.inbound
 	n.inbound = nil
 	n.mu.Unlock()
-	if crash {
-		// Crash the stores first: an in-flight operation that has not yet
-		// committed must fail its commit rather than slip in after the
-		// "kill" point.
+	// A crash stops the stores first, once: an in-flight operation that has
+	// not yet committed must fail its commit rather than slip in after the
+	// "kill" point. A close flushes them last, once nothing reaches them.
+	stores := func(stop func(*folder.Server)) {
 		n.apps.Range(func(_, v any) bool {
 			for _, fs := range v.(*App).local {
-				fs.Store().Crash()
+				stop(fs)
 			}
 			return true
 		})
+	}
+	if crash {
+		stores((*folder.Server).Crash)
 	}
 	if l != nil {
 		l.Close()
@@ -277,16 +280,9 @@ func (n *Node) shutdown(crash bool) {
 	for conn := range inbound {
 		conn.Close()
 	}
-	n.apps.Range(func(_, v any) bool {
-		for _, fs := range v.(*App).local {
-			if crash {
-				fs.Crash()
-			} else {
-				fs.Close()
-			}
-		}
-		return true
-	})
+	if !crash {
+		stores((*folder.Server).Close)
+	}
 	n.pool.Close()
 }
 
@@ -832,12 +828,12 @@ func (n *Node) forwardRelease(appName string, dest symbol.Key, payload []byte, r
 
 // RegisterMetrics attaches this node's series to reg: the node_* routing
 // counters, the tracer's two totals, plus a scrape-time collector that walks
-// the node's folder servers (their folder_* series), reads the thread
-// cache's counters (the threadcache_* series: each accepted conn's read loop
-// and every request that needs a thread run on this cache; an op on a
-// memory-only folder and a forward the read loop relays take none) and
-// renders each peer link's health as the
-// node_link_* series, one {peer} sample each.
+// the node's folder servers (their folder_* series), has the thread cache
+// render its threadcache_* series (each accepted conn's read loop and every
+// request that needs a thread run on this cache; an op on a memory-only
+// folder and a forward the read loop relays take none) and renders each
+// peer link's counters and last dial error as the node_link_* series, one
+// {peer} sample each.
 func (n *Node) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("node_local_ops_total", "requests resolved on this host", nil, &n.localOps)
 	reg.RegisterCounter("node_forwards_total", "requests forwarded to a peer memo server", nil, &n.forwards)
@@ -852,29 +848,27 @@ func (n *Node) RegisterMetrics(reg *obs.Registry) {
 			}
 			return true
 		})
-		cs := n.pool.Stats()
-		e.Counter("threadcache_spawned_total", "request threads created", nil, cs.Spawned)
-		e.Counter("threadcache_reused_total", "requests run on a cached thread", nil, cs.Reused)
-		e.Counter("threadcache_retired_total", "cached threads retired (idle timeout, cache full or closed)", nil, cs.Retired)
-		e.Gauge("threadcache_idle_workers", "threads parked in the cache", nil, int64(n.pool.IdleCount()))
-		links := map[string]LinkHealth{}
+		n.pool.Collect(e)
+		links := map[string]*peerLink{}
 		n.peers.Range(func(host, v any) bool {
-			links[host.(string)] = v.(*peerLink).stats()
+			links[host.(string)] = v.(*peerLink)
 			return true
 		})
 		e.Gauge("node_peer_links", "open peer links", nil, int64(len(links)))
 		for _, host := range slices.Sorted(maps.Keys(links)) {
-			st := links[host]
+			l := links[host]
 			peer := map[string]string{"peer": host}
-			e.Counter("node_link_dials_total", "successful peer-link dials", peer, st.Dials)
-			e.Counter("node_link_failed_dials_total", "failed peer-link dial attempts", peer, st.FailedDials)
-			e.Counter("node_link_faults_total", "peer-link faults (link declared dead)", peer, st.Faults)
-			failing := int64(0)
-			if st.LastErr != "" {
-				failing = 1
+			e.Counter("node_link_dials_total", "successful peer-link dials", peer, l.dials.Load())
+			e.Counter("node_link_failed_dials_total", "failed peer-link dial attempts", peer, l.failedDials.Load())
+			e.Counter("node_link_faults_total", "peer-link faults (link declared dead)", peer, l.faults.Load())
+			lastErr, failing := "", int64(0)
+			l.mu.Lock()
+			if l.lastErr != nil {
+				lastErr, failing = l.lastErr.Error(), 1
 			}
+			l.mu.Unlock()
 			e.Gauge("node_link_error", "1 while the peer link's last dial failed, naming that error; 0 with an empty error once a dial heals it",
-				map[string]string{"peer": host, "error": st.LastErr}, failing)
+				map[string]string{"peer": host, "error": lastErr}, failing)
 		}
 	})
 }

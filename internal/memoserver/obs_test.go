@@ -14,6 +14,7 @@ import (
 	"repro/internal/folder"
 	"repro/internal/obs"
 	"repro/internal/symbol"
+	"repro/internal/threadcache"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -40,6 +41,15 @@ func folderSeries(fs *folder.Server, series string) int {
 	reg := obs.NewRegistry()
 	reg.RegisterCollector(fs.Collect)
 	return int(obs.Sum(exposition(reg), series))
+}
+
+// poolRuns is the number of tasks p has run — its threadcache_spawned_total
+// plus threadcache_reused_total — read back from p's own exposition.
+func poolRuns(p *threadcache.Pool) int64 {
+	reg := obs.NewRegistry()
+	reg.RegisterCollector(p.Collect)
+	samples := exposition(reg)
+	return int64(obs.Sum(samples, "threadcache_spawned_total") + obs.Sum(samples, "threadcache_reused_total"))
 }
 
 // nodeExposition is n's own series — the node_*, folder_*, threadcache_*

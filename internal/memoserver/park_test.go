@@ -346,7 +346,7 @@ func TestParkedTokenedGetOrdering(t *testing.T) {
 	const tok, tok2 = 1 << 40, 1<<40 + 1
 	k, k2 := symbol.K(1), symbol.K(2)
 
-	ran := func() int64 { st := a.pool.Stats(); return st.Spawned + st.Reused }
+	ran := func() int64 { return poolRuns(a.pool) }
 	r.send(t, tokened(1, wire.OpGet, k, tok))
 	awaitWaiters(t, fs, 1)
 	threads := ran()

@@ -465,15 +465,14 @@ func TestHostVerbRelaysWithoutThread(t *testing.T) {
 		}
 	}
 	round(-1) // warm the peer link and both thread caches
-	forwards, cache := a.forwards.Load(), a.pool.Stats()
+	forwards, cache := a.forwards.Load(), poolRuns(a.pool)
 	for i := 0; i < n; i++ {
 		round(i)
 	}
 	if got := a.forwards.Load() - forwards; got != 2*n {
 		t.Errorf("node_forwards_total at a moved by %d over %d pump+fetch rounds, want %d", got, n, 2*n)
 	}
-	after := a.pool.Stats()
-	if ran := after.Spawned + after.Reused - cache.Spawned - cache.Reused; ran != 0 {
+	if ran := poolRuns(a.pool) - cache; ran != 0 {
 		t.Errorf("%d pump+fetch rounds to b ran %d tasks on a's thread cache, want 0", n, ran)
 	}
 }

@@ -226,8 +226,8 @@ func TestMemoSizeBoundOverTCP(t *testing.T) {
 	if resp, err := c.Do(req(wire.OpGetSkip, 0, k, nil), nil); err != nil || resp.Status != wire.StatusEmpty {
 		t.Fatalf("get_skip after the refused puts: %+v %v, want empty", resp, err)
 	}
-	if st := c.Stats(); st.Retried != 0 || st.Faults != 0 || st.Dials != 1 {
-		t.Fatalf("client link %+v, want one dial, no retry, no fault", st)
+	if r, x, d := c.retried.Load(), c.link.faults.Load(), c.link.dials.Load(); r != 0 || x != 0 || d != 1 {
+		t.Fatalf("client link: %d retried, %d faults, %d dials; want one dial, no retry, no fault", r, x, d)
 	}
 	for _, node := range nodes {
 		if got := node.retried.Load(); got != 0 {

@@ -22,6 +22,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Config tunes a pool.
@@ -39,16 +41,6 @@ const (
 	DefaultIdleTimeout = 100 * time.Millisecond
 	DefaultMaxIdle     = 64
 )
-
-// Stats counts pool activity.
-type Stats struct {
-	// Spawned is the number of worker goroutines created.
-	Spawned int64
-	// Reused is the number of tasks handled by an already-cached worker.
-	Reused int64
-	// Retired is the number of workers that idled out.
-	Retired int64
-}
 
 // ErrClosed reports Submit on a closed pool.
 var ErrClosed = errors.New("threadcache: pool closed")
@@ -81,9 +73,9 @@ type Pool struct {
 	closed bool
 	live   sync.WaitGroup
 
-	spawned atomic.Int64
-	reused  atomic.Int64
-	retired atomic.Int64
+	spawned atomic.Int64 // worker goroutines created
+	reused  atomic.Int64 // tasks handled by an already-cached worker
+	retired atomic.Int64 // workers retired: idled out, cache full or closed
 }
 
 // idleWorker is a parked worker: the channel it waits on, and since when.
@@ -235,18 +227,13 @@ func (p *Pool) Close() {
 // Wait blocks until all running tasks complete. Call after Close.
 func (p *Pool) Wait() { p.live.Wait() }
 
-// Stats snapshots the counters.
-func (p *Pool) Stats() Stats {
-	return Stats{
-		Spawned: p.spawned.Load(),
-		Reused:  p.reused.Load(),
-		Retired: p.retired.Load(),
-	}
-}
-
-// IdleCount reports the number of parked workers (diagnostics).
-func (p *Pool) IdleCount() int {
+// Collect renders the pool's threadcache_* series into e.
+func (p *Pool) Collect(e *obs.Emitter) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.idle)
+	idle := len(p.idle)
+	p.mu.Unlock()
+	e.Counter("threadcache_spawned_total", "request threads created", nil, p.spawned.Load())
+	e.Counter("threadcache_reused_total", "requests run on a cached thread", nil, p.reused.Load())
+	e.Counter("threadcache_retired_total", "cached threads retired (idle timeout, cache full or closed)", nil, p.retired.Load())
+	e.Gauge("threadcache_idle_workers", "threads parked in the cache", nil, int64(idle))
 }

@@ -38,21 +38,27 @@ func TestSequentialTasksReuseWorker(t *testing.T) {
 		<-done
 		waitIdle(t, p, 1)
 	}
-	s := p.Stats()
-	if s.Spawned != 1 {
-		t.Fatalf("spawned %d workers for sequential tasks, want 1", s.Spawned)
+	if n := p.spawned.Load(); n != 1 {
+		t.Fatalf("spawned %d workers for sequential tasks, want 1", n)
 	}
-	if s.Reused != 10 {
-		t.Fatalf("reused = %d want 10", s.Reused)
+	if n := p.reused.Load(); n != 10 {
+		t.Fatalf("reused = %d want 10", n)
 	}
+}
+
+// idleCount is the number of parked workers.
+func idleCount(p *Pool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.idle)
 }
 
 func waitIdle(t *testing.T, p *Pool, want int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for p.IdleCount() < want {
+	for idleCount(p) < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("worker never parked (idle=%d)", p.IdleCount())
+			t.Fatalf("worker never parked (idle=%d)", idleCount(p))
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -65,14 +71,14 @@ func TestWorkerRetiresAfterIdleTimeout(t *testing.T) {
 	p.Submit(func() { close(done) })
 	<-done
 	deadline := time.Now().Add(2 * time.Second)
-	for p.Stats().Retired == 0 {
+	for p.retired.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("worker never retired")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if p.IdleCount() != 0 {
-		t.Fatalf("idle = %d after retirement", p.IdleCount())
+	if idleCount(p) != 0 {
+		t.Fatalf("idle = %d after retirement", idleCount(p))
 	}
 }
 
@@ -85,9 +91,8 @@ func TestDisableSpawnsPerTask(t *testing.T) {
 		p.Submit(func() { wg.Done() })
 	}
 	wg.Wait()
-	s := p.Stats()
-	if s.Spawned != 20 || s.Reused != 0 {
-		t.Fatalf("disable mode: spawned=%d reused=%d", s.Spawned, s.Reused)
+	if spawned, reused := p.spawned.Load(), p.reused.Load(); spawned != 20 || reused != 0 {
+		t.Fatalf("disable mode: spawned=%d reused=%d", spawned, reused)
 	}
 }
 
@@ -104,7 +109,7 @@ func TestMaxIdleBounded(t *testing.T) {
 	wg.Wait()
 	deadline := time.Now().Add(time.Second)
 	for time.Now().Before(deadline) {
-		if n := p.IdleCount(); n > DefaultMaxIdle {
+		if n := idleCount(p); n > DefaultMaxIdle {
 			t.Fatalf("idle = %d exceeds DefaultMaxIdle %d", n, DefaultMaxIdle)
 		}
 		time.Sleep(time.Millisecond)
@@ -175,7 +180,7 @@ func TestConcurrentSubmitStress(t *testing.T) {
 
 func TestCachingReducesSpawns(t *testing.T) {
 	// The E1 claim at unit scale: with caching, far fewer spawns than tasks.
-	run := func(disable bool) Stats {
+	spawns := func(disable bool) int64 {
 		p := New(Config{IdleTimeout: 200 * time.Millisecond, Disable: disable})
 		defer func() { p.Close(); p.Wait() }()
 		var wg sync.WaitGroup
@@ -187,15 +192,15 @@ func TestCachingReducesSpawns(t *testing.T) {
 			}
 		}
 		wg.Wait()
-		return p.Stats()
+		return p.spawned.Load()
 	}
-	cached := run(false)
-	uncached := run(true)
-	if uncached.Spawned != 500 {
-		t.Fatalf("uncached spawned = %d", uncached.Spawned)
+	cached := spawns(false)
+	uncached := spawns(true)
+	if uncached != 500 {
+		t.Fatalf("uncached spawned = %d", uncached)
 	}
-	if cached.Spawned >= uncached.Spawned/2 {
-		t.Fatalf("caching barely helped: %d vs %d spawns", cached.Spawned, uncached.Spawned)
+	if cached >= uncached/2 {
+		t.Fatalf("caching barely helped: %d vs %d spawns", cached, uncached)
 	}
 }
 
@@ -212,7 +217,7 @@ func TestWarmCycleAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		<-done
-		for p.IdleCount() == 0 { // parked again: the next cycle reuses it
+		for idleCount(p) == 0 { // parked again: the next cycle reuses it
 			runtime.Gosched()
 		}
 	}
@@ -220,8 +225,8 @@ func TestWarmCycleAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Fatalf("warm SubmitArg/run/park cycle allocates %.1f/op, want 0", allocs)
 	}
-	if s := p.Stats(); s.Spawned != 1 {
-		t.Fatalf("spawned %d workers, want the one reused throughout", s.Spawned)
+	if n := p.spawned.Load(); n != 1 {
+		t.Fatalf("spawned %d workers, want the one reused throughout", n)
 	}
 }
 
@@ -249,15 +254,15 @@ func TestIdleWorkersRetireWithoutTraffic(t *testing.T) {
 	wg.Wait()
 	deadline := time.Now().Add(3 * idle)
 	for {
-		s := p.Stats()
-		if s.Retired == s.Spawned && p.IdleCount() == 0 && !armed(p) {
-			if s.Spawned != 16 {
-				t.Fatalf("a burst of 16 concurrent tasks spawned %d workers", s.Spawned)
+		spawned, retired := p.spawned.Load(), p.retired.Load()
+		if retired == spawned && idleCount(p) == 0 && !armed(p) {
+			if spawned != 16 {
+				t.Fatalf("a burst of 16 concurrent tasks spawned %d workers", spawned)
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("3 idle timeouts after the burst: %+v, idle=%d, sweep armed=%v", s, p.IdleCount(), armed(p))
+			t.Fatalf("3 idle timeouts after the burst: spawned=%d retired=%d, idle=%d, sweep armed=%v", spawned, retired, idleCount(p), armed(p))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -307,7 +312,7 @@ func BenchmarkSubmitPark(b *testing.B) {
 			b.Fatal(err)
 		}
 		<-done
-		for p.IdleCount() == 0 {
+		for idleCount(p) == 0 {
 			runtime.Gosched()
 		}
 	}
