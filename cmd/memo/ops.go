@@ -16,7 +16,9 @@
 // Exit codes: 0 the operation completed (including an empty get-skip);
 // 1 the operation or connection failed; 2 usage error; 3 the -timeout
 // expired and the blocking operation was canceled having consumed nothing (a
-// get that had already taken its memo when the timer fired prints it, exit 0).
+// get that had already taken its memo when the timer fired prints it, exit
+// 0). A failed put or take reports the dedup token its client stamped on it
+// (with -retries > 0), the name its servers know it by.
 package main
 
 import (
@@ -89,6 +91,7 @@ type result struct {
 	Value string `json:"value,omitempty"`
 	Empty bool   `json:"empty,omitempty"`
 	Error string `json:"error,omitempty"`
+	Token string `json:"token,omitempty"`
 	Trace string `json:"trace,omitempty"`
 }
 
@@ -128,135 +131,122 @@ func runOp(op string, args []string) int {
 
 	m, client, err := o.connect()
 	if err != nil {
-		return emit(o, result{Op: op, Error: err.Error()}, exitErr)
+		return report(o, result{Op: op}, err)
 	}
 	defer m.Close()
 
 	// One cancel channel serves every blocking call; the timer closes it, and
 	// ErrCanceled — the store's word that the call consumed nothing — becomes
-	// the dedicated timeout exit code. Any other error after the timer fired
-	// (a dead link, say) leaves the outcome unknown and exits 1.
+	// the dedicated timeout exit code (report). Any other error after the
+	// timer fired (a dead link, say) leaves the outcome unknown and exits 1.
 	var cancel chan struct{}
 	if o.timeout > 0 {
 		cancel = make(chan struct{})
 		t := time.AfterFunc(o.timeout, func() { close(cancel) })
 		defer t.Stop()
 	}
-	code := func(err error) int {
-		if errors.Is(err, core.ErrCanceled) {
-			return exitTimeout
-		}
-		return exitErr
-	}
 
+	// Each op fills in r — the key (or dir) it names is reported on failure
+	// too — and leaves its error in err for the one tail below.
+	r := result{Op: op}
 	switch op {
-	case "put":
-		k, err := parseKey(key)
-		if err != nil {
-			return usage(op, err)
+	case "put", "put-delayed":
+		k, perr := parseKey(key)
+		if perr != nil {
+			return usage(op, perr)
 		}
-		if err := m.Put(k, transferable.String(value)); err != nil {
-			return emit(o, result{Op: op, Key: key, Error: err.Error()}, exitErr)
+		r.Key, r.Value = key, value
+		if op == "put" {
+			err = m.Put(k, transferable.String(value))
+			break
 		}
-		return emit(o, result{OK: true, Op: op, Key: key, Value: value}, exitOK)
+		d, perr := parseKey(dest)
+		if perr != nil {
+			return usage(op, perr)
+		}
+		err = m.PutDelayed(k, d, transferable.String(value))
 
-	case "put-delayed":
-		k, err := parseKey(key)
-		if err != nil {
-			return usage(op, err)
+	case "get", "get-copy", "watch", "get-skip":
+		k, perr := parseKey(key)
+		if perr != nil {
+			return usage(op, perr)
 		}
-		d, err := parseKey(dest)
-		if err != nil {
-			return usage(op, err)
-		}
-		if err := m.PutDelayed(k, d, transferable.String(value)); err != nil {
-			return emit(o, result{Op: op, Key: key, Error: err.Error()}, exitErr)
-		}
-		return emit(o, result{OK: true, Op: op, Key: key, Value: value}, exitOK)
-
-	case "get", "get-copy", "watch":
-		k, err := parseKey(key)
-		if err != nil {
-			return usage(op, err)
-		}
+		r.Key = key
 		var v transferable.Value
-		if op == "get" {
+		ok := true
+		switch op {
+		case "get":
 			v, err = m.GetCancel(k, cancel)
-		} else {
+		case "get-skip":
+			v, ok, err = m.GetSkip(k)
+		default:
 			// watch = get-copy: observe without consuming.
 			v, err = m.GetCopyCancel(k, cancel)
 		}
-		if err != nil {
-			return emit(o, result{Op: op, Key: key, Error: err.Error()}, code(err))
+		if r.Empty = !ok; ok && err == nil {
+			r.Value = valueString(v)
 		}
-		return emit(o, result{OK: true, Op: op, Key: key, Value: valueString(v)}, exitOK)
-
-	case "get-skip":
-		k, err := parseKey(key)
-		if err != nil {
-			return usage(op, err)
-		}
-		v, ok, err := m.GetSkip(k)
-		if err != nil {
-			return emit(o, result{Op: op, Key: key, Error: err.Error()}, exitErr)
-		}
-		if !ok {
-			return emit(o, result{OK: true, Op: op, Key: key, Empty: true}, exitOK)
-		}
-		return emit(o, result{OK: true, Op: op, Key: key, Value: valueString(v)}, exitOK)
 
 	case "alt-take", "alt-skip":
-		ks, err := parseKeys(keys)
-		if err != nil {
-			return usage(op, err)
+		ks, perr := parseKeys(keys)
+		if perr != nil {
+			return usage(op, perr)
 		}
+		var k symbol.Key
+		var v transferable.Value
+		ok := true
 		if op == "alt-skip" {
-			k, v, ok, err := m.GetAltSkip(ks...)
-			if err != nil {
-				return emit(o, result{Op: op, Error: err.Error()}, exitErr)
-			}
-			if !ok {
-				return emit(o, result{OK: true, Op: op, Empty: true}, exitOK)
-			}
-			return emit(o, result{OK: true, Op: op, Key: k.Canon(), Value: valueString(v)}, exitOK)
+			k, v, ok, err = m.GetAltSkip(ks...)
+		} else {
+			k, v, err = m.GetAltCancel(cancel, ks...)
 		}
-		k, v, err := m.GetAltCancel(cancel, ks...)
-		if err != nil {
-			return emit(o, result{Op: op, Error: err.Error()}, code(err))
+		if r.Empty = !ok; ok && err == nil {
+			r.Key, r.Value = k.Canon(), valueString(v)
 		}
-		return emit(o, result{OK: true, Op: op, Key: k.Canon(), Value: valueString(v)}, exitOK)
 
 	case "register":
-		src, err := os.ReadFile(o.adfPath)
-		if err != nil {
-			return emit(o, result{Op: op, Error: err.Error()}, exitErr)
+		var src []byte
+		if src, err = os.ReadFile(o.adfPath); err == nil {
+			err = client.Register(string(src))
 		}
-		if err := client.Register(string(src)); err != nil {
-			return emit(o, result{Op: op, Error: err.Error()}, exitErr)
-		}
-		return emit(o, result{OK: true, Op: op}, exitOK)
 
 	case "ping":
-		if err := client.Ping(); err != nil {
-			return emit(o, result{Op: op, Error: err.Error()}, exitErr)
-		}
-		return emit(o, result{OK: true, Op: op}, exitOK)
+		err = client.Ping()
 
 	case "pump":
-		if err := m.PumpProgram(targetHost, dir, []byte(value)); err != nil {
-			return emit(o, result{Op: op, Key: dir, Error: err.Error()}, exitErr)
-		}
-		return emit(o, result{OK: true, Op: op, Key: dir}, exitOK)
+		r.Key = dir
+		err = m.PumpProgram(targetHost, dir, []byte(value))
 
 	case "fetch":
-		blob, err := m.FetchProgram(targetHost, dir)
-		if err != nil {
-			return emit(o, result{Op: op, Key: dir, Error: err.Error()}, exitErr)
-		}
-		return emit(o, result{OK: true, Op: op, Key: dir, Value: string(blob)}, exitOK)
+		r.Key = dir
+		var blob []byte
+		blob, err = m.FetchProgram(targetHost, dir)
+		r.Value = string(blob)
+
+	default:
+		fmt.Fprintf(os.Stderr, "memo: unknown op %q\n", op)
+		return exitUsage
 	}
-	fmt.Fprintf(os.Stderr, "memo: unknown op %q\n", op)
-	return exitUsage
+	return report(o, r, err)
+}
+
+// report is the one tail of every op: it emits r, completed, or — when err
+// is set — the op's failure, naming the op's dedup token when it has one,
+// with the exit code the failure earns: exitTimeout for a canceled blocking
+// op, which consumed nothing, exitErr for anything else.
+func report(o *opFlags, r result, err error) int {
+	if err == nil {
+		r.OK = true
+		return emit(o, r, exitOK)
+	}
+	r = result{Op: r.Op, Key: r.Key, Error: err.Error()}
+	if tok := core.TokenOf(err); tok != 0 {
+		r.Token = fmt.Sprintf("%#x", tok)
+	}
+	if errors.Is(err, core.ErrCanceled) {
+		return emit(o, r, exitTimeout)
+	}
+	return emit(o, r, exitErr)
 }
 
 // connect opens the handle cluster.NewMemo would, over real TCP: core.Open
@@ -351,6 +341,8 @@ func emit(o *opFlags, r result, code int) int {
 		return code
 	}
 	switch {
+	case r.Token != "":
+		fmt.Fprintf(os.Stderr, "memo %s: %s (token %s)\n", r.Op, r.Error, r.Token)
 	case r.Error != "":
 		fmt.Fprintf(os.Stderr, "memo %s: %s\n", r.Op, r.Error)
 	case r.Empty:

@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/adf"
+	"repro/internal/core"
 	"repro/internal/memoserver"
 	"repro/internal/obs"
 	"repro/internal/symbol"
@@ -157,5 +159,36 @@ func TestGetTimeoutNeverEatsTheMemo(t *testing.T) {
 	}
 	if code := runOp("put", append(base, "-value", "later")); code != exitOK || memos() != 1 {
 		t.Fatalf("put after a timed-out get exited %d with %d memos in the folder", code, memos())
+	}
+}
+
+// TestReportNamesTheToken: the one failure tail reports a failed op's dedup
+// token in its -json line and picks the exit code by what the token's error
+// wraps: canceled having consumed nothing is 3, anything else 1.
+func TestReportNamesTheToken(t *testing.T) {
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = out
+	t.Cleanup(func() { os.Stdout = stdout; out.Close() })
+
+	o := &opFlags{jsonOut: true}
+	canceled := &core.TokenError{Token: 0xbeef, Err: core.ErrCanceled}
+	if code := report(o, result{Op: "get", Key: "7", Value: "stale"}, canceled); code != exitTimeout {
+		t.Fatalf("canceled tokened get exited %d, want %d", code, exitTimeout)
+	}
+	if code := report(o, result{Op: "put", Key: "7"}, &core.TokenError{Token: 0xcafe, Err: errors.New("link reset")}); code != exitErr {
+		t.Fatalf("failed tokened put exited %d, want %d", code, exitErr)
+	}
+	b, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"ok":false,"op":"get","key":"7","error":"memo: operation canceled","token":"0xbeef"}` + "\n" +
+		`{"ok":false,"op":"put","key":"7","error":"link reset","token":"0xcafe"}` + "\n"
+	if string(b) != want {
+		t.Fatalf("json lines\n%s\nwant\n%s", b, want)
 	}
 }

@@ -18,10 +18,9 @@
 //   - functions marked //memolint:nonblocking (a conn's router, the folder
 //     store's wake and re-scan path, rpc.Pending's completions) must not
 //     reach a function marked //memolint:blocks (Log.Commit, Log.Barrier,
-//     rpc.Conn.Call, the in-process wait on a parked read, the wait on
-//     another attempt's take token), directly or through functions of
-//     their own package: they run on a read loop or on another request's
-//     goroutine, which a wait would stall.
+//     rpc.Conn.Call, the in-process wait on a parked read), directly or
+//     through functions of their own package: they run on a read loop or
+//     on another request's goroutine, which a wait would stall.
 //
 // A function whose own contract is "caller holds the shard lock" should be
 // marked //memolint:requires-shard-lock: its body is then analyzed with a

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -24,7 +25,8 @@ import (
 //     did nothing. A value whose put failed so and is observed later is a
 //     phantom.
 //   - any other error: the outcome is uncertain. The put landed 0 or 1
-//     times; the take consumed 0 or 1 values.
+//     times; the take consumed 0 or 1 values, and is named by the dedup
+//     token its error carries (core.TokenOf), when its client stamped one.
 //
 // Check audits the account once every booking site has returned: no value
 // consumed twice, no value observed that no put may have deposited, and no
@@ -54,7 +56,10 @@ type Tally struct {
 	Unsent         int // calls, puts or takes, that provably never reached the wire
 	Observed       int // distinct values consumed
 	UncertainTakes int // takes that may have consumed one value
-	CanceledTakes  int // takes the owning store canceled having consumed nothing
+	// UncertainTokens names, in booking order, the uncertain takes whose
+	// error carried their dedup token.
+	UncertainTokens []uint64
+	CanceledTakes   int // takes the owning store canceled having consumed nothing
 }
 
 // NewLedger returns an empty ledger.
@@ -102,6 +107,9 @@ func (l *Ledger) Take(v string, ok bool, err error) {
 		l.t.Unsent++
 	default:
 		l.t.UncertainTakes++
+		if tok := core.TokenOf(err); tok != 0 {
+			l.t.UncertainTokens = append(l.t.UncertainTokens, tok)
+		}
 	}
 }
 
@@ -129,6 +137,7 @@ func (l *Ledger) Tally() Tally {
 	defer l.mu.Unlock()
 	t := l.t
 	t.Observed = len(l.taken)
+	t.UncertainTokens = slices.Clone(t.UncertainTokens)
 	return t
 }
 
@@ -166,8 +175,8 @@ func (l *Ledger) Check() error {
 	if len(missing) > l.t.UncertainTakes {
 		sort.Strings(missing)
 		errs = append(errs, fmt.Sprintf(
-			"loss: %d acked values never observed but only %d uncertain takes could have consumed them: %v",
-			len(missing), l.t.UncertainTakes, missing))
+			"loss: %d acked values never observed but only %d uncertain takes (tokens %#x) could have consumed them: %v",
+			len(missing), l.t.UncertainTakes, l.t.UncertainTokens, missing))
 	}
 	if len(errs) == 0 {
 		return nil

@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -70,13 +73,40 @@ func TestOracleSelfTest(t *testing.T) {
 			l.Take("", false, canceled)
 		}, true},
 		{"violation", func(l *Ledger) { l.Violate("watcher never converged") }, true},
+		{"uncertain take named by its token", func(l *Ledger) {
+			l.Put("a", nil)
+			l.Take("", false, &core.TokenError{Token: 0xbeef, Err: maybe})
+		}, false},
+		{"loss beyond a named uncertain take", func(l *Ledger) {
+			l.Put("a", nil)
+			l.Put("b", nil)
+			l.Put("c", nil)
+			l.Take("", false, &core.TokenError{Token: 0xbeef, Err: maybe})
+			l.Take("", false, maybe)
+			l.Take("", false, &core.TokenError{Token: 0xcafe, Err: canceled})
+		}, true},
+	}
+	// The uncertain takes' tokens a row's tally must name, and its loss
+	// message too when flagged.
+	named := map[string][]uint64{
+		"uncertain take named by its token":  {0xbeef},
+		"loss beyond a named uncertain take": {0xbeef},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			l := NewLedger()
 			row.book(l)
-			if err := l.Check(); (err != nil) != row.flagged {
+			err := l.Check()
+			if (err != nil) != row.flagged {
 				t.Fatalf("Check() = %v, want flagged = %v (%+v)", err, row.flagged, l.Tally())
+			}
+			if got := l.Tally().UncertainTokens; !slices.Equal(got, named[row.name]) {
+				t.Fatalf("tally names uncertain tokens %#x, want %#x", got, named[row.name])
+			}
+			for _, tok := range named[row.name] {
+				if err != nil && !strings.Contains(err.Error(), fmt.Sprintf("%#x", tok)) {
+					t.Fatalf("Check() = %v, which does not name token %#x", err, tok)
+				}
 			}
 		})
 	}

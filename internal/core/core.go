@@ -38,6 +38,28 @@ type RemoteError struct{ Msg string }
 
 func (e *RemoteError) Error() string { return "memo: " + e.Msg }
 
+// TokenError is the error of an operation its client stamped with an
+// at-most-once dedup token: the servers know the operation by that token,
+// so an uncertain outcome is named by it. It wraps the operation's error
+// and reads as it does; errors.Is and errors.As see through it to
+// ErrCanceled, an *rpc.LinkError or a *RemoteError.
+type TokenError struct {
+	Token uint64
+	Err   error
+}
+
+func (e *TokenError) Error() string { return e.Err.Error() }
+func (e *TokenError) Unwrap() error { return e.Err }
+
+// TokenOf returns the dedup token err names, or 0 when it names none.
+func TokenOf(err error) uint64 {
+	var te *TokenError
+	if errors.As(err, &te) {
+		return te.Token
+	}
+	return 0
+}
+
 // Memo is the API handle for one application process.
 type Memo struct {
 	app    string
@@ -152,16 +174,20 @@ func (m *Memo) NamedKey(name string, x ...uint32) symbol.Key {
 // target computes the folder server for a key.
 func (m *Memo) target(k symbol.Key) int { return m.place.Place(k).ID }
 
-// do sends a request and turns an error response into an error.
+// do sends a request and turns an error response into an error, which
+// names the request's dedup token when its client stamped one.
 func (m *Memo) do(q *wire.Request, cancel <-chan struct{}) (*wire.Response, error) {
 	resp, err := m.client.Do(q, cancel)
-	if err != nil {
-		return nil, err
+	if err == nil && resp.Status == wire.StatusErr {
+		err = &RemoteError{Msg: resp.Err}
 	}
-	if resp.Status == wire.StatusErr {
-		return nil, &RemoteError{Msg: resp.Err}
+	switch {
+	case err == nil:
+		return resp, nil
+	case q.Token != 0:
+		return nil, &TokenError{Token: q.Token, Err: err}
 	}
-	return resp, nil
+	return nil, err
 }
 
 // Put deposits value in the folder labeled key. Control returns as soon as

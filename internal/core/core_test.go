@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/rpc"
 	"repro/internal/symbol"
 	"repro/internal/transferable"
 )
@@ -574,5 +575,45 @@ func TestErrorsSurfaceAfterShutdown(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Put/GetSkip blocked on a dead cluster instead of failing")
+	}
+}
+
+// TestTokenedErrorsNameTheirToken: with retries armed the client stamps
+// every put and take with a dedup token, and each error such an op returns
+// names it while reading and matching as what it wraps: the canceled get is
+// ErrCanceled, a put against a dead cluster reads as the transport's error,
+// and a wrapped link or remote failure is still found by errors.As. An op
+// that carries no token (get_copy) names none.
+func TestTokenedErrorsNameTheirToken(t *testing.T) {
+	c, err := cluster.BootADF(twoHostADF, cluster.Options{Resilience: rpc.Resilience{Retries: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := c.NewMemo("a")
+	if err != nil {
+		c.Shutdown()
+		t.Fatal(err)
+	}
+	cancel := make(chan struct{})
+	close(cancel)
+	_, err = m.GetCancel(m.NamedKey("nothing"), cancel)
+	if !errors.Is(err, core.ErrCanceled) || core.TokenOf(err) == 0 {
+		t.Fatalf("canceled tokened get: %v, token %#x; want ErrCanceled with its token", err, core.TokenOf(err))
+	}
+	if _, err := m.GetCopyCancel(m.NamedKey("nothing"), cancel); !errors.Is(err, core.ErrCanceled) || core.TokenOf(err) != 0 {
+		t.Fatalf("canceled get_copy: %v, token %#x; want ErrCanceled with no token", err, core.TokenOf(err))
+	}
+	c.Shutdown()
+	err = m.Put(m.NamedKey("gone"), transferable.Int64(1))
+	if err == nil || core.TokenOf(err) == 0 || err.Error() != errors.Unwrap(err).Error() {
+		t.Fatalf("put on a dead cluster: %v, token %#x; want its own error with its token", err, core.TokenOf(err))
+	}
+	var le *rpc.LinkError
+	var re *core.RemoteError
+	if err := (&core.TokenError{Token: 7, Err: &rpc.LinkError{Sent: true}}); !errors.As(err, &le) || !le.Sent {
+		t.Fatalf("a link failure under a token is not found by errors.As: %v", err)
+	}
+	if err := (&core.TokenError{Token: 7, Err: &core.RemoteError{Msg: "m"}}); !errors.As(err, &re) || re.Msg != "m" {
+		t.Fatalf("a remote failure under a token is not found by errors.As: %v", err)
 	}
 }

@@ -110,7 +110,7 @@ func churn(t testing.TB, s *Store, n, size int, tok *uint64) {
 func TestCompactionWriteAmplification(t *testing.T) {
 	const floor, size = 64, 256
 	dir := t.TempDir()
-	s := openStore(t, dir, durable.Config{SnapshotEvery: floor, Sync: durable.SyncNever}, WithShards(4))
+	s := openStore(t, dir, durable.Config{SnapshotEvery: floor, Sync: durable.SyncNever}, withShards(4))
 	defer s.Close()
 	s.tokens.cap = 512
 	// Snapshots run here, on the trigger's say-so, instead of in the
@@ -168,7 +168,7 @@ func TestCrashOverLongGeneration(t *testing.T) {
 	const floor = 16
 	cfg := durable.Config{SnapshotEvery: floor}
 	fill := func(t *testing.T, dir string) (*Store, *uint64) {
-		s := openStore(t, dir, cfg, WithShards(4))
+		s := openStore(t, dir, cfg, withShards(4))
 		tok := uint64(1000)
 		for i := 0; i < 1500; i++ { // a backlog that makes the snapshot big
 			tok++
@@ -196,7 +196,7 @@ func TestCrashOverLongGeneration(t *testing.T) {
 		}
 		s.snapMu.Unlock()
 		s.Crash()
-		r := openStore(t, dir, cfg, WithShards(4))
+		r := openStore(t, dir, cfg, withShards(4))
 		defer r.Close()
 		requireSameState(t, s, r)
 	})
@@ -227,7 +227,7 @@ func TestCrashOverLongGeneration(t *testing.T) {
 		if tmps, _ := filepath.Glob(filepath.Join(dir, "snap-*.tmp")); len(tmps) != 1 {
 			t.Fatalf("want one abandoned snapshot temp file, have %v", tmps)
 		}
-		r := openStore(t, dir, cfg, WithShards(4))
+		r := openStore(t, dir, cfg, withShards(4))
 		defer r.Close()
 		requireSameState(t, s, r)
 		if tmps, _ := filepath.Glob(filepath.Join(dir, "snap-*.tmp")); len(tmps) != 0 {
@@ -243,7 +243,7 @@ func TestCrashOverLongGeneration(t *testing.T) {
 func TestTokensNotedDuringSnapshotSurvive(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durable.Config{SnapshotEvery: -1, Sync: durable.SyncNever}
-	s := openStore(t, dir, cfg, WithShards(4))
+	s := openStore(t, dir, cfg, withShards(4))
 	const preload = 3 * dumpChunk // several chunks per dump
 	for tok := uint64(1); tok <= preload; tok++ {
 		if err := s.PutToken(symbol.K(1, uint32(tok%16)), []byte("p"), tok); err != nil {
@@ -278,7 +278,7 @@ func TestTokensNotedDuringSnapshotSurvive(t *testing.T) {
 	wg.Wait()
 	s.Crash()
 
-	r := openStore(t, dir, cfg, WithShards(4))
+	r := openStore(t, dir, cfg, withShards(4))
 	defer r.Close()
 	requireSameState(t, s, r)
 	if want := preload + int(noted.Load()); liveTokens(r) != want || r.occupancy(nil).memos != want {
@@ -347,7 +347,7 @@ func TestTokenStreamFollowsCompaction(t *testing.T) {
 // take results — the shape of a daemon's steady state.
 func snapshotStore(t testing.TB, memos, size, tokenCap int) *Store {
 	t.Helper()
-	s := openStore(t, t.TempDir(), durable.Config{SnapshotEvery: -1, Sync: durable.SyncNever}, WithShards(4))
+	s := openStore(t, t.TempDir(), durable.Config{SnapshotEvery: -1, Sync: durable.SyncNever}, withShards(4))
 	s.tokens.cap = tokenCap
 	payload := make([]byte, size)
 	for i := 0; i < memos; i++ {

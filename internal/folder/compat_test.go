@@ -70,7 +70,7 @@ func copyDir(t *testing.T, from string) string {
 // TestParentDataDirOpens: the directory the parent commit wrote recovers here
 // to the same directory of folders and the same dedup answers.
 func TestParentDataDirOpens(t *testing.T) {
-	s := openStore(t, copyDir(t, filepath.Join("testdata", "parent-datadir")), compatCfg, WithShards(2))
+	s := openStore(t, copyDir(t, filepath.Join("testdata", "parent-datadir")), compatCfg, withShards(2))
 	defer s.Close()
 	if m, d, tok := s.occupancy(nil).memos, s.occupancy(nil).delayed, liveTokens(s); m != 3 || d != 1 || tok != 8 {
 		t.Fatalf("recovered %d memos, %d hidden values, %d tokens; the parent left 3, 1 and 8", m, d, tok)
@@ -132,7 +132,7 @@ func recordsOf(t *testing.T, dir string) []string {
 // as it reads its own (the record codec, internal/durable, is untouched).
 func TestDataDirIsWhatTheParentWrites(t *testing.T) {
 	dir := t.TempDir()
-	compatTrace(t, openStore(t, dir, compatCfg, WithShards(2)))
+	compatTrace(t, openStore(t, dir, compatCfg, withShards(2)))
 	got, want := recordsOf(t, dir), recordsOf(t, filepath.Join("testdata", "parent-datadir"))
 	if !slices.Equal(got, want) {
 		t.Fatalf("this commit's data directory holds\n  %s\nthe parent's\n  %s", fmt.Sprint(got), fmt.Sprint(want))

@@ -121,7 +121,7 @@ func TestStoreRecoverAfterCrash(t *testing.T) {
 // after heavy churn still recovers the exact surviving state.
 func TestSnapshotTruncateRecover(t *testing.T) {
 	dir := t.TempDir()
-	s := openStore(t, dir, durable.Config{SnapshotEvery: 16}, WithShards(4))
+	s := openStore(t, dir, durable.Config{SnapshotEvery: 16}, withShards(4))
 	k := symbol.K(1)
 	keep := symbol.K(2)
 	mustPut(t, s, keep, "keeper")
@@ -156,7 +156,7 @@ func TestSnapshotTruncateRecover(t *testing.T) {
 		t.Fatalf("no snapshot file in %v", names(ents))
 	}
 
-	r := openStore(t, dir, durable.Config{SnapshotEvery: 16}, WithShards(4))
+	r := openStore(t, dir, durable.Config{SnapshotEvery: 16}, withShards(4))
 	defer r.Close()
 	if got := r.occupancy(nil).memos; got != 1 {
 		t.Fatalf("recovered %d memos, want 1", got)
@@ -178,14 +178,14 @@ func names(ents []os.DirEntry) []string {
 // a store written with 8 stripes reopens correctly with 2, and vice versa.
 func TestShardCountChangeAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
-	s := openStore(t, dir, durable.Config{}, WithShards(8))
+	s := openStore(t, dir, durable.Config{}, withShards(8))
 	for i := 0; i < 32; i++ {
 		mustPut(t, s, symbol.K(symbol.Symbol(i+1), uint32(i)), fmt.Sprintf("v%d", i))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r := openStore(t, dir, durable.Config{}, WithShards(2))
+	r := openStore(t, dir, durable.Config{}, withShards(2))
 	if got := r.occupancy(nil).memos; got != 32 {
 		t.Fatalf("recovered %d memos with fewer shards, want 32", got)
 	}
@@ -197,7 +197,7 @@ func TestShardCountChangeAcrossReopen(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r2 := openStore(t, dir, durable.Config{}, WithShards(8))
+	r2 := openStore(t, dir, durable.Config{}, withShards(8))
 	defer r2.Close()
 	if got := r2.occupancy(nil).memos; got != 16 {
 		t.Fatalf("recovered %d memos after regrow, want 16", got)
@@ -262,7 +262,7 @@ func TestTokenDedup(t *testing.T) {
 // TestTokenDedupSurvivesSnapshot: tokens carry across snapshot truncation.
 func TestTokenDedupSurvivesSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	s := openStore(t, dir, durable.Config{SnapshotEvery: 8}, WithShards(2))
+	s := openStore(t, dir, durable.Config{SnapshotEvery: 8}, withShards(2))
 	k := symbol.K(1)
 	if err := s.PutToken(k, []byte("v"), 1234); err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestTokenDedupSurvivesSnapshot(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r := openStore(t, dir, durable.Config{SnapshotEvery: 8}, WithShards(2))
+	r := openStore(t, dir, durable.Config{SnapshotEvery: 8}, withShards(2))
 	defer r.Close()
 	if err := r.PutToken(k, []byte("v"), 1234); err != nil {
 		t.Fatal(err)
@@ -560,7 +560,7 @@ func TestReleaseWaitsForTriggerCommit(t *testing.T) {
 // directory after Crash has returned.
 func TestCrashJoinsSnapshotCycle(t *testing.T) {
 	dir := t.TempDir()
-	s := openStore(t, dir, durable.Config{SnapshotEvery: 1}, WithShards(2))
+	s := openStore(t, dir, durable.Config{SnapshotEvery: 1}, withShards(2))
 	k := symbol.K(1)
 	for s.shardIndex(k) != 0 {
 		k.S++
@@ -630,7 +630,7 @@ func TestCrashJoinsSnapshotCycle(t *testing.T) {
 	if after := listing(); after != before {
 		t.Fatalf("the directory changed after Crash returned: %s -> %s", before, after)
 	}
-	r := openStore(t, dir, durable.Config{SnapshotEvery: 1}, WithShards(2))
+	r := openStore(t, dir, durable.Config{SnapshotEvery: 1}, withShards(2))
 	defer r.Close()
 	if v, ok, err := r.GetSkip(k); err != nil || !ok || string(v) != "v" {
 		t.Fatalf("after reopen: %q %v %v, want the acknowledged memo", v, ok, err)
@@ -687,7 +687,7 @@ func TestGetSkipSurfacesDeadLog(t *testing.T) {
 // (observed as TempDir cleanup failures in TestSnapshotTruncateRecover).
 func TestCloseJoinsBackgroundSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	s := openStore(t, dir, durable.Config{SnapshotEvery: 16}, WithShards(2))
+	s := openStore(t, dir, durable.Config{SnapshotEvery: 16}, withShards(2))
 	keep := symbol.K(2)
 	mustPut(t, s, keep, "keeper")
 	k := symbol.K(1)
@@ -701,7 +701,7 @@ func TestCloseJoinsBackgroundSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := openStore(t, dir, durable.Config{SnapshotEvery: 16}, WithShards(2))
+	r := openStore(t, dir, durable.Config{SnapshotEvery: 16}, withShards(2))
 	if _, ok, err := r.GetSkip(keep); err != nil || !ok {
 		t.Fatalf("keeper take: ok=%v err=%v", ok, err)
 	}

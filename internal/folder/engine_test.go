@@ -184,7 +184,7 @@ var routes = []struct {
 // reads, mirrored in the reference model, and picks the cell's keys.
 func matrixStore(t *testing.T, shape string) (*Server, *modelStore, []symbol.Key) {
 	t.Helper()
-	srv := NewServer(0, "h", NewStore(WithShards(8)), threadcache.Config{})
+	srv := NewServer(0, "h", NewStore(withShards(8)), threadcache.Config{})
 	t.Cleanup(srv.Close)
 	s := srv.store
 	var keys []symbol.Key

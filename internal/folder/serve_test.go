@@ -134,29 +134,76 @@ func TestServedAltTakeTwoPutsTakeOne(t *testing.T) {
 	}
 }
 
-// TestServeRefusesHeldToken: a tokened get whose token another attempt
-// holds would wait for it, so Serve refuses it before the cancel hook or
-// any registration, leaving it to a thread.
-func TestServeRefusesHeldToken(t *testing.T) {
+// TestServeParksHeldTokenRetry: a retry whose token its original still
+// holds parks in Serve behind that claim: answered later, its cancel hook
+// held, on no folder's list. When the original takes, the retry is answered
+// from the cache with the same value; when the original is canceled, the
+// retry becomes the owner and takes the next memo itself.
+func TestServeParksHeldTokenRetry(t *testing.T) {
 	srv := NewServer(0, "a", NewStore(), threadcache.Config{})
-	k := symbol.K(3)
-	first := serveParked(t, srv, &wire.Request{Op: wire.OpGet, Key: k, Token: 7})
-	retry := new(answerer)
-	if resp, ok := srv.Serve(&wire.Request{Op: wire.OpGet, Key: k, Token: 7}, retry); ok || resp != nil {
-		t.Fatalf("Serve of a retry behind a held token = %+v, %v; want it refused", resp, ok)
+	get := func(k symbol.Key, tok uint64) *wire.Request { return &wire.Request{Op: wire.OpGet, Key: k, Token: tok} }
+	answered := func(who string, a *answerer, status wire.Status, val string) {
+		t.Helper()
+		if n, resp := a.outcome(); n != 1 || resp.Status != status || string(resp.Payload) != val {
+			t.Fatalf("%s: %d answers, last %+v; want one, status %v, %q", who, n, resp, status, val)
+		}
 	}
-	if retry.h != nil || waiters(srv.store) != 1 {
-		t.Fatalf("a refused retry took a hook (%v) or registered (%d waiters, want 1)", retry.h != nil, waiters(srv.store))
+
+	k := symbol.K(3)
+	first := serveParked(t, srv, get(k, 7))
+	retry := serveParked(t, srv, get(k, 7))
+	if w := waiters(srv.store); w != 1 {
+		t.Fatalf("a retry behind a held token registered: %d waiters, want the original's 1", w)
 	}
 	if err := srv.store.Put(k, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if n, resp := first.outcome(); n != 1 || string(resp.Payload) != "v" {
-		t.Fatalf("original: %d answers, %+v", n, resp)
+	answered("original", first, wire.StatusOK, "v")
+	answered("retry", retry, wire.StatusOK, "v")
+	if takes, dups := srv.store.takes.Load(), srv.store.dupTakes.Load(); takes != 1 || dups != 1 {
+		t.Fatalf("%d takes and %d dedups, want 1 and 1", takes, dups)
 	}
-	resp, ok := srv.Serve(&wire.Request{Op: wire.OpGet, Key: k, Token: 7}, retry)
-	if !ok || resp == nil || string(resp.Payload) != "v" {
-		t.Fatalf("retry after the original took: %+v, %v; want the cached memo at once", resp, ok)
+
+	k2 := symbol.K(4)
+	first = serveParked(t, srv, get(k2, 8))
+	retry = serveParked(t, srv, get(k2, 8))
+	first.h.Cancel(first.id)
+	answered("canceled original", first, wire.StatusCanceled, "")
+	if w := waiters(srv.store); w != 1 || len(srv.store.tokens.claims) != 1 {
+		t.Fatalf("after the owner's cancel: %d waiters and %d claims, want the retry's 1 and 1", w, len(srv.store.tokens.claims))
+	}
+	if err := srv.store.Put(k2, []byte("w")); err != nil {
+		t.Fatal(err)
+	}
+	answered("retry that became the owner", retry, wire.StatusOK, "w")
+	if takes, dups := srv.store.takes.Load(), srv.store.dupTakes.Load(); takes != 2 || dups != 1 {
+		t.Fatalf("%d takes and %d dedups, want 2 and 1", takes, dups)
+	}
+	if o := srv.store.occupancy(nil); o.waiters != 0 || o.folders != 0 || len(srv.store.tokens.claims) != 0 {
+		t.Fatalf("%d waiters, %d folders and %d claims left", o.waiters, o.folders, len(srv.store.tokens.claims))
+	}
+}
+
+// TestParkedAltTakeScansOnce: an alt_take over two shards that finds
+// nothing parks from its one pass, which registers it as it goes: two
+// shard-group visits, not a first pass that registers nothing and a second
+// that does.
+func TestParkedAltTakeScansOnce(t *testing.T) {
+	srv := NewServer(0, "a", NewStore(), threadcache.Config{})
+	s := srv.store
+	keys := []symbol.Key{symbol.K(1), symbol.K(2)}
+	for x := uint32(0); s.shardIndex(keys[0]) == s.shardIndex(keys[1]); x++ {
+		keys[1] = symbol.K(2, x)
+	}
+	a := serveParked(t, srv, &wire.Request{Op: wire.OpAltTake, Key: keys[0], Keys: keys})
+	if scans := s.altScans.Load(); scans != 2 {
+		t.Fatalf("a parked two-shard alt_take made %d shard-group visits, want 2", scans)
+	}
+	if err := s.Put(keys[1], []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if n, resp := a.outcome(); n != 1 || string(resp.Payload) != "v" {
+		t.Fatalf("alt_take: %d answers, last %+v", n, resp)
 	}
 }
 

@@ -40,7 +40,7 @@ func NewServer(id int, host string, store *Store, _ threadcache.Config) *Server 
 // OpenServer is the open-from-dir path: it opens (recovering if necessary)
 // a durable store from dir and wraps it in a Server that owns it — Close
 // flushes and closes the write-ahead log. storeOpts configure the store
-// (shards, forward hook). The threadcache.Config is unused, as in NewServer.
+// (the forward hook). The threadcache.Config is unused, as in NewServer.
 func OpenServer(id int, host, dir string, dcfg durable.Config, _ threadcache.Config,
 	storeOpts []Option) (*Server, error) {
 	store, err := OpenStore(dir, dcfg, storeOpts...)
@@ -96,13 +96,14 @@ func (s *Server) Handle(q *wire.Request, cancel <-chan struct{}) *wire.Response 
 }
 
 // Serve starts q on the calling goroutine — a conn's read loop — and never
-// blocks it. It reports false, having done nothing, when q might wait: the
-// store is durable, or q is a tokened take whose token another attempt still
-// holds; the caller runs q through Handle on a thread instead. Otherwise q
-// is answered: the response is returned when q completed at once, and nil
-// when it parked, to be answered through a from the goroutine that
-// completes it — a deposit's that re-scanned it, or a canceler's through the
-// hook a.Hold received. Spans are as in Handle.
+// blocks it. It reports false, having done nothing, when the store is
+// durable: an op there may wait on the group fsync, so the caller runs q
+// through Handle on a thread instead. Otherwise q is answered: the response
+// is returned when q completed at once, and nil when it parked — behind
+// another attempt's take token or on its folders — to be answered through a
+// from the goroutine that completes it: a deposit's or a claim resolver's
+// that re-scanned it, or a canceler's through the hook a.Hold received.
+// Spans are as in Handle.
 func (s *Server) Serve(q *wire.Request, a Answerer) (*wire.Response, bool) {
 	if s.store.wal != nil {
 		return nil, false
@@ -115,27 +116,21 @@ func (s *Server) Serve(q *wire.Request, a Answerer) (*wire.Response, bool) {
 	}
 	var one [1]symbol.Key
 	resp, op := s.do(q, ot, &one)
-	if resp == nil {
-		r, done, held := s.store.begin(&op, false)
-		switch {
-		case held:
-			return nil, false
-		case done:
-			resp = respond(q.Op, op.mode, r)
-		default:
-			w := s.store.newWaiter(&op)
-			a.Hold(w, w.ticket())
-			if !w.step() {
-				w.srv, w.q, w.ans, w.start = s, q, a, start
-				w.trace.add(&waits)
-				w.park()
-				return nil, true
-			}
-			s.store.count(op.mode)
-			resp = respond(q.Op, op.mode, outcome{key: op.keys[w.found], val: w.val, ok: true})
-			ot.add(&w.trace)
-			w.release()
+	switch {
+	case resp != nil:
+	case len(op.keys) == 0:
+		resp = respond(q.Op, op.mode, noKeys(&op))
+	default:
+		w := s.store.newWaiter(&op)
+		a.Hold(w, w.ticket())
+		if !w.step() {
+			w.srv, w.q, w.ans, w.start = s, q, a, start
+			w.park()
+			return nil, true
 		}
+		resp = respond(q.Op, op.mode, w.result())
+		ot.add(&w.trace)
+		w.release()
 	}
 	if ot != nil {
 		s.spans(q, start, ot)
@@ -148,12 +143,7 @@ func (s *Server) Serve(q *wire.Request, a Answerer) (*wire.Response, bool) {
 //
 //memolint:nonblocking
 func (s *Server) answer(w *waiter) {
-	r := outcome{err: w.err}
-	if r.err == nil {
-		s.store.count(w.op.mode)
-		r = outcome{key: w.op.keys[w.found], val: w.val, ok: true}
-	}
-	resp := respond(w.q.Op, w.op.mode, r)
+	resp := respond(w.q.Op, w.op.mode, w.result())
 	if !w.start.IsZero() {
 		s.spans(w.q, w.start, &w.trace)
 	}

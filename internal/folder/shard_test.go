@@ -1,7 +1,7 @@
 // Tests for the lock-striped Store: empty-key-set regressions, cross-shard
 // multi-folder operations, a -race stress workload, and the parallel
 // throughput benchmark comparing the sharded store with the historical
-// single-mutex layout (WithShards(1)).
+// single-mutex layout (withShards(1)).
 package folder
 
 import (
@@ -17,20 +17,11 @@ import (
 	"repro/internal/wire"
 )
 
-func TestWithShardsRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{-3, 1}, {0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {32, 32}, {33, 64},
-		// Absurd values clamp instead of overflowing the rounding loop.
-		{MaxShards + 1, MaxShards}, {int(^uint(0) >> 1), MaxShards},
-	} {
-		s := NewStore(WithShards(tc.in))
-		if got := len(s.shards); got != tc.want {
-			t.Errorf("WithShards(%d): shards = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-	if got := len(NewStore().shards); got != DefaultShards {
-		t.Errorf("default shards = %d, want %d", got, DefaultShards)
-	}
+// withShards sets a store's stripe count to n, a power of two, in place of
+// DefaultShards: one stripe is the historical single-mutex layout, a few
+// put a test's folders on shared stripes.
+func withShards(n int) Option {
+	return func(s *Store) { s.shards, s.mask = make([]shard, n), uint64(n-1) }
 }
 
 // The empty key set can never be satisfied; it must fail immediately rather
@@ -100,7 +91,7 @@ func crossShardKeys(t *testing.T, s *Store, n int) []symbol.Key {
 }
 
 func TestAltTakeAcrossShards(t *testing.T) {
-	s := NewStore(WithShards(8))
+	s := NewStore(withShards(8))
 	keys := crossShardKeys(t, s, 4)
 	// Immediate hit on each shard in turn.
 	for i, k := range keys {
@@ -119,7 +110,7 @@ func TestAltTakeAcrossShards(t *testing.T) {
 }
 
 func TestAltTakeBlocksAcrossShardsThenWakes(t *testing.T) {
-	s := NewStore(WithShards(8))
+	s := NewStore(withShards(8))
 	keys := crossShardKeys(t, s, 4)
 	for target := range keys {
 		got := make(chan symbol.Key, 1)
@@ -152,7 +143,7 @@ func TestAltTakeBlocksAcrossShardsThenWakes(t *testing.T) {
 }
 
 func TestWatchAcrossShards(t *testing.T) {
-	s := NewStore(WithShards(8))
+	s := NewStore(withShards(8))
 	keys := crossShardKeys(t, s, 4)
 	woke := make(chan symbol.Key, 1)
 	go func() {
@@ -177,7 +168,7 @@ func TestWatchAcrossShards(t *testing.T) {
 }
 
 func TestAltTakeCancelAcrossShardsCleansWaiters(t *testing.T) {
-	s := NewStore(WithShards(8))
+	s := NewStore(withShards(8))
 	keys := crossShardKeys(t, s, 4)
 	cancel := make(chan struct{})
 	errc := make(chan error, 1)
@@ -205,9 +196,9 @@ func TestAltTakeCancelAcrossShardsCleansWaiters(t *testing.T) {
 }
 
 func TestSingleShardStoreStillWorks(t *testing.T) {
-	// WithShards(1) is the historical single-mutex layout; everything must
+	// withShards(1) is the historical single-mutex layout; everything must
 	// behave identically.
-	s := NewStore(WithShards(1))
+	s := NewStore(withShards(1))
 	a, b := symbol.K(1), symbol.K(2)
 	s.Put(a, []byte("A"))
 	s.PutDelayed(b, a, []byte("D"))
@@ -235,7 +226,7 @@ func TestSingleShardStoreStillWorks(t *testing.T) {
 // random cancellation, then checks that every memo was consumed exactly
 // once and the counters balance. Run with -race.
 func TestStoreStressCrossShard(t *testing.T) {
-	s := NewStore(WithShards(8))
+	s := NewStore(withShards(8))
 	const (
 		nFolders    = 12
 		producers   = 6
@@ -367,7 +358,7 @@ func TestStoreStressCrossShard(t *testing.T) {
 
 // BenchmarkStoreParallelPutGet measures put+get round trips with G
 // goroutines over disjoint folders, on the sharded store and on the
-// single-mutex baseline (WithShards(1)). Disjoint folders are the paper's
+// single-mutex baseline (withShards(1)). Disjoint folders are the paper's
 // scaling case: a folder server should serve independent folders on
 // independent cores.
 func BenchmarkStoreParallelPutGet(b *testing.B) {
@@ -381,7 +372,7 @@ func BenchmarkStoreParallelPutGet(b *testing.B) {
 	} {
 		for _, g := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("%s/goroutines=%d", cfg.name, g), func(b *testing.B) {
-				s := NewStore(WithShards(cfg.shards))
+				s := NewStore(withShards(cfg.shards))
 				per := b.N/g + 1
 				b.ReportAllocs()
 				b.ResetTimer()

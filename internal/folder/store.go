@@ -15,11 +15,12 @@
 // Every verb runs through one of two paths. Store.deposit is the write side
 // (put, put_delayed). Store.read is the read side: each reading verb is a
 // readOp value — which keys, take/copy/peek, block or skip, dedup token —
-// and the engine visits the op's shards one at a time, never holding two
-// shard locks at once. A blocking read that finds nothing leaves one waiter
-// record on the folders it could be satisfied from, and a Put on any of them
-// re-scans it (waiter.go). The exported methods are thin wrappers over the
-// two.
+// and every read runs on one pooled waiter record (waiter.go), which visits
+// the op's shards one at a time, never holding two shard locks at once. A
+// blocking read that finds nothing leaves that record on the folders it
+// could be satisfied from, and a Put on any of them re-scans it; a take
+// whose token another attempt holds leaves it behind that claim instead. The
+// exported methods are thin wrappers over the two.
 package folder
 
 import (
@@ -57,9 +58,9 @@ var ErrNoKeys = errors.New("folder: empty key set")
 // it under the same token.
 type ForwardFunc func(dest symbol.Key, payload []byte, relToken uint64, done func(delivered bool))
 
-// DefaultShards is the shard count used when WithShards is not given. A
-// power of two comfortably above typical core counts: striping is cheap and
-// more stripes only help under contention.
+// DefaultShards is the stripe count. A power of two comfortably above
+// typical core counts: striping is cheap and more stripes only help under
+// contention.
 const DefaultShards = 32
 
 // Store is one folder server's directory of unordered queues. All methods
@@ -160,39 +161,14 @@ func WithForward(f ForwardFunc) Option {
 	return func(s *Store) { s.forward = f }
 }
 
-// MaxShards caps the stripe count: far beyond any useful striping, and it
-// keeps the power-of-two rounding below from overflowing on absurd input.
-const MaxShards = 1 << 16
-
 // DefaultTokenCap bounds the dedup-token table. Evicted-oldest-first; a
 // retry delayed past this many newer tokened puts can no longer be
 // deduplicated, so the cap is sized far beyond any sane retry window.
 const DefaultTokenCap = 1 << 17
 
-// WithShards sets the stripe count, rounded up to a power of two and
-// clamped to [1, MaxShards]. One shard reproduces the historical
-// single-mutex store (useful as a contention baseline).
-func WithShards(n int) Option {
-	return func(s *Store) {
-		if n < 1 {
-			n = 1
-		}
-		if n > MaxShards {
-			n = MaxShards
-		}
-		p := 1
-		for p < n {
-			p <<= 1
-		}
-		s.shards = make([]shard, p)
-		s.mask = uint64(p - 1)
-	}
-}
-
 // NewStore returns an empty directory.
 func NewStore(opts ...Option) *Store {
-	s := &Store{tokens: tokenTable{cap: DefaultTokenCap}}
-	WithShards(DefaultShards)(s)
+	s := &Store{shards: make([]shard, DefaultShards), mask: DefaultShards - 1, tokens: tokenTable{cap: DefaultTokenCap}}
 	for _, o := range opts {
 		o(s)
 	}
@@ -577,78 +553,32 @@ type readOp struct {
 	// consume nothing and ignore it.
 	token uint64
 	// cancel ends an in-process wait (Store.read); a read Server.Serve
-	// parked is canceled through its Answerer's hook instead.
+	// started is canceled through its Answerer's hook instead.
 	cancel <-chan struct{}
 	ot     *opTrace // nil = untraced
-	// claim is set while the read owns its token's unresolved claim.
-	claim bool
 }
 
-// errHeld reports a claim step that would have waited: another attempt
-// holds the token, and the caller may not block.
-var errHeld = errors.New("folder: take token claimed by another attempt")
-
-// awaitTakeToken is the claim step every tokened destructive read runs
-// before touching a folder. The first caller for a token becomes the owner
-// (owner == true) and must execute the take, then resolve or abandon the
-// claim. Any other caller parks until the owner finishes and is answered from
-// the cached result — a retry can therefore never consume a second memo, even
-// racing its own original. An abandoned claim (owner canceled) wakes the
-// parked retries to race for a fresh claim. With wait unset a caller that
-// would park fails with errHeld instead, having claimed nothing.
-func (s *Store) awaitTakeToken(token uint64, cancel <-chan struct{}, ot *opTrace, wait bool) (tokSlot, bool, error) {
-	for {
-		res, park, owner := s.tokens.claimTake(token)
-		switch {
-		case owner:
-			return res, true, nil
-		case park != nil && !wait:
-			return res, false, errHeld
-		case park != nil:
-			tp := ot.clock()
-			if !awaitClaim(park, cancel) {
-				return res, false, wire.ErrCanceled
-			}
-			ot.parked(tp) // resolved or abandoned: look again
-		case res.kind == slotPut:
-			// A deposit used the token. Tokens are minted per operation from
-			// 64 random bits, so this is a collision or a protocol error;
-			// refuse rather than guess at an answer.
-			return res, false, fmt.Errorf("folder: take token %#x already applied by a deposit", token)
-		default:
-			return res, false, nil
-		}
+// fromCache is a deduplicated take's answer, from its token's cached
+// result: a private copy of the payload — the cached slice is the one the
+// original take returned — or the miss a skip observed. A token a deposit
+// used, or a cached miss met by a blocking take, is a collision or a
+// protocol error (tokens are minted per operation from 64 random bits), and
+// is refused rather than guessed at. The caller still owes the original take
+// record's durability barrier (finish): a cache hit must never be
+// acknowledged ahead of the removal it repeats.
+func (s *Store) fromCache(op *readOp, res tokSlot) outcome {
+	if res.kind == slotPut {
+		return outcome{err: fmt.Errorf("folder: take token %#x already applied by a deposit", op.token)}
 	}
-}
-
-// awaitClaim waits until the claim park stands for is resolved or
-// abandoned (true), or cancel closes (false).
-//
-//memolint:blocks
-func awaitClaim(park, cancel <-chan struct{}) bool {
-	select {
-	case <-park:
-		return true
-	case <-cancel:
-		return false
-	}
-}
-
-// takeFromCache answers a deduplicated take from its token's cached result:
-// waits out the original take record's durability (a cache hit must never
-// be acknowledged ahead of the removal it repeats), bumps the dup counter,
-// and hands back a private copy of the payload — the cached slice is the one
-// the original take returned. ok is false for a cached observed-empty miss.
-func (s *Store) takeFromCache(res tokSlot, ot *opTrace) (symbol.Key, []byte, bool, error) {
 	s.dupTakes.Inc()
-	if res.kind == slotEmpty {
-		return symbol.Key{}, nil, false, nil
-	}
-	if err := s.barrier(ot); err != nil {
-		return symbol.Key{}, nil, false, err
+	switch {
+	case res.kind == slotEmpty && op.block:
+		return outcome{err: fmt.Errorf("folder: take token %#x cached an empty result", op.token)}
+	case res.kind == slotEmpty:
+		return outcome{}
 	}
 	key, err := symbol.ParseCanon(res.name)
-	return key, bytes.Clone(res.data), err == nil, err
+	return outcome{key: key, val: bytes.Clone(res.data), ok: err == nil, err: err}
 }
 
 // canonBuf is the stack buffer a request's folder name is built in: enough
@@ -703,99 +633,49 @@ type outcome struct {
 	err error
 }
 
-// read is the one read engine, for in-process callers: a blocking read that
-// finds nothing parks on a record and blocks the calling goroutine in its
-// wait. A blocking read of an empty key set fails with ErrNoKeys — no folder
-// could ever satisfy it — and a non-blocking one just misses.
+// read is the one read engine, for in-process callers: the read runs on a
+// record, and one that must wait blocks the calling goroutine in the
+// record's wait. A read of no keys is answered up front: a blocking one
+// fails with ErrNoKeys — no folder could ever satisfy it — and a
+// non-blocking one just misses.
 //
 //memolint:must-check-error
 func (s *Store) read(op *readOp) (symbol.Key, []byte, bool, error) {
-	r, done, _ := s.begin(op, true)
-	if !done {
+	r := noKeys(op)
+	if len(op.keys) > 0 {
 		w := s.newWaiter(op)
 		if !w.step() {
 			w.ready = make(chan struct{}, 1)
 			w.park()
 			w.wait(op.cancel)
 		}
-		found, val, seq, err := w.found, w.val, w.seq, w.err
+		r = s.finish(w)
 		op.ot.add(&w.trace)
 		w.release()
-		if r.err = err; err == nil {
-			r = s.finish(op, found, val, seq)
-		}
 	}
 	return r.key, r.val, r.ok, r.err
 }
 
-// begin runs what a read does before it can park: the token claim —
-// waiting out a claim another attempt holds when wait is set, reporting held
-// otherwise — and one pass that registers nothing. done reports an outcome in
-// r; otherwise op is a blocking read that found nothing and owns its token's
-// claim, if any, and the caller parks it on a record (newWaiter).
-func (s *Store) begin(op *readOp, wait bool) (r outcome, done, held bool) {
-	if len(op.keys) == 0 {
-		if op.block {
-			r.err = ErrNoKeys
-		}
-		return r, true, false
-	}
-	if op.token != 0 && op.mode == modeTake {
-		res, owner, err := s.awaitTakeToken(op.token, op.cancel, op.ot, wait)
-		switch {
-		case err == errHeld:
-			return r, false, true
-		case err != nil:
-			r.err = err
-			return r, true, false
-		case !owner:
-			r.key, r.val, r.ok, r.err = s.takeFromCache(res, op.ot)
-			if r.err == nil && !r.ok && op.block {
-				// Only a skip caches an empty answer, and tokens are minted
-				// per operation — reaching here is a token-space violation.
-				r.err = fmt.Errorf("folder: take token %#x cached an empty result", op.token)
-			}
-			return r, true, false
-		}
-		op.claim = true
-	}
-
-	// The one-key plan lives in this frame: handing the arrays to a helper
-	// through a pointer moves them to the heap, on every get.
-	var cb [canonBuf]byte
-	var canon1 [1][]byte
-	var group1 [1]altGroup
-	canons, groups := canon1[:], group1[:]
-	if len(op.keys) > 1 {
-		canons, groups = s.plan(op.keys)
-	} else {
-		canon1[0] = op.keys[0].AppendCanon(cb[:0])
-		group1[0] = altGroup{si: int(s.shardIndex(op.keys[0])), idxs: oneIdx}
-	}
-	if found, val, seq := s.pass(op, canons, groups, nil); found >= 0 {
-		return s.finish(op, found, val, seq), true, false
-	}
+// noKeys is the outcome of a read of no keys.
+func noKeys(op *readOp) outcome {
 	if op.block {
-		return r, false, false
+		return outcome{err: ErrNoKeys}
 	}
-	if op.claim {
-		// The observed-empty miss is cached too — in memory only, an empty
-		// answer needs no durability — so a retried skip repeats its
-		// original's answer instead of sampling again.
-		s.tokens.resolveTake(tokSlot{tok: op.token, kind: slotEmpty})
-		op.claim = false
-	}
-	return r, true, false
+	return outcome{}
 }
 
-// pass visits the planned shards of op once, one lock at a time, never
-// holding two, starting from a rotating shard. It returns the index of the
-// satisfied key (-1: none), the value, and a take's record seq. With w set,
-// every folder of a shard that cannot satisfy the read gets w on its waiter
-// list before the pass moves on, so a deposit that lands on an
-// already-visited shard finds w there and no wakeup is lost.
-func (s *Store) pass(op *readOp, canons [][]byte, groups []altGroup, w *waiter) (found int, val []byte, seq uint64) {
+// pass visits the planned shards of w's read once, one lock at a time,
+// never holding two, starting from a rotating shard. It returns the index of
+// the satisfied key (-1: none), the value, and a take's record seq. For a
+// blocking read, every folder of a shard that cannot satisfy it gets w on
+// its waiter list before the pass moves on, so a deposit that lands on an
+// already-visited shard finds w there and no wakeup is lost. A take that
+// resolves w's claim rescans the retries parked behind it once unlocked.
+func (s *Store) pass(w *waiter) (found int, val []byte, seq uint64) {
+	op, canons, groups := &w.op, w.canons, w.groups
 	multi := len(op.keys) > 1
+	var wb [4]*waiter
+	woken := wb[:0]
 	start := 0
 	if len(groups) > 1 {
 		start = int(s.nextSeq() % uint64(len(groups)))
@@ -826,7 +706,7 @@ func (s *Store) pass(op *readOp, canons [][]byte, groups []altGroup, w *waiter) 
 		}
 		switch {
 		case found < 0:
-			if w != nil {
+			if op.block {
 				for _, idx := range g.idxs {
 					// A multi-key read is still on the folders that did not
 					// notify it.
@@ -845,15 +725,16 @@ func (s *Store) pass(op *readOp, canons [][]byte, groups []altGroup, w *waiter) 
 					Type: durable.RecTake, Key: op.keys[found], Payload: val, Token: op.token,
 				})
 			}
-			if op.claim {
+			if w.claim {
 				// Resolve inside the critical section that removed the
 				// item: snapshot cuts order against it (see the token
 				// dump in snapshot), and a parked retry still waits out
-				// the commit via the durability barrier in takeFromCache.
-				// The fact holds the folder's own name and the taken
-				// slice itself: nothing is copied, nothing allocated.
-				s.tokens.resolveTake(tokSlot{tok: op.token, kind: slotTake, name: f.name, data: val})
-				op.claim = false
+				// the commit through the durability barrier its answer
+				// owes (finish). The fact holds the folder's own name and
+				// the taken slice itself: nothing is copied, nothing
+				// allocated.
+				w.claim = false
+				woken = s.tokens.resolveTake(tokSlot{tok: op.token, kind: slotTake, name: f.name, data: val}, woken)
 			}
 			sh.gcFold(f)
 		case op.mode == modeCopy:
@@ -861,28 +742,36 @@ func (s *Store) pass(op *readOp, canons [][]byte, groups []altGroup, w *waiter) 
 		}
 		sh.mu.Unlock()
 		if found >= 0 {
+			rescanAll(woken)
 			return found, val, seq
 		}
 	}
 	return -1, nil, 0
 }
 
-// finish completes a satisfied read for its caller: a take waits for its
-// record's group commit, and the read is counted. A failed commit — only a
+// finish completes a read for its in-process caller, on that caller's
+// thread: a take waits for its record's group commit, a cached answer for
+// its original's, and a satisfied read is counted. A failed commit — only a
 // terminally dead log fails one — restores the item, since a payload never
 // leaves the store without its removal being durable, and forgets the token,
 // so stale holders of its entry fail their barrier too.
-func (s *Store) finish(op *readOp, found int, val []byte, seq uint64) outcome {
-	key := op.keys[found]
-	if op.mode == modeTake {
-		if err := s.commit(seq, op.ot); err != nil {
-			s.untake(key, val)
-			s.tokens.forget(op.token)
-			return outcome{err: err}
+func (s *Store) finish(w *waiter) outcome {
+	var err error
+	switch r := w.out; {
+	case !r.ok:
+		return r
+	case w.cached:
+		err = s.barrier(w.op.ot)
+	case w.op.mode == modeTake:
+		if err = s.commit(w.seq, w.op.ot); err != nil {
+			s.untake(r.key, r.val)
+			s.tokens.forget(w.op.token)
 		}
 	}
-	s.count(op.mode)
-	return outcome{key: key, val: val, ok: true}
+	if err != nil {
+		return outcome{err: err}
+	}
+	return w.result()
 }
 
 // count books one satisfied read in the folder_* counters.
@@ -948,8 +837,8 @@ func (s *Store) GetSkip(key symbol.Key) ([]byte, bool, error) {
 
 // GetSkipToken is GetSkip with an at-most-once dedup token (0 = none). A
 // retried skip repeats its original's answer, an observed-empty miss
-// included. The claim wait is bounded: a token is only ever shared by
-// attempts of the same non-blocking skip.
+// included. A wait behind another attempt's claim is bounded: a token is
+// only ever shared by attempts of the same non-blocking skip.
 //
 //memolint:must-check-error
 func (s *Store) GetSkipToken(key symbol.Key, token uint64) ([]byte, bool, error) {

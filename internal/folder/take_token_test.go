@@ -73,7 +73,7 @@ func TestGetSkipTokenCachesEmpty(t *testing.T) {
 // TestAltTakeTokenDedup: the cached result remembers which key satisfied
 // the original alt_take, so the retry returns the same (key, payload) pair.
 func TestAltTakeTokenDedup(t *testing.T) {
-	s := NewStore(WithShards(4))
+	s := NewStore(withShards(4))
 	keys := []symbol.Key{symbol.K(3), symbol.K(4, 7), symbol.K(5)}
 	mustPut(t, s, keys[1], "only")
 

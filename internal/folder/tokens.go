@@ -10,7 +10,7 @@ import (
 // retry repeats: name is the satisfied folder's canonical name — the very
 // string the directory used as its map key, shared, never rebuilt — and data
 // is the taken slice itself, shared read-only with the response the original
-// take returned (takeFromCache hands a retry its own copy).
+// take returned (fromCache hands a retry its own copy).
 type tokSlot struct {
 	tok  uint64
 	kind slotKind
@@ -47,14 +47,14 @@ const (
 // is not a fact — it has applied nothing — so it is never in the ring, never
 // dumped, and never evicted, however many newer tokens pass while its get is
 // parked: the result enters the ring when the take happens. The value is the
-// channel retries park on, made only when one actually does.
+// records of the retries parked behind the claim, handed back when it ends.
 type tokenTable struct {
 	mu     sync.Mutex
 	cap    int
 	index  map[uint64]uint32
 	ring   []tokSlot
 	next   uint64 // facts ever inserted
-	claims map[uint64]chan struct{}
+	claims map[uint64][]*waiter
 
 	evictions  int64 // live tokens forgotten by age
 	cacheBytes int64 // payload bytes the ring's take slots hold
@@ -122,56 +122,74 @@ func (t *tokenTable) dropLocked(p int) (wasLive bool) {
 
 // claimTake is the claim step of a tokened take, with three outcomes. The
 // token is a resolved fact: res is a copy of its slot (res.kind != slotFree).
-// Its take is in flight: park is the channel closed when that take resolves
-// or abandons. Neither: the caller is now the owner, and must execute the
-// take and then resolveTake or abandonTake.
-func (t *tokenTable) claimTake(tok uint64) (res tokSlot, park chan struct{}, owner bool) {
+// Its take is in flight: w, when not nil, is parked behind the claim, and is
+// handed back when the claim resolves or abandons. Neither: the caller is now
+// the owner, and must execute the take and then resolveTake or abandonTake.
+func (t *tokenTable) claimTake(tok uint64, w *waiter) (res tokSlot, owner bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if p, ok := t.index[tok]; ok {
-		return t.ring[p], nil, false
+		return t.ring[p], false
 	}
-	if park, ok := t.claims[tok]; ok {
-		if park == nil {
-			park = make(chan struct{})
-			t.claims[tok] = park
+	if parked, ok := t.claims[tok]; ok {
+		if w != nil {
+			t.claims[tok] = append(parked, w)
 		}
-		return tokSlot{}, park, false
+		return tokSlot{}, false
 	}
 	if t.claims == nil {
-		t.claims = make(map[uint64]chan struct{})
+		t.claims = make(map[uint64][]*waiter)
 	}
 	t.claims[tok] = nil
-	return tokSlot{}, nil, true
+	return tokSlot{}, true
 }
 
-// resolveTake turns the owner's claim into a fact and wakes parked retries.
-// For a consuming take it is called under the taken shard's lock — the same
-// critical section that removed the item and appended its RecTake — so a
-// snapshot cut of that shard either sees the result (dumped as RecTakeCache)
-// or precedes the take entirely (its record rides in the new generation).
-func (t *tokenTable) resolveTake(sl tokSlot) {
+// resolveTake turns the owner's claim into a fact and appends to woken the
+// parked retries it took over, for the caller to rescan once it has
+// unlocked. For a consuming take it is called under the taken shard's lock —
+// the same critical section that removed the item and appended its RecTake —
+// so a snapshot cut of that shard either sees the result (dumped as
+// RecTakeCache) or precedes the take entirely (its record rides in the new
+// generation).
+func (t *tokenTable) resolveTake(sl tokSlot, woken []*waiter) []*waiter {
 	t.mu.Lock()
 	t.insertLocked(sl)
-	t.endClaimLocked(sl.tok)
+	woken = t.endClaimLocked(sl.tok, woken)
 	t.mu.Unlock()
+	return woken
 }
 
 // abandonTake drops the owner's unresolved claim (canceled) so a later retry
-// re-executes instead of caching a non-answer. Parked retries wake and race
-// to re-claim. The claim was never in the ring, so it leaves nothing behind.
-func (t *tokenTable) abandonTake(tok uint64) {
+// re-executes instead of caching a non-answer, and appends to woken the
+// parked retries, which race to re-claim when rescanned. The claim was never
+// in the ring, so it leaves nothing behind.
+func (t *tokenTable) abandonTake(tok uint64, woken []*waiter) []*waiter {
 	t.mu.Lock()
-	t.endClaimLocked(tok)
+	woken = t.endClaimLocked(tok, woken)
 	t.mu.Unlock()
+	return woken
 }
 
-// endClaimLocked retires tok's claim and wakes whatever parked on it.
-func (t *tokenTable) endClaimLocked(tok uint64) {
-	if park := t.claims[tok]; park != nil {
-		close(park)
+// endClaimLocked retires tok's claim and notifies the records parked behind
+// it, appending to woken the ones it took over.
+func (t *tokenTable) endClaimLocked(tok uint64, woken []*waiter) []*waiter {
+	for _, w := range t.claims[tok] {
+		if w.notify() {
+			woken = append(woken, w)
+		}
 	}
 	delete(t.claims, tok)
+	return woken
+}
+
+// leave takes w, canceled, off the claim of tok, if it is still parked
+// behind it.
+func (t *tokenTable) leave(tok uint64, w *waiter) {
+	t.mu.Lock()
+	if i := slices.Index(t.claims[tok], w); i >= 0 {
+		t.claims[tok] = slices.Delete(t.claims[tok], i, i+1)
+	}
+	t.mu.Unlock()
 }
 
 // forget removes tok outright — the failed-commit path, where the take was

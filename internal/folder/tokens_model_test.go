@@ -124,16 +124,17 @@ func tableModelRun(seed uint64, tcap, steps int) error {
 			}
 		case op < 13:
 			tok := pick()
-			res, park, owner := tt.claimTake(tok)
+			res, owner := tt.claimTake(tok, nil)
+			held := !owner && res.kind == slotFree
 			i, seen := ref.at[tok]
 			switch {
 			case seen:
-				if owner || park != nil || !sameSlot(res, ref.log[i]) {
-					return fmt.Errorf("step %d: claimTake(%d) = %+v park %v owner %v, model has fact %+v", step, tok, res, park != nil, owner, ref.log[i])
+				if owner || held || !sameSlot(res, ref.log[i]) {
+					return fmt.Errorf("step %d: claimTake(%d) = %+v held %v owner %v, model has fact %+v", step, tok, res, held, owner, ref.log[i])
 				}
 			case slices.Contains(ref.claims, tok):
-				if owner || park == nil {
-					return fmt.Errorf("step %d: claimTake(%d) of an in-flight claim: park %v owner %v", step, tok, park != nil, owner)
+				if owner || !held {
+					return fmt.Errorf("step %d: claimTake(%d) of an in-flight claim: held %v owner %v", step, tok, held, owner)
 				}
 			default:
 				if !owner {
@@ -144,12 +145,12 @@ func tableModelRun(seed uint64, tcap, steps int) error {
 		case op < 16:
 			if tok, ok := endClaim(); ok {
 				sl := fact(tok)
-				tt.resolveTake(sl)
+				tt.resolveTake(sl, nil)
 				ref.insert(sl)
 			}
 		case op < 17:
 			if tok, ok := endClaim(); ok {
-				tt.abandonTake(tok)
+				tt.abandonTake(tok, nil)
 			}
 		case op < 18:
 			tok := pick()

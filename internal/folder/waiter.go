@@ -9,45 +9,48 @@ import (
 	"repro/internal/wire"
 )
 
-// An Answerer is told the outcome of a read Server.Serve parked. Hold
-// receives the parked read's cancel hook — after its token claim, before it
-// registers on any folder — and Answer the response, exactly once, from the
-// goroutine that completes the read: a deposit's, which re-scanned it, or a
+// An Answerer is told the outcome of a read Server.Serve started. Hold
+// receives the read's cancel hook before its token claim, so before it
+// parks behind a claim or registers on any folder; Answer receives the
+// response of a read that parked, exactly once, from the goroutine that
+// completes it: a deposit's or a claim resolver's, which re-scanned it, or a
 // canceler's. Neither may block. rpc.Pending is one.
 type Answerer interface {
 	Hold(h wire.Canceler, id uint64)
 	Answer(resp *wire.Response)
 }
 
-// waiter is a blocking read that found nothing: the store's one way to park.
-// It is a record, not a goroutine. It sits on the waiter list of every folder
-// it could be satisfied from, and a deposit that lands on one of them
-// notifies it under the shard lock, then re-scans it on the deposit's own
-// goroutine once that has unlocked and committed: a wake is a notification
-// followed by a pass under the shard locks, never a value handed over. The
-// read is answered by whoever moves it to done — a pass that takes its memo,
-// or a cancel that finds it parked — and the party told is either a
-// goroutine blocked in wait (the in-process calls) or an Answerer (a request
-// Server.Serve started on a conn's read loop).
+// waiter is one read of the store: the record every read runs on, and the
+// store's one way to park. A read that must wait is still this record, not a
+// goroutine. It parks in one of two places: behind the claim of a take token
+// another attempt holds, or on the waiter list of every folder it could be
+// satisfied from. The party that ends the wait — the resolver or canceler of
+// the claim, or a deposit on one of the folders — notifies it under its lock
+// (the token table's, the shard's), then re-scans it on its own goroutine
+// once that has unlocked: a wake is a notification followed by another step,
+// never a value handed over. The read is answered by whoever moves it to
+// done — a step that finishes it, or a cancel that finds it parked — and the
+// party told is either a goroutine blocked in wait (the in-process calls) or
+// an Answerer (a request Server.Serve started on a conn's read loop).
 //
 // Records are pooled with no channel in them: the channel an in-process wait
 // blocks on is made for that one wait, so nothing the pool hands out can
 // carry a channel from one testing/synctest bubble into another.
 //
 // mu guards the record's generation, phase and request flags, which at most
-// three parties touch: the pass that owns the record, a depositor under a
-// shard lock, and a canceler. Lock order is shard lock, then mu: nobody
-// takes a shard lock while holding mu.
+// three parties touch: the step that owns the record, a waker under a shard
+// or token table lock, and a canceler. Lock order is shard lock, then token
+// table, then mu: nobody takes either of the others while holding mu.
 type waiter struct {
 	mu sync.Mutex
 	// gen is the ticket a canceler names the read by, bumped on every reuse;
 	// it is the one field a canceler holding a stale ticket still reads.
 	gen   uint64
 	phase uint8
-	// A pass owns a scanning record; these let a deposit or a cancel that
-	// meets it there leave word for the pass instead of waiting for it.
-	notified  bool // a deposit met w scanning: pass again before parking
-	cancelReq bool // a cancel met w scanning: answer canceled unless the pass takes
+	// A step owns a scanning record; these let a waker or a cancel that
+	// meets it there leave word for the step instead of waiting for it.
+	notified  bool // a waker met w scanning: step again before parking
+	cancelReq bool // a cancel met w scanning: answer canceled unless the step finishes
 	record
 }
 
@@ -59,7 +62,7 @@ type record struct {
 	// op is the read, planned into cb, canon1 and group1 when it has one
 	// key. Its keys are borrowed: keys (in key1 while it fits) copies the
 	// headers of the caller's keys, whose memory outlives the record — an
-	// in-process caller waits for its own answer, and a request Serve parked
+	// in-process caller waits for its own answer, and a request Serve started
 	// is held by its Answerer until answered.
 	op     readOp
 	keys   []symbol.Key
@@ -69,6 +72,8 @@ type record struct {
 	group1 [1]altGroup
 	canons [][]byte
 	groups []altGroup
+	// claim is set while w owns its take token's unresolved claim.
+	claim bool
 	// registered is set while w may be on some folder's list.
 	registered bool
 	// trace is op's wait accumulator when the read is traced; parkedAt
@@ -76,12 +81,12 @@ type record struct {
 	trace    opTrace
 	parkedAt int64
 
-	// The outcome, written by whoever moves w to done: the satisfied key's
-	// index (-1 for none), the value, a take's record seq, or the error.
-	found int
-	val   []byte
-	seq   uint64
-	err   error
+	// The outcome, written by whoever moves w to done, with a take's record
+	// seq; cached marks an answer repeated from the token's cached result,
+	// which owes its original's durability barrier instead of a commit.
+	out    outcome
+	seq    uint64
+	cached bool
 
 	// Who is told. ready is the channel of a goroutine blocked in wait;
 	// otherwise srv answers q to ans, and start is a traced q's start.
@@ -101,23 +106,22 @@ const (
 
 var recordPool = sync.Pool{New: func() any { return new(waiter) }}
 
-// newWaiter draws a record for op, a blocking read that found nothing, in a
-// new generation and owned by the caller (scanning). It borrows op's keys,
-// copying their headers, and takes over op's token claim; op itself is not
-// retained — for a one-key read its keys are the caller's frame.
+// newWaiter draws a record for op, a read of at least one key, in a new
+// generation and owned by the caller (scanning). It borrows op's keys,
+// copying their headers; op itself is not retained — for a one-key read its
+// keys are the caller's frame.
 func (s *Store) newWaiter(op *readOp) *waiter {
 	w := recordPool.Get().(*waiter)
 	w.mu.Lock()
 	w.gen++
 	w.phase, w.notified, w.cancelReq = phaseScanning, false, false
 	w.mu.Unlock()
-	w.s, w.found = s, -1
+	w.s = s
 	if w.keys == nil {
 		w.keys = w.key1[:0]
 	}
 	w.keys = append(w.keys[:0], op.keys...)
-	w.op = readOp{keys: w.keys, mode: op.mode, block: true, token: op.token, claim: op.claim}
-	op.claim = false
+	w.op = readOp{keys: w.keys, mode: op.mode, block: op.block, token: op.token}
 	if op.ot != nil {
 		w.op.ot = &w.trace
 	}
@@ -144,33 +148,66 @@ func (w *waiter) release() {
 	recordPool.Put(w)
 }
 
-// step runs one pass of w's read, which the caller owns. A satisfied read is
-// done and off every folder's list; otherwise w is registered on every folder
-// of its plan.
+// step runs w's read, which the caller owns, once, and reports whether it
+// is done. A tokened take first claims its token, unless w holds the claim:
+// a resolved token answers from its cached result, and one another attempt
+// holds parks w behind that claim. Otherwise w makes one pass, which ends
+// the read or, for a blocking one, leaves w registered on every folder of
+// its plan. A done read is off every list.
 func (w *waiter) step() bool {
-	if len(w.keys) == 1 {
-		// A one-key read that is passed again was taken off its folder's
-		// list by the deposit that notified it.
-		w.registered = false
+	s, op := w.s, &w.op
+	if op.token != 0 && op.mode == modeTake && !w.claim {
+		res, owner := s.tokens.claimTake(op.token, w)
+		if !owner && res.kind == slotFree {
+			return false
+		}
+		w.claim = owner
+		if !owner {
+			w.out, w.cached = s.fromCache(op, res), true
+		}
 	}
-	found, val, seq := w.s.pass(&w.op, w.canons, w.groups, w)
-	if found < 0 {
-		return false
+	if !w.cached {
+		if len(w.keys) == 1 {
+			// A one-key read that is passed again was taken off its folder's
+			// list by the deposit that notified it.
+			w.registered = false
+		}
+		found, val, seq := s.pass(w)
+		switch {
+		case found >= 0:
+			w.out, w.seq = outcome{key: w.keys[found], val: val, ok: true}, seq
+		case op.block:
+			return false
+		case w.claim:
+			// The observed-empty miss is cached too — in memory only, an
+			// empty answer needs no durability — so a retried skip repeats
+			// its original's answer instead of sampling again.
+			w.claim = false
+			rescanAll(s.tokens.resolveTake(tokSlot{tok: op.token, kind: slotEmpty}, nil))
+		}
 	}
-	w.found, w.val, w.seq = found, val, seq
 	w.mu.Lock()
 	w.phase = phaseDone
 	w.mu.Unlock()
 	if w.registered {
-		w.s.dropWaiter(w)
+		s.dropWaiter(w)
 	}
 	return true
 }
 
-// park hands w, owned by the caller after a fruitless pass, to the wakers:
-// it passes again for every notification that arrived meanwhile, answers a
-// cancel that did, and otherwise leaves w parked. The caller must not touch
-// w afterwards.
+// result is w's outcome, a satisfied read counted in the folder_* counters;
+// a cached answer was counted as a dedup when it was drawn.
+func (w *waiter) result() outcome {
+	if w.out.ok && !w.cached {
+		w.s.count(w.op.mode)
+	}
+	return w.out
+}
+
+// park hands w, owned by the caller after a step that left it waiting, to
+// the wakers: it steps again for every notification that arrived meanwhile,
+// answers a cancel that did, and otherwise leaves w parked. The caller must
+// not touch w afterwards.
 func (w *waiter) park() {
 	if w.op.ot != nil && w.parkedAt == 0 {
 		w.parkedAt = w.op.ot.clock()
@@ -198,10 +235,11 @@ func (w *waiter) park() {
 	}
 }
 
-// notify is a deposit's word to w, under the lock of a shard w is registered
-// on. It reports whether the caller took w over from parked, and then owes
-// it a rescan once it has unlocked (and committed); a w some pass owns is
-// told to pass again, and a done one ignores it.
+// notify is a waker's word to w, under the lock of a shard w is registered
+// on or of the token table w is parked behind a claim in. It reports whether
+// the caller took w over from parked, and then owes it a rescan once it has
+// unlocked (a deposit, and committed); a w some step owns is told to step
+// again, and a done one ignores it.
 func (w *waiter) notify() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -215,7 +253,7 @@ func (w *waiter) notify() bool {
 	return false
 }
 
-// rescan is the waker's half of a wake: one pass for a w that notify took
+// rescan is the waker's half of a wake: one step for a w that notify took
 // over, on the waker's goroutine, then its answer or its park.
 //
 //memolint:nonblocking
@@ -228,8 +266,8 @@ func (w *waiter) rescan() {
 }
 
 // Cancel asks the read holding ticket to stop waiting. A parked read is
-// answered canceled here — nothing was consumed — and one a pass owns is
-// told to, unless that pass takes its memo; a read already answered, or a
+// answered canceled here — nothing was consumed — and one a step owns is
+// told to, unless that step finishes it; a read already answered, or a
 // record reused since, is left alone.
 //
 //memolint:nonblocking
@@ -249,15 +287,23 @@ func (w *waiter) Cancel(ticket uint64) {
 }
 
 // canceled answers a read the caller just moved to done without a memo: off
-// every list, claim abandoned so a retry re-executes, StatusCanceled.
+// every list and every claim, its own claim abandoned so a retry re-executes
+// (the retries parked behind it rescanned), StatusCanceled.
 func (w *waiter) canceled() {
-	w.s.dropWaiter(w)
-	if w.op.claim {
-		w.s.tokens.abandonTake(w.op.token)
-		w.op.claim = false
+	var woken []*waiter
+	if w.registered {
+		w.s.dropWaiter(w)
 	}
-	w.err = wire.ErrCanceled
+	switch {
+	case w.claim:
+		w.claim = false
+		woken = w.s.tokens.abandonTake(w.op.token, nil)
+	case w.op.token != 0 && w.op.mode == modeTake:
+		w.s.tokens.leave(w.op.token, w)
+	}
+	w.out = outcome{err: wire.ErrCanceled}
 	w.complete()
+	rescanAll(woken)
 }
 
 // complete tells w's party that w is done. An Answerer's record recycles
@@ -324,7 +370,8 @@ func (f *fold) wakeAll(woken []*waiter) []*waiter {
 	return woken
 }
 
-// rescanAll rescans what wakeAll took over, on the waker's goroutine.
+// rescanAll rescans what wakeAll or a claim's end took over, on the waker's
+// goroutine.
 func rescanAll(woken []*waiter) {
 	for _, w := range woken {
 		w.rescan()

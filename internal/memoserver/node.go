@@ -552,14 +552,14 @@ func (n *Node) Dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response 
 // route takes each request an accepted conn delivered, on the read loop, and
 // never blocks it. A local folder op on a memory-only store, where nothing
 // can wait, runs right here (folder.Server.Serve): answered on the spot, or
-// parked in the store as a waiter record that holds p — no thread waits on
-// it — and answered by the deposit that fills it or the cancel that ends it.
-// One that might wait — an op on a durable store, whose commit waits on the
-// group fsync, or a tokened take whose token another attempt holds — runs on
-// a thread with its folder server in hand. A forward — folder- or
-// host-scoped — is relayed from here onto the live peer conn and answered
-// from that conn's receive loop with no thread (see Complete); one whose
-// link must first be dialed, or whose conn refused it, continues on a
+// parked in the store as a waiter record that holds p — on its folders, or
+// behind a take token another attempt holds; no thread waits on it — and
+// answered by the deposit or the claim's end that re-scans it, or by the
+// cancel that ends it. An op on a durable store, whose commit waits on the
+// group fsync, runs on a thread with its folder server in hand. A forward —
+// folder- or host-scoped — is relayed from here onto the live peer conn and
+// answered from that conn's receive loop with no thread (see Complete); one
+// whose link must first be dialed, or whose conn refused it, continues on a
 // thread in the link's retry loop. Node- and host-scoped verbs this node
 // answers run on a thread (runCall). An untraced local op needs no record;
 // anything else becomes a pooled call.

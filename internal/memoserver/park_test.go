@@ -127,6 +127,90 @@ func TestParkedGetsHoldNoThread(t *testing.T) {
 	}
 }
 
+// TestHeldTokenRetriesHoldNoThread: 10³ tokened gets park at a on one conn,
+// and then their 10³ retries, same tokens, arrive on a second conn and park
+// behind the originals' claims: the goroutine count and the thread cache's
+// runs stay flat. The puts that follow answer every original with its own
+// value and every retry with its original's, from the take cache.
+func TestHeldTokenRetriesHoldNoThread(t *testing.T) {
+	const n, slack = 1000, 16
+	const tok = 1 << 40
+	tn := bootNet(t, twoHostADF, Config{})
+	a := tn.nodes["a"]
+	fs, _ := a.LocalFolderServer(tn.file.App, 0)
+	dial := func() *rpc.Conn {
+		raw, err := tn.sim.DialFrom("a", MemoAddr("a"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn := rpc.NewConnResilient(raw, rpc.Resilience{})
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+	q := func(op wire.Op, i int, payload []byte) *wire.Request {
+		r := req(op, 0, symbol.K(symbol.Symbol(i)), payload)
+		r.App = tn.file.App
+		return r
+	}
+	get := func(conn *rpc.Conn, i int) *completions {
+		g := q(wire.OpGet, i, nil)
+		g.Token = tok + uint64(i)
+		c := newCompletions()
+		if _, err := conn.Go(g, c); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	originals, retries := dial(), dial()
+	for _, conn := range []*rpc.Conn{originals, retries} { // warm both conns
+		if resp, err := conn.Call(q(wire.OpGetSkip, -1, nil), nil); err != nil || resp.Status != wire.StatusEmpty {
+			t.Fatalf("warm get_skip: %+v %v", resp, err)
+		}
+	}
+
+	goroutines, threads := runtime.NumGoroutine(), poolRuns(a.pool)
+	firsts, seconds := make([]*completions, n), make([]*completions, n)
+	for i := range firsts {
+		firsts[i] = get(originals, i)
+	}
+	awaitWaiters(t, fs, n)
+	for i := range seconds {
+		seconds[i] = get(retries, i)
+	}
+	// The read loop routes in order, and a get_skip on a memory-only folder
+	// is answered there: once it is, every retry has been routed.
+	if resp, err := retries.Call(q(wire.OpGetSkip, -1, nil), nil); err != nil || resp.Status != wire.StatusEmpty {
+		t.Fatalf("get_skip behind the retries: %+v %v", resp, err)
+	}
+	rose, ran := runtime.NumGoroutine()-goroutines, poolRuns(a.pool)-threads
+	if rose > slack || ran != 0 {
+		t.Errorf("%d parked gets and their %d retries: %d goroutines more (want at most %d), %d thread runs (want 0)", n, n, rose, slack, ran)
+	}
+	if w, c := folderSeries(fs, "folder_waiters"), folderSeries(fs, "folder_claims_inflight"); w != n || c != n {
+		t.Fatalf("%d waiters and %d claims, want the originals' %d and %d", w, c, n, n)
+	}
+
+	puts := make([]*completions, n)
+	for i := range puts {
+		puts[i] = newCompletions()
+		if _, err := originals.Go(q(wire.OpPut, i, []byte(fmt.Sprint(i))), puts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range puts {
+		puts[i].await(t, fmt.Sprintf("put %d", i))
+		for _, g := range []*completions{firsts[i], seconds[i]} {
+			g.await(t, fmt.Sprintf("get %d", i))
+			if g.err != nil || g.resp.Status != wire.StatusOK || string(g.resp.Payload) != fmt.Sprint(i) {
+				t.Fatalf("get %d: %+v %v, want payload %d", i, g.resp, g.err, i)
+			}
+		}
+	}
+	if dups, m, c := folderSeries(fs, "folder_dup_takes_total"), folderSeries(fs, "folder_memos"), folderSeries(fs, "folder_claims_inflight"); dups != n || m != 0 || c != 0 {
+		t.Errorf("%d takes answered from the cache, %d memos and %d claims left; want %d, 0 and 0", dups, m, c, n)
+	}
+}
+
 // answers reads a raw client's responses, counting them per request id.
 type answers struct {
 	r     *rawClient
@@ -324,10 +408,11 @@ func TestAltTakeWokenByTwoPutsTakesOne(t *testing.T) {
 }
 
 // TestParkedTokenedGetOrdering pins the order a tokened get parks in on the
-// read loop — the token claim, then the cancel hook, then the registration —
+// read loop — the cancel hook, then the token claim, then the registration —
 // and that whoever moves a parked get's record to done answers it, once. A
-// retry of a parked tokened get finds the token claimed, registers nothing
-// and waits on a thread; canceling the retry leaves the original parked;
+// retry of a parked tokened get finds the token claimed, registers on no
+// folder and parks behind the claim, on no thread; canceling the retry
+// leaves the original parked;
 // the put that fills the original answers a second retry from the cached
 // take, with the same memo. A parked tokened get canceled through its hook
 // abandons its claim, so its retry executes afresh.
@@ -350,11 +435,14 @@ func TestParkedTokenedGetOrdering(t *testing.T) {
 	r.send(t, tokened(1, wire.OpGet, k, tok))
 	awaitWaiters(t, fs, 1)
 	threads := ran()
-	r.send(t, tokened(2, wire.OpGet, k, tok))
-	for deadline := time.Now().Add(5 * time.Second); ran() == threads; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("a retry behind a claimed token never took a thread")
-		}
+	// The read loop routes in order: once the ping behind the retry is
+	// answered, the retry has been routed, and the ping's is the one thread.
+	r.send(t, tokened(2, wire.OpGet, k, tok), r.req(10, wire.OpPing, 0, symbol.Key{}, nil))
+	if resp := got.await(t, 10); resp.Status != wire.StatusOK {
+		t.Fatalf("ping: %+v", resp)
+	}
+	if n := ran() - threads; n != 1 {
+		t.Fatalf("a retry behind a claimed token and a ping ran %d threads, want the ping's 1", n)
 	}
 	if w := folderSeries(fs, "folder_waiters"); w != 1 {
 		t.Fatalf("a retry behind a claimed token registered: %d waiters, want the original's 1", w)

@@ -8,8 +8,10 @@
 # and run there, each tree building its own daemon. Pair i runs both trees
 # on seed 4000+i, every workload of BENCHMARK.json back to back, with the
 # parent first in odd pairs and the change first in even ones; each run is
-# `go run ./benchmark -workload W -seed S`, unchanged. Progress goes to
-# stderr; the summary and all-runs tables go to stdout as markdown.
+# `go run ./benchmark -workload W -seed S`, unchanged. Then each tree runs
+# every workload once more with `-trace 1` (seed 5000) for the count band.
+# Progress goes to stderr; the summary, count band and all-runs tables go to
+# stdout as markdown.
 #
 # The verdict per end-to-end metric and workload reads BENCHMARK.json's
 # bound and direction: worse when the change's median is worse by more than
@@ -17,6 +19,13 @@
 # exceeds the bound and not every change run beats every parent run; no
 # worse otherwise. No verdict is given when any run reports correct:false or
 # when the change fails a larger share of its operations than the parent.
+#
+# The count band sets the traced runs' per-op counts side by side — frames,
+# server requests, WAL appends and fsyncs, forwards and context switches —
+# and flags a count that moved by more than 5 %: counts hold still where
+# wall-clock time does not, so a flagged count is a finding even under a
+# "no worse" verdict. Beside it, the traced runs' client retries and link
+# faults: with both 0, no benchmark op reached a take token's held-claim path.
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
@@ -34,20 +43,11 @@ for side in parent change; do
 done
 workloads=$(python3 -c 'import json,sys; print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' "$root/BENCHMARK.json")
 
-# runs.jsonl: one line per run, the benchmark's last-line JSON plus the pair,
-# seed, side, workload, which side ran first, and the run line's noisy mark.
-for i in $(seq 1 "$pairs"); do
-	seed=$((4000 + i))
-	order="change parent"
-	if [ $((i % 2)) -eq 1 ]; then
-		order="parent change"
-	fi
-	for w in $workloads; do
-		for side in $order; do
-			echo "pair $i seed $seed: $w on $side" >&2
-			out="$work/out-$i-$w-$side.txt"
-			(cd "$work/$side" && go run ./benchmark -workload "$w" -seed "$seed") >"$out" 2>&1 || true
-			python3 - "$out" "$i" "$seed" "${order%% *}" "$w" "$side" >>"$work/runs.jsonl" <<'EOF'
+# record prints one run's benchmark last-line JSON as a .jsonl line, with
+# the pair (0 for a traced run), seed, side, workload, which side ran first,
+# and the run line's noisy mark: record <out> <pair> <seed> <first> <w> <side>.
+record() {
+	python3 - "$@" <<'EOF'
 import json, sys
 path, pair, seed, first, workload, side = sys.argv[1:]
 lines = open(path).read().splitlines()
@@ -60,15 +60,38 @@ except (IndexError, ValueError):
 rec["noisy"] = next((json.loads(l[4:]).get("noisy") for l in lines if l.startswith("run {")), None)
 print(json.dumps(rec))
 EOF
+}
+
+for i in $(seq 1 "$pairs"); do
+	seed=$((4000 + i))
+	order="change parent"
+	if [ $((i % 2)) -eq 1 ]; then
+		order="parent change"
+	fi
+	for w in $workloads; do
+		for side in $order; do
+			echo "pair $i seed $seed: $w on $side" >&2
+			out="$work/out-$i-$w-$side.txt"
+			(cd "$work/$side" && go run ./benchmark -workload "$w" -seed "$seed") >"$out" 2>&1 || true
+			record "$out" "$i" "$seed" "${order%% *}" "$w" "$side" >>"$work/runs.jsonl"
 		done
 	done
 done
+for w in $workloads; do
+	for side in parent change; do
+		echo "count band: $w on $side (-trace 1)" >&2
+		out="$work/trace-$w-$side.txt"
+		(cd "$work/$side" && go run ./benchmark -workload "$w" -seed 5000 -trace 1) >"$out" 2>&1 || true
+		record "$out" 0 5000 parent "$w" "$side" >>"$work/traces.jsonl"
+	done
+done
 
-python3 - "$root/BENCHMARK.json" "$work/runs.jsonl" "$parent" "$change" <<'EOF'
+python3 - "$root/BENCHMARK.json" "$work/runs.jsonl" "$parent" "$change" "$work/traces.jsonl" <<'EOF'
 import json, statistics, sys
 bench = json.load(open(sys.argv[1]))
 runs = [json.loads(l) for l in open(sys.argv[2])]
 parent, change = sys.argv[3], sys.argv[4]
+traces = [json.loads(l) for l in open(sys.argv[5])]
 metrics = bench["end_to_end"]
 workloads = [w["name"] for w in bench["workloads"]]
 pairs = max(r["pair"] for r in runs)
@@ -134,6 +157,31 @@ for w in workloads:
         print("| `%s` | `%s` | %s [%s–%s] | %.1f %% | %s [%s–%s] | %+.1f %% | %d/%d | %s |" % (
             w, name, fmt(pm), fmt(pq[0]), fmt(pq[2]), 100 * iqr, fmt(cm), fmt(cq[0]), fmt(cq[2]),
             100 * delta, won, len(both), verdict))
+
+band = ["rpc.frames_per_op", "rpc.server_requests_per_op", "durable.appends_per_op",
+        "durable.fsyncs_per_op", "memoserver.forwards_per_op", "daemon.ctx_switches_per_op"]
+print("\n## Count band\n")
+print("One `-trace 1` run per side and workload, seed 5000. A count that moved by more than ±5 % is **flagged**.\n")
+print("| workload | count | parent | change | change vs parent | flag |")
+print("|---|---|---|---|---|---|")
+
+def traced(w, side, name):
+    return next((val(r, name) for r in traces if r["workload"] == w and r["side"] == side), None)
+
+for w in workloads:
+    for name in band:
+        p, c = traced(w, "parent", name), traced(w, "change", name)
+        if p is None or c is None:
+            print("| `%s` | `%s` | %s | %s | – | no count |" % (w, name, "–" if p is None else fmt(p), "–" if c is None else fmt(c)))
+            continue
+        moved = (c - p) / p if p else (0.0 if c == 0 else float("inf"))
+        print("| `%s` | `%s` | %s | %s | %+.1f %% | %s |" % (w, name, fmt(p), fmt(c), 100 * moved,
+                                                      "**flagged**" if abs(moved) > 0.05 else ""))
+for side in ("parent", "change"):
+    held = {n: sum(traced(w, side, n) or 0 for w in workloads) for n in ("client.retries", "memoserver.link_faults")}
+    print("\n%s traced runs: `client.retries` %s, `memoserver.link_faults` %s%s." % (
+        side.capitalize(), fmt(held["client.retries"]), fmt(held["memoserver.link_faults"]),
+        " — no op was retried, so none could meet its own take token's held claim" if not any(held.values()) else ""))
 
 names = [m["name"] for m in metrics]
 print("\n## All runs\n")

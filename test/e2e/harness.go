@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -362,16 +363,22 @@ type CLIResult struct {
 	Value string `json:"value"`
 	Empty bool   `json:"empty"`
 	Error string `json:"error"`
+	Token string `json:"token"`
 	Code  int    `json:"-"`
 }
 
 // Err is the operation's failure (nil if it succeeded). The CLI reports only
-// a message, so a ledger books a failure as uncertain.
+// a message and the op's dedup token, so a ledger books a failure as
+// uncertain, named by that token.
 func (r CLIResult) Err() error {
 	if r.OK {
 		return nil
 	}
-	return fmt.Errorf("memo %s: exit %d: %s", r.Op, r.Code, r.Error)
+	err := fmt.Errorf("memo %s: exit %d: %s", r.Op, r.Code, r.Error)
+	if tok, perr := strconv.ParseUint(r.Token, 0, 64); perr == nil && tok != 0 {
+		return &core.TokenError{Token: tok, Err: err}
+	}
+	return err
 }
 
 // Kill SIGKILLs node i, resurrects it from its data directory and

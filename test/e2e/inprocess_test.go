@@ -2,6 +2,7 @@ package e2e
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -52,7 +53,11 @@ func (s simTarget) cli(i int, name string, op func(m *core.Memo) (string, bool, 
 		m.Close()
 	}
 	if err != nil {
-		return CLIResult{Op: name, Error: err.Error(), Code: 1}, nil
+		res := CLIResult{Op: name, Error: err.Error(), Code: 1}
+		if tok := core.TokenOf(err); tok != 0 {
+			res.Token = fmt.Sprintf("%#x", tok)
+		}
+		return res, nil
 	}
 	return CLIResult{OK: true, Op: name, Value: v, Empty: !ok}, nil
 }
