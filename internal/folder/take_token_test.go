@@ -1,6 +1,7 @@
 package folder
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -364,5 +365,30 @@ func TestReclaimedTokenKeepsItsWindow(t *testing.T) {
 	}
 	if dups := s.dupPuts.Load(); dups != 0 {
 		t.Fatalf("put token 1 should have been the one evicted: %d dedups", dups)
+	}
+}
+
+// TestTakeTokenSpaceViolationsRefused: a take whose token a deposit used, and
+// a blocking take that meets the empty answer a skip cached under its token,
+// are token-space violations: refused with an error, consuming nothing,
+// rather than answered with a guess.
+func TestTakeTokenSpaceViolationsRefused(t *testing.T) {
+	s := NewStore()
+	k, empty := symbol.K(1), symbol.K(2)
+	if err := s.PutToken(k, []byte("v"), 9); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.GetToken(k, 9, nil); err == nil || !strings.Contains(err.Error(), "already applied by a deposit") {
+		t.Fatalf("take under a put's token: %v, want it refused", err)
+	}
+	if _, ok, err := s.GetSkipToken(empty, 10); err != nil || ok {
+		t.Fatalf("skip on an empty folder: ok=%v err=%v", ok, err)
+	}
+	mustPut(t, s, empty, "late")
+	if _, err := s.GetToken(empty, 10, nil); err == nil || !strings.Contains(err.Error(), "cached an empty result") {
+		t.Fatalf("blocking take under a skip's cached miss: %v, want it refused", err)
+	}
+	if memos, takes := s.occupancy(nil).memos, s.takes.Load(); memos != 2 || takes != 0 {
+		t.Fatalf("%d memos left and %d takes, want 2 and 0: a refused take consumed", memos, takes)
 	}
 }
