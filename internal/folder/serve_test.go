@@ -137,8 +137,10 @@ func TestServedAltTakeTwoPutsTakeOne(t *testing.T) {
 // TestServeParksHeldTokenRetry: a retry whose token its original still
 // holds parks in Serve behind that claim: answered later, its cancel hook
 // held, on no folder's list. When the original takes, the retry is answered
-// from the cache with the same value; when the original is canceled, the
-// retry becomes the owner and takes the next memo itself.
+// from the cache with the same value, and a retry that arrives after that
+// is answered from the cache at once, without parking or taking a hook;
+// when the original is canceled, the retry becomes the owner and takes the
+// next memo itself.
 func TestServeParksHeldTokenRetry(t *testing.T) {
 	srv := NewServer(0, "a", NewStore(), threadcache.Config{})
 	get := func(k symbol.Key, tok uint64) *wire.Request { return &wire.Request{Op: wire.OpGet, Key: k, Token: tok} }
@@ -163,6 +165,16 @@ func TestServeParksHeldTokenRetry(t *testing.T) {
 	if takes, dups := srv.store.takes.Load(), srv.store.dupTakes.Load(); takes != 1 || dups != 1 {
 		t.Fatalf("%d takes and %d dedups, want 1 and 1", takes, dups)
 	}
+	late := new(answerer)
+	if resp, ok := srv.Serve(get(k, 7), late); !ok || resp == nil || resp.Status != wire.StatusOK || string(resp.Payload) != "v" {
+		t.Fatalf("a retry after the take: Serve = %+v, %v; want the cached \"v\" at once", resp, ok)
+	}
+	if late.h != nil {
+		t.Fatal("a retry answered from the cache took a cancel hook")
+	}
+	if dups := srv.store.dupTakes.Load(); dups != 2 {
+		t.Fatalf("%d dedups after the late retry, want 2", dups)
+	}
 
 	k2 := symbol.K(4)
 	first = serveParked(t, srv, get(k2, 8))
@@ -176,8 +188,8 @@ func TestServeParksHeldTokenRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	answered("retry that became the owner", retry, wire.StatusOK, "w")
-	if takes, dups := srv.store.takes.Load(), srv.store.dupTakes.Load(); takes != 2 || dups != 1 {
-		t.Fatalf("%d takes and %d dedups, want 2 and 1", takes, dups)
+	if takes, dups := srv.store.takes.Load(), srv.store.dupTakes.Load(); takes != 2 || dups != 2 {
+		t.Fatalf("%d takes and %d dedups, want 2 and 2", takes, dups)
 	}
 	if o := srv.store.occupancy(nil); o.waiters != 0 || o.folders != 0 || len(srv.store.tokens.claims) != 0 {
 		t.Fatalf("%d waiters, %d folders and %d claims left", o.waiters, o.folders, len(srv.store.tokens.claims))

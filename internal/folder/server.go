@@ -122,8 +122,8 @@ func (s *Server) Serve(q *wire.Request, a Answerer) (*wire.Response, bool) {
 		resp = respond(q.Op, op.mode, noKeys(&op))
 	default:
 		w := s.store.newWaiter(&op)
-		a.Hold(w, w.ticket())
 		if !w.step() {
+			a.Hold(w, w.ticket())
 			w.srv, w.q, w.ans, w.start = s, q, a, start
 			w.park()
 			return nil, true

@@ -10,11 +10,12 @@ import (
 )
 
 // An Answerer is told the outcome of a read Server.Serve started. Hold
-// receives the read's cancel hook before its token claim, so before it
-// parks behind a claim or registers on any folder; Answer receives the
-// response of a read that parked, exactly once, from the goroutine that
-// completes it: a deposit's or a claim resolver's, which re-scanned it, or a
-// canceler's. Neither may block. rpc.Pending is one.
+// receives the cancel hook of a read that parks — behind a claim or on its
+// folders — before any goroutine but Serve's can complete it; a read
+// answered at once takes none. Answer receives the response of a read that
+// parked, exactly once, from the goroutine that completes it: a deposit's
+// or a claim resolver's, which re-scanned it, or a canceler's. Neither may
+// block. rpc.Pending is one.
 type Answerer interface {
 	Hold(h wire.Canceler, id uint64)
 	Answer(resp *wire.Response)
