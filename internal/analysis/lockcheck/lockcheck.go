@@ -7,7 +7,7 @@
 //     path; per-folder WAL order equals application order only because the
 //     append happens inside the shard critical section.
 //   - a function that waits — one marked //memolint:blocks (durable.Log.Commit
-//     and Barrier block on fsync), or one that reaches such a function
+//     blocks on fsync), or one that reaches such a function
 //     through functions of its own package — must never be called while a
 //     shard lock may be held: an fsync under the shard lock would stall
 //     every operation on the stripe for milliseconds.
@@ -16,11 +16,12 @@
 //     order, and the deadlock-freedom of that scan rests on never nesting
 //     stripe locks.
 //   - functions marked //memolint:nonblocking (a conn's router, the folder
-//     store's wake and re-scan path, rpc.Pending's completions) must not
-//     reach a function marked //memolint:blocks (Log.Commit, Log.Barrier,
-//     rpc.Conn.Call, the in-process wait on a parked read), directly or
-//     through functions of their own package: they run on a read loop or
-//     on another request's goroutine, which a wait would stall.
+//     store's wake and re-scan path, the WAL syncer's completion path,
+//     rpc.Pending's completions) must not reach a function marked
+//     //memolint:blocks (Log.Commit, rpc.Conn.Call, the in-process wait on a
+//     folder op's record), directly or through functions of their own
+//     package: they run on a read loop, on the syncer or on another
+//     request's goroutine, which a wait would stall.
 //
 // A function whose own contract is "caller holds the shard lock" should be
 // marked //memolint:requires-shard-lock: its body is then analyzed with a

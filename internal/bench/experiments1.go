@@ -2,12 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"slices"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/threadcache"
 	"repro/internal/transferable"
@@ -17,9 +15,9 @@ import (
 // memo server, where a request's one thread comes from: with thread caching
 // on, a stream of requests is served by a small number of cached threads;
 // with it off, every request spawns a fresh one, and latency rises. The
-// folder server is durable (its log never fsyncs), because only an op that
-// may wait — a durable one, whose commit waits on the group fsync — takes a
-// thread: an op on a memory-only folder runs on the conn's read loop.
+// requests are the host-scoped program pump and fetch (§4.4), which the
+// memo server answers itself on a thread: a folder op, on any store, runs
+// on the conn's read loop and takes none.
 func E1ThreadCache(cfg Config) (*Table, error) {
 	const adfText = `APP e1
 HOSTS
@@ -33,15 +31,8 @@ PPC
 	ops := cfg.scale(2000, 20000)
 	type counts struct{ spawned, reused int64 }
 	run := func(disable bool) (counts, time.Duration, error) {
-		dir, err := os.MkdirTemp("", "e1-")
-		if err != nil {
-			return counts{}, 0, err
-		}
-		defer os.RemoveAll(dir)
 		c, err := cluster.BootADF(adfText, cluster.Options{
-			Cache:   threadcache.Config{Disable: disable, IdleTimeout: 50 * time.Millisecond},
-			DataDir: dir,
-			Durable: durable.Config{Sync: durable.SyncNever},
+			Cache: threadcache.Config{Disable: disable, IdleTimeout: 50 * time.Millisecond},
 		})
 		if err != nil {
 			return counts{}, 0, err
@@ -51,13 +42,13 @@ PPC
 		if err != nil {
 			return counts{}, 0, err
 		}
-		k := m.NamedKey("hot")
+		blob := []byte("a program image")
 		start := time.Now()
 		for i := 0; i < ops; i++ {
-			if err := m.Put(k, transferable.Int64(int64(i))); err != nil {
+			if err := m.PumpProgram("a", "hot", blob); err != nil {
 				return counts{}, 0, err
 			}
-			if _, err := m.Get(k); err != nil {
+			if _, err := m.FetchProgram("a", "hot"); err != nil {
 				return counts{}, 0, err
 			}
 		}
@@ -90,7 +81,7 @@ PPC
 				F(float64(uncachedTime.Microseconds()) / float64(reqs))},
 		},
 	}
-	t.Notes = append(t.Notes, "each put and get commits to the folder's write-ahead log (never fsynced), so each takes a thread; an op on a memory-only folder takes none")
+	t.Notes = append(t.Notes, "each request is a program pump or fetch, which the memo server answers on a thread; a folder op, memory-only or durable, takes none")
 	if cached.spawned*10 < uncached.spawned {
 		t.Notes = append(t.Notes, fmt.Sprintf("shape holds: caching cut thread creations %dx",
 			uncached.spawned/max64(cached.spawned, 1)))

@@ -13,9 +13,10 @@
 //     shards, and no record touches two shards). Every shard encodes into
 //     the same buffer, under one mutex that nests inside the shard locks.
 //
-//   - Appends only buffer; durability is bought by Commit, which blocks
-//     until the log's one syncer has written and fsynced the record. The
-//     syncer drains by backpressure, mirroring the rpc batcher: one fsync's
+//   - Appends only buffer; durability is bought by Await, which hands a
+//     Completion the record's fate once the log's one syncer has written
+//     and fsynced it (Commit is an in-process wait on it). The syncer
+//     drains by backpressure, mirroring the rpc batcher: one fsync's
 //     duration is exactly the window in which the next batch of records —
 //     from every shard — accumulates, so the sync cost amortizes over
 //     concurrent operations by itself (SyncNever skips the fsync and trusts

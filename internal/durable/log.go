@@ -285,32 +285,39 @@ func (l *Log) Append(shard int, rec *Record) uint64 {
 	return seq
 }
 
-// Commit blocks until the log has made record seq durable. It must run
-// outside the shard lock (it blocks on fsync), and its error gates the ack.
-// The log has one writer; the unnamed first parameter is a shard index it
-// ignores.
+// A Completion is told the fate of a record it awaits: nil once the record
+// is durable, or the log's terminal error once it never will be. It runs
+// once, on whichever goroutine decides that — the syncer's, or Close's,
+// Crash's or a snapshot's, outside the log's locks, in seq order among the
+// records decided together — or on Await's caller when the fate is already
+// known. It must not block: the syncer's next cycle waits for it.
+type Completion interface {
+	Complete(err error)
+}
+
+// Await hands c the fate of record seq, Append's result: no completion
+// runs before the fsync that covers its record. Seq 0 is a barrier on
+// everything appended so far — the wait a deduplicated op owes its
+// original's record — and fails on a dead log, as the dead append a 0 also
+// stands for must. It never blocks.
+func (l *Log) Await(seq uint64, c Completion) { l.w.await(seq, c) }
+
+// Commit blocks until the log has made record seq durable, and its error
+// gates the ack: an in-process wait on Await, run outside the shard lock.
+// The unnamed first parameter is a shard index it ignores.
 //
 //memolint:must-check-error
 //memolint:blocks
 func (l *Log) Commit(_ int, seq uint64) error {
-	return l.w.commit(seq)
+	done := make(commitWait, 1)
+	l.w.await(seq, done)
+	return <-done
 }
 
-// Barrier blocks until everything appended so far is durable: the wait a
-// deduplicated (already-applied) op performs so its acknowledgement never
-// outruns the original record's fsync.
-// An empty log (the original landed in a previous incarnation) is trivially
-// durable.
-//
-//memolint:must-check-error
-//memolint:blocks
-func (l *Log) Barrier() error {
-	seq := l.w.barrier()
-	if seq == 0 {
-		return l.w.aliveErr()
-	}
-	return l.w.commit(seq)
-}
+// commitWait is Commit's completion.
+type commitWait chan error
+
+func (c commitWait) Complete(err error) { c <- err }
 
 // ShouldSnapshot reports whether a truncation cycle has paid for itself: at
 // least SnapshotEvery records were logged since the last cut (the floor,
@@ -331,7 +338,7 @@ func (l *Log) ShouldSnapshot() bool {
 // Gen reports the current generation (diagnostics and tests).
 func (l *Log) Gen() uint64 { return l.gen.Load() }
 
-// Close flushes the log and closes its files. Pending commits complete
+// Close flushes the log and closes its files. Pending records complete
 // durable; subsequent appends are dead.
 func (l *Log) Close() error {
 	l.retireGauges()
@@ -340,7 +347,7 @@ func (l *Log) Close() error {
 
 // Crash abandons buffered records and slams the files shut — the in-process
 // stand-in for SIGKILL. What earlier sync cycles wrote survives in the
-// files; pending commits fail with ErrCrashed.
+// files; pending records fail with ErrCrashed.
 func (l *Log) Crash() {
 	l.retireGauges()
 	l.w.crash()

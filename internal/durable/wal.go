@@ -3,6 +3,7 @@ package durable
 import (
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 )
@@ -22,35 +23,40 @@ import (
 // segment live for the shards not yet cut: their records go to oldBuf, a cut
 // shard's to buf, and one cycle writes both before it advances syncSeq.
 //
+// Every record that waits for its fsync is on one pending list, in seq
+// order: whoever moves syncSeq past it (a syncer cycle, a window's end,
+// close) or kills the log (a failed ship, crash) detaches it under mu and
+// completes it once both locks are released (unlockSettle). That is the
+// log's one way to report progress; Commit is a wait on it.
+//
 // Locking: io serializes everything that touches the files (syncer cycles,
-// window open and end, close); mu guards the buffers, routes and sequence
-// counters. io is always taken before mu, and appenders take only mu, so an
-// append never waits for an fsync — only Commit does.
+// window open and end, close); mu guards the buffers, routes, sequence
+// counters and the pending list. io is always taken before mu, and
+// appenders take only mu, so an append never waits for an fsync.
 type writer struct {
 	cfg Config
 
 	io sync.Mutex // file writes, window open/end, close; taken before mu
 
 	mu      sync.Mutex
-	synced  *sync.Cond // signalled when syncSeq/failed/closed advance
-	f       *os.File   // current generation's segment
-	old     *os.File   // previous generation's segment while a window is open, else nil
-	cut     []bool     // per shard, while a window is open: routed to f
-	buf     []byte     // frames for f awaiting write
-	oldBuf  []byte     // frames for old awaiting write
-	oldN    uint64     // records in oldBuf
-	spare   []byte     // the last written buffer, emptied, for the next swap
-	seq     uint64     // last appended sequence number
-	syncSeq uint64     // last sequence made durable (per the sync mode)
-	failed  error      // sticky terminal error (write/sync failure, crash)
+	f       *os.File // current generation's segment
+	old     *os.File // previous generation's segment while a window is open, else nil
+	cut     []bool   // per shard, while a window is open: routed to f
+	buf     []byte   // frames for f awaiting write
+	oldBuf  []byte   // frames for old awaiting write
+	oldN    uint64   // records in oldBuf
+	spare   []byte   // the last written buffer, emptied, for the next swap
+	seq     uint64   // last appended sequence number
+	syncSeq uint64   // last sequence made durable (per the sync mode)
+	failed  error    // sticky terminal error (write/sync failure, crash)
 	closed  bool
+	pending []pending // records awaiting syncSeq, by seq
 
 	wake chan struct{} // capacity 1: "frames may be pending"
 }
 
 func newWriter(f *os.File, shards int, cfg Config) *writer {
 	w := &writer{cfg: cfg, f: f, cut: make([]bool, shards), wake: make(chan struct{}, 1)}
-	w.synced = sync.NewCond(&w.mu)
 	go w.run()
 	return w
 }
@@ -83,26 +89,68 @@ func (w *writer) append(shard int, rec *Record) (seq uint64, size int) {
 	return seq, size
 }
 
-// commit blocks until seq is durable. seq 0 is a dead append (death is
-// sticky, so the terminal state explains it). A record flushed by close()
-// commits fine even though the log is now closed — durability checks come
-// first.
-func (w *writer) commit(seq uint64) error {
+// pending is a record's completion, waiting for syncSeq to reach its seq.
+type pending struct {
+	seq uint64
+	c   Completion
+}
+
+// await hands c the fate of record seq: nil once it is durable, else the
+// log's terminal error. Seq 0 is a barrier — everything appended so far —
+// and, on a dead log, the dead append it also stands for, which fails.
+// Durability is checked first: a record that close flushed completes fine.
+// c runs here when the fate is already known, else later from whoever
+// decides it (see unlockSettle).
+func (w *writer) await(seq uint64, c Completion) {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	if seq == 0 {
-		if err := w.aliveLocked(); err != nil {
-			return err
-		}
-		return ErrClosed
+	err := w.aliveLocked()
+	if seq == 0 && err == nil {
+		seq = w.seq
 	}
-	for w.syncSeq < seq {
-		if err := w.aliveLocked(); err != nil {
-			return err
+	if err == nil && seq > w.syncSeq {
+		w.pending = append(w.pending, pending{seq, c})
+		for i := len(w.pending) - 1; i > 0 && w.pending[i-1].seq > seq; i-- {
+			w.pending[i], w.pending[i-1] = w.pending[i-1], w.pending[i]
 		}
-		w.synced.Wait()
+		w.mu.Unlock()
+		return
 	}
-	return nil
+	if seq != 0 && seq <= w.syncSeq {
+		err = nil
+	}
+	w.mu.Unlock()
+	c.Complete(err)
+}
+
+// unlockSettle detaches into done the pending records the log has decided —
+// those syncSeq covers, and every one once the log is dead — releases mu
+// (and io, when the caller holds it), then completes them in seq order
+// outside both: nil for a record synced covers, the terminal error for the
+// rest. It returns done emptied, for a caller that reuses it.
+//
+//memolint:nonblocking
+func (w *writer) unlockSettle(io bool, done []pending) []pending {
+	err := w.aliveLocked()
+	n := 0
+	for n < len(w.pending) && (err != nil || w.pending[n].seq <= w.syncSeq) {
+		n++
+	}
+	done = append(done[:0], w.pending[:n]...)
+	w.pending = slices.Delete(w.pending, 0, n)
+	synced := w.syncSeq
+	w.mu.Unlock()
+	if io {
+		w.io.Unlock()
+	}
+	for _, p := range done {
+		if p.seq <= synced {
+			p.c.Complete(nil)
+		} else {
+			p.c.Complete(err)
+		}
+	}
+	clear(done)
+	return done[:0]
 }
 
 // aliveLocked reports the terminal state (nil while alive). Caller holds mu.
@@ -122,21 +170,16 @@ func (w *writer) aliveErr() error {
 	return w.aliveLocked()
 }
 
-// barrier returns the current append sequence, for commit-waiting on
-// everything logged so far.
-func (w *writer) barrier() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.seq
-}
-
 // maxSpare bounds the emptied buffer the writer keeps for reuse, so one burst
 // does not pin its high-water mark forever.
 const maxSpare = 4 << 20
 
-// run is the syncer: each cycle takes both buffers at one watermark and makes
-// them durable with one write (+fsync per the mode) per non-empty buffer.
+// run is the syncer: each cycle takes both buffers at one watermark, makes
+// them durable with one write (+fsync per the mode) per non-empty buffer,
+// and then completes every record the cycle covered. A failed cycle kills
+// the log and fails every pending record.
 func (w *writer) run() {
+	var done []pending // the syncer's own, reused across cycles
 	for range w.wake {
 		for {
 			w.io.Lock()
@@ -167,24 +210,20 @@ func (w *writer) run() {
 			}
 
 			w.mu.Lock()
-			if err != nil {
-				if w.failed == nil {
-					w.failed = err
+			if err != nil && w.failed == nil {
+				w.failed = err
+			} else if err == nil {
+				w.syncSeq = mark
+				if cap(batch) <= maxSpare {
+					w.spare = batch[:0]
 				}
-				w.synced.Broadcast()
-				w.mu.Unlock()
-				w.io.Unlock()
+			}
+			done = w.unlockSettle(true, done)
+			if err != nil {
 				return
 			}
-			w.syncSeq = mark
-			if cap(batch) <= maxSpare {
-				w.spare = batch[:0]
-			}
-			w.synced.Broadcast()
-			w.mu.Unlock()
-			w.io.Unlock()
-			// Yield before the next cycle: the waiters just woken re-append
-			// their next records first, so the following fsync covers a full
+			// Yield before the next cycle: the ops just answered send their
+			// next records first, so the following fsync covers a full
 			// group instead of racing ahead of its producers — that one
 			// scheduling gap is the difference between per-record and
 			// amortized sync cost when cores are scarce.
@@ -228,13 +267,11 @@ func (w *writer) flushLocked() error {
 		}
 		if err != nil {
 			w.failed = err
-			w.synced.Broadcast()
 			return err
 		}
 	}
 	w.buf, w.oldBuf, w.oldN = w.buf[:0], nil, 0
 	w.syncSeq = w.seq
-	w.synced.Broadcast()
 	return nil
 }
 
@@ -273,9 +310,8 @@ func (w *writer) cutShard(shard int) error {
 // once the window has ended.
 func (w *writer) endWindow() error {
 	w.io.Lock()
-	defer w.io.Unlock()
 	w.mu.Lock()
-	defer w.mu.Unlock()
+	defer w.unlockSettle(true, nil)
 	if err := w.aliveLocked(); err != nil || w.old == nil {
 		return err
 	}
@@ -287,7 +323,8 @@ func (w *writer) endWindow() error {
 	return err
 }
 
-// close flushes and retires the writer; pending commits complete first.
+// close flushes and retires the writer; pending records complete first,
+// durable unless the flush failed.
 func (w *writer) close() error {
 	w.io.Lock()
 	w.mu.Lock()
@@ -299,10 +336,8 @@ func (w *writer) close() error {
 	err := w.flushLocked()
 	w.closed = true
 	w.buf, w.oldBuf, w.spare = nil, nil, nil
-	w.synced.Broadcast()
 	files := [...]*os.File{w.f, w.old}
-	w.mu.Unlock()
-	w.io.Unlock()
+	w.unlockSettle(true, nil)
 	w.stopSyncer()
 	for _, f := range files {
 		if f == nil {
@@ -318,9 +353,10 @@ func (w *writer) close() error {
 // crash abandons buffered records and slams the files shut — what SIGKILL
 // does to a real process. Pending commits fail with ErrCrashed; whatever an
 // earlier cycle already wrote stays in the files, exactly like OS-buffered
-// data surviving a killed process. A write already under way lands before
-// crash returns, as a kill cannot stop a write(2) the kernel has taken: a
-// log reopened on the directory afterwards reads files nothing writes to.
+// data surviving a killed process. Pending records fail before crash waits
+// for anything. A write already under way lands before crash returns, as a
+// kill cannot stop a write(2) the kernel has taken: a log reopened on the
+// directory afterwards reads files nothing writes to.
 func (w *writer) crash() {
 	w.mu.Lock()
 	if w.closed {
@@ -332,9 +368,8 @@ func (w *writer) crash() {
 		w.failed = ErrCrashed
 	}
 	w.buf, w.oldBuf, w.spare = nil, nil, nil
-	w.synced.Broadcast()
 	files := [...]*os.File{w.f, w.old}
-	w.mu.Unlock()
+	w.unlockSettle(false, nil)
 	w.stopSyncer()
 	w.io.Lock() // waits out a write under way
 	defer w.io.Unlock()

@@ -95,11 +95,11 @@ var routes = []struct {
 		if srv == nil {
 			return readResult{}, true
 		}
-		op := readOp{keys: keys, mode: c.mode, block: c.block, token: tok, cancel: cancel}
+		op := storeOp{keys: keys, mode: c.mode, block: c.block, token: tok, cancel: cancel}
 		if c.traced {
 			op.ot = new(opTrace)
 		}
-		k, v, ok, err := srv.store.read(&op)
+		k, v, ok, err := srv.store.run(&op, nil, nil)
 		return readResult{key: k, val: v, ok: ok, err: err}, true
 	}},
 	{"wrapper", func(srv *Server, c cell, keys []symbol.Key, tok uint64, cancel <-chan struct{}) (readResult, bool) {

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/durable"
 	"repro/internal/symbol"
@@ -39,8 +40,8 @@ func (a *answerer) outcome() (int, *wire.Response) {
 func serveParked(t *testing.T, srv *Server, q *wire.Request) *answerer {
 	t.Helper()
 	a := new(answerer)
-	if resp, ok := srv.Serve(q, a); !ok || resp != nil {
-		t.Fatalf("Serve(%v) = %+v, %v; want it parked", q.Op, resp, ok)
+	if resp := srv.Serve(q, a); resp != nil {
+		t.Fatalf("Serve(%v) = %+v; want it parked", q.Op, resp)
 	}
 	if a.h == nil {
 		t.Fatalf("Serve(%v) parked without handing over its cancel hook", q.Op)
@@ -166,8 +167,8 @@ func TestServeParksHeldTokenRetry(t *testing.T) {
 		t.Fatalf("%d takes and %d dedups, want 1 and 1", takes, dups)
 	}
 	late := new(answerer)
-	if resp, ok := srv.Serve(get(k, 7), late); !ok || resp == nil || resp.Status != wire.StatusOK || string(resp.Payload) != "v" {
-		t.Fatalf("a retry after the take: Serve = %+v, %v; want the cached \"v\" at once", resp, ok)
+	if resp := srv.Serve(get(k, 7), late); resp == nil || resp.Status != wire.StatusOK || string(resp.Payload) != "v" {
+		t.Fatalf("a retry after the take: Serve = %+v; want the cached \"v\" at once", resp)
 	}
 	if late.h != nil {
 		t.Fatal("a retry answered from the cache took a cancel hook")
@@ -219,15 +220,43 @@ func TestParkedAltTakeScansOnce(t *testing.T) {
 	}
 }
 
-// TestServeLeavesDurableToThreads: an op on a durable store may wait on the
-// group fsync, so Serve refuses it.
-func TestServeLeavesDurableToThreads(t *testing.T) {
+// TestServeAnswersDurableFromTheLog: on a durable store Serve answers
+// nothing at once that logged a record: a put, a take and a repeat of each
+// are answered through their Answerer, by the log's completion, with what a
+// memory-only store would answer; a miss and a copy log nothing and are
+// answered at once.
+func TestServeAnswersDurableFromTheLog(t *testing.T) {
 	srv, err := OpenServer(0, "a", t.TempDir(), durable.Config{Sync: durable.SyncNever}, threadcache.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if resp, ok := srv.Serve(&wire.Request{Op: wire.OpPut, Key: symbol.K(1), Payload: []byte("v")}, new(answerer)); ok || resp != nil {
-		t.Fatalf("Serve on a durable store = %+v, %v; want it refused", resp, ok)
+	k := symbol.K(1)
+	later := func(q *wire.Request, status wire.Status, val string) {
+		t.Helper()
+		a := new(answerer)
+		if resp := srv.Serve(q, a); resp != nil {
+			t.Fatalf("Serve(%v) on a durable store answered at once: %+v", q.Op, resp)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for n, _ := a.outcome(); n == 0 && time.Now().Before(deadline); n, _ = a.outcome() {
+			time.Sleep(time.Millisecond)
+		}
+		if n, resp := a.outcome(); n != 1 || resp.Status != status || string(resp.Payload) != val || a.h != nil {
+			t.Fatalf("Serve(%v): %d answers, last %+v, hook %v; want one, %v %q, no hook", q.Op, n, resp, a.h, status, val)
+		}
+	}
+	later(&wire.Request{Op: wire.OpPut, Key: k, Payload: []byte("v"), Token: 1}, wire.StatusOK, "")
+	later(&wire.Request{Op: wire.OpPut, Key: k, Payload: []byte("v"), Token: 1}, wire.StatusOK, "")
+	if resp := srv.Serve(&wire.Request{Op: wire.OpGetCopy, Key: k}, new(answerer)); resp == nil || string(resp.Payload) != "v" {
+		t.Fatalf("get_copy: %+v, want \"v\" at once", resp)
+	}
+	later(&wire.Request{Op: wire.OpGet, Key: k, Token: 2}, wire.StatusOK, "v")
+	later(&wire.Request{Op: wire.OpGet, Key: k, Token: 2}, wire.StatusOK, "v")
+	if resp := srv.Serve(&wire.Request{Op: wire.OpGetSkip, Key: k}, new(answerer)); resp == nil || resp.Status != wire.StatusEmpty {
+		t.Fatalf("get_skip of an empty folder: %+v, want Empty at once", resp)
+	}
+	if puts, dups, takes, dupTakes := srv.store.puts.Load(), srv.store.dupPuts.Load(), srv.store.takes.Load(), srv.store.dupTakes.Load(); puts != 1 || dups != 1 || takes != 1 || dupTakes != 1 {
+		t.Fatalf("puts %d, dup puts %d, takes %d, dup takes %d; want 1 each", puts, dups, takes, dupTakes)
 	}
 }

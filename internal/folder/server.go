@@ -15,7 +15,8 @@ import (
 // Server is one folder server: a Store and the wire protocol's verbs turned
 // into store operations. It is driven by the memo server on its own host
 // (§4.1, Fig. 1: an application reaches a folder server only through a
-// memo server), through Serve on a conn's read loop or Handle on a thread.
+// memo server), through Serve on a conn's read loop; Handle is the same
+// entry for in-process callers, which wait.
 type Server struct {
 	// ID is the ADF folder-server number.
 	ID int
@@ -71,84 +72,90 @@ func (s *Server) Crash() {
 	}
 }
 
-// Handle executes one request against this folder server, on the caller's
-// thread, and blocks until it is answered: a blocking read that finds
-// nothing parks on a waiter record and waits there, and respects cancel
-// while it does, and only then: a canceled read answers StatusCanceled,
-// which says nothing was consumed; one that had already taken a memo
-// answers with the value. The memo server calls it on a thread for an op on
-// a durable store, whose commit waits on the group fsync, and for in-process
-// callers (Node.Dispatch); Serve is the threadless entrance. A sampled
-// request (one whose dispatch wrapper attached a SpanSet) is timed, threads
-// an opTrace through the store, and emits folder and durable spans with the
-// shard-lock wait, park time, and group-commit wait it accumulated; any
-// other request takes no timestamp here — whether it was slow is the
-// dispatching memo server's to say.
-func (s *Server) Handle(q *wire.Request, cancel <-chan struct{}) *wire.Response {
-	if !q.Sampled || q.Spans == nil {
-		return s.handle(q, cancel, nil)
+// Serve is the one way a request enters the store. It starts q on the
+// calling goroutine — a conn's read loop — and never blocks it: every op
+// runs on a record (waiter.go). The response is returned when q is answered
+// at once; otherwise Serve returns nil and q is answered through a, exactly
+// once, from the goroutine that completes it: for a read that parked —
+// behind another attempt's take token or on its folders — a deposit's or a
+// claim resolver's that re-scanned it, or a canceler's through the hook
+// a.Hold received; for an op that logged a record on a durable store, the
+// log's, after the fsync that covers the record. A sampled request (one
+// whose dispatch wrapper attached a SpanSet) is timed, threads an opTrace
+// through the store, and emits folder and durable spans with the shard-lock
+// wait, park time, and group-commit wait it accumulated; any other request
+// takes no timestamp here — whether it was slow is the dispatching memo
+// server's to say.
+//
+//memolint:nonblocking
+func (s *Server) Serve(q *wire.Request, a Answerer) *wire.Response {
+	w, resp := s.begin(q)
+	if w == nil {
+		return resp
 	}
-	start := time.Now()
-	var ot opTrace
-	resp := s.handle(q, cancel, &ot)
-	s.spans(q, start, &ot)
+	if done := w.step(); !done || w.logged() {
+		w.srv, w.q, w.ans = s, q, a
+		if !done {
+			a.Hold(w, w.ticket())
+		}
+		w.hand(done)
+		return nil
+	}
+	w.settle(nil)
+	return s.end(w, q)
+}
+
+// Handle is Serve for an in-process caller, which it blocks until q is
+// answered: the same record and the same completion, waited on by the
+// calling goroutine, which respects cancel while a read is parked: a
+// canceled read answers StatusCanceled, which says nothing was consumed;
+// one that had already taken a memo answers with the value.
+func (s *Server) Handle(q *wire.Request, cancel <-chan struct{}) *wire.Response {
+	w, resp := s.begin(q)
+	if w == nil {
+		return resp
+	}
+	w.hand(w.step())
+	w.wait(cancel)
+	return s.end(w, q)
+}
+
+// begin draws q's record, or answers q at once (see op).
+func (s *Server) begin(q *wire.Request) (*waiter, *wire.Response) {
+	var one [1]symbol.Key
+	op, resp := s.op(q, &one)
+	if resp != nil {
+		return nil, resp
+	}
+	w := s.store.newWaiter(&op)
+	if q.Op == wire.OpPutDelayed {
+		w.dest = &q.Key2
+	}
+	w.payload = q.Payload
+	if q.Sampled && q.Spans != nil {
+		w.start, w.op.ot = time.Now(), &w.trace
+	}
+	return w, nil
+}
+
+// end turns q's finished record w into q's response, emits a sampled q's
+// spans, and recycles w.
+func (s *Server) end(w *waiter, q *wire.Request) *wire.Response {
+	resp := respond(q.Op, w.op.mode, w.out)
+	if !w.start.IsZero() {
+		s.spans(q, w.start, &w.trace)
+	}
+	w.release()
 	return resp
 }
 
-// Serve starts q on the calling goroutine — a conn's read loop — and never
-// blocks it. It reports false, having done nothing, when the store is
-// durable: an op there may wait on the group fsync, so the caller runs q
-// through Handle on a thread instead. Otherwise q is answered: the response
-// is returned when q completed at once, and nil when it parked — behind
-// another attempt's take token or on its folders — to be answered through a
-// from the goroutine that completes it: a deposit's or a claim resolver's
-// that re-scanned it, or a canceler's through the hook a.Hold received.
-// Spans are as in Handle.
-func (s *Server) Serve(q *wire.Request, a Answerer) (*wire.Response, bool) {
-	if s.store.wal != nil {
-		return nil, false
-	}
-	var start time.Time
-	var waits opTrace
-	var ot *opTrace
-	if q.Sampled && q.Spans != nil {
-		start, ot = time.Now(), &waits
-	}
-	var one [1]symbol.Key
-	resp, op := s.do(q, ot, &one)
-	switch {
-	case resp != nil:
-	case len(op.keys) == 0:
-		resp = respond(q.Op, op.mode, noKeys(&op))
-	default:
-		w := s.store.newWaiter(&op)
-		if !w.step() {
-			a.Hold(w, w.ticket())
-			w.srv, w.q, w.ans, w.start = s, q, a, start
-			w.park()
-			return nil, true
-		}
-		resp = respond(q.Op, op.mode, w.result())
-		ot.add(&w.trace)
-		w.release()
-	}
-	if ot != nil {
-		s.spans(q, start, ot)
-	}
-	return resp, true
-}
-
-// answer answers the parked read w of a request Serve started, on the
-// goroutine that completed it, and recycles w.
+// answer answers the record w of a request Serve started, on the goroutine
+// that completed it, and recycles w.
 //
 //memolint:nonblocking
 func (s *Server) answer(w *waiter) {
-	resp := respond(w.q.Op, w.op.mode, w.result())
-	if !w.start.IsZero() {
-		s.spans(w.q, w.start, &w.trace)
-	}
-	w.ans.Answer(resp)
-	w.release()
+	a := w.ans
+	a.Answer(s.end(w, w.q))
 }
 
 // spans emits a sampled request's folder span — its shard-lock wait the
@@ -170,51 +177,32 @@ func (s *Server) spans(q *wire.Request, start time.Time, ot *opTrace) {
 	}
 }
 
-// handle runs q to its response on the calling goroutine, accumulating its
-// waits in ot when it is traced.
-func (s *Server) handle(q *wire.Request, cancel <-chan struct{}, ot *opTrace) *wire.Response {
-	var one [1]symbol.Key
-	resp, op := s.do(q, ot, &one)
-	if resp != nil {
-		return resp
-	}
-	op.cancel = cancel
-	k, payload, ok, err := s.store.read(&op)
-	return respond(q.Op, op.mode, outcome{key: k, val: payload, ok: ok, err: err})
-}
-
-// do turns the request straight into the store's terms, read off the verb's
-// row of the wire op table: a deposit, run here, or a readOp for the one
-// read engine, returned with a nil response. A one-key read's key is copied
+// op turns the request straight into the store's terms, read off the verb's
+// row of the wire op table, or answers it at once: a ping, a verb that is
+// not a folder's, a multi-key read of no keys. A one-key op's key is copied
 // into one, the caller's.
-func (s *Server) do(q *wire.Request, ot *opTrace, one *[1]symbol.Key) (*wire.Response, readOp) {
+func (s *Server) op(q *wire.Request, one *[1]symbol.Key) (storeOp, *wire.Response) {
 	verb := q.Op.Info()
 	switch {
 	case q.Op == wire.OpPing:
-		return wire.OK(), readOp{}
-	case verb.Kind == wire.KindDeposit:
-		var dest *symbol.Key
-		if q.Op == wire.OpPutDelayed {
-			dest = &q.Key2
-		}
-		if err := s.store.deposit(q.Key, dest, q.Payload, q.Token, ot); err != nil {
-			return wire.Fail(fmt.Errorf("%s: %w", q.Op, err)), readOp{}
-		}
-		return wire.OK(), readOp{}
+		return storeOp{}, wire.OK()
 	case verb.Scope != wire.ScopeFolder:
 		// Node- and host-scoped verbs belong to a memo server; an undefined
 		// Op (the zero row) lands here too.
-		return wire.Errf("folder server: unsupported op %s", q.Op), readOp{}
+		return storeOp{}, wire.Errf("folder server: unsupported op %s", q.Op)
 	}
 	one[0] = q.Key
-	op := readOp{keys: one[:], mode: verb.Kind, block: verb.Blocks, token: q.Token, ot: ot}
-	if verb.MultiKey {
+	op := storeOp{keys: one[:], mode: verb.Kind, block: verb.Blocks, token: q.Token}
+	switch {
+	case verb.MultiKey && len(q.Keys) == 0:
+		return op, respond(q.Op, op.mode, noKeys(&op))
+	case verb.MultiKey:
 		op.keys = q.Keys
 	}
-	return nil, op
+	return op, nil
 }
 
-// respond turns a read's outcome into its response.
+// respond turns an op's outcome into its response.
 func respond(op wire.Op, mode readMode, r outcome) *wire.Response {
 	switch {
 	case r.err != nil:
@@ -223,6 +211,8 @@ func respond(op wire.Op, mode readMode, r outcome) *wire.Response {
 		return wire.Fail(fmt.Errorf("%s: %w", op, r.err))
 	case !r.ok:
 		return &wire.Response{Status: wire.StatusEmpty}
+	case mode == modeDeposit:
+		return wire.OK()
 	case mode == modePeek:
 		return &wire.Response{Status: wire.StatusWake, Key: r.key}
 	}

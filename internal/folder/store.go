@@ -6,21 +6,24 @@
 // ("If a folder does not exist, it is created"), hold memos in no promised
 // order, block getters until memos arrive, hold put_delayed values invisibly
 // until a trigger memo lands, and vanish when they empty out. Server wraps a
-// Store with the wire protocol and a thread cache.
+// Store with the wire protocol: Server.Serve is the one way a request
+// enters the store.
 //
 // The directory is lock-striped: folders are hashed onto a fixed set of
 // shards, each with its own mutex and extraction rng, so operations on
 // distinct folders proceed in parallel.
 //
-// Every verb runs through one of two paths. Store.deposit is the write side
-// (put, put_delayed). Store.read is the read side: each reading verb is a
-// readOp value — which keys, take/copy/peek, block or skip, dedup token —
-// and every read runs on one pooled waiter record (waiter.go), which visits
-// the op's shards one at a time, never holding two shard locks at once. A
-// blocking read that finds nothing leaves that record on the folders it
+// Every op is a storeOp value — which keys, deposit or take/copy/peek,
+// block or skip, dedup token — run on one pooled record (waiter.go).
+// Store.deposit is the write side (put, put_delayed). A read visits its
+// op's shards one at a time, never holding two shard locks at once. A
+// blocking read that finds nothing leaves its record on the folders it
 // could be satisfied from, and a Put on any of them re-scans it; a take
-// whose token another attempt holds leaves it behind that claim instead. The
-// exported methods are thin wrappers over the two.
+// whose token another attempt holds leaves it behind that claim instead.
+// On a durable store, an op that logged a record is left with the
+// write-ahead log, which completes it after the fsync that covers the
+// record. The exported methods are thin in-process waits over the same
+// records.
 package folder
 
 import (
@@ -79,8 +82,8 @@ type Store struct {
 	forward ForwardFunc
 
 	// wal, when non-nil, is the durability engine: every mutating op
-	// appends its record under the shard lock and waits for group commit
-	// before acknowledging. Nil (the default) keeps the historical
+	// appends its record under the shard lock and is acknowledged only once
+	// the log has synced it. Nil (the default) keeps the historical
 	// memory-only store. See OpenStore.
 	wal *durable.Log
 	// snapMu is held by the background snapshot cycle while it runs (which
@@ -284,7 +287,7 @@ func (f *fold) removeAt(i int) []byte {
 
 // opTrace accumulates the wait components of one sampled folder operation:
 // time spent acquiring shard locks, time parked waiting for a memo, and time
-// blocked on WAL group commit. The server's Handle wrapper turns the totals
+// waiting for its WAL record's group commit. The server turns the totals
 // into folder/durable spans. A nil *opTrace (every public entry point, and
 // every unsampled request) is fully inert: the helpers branch on nil before
 // touching the clock, so the untraced path takes no timestamps and allocates
@@ -331,73 +334,35 @@ func (ot *opTrace) add(o *opTrace) {
 	}
 }
 
-// commit waits until record seq is durable, then lets the background
-// snapshot cycle run. A memory-only store commits trivially.
+// deposit is the one write path, the step of w, a deposit's record. With
+// no dest it is put: the memo becomes visible in its folder, every delayed
+// value hidden there is marked in flight into w.released, and every waiter
+// is notified, then re-scanned on this goroutine once the deposit has
+// unlocked. Otherwise it is put_delayed: the payload is hidden in the
+// (trigger's) folder until the next put there releases it into *dest
+// (§6.1.2); it is not gettable from the trigger.
 //
-//memolint:must-check-error
-func (s *Store) commit(seq uint64, ot *opTrace) error {
-	if s.wal == nil {
-		return nil
-	}
-	tc := ot.clock()
-	if err := s.wal.Commit(0, seq); err != nil {
-		return err
-	}
-	ot.committed(tc)
-	s.maybeSnapshot()
-	return nil
-}
-
-// barrier waits until everything already appended is durable: the wait a
-// deduplicated op owes its original, whose record it repeats the
-// acknowledgement of.
-//
-//memolint:must-check-error
-func (s *Store) barrier(ot *opTrace) error {
-	if s.wal == nil {
-		return nil
-	}
-	tc := ot.clock()
-	if err := s.wal.Barrier(); err != nil {
-		return err
-	}
-	ot.committed(tc)
-	return nil
-}
-
-// deposit is the one write path. With dest == nil it is put: the memo
-// becomes visible in key's folder, every delayed value hidden there is
-// released and every waiter notified, then re-scanned on this goroutine
-// once the deposit has unlocked and committed. Otherwise it is put_delayed: the payload
-// is hidden in key's (the trigger's) folder until the next put there
-// releases it into *dest (§6.1.2); it is not gettable from the trigger.
-//
-// token is the at-most-once dedup token (0 = none). A deposit whose token
-// was already applied is acknowledged without depositing again — the retry
-// path for a maybe-delivered put — but only after the original record's
-// durability barrier, so a crash can never have acknowledged the retry and
-// lost the original. The returned error is always nil on a memory-only
-// store; on a durable store it reports a failed commit (the deposit is then
-// not acknowledged durable).
-//
-//memolint:must-check-error
-func (s *Store) deposit(key symbol.Key, dest *symbol.Key, payload []byte, token uint64, ot *opTrace) error {
-	var cb [canonBuf]byte
-	canon := key.AppendCanon(cb[:0])
+// A token (0 = none) already applied makes it a repeat, acknowledged without
+// depositing again — the retry path for a maybe-delivered put — but, like
+// any deposit on a durable store, only once the log has synced what it
+// repeats (see done).
+func (s *Store) deposit(w *waiter) {
+	op := &w.op
+	key, dest := op.keys[0], w.dest
 	// The store keeps a private copy, made outside any lock.
-	val := bytes.Clone(payload)
-	si := int(s.shardIndex(key))
+	val := bytes.Clone(w.payload)
+	si := w.groups[0].si
 	sh := &s.shards[si]
-	t0 := ot.clock()
+	t0 := op.ot.clock()
 	sh.mu.Lock()
-	ot.lockAcquired(t0)
-	if token != 0 && !s.tokens.noteIfNew(token) {
+	op.ot.lockAcquired(t0)
+	w.out.ok = true
+	if op.token != 0 && !s.tokens.noteIfNew(op.token) {
 		sh.mu.Unlock()
 		s.dupPuts.Inc()
-		return s.barrier(ot)
+		return
 	}
-	f := sh.getFold(canon)
-	var released []delayedEntry
+	f := sh.getFold(w.canons[0])
 	var rel uint64
 	var wb [4]*waiter
 	woken := wb[:0]
@@ -408,7 +373,7 @@ func (s *Store) deposit(key symbol.Key, dest *symbol.Key, payload []byte, token 
 		for i := range f.delayed {
 			if d := &f.delayed[i]; !d.inFlight {
 				d.inFlight = true
-				released = append(released, *d)
+				w.released = append(w.released, *d)
 			}
 		}
 		woken = f.wakeAll(woken)
@@ -419,13 +384,12 @@ func (s *Store) deposit(key symbol.Key, dest *symbol.Key, payload []byte, token 
 		rel = wire.NewID()
 		f.delayed = append(f.delayed, delayedEntry{val: val, dest: dest.Clone(), rel: rel})
 	}
-	var seq uint64
 	if s.wal != nil {
-		rec := durable.Record{Type: durable.RecPut, Key: key, Payload: payload, Token: token}
+		rec := durable.Record{Type: durable.RecPut, Key: key, Payload: w.payload, Token: op.token}
 		if dest != nil {
 			rec.Type, rec.Dest, rec.Rel = durable.RecPutDelayed, *dest, rel
 		}
-		seq = s.wal.Append(si, &rec)
+		w.seq = s.wal.Append(si, &rec)
 	}
 	sh.mu.Unlock()
 
@@ -434,34 +398,38 @@ func (s *Store) deposit(key symbol.Key, dest *symbol.Key, payload []byte, token 
 	} else {
 		s.puts.Inc()
 	}
-	// Deliver released delayed values once this put is durable, and with
-	// it every hidden value's earlier RecPutDelayed: a value that reached
-	// its destination while a crash could still erase its record here would
-	// be hidden again by the client's retry, under a new release token.
-	// Deliveries run outside the lock — their destinations may be remote,
-	// or folders on this same store — and carry the entry's release token
-	// as their dedup token. The entry leaves its folder only in the
-	// critical section that logs its RecRelease (releaseEnded), so memory
-	// is what replay rebuilds at every instant: a crash before that record
-	// re-releases the entry, deduplicated at the destination, and an
-	// acknowledged hidden value is neither lost nor delivered twice.
-	err := s.commit(seq, ot)
+	// A woken read that takes logs its record after this one, so the fsync
+	// that answers it covers this deposit too.
 	rescanAll(woken)
-	if err != nil {
-		return err
-	}
-	for _, d := range released {
+}
+
+// deliver hands on the delayed values a put released, once the put is
+// durable, and with it every hidden value's earlier RecPutDelayed: a value
+// that reached its destination while a crash could still erase its record
+// here would be hidden again by the client's retry, under a new release
+// token. Each carries its release token as its dedup token, to the forward
+// hook or, without one, to a deposit on this store. The entry leaves its
+// folder only in the critical section that logs its RecRelease
+// (releaseEnded), so memory is what replay rebuilds at every instant: a
+// crash before that record re-releases the entry, deduplicated at the
+// destination, and an acknowledged hidden value is neither lost nor
+// delivered twice.
+func (s *Store) deliver(w *waiter) {
+	for _, d := range w.released {
 		s.released.Inc()
+		// done may run after the request's buffers, the trigger key's among
+		// them, are reused.
+		trigger := w.keys[0].Clone()
+		done := func(delivered bool) { s.releaseEnded(trigger, d.rel, delivered) }
 		if s.forward != nil {
-			// done may run after the request's buffers, key's among them,
-			// are reused.
-			trigger := key.Clone()
-			s.forward(d.dest, d.val, d.rel, func(delivered bool) { s.releaseEnded(trigger, d.rel, delivered) })
-		} else {
-			s.releaseEnded(key, d.rel, s.deposit(d.dest, nil, d.val, d.rel, nil) == nil)
+			s.forward(d.dest, d.val, d.rel, done)
+			continue
 		}
+		r := s.newWaiter(&storeOp{keys: []symbol.Key{d.dest}, mode: modeDeposit, token: d.rel})
+		r.payload, r.onDone = d.val, done
+		r.step()
+		r.done()
 	}
-	return nil
 }
 
 // endRelease ends the release of the delayed entry with release token rel:
@@ -500,7 +468,7 @@ func (s *Store) releaseEnded(trigger symbol.Key, rel uint64, delivered bool) {
 //
 //memolint:must-check-error
 func (s *Store) Put(key symbol.Key, payload []byte) error {
-	return s.deposit(key, nil, payload, 0, nil)
+	return s.PutToken(key, payload, 0)
 }
 
 // PutToken is Put carrying an at-most-once dedup token (0 = none); see
@@ -508,51 +476,39 @@ func (s *Store) Put(key symbol.Key, payload []byte) error {
 //
 //memolint:must-check-error
 func (s *Store) PutToken(key symbol.Key, payload []byte, token uint64) error {
-	return s.deposit(key, nil, payload, token, nil)
+	_, _, _, err := s.run(&storeOp{keys: []symbol.Key{key}, mode: modeDeposit, token: token}, nil, payload)
+	return err
 }
 
-// PutDelayed hides payload in trigger's folder; the next memo arriving in
-// trigger releases it into dest (§6.1.2).
-//
-//memolint:must-check-error
-func (s *Store) PutDelayed(trigger, dest symbol.Key, payload []byte) error {
-	return s.deposit(trigger, &dest, payload, 0, nil)
-}
-
-// PutDelayedToken is PutDelayed with an at-most-once dedup token (0 = none).
-//
-//memolint:must-check-error
-func (s *Store) PutDelayedToken(trigger, dest symbol.Key, payload []byte, token uint64) error {
-	return s.deposit(trigger, &dest, payload, token, nil)
-}
-
-// readMode is what a read does with the memo it finds: the reading kinds of
-// the wire op table, so a verb's row is its readOp's mode.
+// readMode is what an op does with the folder it finds: the kinds of the
+// wire op table, so a verb's row is its storeOp's mode.
 type readMode = wire.Kind
 
 const (
-	modeTake = wire.KindTake // remove the memo and return it
-	modeCopy = wire.KindCopy // return a copy, leaving the memo in place
-	modePeek = wire.KindPeek // only report which folder holds a memo
+	modeDeposit = wire.KindDeposit // add a memo, or hide a delayed one
+	modeTake    = wire.KindTake    // remove the memo and return it
+	modeCopy    = wire.KindCopy    // return a copy, leaving the memo in place
+	modePeek    = wire.KindPeek    // only report which folder holds a memo
 )
 
-// readOp describes one read of the directory; every reading verb is a value
-// of it (the table in DESIGN.md §3), run by Store.read.
-type readOp struct {
-	// keys are the candidate folders. One key takes the frame-local plan;
-	// several are bucketed by shard. None at all can never be satisfied.
+// storeOp describes one op of the directory; every folder verb is a value of
+// it (the table in DESIGN.md §3), run on a record (waiter.go).
+type storeOp struct {
+	// keys are the candidate folders: a deposit's one, or a read's. One key
+	// takes the frame-local plan; several are bucketed by shard. None at all
+	// can never be satisfied.
 	keys []symbol.Key
-	// mode is always set: the zero Kind is not a read.
+	// mode is always set: the zero Kind is not an op.
 	mode readMode
 	// block parks the read until a memo arrives or it is canceled; without
 	// it a miss is reported at once.
 	block bool
-	// token, when non-zero, is a take's at-most-once dedup token: the first
-	// attempt to claim it executes the take and caches the (key, payload) it
-	// consumed, every retry is answered from that cache. Copies and peeks
-	// consume nothing and ignore it.
+	// token, when non-zero, is the at-most-once dedup token of a deposit or
+	// a take: the first attempt to claim a take's executes it and caches the
+	// (key, payload) it consumed, every retry is answered from that cache.
+	// Copies and peeks consume nothing and ignore it.
 	token uint64
-	// cancel ends an in-process wait (Store.read); a read Server.Serve
+	// cancel ends an in-process wait (Store.run); a read Server.Serve
 	// started is canceled through its Answerer's hook instead.
 	cancel <-chan struct{}
 	ot     *opTrace // nil = untraced
@@ -563,10 +519,10 @@ type readOp struct {
 // original take returned — or the miss a skip observed. A token a deposit
 // used, or a cached miss met by a blocking take, is a collision or a
 // protocol error (tokens are minted per operation from 64 random bits), and
-// is refused rather than guessed at. The caller still owes the original take
-// record's durability barrier (finish): a cache hit must never be
-// acknowledged ahead of the removal it repeats.
-func (s *Store) fromCache(op *readOp, res tokSlot) outcome {
+// is refused rather than guessed at. The answer still waits for the log to
+// sync its original's record (done): a cache hit must never be acknowledged
+// ahead of the removal it repeats.
+func (s *Store) fromCache(op *storeOp, res tokSlot) outcome {
 	if res.kind == slotPut {
 		return outcome{err: fmt.Errorf("folder: take token %#x already applied by a deposit", op.token)}
 	}
@@ -633,23 +589,22 @@ type outcome struct {
 	err error
 }
 
-// read is the one read engine, for in-process callers: the read runs on a
-// record, and one that must wait blocks the calling goroutine in the
-// record's wait. A read of no keys is answered up front: a blocking one
-// fails with ErrNoKeys — no folder could ever satisfy it — and a
-// non-blocking one just misses.
+// run is the in-process entry of the per-verb methods: op — a deposit's
+// with its dest and payload — runs on a record like any other, and the
+// calling goroutine waits in the record's wait for its answer, on a parked
+// read's wake or a logged op's fsync, as Handle does. A read of no keys is
+// answered up front: a blocking one fails with ErrNoKeys — no folder could
+// ever satisfy it — and a non-blocking one just misses.
 //
 //memolint:must-check-error
-func (s *Store) read(op *readOp) (symbol.Key, []byte, bool, error) {
+func (s *Store) run(op *storeOp, dest *symbol.Key, payload []byte) (symbol.Key, []byte, bool, error) {
 	r := noKeys(op)
 	if len(op.keys) > 0 {
 		w := s.newWaiter(op)
-		if !w.step() {
-			w.ready = make(chan struct{}, 1)
-			w.park()
-			w.wait(op.cancel)
-		}
-		r = s.finish(w)
+		w.dest, w.payload = dest, payload
+		w.hand(w.step())
+		w.wait(op.cancel)
+		r = w.out
 		op.ot.add(&w.trace)
 		w.release()
 	}
@@ -657,7 +612,7 @@ func (s *Store) read(op *readOp) (symbol.Key, []byte, bool, error) {
 }
 
 // noKeys is the outcome of a read of no keys.
-func noKeys(op *readOp) outcome {
+func noKeys(op *storeOp) outcome {
 	if op.block {
 		return outcome{err: ErrNoKeys}
 	}
@@ -728,9 +683,9 @@ func (s *Store) pass(w *waiter) (found int, val []byte, seq uint64) {
 			if w.claim {
 				// Resolve inside the critical section that removed the
 				// item: snapshot cuts order against it (see the token
-				// dump in snapshot), and a parked retry still waits out
-				// the commit through the durability barrier its answer
-				// owes (finish). The fact holds the folder's own name and
+				// dump in snapshot), and a parked retry's answer still
+				// waits for the log to sync this record (done). The fact
+				// holds the folder's own name and
 				// the taken slice itself: nothing is copied, nothing
 				// allocated.
 				w.claim = false
@@ -749,44 +704,9 @@ func (s *Store) pass(w *waiter) (found int, val []byte, seq uint64) {
 	return -1, nil, 0
 }
 
-// finish completes a read for its in-process caller, on that caller's
-// thread: a take waits for its record's group commit, a cached answer for
-// its original's, and a satisfied read is counted. A failed commit — only a
-// terminally dead log fails one — restores the item, since a payload never
-// leaves the store without its removal being durable, and forgets the token,
-// so stale holders of its entry fail their barrier too.
-func (s *Store) finish(w *waiter) outcome {
-	var err error
-	switch r := w.out; {
-	case !r.ok:
-		return r
-	case w.cached:
-		err = s.barrier(w.op.ot)
-	case w.op.mode == modeTake:
-		if err = s.commit(w.seq, w.op.ot); err != nil {
-			s.untake(r.key, r.val)
-			s.tokens.forget(w.op.token)
-		}
-	}
-	if err != nil {
-		return outcome{err: err}
-	}
-	return w.result()
-}
-
-// count books one satisfied read in the folder_* counters.
-func (s *Store) count(mode readMode) {
-	switch mode {
-	case modeTake:
-		s.takes.Inc()
-	case modeCopy:
-		s.copies.Inc()
-	}
-}
-
-// untake puts a taken item back after a failed take commit, and re-scans
-// the reads it notified. No record is logged: commits only fail on a dead
-// log, which accepts no records.
+// untake puts a taken item back after its record failed, and re-scans the
+// reads it notified. No record is logged: records only fail on a dead log,
+// which accepts no records.
 func (s *Store) untake(key symbol.Key, val []byte) {
 	var cb [canonBuf]byte
 	var wb [4]*waiter
@@ -799,14 +719,6 @@ func (s *Store) untake(key symbol.Key, val []byte) {
 	rescanAll(woken)
 }
 
-// Get removes and returns a memo, blocking until one is available or cancel
-// is closed.
-//
-//memolint:must-check-error
-func (s *Store) Get(key symbol.Key, cancel <-chan struct{}) ([]byte, error) {
-	return s.GetToken(key, 0, cancel)
-}
-
 // GetToken is Get carrying an at-most-once dedup token (0 = none): the
 // retry path for a maybe-executed destructive read. The caller receives the
 // same memo exactly once no matter how many attempts raced. The slice a
@@ -815,14 +727,7 @@ func (s *Store) Get(key symbol.Key, cancel <-chan struct{}) ([]byte, error) {
 //
 //memolint:must-check-error
 func (s *Store) GetToken(key symbol.Key, token uint64, cancel <-chan struct{}) ([]byte, error) {
-	_, out, _, err := s.read(&readOp{keys: []symbol.Key{key}, mode: modeTake, block: true, token: token, cancel: cancel})
-	return out, err
-}
-
-// GetCopy returns a copy of a memo without removing it, blocking until one
-// is available.
-func (s *Store) GetCopy(key symbol.Key, cancel <-chan struct{}) ([]byte, error) {
-	_, out, _, err := s.read(&readOp{keys: []symbol.Key{key}, mode: modeCopy, block: true, cancel: cancel})
+	_, out, _, err := s.run(&storeOp{keys: []symbol.Key{key}, mode: modeTake, block: true, token: token, cancel: cancel}, nil, nil)
 	return out, err
 }
 
@@ -832,57 +737,8 @@ func (s *Store) GetCopy(key symbol.Key, cancel <-chan struct{}) ([]byte, error) 
 //
 //memolint:must-check-error
 func (s *Store) GetSkip(key symbol.Key) ([]byte, bool, error) {
-	return s.GetSkipToken(key, 0)
-}
-
-// GetSkipToken is GetSkip with an at-most-once dedup token (0 = none). A
-// retried skip repeats its original's answer, an observed-empty miss
-// included. A wait behind another attempt's claim is bounded: a token is
-// only ever shared by attempts of the same non-blocking skip.
-//
-//memolint:must-check-error
-func (s *Store) GetSkipToken(key symbol.Key, token uint64) ([]byte, bool, error) {
-	_, out, ok, err := s.read(&readOp{keys: []symbol.Key{key}, mode: modeTake, token: token})
+	_, out, ok, err := s.run(&storeOp{keys: []symbol.Key{key}, mode: modeTake}, nil, nil)
 	return out, ok, err
-}
-
-// AltTake removes a memo from any of the given folders, blocking until one
-// is available. Among simultaneously eligible folders the choice is
-// nondeterministic (§6.1.2 get_alt). Returns the satisfied key. An empty
-// key set fails immediately with ErrNoKeys.
-//
-//memolint:must-check-error
-func (s *Store) AltTake(keys []symbol.Key, cancel <-chan struct{}) (symbol.Key, []byte, error) {
-	return s.AltTakeToken(keys, 0, cancel)
-}
-
-// AltTakeToken is AltTake with an at-most-once dedup token (0 = none): the
-// cached result remembers which key satisfied the original, so a retry
-// returns the same (key, payload) pair.
-//
-//memolint:must-check-error
-func (s *Store) AltTakeToken(keys []symbol.Key, token uint64, cancel <-chan struct{}) (symbol.Key, []byte, error) {
-	k, out, _, err := s.read(&readOp{keys: keys, mode: modeTake, block: true, token: token, cancel: cancel})
-	return k, out, err
-}
-
-// AltSkip removes a memo from any of the folders without blocking. The scan
-// visits shards one at a time, so concurrent mutation between shards may be
-// observed — same as the cross-server get_alt_skip built above this. A
-// non-nil error reports a dead durable log (the take is rolled back).
-//
-//memolint:must-check-error
-func (s *Store) AltSkip(keys []symbol.Key) (symbol.Key, []byte, bool, error) {
-	return s.read(&readOp{keys: keys, mode: modeTake})
-}
-
-// Watch blocks until any of the folders is non-empty, without consuming.
-// It returns the key observed non-empty. Cross-server get_alt is built from
-// per-server Watches plus retry (see the core package). An empty key set
-// fails immediately with ErrNoKeys.
-func (s *Store) Watch(keys []symbol.Key, cancel <-chan struct{}) (symbol.Key, error) {
-	k, _, _, err := s.read(&readOp{keys: keys, mode: modePeek, block: true, cancel: cancel})
-	return k, err
 }
 
 // occupancy is what one walk of the stripes counts, each under its lock.

@@ -294,10 +294,10 @@ func (n *Node) isClosed() bool {
 
 // acceptLoop hands each accepted conn to one thread of the node's cache,
 // which serves it until it fails, then closes and retires it. That thread
-// is the conn's read loop: it routes each request once (route), running an
-// op on a memory-only folder and relaying a forward onto its peer link
-// itself, and handing the rest, decision in hand, to the same cache;
-// responses coalesce into batched frames. Closing is the
+// is the conn's read loop: it routes each request once (route), starting
+// every local folder op and relaying a forward onto its peer link itself,
+// and handing the rest, decision in hand, to the same cache; responses
+// coalesce into batched frames. Closing is the
 // whole answer to a peer that sent anything but batch frames: its Recv
 // fails rather than hangs.
 func (n *Node) acceptLoop(l transport.Listener) {
@@ -550,14 +550,14 @@ func (n *Node) Dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response 
 }
 
 // route takes each request an accepted conn delivered, on the read loop, and
-// never blocks it. A local folder op on a memory-only store, where nothing
-// can wait, runs right here (folder.Server.Serve): answered on the spot, or
-// parked in the store as a waiter record that holds p — on its folders, or
-// behind a take token another attempt holds; no thread waits on it — and
-// answered by the deposit or the claim's end that re-scans it, or by the
-// cancel that ends it. An op on a durable store, whose commit waits on the
-// group fsync, runs on a thread with its folder server in hand. A forward —
-// folder- or host-scoped — is relayed from here onto the live peer conn and
+// never blocks it. A local folder op, on any store, enters its folder server
+// here (folder.Server.Serve): answered on the spot, or left in the store as
+// a record that holds p — a read parked on its folders or behind a take
+// token another attempt holds, an op on a durable store waiting for the
+// fsync that covers its record; no thread waits on it — and answered by
+// whoever completes it: the deposit or the claim's end that re-scans it, the
+// cancel that ends it, or the write-ahead log's syncer. A forward — folder-
+// or host-scoped — is relayed from here onto the live peer conn and
 // answered from that conn's receive loop with no thread (see Complete); one
 // whose link must first be dialed, or whose conn refused it, continues on a
 // thread in the link's retry loop. Node- and host-scoped verbs this node
@@ -569,9 +569,7 @@ func (n *Node) route(p *rpc.Pending) {
 	q := p.Request()
 	c := n.open(q)
 	if fs := c.to.fs; fs != nil && !c.traced {
-		if resp, ok := fs.Serve(q, p); !ok {
-			p.Run(runLocal, fs)
-		} else if resp != nil {
+		if resp := fs.Serve(q, p); resp != nil {
 			p.Reply(resp)
 		}
 		return
@@ -581,9 +579,7 @@ func (n *Node) route(p *rpc.Pending) {
 	r.p = p
 	if fs := c.to.fs; fs != nil {
 		r.start(q)
-		if resp, ok := fs.Serve(q, r); !ok {
-			p.Run(runCall, r)
-		} else if resp != nil {
+		if resp := fs.Serve(q, r); resp != nil {
 			r.finish(q)
 			p.Reply(resp)
 		}
@@ -604,16 +600,11 @@ func (n *Node) route(p *rpc.Pending) {
 	p.Run(runCall, r)
 }
 
-// The RunFuncs route hands a request to a thread with. Static functions:
-// the decision rides as the Pending's arg, so no closure is allocated.
-func runLocal(p *rpc.Pending) *wire.Response {
-	return p.Arg().(*folder.Server).Handle(p.Request(), p.Cancel())
-}
-
-// runCall runs a call on a thread. A threaded request starts here, so its
-// memo span's wait is the time it queued before a thread took it; a relay
-// started on the read loop, and a local op that Serve refused restarts its
-// span here.
+// runCall runs a call on a thread, the RunFunc route hands a request to
+// with: a static function, the decision riding as the Pending's arg, so no
+// closure is allocated. A threaded request starts here, so its memo span's
+// wait is the time it queued before a thread took it; a relay started on
+// the read loop.
 func runCall(p *rpc.Pending) *wire.Response {
 	c := p.Arg().(*call)
 	q := p.Request()
@@ -671,11 +662,9 @@ func (c *call) start(q *wire.Request) {
 // it is answered: the error that ends it, the link's retry loop (continuing
 // from c.err, if the read loop's attempt failed), this node, or the folder
 // server. The goroutine is a thread of this node running a request route
-// could not answer without one, or an in-process Dispatch caller, so it runs
-// the folder server's handler itself: a blocking verb that finds nothing
-// parks a waiter record in the store and waits on it here, and cancel
-// reaches that record, which a wake re-scans under the shard lock, so a
-// canceled request strands no memo.
+// could not answer without one — never a folder op — or an in-process
+// Dispatch caller, which waits in the folder server's Handle: on the same
+// record Serve would run, whose parked read cancel reaches.
 func (c *call) run(q *wire.Request, cancel <-chan struct{}) *wire.Response {
 	switch {
 	case c.to.resp != nil:
@@ -830,8 +819,8 @@ func (n *Node) forwardRelease(appName string, dest symbol.Key, payload []byte, r
 // counters, the tracer's two totals, plus a scrape-time collector that walks
 // the node's folder servers (their folder_* series), has the thread cache
 // render its threadcache_* series (each accepted conn's read loop and every
-// request that needs a thread run on this cache; an op on a memory-only
-// folder and a forward the read loop relays take none) and renders each
+// request that needs a thread run on this cache; a folder op and a forward
+// the read loop relays take none) and renders each
 // peer link's counters and last dial error as the node_link_* series, one
 // {peer} sample each.
 func (n *Node) RegisterMetrics(reg *obs.Registry) {

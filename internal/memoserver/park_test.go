@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/rpc"
 	"repro/internal/symbol"
 	"repro/internal/wire"
@@ -52,17 +53,25 @@ func (c *completions) await(t *testing.T, what string) {
 // records: the process's goroutines — both nodes' — rise by a small fixed
 // slack, not by one per get. The puts that follow hand each get its own
 // value. The heap per parked get — the client's pending call included — is
-// logged.
+// logged. The durable rows run the same on folders whose write-ahead log is
+// in a temp dir: their puts and takes are answered by the log's syncer,
+// after the fsync that covers their records, on no thread either.
 func TestParkedGetsHoldNoThread(t *testing.T) {
 	const slack = 16 // runtime, thread-cache and link churn; a thread per get is n more
 	for _, route := range []struct {
-		name   string
-		folder int
-		owner  string
-	}{{"local", 0, "a"}, {"forwarded", 1, "b"}} {
+		name    string
+		folder  int
+		owner   string
+		durable bool
+	}{{"local", 0, "a", false}, {"forwarded", 1, "b", false}, {"durable-local", 0, "a", true}, {"durable-forwarded", 1, "b", true}} {
 		for _, n := range []int{100, 10000} {
 			t.Run(fmt.Sprintf("%s/%d", route.name, n), func(t *testing.T) {
-				tn := bootNet(t, twoHostADF, Config{})
+				var cfg Config
+				if route.durable {
+					cfg.DataDir = t.TempDir()
+					cfg.Durable = durable.Config{Sync: durable.SyncNever}
+				}
+				tn := bootNet(t, twoHostADF, cfg)
 				fs, _ := tn.nodes[route.owner].LocalFolderServer(tn.file.App, route.folder)
 				raw, err := tn.sim.DialFrom("a", MemoAddr("a"))
 				if err != nil {
